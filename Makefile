@@ -9,11 +9,11 @@ GO ?= go
 # Per-target fuzzing budget for `make fuzz`; raise for real hunts.
 FUZZTIME ?= 30s
 
-.PHONY: all ci vet build test race bench bench-json bench-scaling profile docs lint lint-fixtures api-check scenario-check dataset-check check-dist cover fuzz fuzz-smoke clean
+.PHONY: all ci vet build test race bench bench-json profile docs lint lint-fixtures api-check scenario-check dataset-check cover fuzz fuzz-smoke clean
 
 all: ci
 
-ci: build lint lint-fixtures race docs scenario-check dataset-check check-dist cover fuzz-smoke bench
+ci: build lint lint-fixtures race docs scenario-check dataset-check cover fuzz-smoke bench
 
 vet:
 	$(GO) vet ./...
@@ -79,13 +79,6 @@ dataset-check:
 	$(GO) test -count 1 -run 'TestDatasetRoundTripIdentifications|TestDatasetRoundTripStreaming|TestInMemoryDatasetSource' .
 	sh scripts/check-dataset-cli.sh
 
-# Distributed gate: `churnlab -procs N` prints stdout byte-identical to
-# the in-process run — matrix sweeps (cells as jobs, -procs 2 and 4) and
-# batch runs (day ranges as jobs) — so multi-process execution can never
-# change a result, only where it is computed.
-check-dist:
-	sh scripts/check-dist.sh
-
 # Coverage gate: per-package floors enforced by scripts/cover-check.sh —
 # internal packages >= 75%, the root package >= 80%, cmd/ binaries exempt
 # (their CLI surfaces are smoke-tested by the check scripts), and a new
@@ -100,18 +93,10 @@ bench:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
 # Root benchmarks with -benchmem, rendered as JSON so the performance
-# trajectory has machine-readable datapoints (BENCH_PR9.json is this PR's:
-# it adds the Engine_MatrixDistributed multi-process series to PR7's
+# trajectory has machine-readable datapoints (BENCH_PR9.json is the latest
 # min-of-N suite).
 bench-json:
 	sh scripts/bench-json.sh BENCH_PR9.json
-
-# Speedup curve of the distributed matrix runner (ns/op and speedup vs
-# the in-process baseline per worker count), min-of-N like bench-json.
-# On a single-core host the curve is ~flat by construction; the >=2x at
-# 4 procs expectation needs >= 4 real cores.
-bench-scaling:
-	sh scripts/bench-scaling.sh BENCH_SCALING.json
 
 # CPU and allocation profiles for the three hot kernels the PR6 pass
 # optimized, written under profiles/ as pprof protos plus human-readable

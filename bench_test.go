@@ -470,43 +470,3 @@ func BenchmarkEngine_MatrixSeedSweep(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkEngine_MatrixDistributed runs the same four-cell seed sweep
-// through the multi-process runner at increasing worker counts, against
-// the in-process baseline. The output is byte-identical across all of
-// them; the series measures how the wall-clock scales with processes
-// (expect ~flat on a single-core host — the speedup needs real cores —
-// and the procs=1 point prices the envelope/IPC overhead itself). The
-// worker is this test binary re-executed via MaybeWorker, exactly as
-// churnlab -procs re-executes itself. scripts/bench-scaling.sh renders
-// the series as a speedup curve.
-func BenchmarkEngine_MatrixDistributed(b *testing.B) {
-	base := SmallConfig()
-	base.Days = 6
-	base.Vantages = 8
-	base.URLs = 10
-	base.URLsPerDay = 4
-	base.Workers = 1 // one serial pipeline per cell, as churnlab does
-	sweep := func(b *testing.B, extra ...Option) {
-		b.Helper()
-		for i := 0; i < b.N; i++ {
-			exp, err := New(append([]Option{WithConfig(base), WithSeedSweep(4)}, extra...)...)
-			if err != nil {
-				b.Fatal(err)
-			}
-			res, err := exp.Run(context.Background())
-			if err != nil {
-				b.Fatal(err)
-			}
-			if res.Matrix.Failed > 0 {
-				b.Fatalf("%d matrix cells failed", res.Matrix.Failed)
-			}
-		}
-	}
-	b.Run("inprocess", func(b *testing.B) { sweep(b) })
-	for _, procs := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("procs=%d", procs), func(b *testing.B) {
-			sweep(b, WithDistributed(procs))
-		})
-	}
-}

@@ -6,7 +6,7 @@
 //	churnlab [-scale small|default|paper] [-scenario NAME] [-seed N]
 //	         [-input dataset.jsonl.gz]
 //	         [-only table1,figure3,...] [-validate]
-//	         [-parallel N] [-matrix N] [-procs N]
+//	         [-parallel N] [-matrix N]
 //	         [-stream] [-window D] [-stride D]
 //
 // churnlab is the reference consumer of the unified Experiment API: it
@@ -44,19 +44,10 @@
 // whole pipelines concurrently and prints the aggregated identifications
 // instead of the single-run evaluation.
 //
-// -procs N distributes the run across N worker subprocesses: each matrix
-// cell — or, in a single batch run, each shard of the measurement schedule
-// — executes in its own churnlab worker process (the binary re-executes
-// itself; no separate worker binary needed). Results are byte-identical to
-// the in-process run at any N; the flag only changes where the work
-// happens. It conflicts with -stream (the incremental localizer consumes
-// days in order in one process) and -input (a replay has nothing left to
-// measure).
-//
-// Contradictory flag combinations (-stream with -matrix or -procs,
-// -window/-stride without -stream, -only or an explicit -validate in a
-// mode that cannot honor them) are rejected with an error up front rather
-// than silently resolved by precedence.
+// Contradictory flag combinations (-stream with -matrix, -window/-stride
+// without -stream, -only or an explicit -validate in a mode that cannot
+// honor them) are rejected with an error up front rather than silently
+// resolved by precedence.
 //
 // -stream replays the scenario day by day through the streaming localizer
 // and prints a per-window timeline plus per-censor convergence stats
@@ -97,22 +88,13 @@ import (
 // flag set, one message each. explicit holds the flag names the user set
 // on the command line (flag.Visit); it distinguishes an explicit -validate
 // or -stride from their defaults.
-func flagConflicts(explicit map[string]bool, matrix int, stream bool, only string, input string, eval bool, procs int) []string {
+func flagConflicts(explicit map[string]bool, matrix int, stream bool, only string, input string, eval bool) []string {
 	var conflicts []string
 	if matrix < 1 {
 		conflicts = append(conflicts, fmt.Sprintf("-matrix %d: sweep size must be >= 1", matrix))
 	}
-	if procs < 0 {
-		conflicts = append(conflicts, fmt.Sprintf("-procs %d: worker process count must be >= 0 (0 = in-process)", procs))
-	}
 	if stream && matrix > 1 {
 		conflicts = append(conflicts, "-stream and -matrix are mutually exclusive")
-	}
-	if procs > 0 && stream {
-		conflicts = append(conflicts, "-procs and -stream are mutually exclusive: the incremental localizer consumes days in order in one process")
-	}
-	if procs > 0 && input != "" {
-		conflicts = append(conflicts, "-procs distributes measurement work and contradicts -input, which replays recorded data with nothing left to measure; drop one")
 	}
 	if eval && matrix > 1 {
 		conflicts = append(conflicts, "-eval scores one run against its world's ground truth and contradicts -matrix, whose cells each have their own world; drop one")
@@ -146,11 +128,6 @@ func flagConflicts(explicit map[string]bool, matrix int, stream bool, only strin
 }
 
 func main() {
-	// A distributed coordinator re-executes this binary as its workers;
-	// MaybeWorker intercepts that invocation before any flag parsing and
-	// never returns in a worker process.
-	churntomo.MaybeWorker()
-
 	scale := flag.String("scale", "default", "experiment scale: small, default or paper")
 	scenarioName := flag.String("scenario", churntomo.ScenarioBaseline,
 		"world-construction preset (see `genlab -list` for the catalog)")
@@ -165,7 +142,6 @@ func main() {
 	stride := flag.Int("stride", 1, "days the streaming window advances between localizations")
 	input := flag.String("input", "", "analyze this recorded dataset (genlab -export) instead of synthesizing one")
 	eval := flag.Bool("eval", false, "append the ground-truth accuracy report (precision/recall/F1, leakage, candidate reduction)")
-	procs := flag.Int("procs", 0, "distribute matrix cells (or a batch run's measurement days) across N worker processes (0 = in-process)")
 	flag.Parse()
 
 	sc, err := churntomo.ParseScale(*scale)
@@ -178,7 +154,7 @@ func main() {
 	// run something other than what the command line asked for.
 	explicit := map[string]bool{}
 	flag.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
-	if conflicts := flagConflicts(explicit, *matrix, *streamMode, *only, *input, *eval, *procs); len(conflicts) > 0 {
+	if conflicts := flagConflicts(explicit, *matrix, *streamMode, *only, *input, *eval); len(conflicts) > 0 {
 		for _, c := range conflicts {
 			fmt.Fprintf(os.Stderr, "churnlab: %s\n", c)
 		}
@@ -217,9 +193,6 @@ func main() {
 		opts = append(opts, churntomo.WithSeedSweep(*matrix))
 	case *streamMode:
 		opts = append(opts, churntomo.WithWindow(*window), churntomo.WithStride(*stride))
-	}
-	if *procs > 0 {
-		opts = append(opts, churntomo.WithDistributed(*procs))
 	}
 
 	exp, err := churntomo.New(opts...)

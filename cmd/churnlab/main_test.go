@@ -21,7 +21,6 @@ func TestFlagConflicts(t *testing.T) {
 		only     string
 		input    string
 		eval     bool
-		procs    int
 		want     []string // substrings of expected conflict messages; empty = none
 	}{
 		{name: "defaults", explicit: set(), matrix: 1},
@@ -93,31 +92,10 @@ func TestFlagConflicts(t *testing.T) {
 			name: "eval with matrix", explicit: set("eval", "matrix"), matrix: 4, eval: true,
 			want: []string{"-eval", "-matrix"},
 		},
-		{name: "procs alone", explicit: set("procs"), matrix: 1, procs: 4},
-		{
-			// Distributing a matrix sweep across worker processes is the
-			// headline use case, not a conflict.
-			name: "procs with matrix", explicit: set("procs", "matrix"), matrix: 4, procs: 2,
-		},
-		{
-			name: "procs with eval", explicit: set("procs", "eval"), matrix: 1, procs: 2, eval: true,
-		},
-		{
-			name: "negative procs", explicit: set("procs"), matrix: 1, procs: -1,
-			want: []string{"must be >= 0"},
-		},
-		{
-			name: "procs with stream", explicit: set("procs", "stream"), matrix: 1, stream: true, procs: 2,
-			want: []string{"-procs", "-stream", "mutually exclusive"},
-		},
-		{
-			name: "procs with input", explicit: set("procs", "input"), matrix: 1, input: "ds.jsonl.gz", procs: 2,
-			want: []string{"-procs", "-input", "nothing left to measure"},
-		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			got := flagConflicts(tc.explicit, tc.matrix, tc.stream, tc.only, tc.input, tc.eval, tc.procs)
+			got := flagConflicts(tc.explicit, tc.matrix, tc.stream, tc.only, tc.input, tc.eval)
 			if len(tc.want) == 0 {
 				if len(got) > 0 {
 					t.Fatalf("unexpected conflicts: %v", got)

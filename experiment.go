@@ -63,15 +63,6 @@ type Experiment struct {
 	matrixWorkers  int
 	ablation       bool
 
-	// procs > 0 switches execution to the distributed process pool: matrix
-	// cells (or a batch run's measurement days) run in procs worker
-	// subprocesses. workerCmd overrides the worker argv (default: this
-	// binary re-executed with the magic worker argument); workerMemMB is
-	// the per-worker soft memory budget hint.
-	procs       int
-	workerCmd   []string
-	workerMemMB int
-
 	// source is the experiment-wide measurement source (nil = the default
 	// ScenarioSource); cellSources is the WithSources matrix — one cell
 	// per source, overriding source per cell.
@@ -137,47 +128,6 @@ func New(opts ...Option) (*Experiment, error) {
 			if _, ok := src.(*ScenarioSource); !ok {
 				return nil, fmt.Errorf("churntomo: New: source %q replays recorded data, which a scenario selection cannot steer; drop one", src.Label())
 			}
-		}
-	}
-	// Distributed execution crosses a process boundary, so everything a
-	// worker needs must serialize: provider implementations (composed
-	// specs) and arbitrary Source values cannot, and the concurrency knobs
-	// that assume shared memory contradict it.
-	if e.procs > 0 {
-		if e.streaming {
-			return nil, fmt.Errorf("churntomo: New: WithDistributed and streaming are mutually exclusive: the incremental localizer consumes days in order in one process")
-		}
-		if e.matrixWorkers > 0 {
-			return nil, fmt.Errorf("churntomo: New: WithMatrixWorkers and WithDistributed both bound matrix concurrency (in-process goroutines vs worker processes); choose one")
-		}
-		if e.specOverride != nil {
-			return nil, fmt.Errorf("churntomo: New: WithScenarioSpec composes provider implementations, which cannot cross the worker process boundary; register the composition as a named scenario, or drop WithDistributed")
-		}
-		srcs := e.cellSources
-		if len(srcs) == 0 {
-			srcs = []Source{e.sourceFor(-1)}
-		}
-		matrix := e.seedSweep > 1 || len(e.scaleFactors) > 0 || len(e.cells) > 0 || len(e.cellSources) > 0
-		for i, src := range srcs {
-			switch s := src.(type) {
-			case *ScenarioSource:
-				if s.Spec != nil {
-					return nil, fmt.Errorf("churntomo: New: source %q carries a composed spec, which cannot cross the worker process boundary; register it as a named scenario, or drop WithDistributed", src.Label())
-				}
-			case *FileSource, *Dataset:
-				if !matrix {
-					return nil, fmt.Errorf("churntomo: New: WithDistributed splits a batch run's measurement schedule across processes, but source %q replays recorded data with nothing left to measure; drop WithDistributed", src.Label())
-				}
-			default:
-				return nil, fmt.Errorf("churntomo: New: cell %d: custom Source %q cannot cross the worker process boundary; use scenario synthesis, a FileSource or a *Dataset", i, src.Label())
-			}
-		}
-	} else {
-		if len(e.workerCmd) > 0 {
-			return nil, fmt.Errorf("churntomo: New: WithWorkerBinary without WithDistributed: the worker binary is only consulted by distributed runs")
-		}
-		if e.workerMemMB > 0 {
-			return nil, fmt.Errorf("churntomo: New: WithWorkerMemoryMB without WithDistributed: the memory budget applies to worker processes")
 		}
 	}
 	// Scenario selection is order-insensitive with respect to WithConfig:
@@ -266,15 +216,7 @@ func (e *Experiment) Run(ctx context.Context) (*Result, error) {
 	if e.Mode() == ModeMatrix {
 		return e.runMatrixMode(ctx)
 	}
-	var cell *cellRun
-	var err error
-	if e.procs > 0 {
-		// Batch under WithDistributed: fan the measurement days out across
-		// worker processes; New already excluded streaming and replays.
-		cell, err = e.runCellDistributed(ctx, e.base)
-	} else {
-		cell, err = e.runCell(ctx, e.base, -1)
-	}
+	cell, err := e.runCell(ctx, e.base, -1)
 	if err != nil {
 		return nil, err
 	}
@@ -555,16 +497,7 @@ func (e *Experiment) runMatrixCells(ctx context.Context, cfgs []Config) []Matrix
 
 // runMatrixMode executes the matrix and folds it into a Result.
 func (e *Experiment) runMatrixMode(ctx context.Context) (*Result, error) {
-	cfgs := e.matrixConfigs()
-	var results []MatrixResult
-	if e.procs > 0 {
-		var err error
-		if results, err = e.runMatrixDistributed(ctx, cfgs); err != nil {
-			return nil, err
-		}
-	} else {
-		results = e.runMatrixCells(ctx, cfgs)
-	}
+	results := e.runMatrixCells(ctx, e.matrixConfigs())
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -579,9 +512,9 @@ func (e *Experiment) runMatrixMode(ctx context.Context) (*Result, error) {
 	}
 	for _, mr := range results {
 		cs := CellStatus{Index: mr.Index, Config: mr.Config, Err: mr.Err}
-		if s := mr.summary(); s != nil {
-			cs.Censors = len(s.Identified)
-			cs.CNFs = s.CNFs
+		if p := mr.Pipeline; p != nil {
+			cs.Censors = len(p.Identified)
+			cs.CNFs = len(p.Outcomes)
 		}
 		res.Cells = append(res.Cells, cs)
 		res.Pipelines = append(res.Pipelines, mr.Pipeline)

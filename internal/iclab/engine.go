@@ -2,7 +2,6 @@ package iclab
 
 import (
 	"context"
-	"fmt"
 
 	"churntomo/internal/parallel"
 )
@@ -91,28 +90,6 @@ func RunByDayCtx(ctx context.Context, s *Scenario, cfg PlatformConfig) ([][]Reco
 	shards := make([][]Record, days)
 	if err := parallel.ForEachCtx(ctx, cfg.Workers, days, func(day int) {
 		shards[day] = s.runDay(cfg, day)
-	}); err != nil {
-		return nil, err
-	}
-	return shards, nil
-}
-
-// RunDaysCtx measures only the day range [lo, hi) of the schedule and
-// returns those shards, shards[i] holding day lo+i, IDs unassigned. Because
-// a day's randomness depends only on (seed, day index), a range run is
-// bit-identical to the same days of a full RunByDayCtx — this is what lets
-// a distributed coordinator split one cell's schedule across worker
-// processes and MergeShards the pieces back into Run's exact record
-// sequence.
-func RunDaysCtx(ctx context.Context, s *Scenario, cfg PlatformConfig, lo, hi int) ([][]Record, error) {
-	cfg.fillDefaults()
-	days := s.Days()
-	if lo < 0 || hi > days || lo > hi {
-		return nil, fmt.Errorf("iclab: day range [%d, %d) outside the %d-day schedule", lo, hi, days)
-	}
-	shards := make([][]Record, hi-lo)
-	if err := parallel.ForEachCtx(ctx, cfg.Workers, hi-lo, func(i int) {
-		shards[i] = s.runDay(cfg, lo+i)
 	}); err != nil {
 		return nil, err
 	}

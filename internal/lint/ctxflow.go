@@ -18,8 +18,8 @@ package lint
 //     reachable from a function's entry — bare channel send/recv,
 //     range-over-channel, select with no default and no ctx.Done() arm,
 //     WaitGroup.Wait, exec.Cmd waits, pipe reads — must be cancellable:
-//     inside a select with a Done arm, guarded by exec.CommandContext
-//     construction, or carrying a reviewed suppression.
+//     inside a select with a Done arm, or carrying a reviewed
+//     suppression.
 
 import (
 	"go/ast"
@@ -44,9 +44,8 @@ func runCtxflow(m *Module) []Finding {
 		findings = append(findings, ctxParamFindings(m, p, units)...)
 		findings = append(findings, ctxRootFindings(m, p)...)
 		if concurrencyPackage(m, p) {
-			idx := buildOriginIndex(p)
 			for _, u := range units {
-				findings = append(findings, ctxBlockingFindings(m, p, idx, u)...)
+				findings = append(findings, ctxBlockingFindings(m, p, u)...)
 			}
 		}
 	}
@@ -254,7 +253,7 @@ func enclosingCall(root ast.Node, target *ast.CallExpr) *ast.CallExpr {
 
 // ctxBlockingFindings checks every blocking op in the live blocks of one
 // concurrency-package function for a cancellation guard.
-func ctxBlockingFindings(m *Module, p *Package, idx originIndex, u *funcUnit) []Finding {
+func ctxBlockingFindings(m *Module, p *Package, u *funcUnit) []Finding {
 	var findings []Finding
 	done := doneChannels(p, u)
 	for _, b := range u.g.blocks {
@@ -270,13 +269,8 @@ func ctxBlockingFindings(m *Module, p *Package, idx originIndex, u *funcUnit) []
 					"add a ctx.Done() arm so cancellation can preempt the wait"))
 				continue
 			}
-			if op.exec && op.recv != nil && tracesToCommandContext(p, idx, op.recv) {
-				// The context owns the child's lifetime: cancellation
-				// kills the process, which unblocks the wait.
-				continue
-			}
 			findings = append(findings, ctxBlockingFinding(m, u, op,
-				"wrap it in a select with a ctx.Done() arm (or construct via exec.CommandContext) so cancellation cannot hang the pool"))
+				"wrap it in a select with a ctx.Done() arm so cancellation cannot hang the pool"))
 		}
 	}
 	return findings

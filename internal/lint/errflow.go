@@ -6,8 +6,7 @@ package lint
 //     call statement nor a blank assignment may drop an error; a
 //     dropped error is a silently-wrong localization result.
 //  2. No ==/!= comparison of error values (nil excepted): wrapped
-//     chains — the module's own *WorkerError/*RemoteError included —
-//     only match through errors.Is/errors.As.
+//     chains only match through errors.Is/errors.As.
 //  3. fmt.Errorf must wrap an embedded error with %w, not %v/%s, so
 //     errors.Is/As keep seeing through the new layer.
 //
@@ -230,7 +229,7 @@ func sentinelCompareFindings(m *Module, p *Package, bin *ast.BinaryExpr) []Findi
 	return []Finding{{
 		Pos:      m.Fset.Position(bin.OpPos),
 		Analyzer: "errflow",
-		Message:  "error compared with " + bin.Op.String() + "; wrapped chains (including *WorkerError/*RemoteError) never match identity — use errors.Is or errors.As",
+		Message:  "error compared with " + bin.Op.String() + "; wrapped chains never match identity — use errors.Is or errors.As",
 	}}
 }
 

@@ -19,7 +19,6 @@ import (
 // exactly a package whose blocking ops need cancellation discipline.
 var concurrencyPackages = map[string]bool{
 	"internal/parallel": true,
-	"internal/distrib":  true,
 	"internal/stream":   true,
 }
 
@@ -78,7 +77,7 @@ func selectHasDefault(sel *ast.SelectStmt) bool {
 // blockingCalls maps a callee's full name (types.Func.FullName form) to
 // the description used in findings. These are the operations that can
 // park a goroutine indefinitely when the other side never shows up: the
-// join primitives and the pipe reads the worker-pool protocol lives on.
+// join primitives, child-process reaps and pipe reads.
 var blockingCalls = map[string]string{
 	"(*sync.WaitGroup).Wait":        "sync.WaitGroup.Wait",
 	"(*os/exec.Cmd).Wait":           "exec.Cmd.Wait",
@@ -95,26 +94,10 @@ var blockingCalls = map[string]string{
 	"(*os/exec.Cmd).CombinedOutput": "exec.Cmd.CombinedOutput",
 }
 
-// execCmdCalls names the blockingCalls entries whose cancellation guard
-// is construction via exec.CommandContext (the context kills the child,
-// unblocking Wait) rather than a select arm.
-var execCmdCalls = map[string]bool{
-	"(*os/exec.Cmd).Wait":           true,
-	"(*os/exec.Cmd).Run":            true,
-	"(*os/exec.Cmd).Output":         true,
-	"(*os/exec.Cmd).CombinedOutput": true,
-}
-
 // blockingOp is one potentially-parking operation found in a block.
 type blockingOp struct {
 	node ast.Node
 	what string
-	// recv is the receiver expression for method calls (the *exec.Cmd
-	// whose construction decides cancellability), nil otherwise.
-	recv ast.Expr
-	// exec marks ops guarded by exec.CommandContext origin rather than a
-	// select arm.
-	exec bool
 }
 
 // nodeBlockingOps classifies the blocking operations one straight-line
@@ -134,13 +117,12 @@ func nodeBlockingOps(p *Package, n ast.Node) []blockingOp {
 				ops = append(ops, blockingOp{node: op, what: "bare channel receive"})
 			}
 		case *ast.CallExpr:
-			fn, recv := calleeFunc(p, op)
+			fn, _ := calleeFunc(p, op)
 			if fn == nil {
 				return true
 			}
-			full := fn.FullName()
-			if what, ok := blockingCalls[full]; ok {
-				ops = append(ops, blockingOp{node: op, what: what, recv: recv, exec: execCmdCalls[full]})
+			if what, ok := blockingCalls[fn.FullName()]; ok {
+				ops = append(ops, blockingOp{node: op, what: what})
 			}
 		}
 		return true
@@ -239,97 +221,6 @@ func selectHasDoneArm(p *Package, sel *ast.SelectStmt, done map[types.Object]boo
 			continue
 		}
 		if commReceivesDone(p, cl.Comm, done) {
-			return true
-		}
-	}
-	return false
-}
-
-// originIndex maps every assignable object in a package to the
-// right-hand-side expressions ever assigned to it, across all files —
-// the substrate for tracing an *exec.Cmd receiver back to its
-// constructor call.
-type originIndex map[types.Object][]ast.Expr
-
-func buildOriginIndex(p *Package) originIndex {
-	idx := originIndex{}
-	record := func(lhs, rhs ast.Expr) {
-		var obj types.Object
-		switch l := ast.Unparen(lhs).(type) {
-		case *ast.Ident:
-			obj = p.Info.Defs[l]
-			if obj == nil {
-				obj = p.Info.Uses[l]
-			}
-		case *ast.SelectorExpr:
-			obj = p.Info.Uses[l.Sel]
-		}
-		if obj != nil {
-			idx[obj] = append(idx[obj], rhs)
-		}
-	}
-	for _, f := range p.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch st := n.(type) {
-			case *ast.AssignStmt:
-				if len(st.Lhs) == len(st.Rhs) {
-					for i := range st.Lhs {
-						record(st.Lhs[i], st.Rhs[i])
-					}
-				}
-			case *ast.ValueSpec:
-				if len(st.Names) == len(st.Values) {
-					for i := range st.Names {
-						record(st.Names[i], st.Values[i])
-					}
-				}
-			}
-			return true
-		})
-	}
-	return idx
-}
-
-// tracesToCommandContext reports whether the expression's value can be
-// traced, through the package's assignment chains, to an
-// exec.CommandContext call — the construction that makes Cmd.Wait
-// cancellable (cancelling the context kills the child and unblocks the
-// reap). The trace is an over-approximation on purpose: any one origin
-// being CommandContext sanctions the op, because the repo constructs
-// each Cmd exactly once.
-func tracesToCommandContext(p *Package, idx originIndex, e ast.Expr) bool {
-	seen := map[types.Object]bool{}
-	var trace func(e ast.Expr) bool
-	trace = func(e ast.Expr) bool {
-		switch x := ast.Unparen(e).(type) {
-		case *ast.CallExpr:
-			fn, _ := calleeFunc(p, x)
-			return fn != nil && fn.FullName() == "os/exec.CommandContext"
-		case *ast.Ident:
-			obj := p.Info.Uses[x]
-			if obj == nil {
-				obj = p.Info.Defs[x]
-			}
-			return traceObj(obj, trace, seen, idx)
-		case *ast.SelectorExpr:
-			return traceObj(p.Info.Uses[x.Sel], trace, seen, idx)
-		case *ast.UnaryExpr:
-			return trace(x.X)
-		case *ast.StarExpr:
-			return trace(x.X)
-		}
-		return false
-	}
-	return trace(e)
-}
-
-func traceObj(obj types.Object, trace func(ast.Expr) bool, seen map[types.Object]bool, idx originIndex) bool {
-	if obj == nil || seen[obj] {
-		return false
-	}
-	seen[obj] = true
-	for _, rhs := range idx[obj] {
-		if trace(rhs) {
 			return true
 		}
 	}

@@ -24,8 +24,6 @@ var analyzerGoroutine = &Analyzer{
 // new package must join, cancel, and recover its goroutines itself.
 var sanctionedGoroutines = map[string]string{
 	"internal/parallel": "the worker pool: owns cancellation, draining, and panic re-raise for the whole module",
-	"internal/distrib": "one driver goroutine per worker subprocess, joined by WaitGroup before Run returns; " +
-		"each owns its child's spawn/kill/reap lifecycle, and determinism is preserved by index-ordered merge",
 }
 
 func runGoroutine(m *Module) []Finding {

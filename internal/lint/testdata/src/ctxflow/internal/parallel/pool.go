@@ -83,14 +83,14 @@ func BadCmd() error {
 	return cmd.Wait() // want "exec.Cmd.Wait in BadCmd is not cancellable"
 }
 
-// GoodCmd builds the child with CommandContext, so cancellation kills
-// it and unblocks the reap; no finding.
-func GoodCmd(ctx context.Context) error {
+// CtxCmd builds the child with CommandContext, but construction is no
+// cancellation guard: the reap still parks outside any ctx.Done() select.
+func CtxCmd(ctx context.Context) error {
 	cmd := exec.CommandContext(ctx, "true")
 	if err := cmd.Start(); err != nil {
 		return err
 	}
-	return cmd.Wait()
+	return cmd.Wait() // want "exec.Cmd.Wait in CtxCmd is not cancellable"
 }
 
 // ReadHeader parks on the pipe.

@@ -329,75 +329,14 @@ func WithConfigs(cfgs ...Config) Option {
 // WithMatrixWorkers bounds how many matrix cells run concurrently — as
 // goroutines sharing this process; 0 uses GOMAXPROCS. For wide matrices it
 // usually pays to combine this with WithWorkers(1) and let the matrix
-// supply the concurrency. To run cells in separate worker processes
-// instead (isolated heaps, multi-process parallelism), use
-// WithDistributed; the two are mutually exclusive, since each claims the
-// same concurrency budget. churnlab exposes them as -parallel/-matrix vs
-// -procs under the same rule.
+// supply the concurrency. churnlab leaves it at GOMAXPROCS and sets
+// WithWorkers(1) for -matrix runs unless -parallel says otherwise.
 func WithMatrixWorkers(n int) Option {
 	return func(e *Experiment) error {
 		if n < 0 {
 			return fmt.Errorf("churntomo: WithMatrixWorkers(%d): worker count must be >= 0 (0 = GOMAXPROCS)", n)
 		}
 		e.matrixWorkers = n
-		return nil
-	}
-}
-
-// WithDistributed executes the experiment across n worker subprocesses
-// instead of in-process goroutines: each matrix cell — or, for a single
-// batch run, each contiguous range of its measurement days — is serialized
-// as a self-contained job envelope, dispatched to a pooled worker over a
-// length-prefixed pipe protocol, and merged back through the same
-// deterministic aggregation, so the output is byte-identical to in-process
-// execution at any n. Workers stream progress events back live, a crashed
-// worker is respawned and its job retried once (then surfaces as a typed
-// per-cell error, never a hang), and cancellation kills the pool.
-//
-// By default the worker command is this very binary re-executed with a
-// magic argument — the embedding program must call MaybeWorker first thing
-// in main (churnlab does; so does `go test` via the package's TestMain) —
-// or point WithWorkerBinary at a dedicated worker such as cmd/churnworker.
-// Mutually exclusive with streaming (days must arrive in order in one
-// process), with WithMatrixWorkers (one concurrency budget), and with
-// replay sources in batch mode (nothing left to measure). n == 1 is valid:
-// one worker process, useful for isolating a cell's heap.
-func WithDistributed(n int) Option {
-	return func(e *Experiment) error {
-		if n < 1 {
-			return fmt.Errorf("churntomo: WithDistributed(%d): worker process count must be >= 1 (omit the option for in-process execution)", n)
-		}
-		e.procs = n
-		return nil
-	}
-}
-
-// WithWorkerBinary sets the worker command a distributed run spawns, in
-// place of re-executing the current binary: path is the executable,
-// args its arguments. The process must speak the worker protocol on
-// stdin/stdout — cmd/churnworker does with no arguments, and any binary
-// that calls MaybeWorker does when passed churntomo's magic worker
-// argument. Requires WithDistributed.
-func WithWorkerBinary(path string, args ...string) Option {
-	return func(e *Experiment) error {
-		if path == "" {
-			return fmt.Errorf("churntomo: WithWorkerBinary: empty worker binary path")
-		}
-		e.workerCmd = append([]string{path}, args...)
-		return nil
-	}
-}
-
-// WithWorkerMemoryMB hints each distributed worker's soft memory budget in
-// mebibytes, applied as the worker runtime's memory limit — a fleet of
-// workers on one host degrades to harder GC instead of the OOM killer.
-// Requires WithDistributed.
-func WithWorkerMemoryMB(mb int) Option {
-	return func(e *Experiment) error {
-		if mb < 1 {
-			return fmt.Errorf("churntomo: WithWorkerMemoryMB(%d): memory budget must be >= 1 MiB (omit the option for the runtime default)", mb)
-		}
-		e.workerMemMB = mb
 		return nil
 	}
 }

@@ -442,17 +442,8 @@ func matrixSummaryOf(agg *MatrixAggregate, results []MatrixResult) *MatrixSummar
 	}
 	nameOf := func(asn topology.ASN) (string, string) {
 		for _, res := range results {
-			// A distributed cell ships its full AS table in the summary, so
-			// the lookup resolves from the same cell an in-process run's
-			// Graph lookup would — keeping the aggregate byte-identical.
 			if res.Pipeline != nil {
 				if as, ok := res.Pipeline.Graph.ByASN(asn); ok {
-					return as.Name, as.Country
-				}
-				continue
-			}
-			if res.Summary != nil {
-				if as, ok := res.Summary.ASes[asn]; ok {
 					return as.Name, as.Country
 				}
 			}

@@ -35,65 +35,10 @@ type Runner struct {
 type MatrixResult struct {
 	Index  int
 	Config Config
-	// Pipeline holds the cell's full internal artifacts when the cell ran
-	// in-process; nil for distributed cells (the artifacts never cross the
-	// process boundary) and for failed cells.
+	// Pipeline holds the cell's full internal artifacts; nil for failed
+	// cells.
 	Pipeline *Pipeline
-	// Summary is the cell's condensed outcome when the cell ran in a
-	// worker process (WithDistributed). In-process cells leave it nil —
-	// aggregation derives the identical summary from Pipeline on demand.
-	Summary *CellSummary
-	Err     error
-}
-
-// CellSummary is the slice of a cell's outcome that matrix aggregation
-// reads — everything AggregateMatrix and the matrix report consume,
-// without the full Pipeline artifacts. It is what a distributed cell
-// ships back over the pipe.
-type CellSummary struct {
-	// CNFs and UniqueCNFs count all and unique-solution CNFs.
-	CNFs, UniqueCNFs int
-	// Identified is the cell's censor verdict.
-	Identified map[ASN]*IdentifiedCensor
-	// LeakASes and LeakCountries are the cell's leakage headlines.
-	LeakASes, LeakCountries int
-	// ASes is the cell world's complete AS metadata table, for resolving
-	// censor names in the aggregate (ASN->name is seed-dependent). Nil for
-	// summaries derived from an in-process Pipeline, whose Graph serves
-	// the same lookups.
-	ASes map[ASN]ASInfo
-}
-
-// summary returns the cell's aggregation view: the shipped Summary of a
-// distributed cell, or the equivalent derived from an in-process
-// Pipeline. Nil for failed cells.
-func (mr *MatrixResult) summary() *CellSummary {
-	if mr.Err != nil {
-		return nil
-	}
-	if mr.Summary != nil {
-		return mr.Summary
-	}
-	if mr.Pipeline != nil {
-		return cellSummaryOf(mr.Pipeline)
-	}
-	return nil
-}
-
-// cellSummaryOf condenses an in-process cell's pipeline into exactly what
-// a distributed cell would have shipped.
-func cellSummaryOf(p *Pipeline) *CellSummary {
-	s := &CellSummary{CNFs: len(p.Outcomes), Identified: p.Identified}
-	for _, o := range p.Outcomes {
-		if o.Class == sat.Unique {
-			s.UniqueCNFs++
-		}
-	}
-	if p.Leakage != nil {
-		s.LeakASes = p.Leakage.LeakToOtherASes()
-		s.LeakCountries = p.Leakage.LeakToOtherCountries()
-	}
-	return s
+	Err      error
 }
 
 // RunMatrix runs every config and returns results in input order. A failed
@@ -283,22 +228,25 @@ type MatrixAggregate struct {
 }
 
 // AggregateMatrix folds matrix results into one summary. Failed cells are
-// counted and otherwise skipped. It reads each cell through its summary
-// view, so in-process and distributed cells aggregate identically — every
-// fold is commutative (sums, unions), which is what makes the merged
-// result independent of worker count and scheduling.
+// counted and otherwise skipped. Every fold is commutative (sums, unions),
+// which is what makes the merged result independent of worker count and
+// scheduling.
 func AggregateMatrix(results []MatrixResult) *MatrixAggregate {
 	agg := &MatrixAggregate{Censors: map[topology.ASN]*AggregatedCensor{}}
 	for _, res := range results {
-		s := res.summary()
-		if s == nil {
+		p := res.Pipeline
+		if res.Err != nil || p == nil {
 			agg.Failed++
 			continue
 		}
 		agg.Runs++
-		agg.TotalCNFs += s.CNFs
-		agg.UniqueCNFs += s.UniqueCNFs
-		for asn, c := range s.Identified {
+		agg.TotalCNFs += len(p.Outcomes)
+		for _, o := range p.Outcomes {
+			if o.Class == sat.Unique {
+				agg.UniqueCNFs++
+			}
+		}
+		for asn, c := range p.Identified {
 			a := agg.Censors[asn]
 			if a == nil {
 				a = &AggregatedCensor{ASN: asn}
@@ -308,8 +256,10 @@ func AggregateMatrix(results []MatrixResult) *MatrixAggregate {
 			a.CNFs += c.CNFs
 			a.Kinds |= c.Kinds
 		}
-		agg.LeakASes += s.LeakASes
-		agg.LeakCountries += s.LeakCountries
+		if p.Leakage != nil {
+			agg.LeakASes += p.Leakage.LeakToOtherASes()
+			agg.LeakCountries += p.Leakage.LeakToOtherCountries()
+		}
 	}
 	return agg
 }

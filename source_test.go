@@ -170,8 +170,8 @@ func TestScenarioSourceOpenMatchesExport(t *testing.T) {
 }
 
 // TestWithSourcesMatrix runs a matrix with one cell per source — two
-// replays of the same exported file — and expects every identification to
-// be stable across cells.
+// replays of the same exported file and the same data as an in-memory
+// *Dataset — and expects every identification to be stable across cells.
 func TestWithSourcesMatrix(t *testing.T) {
 	if testing.Short() {
 		t.Skip("end-to-end matrix")
@@ -181,12 +181,16 @@ func TestWithSourcesMatrix(t *testing.T) {
 	if err := direct.Export(path); err != nil {
 		t.Fatal(err)
 	}
+	ds, err := direct.Dataset()
+	if err != nil {
+		t.Fatal(err)
+	}
 	res := runDirect(t, WithConfig(exportTestConfig()),
-		WithSources(&FileSource{Path: path}, &FileSource{Path: path}))
+		WithSources(&FileSource{Path: path}, &FileSource{Path: path}, ds))
 	if res.Mode != ModeMatrix {
 		t.Fatalf("mode = %v, want matrix", res.Mode)
 	}
-	if res.Matrix.Runs != 2 || res.Matrix.Failed != 0 {
+	if res.Matrix.Runs != 3 || res.Matrix.Failed != 0 {
 		t.Fatalf("matrix runs %d failed %d", res.Matrix.Runs, res.Matrix.Failed)
 	}
 	if len(res.Matrix.Stable) != len(direct.Identified) {
