@@ -42,11 +42,15 @@ func benchPipeline(b *testing.B) *Pipeline {
 	benchOnce.Do(func() {
 		cfg := SmallConfig()
 		cfg.Days = 90
-		p, err := Run(cfg)
+		exp, err := New(WithConfig(cfg))
 		if err != nil {
 			panic(err)
 		}
-		benchPipe = p
+		res, err := exp.Run(context.Background())
+		if err != nil {
+			panic(err)
+		}
+		benchPipe = res.Pipelines[0]
 	})
 	return benchPipe
 }
@@ -453,7 +457,7 @@ func BenchmarkEngine_ChokepointE2E(b *testing.B) {
 	}
 }
 
-// BenchmarkEngine_MatrixSeedSweep exercises the Runner layer end to end:
+// BenchmarkEngine_MatrixSeedSweep exercises matrix mode end to end:
 // three tiny whole pipelines per iteration, run concurrently.
 func BenchmarkEngine_MatrixSeedSweep(b *testing.B) {
 	base := SmallConfig()
@@ -464,9 +468,16 @@ func BenchmarkEngine_MatrixSeedSweep(b *testing.B) {
 	base.Workers = 1 // the matrix supplies the concurrency, as churnlab does
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		results := (&Runner{}).RunMatrix(SeedSweep(base, 3))
-		if agg := AggregateMatrix(results); agg.Failed > 0 {
-			b.Fatalf("%d matrix cells failed", agg.Failed)
+		exp, err := New(WithConfig(base), WithSeedSweep(3))
+		if err != nil {
+			b.Fatal(err)
+		}
+		res, err := exp.Run(context.Background())
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.Matrix.Failed > 0 {
+			b.Fatalf("%d matrix cells failed", res.Matrix.Failed)
 		}
 	}
 }

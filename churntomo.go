@@ -36,15 +36,11 @@
 // across worker pools whose output is bit-identical to serial execution.
 // Replaying an exported dataset reproduces the direct run's
 // identifications byte for byte, in batch and streaming modes.
-//
-// The pre-Experiment entry points (Run, Runner.RunMatrix,
-// Runner.StreamSweep) remain as deprecated shims over the same code path.
 package churntomo
 
 import (
 	"context"
 	"fmt"
-	"io"
 	"strings"
 	"time"
 
@@ -93,12 +89,6 @@ type Config struct {
 	// Start anchors the measurement period; the zero value means
 	// 2016-05-01, matching the paper's window.
 	Start time.Time
-
-	// Progress, when non-nil, receives one line per pipeline stage.
-	//
-	// Deprecated: register WithObserver(TextObserver(w)) on an Experiment
-	// instead; WithConfig converts a non-nil Progress automatically.
-	Progress io.Writer
 }
 
 // DefaultConfig is a mid-scale year-long run (minutes of CPU).
@@ -165,11 +155,13 @@ func (c *Config) fillDefaults() {
 // tomo.IdentifyCensors.
 const identifyMinCNFs = 8
 
-// Pipeline holds every artifact of one end-to-end run.
+// Pipeline holds every artifact of one end-to-end run; Result.Pipelines
+// carries one per cell.
 //
-// Pipeline predates the Experiment API and deliberately exposes internal
-// artifact types; Result is the internal-free replacement, and the
-// churnvet suppressions below are removed with the deprecated shims.
+// Pipeline deliberately exposes internal artifact types because
+// churnlab's figure printers read them; Result is the internal-free
+// surface. The churnvet suppressions below go once those printers read
+// exported Result data instead.
 type Pipeline struct {
 	Config Config
 
@@ -185,37 +177,6 @@ type Pipeline struct {
 	Outcomes   []tomo.Outcome   //churnvet:ok internalimport -- deprecated pre-Experiment surface; Result is the exported form
 	Identified map[topology.ASN]*tomo.IdentifiedCensor
 	Leakage    *leakage.Analysis //churnvet:ok internalimport -- deprecated pre-Experiment surface; Result is the exported form
-}
-
-// Run executes the full pipeline: generate substrate, measure, build CNFs,
-// solve, identify censors, analyze leakage.
-//
-// Deprecated: use New(WithConfig(cfg)) and Experiment.Run(ctx), which add
-// cancellation, typed progress events and a Result free of internal types.
-// Run remains a thin shim over the same code path; for matching options
-// the identifications are byte-identical.
-func Run(cfg Config) (*Pipeline, error) {
-	e, err := New(WithConfig(cfg))
-	if err != nil {
-		return nil, err
-	}
-	cell, err := e.runCell(context.Background(), e.base, -1)
-	if err != nil {
-		return nil, err
-	}
-	return cell.pipe, nil
-}
-
-// Prepare builds the substrate (topology, churn, censors, mapping DB,
-// scenario) without running measurements — useful when a caller wants to
-// inspect or tweak the scenario first. Progress lines go to cfg.Progress.
-func Prepare(cfg Config) (*Pipeline, error) {
-	emit := func(Event) {}
-	if cfg.Progress != nil {
-		obs := TextObserver(cfg.Progress)
-		emit = func(ev Event) { obs(ev) }
-	}
-	return prepareCtx(context.Background(), cfg, emit)
 }
 
 // resolveScenario maps a preset name ("" = the paper baseline) to its
@@ -246,17 +207,6 @@ func buildStageOf(s scenario.Stage) Stage {
 	default:
 		return StageScenario
 	}
-}
-
-// prepareCtx is the substrate builder behind Prepare and the deprecated
-// shims: it resolves cfg.Scenario against the preset registry and builds
-// through prepareSpecCtx.
-func prepareCtx(ctx context.Context, cfg Config, emit func(Event)) (*Pipeline, error) {
-	spec, err := resolveScenario(cfg.Scenario)
-	if err != nil {
-		return nil, err
-	}
-	return prepareSpecCtx(ctx, cfg, spec, emit)
 }
 
 // prepareSpecCtx builds the substrate behind every Experiment cell by
@@ -302,7 +252,7 @@ func prepareSpecCtx(ctx context.Context, cfg Config, spec scenario.Spec, emit fu
 }
 
 // platformConfig derives the measurement platform's configuration. Every
-// execution mode (batch Measure, streaming StreamSweep, benchmarks) must
+// execution mode (batch, streaming, ScenarioSource.Open, benchmarks) must
 // measure through this one derivation — the replay-equals-batch guarantee
 // rests on them agreeing on the seed offset and schedule knobs.
 func (c *Config) platformConfig() iclab.PlatformConfig {
@@ -311,81 +261,5 @@ func (c *Config) platformConfig() iclab.PlatformConfig {
 		Workers:       c.Workers,
 		URLsPerDay:    c.URLsPerDay,
 		RepeatsPerDay: c.RepeatsPerDay,
-	}
-}
-
-// MeasureCtx runs the measurement platform, populating Dataset. It
-// returns an error — rather than panicking like the deprecated Measure —
-// when the pipeline carries no scenario (Prepare has not run, or the
-// pipeline was reconstructed from a dataset whose records are already
-// measured), and honors ctx cancellation at day-shard granularity.
-func (p *Pipeline) MeasureCtx(ctx context.Context) error {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if p.Scenario == nil {
-		return fmt.Errorf("churntomo: Measure before Prepare: pipeline carries no scenario")
-	}
-	if p.Config.Progress != nil {
-		fmt.Fprintln(p.Config.Progress, "running measurement platform")
-	}
-	ds, err := iclab.RunCtx(ctx, p.Scenario, p.Config.platformConfig())
-	if err != nil {
-		return err
-	}
-	p.Dataset = ds
-	return nil
-}
-
-// Measure runs the measurement platform, populating Dataset.
-//
-// Deprecated: use MeasureCtx, which returns an error instead of
-// panicking on a pipeline without a scenario and supports cancellation.
-// The panic on a scenario-less pipeline is pinned behavior.
-func (p *Pipeline) Measure() {
-	if p.Scenario == nil {
-		panic("churntomo: Measure before Prepare")
-	}
-	if err := p.MeasureCtx(context.Background()); err != nil {
-		panic(err) // unreachable: RunCtx only fails on ctx cancellation
-	}
-}
-
-// LocalizeCtx builds and solves the tomography CNFs and derives censors
-// and leakage. It returns an error — rather than panicking like the
-// deprecated Localize — when no Dataset has been measured or adopted, and
-// honors ctx cancellation inside the grouped build and the solve loop.
-func (p *Pipeline) LocalizeCtx(ctx context.Context) error {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if p.Dataset == nil {
-		return fmt.Errorf("churntomo: Localize before Measure: pipeline carries no dataset")
-	}
-	if p.Config.Progress != nil {
-		fmt.Fprintln(p.Config.Progress, "building and solving CNFs")
-	}
-	insts, outcomes, err := tomo.BuildAndSolveCtx(ctx, p.Dataset.Records, tomo.BuildConfig{Workers: p.Config.Workers})
-	if err != nil {
-		return err
-	}
-	p.Instances, p.Outcomes = insts, outcomes
-	p.Identified = tomo.IdentifyCensors(p.Outcomes, identifyMinCNFs)
-	p.Leakage = leakage.Analyze(p.Outcomes, p.Graph)
-	return nil
-}
-
-// Localize builds and solves the tomography CNFs and derives censors and
-// leakage. Requires Measure to have run.
-//
-// Deprecated: use LocalizeCtx, which returns an error instead of
-// panicking on a nil Dataset and supports cancellation. The
-// "Localize before Measure" panic is pinned behavior.
-func (p *Pipeline) Localize() {
-	if p.Dataset == nil {
-		panic("churntomo: Localize before Measure")
-	}
-	if err := p.LocalizeCtx(context.Background()); err != nil {
-		panic(err) // unreachable: BuildAndSolveCtx only fails on ctx cancellation
 	}
 }

@@ -2,6 +2,7 @@ package churntomo
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"reflect"
 	"sort"
@@ -31,12 +32,7 @@ func TestRunEndToEnd(t *testing.T) {
 		t.Skip("end-to-end pipeline in -short mode")
 	}
 	var progress bytes.Buffer
-	cfg := testConfig()
-	cfg.Progress = &progress
-	p, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := runDirect(t, WithConfig(testConfig()), WithObserver(TextObserver(&progress))).Pipelines[0]
 
 	// Every stage populated.
 	if p.Graph == nil || p.Timeline == nil || p.Oracle == nil || p.Censors == nil ||
@@ -79,14 +75,8 @@ func TestRunDeterministic(t *testing.T) {
 		t.Skip("end-to-end pipeline in -short mode")
 	}
 	cfg := testConfig()
-	a, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := runDirect(t, WithConfig(cfg)).Pipelines[0]
+	b := runDirect(t, WithConfig(cfg)).Pipelines[0]
 	if len(a.Dataset.Records) != len(b.Dataset.Records) {
 		t.Fatalf("record counts differ: %d vs %d", len(a.Dataset.Records), len(b.Dataset.Records))
 	}
@@ -101,26 +91,6 @@ func TestRunDeterministic(t *testing.T) {
 	if len(a.Identified) != len(b.Identified) {
 		t.Fatalf("identified censors differ: %d vs %d", len(a.Identified), len(b.Identified))
 	}
-}
-
-func TestPrepareWithoutMeasure(t *testing.T) {
-	cfg := testConfig()
-	p, err := Prepare(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Dataset != nil {
-		t.Error("Prepare ran measurements")
-	}
-	if len(p.Scenario.Vantages) != cfg.Vantages {
-		t.Errorf("vantages %d, want %d", len(p.Scenario.Vantages), cfg.Vantages)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("Localize before Measure should panic")
-		}
-	}()
-	p.Localize()
 }
 
 func TestConfigDefaults(t *testing.T) {
@@ -142,7 +112,11 @@ func TestRunRejectsBrokenConfig(t *testing.T) {
 	cfg := testConfig()
 	cfg.ASes = 20
 	cfg.Vantages = 1000 // more vantages than stubs
-	if _, err := Run(cfg); err == nil {
+	exp, err := New(WithConfig(cfg))
+	if err == nil {
+		_, err = exp.Run(context.Background())
+	}
+	if err == nil {
 		t.Error("oversized vantage count accepted")
 	}
 }
@@ -154,11 +128,7 @@ func TestGroundTruthIsolation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("end-to-end pipeline in -short mode")
 	}
-	cfg := testConfig()
-	p, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := runDirect(t, WithConfig(testConfig())).Pipelines[0]
 	scrubbed := make([]int, 0)
 	records := append([]iclab.Record(nil), p.Dataset.Records...)
 	for i := range records {
@@ -187,10 +157,7 @@ func TestChurnMonotoneAcrossGranularities(t *testing.T) {
 	if testing.Short() {
 		t.Skip("end-to-end pipeline in -short mode")
 	}
-	p, err := Run(testConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := runDirect(t, WithConfig(testConfig())).Pipelines[0]
 	ds := churn.Measure(p.Dataset.Records, nil)
 	if len(ds) != len(timeslice.All) {
 		t.Fatalf("got %d distributions", len(ds))
@@ -212,10 +179,7 @@ func TestInconclusiveRulesAllFire(t *testing.T) {
 	}
 	cfg := testConfig()
 	cfg.Days = 45
-	p, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := runDirect(t, WithConfig(cfg)).Pipelines[0]
 	seen := map[traceroute.FailReason]int{}
 	for i := range p.Dataset.Records {
 		seen[p.Dataset.Records[i].Fail]++
@@ -238,10 +202,7 @@ func TestIdentifiedCensorsAreOnCensoredPaths(t *testing.T) {
 	}
 	cfg := testConfig()
 	cfg.Days = 60
-	p, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := runDirect(t, WithConfig(cfg)).Pipelines[0]
 	if len(p.Identified) == 0 {
 		t.Skip("no censors identified at this scale/seed")
 	}
@@ -292,19 +253,13 @@ func TestSerialParallelIdentical(t *testing.T) {
 	}
 	serialCfg := testConfig()
 	serialCfg.Workers = 1
-	serial, err := Run(serialCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	serial := runDirect(t, WithConfig(serialCfg)).Pipelines[0]
 
 	variants := map[string]int{"parallel": 8, "parallel-again": 8, "default-workers": 0}
 	for name, workers := range variants {
 		cfg := testConfig()
 		cfg.Workers = workers
-		got, err := Run(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		got := runDirect(t, WithConfig(cfg)).Pipelines[0]
 		if len(got.Dataset.Records) != len(serial.Dataset.Records) {
 			t.Fatalf("%s: %d records vs %d serial", name, len(got.Dataset.Records), len(serial.Dataset.Records))
 		}

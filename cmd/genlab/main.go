@@ -7,8 +7,8 @@
 // external tools. It is also the scenario catalog browser: -list prints
 // every registered world-construction preset, -describe explains one.
 //
-//	genlab -export ds.jsonl.gz [-scale small|default] [-scenario NAME] [-seed N]
-//	genlab [-scale small|default] [-scenario NAME] [-seed N] [-truth] > records.jsonl
+//	genlab -export ds.jsonl.gz [-scale small|default|paper] [-scenario NAME] [-seed N]
+//	genlab [-scale small|default|paper] [-scenario NAME] [-seed N] [-truth] > records.jsonl
 //	genlab -list
 //	genlab -describe NAME
 //
@@ -16,7 +16,8 @@
 // export, producing exactly what a real platform would publish (-export
 // always records the world's ground truth so a re-import can validate
 // identifications against it). -scenario selects which preset builds the
-// world the platform measures (default paper-baseline).
+// world the platform measures (default paper-baseline). As in churnlab,
+// an unknown -scale or -seed 0 is a usage error (exit 2).
 package main
 
 import (
@@ -28,9 +29,7 @@ import (
 	"os"
 
 	"churntomo"
-	"churntomo/internal/anomaly"
 	"churntomo/internal/report"
-	"churntomo/internal/traceroute"
 )
 
 // exportRecord is the JSON shape of one measurement.
@@ -47,6 +46,63 @@ type exportRecord struct {
 
 	TruePath    []uint32 `json:"true_path,omitempty"`
 	TrueCensors []uint32 `json:"true_censors,omitempty"`
+}
+
+// exportRecordOf renders one measurement in the legacy stdout shape. id is
+// the record's position in day order, the ID the batch merge assigns.
+func exportRecordOf(id int32, m *churntomo.Measurement, truth bool) exportRecord {
+	out := exportRecord{
+		ID:             id,
+		Vantage:        uint32(m.Vantage),
+		VantageCountry: m.VantageCountry,
+		URL:            m.URL,
+		Category:       m.Category.String(),
+		At:             m.At.Format("2006-01-02T15:04:05Z"),
+	}
+	for _, k := range m.Anomalies.Members() {
+		out.Anomalies = append(out.Anomalies, k.String())
+	}
+	if m.Fail == churntomo.PathOK {
+		for _, a := range m.ASPath {
+			out.ASPath = append(out.ASPath, uint32(a))
+		}
+	} else {
+		out.Fail = m.Fail.String()
+	}
+	if truth {
+		for _, a := range m.TruePath {
+			out.TruePath = append(out.TruePath, uint32(a))
+		}
+		for _, act := range m.TrueActs {
+			out.TrueCensors = append(out.TrueCensors, uint32(act.ASN))
+		}
+	}
+	return out
+}
+
+// configFromFlags turns the generation flags into the Config the world is
+// built under. An unknown scale and seed 0 are errors: seed 0 is the
+// Config zero value and would silently run under the default seed 1.
+func configFromFlags(scale, scenario string, seed uint64) (churntomo.Config, error) {
+	sc, err := churntomo.ParseScale(scale)
+	if err != nil {
+		return churntomo.Config{}, err
+	}
+	if seed == 0 {
+		return churntomo.Config{}, fmt.Errorf("-seed 0 would silently run under the default seed 1; pass a seed >= 1")
+	}
+	var cfg churntomo.Config
+	switch sc {
+	case churntomo.ScaleSmall:
+		cfg = churntomo.SmallConfig()
+	case churntomo.ScaleDefault:
+		cfg = churntomo.DefaultConfig()
+	case churntomo.ScalePaper:
+		cfg = churntomo.PaperScaleConfig()
+	}
+	cfg.Seed = seed
+	cfg.Scenario = scenario
+	return cfg, nil
 }
 
 // listScenarios prints the preset catalog.
@@ -82,7 +138,7 @@ func describeScenario(name string) error {
 }
 
 func main() {
-	scale := flag.String("scale", "small", "small or default")
+	scale := flag.String("scale", "small", "experiment scale: small, default or paper")
 	scenarioName := flag.String("scenario", churntomo.ScenarioBaseline, "world-construction preset (see -list)")
 	seed := flag.Uint64("seed", 1, "master seed")
 	truth := flag.Bool("truth", false, "include ground-truth fields in the legacy stdout export")
@@ -103,75 +159,48 @@ func main() {
 		return
 	}
 
-	cfg := churntomo.SmallConfig()
-	if *scale == "default" {
-		cfg = churntomo.DefaultConfig()
+	cfg, err := configFromFlags(*scale, *scenarioName, *seed)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "genlab: %v\n", err)
+		os.Exit(2)
 	}
-	cfg.Seed = *seed
-	cfg.Scenario = *scenarioName
-	cfg.Progress = os.Stderr
 
 	// genlab only needs the measured dataset — localization is churnlab's
-	// job — so it runs the substrate and measurement stages through the
-	// error-returning pipeline methods rather than a full Experiment.
-	p, err := churntomo.Prepare(cfg)
+	// job — so it opens the scenario source directly rather than running
+	// a full Experiment.
+	d, err := (&churntomo.ScenarioSource{}).Open(context.Background(), cfg)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "genlab: %v\n", err)
 		os.Exit(1)
 	}
-	if err := p.MeasureCtx(context.Background()); err != nil {
-		fmt.Fprintf(os.Stderr, "genlab: %v\n", err)
-		os.Exit(1)
+	records := 0
+	for _, day := range d.Days {
+		records += len(day)
 	}
 
 	if *export != "" {
-		if err := p.Export(*export); err != nil {
+		if err := d.WriteFile(*export); err != nil {
 			fmt.Fprintf(os.Stderr, "genlab: %v\n", err)
 			os.Exit(1)
 		}
 		fmt.Fprintf(os.Stderr, "genlab: exported %d records under scenario %q to %s\n",
-			len(p.Dataset.Records), p.Config.Scenario, *export)
+			records, d.Info.Scenario, *export)
 		return
 	}
 
 	w := bufio.NewWriter(os.Stdout)
 	defer w.Flush()
 	enc := json.NewEncoder(w)
-	for i := range p.Dataset.Records {
-		r := &p.Dataset.Records[i]
-		out := exportRecord{
-			ID:             r.ID,
-			Vantage:        uint32(r.Vantage),
-			VantageCountry: r.VantageCountry,
-			URL:            r.URL,
-			Category:       r.Category.String(),
-			At:             r.At.Format("2006-01-02T15:04:05Z"),
-		}
-		for _, k := range anomaly.Kinds {
-			if r.Anomalies.Has(k) {
-				out.Anomalies = append(out.Anomalies, k.String())
+	var id int32
+	for _, day := range d.Days {
+		for i := range day {
+			if err := enc.Encode(exportRecordOf(id, &day[i], *truth)); err != nil {
+				fmt.Fprintf(os.Stderr, "genlab: %v\n", err)
+				os.Exit(1)
 			}
-		}
-		if r.Fail == traceroute.OK {
-			for _, a := range r.ASPath {
-				out.ASPath = append(out.ASPath, uint32(a))
-			}
-		} else {
-			out.Fail = r.Fail.String()
-		}
-		if *truth {
-			for _, a := range r.TruePath {
-				out.TruePath = append(out.TruePath, uint32(a))
-			}
-			for _, act := range r.TrueActs {
-				out.TrueCensors = append(out.TrueCensors, uint32(act.ASN))
-			}
-		}
-		if err := enc.Encode(out); err != nil {
-			fmt.Fprintf(os.Stderr, "genlab: %v\n", err)
-			os.Exit(1)
+			id++
 		}
 	}
 	fmt.Fprintf(os.Stderr, "genlab: wrote %d records under scenario %q\n",
-		len(p.Dataset.Records), p.Config.Scenario)
+		records, d.Info.Scenario)
 }

@@ -12,7 +12,6 @@ import (
 	"sort"
 
 	"churntomo/internal/evalmetrics"
-	"churntomo/internal/sat"
 	"churntomo/internal/topology"
 )
 
@@ -164,16 +163,8 @@ func Evaluate(r *Result, truth *GroundTruth) *Evaluation {
 		MissedCensors:  m.MissedASes,
 	}
 
-	fracs := r.reductionFracs
-	if fracs == nil && len(r.Pipelines) == 1 && r.Pipelines[0] != nil {
-		for _, o := range r.Pipelines[0].Outcomes {
-			if o.Class == sat.Multiple {
-				fracs = append(fracs, o.ReductionFrac())
-			}
-		}
-	}
-	ev.MultipleCNFs = len(fracs)
-	ev.CandidateReduction = evalmetrics.Reduction(fracs)
+	ev.MultipleCNFs = len(r.reductionFracs)
+	ev.CandidateReduction = evalmetrics.Reduction(r.reductionFracs)
 
 	truthSet := map[ASN]bool{}
 	for _, as := range truth.Censors {

@@ -1,11 +1,10 @@
 package churntomo
 
 // This file is the experiment's observability surface: a typed Event
-// stream replaces the old Progress io.Writer line printing. Observers
-// registered with WithObserver receive one Event per pipeline stage, per
-// streamed day, per emitted window and per finished matrix cell;
-// TextObserver renders the stream back into exactly the progress lines the
-// legacy writers printed, so churnlab's output is unchanged.
+// stream. Observers registered with WithObserver receive one Event per
+// pipeline stage, per streamed day, per emitted window and per finished
+// matrix cell; TextObserver renders the stream as the progress lines
+// churnlab prints to stderr.
 
 import (
 	"fmt"
@@ -116,11 +115,9 @@ func newEvent(stage Stage) Event {
 // own; slow observers stall the pipeline.
 type Observer func(Event)
 
-// TextObserver renders the event stream as the line-per-stage progress
-// text the legacy Config.Progress and Runner.Progress writers printed,
-// byte for byte. Per-stage lines from concurrent matrix cells would
-// interleave, so inside a matrix only the per-cell completion lines are
-// rendered — exactly the legacy Runner behaviour.
+// TextObserver renders the event stream as line-per-stage progress text.
+// Per-stage lines from concurrent matrix cells would interleave, so
+// inside a matrix only the per-cell completion lines are rendered.
 func TextObserver(w io.Writer) Observer {
 	return func(ev Event) {
 		if ev.Cell >= 0 && ev.Stage != StageCell {

@@ -1,10 +1,8 @@
 package churntomo
 
-// Experiment is the unified entry point: one context-aware, option-driven
+// Experiment is the one entry point: a context-aware, option-driven
 // abstraction that executes batch, streaming and matrix runs through a
-// single cell runner. The deprecated Run/StreamSweep/RunMatrix entry
-// points are thin shims over the same code path, which is what keeps their
-// outputs byte-identical to Experiment's.
+// single cell runner.
 
 import (
 	"context"
@@ -294,16 +292,14 @@ func (e *Experiment) openCell(ctx context.Context, src Source, cfg Config, emit 
 	return adoptFile(cfg, f)
 }
 
-// runCell executes one pipeline — THE code path shared by every mode and
-// every deprecated shim. cell is the matrix cell index, -1 outside matrix
-// mode; it tags every emitted event. The cell's Source supplies the
-// pipeline skeleton and the day shards (synthesized or replayed); batch
-// cells then localize with one BuildAndSolve while streaming cells replay
-// the day shards through a stream.Engine. Cancellation is checked at each
-// stage boundary, between streamed days, and inside the sharded loops via
-// the ctx-aware engines.
+// runCell executes one pipeline — THE code path shared by every mode.
+// cell is the matrix cell index, -1 outside matrix mode; it tags every
+// emitted event. The cell's Source supplies the pipeline skeleton and the
+// day shards (synthesized or replayed); batch cells then localize with
+// one BuildAndSolve while streaming cells replay the day shards through a
+// stream.Engine. Cancellation is checked at each stage boundary, between
+// streamed days, and inside the sharded loops via the ctx-aware engines.
 func (e *Experiment) runCell(ctx context.Context, cfg Config, cell int) (*cellRun, error) {
-	cfg.Progress = nil // progress flows through the event stream only
 	emit := func(ev Event) {
 		ev.Cell = cell
 		e.emit(ev)
@@ -450,33 +446,41 @@ func (e *Experiment) matrixConfigs() []Config {
 			out[i] = base
 		}
 	case len(e.scaleFactors) > 0:
-		out = ScaleSweep(base, e.scaleFactors)
+		out = make([]Config, len(e.scaleFactors))
+		for i, f := range e.scaleFactors {
+			out[i] = base
+			out[i].Vantages = max(int(float64(base.Vantages)*f), 2)
+			out[i].URLs = max(int(float64(base.URLs)*f), 2)
+			out[i].Days = max(int(float64(base.Days)*f), 1)
+		}
 	default:
-		out = SeedSweep(base, e.seedSweep)
-	}
-	for i := range out {
-		// Per-stage progress from concurrent pipelines would interleave;
-		// the event stream reports per cell instead.
-		out[i].Progress = nil
+		out = make([]Config, e.seedSweep)
+		for i := range out {
+			out[i] = base
+			out[i].Seed = base.Seed + uint64(i)
+		}
 	}
 	return out
 }
 
 // runMatrixCells executes every cell on the matrix worker pool, returning
-// per-cell results in input order — the core shared with the deprecated
-// Runner.RunMatrix. A failed cell carries its error instead of aborting
+// per-cell statuses and pipelines in input order (a failed cell's
+// pipeline is nil). A failed cell carries its error instead of aborting
 // the sweep; a done ctx stops dispatching further cells.
-func (e *Experiment) runMatrixCells(ctx context.Context, cfgs []Config) []MatrixResult {
-	results := make([]MatrixResult, len(cfgs))
-	//churnvet:ok errflow -- a done ctx surfaces per cell: runCell returns ctx.Err into each MatrixResult, so the sweep-level error would only duplicate what every cell already carries
+func (e *Experiment) runMatrixCells(ctx context.Context, cfgs []Config) ([]CellStatus, []*Pipeline) {
+	cells := make([]CellStatus, len(cfgs))
+	pipes := make([]*Pipeline, len(cfgs))
+	//churnvet:ok errflow -- a done ctx surfaces per cell: runCell returns ctx.Err into each CellStatus, so the sweep-level error would only duplicate what every cell already carries
 	_ = parallel.ForEachCtx(ctx, e.matrixWorkers, len(cfgs), func(i int) {
 		cfg := cfgs[i]
 		cr, err := e.runCell(ctx, cfg, i)
-		res := MatrixResult{Index: i, Config: cfg, Err: err}
+		cs := CellStatus{Index: i, Config: cfg, Err: err}
 		if err == nil {
-			res.Pipeline = cr.pipe
+			pipes[i] = cr.pipe
+			cs.Censors = len(cr.pipe.Identified)
+			cs.CNFs = len(cr.pipe.Outcomes)
 		}
-		results[i] = res
+		cells[i] = cs
 		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 			return // a canceled cell is not an outcome worth reporting
 		}
@@ -484,40 +488,27 @@ func (e *Experiment) runMatrixCells(ctx context.Context, cfgs []Config) []Matrix
 		ev.Cell = i
 		ev.Err = err
 		ev.Stats.Seed = cfg.Seed
-		if err == nil {
-			ev.Stats.Censors = len(cr.pipe.Identified)
-			ev.Stats.CNFs = len(cr.pipe.Outcomes)
-		}
+		ev.Stats.Censors, ev.Stats.CNFs = cs.Censors, cs.CNFs
 		// runCell tags events with its own index; StageCell is emitted
 		// here so its Cell index survives the TextObserver filter.
 		e.emit(ev)
 	})
-	return results
+	return cells, pipes
 }
 
 // runMatrixMode executes the matrix and folds it into a Result.
 func (e *Experiment) runMatrixMode(ctx context.Context) (*Result, error) {
-	results := e.runMatrixCells(ctx, e.matrixConfigs())
+	cells, pipes := e.runMatrixCells(ctx, e.matrixConfigs())
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	base := e.base
 	base.fillDefaults()
-	base.Progress = nil
-	agg := AggregateMatrix(results)
-	res := &Result{
-		Config: base,
-		Mode:   ModeMatrix,
-		Matrix: matrixSummaryOf(agg, results),
-	}
-	for _, mr := range results {
-		cs := CellStatus{Index: mr.Index, Config: mr.Config, Err: mr.Err}
-		if p := mr.Pipeline; p != nil {
-			cs.Censors = len(p.Identified)
-			cs.CNFs = len(p.Outcomes)
-		}
-		res.Cells = append(res.Cells, cs)
-		res.Pipelines = append(res.Pipelines, mr.Pipeline)
-	}
-	return res, nil
+	return &Result{
+		Config:    base,
+		Mode:      ModeMatrix,
+		Matrix:    matrixSummaryOf(pipes),
+		Cells:     cells,
+		Pipelines: pipes,
+	}, nil
 }

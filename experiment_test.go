@@ -13,7 +13,7 @@ import (
 	"time"
 )
 
-// --- Option and StreamConfig validation -----------------------------------
+// --- Option validation -----------------------------------------------------
 
 func TestNewValidatesOptions(t *testing.T) {
 	cases := []struct {
@@ -74,23 +74,7 @@ func TestNewModeResolution(t *testing.T) {
 	}
 }
 
-func TestStreamConfigValidate(t *testing.T) {
-	r := &Runner{}
-	for _, sc := range []StreamConfig{{Window: -1}, {Stride: -7}, {MinCNFs: -2}} {
-		if err := sc.Validate(); err == nil {
-			t.Errorf("Validate accepted %+v", sc)
-		}
-		// StreamSweep must reject before doing any work.
-		if _, err := r.StreamSweep(testConfig(), sc); err == nil {
-			t.Errorf("StreamSweep accepted %+v", sc)
-		}
-	}
-	if err := (StreamConfig{Window: 10, Stride: 2, MinCNFs: 3}).Validate(); err != nil {
-		t.Errorf("Validate rejected a valid config: %v", err)
-	}
-}
-
-// --- Shim equivalence ------------------------------------------------------
+// --- Result consistency ----------------------------------------------------
 
 // identifiedBytes flattens an identification map into a deterministic byte
 // string, so "byte-identical" is literal.
@@ -113,47 +97,20 @@ func identifiedBytes(identified map[ASN]*IdentifiedCensor) []byte {
 	return buf.Bytes()
 }
 
-// TestExperimentMatchesLegacyRun pins the deprecated shims to the new
-// entry point: churntomo.Run(cfg), the manual Prepare/Measure/Localize
-// sequence (the pre-Experiment code path, still live), and
-// New(WithConfig(cfg)).Run(ctx) must produce byte-identical Identified
-// maps.
+// TestExperimentMatchesLegacyRun pins a batch Result's public views to
+// the run's own pipeline artifacts: Identified, Censors, Summary and
+// Leakage all describe the same localization.
 func TestExperimentMatchesLegacyRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("end-to-end pipeline in -short mode")
 	}
-	cfg := testConfig()
-
-	shim, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	manual, err := Prepare(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	manual.Measure()
-	manual.Localize()
-
-	exp, err := New(WithConfig(cfg))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := exp.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runDirect(t, WithConfig(testConfig()))
 	if res.Mode != ModeBatch {
 		t.Fatalf("mode %v, want batch", res.Mode)
 	}
-
-	want := identifiedBytes(manual.Identified)
-	if got := identifiedBytes(shim.Identified); !bytes.Equal(got, want) {
-		t.Errorf("Run shim diverges from manual pipeline:\n%s\nvs\n%s", got, want)
-	}
-	if got := identifiedBytes(res.Identified); !bytes.Equal(got, want) {
-		t.Errorf("Experiment diverges from manual pipeline:\n%s\nvs\n%s", got, want)
+	p := res.Pipelines[0]
+	if got, want := identifiedBytes(res.Identified), identifiedBytes(p.Identified); !bytes.Equal(got, want) {
+		t.Errorf("Result.Identified diverges from the pipeline's:\n%s\nvs\n%s", got, want)
 	}
 
 	// The public Censors view carries the same identifications.
@@ -171,11 +128,11 @@ func TestExperimentMatchesLegacyRun(t *testing.T) {
 	}
 
 	// Summary agrees with the pipeline artifacts.
-	if res.Summary.Measurements != manual.Dataset.Stats.Measurements {
-		t.Errorf("Summary.Measurements %d, want %d", res.Summary.Measurements, manual.Dataset.Stats.Measurements)
+	if res.Summary.Measurements != p.Dataset.Stats.Measurements {
+		t.Errorf("Summary.Measurements %d, want %d", res.Summary.Measurements, p.Dataset.Stats.Measurements)
 	}
-	if res.Summary.CNFs != len(manual.Outcomes) {
-		t.Errorf("Summary.CNFs %d, want %d", res.Summary.CNFs, len(manual.Outcomes))
+	if res.Summary.CNFs != len(p.Outcomes) {
+		t.Errorf("Summary.CNFs %d, want %d", res.Summary.CNFs, len(p.Outcomes))
 	}
 	if got := res.Summary.UnsatCNFs + res.Summary.UniqueCNFs + res.Summary.MultipleCNFs; got != res.Summary.CNFs {
 		t.Errorf("CNF class split sums to %d of %d", got, res.Summary.CNFs)
@@ -183,11 +140,11 @@ func TestExperimentMatchesLegacyRun(t *testing.T) {
 	if res.Leakage == nil {
 		t.Fatal("batch result has no leakage summary")
 	}
-	if res.Leakage.LeakToOtherASes != manual.Leakage.LeakToOtherASes() ||
-		res.Leakage.LeakToOtherCountries != manual.Leakage.LeakToOtherCountries() {
+	if res.Leakage.LeakToOtherASes != p.Leakage.LeakToOtherASes() ||
+		res.Leakage.LeakToOtherCountries != p.Leakage.LeakToOtherCountries() {
 		t.Errorf("leakage summary (%d,%d) diverges from analysis (%d,%d)",
 			res.Leakage.LeakToOtherASes, res.Leakage.LeakToOtherCountries,
-			manual.Leakage.LeakToOtherASes(), manual.Leakage.LeakToOtherCountries())
+			p.Leakage.LeakToOtherASes(), p.Leakage.LeakToOtherCountries())
 	}
 	if len(res.Churn) == 0 {
 		t.Error("no churn distributions in result")
@@ -202,10 +159,7 @@ func TestExperimentStreamingMatchesBatch(t *testing.T) {
 		t.Skip("end-to-end pipeline in -short mode")
 	}
 	cfg := testConfig()
-	batch, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	batch := runDirect(t, WithConfig(cfg))
 	exp, err := New(WithConfig(cfg), WithStreaming())
 	if err != nil {
 		t.Fatal(err)
@@ -235,43 +189,25 @@ func TestExperimentStreamingMatchesBatch(t *testing.T) {
 	}
 }
 
-// TestExperimentMatrixMatchesRunner pins the matrix mode to the
-// deprecated Runner: same cells, same aggregate.
+// TestExperimentMatrixMatchesRunner pins a seed-sweep Result's matrix
+// summary and per-cell statuses to each other: same cells, same totals.
 func TestExperimentMatrixMatchesRunner(t *testing.T) {
 	if testing.Short() {
 		t.Skip("matrix of pipelines in -short mode")
 	}
-	base := matrixConfig()
-	legacy := AggregateMatrix((&Runner{Workers: 2}).RunMatrix(SeedSweep(base, 2)))
-
-	exp, err := New(WithConfig(base), WithSeedSweep(2), WithMatrixWorkers(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := exp.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runDirect(t, WithConfig(matrixConfig()), WithSeedSweep(2), WithMatrixWorkers(2))
 	if res.Mode != ModeMatrix || res.Matrix == nil {
 		t.Fatalf("mode %v, matrix %v", res.Mode, res.Matrix)
 	}
-	if res.Matrix.Runs != legacy.Runs || res.Matrix.Failed != legacy.Failed {
-		t.Fatalf("runs/failed (%d,%d), legacy (%d,%d)",
-			res.Matrix.Runs, res.Matrix.Failed, legacy.Runs, legacy.Failed)
+	if res.Matrix.Runs != 2 || res.Matrix.Failed != 0 {
+		t.Fatalf("runs/failed (%d,%d), want (2,0)", res.Matrix.Runs, res.Matrix.Failed)
 	}
-	if res.Matrix.TotalCNFs != legacy.TotalCNFs || res.Matrix.UniqueCNFs != legacy.UniqueCNFs {
-		t.Fatalf("CNF totals (%d,%d), legacy (%d,%d)",
-			res.Matrix.TotalCNFs, res.Matrix.UniqueCNFs, legacy.TotalCNFs, legacy.UniqueCNFs)
+	cellCNFs := 0
+	for _, cs := range res.Cells {
+		cellCNFs += cs.CNFs
 	}
-	gotRuns := map[ASN]int{}
-	for _, c := range res.Matrix.Censors {
-		gotRuns[c.ASN] = c.Runs
-	}
-	if !reflect.DeepEqual(gotRuns, censusRuns(legacy)) {
-		t.Fatalf("matrix censors %v diverge from legacy %v", gotRuns, censusRuns(legacy))
-	}
-	if !reflect.DeepEqual(res.Matrix.Stable, legacy.StableCensors()) {
-		t.Fatalf("stable set %v diverges from legacy %v", res.Matrix.Stable, legacy.StableCensors())
+	if res.Matrix.TotalCNFs != cellCNFs {
+		t.Fatalf("TotalCNFs %d, cells sum to %d", res.Matrix.TotalCNFs, cellCNFs)
 	}
 	if len(res.Cells) != 2 || len(res.Pipelines) != 2 {
 		t.Fatalf("%d cells, %d pipelines, want 2 each", len(res.Cells), len(res.Pipelines))
@@ -283,8 +219,8 @@ func TestExperimentMatrixMatchesRunner(t *testing.T) {
 	}
 }
 
-// TestExperimentMatrixSurvivesFailedCell mirrors the Runner guarantee on
-// the new entry point: a broken cell is reported, not fatal.
+// TestExperimentMatrixSurvivesFailedCell: a broken matrix cell is
+// reported in its CellStatus and MatrixSummary.Failed, not fatal.
 func TestExperimentMatrixSurvivesFailedCell(t *testing.T) {
 	good := matrixConfig()
 	bad := matrixConfig()
@@ -312,7 +248,7 @@ func TestExperimentMatrixSurvivesFailedCell(t *testing.T) {
 // --- Event stream ----------------------------------------------------------
 
 // TestEventStreamAndTextRendering checks the typed event stream's shape
-// and that TextObserver reproduces the legacy progress lines.
+// and that TextObserver renders it as one progress line per stage.
 func TestEventStreamAndTextRendering(t *testing.T) {
 	if testing.Short() {
 		t.Skip("end-to-end pipeline in -short mode")
@@ -357,7 +293,7 @@ func TestEventStreamAndTextRendering(t *testing.T) {
 		"running measurement platform\n" +
 		"building and solving CNFs\n"
 	if text.String() != want {
-		t.Errorf("TextObserver output diverges from the legacy progress lines:\n%q\nwant\n%q", text.String(), want)
+		t.Errorf("TextObserver output diverges from the expected progress lines:\n%q\nwant\n%q", text.String(), want)
 	}
 }
 

@@ -10,10 +10,8 @@ package lint
 //     internal/ outside sanctioned boundaries; minting a fresh root
 //     context severs the caller's cancellation chain. Sanctioned
 //     boundaries are: the nil-ctx compatibility guard
-//     (`if ctx == nil { ctx = context.Background() }`), deprecated
-//     shims (doc comment carries "Deprecated:") delegating to the
-//     ctx-aware API, and direct delegation to the function's own *Ctx
-//     variant.
+//     (`if ctx == nil { ctx = context.Background() }`) and direct
+//     delegation to the function's own *Ctx variant.
 //  3. In the sanctioned concurrency packages, every blocking operation
 //     reachable from a function's entry — bare channel send/recv,
 //     range-over-channel, select with no default and no ctx.Done() arm,
@@ -138,7 +136,6 @@ func ctxRootFindings(m *Module, p *Package) []Finding {
 }
 
 func ctxRootInFunc(m *Module, p *Package, fn *ast.FuncDecl) []Finding {
-	deprecated := fn.Doc != nil && strings.Contains(fn.Doc.Text(), "Deprecated:")
 	sanctioned := nilGuardSanctioned(p, fn.Body)
 	var findings []Finding
 	ast.Inspect(fn.Body, func(n ast.Node) bool {
@@ -147,16 +144,13 @@ func ctxRootInFunc(m *Module, p *Package, fn *ast.FuncDecl) []Finding {
 			return true
 		}
 		name := contextRootCall(p, call)
-		if name == "" {
-			return true
-		}
-		if deprecated || sanctioned[call] {
+		if name == "" || sanctioned[call] {
 			return true
 		}
 		// Direct delegation to this function's own ctx-aware variant:
 		// `func Run(...) { return RunCtx(context.Background(), ...) }` is
-		// the compatibility-shim boundary and keeps exactly one
-		// Background per legacy entry point.
+		// the ctx-free wrapper boundary and keeps exactly one Background
+		// per wrapper.
 		if parent := enclosingCall(fn.Body, call); parent != nil {
 			if strings.EqualFold(calleeName(parent), fn.Name.Name+"Ctx") {
 				return true

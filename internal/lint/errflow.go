@@ -12,10 +12,10 @@ package lint
 //
 // Two discard idioms are exempt by design: the fmt print family
 // (Fprintf to a strings.Builder cannot usefully fail, and stderr
-// diagnostics are fire-and-forget), and the deprecated-shim pattern
-// `_ = FooCtx(context.Background(), ...)` where the ctx-free wrapper
-// has no error to return and the callee's errors are delivered through
-// its own result channel.
+// diagnostics are fire-and-forget), and the internal ctx-free wrapper
+// pattern `_ = FooCtx(context.Background(), ...)` where the wrapper has
+// no error to return and the callee's errors are delivered through its
+// own result channel.
 
 import (
 	"go/ast"
@@ -176,10 +176,10 @@ func blankErrFindings(m *Module, p *Package, as *ast.AssignStmt) []Finding {
 	return findings
 }
 
-// shimDiscardSanctioned recognizes the deprecated-shim discard: the
-// ctx-free compatibility wrapper calls its *Ctx variant with a fresh
-// Background context and drops the error, because the legacy signature
-// has nowhere to put it and the real errors travel in-band.
+// shimDiscardSanctioned recognizes the ctx-free wrapper discard: the
+// wrapper calls its *Ctx variant with a fresh Background context and
+// drops the error, because its signature has nowhere to put it and the
+// real errors travel in-band.
 func shimDiscardSanctioned(p *Package, call *ast.CallExpr) bool {
 	if len(call.Args) == 0 {
 		return false

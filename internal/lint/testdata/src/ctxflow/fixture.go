@@ -45,11 +45,20 @@ func Guard(ctx context.Context) context.Context {
 	return ctx
 }
 
-// Run is a deprecated shim; the Background inside is sanctioned.
+// Run delegates to its own *Ctx variant, which sanctions the Background;
+// the Deprecated mark plays no part.
 //
 // Deprecated: use RunCtx.
 func Run() error {
 	return RunCtx(context.Background())
+}
+
+// Legacy carries a Deprecated mark but hands its Background to a
+// different function's *Ctx variant; the mark sanctions nothing.
+//
+// Deprecated: use SweepCtx.
+func Legacy() error {
+	return SweepCtx(context.Background()) // want "mints a fresh root context"
 }
 
 // RunCtx is the cancellable variant.

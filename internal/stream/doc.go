@@ -15,8 +15,9 @@
 // Entry points: NewEngine configures the window shape (width, stride,
 // per-window identification threshold); Engine.Push ingests one day and
 // returns a Window whenever one completes; Converge folds a window
-// timeline into per-censor convergence stats. churntomo.Runner.StreamSweep
-// drives a whole scenario replay through an Engine.
+// timeline into per-censor convergence stats. A streaming
+// churntomo.Experiment (WithWindow/WithStride) drives a whole scenario
+// replay through an Engine.
 //
 // Invariants: every emitted Window is field-for-field identical to what
 // the batch pipeline would produce over exactly the window's records —

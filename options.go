@@ -2,7 +2,7 @@ package churntomo
 
 // Functional options for New. Every option validates its argument and
 // returns a descriptive error from New instead of silently misbehaving at
-// run time — the construction-time counterpart of StreamConfig.Validate.
+// run time.
 
 import (
 	"fmt"
@@ -49,16 +49,11 @@ func ParseScale(name string) (Scale, error) {
 	return 0, fmt.Errorf("churntomo: unknown scale %q (want small, default or paper)", name)
 }
 
-// WithConfig replaces the experiment's base configuration wholesale. A
-// non-nil cfg.Progress is converted to a registered TextObserver, so
-// legacy configs migrate without behaviour change. Later dimension options
-// (WithSeed, WithScale, WithDays, ...) still apply on top.
+// WithConfig replaces the experiment's base configuration wholesale.
+// Later dimension options (WithSeed, WithScale, WithDays, ...) still
+// apply on top.
 func WithConfig(cfg Config) Option {
 	return func(e *Experiment) error {
-		if cfg.Progress != nil {
-			e.observers = append(e.observers, TextObserver(cfg.Progress))
-			cfg.Progress = nil
-		}
 		e.base = cfg
 		return nil
 	}
@@ -297,7 +292,9 @@ func WithSeedSweep(n int) Option {
 
 // WithScaleSweep switches the experiment to matrix mode: one cell per
 // factor, scaling the base config's platform dimensions (vantages, URLs,
-// days) while keeping its seed and topology fixed.
+// days) while keeping its seed and topology fixed — a fleet-growth
+// ablation. Factors below the minimum viable platform clamp to 2
+// vantages/URLs and 1 day.
 func WithScaleSweep(factors ...float64) Option {
 	return func(e *Experiment) error {
 		if len(factors) == 0 {
@@ -315,7 +312,6 @@ func WithScaleSweep(factors ...float64) Option {
 
 // WithConfigs switches the experiment to matrix mode over an explicit,
 // hand-built grid of configurations (an ablation grid, a mixed sweep).
-// Cell Progress writers are ignored; register observers instead.
 func WithConfigs(cfgs ...Config) Option {
 	return func(e *Experiment) error {
 		if len(cfgs) == 0 {

@@ -221,10 +221,10 @@ type Result struct {
 	Mode Mode
 
 	// Identified maps each identified censoring AS to its raw
-	// identification record — in streaming mode, the final window's. It
-	// is byte-identical to what the deprecated Run/StreamSweep produce
-	// for matching options (pinned by TestExperimentMatchesLegacyRun).
-	// Nil in matrix mode; see Matrix instead.
+	// identification record — in streaming mode, the final window's,
+	// which a cumulative replay makes identical to the batch run's
+	// (pinned by TestExperimentStreamingMatchesBatch). Nil in matrix
+	// mode; see Matrix instead.
 	Identified map[ASN]*IdentifiedCensor
 	// Censors is Identified enriched with topology context and ground
 	// truth, sorted by ASN.
@@ -260,8 +260,8 @@ type Result struct {
 
 	// Pipelines exposes the full internal artifacts, one per cell (nil
 	// entries for failed cells). It exists for in-repo tooling (churnlab's
-	// figure printers) and deprecated-shim compatibility; external
-	// consumers should not need it — everything above is self-contained.
+	// figure printers, in-package tests); external consumers should not
+	// need it — everything above is self-contained.
 	Pipelines []*Pipeline
 
 	// reductionFracs caches the per-CNF candidate-elimination fractions
@@ -430,30 +430,70 @@ func convergencesOf(cs []stream.Convergence) []Convergence {
 	return out
 }
 
-// matrixSummaryOf converts an aggregate, resolving names against any
-// successful cell's topology (cells share no graph, but ASN->name is
-// seed-dependent, so names come from the first cell that knows the AS).
-func matrixSummaryOf(agg *MatrixAggregate, results []MatrixResult) *MatrixSummary {
-	ms := &MatrixSummary{
-		Runs: agg.Runs, Failed: agg.Failed,
-		TotalCNFs: agg.TotalCNFs, UniqueCNFs: agg.UniqueCNFs,
-		LeakASes: agg.LeakASes, LeakCountries: agg.LeakCountries,
-		Stable: agg.StableCensors(),
-	}
-	nameOf := func(asn topology.ASN) (string, string) {
-		for _, res := range results {
-			if res.Pipeline != nil {
-				if as, ok := res.Pipeline.Graph.ByASN(asn); ok {
-					return as.Name, as.Country
-				}
+// matrixSummaryOf folds a matrix's per-cell pipelines (nil for failed
+// cells) into one summary. Every fold is commutative (sums, unions), so
+// the summary is independent of worker count and scheduling. Names
+// resolve against the first cell, in input order, whose topology knows
+// the AS: cells share no graph, and ASN->name is seed-dependent.
+func matrixSummaryOf(pipes []*Pipeline) *MatrixSummary {
+	ms := &MatrixSummary{}
+	byASN := map[ASN]*MatrixCensor{}
+	for _, p := range pipes {
+		if p == nil {
+			ms.Failed++
+			continue
+		}
+		ms.Runs++
+		ms.TotalCNFs += len(p.Outcomes)
+		for _, o := range p.Outcomes {
+			if o.Class == sat.Unique {
+				ms.UniqueCNFs++
 			}
 		}
-		return "", ""
+		for asn, c := range p.Identified {
+			mc := byASN[asn]
+			if mc == nil {
+				mc = &MatrixCensor{ASN: asn}
+				byASN[asn] = mc
+			}
+			mc.Runs++
+			mc.CNFs += c.CNFs
+			mc.Kinds |= c.Kinds
+		}
+		if p.Leakage != nil {
+			ms.LeakASes += p.Leakage.LeakToOtherASes()
+			ms.LeakCountries += p.Leakage.LeakToOtherCountries()
+		}
 	}
-	for _, c := range agg.RankedCensors() {
-		mc := MatrixCensor{ASN: c.ASN, Runs: c.Runs, CNFs: c.CNFs, Kinds: c.Kinds}
-		mc.Name, mc.Country = nameOf(c.ASN)
-		ms.Censors = append(ms.Censors, mc)
+	for _, mc := range byASN {
+		ms.Censors = append(ms.Censors, *mc)
 	}
+	// Most-corroborated first: identifying runs, then total CNFs, then ASN.
+	sort.Slice(ms.Censors, func(i, j int) bool {
+		a, b := &ms.Censors[i], &ms.Censors[j]
+		if a.Runs != b.Runs {
+			return a.Runs > b.Runs
+		}
+		if a.CNFs != b.CNFs {
+			return a.CNFs > b.CNFs
+		}
+		return a.ASN < b.ASN
+	})
+	for i := range ms.Censors {
+		mc := &ms.Censors[i]
+		for _, p := range pipes {
+			if p == nil {
+				continue
+			}
+			if as, ok := p.Graph.ByASN(mc.ASN); ok {
+				mc.Name, mc.Country = as.Name, as.Country
+				break
+			}
+		}
+		if mc.Runs == ms.Runs {
+			ms.Stable = append(ms.Stable, mc.ASN)
+		}
+	}
+	sort.Slice(ms.Stable, func(i, j int) bool { return ms.Stable[i] < ms.Stable[j] })
 	return ms
 }

@@ -3,10 +3,9 @@ package churntomo
 import (
 	"bytes"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
-
-	"churntomo/internal/topology"
 )
 
 // matrixConfig is a deliberately tiny pipeline so a whole matrix stays
@@ -21,40 +20,47 @@ func matrixConfig() Config {
 }
 
 func TestSeedSweep(t *testing.T) {
+	if testing.Short() {
+		t.Skip("matrix of pipelines in -short mode")
+	}
 	base := matrixConfig()
 	base.Seed = 40
-	cfgs := SeedSweep(base, 4)
-	if len(cfgs) != 4 {
-		t.Fatalf("got %d configs", len(cfgs))
+	res := runDirect(t, WithConfig(base), WithSeedSweep(4))
+	if len(res.Cells) != 4 {
+		t.Fatalf("got %d cells", len(res.Cells))
 	}
-	for i, cfg := range cfgs {
+	for i, cell := range res.Cells {
+		cfg := cell.Config
 		if cfg.Seed != 40+uint64(i) {
-			t.Errorf("config %d seed %d", i, cfg.Seed)
+			t.Errorf("cell %d seed %d", i, cfg.Seed)
 		}
 		if cfg.Vantages != base.Vantages || cfg.Days != base.Days {
-			t.Errorf("config %d lost base dimensions", i)
+			t.Errorf("cell %d lost base dimensions", i)
 		}
 	}
 }
 
 func TestScaleSweep(t *testing.T) {
+	if testing.Short() {
+		t.Skip("matrix of pipelines in -short mode")
+	}
 	base := matrixConfig()
-	cfgs := ScaleSweep(base, []float64{0.5, 1, 2})
-	if len(cfgs) != 3 {
-		t.Fatalf("got %d configs", len(cfgs))
+	cells := runDirect(t, WithConfig(base), WithScaleSweep(0.5, 1, 2)).Cells
+	if len(cells) != 3 {
+		t.Fatalf("got %d cells", len(cells))
 	}
-	if cfgs[0].Vantages != base.Vantages/2 || cfgs[2].Vantages != base.Vantages*2 {
-		t.Errorf("vantage scaling wrong: %d, %d", cfgs[0].Vantages, cfgs[2].Vantages)
+	if cells[0].Config.Vantages != base.Vantages/2 || cells[2].Config.Vantages != base.Vantages*2 {
+		t.Errorf("vantage scaling wrong: %d, %d", cells[0].Config.Vantages, cells[2].Config.Vantages)
 	}
-	if cfgs[1].URLs != base.URLs || cfgs[1].Days != base.Days {
+	if cells[1].Config.URLs != base.URLs || cells[1].Config.Days != base.Days {
 		t.Errorf("unit factor changed dimensions")
 	}
-	tiny := ScaleSweep(base, []float64{0.0001})
-	if tiny[0].Vantages < 2 || tiny[0].URLs < 2 || tiny[0].Days < 1 {
-		t.Errorf("scale floor not applied: %+v", tiny[0])
+	tiny := runDirect(t, WithConfig(base), WithScaleSweep(0.0001)).Cells[0].Config
+	if tiny.Vantages < 2 || tiny.URLs < 2 || tiny.Days < 1 {
+		t.Errorf("scale floor not applied: %+v", tiny)
 	}
-	for _, cfg := range cfgs {
-		if cfg.Seed != base.Seed {
+	for _, cell := range cells {
+		if cell.Config.Seed != base.Seed {
 			t.Errorf("scale sweep changed the seed")
 		}
 	}
@@ -65,19 +71,19 @@ func TestRunMatrixAggregates(t *testing.T) {
 		t.Skip("matrix of pipelines in -short mode")
 	}
 	var progress bytes.Buffer
-	r := &Runner{Workers: 3, Progress: &progress}
-	results := r.RunMatrix(SeedSweep(matrixConfig(), 3))
-	if len(results) != 3 {
-		t.Fatalf("got %d results", len(results))
+	res := runDirect(t, WithConfig(matrixConfig()), WithSeedSweep(3),
+		WithMatrixWorkers(3), WithObserver(TextObserver(&progress)))
+	if len(res.Cells) != 3 || len(res.Pipelines) != 3 {
+		t.Fatalf("got %d cells, %d pipelines", len(res.Cells), len(res.Pipelines))
 	}
-	for i, res := range results {
-		if res.Index != i {
-			t.Errorf("result %d has index %d", i, res.Index)
+	for i, cell := range res.Cells {
+		if cell.Index != i {
+			t.Errorf("cell %d has index %d", i, cell.Index)
 		}
-		if res.Err != nil {
-			t.Fatalf("cell %d failed: %v", i, res.Err)
+		if cell.Err != nil {
+			t.Fatalf("cell %d failed: %v", i, cell.Err)
 		}
-		if res.Pipeline == nil || len(res.Pipeline.Outcomes) == 0 {
+		if p := res.Pipelines[i]; p == nil || len(p.Outcomes) == 0 {
 			t.Fatalf("cell %d produced no outcomes", i)
 		}
 	}
@@ -85,49 +91,56 @@ func TestRunMatrixAggregates(t *testing.T) {
 		t.Errorf("progress reported %d cells, want 3:\n%s", got, progress.String())
 	}
 
-	agg := AggregateMatrix(results)
-	if agg.Runs != 3 || agg.Failed != 0 {
-		t.Fatalf("aggregate runs=%d failed=%d", agg.Runs, agg.Failed)
+	ms := res.Matrix
+	if ms.Runs != 3 || ms.Failed != 0 {
+		t.Fatalf("aggregate runs=%d failed=%d", ms.Runs, ms.Failed)
 	}
 	wantCNFs := 0
-	for _, res := range results {
-		wantCNFs += len(res.Pipeline.Outcomes)
+	for _, p := range res.Pipelines {
+		wantCNFs += len(p.Outcomes)
 	}
-	if agg.TotalCNFs != wantCNFs {
-		t.Errorf("TotalCNFs %d, want %d", agg.TotalCNFs, wantCNFs)
+	if ms.TotalCNFs != wantCNFs {
+		t.Errorf("TotalCNFs %d, want %d", ms.TotalCNFs, wantCNFs)
 	}
-	if agg.UniqueCNFs == 0 || agg.UniqueCNFs > agg.TotalCNFs {
-		t.Errorf("UniqueCNFs %d implausible (total %d)", agg.UniqueCNFs, agg.TotalCNFs)
+	if ms.UniqueCNFs == 0 || ms.UniqueCNFs > ms.TotalCNFs {
+		t.Errorf("UniqueCNFs %d implausible (total %d)", ms.UniqueCNFs, ms.TotalCNFs)
 	}
-	perRun := map[topology.ASN]int{}
-	for _, res := range results {
-		for asn := range res.Pipeline.Identified {
+	perRun := map[ASN]int{}
+	for _, p := range res.Pipelines {
+		for asn := range p.Identified {
 			perRun[asn]++
 		}
 	}
-	if !reflect.DeepEqual(censusRuns(agg), perRun) {
-		t.Errorf("aggregated censor runs %v disagree with per-cell union %v", censusRuns(agg), perRun)
+	runs := censusRuns(ms)
+	if !reflect.DeepEqual(runs, perRun) {
+		t.Errorf("aggregated censor runs %v disagree with per-cell union %v", runs, perRun)
 	}
-	for _, asn := range agg.StableCensors() {
-		if agg.Censors[asn].Runs != agg.Runs {
-			t.Errorf("stable censor %v seen in only %d/%d runs", asn, agg.Censors[asn].Runs, agg.Runs)
+	if len(runs) != len(ms.Censors) {
+		t.Fatalf("%d ranked censors for %d distinct ASes", len(ms.Censors), len(runs))
+	}
+	// Ranked most-corroborated first: runs desc, CNFs desc, ASN asc.
+	for i := 1; i < len(ms.Censors); i++ {
+		a, b := ms.Censors[i-1], ms.Censors[i]
+		if a.Runs < b.Runs || (a.Runs == b.Runs && (a.CNFs < b.CNFs || (a.CNFs == b.CNFs && a.ASN > b.ASN))) {
+			t.Errorf("ranking out of order at %d: %+v before %+v", i, a, b)
 		}
 	}
-	ranked := agg.RankedCensors()
-	if len(ranked) != len(agg.Censors) {
-		t.Fatalf("ranked %d censors of %d", len(ranked), len(agg.Censors))
-	}
-	for i := 1; i < len(ranked); i++ {
-		if ranked[i].Runs > ranked[i-1].Runs {
-			t.Errorf("ranking not descending at %d", i)
+	var wantStable []ASN
+	for asn, n := range runs {
+		if n == ms.Runs {
+			wantStable = append(wantStable, asn)
 		}
+	}
+	sort.Slice(wantStable, func(i, j int) bool { return wantStable[i] < wantStable[j] })
+	if !reflect.DeepEqual(ms.Stable, wantStable) {
+		t.Errorf("stable %v, want the ascending censors of every run %v", ms.Stable, wantStable)
 	}
 }
 
-func censusRuns(a *MatrixAggregate) map[topology.ASN]int {
-	out := map[topology.ASN]int{}
-	for asn, c := range a.Censors {
-		out[asn] = c.Runs
+func censusRuns(ms *MatrixSummary) map[ASN]int {
+	out := map[ASN]int{}
+	for _, c := range ms.Censors {
+		out[c.ASN] = c.Runs
 	}
 	return out
 }
@@ -136,32 +149,11 @@ func TestRunMatrixDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("matrix of pipelines in -short mode")
 	}
-	cfgs := SeedSweep(matrixConfig(), 2)
-	a := AggregateMatrix((&Runner{Workers: 2}).RunMatrix(cfgs))
-	b := AggregateMatrix((&Runner{Workers: 1}).RunMatrix(cfgs))
-	if !reflect.DeepEqual(censusRuns(a), censusRuns(b)) {
-		t.Fatalf("matrix aggregate differs across runs:\n%v\n%v", censusRuns(a), censusRuns(b))
+	run := func(workers int) *MatrixSummary {
+		return runDirect(t, WithConfig(matrixConfig()), WithSeedSweep(2), WithMatrixWorkers(workers)).Matrix
 	}
-	if a.LeakASes != b.LeakASes || a.LeakCountries != b.LeakCountries {
-		t.Fatalf("leakage summaries differ: (%d,%d) vs (%d,%d)",
-			a.LeakASes, a.LeakCountries, b.LeakASes, b.LeakCountries)
-	}
-}
-
-func TestRunMatrixSurvivesFailedCell(t *testing.T) {
-	good := matrixConfig()
-	bad := matrixConfig()
-	bad.ASes = 20
-	bad.Vantages = 1000 // impossible: more vantages than stubs
-	results := (&Runner{Workers: 2}).RunMatrix([]Config{bad, good})
-	if results[0].Err == nil {
-		t.Fatal("broken config did not fail")
-	}
-	if results[1].Err != nil {
-		t.Fatalf("good cell failed: %v", results[1].Err)
-	}
-	agg := AggregateMatrix(results)
-	if agg.Runs != 1 || agg.Failed != 1 {
-		t.Fatalf("aggregate runs=%d failed=%d, want 1/1", agg.Runs, agg.Failed)
+	a, b := run(2), run(1)
+	if !reflect.DeepEqual(a, b) {
+		t.Fatalf("matrix summary differs across worker counts:\n%+v\n%+v", a, b)
 	}
 }

@@ -231,9 +231,6 @@ func TestWithScenarioValidation(t *testing.T) {
 	if _, err := New(WithConfigs(smokeConfig(), bad)); err == nil {
 		t.Error("unknown scenario in a matrix cell accepted by New")
 	}
-	if _, err := Run(Config{Scenario: "no-such-world"}); err == nil {
-		t.Error("unknown scenario accepted by deprecated Run")
-	}
 }
 
 // TestScenarioMatrixCells runs a seed sweep under a preset and checks the

@@ -225,7 +225,6 @@ func (s *ScenarioSource) Open(ctx context.Context, cfg Config) (*Dataset, error)
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	cfg.Progress = nil
 	spec, err := s.spec(nil, cfg)
 	if err != nil {
 		return nil, err
@@ -391,21 +390,6 @@ func (r *Result) exportFile() (*dataset.File, error) {
 		return nil, fmt.Errorf("churntomo: Export: result carries no measured dataset")
 	}
 	return pipelineToFile(r.Pipelines[0])
-}
-
-// Export writes the pipeline's measured dataset to path in the versioned
-// on-disk format — the Pipeline-level counterpart of Result.Export, for
-// callers (genlab) that measure without localizing. Requires a measured
-// Dataset.
-func (p *Pipeline) Export(path string) error {
-	if p.Dataset == nil {
-		return fmt.Errorf("churntomo: Export before Measure: pipeline carries no dataset")
-	}
-	f, err := pipelineToFile(p)
-	if err != nil {
-		return err
-	}
-	return dataset.WriteFile(path, f)
 }
 
 // headerOf derives the dataset header from a prepared pipeline's world.

@@ -1,9 +1,26 @@
 package churntomo
 
 import (
+	"context"
 	"reflect"
 	"testing"
 )
+
+// replayCell runs one streaming cell through the shared cell runner and
+// returns its raw artifacts: every window's outcomes, which Result does
+// not carry.
+func replayCell(t *testing.T, opts ...Option) *cellRun {
+	t.Helper()
+	exp, err := New(opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cr, err := exp.runCell(context.Background(), exp.base, -1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cr
+}
 
 // TestStreamReplayMatchesBatch is the streaming determinism regression: a
 // cumulative day-by-day replay must end in exactly the batch pipeline's
@@ -14,26 +31,19 @@ func TestStreamReplayMatchesBatch(t *testing.T) {
 		t.Skip("end-to-end pipeline in -short mode")
 	}
 	cfg := testConfig()
-	batch, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	batch := runDirect(t, WithConfig(cfg)).Pipelines[0]
 
-	r := &Runner{}
-	sr, err := r.StreamSweep(cfg, StreamConfig{Window: 0, Stride: 1})
-	if err != nil {
-		t.Fatal(err)
+	sr := replayCell(t, WithConfig(cfg), WithWindow(0), WithStride(1))
+	if len(sr.windows) != cfg.Days {
+		t.Fatalf("cumulative stride-1 replay emitted %d windows over %d days", len(sr.windows), cfg.Days)
 	}
-	if len(sr.Windows) != cfg.Days {
-		t.Fatalf("cumulative stride-1 replay emitted %d windows over %d days", len(sr.Windows), cfg.Days)
-	}
-	final := sr.Final()
+	final := sr.final()
 	if final.StartDay != 0 || final.EndDay != cfg.Days-1 {
 		t.Fatalf("final window covers [%d..%d], want [0..%d]", final.StartDay, final.EndDay, cfg.Days-1)
 	}
 
 	// The measured dataset is bit-identical to the batch engine's.
-	if !reflect.DeepEqual(sr.Pipeline.Dataset.Records, batch.Dataset.Records) {
+	if !reflect.DeepEqual(sr.pipe.Dataset.Records, batch.Dataset.Records) {
 		t.Fatal("streaming replay measured different records than the batch engine")
 	}
 
@@ -62,7 +72,7 @@ func TestStreamReplayMatchesBatch(t *testing.T) {
 	// Incrementality did real work avoidance: across the whole replay most
 	// window solves must come from cache, not re-solving.
 	solved, reused := 0, 0
-	for _, w := range sr.Windows {
+	for _, w := range sr.windows {
 		solved += w.Solved
 		reused += w.Reused
 	}
@@ -78,23 +88,18 @@ func TestStreamSweepWorkersIrrelevant(t *testing.T) {
 	if testing.Short() {
 		t.Skip("end-to-end pipeline in -short mode")
 	}
-	sc := StreamConfig{Window: 10, Stride: 5}
-	replay := func(workers int) *StreamRun {
+	replay := func(workers int) *cellRun {
 		cfg := testConfig()
 		cfg.Workers = workers
-		sr, err := (&Runner{}).StreamSweep(cfg, sc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return sr
+		return replayCell(t, WithConfig(cfg), WithWindow(10), WithStride(5))
 	}
 	serial := replay(1)
 	par := replay(8)
-	if len(serial.Windows) != len(par.Windows) {
-		t.Fatalf("window counts differ: %d vs %d", len(serial.Windows), len(par.Windows))
+	if len(serial.windows) != len(par.windows) {
+		t.Fatalf("window counts differ: %d vs %d", len(serial.windows), len(par.windows))
 	}
-	for i := range serial.Windows {
-		s, p := serial.Windows[i], par.Windows[i]
+	for i := range serial.windows {
+		s, p := serial.windows[i], par.windows[i]
 		if s.StartDay != p.StartDay || s.EndDay != p.EndDay || s.Solved != p.Solved || s.Reused != p.Reused {
 			t.Fatalf("window %d shape differs: %+v vs %+v", i, s, p)
 		}
@@ -109,7 +114,7 @@ func TestStreamSweepWorkersIrrelevant(t *testing.T) {
 			}
 		}
 	}
-	if !reflect.DeepEqual(serial.Convergence, par.Convergence) {
+	if !reflect.DeepEqual(serial.conv, par.conv) {
 		t.Fatal("convergence stats differ between serial and parallel")
 	}
 }
@@ -121,10 +126,7 @@ func TestStreamSweepSlidingWindowTimeline(t *testing.T) {
 		t.Skip("end-to-end pipeline in -short mode")
 	}
 	cfg := testConfig()
-	sr, err := (&Runner{}).StreamSweep(cfg, StreamConfig{Window: 12, Stride: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
+	sr := runDirect(t, WithConfig(cfg), WithWindow(12), WithStride(3))
 	wantWindows := (cfg.Days-12)/3 + 1
 	if len(sr.Windows) != wantWindows {
 		t.Fatalf("emitted %d windows, want %d", len(sr.Windows), wantWindows)
