@@ -111,18 +111,20 @@ profile:
 	@echo "profile: wrote profiles/after.{cpu,mem}.pb.gz and -top digests" >&2
 
 # Short fuzz pass over every fuzz target — the DIMACS parser, the dataset
-# codec round trip, and the evaluation kernel — each with the FUZZTIME
-# budget. `make fuzz FUZZTIME=5m` for a real hunt.
+# codec round trip, the evaluation kernel, and routing Views against
+# ComputeTree — each with the FUZZTIME budget. `make fuzz FUZZTIME=5m` for
+# a real hunt.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzParseDIMACS -fuzztime $(FUZZTIME) ./internal/sat
 	$(GO) test -run '^$$' -fuzz FuzzDatasetRoundTrip -fuzztime $(FUZZTIME) ./internal/dataset
 	$(GO) test -run '^$$' -fuzz FuzzEvaluate -fuzztime $(FUZZTIME) .
+	$(GO) test -run '^$$' -fuzz FuzzViewTrees -fuzztime $(FUZZTIME) ./internal/routing
 
 # Seed-corpus-only fuzz smoke for CI: replays every fuzz target's seed
 # corpus as ordinary tests, so a target that rots fails fast without
 # paying for wall-clock fuzzing.
 fuzz-smoke:
-	$(GO) test -count 1 -run '^Fuzz' ./internal/sat ./internal/dataset .
+	$(GO) test -count 1 -run '^Fuzz' ./internal/sat ./internal/dataset ./internal/routing .
 
 clean:
 	$(GO) clean ./...

@@ -250,12 +250,12 @@ func BenchmarkKernel_SolveAll(b *testing.B) {
 
 func BenchmarkKernel_RoutingTree(b *testing.B) {
 	p := benchPipeline(b)
-	down := func(int32) bool { return false }
-	salt := func(int32) uint64 { return 0 }
+	down := make([]bool, len(p.Graph.Links))
+	salt := make([]uint64, len(p.Graph.ASes))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		routing.ComputeTree(p.Graph, int32(i%len(p.Graph.ASes)), down, salt)
+		routing.ComputeTree(p.Graph, int32(i%len(p.Graph.ASes)), down, salt, 0)
 	}
 }
 

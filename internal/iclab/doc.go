@@ -21,7 +21,10 @@
 // owns an RNG stream derived from (seed, day) alone via DaySeed — a
 // splitmix64 finalizer over the day index — so a day's randomness never
 // depends on which worker ran it or when, and parallel output is
-// bit-identical to serial. The fleet tests URLs in lockstep (every vantage
-// measures the same URLs on the same day), which is what gives the
-// per-URL CNFs their breadth.
+// bit-identical to serial. Each day also measures through its own
+// routing.View, so day shards share no routing state, and a tree a day
+// computes serves that day's later queries for as long as churn leaves it
+// unchanged. The fleet tests URLs in lockstep (every vantage measures the
+// same URLs on the same day), which is what gives the per-URL CNFs their
+// breadth.
 package iclab

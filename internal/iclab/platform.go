@@ -11,6 +11,7 @@ import (
 	"churntomo/internal/dnssim"
 	"churntomo/internal/httpsim"
 	"churntomo/internal/netaddr"
+	"churntomo/internal/routing"
 	"churntomo/internal/topology"
 	"churntomo/internal/traceroute"
 	"churntomo/internal/webcat"
@@ -161,10 +162,13 @@ const pcgStreamPlatform = 0x706c6174666f726d // "platform"
 // runDayInto measures day's shard directly into out, which must have
 // length ShardSize(cfg). Writing in place lets the engine lay all shards
 // out in one flat record slice instead of merging per-day allocations.
+// The day routes through its own oracle View, which no other shard
+// touches.
 func (s *Scenario) runDayInto(cfg PlatformConfig, day int, out []Record) {
 	at := s.Start.AddDate(0, 0, day)
 	rng := rand.New(rand.NewPCG(DaySeed(cfg.Seed^s.Seed, day), pcgStreamPlatform))
 	pr := newPathRNG()
+	view := s.Oracle.View()
 	idx := 0
 	// The fleet works through the URL list in lockstep, URLsPerDay at a
 	// time, wrapping around the list.
@@ -187,7 +191,7 @@ func (s *Scenario) runDayInto(cfg PlatformConfig, day int, out []Record) {
 				if s.ECMPPaths > 1 {
 					plane = int32(rng.IntN(s.ECMPPaths))
 				}
-				out[idx] = s.measure(v, target, int32(ti), when, plane, cfg, rng, pr)
+				out[idx] = s.measure(v, target, int32(ti), when, plane, cfg, rng, pr, view)
 				idx++
 			}
 		}
@@ -195,9 +199,10 @@ func (s *Scenario) runDayInto(cfg PlatformConfig, day int, out []Record) {
 }
 
 // measure runs one full test: DNS via two resolvers, HTTP with capture
-// analysis, blockpage comparison, and three traceroutes.
+// analysis, blockpage comparison, and three traceroutes, routing through
+// the day's View.
 func (s *Scenario) measure(v *Vantage, target *Target, targetIdx int32,
-	at time.Time, plane int32, cfg PlatformConfig, rng *rand.Rand, pr *pathRNG) Record {
+	at time.Time, plane int32, cfg PlatformConfig, rng *rand.Rand, pr *pathRNG, view *routing.View) Record {
 	rec := Record{
 		Vantage:        v.ASN,
 		VantageCountry: v.Country,
@@ -208,7 +213,7 @@ func (s *Scenario) measure(v *Vantage, target *Target, targetIdx int32,
 		At:             at,
 	}
 
-	idxPath, ok := s.Oracle.PathIdxAtPlane(v.Idx, target.Idx, at, plane)
+	idxPath, ok := view.PathIdxAtPlane(v.Idx, target.Idx, at, plane)
 	if !ok {
 		// No route: every sub-test errors out; the record is eliminated by
 		// rule 2 during clause construction.
@@ -232,7 +237,7 @@ func (s *Scenario) measure(v *Vantage, target *Target, targetIdx int32,
 
 	// --- DNS test: default resolver (inside the vantage AS) and the open
 	// anycast resolver, mirroring ICLab's dual-resolver methodology.
-	dnsAnom, dnsActs := s.dnsTest(v, target, at, plane, active, cfg, rng, pr)
+	dnsAnom, dnsActs := s.dnsTest(v, target, at, plane, active, cfg, rng, pr, view)
 	if dnsAnom {
 		rec.Anomalies = rec.Anomalies.Add(anomaly.DNS)
 	}
@@ -292,7 +297,7 @@ func (s *Scenario) measure(v *Vantage, target *Target, targetIdx int32,
 	// routing changes occasionally split them (rule-4 eliminations).
 	for i := 0; i < TracesPerTest; i++ {
 		traceAt := at.Add(time.Duration(i) * cfg.MidTestChurnWindow / TracesPerTest)
-		tIdxPath, tok := s.Oracle.PathIdxAtPlane(v.Idx, target.Idx, traceAt, plane)
+		tIdxPath, tok := view.PathIdxAtPlane(v.Idx, target.Idx, traceAt, plane)
 		if !tok {
 			rec.Traces[i] = traceroute.Trace{Err: true}
 			continue
@@ -313,7 +318,7 @@ func (s *Scenario) measure(v *Vantage, target *Target, targetIdx int32,
 // the resolver path, but the clause built from this record uses the URL
 // path — a censor on one and not the other is methodological noise.
 func (s *Scenario) dnsTest(v *Vantage, target *Target, at time.Time, plane int32,
-	activeOnDest []censor.Active, cfg PlatformConfig, rng *rand.Rand, pr *pathRNG) (bool, []GroundTruthAct) {
+	activeOnDest []censor.Active, cfg PlatformConfig, rng *rand.Rand, pr *pathRNG, view *routing.View) (bool, []GroundTruthAct) {
 	var acts []GroundTruthAct
 	// Default resolver: lives inside the vantage AS, so only vantage-AS
 	// censors see the query.
@@ -342,7 +347,7 @@ func (s *Scenario) dnsTest(v *Vantage, target *Target, at time.Time, plane int32
 
 	// Open resolver: the query transits the path toward the anycast AS;
 	// DNS censors along it inject.
-	rIdxPath, ok := s.Oracle.PathIdxAtPlane(v.Idx, s.ResolverIdx, at, plane)
+	rIdxPath, ok := view.PathIdxAtPlane(v.Idx, s.ResolverIdx, at, plane)
 	if !ok {
 		return false, acts // resolver unreachable; no data
 	}

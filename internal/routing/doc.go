@@ -10,15 +10,18 @@
 // comes from.
 //
 // Entry points: GenTimeline builds the churn event Timeline; NewOracle
-// wraps a Graph and Timeline into the query interface the simulators use
-// (PathIdxAt, PathAt, ToASNs); ComputeTree computes a single Gao–Rexford
+// wraps a Graph and Timeline, and Oracle.View opens the query interface
+// the simulators use (View.PathIdxAt, PathIdxAtPlane, PathAt, TreeAtPlane;
+// Oracle.ToASNs converts paths). ComputeTree computes a single Gao–Rexford
 // routing tree when callers need one directly, and ValleyFree checks the
 // policy invariant on any path.
 //
-// Invariants: trees are pure functions of (graph, timeline, destination,
-// epoch), so the Oracle can cache and share them freely. The Oracle is safe
-// for concurrent use — the measurement engine's day shards all query one
-// instance; only LRU bookkeeping is mutex-guarded, never tree computation,
-// and concurrent misses on the same (destination, epoch) coalesce onto a
-// single computation (the PR 1 singleflight).
+// Invariants: a tree is a pure function of (graph, timeline, destination,
+// epoch, plane), so a View may reuse one across epochs and what it has
+// seen never changes an answer. A View reuses a tree across an epoch
+// boundary only when the boundary's churn provably cannot change it (see
+// View.touches); every reused tree equals a fresh ComputeTree. A View
+// belongs to one goroutine; the Oracle holds no trees and no per-epoch
+// state, only the graph, the timeline and two atomic work counters, so
+// the measurement engine's day shards share it freely, one View each.
 package routing

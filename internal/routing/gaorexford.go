@@ -13,9 +13,19 @@ const Unreachable int32 = -1
 // hop of every AS (by index). The destination's entry points to itself.
 type Tree []int32
 
-// route phases, in Gao–Rexford preference order: routes learned from
+// Routes is one computed routing tree together with what the View's reuse
+// rules read besides the next hops: the class and length of every AS's
+// chosen route.
+type Routes struct {
+	Tree  Tree
+	class []uint8 // route class, phaseCustomer..phaseProvider; phaseNone when unrouted
+	dist  []int32 // AS hops to the destination; 0 when unrouted
+}
+
+// Route classes, in Gao–Rexford preference order: routes learned from
 // customers beat routes learned from peers beat routes learned from
-// providers, regardless of path length.
+// providers, regardless of path length. ComputeTree settles them in this
+// order, one phase each.
 const (
 	phaseNone uint8 = iota
 	phaseCustomer
@@ -26,7 +36,9 @@ const (
 // tiebreak hashes a (chooser, nexthop) pair with the chooser's policy salt.
 // It stands in for the long tail of the BGP decision process (MED, IGP
 // cost, router IDs): deterministic for a fixed salt, and re-rolled by policy
-// shift events to model intra-policy route changes.
+// shift events to model intra-policy route changes. v fills the low 32 bits
+// of a bijective mix, so for a fixed chooser and salt no two next hops tie:
+// every AS has exactly one best route.
 func tiebreak(u, v int32, salt uint64) uint64 {
 	x := salt ^ uint64(uint32(u))<<32 ^ uint64(uint32(v))
 	x ^= x >> 33
@@ -37,33 +49,22 @@ func tiebreak(u, v int32, salt uint64) uint64 {
 	return x
 }
 
-// treeScratch holds the per-computation working state of ComputeTree. The
-// tree itself is freshly allocated (it outlives the call, cached by the
-// oracle); everything else is recycled through treeScratchPool so repeated
-// computations allocate only the tree. dist needs no clearing between uses
-// (it is only read for nodes routed in the same computation); phase does.
+// treeScratch holds the per-computation working state of ComputeTree that
+// does not outlive the call, recycled through treeScratchPool so repeated
+// computations allocate only their Routes.
 type treeScratch struct {
-	dist              []int32
-	phase             []uint8
 	frontier, claimed []int32
 	buckets           [][]int32
 }
 
 var treeScratchPool = sync.Pool{New: func() any { return &treeScratch{} }}
 
-// grab sizes the scratch for n nodes and clears what must be cleared.
+// grab sizes the scratch for n nodes and clears it.
 func (s *treeScratch) grab(n int) {
-	if cap(s.dist) < n {
-		s.dist = make([]int32, n)
-		s.phase = make([]uint8, n)
+	if cap(s.buckets) < n+1 {
 		s.buckets = make([][]int32, n+1)
 	}
-	s.dist = s.dist[:n]
-	s.phase = s.phase[:n]
 	s.buckets = s.buckets[:n+1]
-	for i := range s.phase {
-		s.phase[i] = phaseNone
-	}
 	for i := range s.buckets {
 		s.buckets[i] = s.buckets[i][:0]
 	}
@@ -72,28 +73,27 @@ func (s *treeScratch) grab(n int) {
 }
 
 // ComputeTree computes the Gao–Rexford routing tree toward dst (an AS
-// index). linkDown reports failed links; saltOf supplies each AS's policy
-// salt. The decision process per AS: prefer customer-learned, then
-// peer-learned, then provider-learned routes; among those, shortest AS
-// path; ties broken by the salted hash.
+// index). down marks failed links by link ID; an AS's tie-break salt is
+// salt[as] ^ psalt, where psalt re-rolls every tie-break for one
+// forwarding plane (0 on the canonical plane). The decision process per
+// AS: prefer customer-learned, then peer-learned, then provider-learned
+// routes; among those, shortest AS path; ties broken by the salted hash.
 //
 // The three-phase BFS below is the standard simulation algorithm for this
 // model: phase 1 floods the destination's announcement up provider chains
 // (producing customer routes), phase 2 crosses single peer edges, and phase
 // 3 floods everything down customer chains (producing provider routes).
 // The result is valley-free by construction.
-func ComputeTree(g *topology.Graph, dst int32, linkDown func(int32) bool, saltOf func(int32) uint64) Tree {
+func ComputeTree(g *topology.Graph, dst int32, down []bool, salt []uint64, psalt uint64) Routes {
 	n := len(g.ASes)
 	next := make(Tree, n)
+	dist := make([]int32, n)
+	phase := make([]uint8, n)
 	sc := treeScratchPool.Get().(*treeScratch)
 	sc.grab(n)
-	dist := sc.dist
-	phase := sc.phase
 	for i := range next {
 		next[i] = Unreachable
 	}
-
-	up := func(link int32) bool { return linkDown == nil || !linkDown(link) }
 
 	// Phase 1: customer routes, level-synchronous BFS from dst along
 	// customer->provider edges.
@@ -104,7 +104,7 @@ func ComputeTree(g *topology.Graph, dst int32, linkDown func(int32) bool, saltOf
 		claimed = claimed[:0]
 		for _, u := range frontier {
 			for _, nb := range g.Neighbors[u] {
-				if nb.Rel != topology.RelProvider || !up(nb.Link) {
+				if nb.Rel != topology.RelProvider || down[nb.Link] {
 					continue
 				}
 				p := nb.Idx
@@ -114,7 +114,7 @@ func ComputeTree(g *topology.Graph, dst int32, linkDown func(int32) bool, saltOf
 				if next[p] == Unreachable {
 					claimed = append(claimed, p)
 					next[p] = u
-				} else if tiebreak(p, u, saltOf(p)) < tiebreak(p, next[p], saltOf(p)) {
+				} else if s := salt[p] ^ psalt; tiebreak(p, u, s) < tiebreak(p, next[p], s) {
 					next[p] = u
 				}
 			}
@@ -135,14 +135,14 @@ func ComputeTree(g *topology.Graph, dst int32, linkDown func(int32) bool, saltOf
 		best := Unreachable
 		var bestDist int32
 		for _, nb := range g.Neighbors[u] {
-			if nb.Rel != topology.RelPeer || !up(nb.Link) || phase[nb.Idx] != phaseCustomer {
+			if nb.Rel != topology.RelPeer || down[nb.Link] || phase[nb.Idx] != phaseCustomer {
 				continue
 			}
 			d := dist[nb.Idx] + 1
 			switch {
 			case best == Unreachable, d < bestDist:
 				best, bestDist = nb.Idx, d
-			case d == bestDist && tiebreak(u, nb.Idx, saltOf(u)) < tiebreak(u, best, saltOf(u)):
+			case d == bestDist && tiebreak(u, nb.Idx, salt[u]^psalt) < tiebreak(u, best, salt[u]^psalt):
 				best = nb.Idx
 			}
 		}
@@ -170,7 +170,7 @@ func ComputeTree(g *topology.Graph, dst int32, linkDown func(int32) bool, saltOf
 				continue // superseded by a shorter assignment
 			}
 			for _, nb := range g.Neighbors[v] {
-				if nb.Rel != topology.RelCustomer || !up(nb.Link) {
+				if nb.Rel != topology.RelCustomer || down[nb.Link] {
 					continue
 				}
 				u := nb.Idx
@@ -180,7 +180,7 @@ func ComputeTree(g *topology.Graph, dst int32, linkDown func(int32) bool, saltOf
 				if next[u] == Unreachable {
 					claimed = append(claimed, u)
 					next[u] = v
-				} else if dist[next[u]] == d && tiebreak(u, v, saltOf(u)) < tiebreak(u, next[u], saltOf(u)) {
+				} else if s := salt[u] ^ psalt; dist[next[u]] == d && tiebreak(u, v, s) < tiebreak(u, next[u], s) {
 					next[u] = v
 				}
 			}
@@ -198,7 +198,7 @@ func ComputeTree(g *topology.Graph, dst int32, linkDown func(int32) bool, saltOf
 	}
 	sc.frontier, sc.claimed, sc.buckets = frontier[:0], claimed, buckets
 	treeScratchPool.Put(sc)
-	return next
+	return Routes{Tree: next, class: phase, dist: dist}
 }
 
 // Path extracts the AS-index path from src to dst out of a tree, returning

@@ -1,119 +1,38 @@
 package routing
 
 import (
-	"maps"
-	"sync"
+	"slices"
+	"sort"
 	"sync/atomic"
 	"time"
 
 	"churntomo/internal/topology"
 )
 
-// Oracle answers "what was the AS path from src to dst at time t?" by
-// computing Gao–Rexford trees for (destination, epoch) pairs on demand and
-// caching them. It is the simulator's data plane: traceroutes, DNS queries
-// and HTTP connections all route through it.
-//
-// Oracle is safe for concurrent use and built so that the measurement
-// engine's workers never serialize on cache hits: the tree cache is split
-// into shards, and each shard publishes an immutable snapshot map through
-// an atomic pointer. A hit is one atomic load plus one map lookup plus one
-// atomic store (the recency ticket) — no locks anywhere on the path. Only
-// misses take the shard mutex, and concurrent misses on the same
-// (destination, epoch) coalesce onto a single computation, so adjacent-day
-// shards querying the same epoch don't duplicate the dominant cost.
-//
-// Tree computation itself reads a per-epoch snapshot of the timeline (link
-// down set and policy salts flattened into arrays) instead of binary
-// searching the event history per link — see epochState.
-//
-// Nothing here affects output: trees are pure functions of (destination,
-// epoch), so cache policy, shard layout and eviction order are invisible.
-// The parallel == serial bit-identical invariant holds by construction.
+// Oracle is the simulator's data plane: traceroutes, DNS queries and HTTP
+// connections all route through it. It holds the graph, the churn
+// timeline and two work counters; path queries go through Views, each
+// owned by one goroutine, so the Oracle itself keeps no trees and no
+// per-epoch state. It is safe for concurrent use.
 type Oracle struct {
 	G  *topology.Graph
 	TL *Timeline
 
-	capPerShard int
-	shards      [oracleShards]treeShard
-	epochs      []atomic.Pointer[epochState]
-
-	ticket   atomic.Int64 // recency clock for approximate LRU
-	computes atomic.Int64 // trees actually computed (cache misses)
-	queries  atomic.Int64
+	viewTrees int          // trees one View holds before it drops them all
+	queries   atomic.Int64 // path queries, over every View
+	computes  atomic.Int64 // trees computed, over every View
 }
 
-// oracleShards is the tree-cache shard count. Power of two; 64 keeps
-// worst-case eviction scans and snapshot copies at cap/64 entries while
-// spreading unrelated keys across independent locks.
-const oracleShards = 64
-
-// treeShard is one cache shard. Readers go through snap only; items is the
-// authoritative map guarded by mu, republished into snap after every
-// insert or eviction.
-type treeShard struct {
-	snap     atomic.Pointer[map[treeKey]*treeEntry]
-	mu       sync.Mutex
-	items    map[treeKey]*treeEntry
-	inflight map[treeKey]*treeCall
-}
-
-// treeEntry is one cached tree with its recency ticket.
-type treeEntry struct {
-	tree  Tree
-	touch atomic.Int64
-}
-
-// treeCall is one in-flight tree computation other workers can wait on.
-type treeCall struct {
-	done chan struct{}
-	tree Tree
-}
-
-// epochState is the timeline's routing state during one epoch, flattened
-// for O(1) reads: down is indexed by link ID, salt by AS index. States are
-// immutable once published and built at most once per epoch (a benign
-// build race loses to CompareAndSwap; both results are identical).
-type epochState struct {
-	down []bool
-	salt []uint64
-}
-
-// NewOracle creates an oracle with room for cacheTrees cached routing
-// trees; zero or negative values select a default sized for year-long
-// scenario replays (a negative capacity would make the cache evict on
-// every put, so it is clamped rather than honored).
+// NewOracle wraps g and tl. cacheTrees bounds the trees one View holds: a
+// View that reaches it drops every tree and starts over. Zero or negative
+// selects 4096, over twice what one default-scale measurement day holds
+// (a negative bound would drop on every computation, so it is clamped
+// rather than honored).
 func NewOracle(g *topology.Graph, tl *Timeline, cacheTrees int) *Oracle {
 	if cacheTrees <= 0 {
 		cacheTrees = 4096
 	}
-	per := cacheTrees / oracleShards
-	if per < 1 {
-		per = 1
-	}
-	o := &Oracle{G: g, TL: tl, capPerShard: per, epochs: make([]atomic.Pointer[epochState], tl.NumEpochs())}
-	for i := range o.shards {
-		o.shards[i].items = map[treeKey]*treeEntry{}
-		o.shards[i].inflight = map[treeKey]*treeCall{}
-	}
-	return o
-}
-
-type treeKey struct {
-	dst   int32
-	epoch int32
-	plane int32
-}
-
-// shardOf spreads keys across shards with a splitmix-style mix so adjacent
-// epochs and destinations land on different locks.
-func shardOf(k treeKey) int {
-	x := uint64(uint32(k.dst))<<32 | uint64(uint32(k.epoch))
-	x ^= uint64(uint32(k.plane)) << 16
-	x ^= x >> 33
-	x *= 0xff51afd7ed558ccd
-	x ^= x >> 33
-	return int(x & (oracleShards - 1))
+	return &Oracle{G: g, TL: tl, viewTrees: cacheTrees}
 }
 
 // planeSalt is the per-plane tie-break perturbation mixed into every AS's
@@ -129,137 +48,11 @@ func planeSalt(plane int32) uint64 {
 	return splitmix(0x65636d70 ^ uint64(uint32(plane))) // "ecmp"
 }
 
-// TreeAt returns the routing tree toward dst (AS index) during epoch ep on
-// the canonical forwarding plane. The returned tree is shared; callers
-// must not modify it.
+// TreeAt computes the routing tree toward dst (AS index) during epoch ep
+// on the canonical forwarding plane. It answers through a fresh View, so
+// every call computes; repeated queries belong on one View.
 func (o *Oracle) TreeAt(dst, ep int32) Tree {
-	return o.TreeAtPlane(dst, ep, 0)
-}
-
-// TreeAtPlane returns the routing tree toward dst during epoch ep on one
-// forwarding plane. Plane 0 is canonical; higher planes perturb only the
-// route tie-breaks (preference and policy stay Gao–Rexford-valid), so a
-// multipath deployment is modeled as a small set of coexisting planes a
-// flow hashes onto. The returned tree is shared; callers must not modify
-// it.
-func (o *Oracle) TreeAtPlane(dst, ep, plane int32) Tree {
-	key := treeKey{dst, ep, plane}
-	sh := &o.shards[shardOf(key)]
-	if m := sh.snap.Load(); m != nil {
-		if e := (*m)[key]; e != nil {
-			e.touch.Store(o.ticket.Add(1))
-			return e.tree
-		}
-	}
-	return o.treeMiss(sh, key)
-}
-
-// treeMiss is the slow path: re-check the authoritative map (it may be
-// ahead of the published snapshot), join an in-flight computation, or
-// compute the tree and publish it.
-func (o *Oracle) treeMiss(sh *treeShard, key treeKey) Tree {
-	sh.mu.Lock()
-	if e := sh.items[key]; e != nil {
-		e.touch.Store(o.ticket.Add(1))
-		sh.mu.Unlock()
-		return e.tree
-	}
-	if c, ok := sh.inflight[key]; ok {
-		sh.mu.Unlock()
-		<-c.done
-		return c.tree
-	}
-	c := &treeCall{done: make(chan struct{})}
-	sh.inflight[key] = c
-	sh.mu.Unlock()
-
-	st := o.epochState(key.epoch)
-	psalt := planeSalt(key.plane)
-	c.tree = ComputeTree(o.G, key.dst,
-		func(link int32) bool { return st.down[link] },
-		func(as int32) uint64 { return st.salt[as] ^ psalt })
-
-	e := &treeEntry{tree: c.tree}
-	e.touch.Store(o.ticket.Add(1))
-	sh.mu.Lock()
-	sh.items[key] = e
-	if len(sh.items) > o.capPerShard {
-		sh.evictOldest()
-	}
-	snap := maps.Clone(sh.items)
-	sh.snap.Store(&snap)
-	delete(sh.inflight, key)
-	sh.mu.Unlock()
-	close(c.done)
-	o.computes.Add(1)
-	return c.tree
-}
-
-// evictOldest drops the entry with the smallest recency ticket. Scanning
-// is O(shard size) — at most cap/oracleShards entries — and only runs on
-// misses, which are dominated by the tree computation itself. Approximate
-// LRU: a hit that lands between the scan start and the delete can lose,
-// which only costs a recompute, never correctness.
-func (sh *treeShard) evictOldest() {
-	var victim treeKey
-	oldest := int64(1<<63 - 1)
-	for k, e := range sh.items {
-		if t := e.touch.Load(); t < oldest {
-			oldest, victim = t, k
-		}
-	}
-	delete(sh.items, victim)
-}
-
-// epochState returns the flattened timeline state for ep, building and
-// caching it on first use. Duplicate concurrent builds are possible and
-// harmless: the states are identical and CompareAndSwap keeps one.
-func (o *Oracle) epochState(ep int32) *epochState {
-	if p := o.epochs[ep].Load(); p != nil {
-		return p
-	}
-	st := &epochState{down: make([]bool, len(o.G.Links)), salt: make([]uint64, len(o.G.ASes))}
-	for _, l := range o.TL.DownLinks(ep) {
-		if int(l) < len(st.down) {
-			st.down[l] = true
-		}
-	}
-	o.TL.EpochSalts(ep, st.salt)
-	if o.epochs[ep].CompareAndSwap(nil, st) {
-		return st
-	}
-	return o.epochs[ep].Load()
-}
-
-// PathIdxAt returns the AS-index path from src to dst at time t on the
-// canonical forwarding plane.
-func (o *Oracle) PathIdxAt(src, dst int32, t time.Time) ([]int32, bool) {
-	return o.PathIdxAtPlane(src, dst, t, 0)
-}
-
-// PathIdxAtPlane returns the AS-index path from src to dst at time t on
-// one forwarding plane (see TreeAtPlane). Plane 0 is the canonical path.
-func (o *Oracle) PathIdxAtPlane(src, dst int32, t time.Time, plane int32) ([]int32, bool) {
-	o.queries.Add(1)
-	ep := o.TL.EpochAt(t)
-	return o.TreeAtPlane(dst, ep, plane).Path(src, dst)
-}
-
-// PathAt returns the ASN path from src to dst at time t.
-func (o *Oracle) PathAt(src, dst topology.ASN, t time.Time) ([]topology.ASN, bool) {
-	si, ok := o.G.Index(src)
-	if !ok {
-		return nil, false
-	}
-	di, ok := o.G.Index(dst)
-	if !ok {
-		return nil, false
-	}
-	idxPath, ok := o.PathIdxAt(si, di, t)
-	if !ok {
-		return nil, false
-	}
-	return o.ToASNs(idxPath), true
+	return o.View().TreeAtPlane(dst, ep, 0)
 }
 
 // ToASNs converts an AS-index path to ASNs.
@@ -271,22 +64,247 @@ func (o *Oracle) ToASNs(idxPath []int32) []topology.ASN {
 	return out
 }
 
-// Stats reports cache behaviour: total path queries and trees computed.
+// Stats reports the work done through every View so far: path queries
+// and trees computed.
 func (o *Oracle) Stats() (queries, treeComputes int) {
 	return int(o.queries.Load()), int(o.computes.Load())
 }
 
-// Cap returns the tree cache's total capacity across shards.
-func (o *Oracle) Cap() int { return o.capPerShard * oracleShards }
+// View answers path queries for one goroutine; the measurement engine
+// gives each day shard its own. It keeps, per (destination, plane), runs
+// of consecutive epochs that share one computed tree, and grows a run
+// across an epoch boundary when that boundary's churn provably cannot
+// change the tree (see touches), computing a new tree only when it can.
+// Trees are pure functions of (destination, epoch, plane), so what a View
+// has seen never changes an answer, only how much it computes.
+//
+// A View is not safe for concurrent use.
+type View struct {
+	o        *Oracle
+	runs     map[runKey][]run // disjoint, sorted by first epoch
+	held     int              // runs over every key
+	computed int              // trees this View computed
 
-// CachedTrees returns the number of trees currently cached.
-func (o *Oracle) CachedTrees() int {
-	n := 0
-	for i := range o.shards {
-		sh := &o.shards[i]
-		sh.mu.Lock()
-		n += len(sh.items)
-		sh.mu.Unlock()
+	// One routing state, valid for epoch ep (-1 before the first tree),
+	// moved to each epoch a tree is computed at by the timeline's deltas.
+	ep   int32
+	down []bool   // by link ID
+	salt []uint64 // by AS index
+}
+
+type runKey struct{ dst, plane int32 }
+
+// run is one tree valid in every epoch of [first, last]. loShut and
+// hiShut record that the boundary just past that end touches the tree,
+// so the run cannot grow that way.
+type run struct {
+	first, last    int32
+	loShut, hiShut bool
+	routes         Routes
+}
+
+// View returns a new, empty View over the oracle.
+func (o *Oracle) View() *View {
+	return &View{
+		o:    o,
+		runs: map[runKey][]run{},
+		ep:   -1,
+		down: make([]bool, len(o.G.Links)),
+		salt: make([]uint64, len(o.G.ASes)),
 	}
-	return n
+}
+
+// TreeAtPlane returns the routing tree toward dst during epoch ep on one
+// forwarding plane. Plane 0 is canonical; higher planes perturb only the
+// route tie-breaks (preference and policy stay Gao–Rexford-valid), so a
+// multipath deployment is modeled as a small set of coexisting planes a
+// flow hashes onto. The returned tree is shared; callers must not modify
+// it.
+//
+// A query inside a run is answered from it. Otherwise the neighbouring
+// runs try to grow toward ep, the earlier one first, and only if both
+// fail is a tree computed at ep, as a one-epoch run.
+func (v *View) TreeAtPlane(dst, ep, plane int32) Tree {
+	key := runKey{dst, plane}
+	runs := v.runs[key]
+	i := sort.Search(len(runs), func(i int) bool { return runs[i].last >= ep })
+	if i < len(runs) && runs[i].first <= ep {
+		return runs[i].routes.Tree
+	}
+	psalt := planeSalt(plane)
+	if i > 0 && v.grow(&runs[i-1], dst, ep, psalt) {
+		return runs[i-1].routes.Tree
+	}
+	if i < len(runs) && v.grow(&runs[i], dst, ep, psalt) {
+		return runs[i].routes.Tree
+	}
+	if v.held >= v.o.viewTrees {
+		clear(v.runs)
+		v.held, runs, i = 0, nil, 0
+	}
+	v.moveTo(ep)
+	r := ComputeTree(v.o.G, dst, v.down, v.salt, psalt)
+	v.computed++
+	v.o.computes.Add(1)
+	v.runs[key] = slices.Insert(runs, i, run{first: ep, last: ep, routes: r})
+	v.held++
+	return r.Tree
+}
+
+// grow extends r one epoch boundary at a time toward ep, which lies
+// outside it, and reports whether it got there. The first boundary that
+// touches r's tree shuts that side of r for good.
+func (v *View) grow(r *run, dst, ep int32, psalt uint64) bool {
+	if ep > r.last {
+		for !r.hiShut && r.last < ep {
+			if v.touches(&r.routes, dst, r.last+1, true, psalt) {
+				r.hiShut = true
+			} else {
+				r.last++
+			}
+		}
+		return r.last == ep
+	}
+	for !r.loShut && r.first > ep {
+		if v.touches(&r.routes, dst, r.first, false, psalt) {
+			r.loShut = true
+		} else {
+			r.first--
+		}
+	}
+	return r.first == ep
+}
+
+// touches reports whether the churn at the boundary into epoch b can
+// change rt, crossing it forward (from b-1 into b) or backward (from b
+// into b-1). A boundary it passes provably leaves rt unchanged; one it
+// flags may leave it unchanged too. Every AS has exactly one best route
+// (see tiebreak), so a tree is the unique assignment in which each AS
+// holds the best route its neighbours' routes offer it, and rt stays that
+// assignment across the boundary when each change passes one rule:
+//
+//  1. a link that goes down is not a tree edge, so it carried no chosen
+//     route;
+//  2. a link that comes up offers neither endpoint a route it strictly
+//     prefers, by class, then length, then tie-break; an unrouted
+//     endpoint prefers any route;
+//  3. a salt change falls on the destination or on an unrouted AS, whose
+//     tie-breaks choose nothing.
+//
+// Rules 1 and 2 are exact, so a change that fails one changes the tree,
+// except that rule 1 judges tree edges by AS pair and so may flag a link
+// with a parallel twin the route uses instead. Rule 3 is conservative on
+// purpose, since policy shifts are rare boundaries.
+func (v *View) touches(rt *Routes, dst, b int32, fwd bool, psalt uint64) bool {
+	tl := v.o.TL
+	for _, s := range tl.saltFlips(b) {
+		if s.as != dst && rt.class[s.as] != phaseNone {
+			return true
+		}
+	}
+	for _, f := range tl.linkFlips(b) {
+		l := &v.o.G.Links[f.link]
+		if f.down == fwd { // the link goes down
+			if rt.Tree[l.A] == l.B || rt.Tree[l.B] == l.A {
+				return true
+			}
+			continue
+		}
+		if l.Peer {
+			if v.betters(rt, l.A, l.B, phasePeer, b, psalt) || v.betters(rt, l.B, l.A, phasePeer, b, psalt) {
+				return true
+			}
+		} else if v.betters(rt, l.A, l.B, phaseProvider, b, psalt) || v.betters(rt, l.B, l.A, phaseCustomer, b, psalt) {
+			return true // A is the customer, B the provider
+		}
+	}
+	return false
+}
+
+// betters reports whether a new link from x to y, over which x would
+// learn y's route as a route of class c, gives x a route it strictly
+// prefers to its own. Ties on class and length go to the tie-break under
+// x's salt in epoch ep, on either side of the boundary: touches has
+// already flagged any routed AS but the destination whose salt changes
+// there, and the destination's own route cannot be beaten.
+func (v *View) betters(rt *Routes, x, y int32, c uint8, ep int32, psalt uint64) bool {
+	// Gao–Rexford export: y hands its provider or peer only a customer
+	// route, and its customer any route.
+	if rt.class[y] == phaseNone || (c != phaseProvider && rt.class[y] != phaseCustomer) {
+		return false
+	}
+	switch {
+	case rt.class[x] == phaseNone:
+		return true
+	case c != rt.class[x]:
+		return c < rt.class[x]
+	case rt.dist[y]+1 != rt.dist[x]:
+		return rt.dist[y]+1 < rt.dist[x]
+	}
+	s := v.o.TL.SaltAt(x, ep) ^ psalt
+	return tiebreak(x, y, s) < tiebreak(x, rt.Tree[x], s)
+}
+
+// moveTo brings the View's routing state to epoch ep: by the timeline's
+// deltas, or by a rebuild when the walk would apply more flips than a
+// rebuild writes.
+func (v *View) moveTo(ep int32) {
+	tl := v.o.TL
+	if v.ep < 0 || tl.flipsBetween(v.ep, ep) > len(v.down)+len(v.salt) {
+		clear(v.down)
+		for _, l := range tl.DownLinks(ep) {
+			v.down[l] = true
+		}
+		tl.EpochSalts(ep, v.salt)
+		v.ep = ep
+		return
+	}
+	for v.ep < ep {
+		v.ep++
+		v.apply(v.ep, true)
+	}
+	for v.ep > ep {
+		v.apply(v.ep, false)
+		v.ep--
+	}
+}
+
+// apply crosses the boundary into epoch e forward, or back out of it.
+func (v *View) apply(e int32, fwd bool) {
+	for _, f := range v.o.TL.linkFlips(e) {
+		v.down[f.link] = f.down == fwd
+	}
+	for _, s := range v.o.TL.saltFlips(e) {
+		v.salt[s.as] ^= s.xor
+	}
+}
+
+// PathIdxAt returns the AS-index path from src to dst at time t on the
+// canonical forwarding plane.
+func (v *View) PathIdxAt(src, dst int32, t time.Time) ([]int32, bool) {
+	return v.PathIdxAtPlane(src, dst, t, 0)
+}
+
+// PathIdxAtPlane returns the AS-index path from src to dst at time t on
+// one forwarding plane (see TreeAtPlane). Plane 0 is the canonical path.
+func (v *View) PathIdxAtPlane(src, dst int32, t time.Time, plane int32) ([]int32, bool) {
+	v.o.queries.Add(1)
+	return v.TreeAtPlane(dst, v.o.TL.EpochAt(t), plane).Path(src, dst)
+}
+
+// PathAt returns the ASN path from src to dst at time t.
+func (v *View) PathAt(src, dst topology.ASN, t time.Time) ([]topology.ASN, bool) {
+	si, ok := v.o.G.Index(src)
+	if !ok {
+		return nil, false
+	}
+	di, ok := v.o.G.Index(dst)
+	if !ok {
+		return nil, false
+	}
+	idxPath, ok := v.PathIdxAt(si, di, t)
+	if !ok {
+		return nil, false
+	}
+	return v.o.ToASNs(idxPath), true
 }

@@ -1,6 +1,7 @@
 package routing
 
 import (
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -17,13 +18,29 @@ func graph(t testing.TB, seed uint64, ases int) *topology.Graph {
 	return g
 }
 
-func noDown(int32) bool     { return false }
-func zeroSalt(int32) uint64 { return 0 }
+// cleanState returns a routing state with every link up and every salt
+// zero.
+func cleanState(g *topology.Graph) ([]bool, []uint64) {
+	return make([]bool, len(g.Links)), make([]uint64, len(g.ASes))
+}
+
+// epochState returns the routing state of epoch ep, built from the
+// timeline's public accessors: the reference every View answer is checked
+// against.
+func epochState(g *topology.Graph, tl *Timeline, ep int32) ([]bool, []uint64) {
+	down, salt := cleanState(g)
+	for _, l := range tl.DownLinks(ep) {
+		down[l] = true
+	}
+	tl.EpochSalts(ep, salt)
+	return down, salt
+}
 
 func TestComputeTreeAllReachable(t *testing.T) {
 	g := graph(t, 1, 200)
+	down, salt := cleanState(g)
 	for dst := int32(0); dst < 20; dst++ {
-		tree := ComputeTree(g, dst, noDown, zeroSalt)
+		tree := ComputeTree(g, dst, down, salt, 0).Tree
 		for src := range tree {
 			path, ok := tree.Path(int32(src), dst)
 			if !ok {
@@ -39,8 +56,9 @@ func TestComputeTreeAllReachable(t *testing.T) {
 
 func TestComputeTreeValleyFree(t *testing.T) {
 	g := graph(t, 2, 250)
+	down, salt := cleanState(g)
 	for dst := int32(0); dst < int32(len(g.ASes)); dst += 17 {
-		tree := ComputeTree(g, dst, noDown, zeroSalt)
+		tree := ComputeTree(g, dst, down, salt, 0).Tree
 		for src := int32(0); src < int32(len(g.ASes)); src += 7 {
 			path, ok := tree.Path(src, dst)
 			if !ok {
@@ -72,7 +90,9 @@ func TestComputeTreeCustomerPreference(t *testing.T) {
 	// route, no strictly-preferred alternative may exist among neighbors.
 	g := graph(t, 3, 120)
 	dst := int32(5)
-	tree := ComputeTree(g, dst, noDown, zeroSalt)
+	down, salt := cleanState(g)
+	rt := ComputeTree(g, dst, down, salt, 0)
+	tree := rt.Tree
 
 	// Recompute phases for verification.
 	phase := make([]uint8, len(g.ASes))
@@ -85,16 +105,21 @@ func TestComputeTreeCustomerPreference(t *testing.T) {
 		dist[u] = int32(len(path) - 1)
 		if int32(u) == dst {
 			phase[u] = phaseCustomer
-			continue
+		} else {
+			rel, _ := relBetween(g, int32(u), tree[u])
+			switch rel {
+			case topology.RelCustomer:
+				phase[u] = phaseCustomer
+			case topology.RelPeer:
+				phase[u] = phasePeer
+			case topology.RelProvider:
+				phase[u] = phaseProvider
+			}
 		}
-		rel, _ := relBetween(g, int32(u), tree[u])
-		switch rel {
-		case topology.RelCustomer:
-			phase[u] = phaseCustomer
-		case topology.RelPeer:
-			phase[u] = phasePeer
-		case topology.RelProvider:
-			phase[u] = phaseProvider
+		// The class and length ComputeTree reports are the chosen path's.
+		if rt.class[u] != phase[u] || rt.dist[u] != dist[u] {
+			t.Fatalf("AS %d: ComputeTree reports class %d length %d, path says %d and %d",
+				u, rt.class[u], rt.dist[u], phase[u], dist[u])
 		}
 	}
 	for u := range g.ASes {
@@ -133,7 +158,8 @@ func TestComputeTreeCustomerPreference(t *testing.T) {
 func TestComputeTreeLinkFailureReroutes(t *testing.T) {
 	g := graph(t, 4, 200)
 	dst := int32(10)
-	base := ComputeTree(g, dst, noDown, zeroSalt)
+	down, salt := cleanState(g)
+	base := ComputeTree(g, dst, down, salt, 0).Tree
 
 	// Fail the link used by some src's first hop; the route must change or
 	// become unreachable, and no path may cross the failed link.
@@ -148,8 +174,8 @@ func TestComputeTreeLinkFailureReroutes(t *testing.T) {
 	if failed < 0 {
 		t.Fatal("could not locate first-hop link")
 	}
-	down := func(l int32) bool { return l == failed }
-	rerouted := ComputeTree(g, dst, down, zeroSalt)
+	down[failed] = true
+	rerouted := ComputeTree(g, dst, down, salt, 0).Tree
 	if rerouted[src] == base[src] {
 		t.Fatal("route unchanged after first-hop link failure")
 	}
@@ -168,8 +194,13 @@ func TestComputeTreeLinkFailureReroutes(t *testing.T) {
 func TestSaltChangesTiebreakOnly(t *testing.T) {
 	g := graph(t, 5, 300)
 	dst := int32(3)
-	a := ComputeTree(g, dst, noDown, zeroSalt)
-	b := ComputeTree(g, dst, noDown, func(as int32) uint64 { return 0xdeadbeef })
+	down, zero := cleanState(g)
+	salted := make([]uint64, len(g.ASes))
+	for i := range salted {
+		salted[i] = 0xdeadbeef
+	}
+	a := ComputeTree(g, dst, down, zero, 0).Tree
+	b := ComputeTree(g, dst, down, salted, 0).Tree
 	// Both must be valid and fully reachable; some next hops should differ
 	// (multi-homed ASes with ties), but path lengths per class must match.
 	diff := 0
@@ -293,6 +324,7 @@ func TestOraclePathsAndChurn(t *testing.T) {
 		t.Fatal(err)
 	}
 	o := NewOracle(g, tl, 512)
+	v := o.View()
 
 	src := g.ASes[40].ASN
 	dst := g.ASes[200].ASN
@@ -300,7 +332,7 @@ func TestOraclePathsAndChurn(t *testing.T) {
 	ok0 := 0
 	for d := 0; d < 365; d++ {
 		at := start.AddDate(0, 0, d).Add(7 * time.Hour)
-		path, ok := o.PathAt(src, dst, at)
+		path, ok := v.PathAt(src, dst, at)
 		if !ok {
 			continue
 		}
@@ -326,6 +358,8 @@ func TestOraclePathsAndChurn(t *testing.T) {
 	}
 }
 
+// TestOracleCacheReuse: repeated queries of one (destination, epoch) on
+// one View compute one tree.
 func TestOracleCacheReuse(t *testing.T) {
 	g := graph(t, 11, 150)
 	start := time.Date(2016, 5, 1, 0, 0, 0, 0, time.UTC)
@@ -334,15 +368,15 @@ func TestOracleCacheReuse(t *testing.T) {
 		t.Fatal(err)
 	}
 	o := NewOracle(g, tl, 512)
+	v := o.View()
 	at := start.Add(time.Hour)
 	for i := 0; i < 50; i++ {
-		if _, ok := o.PathIdxAt(int32(i), 99, at); !ok {
+		if _, ok := v.PathIdxAt(int32(i), 99, at); !ok {
 			t.Fatalf("unreachable %d->99", i)
 		}
 	}
-	_, computes := o.Stats()
-	if computes != 1 {
-		t.Errorf("expected 1 tree computation for repeated epoch/dst, got %d", computes)
+	if queries, computes := o.Stats(); queries != 50 || computes != 1 {
+		t.Errorf("50 queries of one key: Stats = %d queries, %d computes; want 50 and 1", queries, computes)
 	}
 }
 
@@ -350,18 +384,18 @@ func TestOracleUnknownASN(t *testing.T) {
 	g := graph(t, 12, 100)
 	start := time.Date(2016, 5, 1, 0, 0, 0, 0, time.UTC)
 	tl, _ := GenTimeline(g, TimelineConfig{Seed: 6, Start: start, End: start.AddDate(0, 1, 0)})
-	o := NewOracle(g, tl, 16)
-	if _, ok := o.PathAt(topology.ASN(987654321), g.ASes[0].ASN, start); ok {
+	v := NewOracle(g, tl, 16).View()
+	if _, ok := v.PathAt(topology.ASN(987654321), g.ASes[0].ASN, start); ok {
 		t.Error("path from unknown ASN succeeded")
 	}
-	if _, ok := o.PathAt(g.ASes[0].ASN, topology.ASN(987654321), start); ok {
+	if _, ok := v.PathAt(g.ASes[0].ASN, topology.ASN(987654321), start); ok {
 		t.Error("path to unknown ASN succeeded")
 	}
 }
 
-// TestOracleEviction fills an oracle whose cache holds one tree per shard
-// past its capacity and checks that the cache stays bounded, that eviction
-// prefers stale entries, and that evicted trees recompute correctly.
+// TestOracleEviction fills a View whose bound is one tree with many
+// destinations and checks that it never holds more than its bound, and
+// that answers after a drop still equal ComputeTree.
 func TestOracleEviction(t *testing.T) {
 	g := graph(t, 13, 150)
 	start := time.Date(2016, 5, 1, 0, 0, 0, 0, time.UTC)
@@ -369,38 +403,31 @@ func TestOracleEviction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	o := NewOracle(g, tl, 1) // clamps to one tree per shard
-	if o.Cap() != oracleShards {
-		t.Fatalf("Cap() = %d, want %d", o.Cap(), oracleShards)
-	}
+	o := NewOracle(g, tl, 1)
+	v := o.View()
 	at := start.Add(time.Hour)
-	// Far more destinations than capacity: every shard must evict.
+	ep := tl.EpochAt(at)
 	for dst := int32(0); dst < int32(len(g.ASes)); dst++ {
-		if _, ok := o.PathIdxAt(0, dst, at); !ok && dst != 0 {
-			// Some dst may be unreachable from 0; the tree is still cached.
-			continue
+		v.PathIdxAt(0, dst, at)
+		if v.held > 1 {
+			t.Fatalf("View holds %d trees, bound 1", v.held)
 		}
 	}
-	if got := o.CachedTrees(); got > o.Cap() {
-		t.Errorf("cache holds %d trees, capacity %d", got, o.Cap())
+	if _, computes := o.Stats(); computes != len(g.ASes) {
+		t.Errorf("%d destinations computed %d trees", len(g.ASes), computes)
 	}
-	// Recompute an early destination: must still answer identically.
-	want := ComputeTree(g, 5,
-		func(l int32) bool { return tl.LinkDownAt(l, tl.EpochAt(at)) },
-		func(a int32) uint64 { return tl.SaltAt(a, tl.EpochAt(at)) })
-	got := o.TreeAt(5, tl.EpochAt(at))
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("re-fetched tree differs at node %d", i)
-		}
+	// Destination 5 was dropped long ago: it must recompute identically.
+	down, salt := epochState(g, tl, ep)
+	want := ComputeTree(g, 5, down, salt, 0).Tree
+	if got := v.TreeAtPlane(5, ep, 0); !slices.Equal(got, want) {
+		t.Fatal("tree re-fetched after a drop differs from ComputeTree")
 	}
 }
 
-// TestOracleTreeAtStress hammers TreeAt from many goroutines across a key
-// space chosen to exercise all three paths of the new lock scheme — snapshot
-// hits, misses with eviction pressure, and inflight coalescing (every
-// goroutine starts on the same cold keys) — under -race. Every answer must
-// be the shared cached tree: bit-identical across goroutines.
+// TestOracleTreeAtStress runs many goroutines, each with its own View
+// over one Oracle, under -race, with a bound far below the working set so
+// every View drops its trees repeatedly. Each View's answers and compute
+// count must equal a serial View's, and Stats must equal the sum.
 func TestOracleTreeAtStress(t *testing.T) {
 	g := graph(t, 14, 200)
 	start := time.Date(2016, 5, 1, 0, 0, 0, 0, time.UTC)
@@ -408,57 +435,56 @@ func TestOracleTreeAtStress(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Capacity far below the working set so eviction churns concurrently
-	// with hits and coalesced misses.
 	o := NewOracle(g, tl, 128)
-	epochs := int32(tl.NumEpochs())
-	if epochs > 64 {
-		epochs = 64
+	epochs := min(int32(tl.NumEpochs()), 64)
+	walk := func(v *View) []int32 {
+		sums := make([]int32, 0, 64*int(epochs))
+		for dst := int32(0); dst < 64; dst++ {
+			for ep := int32(0); ep < epochs; ep++ {
+				var sum int32
+				for _, nh := range v.TreeAtPlane(dst, ep, 0) {
+					sum += nh
+				}
+				sums = append(sums, sum)
+			}
+		}
+		return sums
 	}
+	serial := o.View()
+	want := walk(serial)
 
 	const workers = 16
 	var wg sync.WaitGroup
+	views := make([]*View, workers)
 	results := make([][]int32, workers)
-	for w := 0; w < workers; w++ {
+	for w := range views {
+		views[w] = o.View()
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			sums := make([]int32, 0, 64*int(epochs))
-			for dst := int32(0); dst < 64; dst++ {
-				for ep := int32(0); ep < epochs; ep++ {
-					tree := o.TreeAt(dst%int32(len(g.ASes)), ep)
-					var sum int32
-					for _, nh := range tree {
-						sum += nh
-					}
-					sums = append(sums, sum)
-				}
-			}
-			results[w] = sums
+			results[w] = walk(views[w])
 		}(w)
 	}
 	wg.Wait()
-	for w := 1; w < workers; w++ {
-		if len(results[w]) != len(results[0]) {
-			t.Fatalf("worker %d saw %d results, worker 0 saw %d", w, len(results[w]), len(results[0]))
+	for w := range views {
+		if !slices.Equal(results[w], want) {
+			t.Fatalf("View %d answered differently from the serial View", w)
 		}
-		for i := range results[w] {
-			if results[w][i] != results[0][i] {
-				t.Fatalf("worker %d diverged from worker 0 at query %d", w, i)
-			}
+		if views[w].computed != serial.computed {
+			t.Errorf("View %d computed %d trees, the serial View %d", w, views[w].computed, serial.computed)
 		}
 	}
 	q, c := o.Stats()
 	if q != 0 {
-		t.Errorf("TreeAt must not count path queries, got %d", q)
+		t.Errorf("TreeAtPlane must not count path queries, got %d", q)
 	}
-	if c == 0 {
-		t.Error("no trees computed?")
+	if c != (workers+1)*serial.computed {
+		t.Errorf("Stats counts %d computes, the Views %d", c, (workers+1)*serial.computed)
 	}
 }
 
-// BenchmarkOracleTreeAtHit measures the lock-free hit path: one hot key
-// served over and over — the case the measurement workers hammer.
+// BenchmarkOracleTreeAtHit measures the View hit path: one hot key served
+// over and over, the case the measurement workers hammer.
 func BenchmarkOracleTreeAtHit(b *testing.B) {
 	g := graph(b, 22, 500)
 	start := time.Date(2016, 5, 1, 0, 0, 0, 0, time.UTC)
@@ -466,23 +492,22 @@ func BenchmarkOracleTreeAtHit(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	o := NewOracle(g, tl, 4096)
-	o.TreeAt(100, 0)
+	v := NewOracle(g, tl, 4096).View()
+	v.TreeAtPlane(100, 0, 0)
 	b.ReportAllocs()
 	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		for pb.Next() {
-			o.TreeAt(100, 0)
-		}
-	})
+	for i := 0; i < b.N; i++ {
+		v.TreeAtPlane(100, 0, 0)
+	}
 }
 
 func BenchmarkComputeTree(b *testing.B) {
 	g := graph(b, 20, 1000)
+	down, salt := cleanState(g)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ComputeTree(g, int32(i%len(g.ASes)), noDown, zeroSalt)
+		ComputeTree(g, int32(i%len(g.ASes)), down, salt, 0)
 	}
 }
 
@@ -493,19 +518,19 @@ func BenchmarkOraclePathAt(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	o := NewOracle(g, tl, 4096)
+	v := NewOracle(g, tl, 4096).View()
 	src := g.ASes[50].ASN
 	dst := g.ASes[400].ASN
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		o.PathAt(src, dst, start.Add(time.Duration(i%8760)*time.Hour))
+		v.PathAt(src, dst, start.Add(time.Duration(i%8760)*time.Hour))
 	}
 }
 
-// TestOracleConcurrentQueries hammers one oracle from many goroutines —
-// the -race canary for the sharded measurement engine — and checks the
-// answers match a fresh serial oracle, with misses coalesced so each
-// (dst, epoch) tree is computed once despite the contention.
+// TestOracleConcurrentQueries is the -race canary for the sharded
+// measurement engine: goroutines query one Oracle, each through its own
+// View, and every View's answers and compute count must equal a serial
+// View's, with Stats the sum over all of them.
 func TestOracleConcurrentQueries(t *testing.T) {
 	g := graph(t, 21, 150)
 	start := time.Date(2016, 5, 1, 0, 0, 0, 0, time.UTC)
@@ -514,7 +539,8 @@ func TestOracleConcurrentQueries(t *testing.T) {
 		t.Fatal(err)
 	}
 	shared := NewOracle(g, tl, 512)
-	serial := NewOracle(g, tl, 512)
+	serialOracle := NewOracle(g, tl, 512)
+	serial := serialOracle.View()
 
 	type query struct {
 		src, dst int32
@@ -532,33 +558,33 @@ func TestOracleConcurrentQueries(t *testing.T) {
 		want[i], _ = serial.PathIdxAt(q.src, q.dst, q.at)
 	}
 
+	const workers = 8
 	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
+	views := make([]*View, workers)
+	for w := range views {
+		views[w] = shared.View()
 		wg.Add(1)
-		go func() {
+		go func(v *View) {
 			defer wg.Done()
 			for i, q := range queries {
-				got, _ := shared.PathIdxAt(q.src, q.dst, q.at)
-				if len(got) != len(want[i]) {
+				if got, _ := v.PathIdxAt(q.src, q.dst, q.at); !slices.Equal(got, want[i]) {
 					t.Errorf("query %d: concurrent path differs from serial", i)
 					return
 				}
-				for j := range got {
-					if got[j] != want[i][j] {
-						t.Errorf("query %d: concurrent path differs at hop %d", i, j)
-						return
-					}
-				}
 			}
-		}()
+		}(views[w])
 	}
 	wg.Wait()
 
-	_, concurrentComputes := shared.Stats()
-	_, serialComputes := serial.Stats()
-	if concurrentComputes != serialComputes {
-		t.Errorf("concurrent oracle computed %d trees, serial %d — misses not coalesced",
-			concurrentComputes, serialComputes)
+	for w, v := range views {
+		if v.computed != serial.computed {
+			t.Errorf("View %d computed %d trees, the serial View %d", w, v.computed, serial.computed)
+		}
+	}
+	sq, sc := serialOracle.Stats()
+	if q, c := shared.Stats(); q != workers*sq || c != workers*sc {
+		t.Errorf("Stats = %d queries, %d computes; want the sum over %d Views, %d and %d",
+			q, c, workers, workers*sq, workers*sc)
 	}
 }
 
@@ -569,17 +595,23 @@ func TestOracleNegativeCacheClamped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	at := startT.Add(time.Hour)
+	down, salt := epochState(g, tl, tl.EpochAt(at))
 	for _, trees := range []int{-1, -4096, 0} {
 		o := NewOracle(g, tl, trees)
-		if o.Cap() != 4096 {
-			t.Errorf("NewOracle(%d): cache capacity %d, want default 4096", trees, o.Cap())
+		if o.viewTrees != 4096 {
+			t.Errorf("NewOracle(%d): View bound %d, want default 4096", trees, o.viewTrees)
 		}
-		if _, ok := o.PathIdxAt(1, 2, startT.Add(time.Hour)); !ok {
-			t.Errorf("NewOracle(%d): no path between connected ASes", trees)
+		v := o.View()
+		for dst := int32(0); dst < int32(len(g.ASes)); dst++ {
+			want, _ := ComputeTree(g, dst, down, salt, 0).Tree.Path(1, dst)
+			if got, _ := v.PathIdxAt(1, dst, at); !slices.Equal(got, want) {
+				t.Fatalf("NewOracle(%d): path 1->%d differs from ComputeTree", trees, dst)
+			}
 		}
-		// A negative capacity must never shrink the cache below its content.
-		if o.CachedTrees() == 0 {
-			t.Errorf("NewOracle(%d): computed tree not cached", trees)
+		// A negative bound must never shrink a View below its content.
+		if v.held != len(g.ASes) {
+			t.Errorf("NewOracle(%d): View holds %d trees after %d destinations", trees, v.held, len(g.ASes))
 		}
 	}
 }

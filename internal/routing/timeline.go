@@ -45,6 +45,21 @@ type saltChange struct {
 	salt  uint64
 }
 
+// linkFlip is one link whose up/down state differs between an epoch and
+// the one before it; down is its state in the later epoch.
+type linkFlip struct {
+	link int32
+	down bool
+}
+
+// saltFlip is one AS whose policy salt differs between an epoch and the
+// one before it. xor is the difference, so applying it moves a salt either
+// way across the boundary.
+type saltFlip struct {
+	epoch, as int32
+	xor       uint64
+}
+
 // Timeline is a precomputed churn schedule over [Start, End). Routing state
 // is constant within an epoch; epochs change at event times.
 type Timeline struct {
@@ -55,6 +70,15 @@ type Timeline struct {
 	salts   map[int32][]saltChange // per-AS policy shifts, by epoch
 	base    uint64                 // base salt mixed into every AS
 	nevents int
+
+	// Each epoch's net change from the one before, for walking one
+	// routing state across epochs: epoch e's flips are
+	// flips[flipAt[e]:flipAt[e+1]] and shifts[shiftAt[e]:shiftAt[e+1]].
+	// Epoch 0 has none.
+	flips   []linkFlip
+	flipAt  []int32
+	shifts  []saltFlip // sorted by (epoch, AS)
+	shiftAt []int32
 }
 
 // TimelineConfig parameterizes churn generation.
@@ -279,6 +303,7 @@ func GenTimeline(g *topology.Graph, cfg TimelineConfig) (*Timeline, error) {
 		nevents: len(events),
 	}
 	tl.buildEpochs(g)
+	tl.buildDeltas()
 	return tl, nil
 }
 
@@ -323,6 +348,74 @@ func (tl *Timeline) buildEpochs(g *topology.Graph) {
 	}
 }
 
+// buildDeltas records every epoch's net change from the one before. The
+// link part diffs consecutive down lists, so a failure of an already-down
+// link, or a down and up at the same instant, is no change. The salt part
+// keeps the last shift of each AS in each epoch, since that one wins.
+func (tl *Timeline) buildDeltas() {
+	n := len(tl.epochs)
+	tl.flipAt = make([]int32, n+1)
+	for e := 1; e < n; e++ {
+		tl.flipAt[e] = int32(len(tl.flips))
+		prev, cur := tl.epochs[e-1].down, tl.epochs[e].down
+		i, j := 0, 0
+		for i < len(prev) || j < len(cur) {
+			switch {
+			case j == len(cur) || i < len(prev) && prev[i] < cur[j]:
+				tl.flips = append(tl.flips, linkFlip{link: prev[i], down: false})
+				i++
+			case i == len(prev) || cur[j] < prev[i]:
+				tl.flips = append(tl.flips, linkFlip{link: cur[j], down: true})
+				j++
+			default:
+				i, j = i+1, j+1
+			}
+		}
+	}
+	tl.flipAt[n] = int32(len(tl.flips))
+
+	for as, changes := range tl.salts {
+		var prev uint64 // the shift in force before each epoch; 0 is the base salt
+		for k, c := range changes {
+			if k+1 < len(changes) && changes[k+1].epoch == c.epoch {
+				continue
+			}
+			if c.epoch > 0 && c.salt != prev {
+				tl.shifts = append(tl.shifts, saltFlip{epoch: c.epoch, as: as, xor: prev ^ c.salt})
+			}
+			prev = c.salt
+		}
+	}
+	sort.Slice(tl.shifts, func(i, j int) bool {
+		a, b := tl.shifts[i], tl.shifts[j]
+		return a.epoch < b.epoch || a.epoch == b.epoch && a.as < b.as
+	})
+	tl.shiftAt = make([]int32, n+1)
+	k := 0
+	for e := range tl.shiftAt {
+		for k < len(tl.shifts) && int(tl.shifts[k].epoch) < e {
+			k++
+		}
+		tl.shiftAt[e] = int32(k)
+	}
+}
+
+// linkFlips returns the links whose state changes at the boundary into
+// epoch e, with their state in e.
+func (tl *Timeline) linkFlips(e int32) []linkFlip { return tl.flips[tl.flipAt[e]:tl.flipAt[e+1]] }
+
+// saltFlips returns the ASes whose salt changes at the boundary into
+// epoch e.
+func (tl *Timeline) saltFlips(e int32) []saltFlip { return tl.shifts[tl.shiftAt[e]:tl.shiftAt[e+1]] }
+
+// flipsBetween counts the flips a walk from epoch a to epoch b applies.
+func (tl *Timeline) flipsBetween(a, b int32) int {
+	if a > b {
+		a, b = b, a
+	}
+	return int(tl.flipAt[b+1]-tl.flipAt[a+1]) + int(tl.shiftAt[b+1]-tl.shiftAt[a+1])
+}
+
 // NumEpochs returns the number of constant-routing-state intervals.
 func (tl *Timeline) NumEpochs() int { return len(tl.epochs) }
 
@@ -355,7 +448,7 @@ func (tl *Timeline) LinkDownAt(link, ep int32) bool {
 // EpochSalts fills salt[i] with SaltAt(i, ep) for every AS index i in one
 // pass: the base salts are a pure function of the index, and only ASes
 // with policy-shift history need the binary search. This is the bulk form
-// the oracle's per-epoch snapshots are built from.
+// a View builds its routing state from.
 func (tl *Timeline) EpochSalts(ep int32, salt []uint64) {
 	for i := range salt {
 		salt[i] = tl.base ^ splitmix(uint64(uint32(i)))

@@ -1,0 +1,272 @@
+package routing
+
+// Model-based tests for Views and the timeline deltas they walk: every
+// View answer must equal ComputeTree on that epoch's state, built from
+// the timeline's public accessors, and a boundary that changes a tree
+// must always count as touching it.
+
+import (
+	"math/rand/v2"
+	"slices"
+	"testing"
+	"time"
+
+	"churntomo/internal/topology"
+)
+
+var viewStart = time.Date(2016, 5, 1, 0, 0, 0, 0, time.UTC)
+
+// viewWorld generates model world seed (1–6): 120–240 ASes over ten days.
+// Even seeds add a regional outage burst and two policy waves, all at one
+// instant; every third seed raises policy shifts to 400 per AS-year.
+func viewWorld(t testing.TB, seed uint64) (*topology.Graph, *Timeline) {
+	t.Helper()
+	g := graph(t, 100+seed, 120+int(seed%6)*24)
+	cfg := TimelineConfig{Seed: seed, Start: viewStart, End: viewStart.AddDate(0, 0, 10)}
+	if seed%2 == 0 {
+		cfg.Outages = []RegionalOutage{{Region: g.ASes[len(g.ASes)/2].Region, At: 0.4, Duration: 6 * time.Hour, Frac: 0.5}}
+		cfg.Waves = []PolicyWave{{At: 0.4, Frac: 0.3}, {At: 0.4, Frac: 0.2}}
+	}
+	if seed%3 == 0 {
+		cfg.PolicyShiftsPerASYear = 400
+	}
+	tl, err := GenTimeline(g, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g, tl
+}
+
+// checkView answers queries on a fresh View with the given tree bound and
+// fails on the first answer that differs from ComputeTree. It returns the
+// trees the View computed.
+func checkView(t *testing.T, g *topology.Graph, tl *Timeline, bound int, queries []runKeyAt) int {
+	t.Helper()
+	v := NewOracle(g, tl, bound).View()
+	for i, q := range queries {
+		down, salt := epochState(g, tl, q.ep)
+		want := ComputeTree(g, q.dst, down, salt, planeSalt(q.plane)).Tree
+		if got := v.TreeAtPlane(q.dst, q.ep, q.plane); !slices.Equal(got, want) {
+			t.Fatalf("query %d (dst %d, epoch %d, plane %d): View tree differs from ComputeTree",
+				i, q.dst, q.ep, q.plane)
+		}
+	}
+	return v.computed
+}
+
+type runKeyAt struct{ dst, ep, plane int32 }
+
+func TestViewMatchesComputeTree(t *testing.T) {
+	answered, computed := 0, 0
+	for seed := uint64(1); seed <= 6; seed++ {
+		g, tl := viewWorld(t, seed)
+		rng := rand.New(rand.NewPCG(seed, 0x76696577)) // "view"
+		dsts := make([]int32, 8)
+		for i := range dsts {
+			dsts[i] = rng.Int32N(int32(len(g.ASes)))
+		}
+		n := int32(tl.NumEpochs())
+		queries := make([]runKeyAt, 4000)
+		for i := range queries {
+			ep := rng.Int32N(n)
+			if i%2 == 0 { // near mid-timeline, so runs grow both ways
+				ep = min(max(n/2-20+rng.Int32N(41), 0), n-1)
+			}
+			queries[i] = runKeyAt{dsts[rng.IntN(len(dsts))], ep, rng.Int32N(3)}
+		}
+		rng.Shuffle(len(queries), func(i, j int) { queries[i], queries[j] = queries[j], queries[i] })
+		c := checkView(t, g, tl, 0, queries)
+		if c >= len(queries) {
+			t.Errorf("world %d: the View computed %d trees for %d queries; no run ever grew", seed, c, len(queries))
+		}
+		answered += len(queries)
+		computed += c
+	}
+	t.Logf("%d queries answered with %d tree computes", answered, computed)
+}
+
+// TestTimelineDeltas walks one routing state across every epoch, forward
+// from epoch 0 and backward from the last, and checks it against
+// DownLinks and EpochSalts at each step. Every flip must change the
+// state, so a failure of an already-down link or a same-instant down and
+// up is no flip. The worlds include same-instant outage and wave events
+// and, in the last, a wave landing exactly on Start.
+func TestTimelineDeltas(t *testing.T) {
+	worlds := make([]*Timeline, 0, 7)
+	graphs := make([]*topology.Graph, 0, 7)
+	for seed := uint64(1); seed <= 6; seed++ {
+		g, tl := viewWorld(t, seed)
+		graphs, worlds = append(graphs, g), append(worlds, tl)
+	}
+	g := graph(t, 107, 150)
+	tl, err := GenTimeline(g, TimelineConfig{Seed: 7, Start: viewStart, End: viewStart.AddDate(0, 0, 10),
+		Waves: []PolicyWave{{At: 0, Frac: 0.5}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, salt0 := epochState(g, tl, 0)
+	shifted := 0
+	for as, s := range salt0 {
+		if s != tl.base^splitmix(uint64(as)) {
+			shifted++
+		}
+	}
+	if shifted < len(g.ASes)/4 {
+		t.Fatalf("a wave re-rolling half the ASes on Start shifted %d of %d salts in epoch 0", shifted, len(g.ASes))
+	}
+	graphs, worlds = append(graphs, g), append(worlds, tl)
+
+	for w, tl := range worlds {
+		g := graphs[w]
+		n := int32(tl.NumEpochs())
+		check := func(ep int32, down []bool, salt []uint64) {
+			t.Helper()
+			wantDown, wantSalt := epochState(g, tl, ep)
+			if !slices.Equal(down, wantDown) || !slices.Equal(salt, wantSalt) {
+				t.Fatalf("world %d: walked state differs from DownLinks/EpochSalts at epoch %d", w, ep)
+			}
+		}
+		step := func(down []bool, salt []uint64, e int32, fwd bool) {
+			t.Helper()
+			for _, f := range tl.linkFlips(e) {
+				if down[f.link] == (f.down == fwd) {
+					t.Fatalf("world %d: epoch %d flips link %d to the state it already has", w, e, f.link)
+				}
+				down[f.link] = f.down == fwd
+			}
+			prev := int32(-1)
+			for _, s := range tl.saltFlips(e) {
+				if s.epoch != e || s.as <= prev || s.xor == 0 {
+					t.Fatalf("world %d: epoch %d salt flips not one nonzero change per AS in AS order", w, e)
+				}
+				prev = s.as
+				salt[s.as] ^= s.xor
+			}
+		}
+		down, salt := epochState(g, tl, 0)
+		for e := int32(1); e < n; e++ {
+			step(down, salt, e, true)
+			check(e, down, salt)
+		}
+		for e := n - 1; e > 0; e-- {
+			step(down, salt, e, false)
+			check(e-1, down, salt)
+		}
+
+		// A View's moveTo, which walks or rebuilds, lands on the same states.
+		v := NewOracle(g, tl, 0).View()
+		rng := rand.New(rand.NewPCG(uint64(w), 0x6d6f7665)) // "move"
+		for range 200 {
+			ep := rng.Int32N(n)
+			if rng.IntN(2) == 0 && v.ep >= 0 {
+				ep = min(max(v.ep+rng.Int32N(9)-4, 0), n-1)
+			}
+			v.moveTo(ep)
+			check(ep, v.down, v.salt)
+		}
+	}
+}
+
+// TestTouchRules checks the reuse rules on every consecutive epoch pair
+// of the model worlds: when the tree changes across a boundary, crossing
+// it from either side must count as a touch. When it does not, only rule
+// 3 (a salt change on a routed AS) may count one, since rules 1 and 2 are
+// exact, except where a flipped link has a parallel link between the same
+// two ASes: rule 1 judges tree edges by AS pair, so it may flag a link
+// the route does not use.
+func TestTouchRules(t *testing.T) {
+	kept, boundaries := 0, 0
+	for seed := uint64(1); seed <= 6; seed++ {
+		g, tl := viewWorld(t, seed)
+		pairs := map[[2]int32]int{}
+		for _, l := range g.Links {
+			pairs[[2]int32{min(l.A, l.B), max(l.A, l.B)}]++
+		}
+		parallel := func(e int32) bool {
+			for _, f := range tl.linkFlips(e) {
+				if l := g.Links[f.link]; pairs[[2]int32{min(l.A, l.B), max(l.A, l.B)}] > 1 {
+					return true
+				}
+			}
+			return false
+		}
+		v := NewOracle(g, tl, 0).View()
+		n := int32(tl.NumEpochs())
+		keys := []runKey{{0, 0}, {int32(len(g.ASes)) / 2, 1}, {int32(len(g.ASes)) - 1, 2}}
+		prev := make([]Routes, len(keys))
+		v.moveTo(0)
+		for k, key := range keys {
+			prev[k] = ComputeTree(g, key.dst, v.down, v.salt, planeSalt(key.plane))
+		}
+		for e := int32(1); e < n; e++ {
+			v.moveTo(e)
+			for k, key := range keys {
+				psalt := planeSalt(key.plane)
+				cur := ComputeTree(g, key.dst, v.down, v.salt, psalt)
+				fwd := v.touches(&prev[k], key.dst, e, true, psalt)
+				bwd := v.touches(&cur, key.dst, e, false, psalt)
+				changed := !slices.Equal(prev[k].Tree, cur.Tree)
+				if changed && (!fwd || !bwd) {
+					t.Fatalf("world %d, dst %d, plane %d: tree changes into epoch %d, but touched forward %v, backward %v",
+						seed, key.dst, key.plane, e, fwd, bwd)
+				}
+				if !changed && (fwd || bwd) && !saltTouches(tl, &cur, key.dst, e) && !parallel(e) {
+					t.Fatalf("world %d, dst %d, plane %d: tree keeps into epoch %d, but a link change touched it (forward %v, backward %v)",
+						seed, key.dst, key.plane, e, fwd, bwd)
+				}
+				if !fwd {
+					kept++
+				}
+				boundaries++
+				prev[k] = cur
+			}
+		}
+	}
+	t.Logf("%d of %d boundaries kept their tree", kept, boundaries)
+}
+
+// saltTouches reports whether rule 3 alone flags the boundary into epoch
+// e for rt: a salt change on a routed AS other than the destination.
+func saltTouches(tl *Timeline, rt *Routes, dst, e int32) bool {
+	for _, s := range tl.saltFlips(e) {
+		if s.as != dst && rt.class[s.as] != phaseNone {
+			return true
+		}
+	}
+	return false
+}
+
+// FuzzViewTrees decodes a query sequence over a small, heavily churning
+// world and checks every View answer against ComputeTree. The first byte
+// sets the View's tree bound (1–8), so drops happen too; then every four
+// bytes are one query: destination, epoch (two bytes) and plane (0–2).
+// The checked-in corpus under testdata/fuzz/FuzzViewTrees walks runs
+// forward and backward across the world's outage and wave (epoch 341),
+// interleaves planes, drops at a one-tree bound and jumps far enough to
+// rebuild the state.
+func FuzzViewTrees(f *testing.F) {
+	g := graph(f, 31, 60)
+	tl, err := GenTimeline(g, TimelineConfig{Seed: 31, Start: viewStart, End: viewStart.AddDate(0, 0, 3),
+		PolicyShiftsPerASYear: 400,
+		Outages:               []RegionalOutage{{Region: g.ASes[30].Region, At: 0.5, Duration: 3 * time.Hour, Frac: 0.6}},
+		Waves:                 []PolicyWave{{At: 0.5, Frac: 0.3}}})
+	if err != nil {
+		f.Fatal(err)
+	}
+	n := tl.NumEpochs()
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		bound := 1 + int(data[0]%8)
+		var queries []runKeyAt
+		for q := data[1:]; len(q) >= 4 && len(queries) < 256; q = q[4:] {
+			queries = append(queries, runKeyAt{
+				dst:   int32(int(q[0]) % len(g.ASes)),
+				ep:    int32((int(q[1])<<8 | int(q[2])) % n),
+				plane: int32(q[3] % 3),
+			})
+		}
+		checkView(t, g, tl, bound, queries)
+	})
+}

@@ -56,8 +56,8 @@ func TestPolicyWaveBackgroundUnchanged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	op := NewOracle(g, plain, 512)
-	ow := NewOracle(g, waved, 512)
+	op := NewOracle(g, plain, 512).View()
+	ow := NewOracle(g, waved, 512).View()
 	waveAt := start.Add(time.Duration(0.5 * float64(end.Sub(start))))
 	probe := func(at time.Time) (same, diff int) {
 		for src := int32(0); src < 60; src += 3 {
@@ -134,8 +134,8 @@ func pathEq(a, b []int32) bool {
 }
 
 // TestOraclePlaneZeroCanonical pins that the plane-aware API is a
-// byte-identical no-op on plane 0: TreeAtPlane(…, 0) and
-// PathIdxAtPlane(…, 0) agree with the plane-unaware entry points.
+// byte-identical no-op on plane 0: PathIdxAtPlane(…, 0) agrees with the
+// plane-unaware PathIdxAt, and TreeAtPlane(…, 0) with Oracle.TreeAt.
 func TestOraclePlaneZeroCanonical(t *testing.T) {
 	g := graph(t, 24, 150)
 	start := time.Date(2016, 5, 1, 0, 0, 0, 0, time.UTC)
@@ -144,14 +144,20 @@ func TestOraclePlaneZeroCanonical(t *testing.T) {
 		t.Fatal(err)
 	}
 	o := NewOracle(g, tl, 512)
+	v := o.View()
 	at := start.Add(72 * time.Hour)
 	for src := int32(0); src < 40; src += 3 {
 		for dst := int32(40); dst < 70; dst += 7 {
-			a, oka := o.PathIdxAt(src, dst, at)
-			b, okb := o.PathIdxAtPlane(src, dst, at, 0)
+			a, oka := v.PathIdxAt(src, dst, at)
+			b, okb := v.PathIdxAtPlane(src, dst, at, 0)
 			if oka != okb || !pathEq(a, b) {
 				t.Fatalf("plane 0 differs from canonical for %d->%d", src, dst)
 			}
+		}
+	}
+	for dst := int32(40); dst < 70; dst += 7 {
+		if !pathEq(v.TreeAtPlane(dst, tl.EpochAt(at), 0), o.TreeAt(dst, tl.EpochAt(at))) {
+			t.Fatalf("TreeAtPlane(%d, …, 0) differs from TreeAt", dst)
 		}
 	}
 }
@@ -169,7 +175,7 @@ func TestOraclePlanesDivergeAndStayValid(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	o := NewOracle(g, tl, 512)
+	o := NewOracle(g, tl, 512).View()
 	at := start.Add(24 * time.Hour)
 	diff := 0
 	for src := int32(0); src < 60; src += 2 {
