@@ -25,7 +25,6 @@ import (
 	"churntomo/internal/leakage"
 	"churntomo/internal/report"
 	"churntomo/internal/routing"
-	"churntomo/internal/sat"
 	"churntomo/internal/stream"
 	"churntomo/internal/tomo"
 )
@@ -256,24 +255,6 @@ func BenchmarkKernel_RoutingTree(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		routing.ComputeTree(p.Graph, int32(i%len(p.Graph.ASes)), down, salt, 0)
-	}
-}
-
-func BenchmarkKernel_SATClassify(b *testing.B) {
-	p := benchPipeline(b)
-	// Pick the largest instance as the representative hard case.
-	var biggest *tomo.Instance
-	for _, in := range p.Instances {
-		if biggest == nil || len(in.CNF.Clauses) > len(biggest.CNF.Clauses) {
-			biggest = in
-		}
-	}
-	if biggest == nil {
-		b.Skip("no instances")
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sat.Classify(biggest.CNF)
 	}
 }
 

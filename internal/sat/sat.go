@@ -85,8 +85,11 @@ const (
 	vFalse     int8 = -1
 )
 
-// Solver solves one CNF. A Solver may be reused for multiple queries; added
-// blocking clauses from enumeration are kept internal to those calls.
+// Solver is the reference DPLL solver over one CNF: the engine behind
+// Classify, CountModels, EnumerateModels and PotentialTrue, and so behind
+// Figure 4's model counts, cmd/satsolve and the oracle tomo.Solve's closed
+// form is tested against. A Solver may be reused for multiple queries;
+// blocking clauses added by enumeration are kept internal to those calls.
 type Solver struct {
 	nv      int
 	clauses []Clause
@@ -100,15 +103,10 @@ type Solver struct {
 	flipped  []bool // whether the decision at each level has been inverted
 
 	// units and hasEmpty mirror the structural unit and empty clauses, kept
-	// incrementally by addClause so SolveAssume never rescans the clause
-	// store — incremental callers (GroupSolver) accumulate large clause
-	// histories and issue many queries against them.
+	// by addClause so repeated queries (PotentialTrue's one per variable,
+	// enumeration's one per model) never rescan the clause store.
 	units    []Lit
 	hasEmpty bool
-
-	// Propagations counts unit propagations across the solver's lifetime
-	// (exposed through Stats for benchmarks).
-	propagations int
 }
 
 // NewSolver builds a solver for the CNF. The CNF is not modified; its
@@ -186,7 +184,6 @@ func (s *Solver) propagate(from int) bool {
 		for wpos := 0; wpos < len(watchers); wpos++ {
 			id := watchers[wpos]
 			cl := s.clauses[id]
-			s.propagations++
 
 			if len(cl) == 1 {
 				// Unit clause watched on its only literal, now falsified.
@@ -337,48 +334,6 @@ func (s *Solver) search() bool {
 			}
 		}
 	}
-}
-
-// Stats reports cumulative propagation work.
-func (s *Solver) Stats() (propagations int) { return s.propagations }
-
-// NumVars returns the solver's current variable count (it grows when Grow or
-// AddClause introduces new variables).
-func (s *Solver) NumVars() int { return s.nv }
-
-// Grow extends the solver's variable space to at least nv variables. New
-// variables are unconstrained until clauses mention them; growing between
-// Solve calls is cheap and does not disturb existing clauses or watches.
-func (s *Solver) Grow(nv int) {
-	if nv <= s.nv {
-		return
-	}
-	s.nv = nv
-	for len(s.watches) < 2*(nv+1) {
-		s.watches = append(s.watches, nil)
-	}
-	for len(s.assign) < nv+1 {
-		s.assign = append(s.assign, unassigned)
-	}
-}
-
-// AddClause appends a clause to a live solver, growing the variable space to
-// cover its literals. Clauses may be added between Solve calls (never during
-// one); the next Solve sees the extended formula. This is the entry point
-// for incremental use: callers keep one Solver alive across a family of
-// related queries instead of rebuilding it per query.
-func (s *Solver) AddClause(lits ...Lit) {
-	cl := make(Clause, len(lits))
-	copy(cl, lits)
-	for _, l := range cl {
-		if l == 0 {
-			panic("sat: zero literal")
-		}
-		if v := l.Var(); v > s.nv {
-			s.Grow(v)
-		}
-	}
-	s.addClause(cl)
 }
 
 // blockModel adds a clause forbidding the exact assignment m.

@@ -9,7 +9,9 @@
 // granularities — and solved. A unique model exactly identifies censoring
 // ASes; multiple models still eliminate most ASes as definite non-censors;
 // no model indicates measurement noise or a policy change inside the slice
-// (§3.2's trichotomy).
+// (§3.2's trichotomy). Where the paper runs a SAT solver, Solve reads the
+// trichotomy off the CNF's fixed shape in closed form (its doc carries the
+// argument); internal/sat's search is the oracle the tests hold it to.
 //
 // Entry points: Build constructs CNF Instances from records, BuildAndSolve
 // streams solving into construction, Solve/SolveAll classify instances
@@ -17,13 +19,14 @@
 // the named-censor map. NewIncremental is the streaming counterpart: day
 // batches enter via AddDay, retract via RemoveDay, and
 // Incremental.BuildAndSolve re-solves only the CNFs a batch touched,
-// reusing per-key SAT state across windows.
+// serving the rest from the previous call's outcomes.
 //
 // Invariants: construction is a commutative fold, so any record sharding
 // reconstructs the serial grouping exactly, and output order is fixed
 // (keyLess: URL, granularity, slice index, anomaly kind) at every worker
 // count. The incremental engine's results are field-for-field identical to
 // the batch engine's over the same resident records — the streaming
-// determinism guarantee, pinned by TestIncrementalMatchesBatch. The
-// tomography never reads ground-truth record fields.
+// determinism guarantee, pinned by TestIncrementalMatchesBatch and
+// FuzzIncrementalVsBatch. The tomography never reads ground-truth record
+// fields.
 package tomo

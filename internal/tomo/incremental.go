@@ -6,11 +6,10 @@ package tomo
 // per-(URL, slice, kind) builder groups alive between solves, and re-solves
 // only the groups a batch actually touched. A day entering a sliding window
 // dirties just its own day slice plus the enclosing week/month/year slices;
-// everything else is served from the previous window's cached outcome. SAT
-// state is reused too: each key owns a long-lived sat.GroupSolver in which
-// every day-batch is one assumption-gated clause group, so a day aging out
-// of the window retracts by dropping out of the assumption set rather than
-// by rebuilding the solver.
+// everything else is served from the previous window's cached outcome. A
+// dirty key is re-materialized from its resident day groups and classified
+// by Solve, exactly as the batch engine would, so retracting a day needs no
+// state beyond the day groups themselves.
 //
 // The contract mirrors the batch engine exactly: after any sequence of
 // AddDay/RemoveDay calls, BuildAndSolve returns the same instances and
@@ -20,74 +19,18 @@ package tomo
 
 import (
 	"context"
+	"maps"
 	"sort"
 
 	"churntomo/internal/iclab"
 	"churntomo/internal/parallel"
-	"churntomo/internal/sat"
 	"churntomo/internal/topology"
 )
-
-// keySolver is one key's persistent SAT state: a GroupSolver whose clause
-// groups are day batches, plus the monotone AS-to-variable interning shared
-// by every window that touches the key.
-type keySolver struct {
-	gs     *sat.GroupSolver
-	varOf  map[topology.ASN]int
-	groups map[int]sat.Group // day batch -> clause group
-	// retired counts groups made inert by RemoveDay. Their clauses stay in
-	// the solver (assumption-based retraction never deletes), so once
-	// retired groups dominate resident ones the whole keySolver is evicted
-	// and rebuilt from the resident days — bounding a long replay's per-key
-	// clause store to O(window) instead of O(history).
-	retired int
-}
-
-func newKeySolver() *keySolver {
-	return &keySolver{gs: sat.NewGroupSolver(), varOf: map[topology.ASN]int{}, groups: map[int]sat.Group{}}
-}
-
-func (ks *keySolver) intern(as topology.ASN) sat.Lit {
-	v, ok := ks.varOf[as]
-	if !ok {
-		v = ks.gs.Var()
-		ks.varOf[as] = v
-	}
-	return sat.Lit(int32(v))
-}
-
-// syncDay ensures the day batch's clauses exist as a group, returning it.
-// Clause order is deterministic (sorted paths) so runs are reproducible.
-func (ks *keySolver) syncDay(day int, grp *builderGroup) sat.Group {
-	if g, ok := ks.groups[day]; ok {
-		return g
-	}
-	g := ks.gs.NewGroup()
-	ks.groups[day] = g
-	negated := map[topology.ASN]bool{}
-	for _, path := range sortedPaths(grp.neg) {
-		for _, as := range path {
-			if !negated[as] {
-				negated[as] = true
-				ks.gs.Add(g, ks.intern(as).Neg())
-			}
-		}
-	}
-	for _, path := range sortedPaths(grp.pos) {
-		lits := make([]sat.Lit, 0, len(path))
-		for _, as := range path {
-			lits = append(lits, ks.intern(as))
-		}
-		ks.gs.Add(g, lits...)
-	}
-	return g
-}
 
 // keyState is everything Incremental holds for one CNF key.
 type keyState struct {
 	// days maps each resident day batch to its grouped contribution.
 	days map[int]*builderGroup
-	sol  *keySolver
 	// inst/out cache the last solve; valid until the key is dirtied.
 	inst   *Instance
 	out    Outcome
@@ -111,8 +54,8 @@ type Incremental struct {
 }
 
 // NewIncremental returns an empty incremental builder. The config's
-// granularities, kinds and negative-only handling match Build's; Workers
-// bounds BuildAndSolve's per-key parallelism.
+// granularities and kinds match Build's; Workers bounds BuildAndSolve's
+// per-key parallelism.
 func NewIncremental(cfg BuildConfig) *Incremental {
 	cfg.fillDefaults()
 	return &Incremental{cfg: cfg, keys: map[Key]*keyState{}, dirty: map[Key]bool{}, byDay: map[int][]Key{}}
@@ -142,8 +85,8 @@ func (inc *Incremental) AddDay(day int, records []iclab.Record) {
 }
 
 // RemoveDay retracts a previously added day batch. Keys left with no
-// resident days are dropped entirely (their solver state is released); the
-// rest are marked dirty. Removing an unknown label is a no-op.
+// resident days are dropped entirely; the rest are marked dirty. Removing
+// an unknown label is a no-op.
 func (inc *Incremental) RemoveDay(day int) {
 	for _, key := range inc.byDay[day] {
 		st := inc.keys[key]
@@ -159,21 +102,6 @@ func (inc *Incremental) RemoveDay(day int) {
 			delete(inc.dirty, key)
 			continue
 		}
-		if st.sol != nil {
-			// The group's clauses stay in the solver but become inert: the
-			// next solve simply stops assuming the group's selector. A
-			// re-added label gets a fresh group. Once inert groups pile up
-			// past twice the resident days, drop the solver — the next solve
-			// rebuilds it from resident days only, keeping a long replay's
-			// per-key clause store proportional to the window, not history.
-			if _, had := st.sol.groups[day]; had {
-				delete(st.sol.groups, day)
-				st.sol.retired++
-				if st.sol.retired > 2*len(st.days)+8 {
-					st.sol = nil
-				}
-			}
-		}
 		inc.dirty[key] = true
 	}
 	delete(inc.byDay, day)
@@ -187,61 +115,17 @@ type IncStats struct {
 	Reused int
 }
 
-// solveKey re-materializes and re-solves one dirty key on its persistent
-// solver state, refreshing the cache.
+// solveKey re-materializes one dirty key from its resident day groups and
+// re-solves it, refreshing the cache.
 func (inc *Incremental) solveKey(key Key, st *keyState) {
-	days := make([]int, 0, len(st.days))
-	for d := range st.days {
-		days = append(days, d)
-	}
-	sort.Ints(days)
-
 	union := &builderGroup{pos: map[string][]topology.ASN{}, neg: map[string][]topology.ASN{}}
-	for _, d := range days {
-		c := st.days[d]
+	for _, c := range st.days {
 		union.n += c.n
-		for pk, p := range c.pos {
-			union.pos[pk] = p
-		}
-		for pk, p := range c.neg {
-			union.neg[pk] = p
-		}
+		maps.Copy(union.pos, c.pos)
+		maps.Copy(union.neg, c.neg)
 	}
 	inst := materialize(key, union)
-
-	if st.sol == nil {
-		st.sol = newKeySolver()
-	}
-	active := make([]sat.Group, 0, len(days))
-	for _, d := range days {
-		active = append(active, st.sol.syncDay(d, st.days[d]))
-	}
-	svars := make([]int, len(inst.Vars))
-	for i, as := range inst.Vars {
-		svars[i] = st.sol.varOf[as]
-	}
-
-	out := Outcome{Inst: inst, TotalVars: len(inst.Vars)}
-	cls, model := st.sol.gs.ClassifyActive(active, svars)
-	out.Class = cls
-	switch cls {
-	case sat.Unique:
-		for i, as := range inst.Vars {
-			if model[svars[i]] {
-				out.Censors = append(out.Censors, as)
-			}
-		}
-	case sat.Multiple:
-		pot := st.sol.gs.PotentialTrueActive(active, svars)
-		for i, as := range inst.Vars {
-			if pot[i] {
-				out.Potential = append(out.Potential, as)
-			} else {
-				out.Eliminated++
-			}
-		}
-	}
-	st.inst, st.out, st.cached = inst, out, true
+	st.inst, st.out, st.cached = inst, Solve(inst), true
 }
 
 // BuildAndSolve returns the instances and outcomes for the currently-held
@@ -297,11 +181,8 @@ func (inc *Incremental) BuildAndSolveCtx(ctx context.Context) ([]*Instance, []Ou
 }
 
 // hasSignal applies the solvable-key filter: a key becomes a CNF only when
-// some resident day observed a censored path, unless KeepNegativeOnly.
+// some resident day observed a censored path.
 func (inc *Incremental) hasSignal(st *keyState) bool {
-	if inc.cfg.KeepNegativeOnly {
-		return true
-	}
 	for _, c := range st.days {
 		if len(c.pos) > 0 {
 			return true

@@ -3,36 +3,13 @@ package tomo
 import (
 	"fmt"
 	"reflect"
-	"sort"
 	"testing"
 	"time"
 
 	"churntomo/internal/anomaly"
 	"churntomo/internal/iclab"
-	"churntomo/internal/sat"
-	"churntomo/internal/timeslice"
 	"churntomo/internal/topology"
 )
-
-// canonInstance copies an instance with each CNF clause's literals sorted.
-// Solving permutes literals inside shared clause slices (watch
-// normalization), so instances are compared modulo intra-clause order.
-func canonInstance(in *Instance) *Instance {
-	cp := *in
-	cnf := &sat.CNF{NumVars: in.CNF.NumVars}
-	for _, cl := range in.CNF.Clauses {
-		c2 := append(sat.Clause(nil), cl...)
-		sort.Slice(c2, func(i, j int) bool { return c2[i] < c2[j] })
-		cnf.Clauses = append(cnf.Clauses, c2)
-	}
-	cp.CNF = cnf
-	return &cp
-}
-
-func canonOutcome(o Outcome) Outcome {
-	o.Inst = canonInstance(o.Inst)
-	return o
-}
 
 // synthDay fabricates one day's records: a few vantages testing a few URLs
 // over paths that churn with the day index, with anomalies on some paths.
@@ -92,13 +69,13 @@ func TestIncrementalMatchesBatch(t *testing.T) {
 			t.Fatalf("day %d: %d instances, batch has %d", day, len(gotInsts), len(wantInsts))
 		}
 		for i := range wantInsts {
-			if !reflect.DeepEqual(canonInstance(gotInsts[i]), canonInstance(wantInsts[i])) {
+			if !reflect.DeepEqual(gotInsts[i], wantInsts[i]) {
 				t.Fatalf("day %d: instance %d (%v) differs from batch:\n got %+v\nwant %+v",
 					day, i, wantInsts[i].Key, gotInsts[i], wantInsts[i])
 			}
 		}
 		for i := range wantOuts {
-			if !reflect.DeepEqual(canonOutcome(gotOuts[i]), canonOutcome(wantOuts[i])) {
+			if !reflect.DeepEqual(gotOuts[i], wantOuts[i]) {
 				t.Fatalf("day %d: outcome %d (%v) differs from batch:\n got %+v\nwant %+v",
 					day, i, wantOuts[i].Inst.Key, gotOuts[i], wantOuts[i])
 			}
@@ -149,11 +126,10 @@ func TestIncrementalRemoveAllEmpties(t *testing.T) {
 	}
 }
 
-// TestIncrementalLongReplayEvictsAndMatches slides a narrow window far
-// enough that coarse-granularity keys retire many more day groups than
-// they hold resident, forcing the keySolver eviction/rebuild path — and
-// demands batch-identical outcomes throughout.
-func TestIncrementalLongReplayEvictsAndMatches(t *testing.T) {
+// TestIncrementalLongReplayMatchesBatch slides a narrow window far enough
+// that coarse-granularity keys see many more days retracted than they hold
+// resident, and demands batch-identical outcomes throughout.
+func TestIncrementalLongReplayMatchesBatch(t *testing.T) {
 	const days, window = 40, 3
 	cfg := BuildConfig{Workers: 1}
 	inc := NewIncremental(cfg)
@@ -172,41 +148,9 @@ func TestIncrementalLongReplayEvictsAndMatches(t *testing.T) {
 		}
 		_, wantOuts := BuildAndSolve(flat, cfg)
 		_, gotOuts, _ := inc.BuildAndSolve()
-		if len(gotOuts) != len(wantOuts) {
-			t.Fatalf("day %d: %d outcomes, batch has %d", day, len(gotOuts), len(wantOuts))
+		if !reflect.DeepEqual(gotOuts, wantOuts) {
+			t.Fatalf("day %d: outcomes differ from batch", day)
 		}
-		for i := range wantOuts {
-			if !reflect.DeepEqual(canonOutcome(gotOuts[i]), canonOutcome(wantOuts[i])) {
-				t.Fatalf("day %d: outcome %d (%v) differs from batch after eviction",
-					day, i, wantOuts[i].Inst.Key)
-			}
-		}
-	}
-	// The year-granularity keys are touched (synced and later retired) by
-	// every one of the 37 removals, so without the eviction reset their
-	// retired counters would read 37 — far past the 2*resident+8 = 14
-	// threshold. A working eviction path keeps every counter at or below
-	// the threshold, proving the solver was dropped and rebuilt.
-	const removals = days - window
-	yearKeys := 0
-	for key, st := range inc.keys {
-		if key.Slice.Gran != timeslice.Year {
-			continue
-		}
-		yearKeys++
-		if st.sol == nil {
-			continue // evicted and not yet re-solved: fine
-		}
-		if st.sol.retired > 2*len(st.days)+8 {
-			t.Errorf("key %v: retired %d groups exceeds the eviction threshold %d — eviction never fired",
-				key, st.sol.retired, 2*len(st.days)+8)
-		}
-		if st.sol.retired >= removals {
-			t.Errorf("key %v: solver still remembers all %d retired groups", key, removals)
-		}
-	}
-	if yearKeys == 0 {
-		t.Fatal("no year-granularity keys resident; eviction assertion vacuous")
 	}
 }
 
@@ -248,4 +192,57 @@ func TestIncrementalWorkersIrrelevant(t *testing.T) {
 			t.Fatalf("workers=%d replay differs from serial", w)
 		}
 	}
+}
+
+// FuzzIncrementalVsBatch drives Incremental through a fuzzed sequence of
+// AddDay, RemoveDay and re-adds over a small record pool: eight day labels
+// (crossing a week and a month boundary), each holding a fuzz-chosen subset
+// of synthDay's records. After every step the incremental instances and
+// outcomes must equal, field for field, a fresh batch BuildAndSolve over the
+// resident days, and Solved + Reused must account for every outcome.
+//
+// Each op is two bytes: a label (low three bits) and, when adding, a mask
+// selecting the day's records. An op on a resident label, or with the high
+// bit set, removes the label instead (a no-op when it is not resident).
+// The checked-in corpus under testdata/fuzz/FuzzIncrementalVsBatch slides
+// a window with re-adds, re-adds across the month boundary with other
+// record subsets, removes unknown labels, and fills then drains the pool.
+func FuzzIncrementalVsBatch(f *testing.F) {
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		const labels, maxSteps = 8, 24
+		cfg := BuildConfig{Workers: 1}
+		inc := NewIncremental(cfg)
+		resident := map[int][]iclab.Record{}
+		for i := 0; i+1 < len(ops) && i < 2*maxSteps; i += 2 {
+			label := int(ops[i] % labels)
+			if _, ok := resident[label]; ok || ops[i]&0x80 != 0 {
+				inc.RemoveDay(label)
+				delete(resident, label)
+			} else {
+				var recs []iclab.Record
+				for j, r := range synthDay(label) {
+					if ops[i+1]&(1<<(j%8)) != 0 {
+						recs = append(recs, r)
+					}
+				}
+				inc.AddDay(label, recs)
+				resident[label] = recs
+			}
+
+			var flat []iclab.Record
+			for d := 0; d < labels; d++ {
+				flat = append(flat, resident[d]...)
+			}
+			wantInsts, wantOuts := BuildAndSolve(flat, cfg)
+			gotInsts, gotOuts, stats := inc.BuildAndSolve()
+			if !reflect.DeepEqual(gotInsts, wantInsts) || !reflect.DeepEqual(gotOuts, wantOuts) {
+				t.Fatalf("step %d (op %#x): incremental differs from batch over %d resident days",
+					i/2, ops[i], len(resident))
+			}
+			if stats.Solved+stats.Reused != len(gotOuts) {
+				t.Fatalf("step %d: solved %d + reused %d != %d outcomes",
+					i/2, stats.Solved, stats.Reused, len(gotOuts))
+			}
+		}
+	})
 }

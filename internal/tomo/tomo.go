@@ -58,13 +58,6 @@ type BuildConfig struct {
 	// and (in BuildAndSolve) solving. 0 uses GOMAXPROCS, 1 forces serial
 	// execution. The result is identical at any setting.
 	Workers int
-	// KeepNegativeOnly also materializes CNFs whose slice saw no anomaly at
-	// all. Such CNFs are trivially unique (the all-False model) and carry
-	// no localization signal, so by default only slices with at least one
-	// censored observation become CNFs — matching the paper's Figure 4,
-	// where removing churn collapses most CNFs to 5+ solutions (impossible
-	// if anomaly-free CNFs dominated the population).
-	KeepNegativeOnly bool
 }
 
 func (c *BuildConfig) fillDefaults() {
@@ -218,11 +211,16 @@ func keyLess(a, b Key) bool {
 	return a.Kind < b.Kind
 }
 
-// solvableKeys lists the groups that become CNFs, in keyLess order.
-func solvableKeys(groups map[Key]*builderGroup, cfg *BuildConfig) []Key {
+// solvableKeys lists the groups that become CNFs, in keyLess order. A
+// slice that saw no anomaly at all would give a trivially unique CNF (the
+// all-False model) with no localization signal, so only groups with at
+// least one censored path qualify — matching the paper's Figure 4, where
+// removing churn collapses most CNFs to 5+ solutions (impossible if
+// anomaly-free CNFs dominated the population).
+func solvableKeys(groups map[Key]*builderGroup) []Key {
 	keys := make([]Key, 0, len(groups))
 	for key, grp := range groups {
-		if len(grp.pos) == 0 && !cfg.KeepNegativeOnly {
+		if len(grp.pos) == 0 {
 			continue
 		}
 		keys = append(keys, key)
@@ -236,9 +234,9 @@ func solvableKeys(groups map[Key]*builderGroup, cfg *BuildConfig) []Key {
 // deterministically and identical at any worker count.
 func Build(records []iclab.Record, cfg BuildConfig) []*Instance {
 	cfg.fillDefaults()
-	//churnvet:ok ctxflow -- Build is the ctx-free kernel entry (benchmarks and the incremental solver call it synchronously); BuildAndSolveCtx is the cancellable path
+	//churnvet:ok ctxflow -- Build is the ctx-free kernel entry (benchmarks and analysis.Figure4 call it synchronously); BuildAndSolveCtx is the cancellable path
 	groups, _ := buildGroups(context.Background(), records, &cfg) //churnvet:ok errflow -- buildGroups can only fail through ctx cancellation, and Background never cancels
-	keys := solvableKeys(groups, &cfg)
+	keys := solvableKeys(groups)
 	out := make([]*Instance, len(keys))
 	parallel.ForEach(cfg.Workers, len(keys), func(i int) {
 		out[i] = materialize(keys[i], groups[keys[i]])
@@ -275,7 +273,7 @@ func BuildAndSolveCtx(ctx context.Context, records []iclab.Record, cfg BuildConf
 	if err != nil {
 		return nil, nil, err
 	}
-	keys := solvableKeys(groups, &cfg)
+	keys := solvableKeys(groups)
 	insts := make([]*Instance, len(keys))
 	outs := make([]Outcome, len(keys))
 	if err := parallel.ForEachCtx(ctx, cfg.Workers, len(keys), func(i int) {
@@ -309,8 +307,8 @@ var matScratchPool = sync.Pool{New: func() any {
 	return &matScratch{varOf: map[topology.ASN]int{}, negated: map[topology.ASN]bool{}}
 }}
 
-// sortedKeys collects and sorts m's keys into the scratch key slice. Same
-// ordering as sortedPaths; the returned slice is valid until the next call.
+// sortedKeys collects and sorts m's keys into the scratch key slice; the
+// returned slice is valid until the next call.
 func (sc *matScratch) sortedKeys(m map[string][]topology.ASN) []string {
 	keys := sc.keys[:0]
 	for k := range m {
@@ -369,19 +367,6 @@ func materialize(key Key, grp *builderGroup) *Instance {
 	return in
 }
 
-func sortedPaths(m map[string][]topology.ASN) [][]topology.ASN {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	out := make([][]topology.ASN, 0, len(keys))
-	for _, k := range keys {
-		out = append(out, m[k])
-	}
-	return out
-}
-
 // Outcome is the solved result for one instance (§3.2's trichotomy).
 type Outcome struct {
 	Inst  *Instance
@@ -422,27 +407,76 @@ func (o Outcome) ReductionFrac() float64 {
 	return float64(o.Eliminated) / float64(o.TotalVars)
 }
 
-// Solve classifies one instance and extracts censors or potential censors.
+// Solve classifies one instance (§3.2's 0/1/2+ trichotomy) and extracts
+// its censors or potential censors. It decides in linear time what the
+// paper hands to a SAT solver, because materialize emits only two kinds of
+// clause: a negative unit clause for each AS on a clean path, and an
+// all-positive clause for each censored path. Let N be the variables with
+// a negative unit clause and R the rest.
+//
+//   - Every model sets N false. So the CNF has 0 models iff some censored
+//     path has all of its distinct ASes in N (an empty path included).
+//   - Otherwise setting all of R true is a model, and a model stays one
+//     when more of R is set true. A model with some r in R false exists
+//     iff no censored path has r as its only R member (counting distinct
+//     ASes: a path may repeat one). So the model is unique iff every r in
+//     R is the only R member of some censored path, and then Censors = R.
+//   - Otherwise there are 2+ models and every r in R is true in the
+//     all-of-R one, so Potential = R and Eliminated = |N|.
+//
+// R is listed in variable order, and Censors and Potential stay nil when
+// empty: every Outcome is field for field the one that sat.Classify and
+// sat.PotentialTrue yield on the same CNF, which the tests check. Solve
+// panics on a negative literal outside a unit clause, a shape no path
+// produces.
 func Solve(in *Instance) Outcome {
 	out := Outcome{Inst: in, TotalVars: len(in.Vars)}
-	cls, model := sat.Classify(in.CNF)
-	out.Class = cls
-	switch cls {
-	case sat.Unique:
-		for v := 1; v <= in.CNF.NumVars; v++ {
-			if model[v] {
-				out.Censors = append(out.Censors, in.Vars[v-1])
+	nv := in.CNF.NumVars
+	negated := make([]bool, nv+1)
+	for _, cl := range in.CNF.Clauses {
+		if len(cl) == 1 && cl[0] < 0 {
+			negated[cl[0].Var()] = true
+		}
+	}
+	// sole[v]: v is the only variable outside N on some censored path.
+	sole := make([]bool, nv+1)
+	for _, cl := range in.CNF.Clauses {
+		if len(cl) == 1 && cl[0] < 0 {
+			continue
+		}
+		only := 0 // the path's one variable outside N; -1 once it has two
+		for _, l := range cl {
+			v := l.Var()
+			switch {
+			case l < 0:
+				panic("tomo: negative literal in a censored-path clause")
+			case negated[v] || v == only || only < 0:
+			case only == 0:
+				only = v
+			default:
+				only = -1
 			}
 		}
-	case sat.Multiple:
-		pot := sat.PotentialTrue(in.CNF)
-		for v := 1; v <= in.CNF.NumVars; v++ {
-			if pot[v] {
-				out.Potential = append(out.Potential, in.Vars[v-1])
-			} else {
-				out.Eliminated++
-			}
+		switch {
+		case only == 0:
+			out.Class = sat.Unsat
+			return out
+		case only > 0:
+			sole[only] = true
 		}
+	}
+	var free []topology.ASN
+	unique := true
+	for v := 1; v <= nv; v++ {
+		if !negated[v] {
+			free = append(free, in.Vars[v-1])
+			unique = unique && sole[v]
+		}
+	}
+	if unique {
+		out.Class, out.Censors = sat.Unique, free
+	} else {
+		out.Class, out.Potential, out.Eliminated = sat.Multiple, free, nv-len(free)
 	}
 	return out
 }

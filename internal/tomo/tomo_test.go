@@ -33,13 +33,12 @@ func TestBuildSplitsByURLSliceKind(t *testing.T) {
 	records := []iclab.Record{
 		rec(1, "a.com", t0, []topology.ASN{1, 2, 3}, anomaly.MakeSet(anomaly.DNS)),
 		rec(1, "a.com", t0.Add(time.Hour), []topology.ASN{1, 2, 3}, 0),
-		rec(1, "b.com", t0, []topology.ASN{1, 2, 4}, 0),
-		rec(1, "a.com", t0.AddDate(0, 0, 1), []topology.ASN{1, 2, 3}, 0), // next day
+		rec(1, "b.com", t0, []topology.ASN{1, 2, 4}, anomaly.MakeSet(anomaly.DNS)),
+		rec(1, "a.com", t0.AddDate(0, 0, 1), []topology.ASN{1, 2, 3}, anomaly.MakeSet(anomaly.DNS)), // next day
 	}
 	insts := Build(records, BuildConfig{
-		Granularities:    []timeslice.Granularity{timeslice.Day},
-		Kinds:            []anomaly.Kind{anomaly.DNS},
-		KeepNegativeOnly: true,
+		Granularities: []timeslice.Granularity{timeslice.Day},
+		Kinds:         []anomaly.Kind{anomaly.DNS},
 	})
 	// a.com day1, a.com day2, b.com day1.
 	if len(insts) != 3 {
@@ -106,17 +105,20 @@ func TestBuildDedupesRepeatedPaths(t *testing.T) {
 		records = append(records, rec(1, "a.com", t0.Add(time.Duration(i)*time.Minute),
 			[]topology.ASN{10, 20}, 0))
 	}
+	for i := 0; i < 3; i++ {
+		records = append(records, rec(2, "a.com", t0.Add(time.Duration(i)*time.Hour),
+			[]topology.ASN{30, 40}, anomaly.MakeSet(anomaly.RST)))
+	}
 	insts := Build(records, BuildConfig{
-		Granularities:    []timeslice.Granularity{timeslice.Day},
-		Kinds:            []anomaly.Kind{anomaly.RST},
-		KeepNegativeOnly: true,
+		Granularities: []timeslice.Granularity{timeslice.Day},
+		Kinds:         []anomaly.Kind{anomaly.RST},
 	})
 	in := insts[0]
-	if len(in.CNF.Clauses) != 2 { // ¬10, ¬20 once each
-		t.Fatalf("clauses %d, want 2 (deduplicated units)", len(in.CNF.Clauses))
+	if len(in.CNF.Clauses) != 3 { // ¬10, ¬20 and 30 ∨ 40 once each
+		t.Fatalf("clauses %d, want 3 (deduplicated)", len(in.CNF.Clauses))
 	}
-	if in.Measurements != 10 {
-		t.Errorf("measurements %d, want 10", in.Measurements)
+	if in.Measurements != 13 {
+		t.Errorf("measurements %d, want 13", in.Measurements)
 	}
 }
 
@@ -177,7 +179,7 @@ func TestSolveAllMatchesSolve(t *testing.T) {
 		records = append(records, rec(topology.ASN(i%3+1), "u.com",
 			t0.AddDate(0, 0, i%5), paths[i%len(paths)], k))
 	}
-	insts := Build(records, BuildConfig{Kinds: []anomaly.Kind{anomaly.DNS}, KeepNegativeOnly: true})
+	insts := Build(records, BuildConfig{Kinds: []anomaly.Kind{anomaly.DNS}})
 	got := SolveAll(insts)
 	if len(got) != len(insts) {
 		t.Fatalf("SolveAll returned %d outcomes for %d instances", len(got), len(insts))
@@ -231,14 +233,12 @@ func TestVarOf(t *testing.T) {
 
 func TestBuildDeterministicOrder(t *testing.T) {
 	records := []iclab.Record{
-		rec(1, "b.com", t0, []topology.ASN{1, 2}, 0),
-		rec(1, "a.com", t0, []topology.ASN{1, 2}, 0),
-		rec(1, "a.com", t0.AddDate(0, 0, 1), []topology.ASN{1, 2}, 0),
+		rec(1, "b.com", t0, []topology.ASN{1, 2}, anomaly.MakeSet(anomaly.DNS)),
+		rec(1, "a.com", t0, []topology.ASN{1, 2}, anomaly.MakeSet(anomaly.DNS)),
+		rec(1, "a.com", t0.AddDate(0, 0, 1), []topology.ASN{1, 2}, anomaly.MakeSet(anomaly.DNS)),
 	}
-	cfg := dayOnly()
-	cfg.KeepNegativeOnly = true
-	a := Build(records, cfg)
-	b := Build(records, cfg)
+	a := Build(records, dayOnly())
+	b := Build(records, dayOnly())
 	if len(a) != len(b) {
 		t.Fatal("nondeterministic instance count")
 	}

@@ -9,9 +9,13 @@ package churntomo
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
+
+	"churntomo/internal/sat"
+	"churntomo/internal/tomo"
 )
 
 // requiredPresets is the catalog the issue and README promise.
@@ -102,8 +106,47 @@ func TestScenarioPresetsSmoke(t *testing.T) {
 			if res.Summary.CNFs == 0 {
 				t.Error("no CNFs built")
 			}
+			byClass := checkOutcomesAgainstSearch(t, res.Pipelines[0])
+			t.Logf("%d outcomes match SAT search; by 0/1/2+ models: %v", res.Summary.CNFs, byClass)
 		})
 	}
+}
+
+// checkOutcomesAgainstSearch checks every outcome of a run, field for
+// field, against SAT search on a copy of its CNF (search permutes literals
+// inside clauses): sat.Classify gives the class and the unique model,
+// sat.PotentialTrue the potential censors. It returns the outcome count
+// by class.
+func checkOutcomesAgainstSearch(t *testing.T, p *Pipeline) (byClass [3]int) {
+	t.Helper()
+	for i, in := range p.Instances {
+		cnf := &sat.CNF{NumVars: in.CNF.NumVars}
+		for _, cl := range in.CNF.Clauses {
+			cnf.AddClause(cl...)
+		}
+		want := tomo.Outcome{Inst: in, TotalVars: len(in.Vars)}
+		var model sat.Model
+		want.Class, model = sat.Classify(cnf)
+		var pot []bool
+		if want.Class == sat.Multiple {
+			pot = sat.PotentialTrue(cnf)
+		}
+		for v := 1; v <= cnf.NumVars; v++ {
+			switch {
+			case want.Class == sat.Unique && model[v]:
+				want.Censors = append(want.Censors, in.Vars[v-1])
+			case want.Class == sat.Multiple && pot[v]:
+				want.Potential = append(want.Potential, in.Vars[v-1])
+			case want.Class == sat.Multiple:
+				want.Eliminated++
+			}
+		}
+		if !reflect.DeepEqual(p.Outcomes[i], want) {
+			t.Errorf("CNF %v: outcome %+v, SAT search %+v", in.Key, p.Outcomes[i], want)
+		}
+		byClass[want.Class]++
+	}
+	return byClass
 }
 
 // TestScenarioDeterminism pins the repo's core guarantee for a non-default
