@@ -111,15 +111,20 @@ profile:
 	@echo "profile: wrote profiles/after.{cpu,mem}.pb.gz and -top digests" >&2
 
 # Short fuzz pass over every fuzz target — the DIMACS parser, the dataset
-# codec round trip, the evaluation kernel, routing Views against
-# ComputeTree, the closed-form CNF classifier against SAT search, and the
-# incremental engine against batch rebuilds — each with the FUZZTIME
-# budget. `make fuzz FUZZTIME=5m` for a real hunt.
+# codec round trip, the hand-written record reader against encoding/json,
+# Decode on arbitrary bytes, the one-pass churn summary against its
+# reference, the evaluation kernel, routing Views against ComputeTree, the
+# closed-form CNF classifier against SAT search, and the incremental
+# engine against batch rebuilds — each with the FUZZTIME budget.
+# `make fuzz FUZZTIME=5m` for a real hunt.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzParseDIMACS -fuzztime $(FUZZTIME) ./internal/sat
 	$(GO) test -run '^$$' -fuzz FuzzSolve -fuzztime $(FUZZTIME) ./internal/tomo
 	$(GO) test -run '^$$' -fuzz FuzzIncrementalVsBatch -fuzztime $(FUZZTIME) ./internal/tomo
 	$(GO) test -run '^$$' -fuzz FuzzDatasetRoundTrip -fuzztime $(FUZZTIME) ./internal/dataset
+	$(GO) test -run '^$$' -fuzz FuzzParseWire -fuzztime $(FUZZTIME) ./internal/dataset
+	$(GO) test -run '^$$' -fuzz FuzzDatasetDecode -fuzztime $(FUZZTIME) ./internal/dataset
+	$(GO) test -run '^$$' -fuzz FuzzMeasure -fuzztime $(FUZZTIME) ./internal/churn
 	$(GO) test -run '^$$' -fuzz FuzzEvaluate -fuzztime $(FUZZTIME) .
 	$(GO) test -run '^$$' -fuzz FuzzViewTrees -fuzztime $(FUZZTIME) ./internal/routing
 
@@ -127,7 +132,7 @@ fuzz:
 # corpus as ordinary tests, so a target that rots fails fast without
 # paying for wall-clock fuzzing.
 fuzz-smoke:
-	$(GO) test -count 1 -run '^Fuzz' ./internal/sat ./internal/tomo ./internal/dataset ./internal/routing .
+	$(GO) test -count 1 -run '^Fuzz' ./internal/sat ./internal/tomo ./internal/dataset ./internal/churn ./internal/routing .
 
 clean:
 	$(GO) clean ./...

@@ -158,7 +158,7 @@ func TestChurnMonotoneAcrossGranularities(t *testing.T) {
 		t.Skip("end-to-end pipeline in -short mode")
 	}
 	p := runDirect(t, WithConfig(testConfig())).Pipelines[0]
-	ds := churn.Measure(p.Dataset.Records, nil)
+	ds, _ := churn.Measure(p.Dataset.Records, nil)
 	if len(ds) != len(timeslice.All) {
 		t.Fatalf("got %d distributions", len(ds))
 	}

@@ -413,8 +413,7 @@ func (e *Experiment) singleResult(cr *cellRun) *Result {
 	}
 	res.Censors = censorsOf(res.Identified, p)
 	res.Summary = summaryOf(p, outcomes)
-	res.Churn = churnOf(p)
-	res.ChurnByClass = churnByClassOf(p)
+	res.Churn, res.ChurnByClass = churnOf(p)
 	if e.ablation {
 		res.NoChurn = ablationOf(p, cr.cfg.Workers)
 	}

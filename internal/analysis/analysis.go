@@ -128,9 +128,11 @@ func Figure2(outcomes []tomo.Outcome) Figure2Data {
 	return d
 }
 
-// Figure3 is churn.Measure re-exported for harness symmetry.
+// Figure3 is churn.Measure's per-granularity distributions, re-exported
+// for harness symmetry.
 func Figure3(records []iclab.Record) []churn.Distribution {
-	return churn.Measure(records, nil)
+	periods, _ := churn.Measure(records, nil)
+	return periods
 }
 
 // Figure4Row is one granularity of the no-churn ablation: fractions of

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strconv"
 	"time"
@@ -316,6 +317,157 @@ func appendWire(b []byte, wr *wireRecord) []byte {
 	return append(b, '}', '\n')
 }
 
+// parseWire is appendWire's reader twin. It decodes line into wr when the
+// line has exactly the canonical shape appendWire writes, and reports
+// whether it did: keys in wireRecord order, each optional key present only
+// with a non-zero value, integers in JSON form (no leading zeros, no
+// fraction or exponent, a '-' only on d, t and at, never -0) that fit
+// their fields, no whitespace, at most one trailing newline. Every other
+// line returns false with wr partly written; the caller then starts from
+// an empty record and decodes the line with json.Unmarshal, which stays
+// the reference (FuzzParseWire pins that both agree on every line
+// parseWire accepts).
+func parseWire(line []byte, wr *wireRecord) bool {
+	p := wireParser{b: line}
+	day, ok := p.signed(`{"d":`, math.MinInt, math.MaxInt)
+	if !ok {
+		return false
+	}
+	vantage, ok := p.unsigned(`,"v":`, math.MaxUint32)
+	if !ok {
+		return false
+	}
+	target, ok := p.signed(`,"t":`, math.MinInt32, math.MaxInt32)
+	if !ok {
+		return false
+	}
+	if wr.At, ok = p.signed(`,"at":`, math.MinInt64, math.MaxInt64); !ok {
+		return false
+	}
+	wr.Day, wr.Vantage, wr.Target = int(day), uint32(vantage), int32(target)
+	if p.lit(`,"an":`) {
+		an, ok := p.digits(math.MaxUint8)
+		if !ok || an == 0 {
+			return false
+		}
+		wr.Anomalies = uint8(an)
+	}
+	if p.lit(`,"p":[`) {
+		if wr.Path, ok = p.uints(wr.Path); !ok {
+			return false
+		}
+	}
+	if p.lit(`,"f":`) {
+		fail, ok := p.digits(math.MaxUint8)
+		if !ok || fail == 0 {
+			return false
+		}
+		wr.Fail = uint8(fail)
+	}
+	if p.lit(`,"tp":[`) {
+		if wr.TruePath, ok = p.uints(wr.TruePath); !ok {
+			return false
+		}
+	}
+	if p.lit(`,"ta":[`) {
+		for {
+			asn, ok := p.unsigned(`{"a":`, math.MaxUint32)
+			if !ok {
+				return false
+			}
+			kinds, ok := p.unsigned(`,"k":`, math.MaxUint8)
+			if !ok || !p.lit("}") {
+				return false
+			}
+			wr.TrueActs = append(wr.TrueActs, wireAct{ASN: uint32(asn), Kinds: uint8(kinds)})
+			if p.lit("]") {
+				break
+			}
+			if !p.lit(",") {
+				return false
+			}
+		}
+	}
+	wr.Unreachable = p.lit(`,"u":true`)
+	if !p.lit("}") {
+		return false
+	}
+	rest := line[p.i:]
+	return len(rest) == 0 || len(rest) == 1 && rest[0] == '\n'
+}
+
+// wireParser is parseWire's cursor over one line.
+type wireParser struct {
+	b []byte
+	i int
+}
+
+// lit consumes s if the line continues with it.
+func (p *wireParser) lit(s string) bool {
+	if len(p.b)-p.i < len(s) || string(p.b[p.i:p.i+len(s)]) != s {
+		return false
+	}
+	p.i += len(s)
+	return true
+}
+
+// digits consumes a JSON integer's digits, whose value must not exceed
+// max (at most 2^63, which has 19 digits, so 19 digits never overflow n).
+func (p *wireParser) digits(max uint64) (uint64, bool) {
+	start := p.i
+	var n uint64
+	for p.i < len(p.b) && '0' <= p.b[p.i] && p.b[p.i] <= '9' {
+		n = n*10 + uint64(p.b[p.i]-'0')
+		p.i++
+	}
+	// JSON has no empty numbers and no leading zeros.
+	nd := p.i - start
+	if nd == 0 || nd > 19 || p.b[start] == '0' && nd > 1 || n > max {
+		return 0, false
+	}
+	return n, true
+}
+
+// unsigned consumes key and an unsigned integer no larger than max.
+func (p *wireParser) unsigned(key string, max uint64) (uint64, bool) {
+	if !p.lit(key) {
+		return 0, false
+	}
+	return p.digits(max)
+}
+
+// signed consumes key and an integer in [min, max], with min < 0 < max;
+// "-0" does not count.
+func (p *wireParser) signed(key string, min, max int64) (int64, bool) {
+	if !p.lit(key) {
+		return 0, false
+	}
+	if !p.lit("-") {
+		n, ok := p.digits(uint64(max))
+		return int64(n), ok
+	}
+	n, ok := p.digits(uint64(-(min + 1)) + 1)
+	return -int64(n), ok && n != 0
+}
+
+// uints consumes the elements and closing bracket of a non-empty array of
+// uint32s, appending them to dst.
+func (p *wireParser) uints(dst []uint32) ([]uint32, bool) {
+	for {
+		n, ok := p.digits(math.MaxUint32)
+		if !ok {
+			return dst, false
+		}
+		dst = append(dst, uint32(n))
+		if p.lit("]") {
+			return dst, true
+		}
+		if !p.lit(",") {
+			return dst, false
+		}
+	}
+}
+
 // codeTables resolves a header's code tables against the current
 // constants, so records decode by the names the file declares rather than
 // by positional luck.
@@ -376,18 +528,15 @@ func fromWire(wr *wireRecord, h *Header, t *codeTables) (iclab.Record, error) {
 	r.Vantage = topology.ASN(wr.Vantage)
 	r.TargetIdx = wr.Target
 	r.At = time.Unix(0, wr.At).UTC()
-	for bit, k := range t.kinds {
-		if wr.Anomalies&(1<<bit) != 0 {
-			r.Anomalies = r.Anomalies.Add(k)
-		}
+	var err error
+	if r.Anomalies, err = t.anomalies(wr.Anomalies); err != nil {
+		return r, err
 	}
 	if int(wr.Fail) >= len(t.fails) {
 		return r, fmt.Errorf("dataset: fail code %d outside the header's %d reasons", wr.Fail, len(t.fails))
 	}
 	r.Fail = t.fails[wr.Fail]
-	for _, a := range wr.Path {
-		r.ASPath = append(r.ASPath, topology.ASN(a))
-	}
+	r.ASPath = asns(wr.Path)
 	switch {
 	// The category pointer marks the explicit-override form — the URL
 	// alone cannot, since omitempty drops an empty override URL.
@@ -409,16 +558,46 @@ func fromWire(wr *wireRecord, h *Header, t *codeTables) (iclab.Record, error) {
 	if r.VantageCountry == "" {
 		r.VantageCountry = t.countryOf[wr.Vantage]
 	}
-	for _, a := range wr.TruePath {
-		r.TruePath = append(r.TruePath, topology.ASN(a))
-	}
-	for _, act := range wr.TrueActs {
-		r.TrueActs = append(r.TrueActs, iclab.GroundTruthAct{
-			ASN: topology.ASN(act.ASN), Kinds: anomaly.Set(act.Kinds),
-		})
+	r.TruePath = asns(wr.TruePath)
+	if len(wr.TrueActs) > 0 {
+		r.TrueActs = make([]iclab.GroundTruthAct, len(wr.TrueActs))
+		for i, act := range wr.TrueActs {
+			r.TrueActs[i].ASN = topology.ASN(act.ASN)
+			if r.TrueActs[i].Kinds, err = t.anomalies(act.Kinds); err != nil {
+				return r, err
+			}
+		}
 	}
 	r.Unreachable = wr.Unreachable
 	return r, nil
+}
+
+// anomalies maps wire anomaly bits through the header's kind table; a set
+// bit the table does not name is an error, not a silently dropped kind.
+func (t *codeTables) anomalies(bits uint8) (anomaly.Set, error) {
+	var s anomaly.Set
+	for bit := 0; bits>>bit != 0; bit++ {
+		if bits&(1<<bit) == 0 {
+			continue
+		}
+		if bit >= len(t.kinds) {
+			return 0, fmt.Errorf("dataset: anomaly bit %d outside the header's %d kinds", bit, len(t.kinds))
+		}
+		s = s.Add(t.kinds[bit])
+	}
+	return s, nil
+}
+
+// asns converts a wire AS path, keeping an empty path nil.
+func asns(wire []uint32) []topology.ASN {
+	if len(wire) == 0 {
+		return nil
+	}
+	out := make([]topology.ASN, len(wire))
+	for i, a := range wire {
+		out[i] = topology.ASN(a)
+	}
+	return out
 }
 
 // Decode reads a gzipped dataset stream, validating the magic, version and
@@ -481,11 +660,17 @@ func decodePlain(r io.Reader) (*File, error) {
 			continue
 		}
 		// Reset the reused record by value but keep the slices' capacity;
-		// Unmarshal decodes arrays into existing backing storage, and
 		// absent fields must not inherit the previous record's values.
 		wr = wireRecord{Path: wr.Path[:0], TruePath: wr.TruePath[:0], TrueActs: wr.TrueActs[:0]}
-		if err := json.Unmarshal(line, &wr); err != nil {
-			return nil, fmt.Errorf("dataset: decode record %d: %w", n, err)
+		if !parseWire(line, &wr) {
+			// json.Unmarshal decodes array elements into existing backing
+			// storage without zeroing them, so the fallback starts from an
+			// empty record: an element missing a key reads as zero, not as
+			// whatever an earlier line left there.
+			wr = wireRecord{}
+			if err := json.Unmarshal(line, &wr); err != nil {
+				return nil, fmt.Errorf("dataset: decode record %d: %w", n, err)
+			}
 		}
 		rec, err := fromWire(&wr, &h, tables)
 		if err != nil {
@@ -513,15 +698,23 @@ func readLine(br *bufio.Reader) ([]byte, error) {
 	return line, nil
 }
 
-// readLineInto is readLine accumulating into a reusable buffer: record
-// lines are consumed immediately, so the decode loop reads every line into
-// the same backing array instead of allocating one per record.
+// maxRecordLine caps one record line. The longest line a synthesized world
+// writes is a few hundred bytes; the cap keeps a corrupt or hostile stream
+// (a gzip bomb, say) from growing the line buffer without limit.
+const maxRecordLine = 1 << 20
+
+// readLineInto is readLine for record lines, accumulating into a reusable
+// buffer: record lines are consumed immediately, so the decode loop reads
+// every line into the same backing array instead of allocating one per
+// record. A line longer than maxRecordLine is an error.
 func readLineInto(br *bufio.Reader, buf []byte) ([]byte, error) {
 	buf = buf[:0]
 	for {
 		frag, err := br.ReadSlice('\n')
 		buf = append(buf, frag...)
 		switch {
+		case len(buf) > maxRecordLine:
+			return buf[:0], fmt.Errorf("line longer than %d bytes", maxRecordLine)
 		case errors.Is(err, bufio.ErrBufferFull):
 			continue // long line: keep accumulating
 		case errors.Is(err, io.EOF) && len(buf) > 0:

@@ -7,6 +7,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"math/rand/v2"
 	"os"
 	"path/filepath"
@@ -379,11 +380,40 @@ func randomFile(seed uint64, days, perDay int) *File {
 	return f
 }
 
+// randomWire draws a wireRecord the fast encoder handles (no string or
+// pointer overrides), with every field ranging over its whole type.
+func randomWire(rng *rand.Rand) wireRecord {
+	wr := wireRecord{
+		Day:       int(rng.Uint64()),
+		Vantage:   rng.Uint32(),
+		Target:    int32(rng.Uint32()),
+		At:        int64(rng.Uint64()),
+		Anomalies: uint8(rng.IntN(256)),
+		Fail:      uint8(rng.IntN(256)),
+	}
+	if rng.IntN(2) == 0 {
+		// Small values too, so short numbers and zeros show up.
+		wr.Day, wr.Target, wr.At = rng.IntN(4000), int32(rng.IntN(100)-1), rng.Int64N(1<<20)-1<<19
+	}
+	for n := rng.IntN(6); n > 0; n-- {
+		wr.Path = append(wr.Path, rng.Uint32()>>(rng.IntN(4)*8))
+	}
+	for n := rng.IntN(4); n > 0; n-- {
+		wr.TruePath = append(wr.TruePath, rng.Uint32())
+	}
+	for n := rng.IntN(3); n > 0; n-- {
+		wr.TrueActs = append(wr.TrueActs, wireAct{ASN: rng.Uint32(), Kinds: uint8(rng.IntN(256))})
+	}
+	wr.Unreachable = rng.IntN(2) == 1
+	return wr
+}
+
 // TestAppendWireMatchesJSON differentially pins the hand-rolled record
-// encoder against encoding/json over a sweep of wire shapes: every
-// omitempty combination the fast path can see must produce byte-identical
-// output (newline included). If the wireRecord struct tags ever drift,
-// this fails before the golden file does.
+// codec against encoding/json over a sweep of wire shapes: every
+// omitempty combination the fast path can see must encode byte-identically
+// (newline included) and parse back through parseWire to the same record.
+// If the wireRecord struct tags ever drift, this fails before the golden
+// file does.
 func TestAppendWireMatchesJSON(t *testing.T) {
 	cases := []wireRecord{
 		{},
@@ -398,28 +428,14 @@ func TestAppendWireMatchesJSON(t *testing.T) {
 		{Day: 2, Vantage: 3, Target: 4, At: 1462867200000000000, Anomalies: 255,
 			Path: []uint32{10, 20, 30, 40}, Fail: 1, TruePath: []uint32{10, 20, 30},
 			TrueActs: []wireAct{{ASN: 1, Kinds: 2}}, Unreachable: true},
+		{Day: math.MinInt, Vantage: math.MaxUint32, Target: math.MinInt32, At: math.MinInt64,
+			Anomalies: math.MaxUint8, Path: []uint32{0, math.MaxUint32}, Fail: math.MaxUint8},
+		{Day: math.MaxInt, Target: math.MaxInt32, At: math.MaxInt64,
+			TrueActs: []wireAct{{ASN: math.MaxUint32, Kinds: math.MaxUint8}}},
 	}
 	rng := rand.New(rand.NewPCG(42, 7))
 	for i := 0; i < 200; i++ {
-		wr := wireRecord{
-			Day:       int(rng.IntN(4000)),
-			Vantage:   rng.Uint32(),
-			Target:    int32(rng.IntN(100) - 1),
-			At:        rng.Int64(),
-			Anomalies: uint8(rng.IntN(256)),
-			Fail:      uint8(rng.IntN(8)),
-		}
-		for n := rng.IntN(6); n > 0; n-- {
-			wr.Path = append(wr.Path, rng.Uint32())
-		}
-		for n := rng.IntN(4); n > 0; n-- {
-			wr.TruePath = append(wr.TruePath, rng.Uint32())
-		}
-		for n := rng.IntN(3); n > 0; n-- {
-			wr.TrueActs = append(wr.TrueActs, wireAct{ASN: rng.Uint32(), Kinds: uint8(rng.IntN(256))})
-		}
-		wr.Unreachable = rng.IntN(2) == 1
-		cases = append(cases, wr)
+		cases = append(cases, randomWire(rng))
 	}
 	for i, wr := range cases {
 		var want bytes.Buffer
@@ -431,5 +447,198 @@ func TestAppendWireMatchesJSON(t *testing.T) {
 		if !bytes.Equal(got, want.Bytes()) {
 			t.Errorf("case %d: appendWire diverges from encoding/json\n got: %s\nwant: %s", i, got, want.Bytes())
 		}
+		var back wireRecord
+		if !parseWire(got, &back) {
+			t.Errorf("case %d: parseWire refuses appendWire's line %s", i, got)
+		} else if !reflect.DeepEqual(back, wr) {
+			t.Errorf("case %d: parseWire(%s) = %+v, want %+v", i, got, back, wr)
+		}
 	}
+}
+
+// TestParseWireFallsBack lists lines encoding/json accepts that are not in
+// the canonical shape; parseWire must refuse each so Decode hands it to
+// json.Unmarshal. The last few are not JSON at all.
+func TestParseWireFallsBack(t *testing.T) {
+	for _, line := range []string{
+		`{"d":0,"v":1,"t":2,"at":3,"url":"x.org","cat":0}`,
+		`{"d":0,"v":1,"t":2,"at":3,"vc":"US"}`,
+		`{"d":0,"v":1,"t":2,"at":3,"tasn":9}`,
+		`{"d":0, "v":1,"t":2,"at":3}`,
+		`{"d":0,"v":1,"t":2,"at":3} `,
+		`{"d":0,"v":1,"t":2,"at":3}` + "\r\n",
+		`{"d":0,"v":1,"t":2,"at":3}` + "\n\n",
+		`{"v":1,"d":0,"t":2,"at":3}`,
+		`{"d":0,"v":1,"t":2,"at":3,"f":1,"an":1}`,
+		`{"d":0,"v":1,"t":2,"at":3,"an":1,"an":2}`,
+		`{"D":0,"v":1,"t":2,"at":3}`,
+		`{"d":0,"v":1,"t":2,"at":3,"an":0}`,
+		`{"d":0,"v":1,"t":2,"at":3,"f":0}`,
+		`{"d":0,"v":1,"t":2,"at":3,"p":[]}`,
+		`{"d":0,"v":1,"t":2,"at":3,"p":null}`,
+		`{"d":0,"v":1,"t":2,"at":3,"u":false}`,
+		`{"d":0,"v":1,"t":2,"at":3,"ta":[{"k":1,"a":2}]}`,
+		`{"d":-0,"v":1,"t":2,"at":3}`,
+		`{"d":0,"v":1,"t":-0,"at":3}`,
+		`{"d":0,"v":1,"t":2,"at":1e3}`,
+		`{"d":0,"v":1.0,"t":2,"at":3}`,
+		`{"d":0,"v":1,"t":2,"at":3,"x":1}`,
+		// Not JSON, or not a wireRecord: json.Unmarshal reports the error.
+		`{"d":00,"v":1,"t":2,"at":3}`,
+		`{"d":0,"v":-1,"t":2,"at":3}`,
+		`{"d":0,"v":4294967296,"t":2,"at":3}`,
+		`{"d":0,"v":18446744073709551617,"t":2,"at":3}`, // 2^64+1 wraps to 1
+		`{"d":0,"v":1,"t":2147483648,"at":3}`,
+		`{"d":0,"v":1,"t":2,"at":9223372036854775808}`,
+		`{"d":0,"v":1,"t":2,"at":3,"an":256}`,
+		`{"d":0,"v":1,"t":2,"at":3,"p":[1,]}`,
+		`{"d":0,"v":1,"t":2,"at":3`,
+		`{"d":0,"v":1,"t":2,"at":3}x`,
+	} {
+		var wr wireRecord
+		if parseWire([]byte(line), &wr) {
+			t.Errorf("parseWire accepts non-canonical line %s", line)
+		}
+	}
+}
+
+// FuzzParseWire holds parseWire to json.Unmarshal: on any line parseWire
+// accepts, encoding/json must decode the same record. It also round-trips
+// a random canonical record through appendWire and parseWire.
+func FuzzParseWire(f *testing.F) {
+	f.Add([]byte(`{"d":0,"v":64512,"t":0,"at":1462075200000000000,"p":[64512,64700,64600],"tp":[64512,64700,64600]}`+"\n"), uint64(1))
+	f.Add([]byte(`{"d":-7,"v":0,"t":-1,"at":-1,"an":3,"f":4,"ta":[{"a":64700,"k":3},{"a":0,"k":0}],"u":true}`), uint64(2))
+	f.Add([]byte(`{"d":9223372036854775807,"v":4294967295,"t":-2147483648,"at":-9223372036854775808}`), uint64(3))
+	f.Add([]byte(`{"d":0,"v":1,"t":2,"at":3,"url":"x.org","cat":0}`), uint64(4))
+	f.Fuzz(func(t *testing.T, line []byte, seed uint64) {
+		var fast wireRecord
+		if parseWire(line, &fast) {
+			var ref wireRecord
+			if err := json.Unmarshal(line, &ref); err != nil {
+				t.Fatalf("parseWire accepts %q, which encoding/json rejects: %v", line, err)
+			}
+			if !reflect.DeepEqual(fast, ref) {
+				t.Fatalf("parseWire(%q) = %+v, encoding/json decodes %+v", line, fast, ref)
+			}
+		}
+		wr := randomWire(rand.New(rand.NewPCG(seed, 0x11e)))
+		canon := appendWire(nil, &wr)
+		var back wireRecord
+		if !parseWire(canon, &back) || !reflect.DeepEqual(back, wr) {
+			t.Fatalf("canonical line %s parses back as %+v, want %+v", canon, back, wr)
+		}
+	})
+}
+
+// decodeLines gzips a header built from h (its code tables filled by
+// fillTables and then adjusted by edit) followed by newline-terminated
+// record lines, and decodes the result.
+func decodeLines(t *testing.T, h Header, edit func(*Header), lines ...string) (*File, error) {
+	t.Helper()
+	h.fillTables()
+	if edit != nil {
+		edit(&h)
+	}
+	head, err := json.Marshal(&h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	zw := gzip.NewWriter(&buf)
+	zw.Write(append(head, '\n'))
+	for _, l := range lines {
+		zw.Write([]byte(l + "\n"))
+	}
+	zw.Close()
+	return Decode(&buf)
+}
+
+var oneTarget = Header{Days: 1, Records: 1, Targets: []Target{{URL: "u.org", ASN: 9}}}
+
+// TestAnomalyKindsFollowTheTable decodes under a header whose anomaly
+// table swaps dns and rst: both a record's anomaly bits and its
+// ground-truth act kinds must read through the table, and a bit the table
+// does not name is an error.
+func TestAnomalyKindsFollowTheTable(t *testing.T) {
+	swap := func(h *Header) { h.AnomalyKinds[0], h.AnomalyKinds[1] = h.AnomalyKinds[1], h.AnomalyKinds[0] }
+	rst := anomaly.MakeSet(anomaly.RST)
+	for _, line := range []string{
+		`{"d":0,"v":1,"t":0,"at":0,"an":1,"ta":[{"a":7,"k":1}]}`, // canonical
+		`{"d":0,"v":1,"t":0,"at":0,"ta":[{"k":1,"a":7}],"an":1}`, // json.Unmarshal fallback
+	} {
+		f, err := decodeLines(t, oneTarget, swap, line)
+		if err != nil {
+			t.Fatalf("%s: %v", line, err)
+		}
+		r := f.Days[0][0]
+		if r.Anomalies != rst || len(r.TrueActs) != 1 || r.TrueActs[0].Kinds != rst {
+			t.Errorf("%s: anomalies %v, acts %+v; want rst in both", line, r.Anomalies, r.TrueActs)
+		}
+	}
+	short := func(h *Header) { h.AnomalyKinds = h.AnomalyKinds[:2] }
+	for _, line := range []string{
+		`{"d":0,"v":1,"t":0,"at":0,"an":64}`,
+		`{"d":0,"v":1,"t":0,"at":0,"an":4}`,
+		`{"d":0,"v":1,"t":0,"at":0,"ta":[{"a":7,"k":5}]}`,
+	} {
+		if _, err := decodeLines(t, oneTarget, short, line); err == nil || !strings.Contains(err.Error(), "anomaly bit") {
+			t.Errorf("%s under a 2-kind table: err = %v", line, err)
+		}
+	}
+}
+
+// TestDecodeFallbackStartsFromEmptyRecord pins that a line decoded by
+// json.Unmarshal never inherits array elements an earlier line left in the
+// reused record: the act below names no kinds, so it has none.
+func TestDecodeFallbackStartsFromEmptyRecord(t *testing.T) {
+	h := oneTarget
+	h.Records = 2
+	f, err := decodeLines(t, h, nil,
+		`{"d":0,"v":1,"t":0,"at":0,"ta":[{"a":7,"k":3}]}`,
+		`{"d":0,"v":1,"t":0,"at":1,"ta":[{"a":8}]}`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if acts := f.Days[0][1].TrueActs; len(acts) != 1 || acts[0] != (iclab.GroundTruthAct{ASN: 8}) {
+		t.Errorf("second record's acts = %+v, want one act by AS8 with no kinds", acts)
+	}
+}
+
+// TestRecordLineCap checks the record-line limit at its boundary: a line
+// of maxRecordLine bytes (newline included) decodes, one byte more is an
+// error naming the record.
+func TestRecordLineCap(t *testing.T) {
+	line := `{"d":0,"v":1,"t":0,"at":0}`
+	pad := func(n int) string { return line[:len(line)-1] + strings.Repeat(" ", n-len(line)-1) + "}" }
+	if _, err := decodeLines(t, oneTarget, nil, pad(maxRecordLine)); err != nil {
+		t.Errorf("line of %d bytes: %v", maxRecordLine, err)
+	}
+	_, err := decodeLines(t, oneTarget, nil, pad(maxRecordLine+1))
+	if err == nil || !strings.Contains(err.Error(), "record 0") || !strings.Contains(err.Error(), "longer than") {
+		t.Errorf("line of %d bytes: err = %v", maxRecordLine+1, err)
+	}
+}
+
+// FuzzDatasetDecode feeds arbitrary bytes to Decode, both as they are and
+// gzip-wrapped: it must return a file or an error, never both or neither,
+// and never panic.
+func FuzzDatasetDecode(f *testing.F) {
+	// One stored-block writer serves every execution: a fresh writer, or
+	// real compression, would cost more than the decode under test.
+	zw, err := gzip.NewWriterLevel(io.Discard, gzip.NoCompression)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var wrapped bytes.Buffer
+		zw.Reset(&wrapped)
+		zw.Write(data)
+		zw.Close()
+		for _, in := range [][]byte{data, wrapped.Bytes()} {
+			file, err := Decode(bytes.NewReader(in))
+			if (file == nil) == (err == nil) {
+				t.Fatalf("Decode returned file %v and error %v", file != nil, err)
+			}
+		}
+	})
 }

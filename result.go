@@ -16,7 +16,6 @@ import (
 	"churntomo/internal/leakage"
 	"churntomo/internal/sat"
 	"churntomo/internal/stream"
-	"churntomo/internal/timeslice"
 	"churntomo/internal/tomo"
 	"churntomo/internal/topology"
 )
@@ -366,10 +365,12 @@ func leakageSummaryOf(a *leakage.Analysis, g *topology.Graph) *LeakageSummary {
 	return ls
 }
 
-// churnOf measures the Figure 3 distributions over the dataset.
-func churnOf(p *Pipeline) []ChurnPeriod {
+// churnOf measures the Figure 3 distributions and the monthly split by
+// destination class in one pass over the dataset.
+func churnOf(p *Pipeline) ([]ChurnPeriod, []ClassChurn) {
+	periods, byClass := churn.Measure(p.Dataset.Records, p.Graph)
 	var out []ChurnPeriod
-	for _, d := range churn.Measure(p.Dataset.Records, nil) {
+	for _, d := range periods {
 		cp := ChurnPeriod{
 			Period:      d.Gran.String(),
 			ChangedFrac: d.ChangedFrac(),
@@ -378,20 +379,14 @@ func churnOf(p *Pipeline) []ChurnPeriod {
 		copy(cp.Buckets[:], d.Buckets[:])
 		out = append(out, cp)
 	}
-	return out
-}
-
-// churnByClassOf splits monthly churn by destination class.
-func churnByClassOf(p *Pipeline) []ClassChurn {
-	byClass := churn.ByDestinationClass(p.Dataset.Records, p.Graph, timeslice.Month)
-	var out []ClassChurn
+	var classes []ClassChurn
 	for _, class := range churn.Classes(byClass) {
 		d := byClass[class]
-		out = append(out, ClassChurn{
+		classes = append(classes, ClassChurn{
 			Class: class.String(), ChangedFrac: d.ChangedFrac(), Samples: d.Samples,
 		})
 	}
-	return out
+	return out, classes
 }
 
 // ablationOf runs the Figure 4 no-churn rebuild.

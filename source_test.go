@@ -2,6 +2,7 @@ package churntomo
 
 import (
 	"context"
+	"math/rand/v2"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -124,6 +125,61 @@ func TestInMemoryDatasetSource(t *testing.T) {
 	}
 	if !reflect.DeepEqual(direct.Censors, replayed.Censors) {
 		t.Error("censor enrichment diverges through the public Dataset source")
+	}
+}
+
+// TestRecordOrderDoesNotMatter is a metamorphic check: shuffling the
+// measurements within each day must leave every verdict and report field
+// unchanged, in batch and in a streaming replay (window by window).
+func TestRecordOrderDoesNotMatter(t *testing.T) {
+	if testing.Short() {
+		t.Skip("end-to-end replays")
+	}
+	ds, err := runDirect(t, WithConfig(exportTestConfig())).Dataset()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewPCG(17, 0x5e1f))
+	shuffled := &Dataset{Info: ds.Info, Days: make([][]Measurement, len(ds.Days))}
+	moved := false
+	for d, day := range ds.Days {
+		shuffled.Days[d] = append([]Measurement(nil), day...)
+		rng.Shuffle(len(day), func(i, j int) {
+			shuffled.Days[d][i], shuffled.Days[d][j] = shuffled.Days[d][j], shuffled.Days[d][i]
+			moved = moved || i != j
+		})
+	}
+	if !moved {
+		t.Fatal("the shuffle moved no measurement; test vacuous")
+	}
+	for _, mode := range []struct {
+		name string
+		opts []Option
+	}{
+		{"batch", nil},
+		{"stream", []Option{WithWindow(14)}},
+	} {
+		want := runDirect(t, append([]Option{WithSource(ds)}, mode.opts...)...)
+		got := runDirect(t, append([]Option{WithSource(shuffled)}, mode.opts...)...)
+		if len(want.Identified) == 0 {
+			t.Fatalf("%s: nothing identified; test vacuous", mode.name)
+		}
+		for _, field := range []struct {
+			name      string
+			want, got any
+		}{
+			{"Identified", want.Identified, got.Identified},
+			{"Censors", want.Censors, got.Censors},
+			{"Summary", want.Summary, got.Summary},
+			{"Churn", want.Churn, got.Churn},
+			{"ChurnByClass", want.ChurnByClass, got.ChurnByClass},
+			{"Leakage", want.Leakage, got.Leakage},
+			{"Windows", want.Windows, got.Windows},
+		} {
+			if !reflect.DeepEqual(field.want, field.got) {
+				t.Errorf("%s: %s changes when each day's measurements are shuffled", mode.name, field.name)
+			}
+		}
 	}
 }
 
