@@ -22,22 +22,19 @@ build:
 	$(GO) build ./...
 
 # Invariant gate: churnvet (cmd/churnvet, internal/lint) type-checks the
-# whole module and runs all ten analyzers — the syntactic tier (no
-# ambient nondeterminism in deterministic packages, named unique RNG
-# stream constants, no map-order leaks into output, `go` only in the
-# sanctioned concurrency packages, a sealed public-API boundary) and the
-# flow-sensitive CFG tier (ctx plumbed to every blocking op and no fresh
-# context roots, locks released on every path and never held across a
-# blocking op or copied by value, no discarded errors / ==-compared
-# sentinels / %v-wrapped chains, every sanctioned `go` joined before its
-# spawner returns). Suppressions need a written reason (//churnvet:ok
-# <analyzer> -- <reason>); malformed ones are themselves findings, and
+# whole module and runs all eight analyzers: no ambient nondeterminism in
+# deterministic packages, named unique RNG stream constants, no map-order
+# leaks into output, `go` only in the sanctioned concurrency package, no
+# discarded or fresh-root contexts, no discarded errors / ==-compared
+# sentinels / %v-wrapped chains, a sealed public-API boundary.
+# Suppressions need a written reason (//churnvet:ok <analyzer> --
+# <reason>); malformed or stale ones are themselves findings, and
 # `churnvet -audit` lists the whole waiver inventory.
 lint:
 	$(GO) run ./cmd/churnvet ./...
 
-# The analyzer suite's own gate: fixture + CFG + CLI tests with coverage
-# floors above the repo-wide cover gate (see scripts/check-lint-fixtures.sh).
+# The analyzer suite's own gate: fixture + CLI tests with coverage floors
+# above the repo-wide cover gate (see scripts/check-lint-fixtures.sh).
 lint-fixtures:
 	sh scripts/check-lint-fixtures.sh
 

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -32,10 +33,14 @@ func TestRunList(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("-list exited %d", code)
 	}
-	for _, name := range []string{"nondet", "ctxflow", "lockflow", "errflow", "goroutinejoin", "suppress"} {
-		if !strings.Contains(out, name) {
-			t.Errorf("-list output missing analyzer %q", name)
-		}
+	var names []string
+	for _, line := range strings.Split(strings.TrimSpace(out), "\n") {
+		names = append(names, strings.Fields(line)[0])
+	}
+	// An exact match also keeps the deleted lockflow and goroutinejoin out.
+	want := []string{"nondet", "rngstream", "maporder", "goroutine", "ctxflow", "errflow", "internalimport", "suppress"}
+	if !slices.Equal(names, want) {
+		t.Errorf("-list analyzers = %v, want %v", names, want)
 	}
 }
 

@@ -1,7 +1,7 @@
 package lint
 
-// analyzerCtxflow enforces the cancellation discipline ARCHITECTURE.md
-// promises ("ctx cancel kills all children, no hang path"):
+// analyzerCtxflow keeps the caller's cancellation chain intact in the
+// deterministic packages:
 //
 //  1. A function in a deterministic package that takes a
 //     context.Context must actually use it — a discarded ctx is a
@@ -12,12 +12,10 @@ package lint
 //     boundaries are: the nil-ctx compatibility guard
 //     (`if ctx == nil { ctx = context.Background() }`) and direct
 //     delegation to the function's own *Ctx variant.
-//  3. In the sanctioned concurrency packages, every blocking operation
-//     reachable from a function's entry — bare channel send/recv,
-//     range-over-channel, select with no default and no ctx.Done() arm,
-//     WaitGroup.Wait, exec.Cmd waits, pipe reads — must be cancellable:
-//     inside a select with a Done arm, or carrying a reviewed
-//     suppression.
+//
+// Blocking operations are not checked: the module's only channel
+// operations and join sit in parallel.ForEachCtx, whose pre-cancel,
+// cancel-midway, deadline and drain tests cover them.
 
 import (
 	"go/ast"
@@ -28,7 +26,7 @@ import (
 
 var analyzerCtxflow = &Analyzer{
 	Name: "ctxflow",
-	Doc:  "context must flow: no discarded ctx params, no fresh Background/TODO outside sanctioned boundaries, no uncancellable blocking ops in concurrency packages",
+	Doc:  "context must flow: no discarded ctx params, no fresh Background/TODO outside sanctioned boundaries",
 	Run:  runCtxflow,
 }
 
@@ -38,16 +36,61 @@ func runCtxflow(m *Module) []Finding {
 		if !deterministic(m, p) {
 			continue
 		}
-		units := packageFuncs(p)
-		findings = append(findings, ctxParamFindings(m, p, units)...)
+		findings = append(findings, ctxParamFindings(m, p, packageFuncs(p))...)
 		findings = append(findings, ctxRootFindings(m, p)...)
-		if concurrencyPackage(m, p) {
-			for _, u := range units {
-				findings = append(findings, ctxBlockingFindings(m, p, u)...)
-			}
-		}
 	}
 	return findings
+}
+
+// funcUnit is one function whose signature ctxParamFindings checks: a
+// declaration or a literal.
+type funcUnit struct {
+	decl *ast.FuncDecl // nil for literals
+	lit  *ast.FuncLit  // nil for declarations
+}
+
+// name renders the unit for messages.
+func (u *funcUnit) name() string {
+	if u.decl != nil {
+		return u.decl.Name.Name
+	}
+	return "function literal"
+}
+
+// body returns the unit's body block statement.
+func (u *funcUnit) body() *ast.BlockStmt {
+	if u.decl != nil {
+		return u.decl.Body
+	}
+	return u.lit.Body
+}
+
+// funcType returns the unit's signature AST.
+func (u *funcUnit) funcType() *ast.FuncType {
+	if u.decl != nil {
+		return u.decl.Type
+	}
+	return u.lit.Type
+}
+
+// packageFuncs lists every function body in the package — declarations
+// and literals each separately, in source order.
+func packageFuncs(p *Package) []*funcUnit {
+	var units []*funcUnit
+	for _, f := range p.Files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch fn := n.(type) {
+			case *ast.FuncDecl:
+				if fn.Body != nil {
+					units = append(units, &funcUnit{decl: fn})
+				}
+			case *ast.FuncLit:
+				units = append(units, &funcUnit{lit: fn})
+			}
+			return true
+		})
+	}
+	return units
 }
 
 // ctxParamFindings flags context parameters that a function body never
@@ -170,7 +213,7 @@ func ctxRootInFunc(m *Module, p *Package, fn *ast.FuncDecl) []Finding {
 // contextRootCall returns "Background" or "TODO" when call invokes that
 // context function, "" otherwise.
 func contextRootCall(p *Package, call *ast.CallExpr) string {
-	fn, _ := calleeFunc(p, call)
+	fn := calleeFunc(p, call)
 	if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != "context" {
 		return ""
 	}
@@ -243,37 +286,4 @@ func enclosingCall(root ast.Node, target *ast.CallExpr) *ast.CallExpr {
 		return parent == nil
 	})
 	return parent
-}
-
-// ctxBlockingFindings checks every blocking op in the live blocks of one
-// concurrency-package function for a cancellation guard.
-func ctxBlockingFindings(m *Module, p *Package, u *funcUnit) []Finding {
-	var findings []Finding
-	done := doneChannels(p, u)
-	for _, b := range u.g.blocks {
-		if !b.live {
-			continue
-		}
-		for _, op := range blockBlockingOps(p, b) {
-			if sel, ok := op.node.(*ast.SelectStmt); ok {
-				if selectHasDoneArm(p, sel, done) {
-					continue
-				}
-				findings = append(findings, ctxBlockingFinding(m, u, op,
-					"add a ctx.Done() arm so cancellation can preempt the wait"))
-				continue
-			}
-			findings = append(findings, ctxBlockingFinding(m, u, op,
-				"wrap it in a select with a ctx.Done() arm so cancellation cannot hang the pool"))
-		}
-	}
-	return findings
-}
-
-func ctxBlockingFinding(m *Module, u *funcUnit, op blockingOp, fix string) Finding {
-	return Finding{
-		Pos:      m.Fset.Position(op.node.Pos()),
-		Analyzer: "ctxflow",
-		Message:  op.what + " in " + u.name() + " is not cancellable; " + fix,
-	}
 }

@@ -23,13 +23,20 @@
 //	goroutine      `go` statements only in internal/parallel, so all
 //	               production concurrency keeps the pool's cancellation
 //	               and panic-recovery semantics
+//	ctxflow        in deterministic packages, no context parameter
+//	               discarded or left unused, and no fresh
+//	               context.Background/TODO root outside the nil-ctx
+//	               guard and ctx-free *Ctx wrappers
+//	errflow        no discarded error results in deterministic
+//	               packages, no ==/!= between errors, and fmt.Errorf
+//	               wraps an embedded error with %w
 //	internalimport examples must not import churntomo/internal (even
 //	               aliased), and the root package's exported surface
 //	               must not leak internal named types except through
 //	               exported aliases
 //	suppress       `//churnvet:ok` suppression comments are themselves
 //	               well-formed: known analyzer name, `--` separator,
-//	               non-empty reason
+//	               non-empty reason; and none is stale
 //
 // A finding is silenced by a narrow suppression comment on the flagged
 // line (end-of-line) or on the line directly above it:
@@ -38,7 +45,9 @@
 //
 // Malformed suppressions (unknown analyzer, missing `-- reason`) are
 // findings in their own right, reported by the suppress pseudo-analyzer
-// and not themselves suppressible.
+// and not themselves suppressible. So are stale ones: a well-formed
+// waiver whose analyzer ran and silenced nothing on its line or the
+// next. A waiver for an analyzer left out by -only is not judged.
 //
 // cmd/churnvet is the command-line driver; `make lint` wires it into
 // `make ci`. Each analyzer is pinned by fixture packages under

@@ -45,10 +45,6 @@ func runErrflow(m *Module) []Finding {
 					if discards {
 						findings = append(findings, bareCallFinding(m, p, x.Call, "deferred ")...)
 					}
-				case *ast.GoStmt:
-					// The spawned call's error goes nowhere by
-					// construction; goroutinejoin owns `go` discipline.
-					return false
 				case *ast.AssignStmt:
 					if discards {
 						findings = append(findings, blankErrFindings(m, p, x)...)
@@ -91,7 +87,7 @@ func errResultIndexes(p *Package, call *ast.CallExpr) []int {
 // discardExemptCall recognizes the calls whose dropped error is
 // accepted by convention rather than suppression.
 func discardExemptCall(p *Package, call *ast.CallExpr) bool {
-	fn, _ := calleeFunc(p, call)
+	fn := calleeFunc(p, call)
 	if fn == nil {
 		return false
 	}
@@ -198,7 +194,7 @@ func isBlankIdent(e ast.Expr) bool {
 
 // callDisplay renders a call's target for messages.
 func callDisplay(p *Package, call *ast.CallExpr) string {
-	if fn, _ := calleeFunc(p, call); fn != nil {
+	if fn := calleeFunc(p, call); fn != nil {
 		if fn.Pkg() != nil && fn.Type().(*types.Signature).Recv() == nil {
 			return fn.Pkg().Name() + "." + fn.Name()
 		}
@@ -236,7 +232,7 @@ func sentinelCompareFindings(m *Module, p *Package, bin *ast.BinaryExpr) []Findi
 // errorfWrapFindings flags fmt.Errorf calls that format an error-typed
 // argument with a verb other than %w.
 func errorfWrapFindings(m *Module, p *Package, call *ast.CallExpr) []Finding {
-	fn, _ := calleeFunc(p, call)
+	fn := calleeFunc(p, call)
 	if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != "fmt" || fn.Name() != "Errorf" || len(call.Args) < 2 {
 		return nil
 	}

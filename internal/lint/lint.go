@@ -35,18 +35,15 @@ type Analyzer struct {
 }
 
 // Analyzers returns the registered suite in its canonical order: the
-// syntactic tier first, then the flow-sensitive tier (goroutinejoin,
-// ctxflow, lockflow, errflow) over the CFG substrate, with the
-// suppression validator last.
+// determinism and concurrency rules, the context and error rules, the
+// public-API boundary, and the suppression validator last.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		analyzerNondet,
 		analyzerRNGStream,
 		analyzerMapOrder,
 		analyzerGoroutine,
-		analyzerGoroutineJoin,
 		analyzerCtxflow,
-		analyzerLockflow,
 		analyzerErrflow,
 		analyzerInternalImport,
 		analyzerSuppress,
@@ -65,8 +62,9 @@ func ByName(name string) (*Analyzer, bool) {
 
 // Run executes the named analyzers (all of them when names is empty)
 // over the module, applies //churnvet:ok suppressions, and returns the
-// surviving findings sorted by position. Unknown analyzer names are an
-// error.
+// surviving findings sorted by position. A waiver whose analyzer ran and
+// silenced nothing is reported as a stale suppress finding. Unknown
+// analyzer names are an error.
 func Run(m *Module, names []string) ([]Finding, error) {
 	all, err := RunAll(m, names)
 	if err != nil {
@@ -97,14 +95,32 @@ func RunAll(m *Module, names []string) ([]Finding, error) {
 			selected = append(selected, a)
 		}
 	}
-	sup := collectSuppressions(m)
+	sups := Suppressions(m)
+	used := make([]bool, len(sups))
+	ran := map[string]bool{}
 	var findings []Finding
 	for _, a := range selected {
+		ran[a.Name] = true
 		for _, f := range a.Run(m) {
-			// Malformed-suppression findings are not themselves
-			// suppressible; everything else honors //churnvet:ok.
-			f.Suppressed = a.Name != suppressName && sup.matches(a.Name, f.Pos)
+			// suppress findings are never silenced: no waiver can
+			// name that analyzer.
+			for i, s := range sups {
+				if s.silences(a.Name, f.Pos) {
+					f.Suppressed, used[i] = true, true
+				}
+			}
 			findings = append(findings, f)
+		}
+	}
+	// A waiver is stale only if its analyzer ran: one for an analyzer
+	// left out by -only has had no chance to silence anything.
+	for i, s := range sups {
+		if ran[s.Analyzer] && !used[i] {
+			findings = append(findings, Finding{
+				Pos:      s.Pos,
+				Analyzer: suppressName,
+				Message:  "stale suppression: " + s.Analyzer + " reports nothing on this line or the next; delete the waiver",
+			})
 		}
 	}
 	sort.Slice(findings, func(i, j int) bool {

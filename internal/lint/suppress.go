@@ -12,10 +12,12 @@ const suppressName = "suppress"
 // comment that invokes the churnvet: namespace but is malformed —
 // unknown directive, unknown analyzer name, missing `--` separator or
 // empty reason — is a finding, so a typo can never silently disable a
-// real check. These findings are not suppressible.
+// real check. RunAll adds the stale rule under the same name: a
+// well-formed waiver whose analyzer ran and silenced nothing. These
+// findings are not suppressible.
 var analyzerSuppress = &Analyzer{
 	Name: suppressName,
-	Doc:  "malformed //churnvet:ok suppression comments are findings",
+	Doc:  "malformed or stale //churnvet:ok suppression comments are findings",
 	Run: func(m *Module) []Finding {
 		var findings []Finding
 		forEachDirective(m, func(pos token.Position, text string) {
@@ -27,52 +29,25 @@ var analyzerSuppress = &Analyzer{
 	},
 }
 
-// suppression is one parsed, valid //churnvet:ok comment. It silences
-// findings for exactly one analyzer on the comment's own line (the
+// Suppression is one well-formed //churnvet:ok comment: the analyzer it
+// silences, the written justification, and where it sits. It silences
+// findings of exactly that analyzer on the comment's own line (the
 // end-of-line form) or the line directly below it (the standalone form).
-type suppression struct {
-	analyzer string
-	reason   string
-	file     string
-	line     int
-}
-
-type suppressionSet map[string][]suppression // keyed by filename
-
-func (s suppressionSet) matches(analyzer string, pos token.Position) bool {
-	for _, sup := range s[pos.Filename] {
-		if sup.analyzer == analyzer && (sup.line == pos.Line || sup.line == pos.Line-1) {
-			return true
-		}
-	}
-	return false
-}
-
-// collectSuppressions indexes every well-formed suppression in the
-// module; malformed ones are deliberately excluded (and reported by the
-// suppress analyzer instead).
-func collectSuppressions(m *Module) suppressionSet {
-	set := make(suppressionSet)
-	forEachDirective(m, func(pos token.Position, text string) {
-		if analyzer, reason, msg := parseSuppression(text); msg == "" {
-			set[pos.Filename] = append(set[pos.Filename], suppression{analyzer: analyzer, reason: reason, file: pos.Filename, line: pos.Line})
-		}
-	})
-	return set
-}
-
-// Suppression is one well-formed //churnvet:ok comment, exported for
-// the churnvet -audit listing: the analyzer it silences, the written
-// justification, and where it sits.
 type Suppression struct {
 	Analyzer string
 	Reason   string
 	Pos      token.Position
 }
 
+func (s Suppression) silences(analyzer string, pos token.Position) bool {
+	return s.Analyzer == analyzer && s.Pos.Filename == pos.Filename &&
+		(s.Pos.Line == pos.Line || s.Pos.Line == pos.Line-1)
+}
+
 // Suppressions lists every well-formed suppression in the module,
 // sorted by position, so the suppression inventory stays reviewable
-// instead of accumulating silently.
+// instead of accumulating silently. Malformed ones are left out; the
+// suppress analyzer reports them instead.
 func Suppressions(m *Module) []Suppression {
 	var sups []Suppression
 	forEachDirective(m, func(pos token.Position, text string) {
@@ -150,7 +125,7 @@ func parseSuppression(text string) (analyzer, reason, problem string) {
 // initialization cycle; TestRegistry pins the two in sync.
 var suppressibleList = []string{
 	"nondet", "rngstream", "maporder", "goroutine",
-	"goroutinejoin", "ctxflow", "lockflow", "errflow", "internalimport",
+	"ctxflow", "errflow", "internalimport",
 }
 
 func suppressible(name string) bool {

@@ -39,6 +39,19 @@ func TupleDiscard() int {
 	return n
 }
 
+// GoBody drops the error inside a goroutine's body.
+func GoBody() {
+	go func() {
+		work() // want "call to .*work discards its error result"
+	}()
+}
+
+// GoSpawn hands the call itself to `go`: the spawned call is no
+// statement of its own, so no finding.
+func GoSpawn() {
+	go work()
+}
+
 // Handled checks the error; no finding.
 func Handled() error {
 	if err := work(); err != nil {

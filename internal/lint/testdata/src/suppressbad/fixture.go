@@ -1,9 +1,11 @@
-// Package fixture exercises the suppress analyzer: malformed
+// Package fixture exercises the suppress analyzer: malformed or stale
 // //churnvet:ok comments are findings themselves, so a typo can never
-// silently disable a real check.
+// silently disable a real check and a dead waiver cannot linger.
 package fixture
 
 //churnvet:ok nosuch -- the analyzer does not exist // want "unknown analyzer"
+
+//churnvet:ok lockflow -- a deleted analyzer cannot come back silently // want "unknown analyzer"
 
 //churnvet:frobnicate cache // want "unknown churnvet directive"
 
@@ -17,7 +19,9 @@ package fixture
 
 /* want "empty reason" */ //churnvet:ok maporder --
 
-//churnvet:ok maporder -- a well-formed suppression is not a finding
+//churnvet:ok maporder -- well-formed, and maporder is left out of the run, so never stale
+
+/* want "stale suppression: nondet reports nothing" */ //churnvet:ok nondet -- nondet ran and nothing here reads the clock
 
 // A plain comment mentioning churnvet in prose is not a directive.
 

@@ -79,7 +79,9 @@ func ForEachCtx(ctx context.Context, workers, n int, fn func(int)) error {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			//churnvet:ok ctxflow -- the dispatch loop selects on ctx.Done and unconditionally closes next, so this drain always terminates; adding a second Done arm here would race the panic-drain protocol
+			// The dispatch loop selects on ctx.Done and unconditionally
+			// closes next, so this drain always terminates; a second
+			// Done arm here would race the panic-drain protocol.
 			for i := range next {
 				func(i int) {
 					defer func() {
@@ -109,7 +111,10 @@ dispatch:
 		}
 	}
 	close(next)
-	wg.Wait() //churnvet:ok ctxflow -- bounded join: next is closed on every path (including ctx.Done), each worker exits its drain loop at most one task later, and the panic re-raise below needs all workers parked first
+	// Bounded join: next is closed on every path (including ctx.Done),
+	// each worker exits its drain loop at most one task later, and the
+	// panic re-raise below needs all workers parked first.
+	wg.Wait()
 	if pv != nil {
 		panic(pv)
 	}

@@ -3,6 +3,7 @@ package parallel
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -152,5 +153,76 @@ func TestForEachCtxFirstPanicWins(t *testing.T) {
 	}
 	if _, ok := pe.Value.(int); !ok {
 		t.Fatalf("PanicError.Value = %v (%T), want one of the item indices", pe.Value, pe.Value)
+	}
+}
+
+// TestForEachCtxDrainsOnEveryPath checks at run time that the pool is
+// joined before ForEachCtx returns, on each of its exit paths: no call of
+// fn is still running, and the goroutine count falls back to its
+// pre-call value. The paths run in a loop rather than as subtests,
+// because a subtest's goroutine would count against the baseline.
+func TestForEachCtxDrainsOnEveryPath(t *testing.T) {
+	for _, path := range []struct {
+		name      string
+		preCancel bool
+		timeout   time.Duration // 0: a minute, never reached
+		work      func(i int, cancel context.CancelFunc)
+		want      error
+		panics    bool
+	}{
+		{name: "complete"},
+		{name: "pre-cancelled", preCancel: true, want: context.Canceled},
+		{name: "cancel-midway", work: func(i int, cancel context.CancelFunc) {
+			if i == 8 {
+				cancel()
+			}
+		}, want: context.Canceled},
+		{name: "deadline", timeout: 5 * time.Millisecond, want: context.DeadlineExceeded},
+		{name: "panic", work: func(i int, _ context.CancelFunc) {
+			if i == 3 {
+				panic("boom")
+			}
+		}, panics: true},
+	} {
+		before := runtime.NumGoroutine()
+		timeout := path.timeout
+		if timeout == 0 {
+			timeout = time.Minute
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), timeout)
+		if path.preCancel {
+			cancel()
+		}
+		var inFlight atomic.Int32
+		var err error
+		var rec any
+		func() {
+			defer func() { rec = recover() }()
+			err = ForEachCtx(ctx, 4, 200, func(i int) {
+				inFlight.Add(1)
+				defer inFlight.Add(-1)
+				if path.work != nil {
+					path.work(i, cancel)
+				}
+				time.Sleep(time.Millisecond)
+			})
+		}()
+		cancel()
+		if n := inFlight.Load(); n != 0 {
+			t.Errorf("%s: %d calls of fn still running after ForEachCtx returned", path.name, n)
+		}
+		if _, isPanic := rec.(*PanicError); isPanic != path.panics {
+			t.Errorf("%s: recovered %v", path.name, rec)
+		}
+		if !errors.Is(err, path.want) {
+			t.Errorf("%s: err = %v, want %v", path.name, err, path.want)
+		}
+		deadline := time.Now().Add(2 * time.Second)
+		for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
+		}
+		if got := runtime.NumGoroutine(); got > before {
+			t.Errorf("%s: %d goroutines after the call, %d before", path.name, got, before)
+		}
 	}
 }

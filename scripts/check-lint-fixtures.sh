@@ -1,9 +1,9 @@
 #!/bin/sh
 # check-lint-fixtures.sh: the analyzer suite's own quality gate. Runs
 # the lint package and churnvet CLI tests — the fixture modules under
-# internal/lint/testdata/src (firing + suppressed case per analyzer),
-# the CFG edge-case tests, TestRepoClean, and the CLI surface — and
-# holds their coverage to floors deliberately above the repo-wide
+# internal/lint/testdata/src (firing + suppressed case per analyzer,
+# malformed and stale waivers), TestRepoClean, and the CLI surface —
+# and holds their coverage to floors deliberately above the repo-wide
 # cover gate (internal >= 75%): an analyzer is itself a test oracle,
 # so untested analyzer code is a silent hole in every other gate.
 #

@@ -2,6 +2,7 @@ package churntomo
 
 import (
 	"context"
+	"fmt"
 	"math/rand/v2"
 	"path/filepath"
 	"reflect"
@@ -179,6 +180,57 @@ func TestRecordOrderDoesNotMatter(t *testing.T) {
 			if !reflect.DeepEqual(field.want, field.got) {
 				t.Errorf("%s: %s changes when each day's measurements are shuffled", mode.name, field.name)
 			}
+		}
+	}
+}
+
+// TestRaisingMinCNFsNeverAddsACensor is a metamorphic check: a higher
+// corroboration threshold can only drop censors. In batch and in every
+// streaming window, each AS named at a threshold is named at the next
+// lower one too, with an identical record.
+func TestRaisingMinCNFsNeverAddsACensor(t *testing.T) {
+	if testing.Short() {
+		t.Skip("end-to-end replays")
+	}
+	ds, err := runDirect(t, WithConfig(exportTestConfig())).Dataset()
+	if err != nil {
+		t.Fatal(err)
+	}
+	narrower := func(what string, higher, lower map[ASN]*IdentifiedCensor) {
+		t.Helper()
+		for asn, c := range higher {
+			if !reflect.DeepEqual(c, lower[asn]) {
+				t.Errorf("%s: AS%v at the higher threshold is %+v, at the lower %+v", what, asn, c, lower[asn])
+			}
+		}
+	}
+	for _, mode := range []struct {
+		name string
+		opts []Option
+	}{
+		{"batch", nil},
+		{"stream", []Option{WithWindow(14)}},
+	} {
+		var first, prev *Result
+		for _, k := range []int{1, 2, 4, 8, 16} {
+			res := runDirect(t, append([]Option{WithSource(ds), WithMinCNFs(k)}, mode.opts...)...)
+			if prev == nil {
+				first = res
+			} else {
+				what := fmt.Sprintf("%s, minCNFs %d", mode.name, k)
+				narrower(what, res.Identified, prev.Identified)
+				if len(res.Windows) != len(prev.Windows) {
+					t.Fatalf("%s: %d windows, %d at the lower threshold", what, len(res.Windows), len(prev.Windows))
+				}
+				for i, w := range res.Windows {
+					narrower(fmt.Sprintf("%s, window %d", what, i), w.Identified, prev.Windows[i].Identified)
+				}
+			}
+			prev = res
+		}
+		if len(prev.Identified) >= len(first.Identified) {
+			t.Errorf("%s: %d censors at minCNFs 1, %d at 16; the thresholds filtered nothing, test vacuous",
+				mode.name, len(first.Identified), len(prev.Identified))
 		}
 	}
 }
