@@ -1,15 +1,14 @@
 package churntomo
 
-// The benchmark harness: one benchmark per table and figure of the paper's
-// evaluation (§4), each regenerating the corresponding rows/series over a
-// shared small-scale pipeline, plus kernels for the expensive stages
-// (routing trees, measurement, CNF solving). Run with:
+// The benchmark harness: the analysis behind Table 1 and Figures 3-5 of
+// the paper's evaluation (§4), timed over a shared small-scale run, plus
+// kernels for the expensive stages (routing trees, measurement, CNF
+// solving). Run with:
 //
 //	go test -bench=. -benchmem
 //
-// Each table/figure benchmark prints its artifact once (on the first
-// iteration) so `go test -bench` output doubles as the reproduction log;
-// the timed loop then measures the analysis cost itself.
+// The Figure 4 and 5 benchmarks print their artifact once (on the first
+// iteration); churnlab prints every exhibit from the public Result.
 
 import (
 	"bytes"
@@ -20,10 +19,10 @@ import (
 	"testing"
 
 	"churntomo/internal/analysis"
+	"churntomo/internal/churn"
 	"churntomo/internal/dataset"
 	"churntomo/internal/iclab"
 	"churntomo/internal/leakage"
-	"churntomo/internal/report"
 	"churntomo/internal/routing"
 	"churntomo/internal/stream"
 	"churntomo/internal/tomo"
@@ -31,12 +30,12 @@ import (
 
 var (
 	benchOnce sync.Once
-	benchPipe *Pipeline
+	benchCell *cell
 )
 
-// benchPipeline builds one shared pipeline for all benchmarks. Scale: the
+// benchRun builds one shared batch run for all benchmarks. Scale: the
 // small config stretched to 90 days so month/year slices are populated.
-func benchPipeline(b *testing.B) *Pipeline {
+func benchRun(b *testing.B) *cell {
 	b.Helper()
 	benchOnce.Do(func() {
 		cfg := SmallConfig()
@@ -49,9 +48,9 @@ func benchPipeline(b *testing.B) *Pipeline {
 		if err != nil {
 			panic(err)
 		}
-		benchPipe = res.Pipelines[0]
+		benchCell = res.cell
 	})
-	return benchPipe
+	return benchCell
 }
 
 var printedArtifact = map[string]bool{}
@@ -66,12 +65,12 @@ func printOnce(name, artifact string) {
 }
 
 // BenchmarkDatasetEncodeDecode measures the on-disk codec's round-trip
-// throughput over the shared pipeline's dataset: one encode to the
+// throughput over the shared run's dataset: one encode to the
 // versioned gzipped-JSONL format plus one decode per iteration, with
 // bytes/sec reporting the compressed stream size.
 func BenchmarkDatasetEncodeDecode(b *testing.B) {
-	p := benchPipeline(b)
-	f, err := pipelineToFile(p)
+	p := benchRun(b)
+	f, err := fileOf(p)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -80,7 +79,7 @@ func BenchmarkDatasetEncodeDecode(b *testing.B) {
 		b.Fatal(err)
 	}
 	b.SetBytes(int64(buf.Len()))
-	b.ReportMetric(float64(len(p.Dataset.Records)), "records")
+	b.ReportMetric(float64(len(p.dataset.Records)), "records")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		buf.Reset()
@@ -94,74 +93,24 @@ func BenchmarkDatasetEncodeDecode(b *testing.B) {
 }
 
 func BenchmarkTable1_DatasetCharacteristics(b *testing.B) {
-	p := benchPipeline(b)
-	printOnce("Table 1: dataset characteristics", p.Dataset.Stats.String())
+	p := benchRun(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		iclab.ComputeTable1(p.Dataset)
-	}
-}
-
-func BenchmarkFigure1a_SolutionsByGranularity(b *testing.B) {
-	p := benchPipeline(b)
-	rows := analysis.Figure1a(p.Outcomes)
-	var art string
-	for _, r := range rows {
-		art += fmt.Sprintf("%-6s (%4d CNFs): 0=%.1f%% 1=%.1f%% 2+=%.1f%%\n",
-			r.Group, r.CNFs, 100*r.Frac[0], 100*r.Frac[1], 100*r.Frac[2])
-	}
-	printOnce("Figure 1a: CNF solutions by granularity", art)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		analysis.Figure1a(p.Outcomes)
-	}
-}
-
-func BenchmarkFigure1b_SolutionsByAnomaly(b *testing.B) {
-	p := benchPipeline(b)
-	rows := analysis.Figure1b(p.Outcomes)
-	var art string
-	for _, r := range rows {
-		art += fmt.Sprintf("%-6s (%4d CNFs): 0=%.1f%% 1=%.1f%% 2+=%.1f%%\n",
-			r.Group, r.CNFs, 100*r.Frac[0], 100*r.Frac[1], 100*r.Frac[2])
-	}
-	printOnce("Figure 1b: CNF solutions by anomaly", art)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		analysis.Figure1b(p.Outcomes)
-	}
-}
-
-func BenchmarkFigure2_ReductionCDF(b *testing.B) {
-	p := benchPipeline(b)
-	d := analysis.Figure2(p.Outcomes)
-	printOnce("Figure 2: candidate-set reduction CDF",
-		report.CDF(d.CDF, "reduction %")+
-			fmt.Sprintf("mean %.1f%%, no-elimination %.1f%%, n=%d\n", 100*d.Mean, 100*d.NoElimFrac, d.Samples))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		analysis.Figure2(p.Outcomes)
+		iclab.ComputeTable1(p.dataset)
 	}
 }
 
 func BenchmarkFigure3_PathChurn(b *testing.B) {
-	p := benchPipeline(b)
-	var art string
-	for _, d := range analysis.Figure3(p.Dataset.Records) {
-		art += fmt.Sprintf("%-6s changed=%.1f%% (1:%.1f%% 2:%.1f%% 3:%.1f%% 4:%.1f%% 5+:%.1f%%) n=%d\n",
-			d.Gran, 100*d.ChangedFrac(), 100*d.Buckets[1], 100*d.Buckets[2],
-			100*d.Buckets[3], 100*d.Buckets[4], 100*d.Buckets[5], d.Samples)
-	}
-	printOnce("Figure 3: path churn", art)
+	p := benchRun(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		analysis.Figure3(p.Dataset.Records)
+		churn.Measure(p.dataset.Records, nil)
 	}
 }
 
 func BenchmarkFigure4_NoChurnAblation(b *testing.B) {
-	p := benchPipeline(b)
-	rows := analysis.Figure4(p.Dataset.Records, 0)
+	p := benchRun(b)
+	rows := analysis.Figure4(p.dataset.Records, 0)
 	var art string
 	for _, r := range rows {
 		art += fmt.Sprintf("%-6s: 0=%.1f%% 1=%.1f%% 2=%.1f%% 3=%.1f%% 4=%.1f%% 5+=%.1f%% (n=%d)\n",
@@ -171,58 +120,31 @@ func BenchmarkFigure4_NoChurnAblation(b *testing.B) {
 	printOnce("Figure 4: solutions without churn", art)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		analysis.Figure4(p.Dataset.Records, 0)
-	}
-}
-
-func BenchmarkTable2_CensorsByRegion(b *testing.B) {
-	p := benchPipeline(b)
-	var art string
-	for _, r := range analysis.Table2(p.Identified, p.Graph, 8) {
-		art += fmt.Sprintf("%-3s %d ASes, anomalies: %v\n", r.Country, len(r.ASNs), r.Kinds)
-	}
-	printOnce("Table 2: regions with most censoring ASes", art)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		analysis.Table2(p.Identified, p.Graph, 8)
-	}
-}
-
-func BenchmarkTable3_TopLeakers(b *testing.B) {
-	p := benchPipeline(b)
-	var art string
-	for _, l := range analysis.Table3(p.Leakage, p.Graph, 5) {
-		art += fmt.Sprintf("%-9v %-20s %s leaks: %d ASes, %d countries\n",
-			l.ASN, l.Name, l.Country, l.LeakedASes, l.LeakedCountries)
-	}
-	printOnce("Table 3: top leakers", art)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		analysis.Table3(p.Leakage, p.Graph, 5)
+		analysis.Figure4(p.dataset.Records, 0)
 	}
 }
 
 func BenchmarkFigure5_LeakageFlow(b *testing.B) {
-	p := benchPipeline(b)
+	p := benchRun(b)
 	var art string
-	for _, e := range p.Leakage.FlowEdges() {
+	for _, e := range p.leakage.FlowEdges() {
 		art += fmt.Sprintf("%s -> %s: %d\n", e.Edge.From, e.Edge.To, e.Weight)
 	}
-	art += fmt.Sprintf("regional fraction (excl CN): %.0f%%\n", 100*p.Leakage.RegionalFrac(p.Graph, "CN"))
+	art += fmt.Sprintf("regional fraction (excl CN): %.0f%%\n", 100*p.leakage.RegionalFrac(p.world.Graph, "CN"))
 	printOnce("Figure 5: leakage flow", art)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		leakage.Analyze(p.Outcomes, p.Graph)
+		leakage.Analyze(p.outcomes, p.world.Graph)
 	}
 }
 
 // --- Stage kernels ---
 
 func BenchmarkKernel_MeasurementDay(b *testing.B) {
-	p := benchPipeline(b)
+	p := benchRun(b)
 	cfg := iclab.PlatformConfig{Seed: 99, URLsPerDay: 2, RepeatsPerDay: 1}
 	// One day's worth of measurements over the prepared scenario.
-	short := *p.Scenario
+	short := *p.world
 	short.End = short.Start.AddDate(0, 0, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -231,30 +153,35 @@ func BenchmarkKernel_MeasurementDay(b *testing.B) {
 }
 
 func BenchmarkKernel_CNFBuild(b *testing.B) {
-	p := benchPipeline(b)
+	p := benchRun(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tomo.Build(p.Dataset.Records, tomo.BuildConfig{})
+		tomo.Build(p.dataset.Records, tomo.BuildConfig{})
 	}
 }
 
 func BenchmarkKernel_SolveAll(b *testing.B) {
-	p := benchPipeline(b)
+	p := benchRun(b)
+	insts := make([]*tomo.Instance, len(p.outcomes))
+	for i, o := range p.outcomes {
+		insts[i] = o.Inst
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tomo.SolveAll(p.Instances)
+		tomo.SolveAll(insts)
 	}
 }
 
 func BenchmarkKernel_RoutingTree(b *testing.B) {
-	p := benchPipeline(b)
-	down := make([]bool, len(p.Graph.Links))
-	salt := make([]uint64, len(p.Graph.ASes))
+	p := benchRun(b)
+	g := p.world.Graph
+	down := make([]bool, len(g.Links))
+	salt := make([]uint64, len(g.ASes))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		routing.ComputeTree(p.Graph, int32(i%len(p.Graph.ASes)), down, salt, 0)
+		routing.ComputeTree(g, int32(i%len(g.ASes)), down, salt, 0)
 	}
 }
 
@@ -263,8 +190,8 @@ func BenchmarkKernel_RoutingTree(b *testing.B) {
 // benchMeasureScenario is a 30-day sub-window of the shared scenario, so
 // the serial/parallel comparison runs in benchmark-friendly time.
 func benchMeasureScenario(b *testing.B) *iclab.Scenario {
-	p := benchPipeline(b)
-	short := *p.Scenario
+	p := benchRun(b)
+	short := *p.world
 	short.End = short.Start.AddDate(0, 0, 30)
 	return &short
 }
@@ -292,18 +219,18 @@ func BenchmarkEngine_MeasureParallel(b *testing.B) {
 }
 
 func BenchmarkEngine_BuildSolveSerial(b *testing.B) {
-	p := benchPipeline(b)
+	p := benchRun(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tomo.BuildAndSolve(p.Dataset.Records, tomo.BuildConfig{Workers: 1})
+		tomo.BuildAndSolve(p.dataset.Records, tomo.BuildConfig{Workers: 1})
 	}
 }
 
 func BenchmarkEngine_BuildSolveStreaming(b *testing.B) {
-	p := benchPipeline(b)
+	p := benchRun(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tomo.BuildAndSolve(p.Dataset.Records, tomo.BuildConfig{})
+		tomo.BuildAndSolve(p.dataset.Records, tomo.BuildConfig{})
 	}
 }
 
@@ -314,12 +241,12 @@ var (
 	benchShards     [][]iclab.Record
 )
 
-// benchDayShards reproduces the shared pipeline's measurement schedule
+// benchDayShards reproduces the shared run's measurement schedule
 // sharded by day — the input shape of the streaming engine.
 func benchDayShards(b *testing.B) [][]iclab.Record {
-	p := benchPipeline(b)
+	p := benchRun(b)
 	benchShardsOnce.Do(func() {
-		benchShards = iclab.RunByDay(p.Scenario, p.Config.platformConfig())
+		benchShards = iclab.RunByDay(p.world, p.cfg.platformConfig())
 	})
 	return benchShards
 }
@@ -401,7 +328,7 @@ func benchEvalResult(b *testing.B) *Result {
 // run by self-grading.
 func BenchmarkKernel_Evaluate(b *testing.B) {
 	res := benchEvalResult(b)
-	b.ReportMetric(float64(len(res.Pipelines[0].Dataset.Records)), "records")
+	b.ReportMetric(float64(len(res.cell.dataset.Records)), "records")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		truth := res.Truth()

@@ -44,14 +44,11 @@ import (
 	"strings"
 	"time"
 
-	"churntomo/internal/censor"
 	"churntomo/internal/iclab"
-	"churntomo/internal/ipasmap"
 	"churntomo/internal/leakage"
-	"churntomo/internal/routing"
 	"churntomo/internal/scenario"
+	"churntomo/internal/stream"
 	"churntomo/internal/tomo"
-	"churntomo/internal/topology"
 )
 
 // Config scales a full experiment. The zero-value rule: a zero field
@@ -155,28 +152,38 @@ func (c *Config) fillDefaults() {
 // tomo.IdentifyCensors.
 const identifyMinCNFs = 8
 
-// Pipeline holds every artifact of one end-to-end run; Result.Pipelines
-// carries one per cell.
-//
-// Pipeline deliberately exposes internal artifact types because
-// churnlab's figure printers read them; Result is the internal-free
-// surface. The churnvet suppressions below go once those printers read
-// exported Result data instead.
-type Pipeline struct {
-	Config Config
+// cell holds one run's internal artifacts: the world it ran in, the merged
+// dataset, and the localization — batch outcomes or the streaming
+// timeline. A single-cell Result keeps it (unexported) for Export,
+// Dataset, Truth and ChokePoints; a matrix folds its cells into
+// MatrixSummary and keeps none.
+type cell struct {
+	cfg Config // effective: defaults filled, source metadata adopted
 
-	Graph    *topology.Graph   //churnvet:ok internalimport -- deprecated pre-Experiment surface; Result is the exported form
-	Timeline *routing.Timeline //churnvet:ok internalimport -- deprecated pre-Experiment surface; Result is the exported form
-	Oracle   *routing.Oracle   //churnvet:ok internalimport -- deprecated pre-Experiment surface; Result is the exported form
-	Censors  *censor.Registry  //churnvet:ok internalimport -- deprecated pre-Experiment surface; Result is the exported form
-	DB       *ipasmap.DB       //churnvet:ok internalimport -- deprecated pre-Experiment surface; Result is the exported form
-	Scenario *iclab.Scenario   //churnvet:ok internalimport -- deprecated pre-Experiment surface; Result is the exported form
-	Dataset  *iclab.Dataset    //churnvet:ok internalimport -- deprecated pre-Experiment surface; Result is the exported form
+	// world holds the topology, routing oracle, censor registry and
+	// IP-to-AS history the measurements ran over, plus the vantage and
+	// target tables and the period. A replayed world has only a metadata
+	// graph, and no registry unless the file carries ground truth.
+	world   *iclab.Scenario
+	dataset *iclab.Dataset
 
-	Instances  []*tomo.Instance //churnvet:ok internalimport -- deprecated pre-Experiment surface; Result is the exported form
-	Outcomes   []tomo.Outcome   //churnvet:ok internalimport -- deprecated pre-Experiment surface; Result is the exported form
-	Identified map[topology.ASN]*tomo.IdentifiedCensor
-	Leakage    *leakage.Analysis //churnvet:ok internalimport -- deprecated pre-Experiment surface; Result is the exported form
+	// The batch localization; nil in streaming mode.
+	outcomes   []tomo.Outcome
+	identified map[ASN]*IdentifiedCensor
+	leakage    *leakage.Analysis
+
+	// The streaming timeline; nil in batch mode, and released once
+	// singleResult has converted it.
+	windows []*stream.Window
+	conv    []stream.Convergence
+}
+
+// final returns the last emitted window, or nil.
+func (c *cell) final() *stream.Window {
+	if len(c.windows) == 0 {
+		return nil
+	}
+	return c.windows[len(c.windows)-1]
 }
 
 // resolveScenario maps a preset name ("" = the paper baseline) to its
@@ -213,9 +220,8 @@ func buildStageOf(s scenario.Stage) Stage {
 // driving scenario.Build with the resolved spec: topology, churn timeline,
 // censors, IP-to-AS history, measurement scenario. ctx is checked before
 // each stage; emit receives one Event per stage.
-func prepareSpecCtx(ctx context.Context, cfg Config, spec scenario.Spec, emit func(Event)) (*Pipeline, error) {
+func prepareSpecCtx(ctx context.Context, cfg Config, spec scenario.Spec, emit func(Event)) (*cell, error) {
 	cfg.fillDefaults()
-	p := &Pipeline{Config: cfg}
 	params := scenario.Params{
 		Seed: cfg.Seed,
 		ASes: cfg.ASes, Countries: cfg.Countries,
@@ -246,9 +252,7 @@ func prepareSpecCtx(ctx context.Context, cfg Config, spec scenario.Spec, emit fu
 		}
 		return nil, fmt.Errorf("churntomo: %w", err)
 	}
-	p.Graph, p.Timeline, p.Oracle = w.Graph, w.Timeline, w.Oracle
-	p.Censors, p.DB, p.Scenario = w.Censors, w.DB, w.Platform
-	return p, nil
+	return &cell{cfg: cfg, world: w.Platform}, nil
 }
 
 // platformConfig derives the measurement platform's configuration. Every

@@ -32,18 +32,19 @@ func TestRunEndToEnd(t *testing.T) {
 		t.Skip("end-to-end pipeline in -short mode")
 	}
 	var progress bytes.Buffer
-	p := runDirect(t, WithConfig(testConfig()), WithObserver(TextObserver(&progress))).Pipelines[0]
+	p := runDirect(t, WithConfig(testConfig()), WithObserver(TextObserver(&progress))).cell
 
 	// Every stage populated.
-	if p.Graph == nil || p.Timeline == nil || p.Oracle == nil || p.Censors == nil ||
-		p.DB == nil || p.Scenario == nil || p.Dataset == nil || p.Leakage == nil {
+	w := p.world
+	if w == nil || w.Graph == nil || w.Oracle == nil || w.Censors == nil ||
+		w.DB == nil || p.dataset == nil || p.leakage == nil {
 		t.Fatal("pipeline stage missing")
 	}
-	if len(p.Dataset.Records) == 0 {
+	if len(p.dataset.Records) == 0 {
 		t.Fatal("no measurements")
 	}
-	if len(p.Instances) == 0 || len(p.Outcomes) != len(p.Instances) {
-		t.Fatalf("instances %d, outcomes %d", len(p.Instances), len(p.Outcomes))
+	if len(p.outcomes) == 0 {
+		t.Fatal("no CNFs")
 	}
 	if progress.Len() == 0 {
 		t.Error("progress writer received nothing")
@@ -52,7 +53,7 @@ func TestRunEndToEnd(t *testing.T) {
 	// Structural sanity of outcomes: every class present across a month of
 	// measurements with censors in play.
 	var byClass [3]int
-	for _, o := range p.Outcomes {
+	for _, o := range p.outcomes {
 		byClass[o.Class]++
 	}
 	if byClass[sat.Unique] == 0 {
@@ -63,7 +64,7 @@ func TestRunEndToEnd(t *testing.T) {
 	}
 
 	// Identified censors must be corroborated and mostly real.
-	for asn, c := range p.Identified {
+	for asn, c := range p.identified {
 		if c.CNFs < 3 {
 			t.Errorf("censor %v passed the filter with only %d CNFs", asn, c.CNFs)
 		}
@@ -75,21 +76,21 @@ func TestRunDeterministic(t *testing.T) {
 		t.Skip("end-to-end pipeline in -short mode")
 	}
 	cfg := testConfig()
-	a := runDirect(t, WithConfig(cfg)).Pipelines[0]
-	b := runDirect(t, WithConfig(cfg)).Pipelines[0]
-	if len(a.Dataset.Records) != len(b.Dataset.Records) {
-		t.Fatalf("record counts differ: %d vs %d", len(a.Dataset.Records), len(b.Dataset.Records))
+	a := runDirect(t, WithConfig(cfg)).cell
+	b := runDirect(t, WithConfig(cfg)).cell
+	if len(a.dataset.Records) != len(b.dataset.Records) {
+		t.Fatalf("record counts differ: %d vs %d", len(a.dataset.Records), len(b.dataset.Records))
 	}
-	if len(a.Outcomes) != len(b.Outcomes) {
-		t.Fatalf("outcome counts differ: %d vs %d", len(a.Outcomes), len(b.Outcomes))
+	if len(a.outcomes) != len(b.outcomes) {
+		t.Fatalf("outcome counts differ: %d vs %d", len(a.outcomes), len(b.outcomes))
 	}
-	for i := range a.Outcomes {
-		if a.Outcomes[i].Class != b.Outcomes[i].Class {
+	for i := range a.outcomes {
+		if a.outcomes[i].Class != b.outcomes[i].Class {
 			t.Fatalf("outcome %d class differs", i)
 		}
 	}
-	if len(a.Identified) != len(b.Identified) {
-		t.Fatalf("identified censors differ: %d vs %d", len(a.Identified), len(b.Identified))
+	if len(a.identified) != len(b.identified) {
+		t.Fatalf("identified censors differ: %d vs %d", len(a.identified), len(b.identified))
 	}
 }
 
@@ -128,9 +129,9 @@ func TestGroundTruthIsolation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("end-to-end pipeline in -short mode")
 	}
-	p := runDirect(t, WithConfig(testConfig())).Pipelines[0]
+	p := runDirect(t, WithConfig(testConfig())).cell
 	scrubbed := make([]int, 0)
-	records := append([]iclab.Record(nil), p.Dataset.Records...)
+	records := append([]iclab.Record(nil), p.dataset.Records...)
 	for i := range records {
 		if records[i].TruePath != nil || records[i].TrueActs != nil {
 			scrubbed = append(scrubbed, i)
@@ -142,12 +143,12 @@ func TestGroundTruthIsolation(t *testing.T) {
 		t.Fatal("no ground truth present to scrub; test vacuous")
 	}
 	insts := tomo.Build(records, tomo.BuildConfig{})
-	if len(insts) != len(p.Instances) {
-		t.Fatalf("instance count changed after scrubbing: %d vs %d", len(insts), len(p.Instances))
+	if len(insts) != len(p.outcomes) {
+		t.Fatalf("instance count changed after scrubbing: %d vs %d", len(insts), len(p.outcomes))
 	}
 	outcomes := tomo.SolveAll(insts)
 	for i := range outcomes {
-		if outcomes[i].Class != p.Outcomes[i].Class {
+		if outcomes[i].Class != p.outcomes[i].Class {
 			t.Fatalf("outcome %d changed after ground-truth scrub", i)
 		}
 	}
@@ -157,8 +158,8 @@ func TestChurnMonotoneAcrossGranularities(t *testing.T) {
 	if testing.Short() {
 		t.Skip("end-to-end pipeline in -short mode")
 	}
-	p := runDirect(t, WithConfig(testConfig())).Pipelines[0]
-	ds, _ := churn.Measure(p.Dataset.Records, nil)
+	p := runDirect(t, WithConfig(testConfig())).cell
+	ds, _ := churn.Measure(p.dataset.Records, nil)
 	if len(ds) != len(timeslice.All) {
 		t.Fatalf("got %d distributions", len(ds))
 	}
@@ -179,10 +180,10 @@ func TestInconclusiveRulesAllFire(t *testing.T) {
 	}
 	cfg := testConfig()
 	cfg.Days = 45
-	p := runDirect(t, WithConfig(cfg)).Pipelines[0]
+	p := runDirect(t, WithConfig(cfg)).cell
 	seen := map[traceroute.FailReason]int{}
-	for i := range p.Dataset.Records {
-		seen[p.Dataset.Records[i].Fail]++
+	for i := range p.dataset.Records {
+		seen[p.dataset.Records[i].Fail]++
 	}
 	for _, why := range []traceroute.FailReason{
 		traceroute.ErrTraceFailed, traceroute.ErrSilentBoundary,
@@ -202,13 +203,13 @@ func TestIdentifiedCensorsAreOnCensoredPaths(t *testing.T) {
 	}
 	cfg := testConfig()
 	cfg.Days = 60
-	p := runDirect(t, WithConfig(cfg)).Pipelines[0]
-	if len(p.Identified) == 0 {
+	p := runDirect(t, WithConfig(cfg)).cell
+	if len(p.identified) == 0 {
 		t.Skip("no censors identified at this scale/seed")
 	}
 	onPath := map[topology.ASN]bool{}
-	for i := range p.Dataset.Records {
-		r := &p.Dataset.Records[i]
+	for i := range p.dataset.Records {
+		r := &p.dataset.Records[i]
 		if r.Anomalies == 0 {
 			continue
 		}
@@ -216,7 +217,7 @@ func TestIdentifiedCensorsAreOnCensoredPaths(t *testing.T) {
 			onPath[as] = true
 		}
 	}
-	for asn := range p.Identified {
+	for asn := range p.identified {
 		if !onPath[asn] {
 			t.Errorf("identified censor %v never appeared on an anomalous path", asn)
 		}
@@ -224,9 +225,9 @@ func TestIdentifiedCensorsAreOnCensoredPaths(t *testing.T) {
 }
 
 // identifiedSummary flattens the Identified map into a comparable form.
-func identifiedSummary(p *Pipeline) map[topology.ASN]string {
+func identifiedSummary(p *cell) map[topology.ASN]string {
 	out := map[topology.ASN]string{}
-	for asn, c := range p.Identified {
+	for asn, c := range p.identified {
 		urls := make([]string, 0, len(c.URLs))
 		for u := range c.URLs {
 			urls = append(urls, u)
@@ -238,9 +239,9 @@ func identifiedSummary(p *Pipeline) map[topology.ASN]string {
 }
 
 // leakageSummary flattens the leakage analysis into a comparable form.
-func leakageSummary(p *Pipeline) string {
+func leakageSummary(p *cell) string {
 	return fmt.Sprintf("asLeaks=%d countryLeaks=%d flow=%v",
-		p.Leakage.LeakToOtherASes(), p.Leakage.LeakToOtherCountries(), p.Leakage.Flow)
+		p.leakage.LeakToOtherASes(), p.leakage.LeakToOtherCountries(), p.leakage.Flow)
 }
 
 // TestSerialParallelIdentical is the engine's end-to-end determinism
@@ -253,28 +254,28 @@ func TestSerialParallelIdentical(t *testing.T) {
 	}
 	serialCfg := testConfig()
 	serialCfg.Workers = 1
-	serial := runDirect(t, WithConfig(serialCfg)).Pipelines[0]
+	serial := runDirect(t, WithConfig(serialCfg)).cell
 
 	variants := map[string]int{"parallel": 8, "parallel-again": 8, "default-workers": 0}
 	for name, workers := range variants {
 		cfg := testConfig()
 		cfg.Workers = workers
-		got := runDirect(t, WithConfig(cfg)).Pipelines[0]
-		if len(got.Dataset.Records) != len(serial.Dataset.Records) {
-			t.Fatalf("%s: %d records vs %d serial", name, len(got.Dataset.Records), len(serial.Dataset.Records))
+		got := runDirect(t, WithConfig(cfg)).cell
+		if len(got.dataset.Records) != len(serial.dataset.Records) {
+			t.Fatalf("%s: %d records vs %d serial", name, len(got.dataset.Records), len(serial.dataset.Records))
 		}
-		for i := range serial.Dataset.Records {
-			if !reflect.DeepEqual(serial.Dataset.Records[i], got.Dataset.Records[i]) {
+		for i := range serial.dataset.Records {
+			if !reflect.DeepEqual(serial.dataset.Records[i], got.dataset.Records[i]) {
 				t.Fatalf("%s: record %d differs from serial", name, i)
 			}
 		}
-		if len(got.Outcomes) != len(serial.Outcomes) {
-			t.Fatalf("%s: %d outcomes vs %d serial", name, len(got.Outcomes), len(serial.Outcomes))
+		if len(got.outcomes) != len(serial.outcomes) {
+			t.Fatalf("%s: %d outcomes vs %d serial", name, len(got.outcomes), len(serial.outcomes))
 		}
-		for i := range serial.Outcomes {
-			if got.Outcomes[i].Class != serial.Outcomes[i].Class ||
-				got.Outcomes[i].Inst.Key != serial.Outcomes[i].Inst.Key ||
-				!reflect.DeepEqual(got.Outcomes[i].Censors, serial.Outcomes[i].Censors) {
+		for i := range serial.outcomes {
+			if got.outcomes[i].Class != serial.outcomes[i].Class ||
+				got.outcomes[i].Inst.Key != serial.outcomes[i].Inst.Key ||
+				!reflect.DeepEqual(got.outcomes[i].Censors, serial.outcomes[i].Censors) {
 				t.Fatalf("%s: outcome %d differs from serial", name, i)
 			}
 		}

@@ -93,21 +93,18 @@ type Evaluation struct {
 // recorded: the censor registry, the censors that fired, and the ASes on
 // censored paths. It returns nil when the result carries no ground
 // truth — matrix mode (each cell has its own world) or a replayed
-// dataset whose source stripped the registry.
+// dataset that lists no ground-truth censors.
 func (r *Result) Truth() *GroundTruth {
-	if r == nil || r.Mode == ModeMatrix || len(r.Pipelines) != 1 {
+	if r == nil || r.cell == nil || r.cell.world.Censors == nil {
 		return nil
 	}
-	p := r.Pipelines[0]
-	if p == nil || p.Censors == nil {
-		return nil
-	}
-	gt := &GroundTruth{Censors: p.Censors.ASNs()}
+	c := r.cell
+	gt := &GroundTruth{Censors: c.world.Censors.ASNs()}
 	exercised := map[topology.ASN]bool{}
 	onPath := map[topology.ASN]bool{}
-	if p.Dataset != nil {
-		for i := range p.Dataset.Records {
-			rec := &p.Dataset.Records[i]
+	if c.dataset != nil {
+		for i := range c.dataset.Records {
+			rec := &c.dataset.Records[i]
 			if len(rec.TrueActs) == 0 {
 				continue
 			}
@@ -163,8 +160,8 @@ func Evaluate(r *Result, truth *GroundTruth) *Evaluation {
 		MissedCensors:  m.MissedASes,
 	}
 
-	ev.MultipleCNFs = len(r.reductionFracs)
-	ev.CandidateReduction = evalmetrics.Reduction(r.reductionFracs)
+	ev.MultipleCNFs = len(r.Reductions)
+	ev.CandidateReduction = evalmetrics.Reduction(r.Reductions)
 
 	truthSet := map[ASN]bool{}
 	for _, as := range truth.Censors {
@@ -205,26 +202,26 @@ type ChokePointCandidate struct {
 // result carries no routable topology — matrix mode, or a metadata-only
 // replay whose graph has no links.
 func (r *Result) ChokePoints(n int) []ChokePointCandidate {
-	if r == nil || r.Mode == ModeMatrix || len(r.Pipelines) != 1 {
+	if r == nil || r.cell == nil {
 		return nil
 	}
-	p := r.Pipelines[0]
-	if p == nil || p.Graph == nil || len(p.Graph.Links) == 0 {
+	g, reg := r.cell.world.Graph, r.cell.world.Censors
+	if g == nil || len(g.Links) == 0 {
 		return nil
 	}
-	ranked := p.Graph.ChokePoints()
+	ranked := g.ChokePoints()
 	if n > 0 && len(ranked) > n {
 		ranked = ranked[:n]
 	}
 	out := make([]ChokePointCandidate, 0, len(ranked))
 	for _, cp := range ranked {
 		c := ChokePointCandidate{ASN: cp.ASN, Score: cp.Score}
-		if as, ok := p.Graph.ByASN(cp.ASN); ok {
+		if as, ok := g.ByASN(cp.ASN); ok {
 			c.Name, c.Country = as.Name, as.Country
 		}
 		_, c.Identified = r.Identified[cp.ASN]
-		if p.Censors != nil {
-			_, c.TrueCensor = p.Censors.Policy(cp.ASN)
+		if reg != nil {
+			_, c.TrueCensor = reg.Policy(cp.ASN)
 		}
 		out = append(out, c)
 	}

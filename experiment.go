@@ -214,27 +214,11 @@ func (e *Experiment) Run(ctx context.Context) (*Result, error) {
 	if e.Mode() == ModeMatrix {
 		return e.runMatrixMode(ctx)
 	}
-	cell, err := e.runCell(ctx, e.base, -1)
+	c, err := e.runCell(ctx, e.base, -1)
 	if err != nil {
 		return nil, err
 	}
-	return e.singleResult(cell), nil
-}
-
-// cellRun is one cell's raw outcome before Result conversion.
-type cellRun struct {
-	cfg     Config // defaults filled
-	pipe    *Pipeline
-	windows []*stream.Window
-	conv    []stream.Convergence
-}
-
-// final returns the last emitted window, or nil.
-func (cr *cellRun) final() *stream.Window {
-	if len(cr.windows) == 0 {
-		return nil
-	}
-	return cr.windows[len(cr.windows)-1]
+	return e.singleResult(c), nil
 }
 
 // cellSpec resolves the scenario one cell builds under: the explicit
@@ -268,12 +252,12 @@ func (e *Experiment) sourceFor(cell int) Source {
 	return defaultSource
 }
 
-// openCell obtains a cell's pipeline skeleton and day-ordered record
-// shards from its source. Built-in sources implement the internal
-// cellSource fast path (the ScenarioSource one is byte-identical to the
-// pre-Source fused pipeline); external Source implementations go through
-// the public Open contract and the dataset adapter.
-func (e *Experiment) openCell(ctx context.Context, src Source, cfg Config, emit func(Event)) (*Pipeline, [][]iclab.Record, error) {
+// openCell obtains a cell's world and day-ordered record shards from its
+// source. Built-in sources implement the internal cellSource fast path
+// (the ScenarioSource one is byte-identical to the pre-Source fused
+// pipeline); external Source implementations go through the public Open
+// contract and the dataset adapter.
+func (e *Experiment) openCell(ctx context.Context, src Source, cfg Config, emit func(Event)) (*cell, [][]iclab.Record, error) {
 	if cs, ok := src.(cellSource); ok {
 		return cs.openCell(ctx, e, cfg, emit)
 	}
@@ -293,67 +277,66 @@ func (e *Experiment) openCell(ctx context.Context, src Source, cfg Config, emit 
 }
 
 // runCell executes one pipeline — THE code path shared by every mode.
-// cell is the matrix cell index, -1 outside matrix mode; it tags every
-// emitted event. The cell's Source supplies the pipeline skeleton and the
-// day shards (synthesized or replayed); batch cells then localize with
-// one BuildAndSolve while streaming cells replay the day shards through a
+// index is the matrix cell index, -1 outside matrix mode; it tags every
+// emitted event. The cell's Source supplies the world and the day shards
+// (synthesized or replayed); batch cells then localize with one
+// BuildAndSolve while streaming cells replay the day shards through a
 // stream.Engine. Cancellation is checked at each stage boundary, between
 // streamed days, and inside the sharded loops via the ctx-aware engines.
-func (e *Experiment) runCell(ctx context.Context, cfg Config, cell int) (*cellRun, error) {
+func (e *Experiment) runCell(ctx context.Context, cfg Config, index int) (*cell, error) {
 	emit := func(ev Event) {
-		ev.Cell = cell
+		ev.Cell = index
 		e.emit(ev)
 	}
 
-	p, shards, err := e.openCell(ctx, e.sourceFor(cell), cfg, emit)
+	c, shards, err := e.openCell(ctx, e.sourceFor(index), cfg, emit)
 	if err != nil {
 		return nil, err
 	}
-	cfg = p.Config // defaults filled, source metadata adopted
-	cr := &cellRun{cfg: cfg, pipe: p}
+	cfg = c.cfg
 
-	if e.streaming && cell < 0 {
-		if err := e.replay(ctx, cr, shards, emit); err != nil {
+	if e.streaming && index < 0 {
+		if err := e.replay(ctx, c, shards, emit); err != nil {
 			return nil, err
 		}
 		// The pushed shards carry the IDs the batch merge would assign, so
 		// the merged dataset is bit-identical to a batch run's. The batch
-		// Localize artifacts stay nil — the window timeline replaces them.
-		p.Dataset = iclab.NewDataset(p.Scenario, iclab.MergeShards(shards))
-		return cr, nil
+		// localization stays nil — the window timeline replaces it.
+		c.dataset = iclab.NewDataset(c.world, iclab.MergeShards(shards))
+		return c, nil
 	}
 
-	p.Dataset = iclab.NewDataset(p.Scenario, iclab.MergeShards(shards))
+	c.dataset = iclab.NewDataset(c.world, iclab.MergeShards(shards))
 	ev := newEvent(StageSolve)
 	ev.Stats.Seed = cfg.Seed
 	emit(ev)
-	p.Instances, p.Outcomes, err = tomo.BuildAndSolveCtx(ctx, p.Dataset.Records, tomo.BuildConfig{Workers: cfg.Workers})
+	_, c.outcomes, err = tomo.BuildAndSolveCtx(ctx, c.dataset.Records, tomo.BuildConfig{Workers: cfg.Workers})
 	if err != nil {
 		return nil, err
 	}
-	p.Identified = tomo.IdentifyCensors(p.Outcomes, e.resolvedMinCNFs())
-	p.Leakage = leakage.Analyze(p.Outcomes, p.Graph)
-	return cr, nil
+	c.identified = tomo.IdentifyCensors(c.outcomes, e.resolvedMinCNFs())
+	c.leakage = leakage.Analyze(c.outcomes, c.world.Graph)
+	return c, nil
 }
 
 // replay pushes the measured day shards through the streaming localizer,
 // emitting StageDay and StageWindow events as the timeline unfolds.
-func (e *Experiment) replay(ctx context.Context, cr *cellRun, shards [][]iclab.Record, emit func(Event)) error {
+func (e *Experiment) replay(ctx context.Context, c *cell, shards [][]iclab.Record, emit func(Event)) error {
 	eng := stream.NewEngine(stream.Config{
 		Window:  e.window,
 		Stride:  e.stride,
 		MinCNFs: e.resolvedMinCNFs(),
-		Build:   tomo.BuildConfig{Workers: cr.cfg.Workers},
+		Build:   tomo.BuildConfig{Workers: c.cfg.Workers},
 	})
 	record := func(w *stream.Window) {
 		if w == nil {
 			return
 		}
-		cr.windows = append(cr.windows, w)
+		c.windows = append(c.windows, w)
 		ev := newEvent(StageWindow)
 		ev.Window = w.Index
 		ev.Stats = EventStats{
-			Seed: cr.cfg.Seed, StartDay: w.StartDay, EndDay: w.EndDay,
+			Seed: c.cfg.Seed, StartDay: w.StartDay, EndDay: w.EndDay,
 			CNFs: len(w.Outcomes), Solved: w.Solved, Reused: w.Reused,
 			Censors: len(w.Identified),
 		}
@@ -369,7 +352,7 @@ func (e *Experiment) replay(ctx context.Context, cr *cellRun, shards [][]iclab.R
 		}
 		ev := newEvent(StageDay)
 		ev.Day = day
-		ev.Stats.Seed = cr.cfg.Seed
+		ev.Stats.Seed = c.cfg.Seed
 		emit(ev)
 		record(w)
 	}
@@ -381,51 +364,51 @@ func (e *Experiment) replay(ctx context.Context, cr *cellRun, shards [][]iclab.R
 		return err
 	}
 	record(w)
-	cr.conv = stream.Converge(cr.windows)
+	c.conv = stream.Converge(c.windows)
 	return nil
 }
 
 // singleResult converts a batch or streaming cell into the public Result.
-func (e *Experiment) singleResult(cr *cellRun) *Result {
-	p := cr.pipe
-	res := &Result{
-		Config:    cr.cfg,
-		Mode:      e.Mode(),
-		Pipelines: []*Pipeline{p},
-	}
+func (e *Experiment) singleResult(c *cell) *Result {
+	g := c.world.Graph
+	res := &Result{Config: c.cfg, Mode: e.Mode(), cell: c}
 	var outcomes []tomo.Outcome
 	if e.streaming {
-		res.Windows = windowResultsOf(cr.windows)
-		res.Convergence = convergencesOf(cr.conv)
-		if final := cr.final(); final != nil {
+		res.Windows = windowResultsOf(c.windows)
+		res.Convergence = convergencesOf(c.conv)
+		if final := c.final(); final != nil {
 			outcomes = final.Outcomes
 			res.Identified = final.Identified
 		} else {
 			res.Identified = map[ASN]*IdentifiedCensor{}
 		}
 		if outcomes != nil {
-			res.Leakage = leakageSummaryOf(leakage.Analyze(outcomes, p.Graph), p.Graph)
+			res.Leakage = leakageSummaryOf(leakage.Analyze(outcomes, g), g)
 		}
 	} else {
-		outcomes = p.Outcomes
-		res.Identified = p.Identified
-		res.Leakage = leakageSummaryOf(p.Leakage, p.Graph)
+		outcomes = c.outcomes
+		res.Identified = c.identified
+		res.Leakage = leakageSummaryOf(c.leakage, g)
 	}
-	res.Censors = censorsOf(res.Identified, p)
-	res.Summary = summaryOf(p, outcomes)
-	res.Churn, res.ChurnByClass = churnOf(p)
+	res.Censors = censorsOf(res.Identified, c.world)
+	res.Categories = categoriesOf(res.Identified, c.world.Targets)
+	res.Summary = summaryOf(c, outcomes)
+	res.Churn, res.ChurnByClass = churnOf(c)
 	if e.ablation {
-		res.NoChurn = ablationOf(p, cr.cfg.Workers)
+		res.NoChurn = ablationOf(c)
 	}
 	for _, o := range outcomes {
 		if o.Class == sat.Multiple {
-			res.reductionFracs = append(res.reductionFracs, o.ReductionFrac())
+			res.Reductions = append(res.Reductions, o.ReductionFrac())
 		}
 	}
 	// Ground-truth self-grading: every synthesized (or fully exported)
 	// dataset knows who really censors, so score the verdict against it.
 	// Metadata-only replays have no registry and stay ungraded.
 	res.Evaluation = Evaluate(res, res.Truth())
+	// Result keeps the cell for its world and dataset; every window's
+	// outcomes would only pin memory for as long as the caller holds it.
+	c.windows, c.conv = nil, nil
 	return res
 }
 
@@ -463,23 +446,23 @@ func (e *Experiment) matrixConfigs() []Config {
 }
 
 // runMatrixCells executes every cell on the matrix worker pool, returning
-// per-cell statuses and pipelines in input order (a failed cell's
-// pipeline is nil). A failed cell carries its error instead of aborting
+// per-cell statuses and artifacts in input order (a failed cell's
+// artifacts are nil). A failed cell carries its error instead of aborting
 // the sweep; a done ctx stops dispatching further cells.
-func (e *Experiment) runMatrixCells(ctx context.Context, cfgs []Config) ([]CellStatus, []*Pipeline) {
-	cells := make([]CellStatus, len(cfgs))
-	pipes := make([]*Pipeline, len(cfgs))
+func (e *Experiment) runMatrixCells(ctx context.Context, cfgs []Config) ([]CellStatus, []*cell) {
+	statuses := make([]CellStatus, len(cfgs))
+	cells := make([]*cell, len(cfgs))
 	//churnvet:ok errflow -- a done ctx surfaces per cell: runCell returns ctx.Err into each CellStatus, so the sweep-level error would only duplicate what every cell already carries
 	_ = parallel.ForEachCtx(ctx, e.matrixWorkers, len(cfgs), func(i int) {
 		cfg := cfgs[i]
-		cr, err := e.runCell(ctx, cfg, i)
+		c, err := e.runCell(ctx, cfg, i)
 		cs := CellStatus{Index: i, Config: cfg, Err: err}
 		if err == nil {
-			pipes[i] = cr.pipe
-			cs.Censors = len(cr.pipe.Identified)
-			cs.CNFs = len(cr.pipe.Outcomes)
+			cells[i] = c
+			cs.Censors = len(c.identified)
+			cs.CNFs = len(c.outcomes)
 		}
-		cells[i] = cs
+		statuses[i] = cs
 		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 			return // a canceled cell is not an outcome worth reporting
 		}
@@ -492,22 +475,21 @@ func (e *Experiment) runMatrixCells(ctx context.Context, cfgs []Config) ([]CellS
 		// here so its Cell index survives the TextObserver filter.
 		e.emit(ev)
 	})
-	return cells, pipes
+	return statuses, cells
 }
 
 // runMatrixMode executes the matrix and folds it into a Result.
 func (e *Experiment) runMatrixMode(ctx context.Context) (*Result, error) {
-	cells, pipes := e.runMatrixCells(ctx, e.matrixConfigs())
+	statuses, cells := e.runMatrixCells(ctx, e.matrixConfigs())
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	base := e.base
 	base.fillDefaults()
 	return &Result{
-		Config:    base,
-		Mode:      ModeMatrix,
-		Matrix:    matrixSummaryOf(pipes),
-		Cells:     cells,
-		Pipelines: pipes,
+		Config: base,
+		Mode:   ModeMatrix,
+		Matrix: matrixSummaryOf(cells),
+		Cells:  statuses,
 	}, nil
 }

@@ -11,6 +11,12 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"churntomo/internal/iclab"
+	"churntomo/internal/sat"
+	"churntomo/internal/timeslice"
+	"churntomo/internal/tomo"
+	"churntomo/internal/webcat"
 )
 
 // --- Option validation -----------------------------------------------------
@@ -108,8 +114,8 @@ func TestExperimentMatchesLegacyRun(t *testing.T) {
 	if res.Mode != ModeBatch {
 		t.Fatalf("mode %v, want batch", res.Mode)
 	}
-	p := res.Pipelines[0]
-	if got, want := identifiedBytes(res.Identified), identifiedBytes(p.Identified); !bytes.Equal(got, want) {
+	p := res.cell
+	if got, want := identifiedBytes(res.Identified), identifiedBytes(p.identified); !bytes.Equal(got, want) {
 		t.Errorf("Result.Identified diverges from the pipeline's:\n%s\nvs\n%s", got, want)
 	}
 
@@ -128,11 +134,11 @@ func TestExperimentMatchesLegacyRun(t *testing.T) {
 	}
 
 	// Summary agrees with the pipeline artifacts.
-	if res.Summary.Measurements != p.Dataset.Stats.Measurements {
-		t.Errorf("Summary.Measurements %d, want %d", res.Summary.Measurements, p.Dataset.Stats.Measurements)
+	if res.Summary.Measurements != p.dataset.Stats.Measurements {
+		t.Errorf("Summary.Measurements %d, want %d", res.Summary.Measurements, p.dataset.Stats.Measurements)
 	}
-	if res.Summary.CNFs != len(p.Outcomes) {
-		t.Errorf("Summary.CNFs %d, want %d", res.Summary.CNFs, len(p.Outcomes))
+	if res.Summary.CNFs != len(p.outcomes) {
+		t.Errorf("Summary.CNFs %d, want %d", res.Summary.CNFs, len(p.outcomes))
 	}
 	if got := res.Summary.UnsatCNFs + res.Summary.UniqueCNFs + res.Summary.MultipleCNFs; got != res.Summary.CNFs {
 		t.Errorf("CNF class split sums to %d of %d", got, res.Summary.CNFs)
@@ -140,14 +146,163 @@ func TestExperimentMatchesLegacyRun(t *testing.T) {
 	if res.Leakage == nil {
 		t.Fatal("batch result has no leakage summary")
 	}
-	if res.Leakage.LeakToOtherASes != p.Leakage.LeakToOtherASes() ||
-		res.Leakage.LeakToOtherCountries != p.Leakage.LeakToOtherCountries() {
+	if res.Leakage.LeakToOtherASes != p.leakage.LeakToOtherASes() ||
+		res.Leakage.LeakToOtherCountries != p.leakage.LeakToOtherCountries() {
 		t.Errorf("leakage summary (%d,%d) diverges from analysis (%d,%d)",
 			res.Leakage.LeakToOtherASes, res.Leakage.LeakToOtherCountries,
-			p.Leakage.LeakToOtherASes(), p.Leakage.LeakToOtherCountries())
+			p.leakage.LeakToOtherASes(), p.leakage.LeakToOtherCountries())
 	}
 	if len(res.Churn) == 0 {
 		t.Error("no churn distributions in result")
+	}
+	checkSummaryGroups(t, res.Summary, p)
+	checkReductions(t, res.Reductions, p)
+	checkCategories(t, res.Categories, p)
+}
+
+// checkSummaryGroups recounts Figures 1a and 1b from a batch cell's
+// outcomes: the groups in figure order, empty ones left out.
+func checkSummaryGroups(t *testing.T, s Summary, c *cell) {
+	t.Helper()
+	if s.Anomalies != c.dataset.Stats.Anomalies {
+		t.Errorf("Summary.Anomalies %v, want the dataset's %v", s.Anomalies, c.dataset.Stats.Anomalies)
+	}
+	byGran, byKind := map[string]*ClassCounts{}, map[string]*ClassCounts{}
+	count := func(m map[string]*ClassCounts, group string, o tomo.Outcome) {
+		if m[group] == nil {
+			m[group] = &ClassCounts{Group: group}
+		}
+		m[group].add(o.Class)
+	}
+	for _, o := range c.outcomes {
+		count(byGran, o.Inst.Key.Slice.Gran.String(), o)
+		count(byKind, o.Inst.Key.Kind.String(), o)
+	}
+	inOrder := func(m map[string]*ClassCounts, order ...string) []ClassCounts {
+		var out []ClassCounts
+		for _, g := range order {
+			if m[g] != nil {
+				out = append(out, *m[g])
+			}
+		}
+		return out
+	}
+	if want := inOrder(byGran, "day", "week", "month", "year"); len(want) < 2 || !reflect.DeepEqual(s.ByGranularity, want) {
+		t.Errorf("ByGranularity = %+v, recounted %+v", s.ByGranularity, want)
+	}
+	if want := inOrder(byKind, "block", "dns", "rst", "seq", "ttl"); len(want) < 2 || !reflect.DeepEqual(s.ByKind, want) {
+		t.Errorf("ByKind = %+v, recounted %+v", s.ByKind, want)
+	}
+}
+
+// checkReductions pins Result.Reductions to the Multiple outcomes, in
+// order: a fraction is 0 exactly when the CNF eliminated nothing.
+func checkReductions(t *testing.T, got []float64, c *cell) {
+	t.Helper()
+	var want []float64
+	for _, o := range c.outcomes {
+		if o.Class == sat.Multiple {
+			want = append(want, o.ReductionFrac())
+			if (o.Eliminated == 0) != (o.ReductionFrac() == 0) {
+				t.Errorf("CNF %v eliminated %d of %d but has fraction %v", o.Inst.Key, o.Eliminated, o.TotalVars, o.ReductionFrac())
+			}
+		}
+	}
+	if len(want) == 0 || !reflect.DeepEqual(got, want) {
+		t.Errorf("Reductions %v, want the %d Multiple outcomes' fractions %v", got, len(want), want)
+	}
+}
+
+// checkCategories recounts the (censor, URL) findings per category and
+// checks the ranking: most findings first, ties by category code.
+func checkCategories(t *testing.T, got []CategoryCount, c *cell) {
+	t.Helper()
+	urlCat := map[string]Category{}
+	for _, tg := range c.world.Targets {
+		urlCat[tg.URL.Host] = tg.URL.Category
+	}
+	want := map[Category]int{}
+	for _, id := range c.identified {
+		for url := range id.URLs {
+			if cat, ok := urlCat[url]; ok {
+				want[cat]++
+			}
+		}
+	}
+	if len(got) != len(want) || len(got) == 0 {
+		t.Fatalf("%d categories, recounted %d", len(got), len(want))
+	}
+	for i, cc := range got {
+		if want[cc.Category] != cc.Findings {
+			t.Errorf("%v: %d findings, recounted %d", cc.Category, cc.Findings, want[cc.Category])
+		}
+		if i > 0 {
+			prev := got[i-1]
+			if prev.Findings < cc.Findings || (prev.Findings == cc.Findings && prev.Category >= cc.Category) {
+				t.Errorf("categories out of order at %d: %+v before %+v", i, prev, cc)
+			}
+		}
+	}
+}
+
+// TestSummaryOfSplitsCNFs checks Figures 1a and 1b's counts on three
+// hand-built CNFs, one per class: every group's classes sum to its CNFs,
+// and the groups come in figure order.
+func TestSummaryOfSplitsCNFs(t *testing.T) {
+	t0 := time.Date(2016, 5, 10, 8, 0, 0, 0, time.UTC)
+	rec := func(v ASN, url string, at time.Time, path []ASN, kind ...AnomalyKind) iclab.Record {
+		var kinds AnomalySet
+		for _, k := range kind {
+			kinds = kinds.Add(k)
+		}
+		return iclab.Record{Vantage: v, URL: url, At: at, ASPath: path, Anomalies: kinds}
+	}
+	records := []iclab.Record{
+		// Unique: censor 20 pinned by a churned clean path.
+		rec(1, "a.com", t0, []ASN{10, 20, 30}, AnomalyTTL),
+		rec(1, "a.com", t0.Add(time.Hour), []ASN{10, 25, 30}),
+		// Multiple: an under-constrained RST positive.
+		rec(2, "b.com", t0, []ASN{11, 21, 31}, AnomalyRST),
+		rec(3, "b.com", t0, []ASN{12, 31}),
+		// Unsat: conflicting SEQ observations of one path.
+		rec(4, "c.com", t0, []ASN{13, 23}, AnomalySEQ),
+		rec(4, "c.com", t0.Add(time.Hour), []ASN{13, 23}),
+	}
+	_, outcomes := tomo.BuildAndSolve(records, tomo.BuildConfig{Granularities: []timeslice.Granularity{timeslice.Day}})
+	s := summaryOf(&cell{dataset: &iclab.Dataset{}}, outcomes)
+	if s.CNFs != 3 || s.UnsatCNFs != 1 || s.UniqueCNFs != 1 || s.MultipleCNFs != 1 {
+		t.Fatalf("summary %d CNFs (%d/%d/%d), want one per class", s.CNFs, s.UnsatCNFs, s.UniqueCNFs, s.MultipleCNFs)
+	}
+	if want := []ClassCounts{{"day", 3, 1, 1, 1}}; !reflect.DeepEqual(s.ByGranularity, want) {
+		t.Errorf("ByGranularity = %+v, want %+v", s.ByGranularity, want)
+	}
+	want := []ClassCounts{{"rst", 1, 0, 0, 1}, {"seq", 1, 1, 0, 0}, {"ttl", 1, 0, 1, 0}}
+	if !reflect.DeepEqual(s.ByKind, want) {
+		t.Errorf("ByKind = %+v, want %+v", s.ByKind, want)
+	}
+}
+
+// TestCategoriesOf checks the per-category count on hand-built values:
+// unknown URLs are skipped, and ties rank by category code.
+func TestCategoriesOf(t *testing.T) {
+	identified := map[ASN]*IdentifiedCensor{
+		1: {ASN: 1, URLs: map[string]bool{"a": true, "b": true, "c": true}},
+		2: {ASN: 2, URLs: map[string]bool{"a": true, "zzz": true}},
+	}
+	var targets []iclab.Target
+	for _, u := range []webcat.URL{
+		{Host: "a", Category: webcat.Shopping}, {Host: "b", Category: webcat.News}, {Host: "c", Category: webcat.Ads},
+	} {
+		targets = append(targets, iclab.Target{URL: u})
+	}
+	got := categoriesOf(identified, targets)
+	// Ads and News tie at one finding; Ads has the lower code.
+	want := []CategoryCount{{webcat.Shopping, 2}, {webcat.Ads, 1}, {webcat.News, 1}}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("categoriesOf = %v, want %v", got, want)
+	}
+	if got := categoriesOf(nil, targets); got != nil {
+		t.Errorf("no censors: %v, want nil", got)
 	}
 }
 
@@ -209,8 +364,8 @@ func TestExperimentMatrixMatchesRunner(t *testing.T) {
 	if res.Matrix.TotalCNFs != cellCNFs {
 		t.Fatalf("TotalCNFs %d, cells sum to %d", res.Matrix.TotalCNFs, cellCNFs)
 	}
-	if len(res.Cells) != 2 || len(res.Pipelines) != 2 {
-		t.Fatalf("%d cells, %d pipelines, want 2 each", len(res.Cells), len(res.Pipelines))
+	if len(res.Cells) != 2 || res.cell != nil {
+		t.Fatalf("%d cells, want 2 and no single-cell artifacts", len(res.Cells))
 	}
 	for i, cs := range res.Cells {
 		if cs.Index != i || cs.Err != nil || cs.CNFs == 0 {
@@ -240,8 +395,8 @@ func TestExperimentMatrixSurvivesFailedCell(t *testing.T) {
 	if res.Cells[0].Err == nil || res.Cells[1].Err != nil {
 		t.Fatalf("cell errors misplaced: %v / %v", res.Cells[0].Err, res.Cells[1].Err)
 	}
-	if res.Pipelines[0] != nil || res.Pipelines[1] == nil {
-		t.Fatal("pipelines misplaced across failed/good cells")
+	if res.Cells[0].CNFs != 0 || res.Cells[1].CNFs == 0 {
+		t.Fatal("CNF counts misplaced across failed/good cells")
 	}
 }
 

@@ -5,101 +5,16 @@ import (
 	"time"
 
 	"churntomo/internal/anomaly"
-	"churntomo/internal/censor"
 	"churntomo/internal/iclab"
-	"churntomo/internal/sat"
 	"churntomo/internal/timeslice"
-	"churntomo/internal/tomo"
 	"churntomo/internal/topology"
 	"churntomo/internal/traceroute"
-	"churntomo/internal/webcat"
 )
 
 var t0 = time.Date(2016, 5, 10, 8, 0, 0, 0, time.UTC)
 
 func rec(v topology.ASN, url string, at time.Time, path []topology.ASN, kinds anomaly.Set) iclab.Record {
 	return iclab.Record{Vantage: v, URL: url, At: at, ASPath: path, Anomalies: kinds, Fail: traceroute.OK}
-}
-
-// fixtureOutcomes builds a mixed bag: one unique, one multiple, one unsat.
-func fixtureOutcomes(t *testing.T) []tomo.Outcome {
-	t.Helper()
-	records := []iclab.Record{
-		// Unique: censor 20 pinned by churned negation.
-		rec(1, "a.com", t0, []topology.ASN{10, 20, 30}, anomaly.MakeSet(anomaly.TTL)),
-		rec(1, "a.com", t0.Add(time.Hour), []topology.ASN{10, 25, 30}, 0),
-		// Multiple: under-constrained RST positive.
-		rec(2, "b.com", t0, []topology.ASN{11, 21, 31}, anomaly.MakeSet(anomaly.RST)),
-		rec(3, "b.com", t0, []topology.ASN{12, 31}, 0),
-		// Unsat: conflicting SEQ observations of one path.
-		rec(4, "c.com", t0, []topology.ASN{13, 23}, anomaly.MakeSet(anomaly.SEQ)),
-		rec(4, "c.com", t0.Add(time.Hour), []topology.ASN{13, 23}, 0),
-	}
-	insts := tomo.Build(records, tomo.BuildConfig{
-		Granularities: []timeslice.Granularity{timeslice.Day},
-	})
-	return tomo.SolveAll(insts)
-}
-
-func TestOverallAndFigure1(t *testing.T) {
-	outcomes := fixtureOutcomes(t)
-	frac, n := OverallSolvability(outcomes)
-	if n != 3 {
-		t.Fatalf("n = %d, want 3", n)
-	}
-	for _, f := range frac {
-		if f != 1.0/3 {
-			t.Errorf("fractions %v, want thirds", frac)
-		}
-	}
-	rows := Figure1a(outcomes)
-	if len(rows) != 1 || rows[0].Group != "day" || rows[0].CNFs != 3 {
-		t.Fatalf("Figure1a rows: %+v", rows)
-	}
-	byKind := Figure1b(outcomes)
-	if len(byKind) != 3 {
-		t.Fatalf("Figure1b rows: %+v", byKind)
-	}
-	for _, r := range byKind {
-		if r.CNFs != 1 {
-			t.Errorf("kind %s has %d CNFs", r.Group, r.CNFs)
-		}
-	}
-}
-
-func TestFigure1aExcludesYear(t *testing.T) {
-	records := []iclab.Record{
-		rec(1, "a.com", t0, []topology.ASN{1, 2}, anomaly.MakeSet(anomaly.DNS)),
-	}
-	insts := tomo.Build(records, tomo.BuildConfig{})
-	outcomes := tomo.SolveAll(insts)
-	for _, r := range Figure1a(outcomes) {
-		if r.Group == "year" {
-			t.Error("Figure 1a must omit the year granularity (as the paper does)")
-		}
-	}
-}
-
-func TestFigure2(t *testing.T) {
-	outcomes := fixtureOutcomes(t)
-	d := Figure2(outcomes)
-	if d.Samples != 1 {
-		t.Fatalf("samples %d, want 1 (only the multiple-solution CNF)", d.Samples)
-	}
-	// The multiple CNF: vars {11,21,31,12}; 31 and 12 negated; 11,21
-	// potential => eliminated 2 of 4 = 50%.
-	if d.Mean != 0.5 {
-		t.Errorf("mean reduction %.2f, want 0.50", d.Mean)
-	}
-	if d.NoElimFrac != 0 {
-		t.Errorf("noElim %.2f", d.NoElimFrac)
-	}
-	if len(d.CDF) == 0 || d.CDF[len(d.CDF)-1].Y != 1 {
-		t.Errorf("CDF malformed: %+v", d.CDF)
-	}
-	if empty := Figure2(nil); empty.Samples != 0 || empty.CDF != nil {
-		t.Errorf("empty Figure2: %+v", empty)
-	}
 }
 
 func TestFigure4Collapses(t *testing.T) {
@@ -123,89 +38,5 @@ func TestFigure4Collapses(t *testing.T) {
 	// subject to the clause => 3 models.
 	if day.Frac[3] != 1 {
 		t.Errorf("ablated CNF buckets: %+v, want all mass at 3", day.Frac)
-	}
-}
-
-func TestTable2AndCensorCountries(t *testing.T) {
-	g, err := topology.Generate(topology.GenConfig{Seed: 1, ASes: 200, Countries: 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	censors := map[topology.ASN]*tomo.IdentifiedCensor{}
-	add := func(country string, kinds anomaly.Set, n int) {
-		count := 0
-		for i := range g.ASes {
-			if g.ASes[i].Country == country && count < n {
-				censors[g.ASes[i].ASN] = &tomo.IdentifiedCensor{
-					ASN: g.ASes[i].ASN, Kinds: kinds,
-					URLs: map[string]bool{"u.com": true},
-				}
-				count++
-			}
-		}
-	}
-	add("CN", anomaly.AllKinds, 3)
-	add("GB", anomaly.MakeSet(anomaly.Block, anomaly.TTL), 2)
-	add("PL", anomaly.MakeSet(anomaly.DNS), 1)
-
-	rows := Table2(censors, g, 2)
-	if len(rows) != 2 {
-		t.Fatalf("rows: %+v", rows)
-	}
-	if rows[0].Country != "CN" || len(rows[0].ASNs) != 3 || rows[0].Kinds != anomaly.AllKinds {
-		t.Errorf("top row: %+v", rows[0])
-	}
-	if rows[1].Country != "GB" {
-		t.Errorf("second row: %+v", rows[1])
-	}
-	if got := CensorCountries(censors, g); got != 3 {
-		t.Errorf("CensorCountries = %d, want 3", got)
-	}
-}
-
-func TestCategoryCensorship(t *testing.T) {
-	censors := map[topology.ASN]*tomo.IdentifiedCensor{
-		1: {ASN: 1, URLs: map[string]bool{"a": true, "b": true}},
-		2: {ASN: 2, URLs: map[string]bool{"a": true, "zzz": true}},
-	}
-	urlCat := map[string]webcat.Category{"a": webcat.Shopping, "b": webcat.Ads}
-	counts := CategoryCensorship(censors, urlCat)
-	if counts[webcat.Shopping] != 2 || counts[webcat.Ads] != 1 {
-		t.Errorf("counts: %v", counts)
-	}
-}
-
-func TestValidate(t *testing.T) {
-	start := t0.AddDate(0, -1, 0)
-	reg := censor.NewRegistry()
-	reg.Add(censor.NewPolicy(100, "CN", censor.Behavior{}, anomaly.AllKinds, webcat.AllCategories))
-	reg.Add(censor.NewPolicy(200, "RU", censor.Behavior{}, anomaly.AllKinds, webcat.AllCategories))
-	_ = start
-
-	identified := map[topology.ASN]*tomo.IdentifiedCensor{
-		100: {ASN: 100}, // true positive
-		999: {ASN: 999}, // spurious
-	}
-	v := Validate(identified, reg)
-	if v.TruePositives != 1 || v.FalsePositives != 1 || v.Missed != 1 {
-		t.Errorf("validation: %+v", v)
-	}
-	if v.Precision != 0.5 || v.Recall != 0.5 {
-		t.Errorf("precision %.2f recall %.2f", v.Precision, v.Recall)
-	}
-	if len(v.Spurious) != 1 || v.Spurious[0] != 999 {
-		t.Errorf("spurious: %v", v.Spurious)
-	}
-}
-
-func TestSolvabilityClassesSumToOne(t *testing.T) {
-	outcomes := fixtureOutcomes(t)
-	for _, rows := range [][]SolvabilityRow{Figure1a(outcomes), Figure1b(outcomes)} {
-		for _, r := range rows {
-			sum := r.Frac[sat.Unsat] + r.Frac[sat.Unique] + r.Frac[sat.Multiple]
-			if sum < 0.999 || sum > 1.001 {
-				t.Errorf("row %s fractions sum to %.3f", r.Group, sum)
-			}
-		}
 	}
 }

@@ -1,17 +1,14 @@
-// Package analysis assembles the paper's evaluation artifacts — every
-// table and figure in §4 — from solved tomography outcomes, plus the
-// ground-truth validation the original authors could not perform.
+// Package analysis computes the paper's Figure 4, the no-churn ablation:
+// CNFs rebuilt from each (vantage, URL) pair's first observed path only,
+// with their models counted up to 5+. It shows that path churn is what
+// makes the tomography solvable.
 //
-// Entry points mirror the paper's exhibits: Figure1a/Figure1b (CNF
-// solvability by granularity and anomaly kind), OverallSolvability,
-// Figure2 (candidate-set reduction CDF), Figure3 (path churn
-// distributions), Figure4 (the no-churn ablation), Table2 (regions with
-// most censoring ASes), Table3 (top leakers), CategoryCensorship and
-// CensorCountries. Validate scores identified censors against the censor
-// registry — possible here because the simulator has ground truth.
+// Figure4 is the one exhibit that needs a second CNF build and a model
+// counter, so it is not a fold over a run's outcomes. The root package
+// calls it under WithChurnAblation and reports the rows as
+// Result.NoChurn. Every other table and figure is printed by churnlab
+// from the public Result.
 //
-// Invariants: every function is a pure fold over its inputs (no RNG, no
-// clock), so the evaluation of a pipeline is as deterministic as the
-// pipeline itself; Validate is the only function that touches ground
-// truth, and nothing downstream of the tomography feeds back into it.
+// Invariants: Figure4 is a pure function of its records (no RNG, no
+// clock), and its output does not depend on the worker count.
 package analysis

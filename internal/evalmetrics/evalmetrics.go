@@ -25,9 +25,8 @@ type Input struct {
 
 // Metrics is the scored verdict. All rates are in [0, 1]; the
 // degenerate cases are pinned rather than NaN: precision is 0 when
-// nothing was identified (matching analysis.Validate), recall is 1 when
-// there was nothing to find, and leakage rate is 0 when there are no
-// false positives to classify.
+// nothing was identified, recall is 1 when there was nothing to find,
+// and leakage rate is 0 when there are no false positives to classify.
 type Metrics struct {
 	TP     int // identified ∩ true
 	FP     int // identified \ true

@@ -71,7 +71,7 @@ func TestScoreMixedVerdict(t *testing.T) {
 
 func TestScoreDegenerateCases(t *testing.T) {
 	// Empty verdict against empty truth: vacuous success on recall,
-	// precision pinned at 0 (matching analysis.Validate), not NaN.
+	// precision pinned at 0, not NaN.
 	m := Score(Input{})
 	if m.Precision != 0 || m.Recall != 1 || m.F1 != 0 || m.ExercisedRecall != 1 {
 		t.Errorf("empty input: P=%v R=%v F1=%v ER=%v, want 0/1/0/1",

@@ -1,7 +1,6 @@
 package iclab
 
 import (
-	"strings"
 	"testing"
 	"time"
 
@@ -233,15 +232,6 @@ func TestTable1Shape(t *testing.T) {
 	}
 	if rate := float64(anomalous) / float64(tab.Measurements); rate > 0.25 {
 		t.Errorf("anomalous-measurement rate %.1f%% implausibly high", 100*rate)
-	}
-	out := tab.String()
-	for _, want := range []string{"Measurements", "DNS anomalies", "Blockpages"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("Table1 rendering missing %q:\n%s", want, out)
-		}
-	}
-	if tab.InconclusiveRate() <= 0 {
-		t.Error("inconclusive rate zero")
 	}
 }
 

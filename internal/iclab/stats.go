@@ -2,11 +2,9 @@ package iclab
 
 import (
 	"fmt"
-	"strings"
 
 	"churntomo/internal/anomaly"
 	"churntomo/internal/topology"
-	"churntomo/internal/traceroute"
 )
 
 // Table1 summarizes a dataset the way the paper's Table 1 does.
@@ -21,17 +19,12 @@ type Table1 struct {
 	// Anomalies counts measurements flagged per kind (a measurement can
 	// contribute to several kinds).
 	Anomalies [anomaly.NumKinds]int
-
-	// Inconclusive counts records eliminated from clause construction,
-	// split by the paper's four rules.
-	Inconclusive map[traceroute.FailReason]int
 }
 
 // ComputeTable1 derives the summary from a dataset.
 func ComputeTable1(ds *Dataset) Table1 {
 	t := Table1{
-		Period:       fmt.Sprintf("%s ~ %s", ds.Scenario.Start.Format("2006-01"), ds.Scenario.End.Format("2006-01")),
-		Inconclusive: map[traceroute.FailReason]int{},
+		Period: fmt.Sprintf("%s ~ %s", ds.Scenario.Start.Format("2006-01"), ds.Scenario.End.Format("2006-01")),
 	}
 	urls := map[string]bool{}
 	vantages := map[topology.ASN]bool{}
@@ -49,55 +42,10 @@ func ComputeTable1(ds *Dataset) Table1 {
 				t.Anomalies[k]++
 			}
 		}
-		if r.Fail != traceroute.OK {
-			t.Inconclusive[r.Fail]++
-		}
 	}
 	t.UniqueURLs = len(urls)
 	t.VantageASes = len(vantages)
 	t.DestinationASes = len(dests)
 	t.Countries = len(countries)
 	return t
-}
-
-// AnomalyRate returns the fraction of measurements flagged with kind k.
-func (t Table1) AnomalyRate(k anomaly.Kind) float64 {
-	if t.Measurements == 0 {
-		return 0
-	}
-	return float64(t.Anomalies[k]) / float64(t.Measurements)
-}
-
-// InconclusiveRate returns the fraction of records eliminated from clause
-// construction.
-func (t Table1) InconclusiveRate() float64 {
-	if t.Measurements == 0 {
-		return 0
-	}
-	n := 0
-	for _, c := range t.Inconclusive {
-		n += c
-	}
-	return float64(n) / float64(t.Measurements)
-}
-
-// String renders the table in the paper's layout.
-func (t Table1) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Period            %s\n", t.Period)
-	fmt.Fprintf(&b, "Unique URLs       %d\n", t.UniqueURLs)
-	fmt.Fprintf(&b, "AS Vantage Points %d\n", t.VantageASes)
-	fmt.Fprintf(&b, "Destination ASes  %d\n", t.DestinationASes)
-	fmt.Fprintf(&b, "Countries         %d\n", t.Countries)
-	fmt.Fprintf(&b, "Measurements      %d\n", t.Measurements)
-	order := []anomaly.Kind{anomaly.DNS, anomaly.SEQ, anomaly.TTL, anomaly.RST, anomaly.Block}
-	label := map[anomaly.Kind]string{
-		anomaly.DNS: "DNS anomalies", anomaly.SEQ: "SEQNO anomalies",
-		anomaly.TTL: "TTL anomalies", anomaly.RST: "RESET anomalies",
-		anomaly.Block: "Blockpages",
-	}
-	for _, k := range order {
-		fmt.Fprintf(&b, "- w/%-15s %d (%.2f%%)\n", label[k], t.Anomalies[k], 100*t.AnomalyRate(k))
-	}
-	return b.String()
 }

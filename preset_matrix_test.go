@@ -18,12 +18,12 @@ import (
 // datasetFingerprint serializes the measured records into a canonical
 // byte string — "byte-identical dataset" is compared literally.
 func datasetFingerprint(r *Result) string {
-	if len(r.Pipelines) != 1 || r.Pipelines[0] == nil || r.Pipelines[0].Dataset == nil {
+	if r.cell == nil || r.cell.dataset == nil {
 		return "<no dataset>"
 	}
 	var b strings.Builder
-	for i := range r.Pipelines[0].Dataset.Records {
-		rec := &r.Pipelines[0].Dataset.Records[i]
+	for i := range r.cell.dataset.Records {
+		rec := &r.cell.dataset.Records[i]
 		fmt.Fprintf(&b, "%d %v %s %v %v path=%v true=%v unreach=%v\n",
 			rec.ID, rec.Vantage, rec.URL, rec.At.Unix(), rec.Anomalies,
 			rec.ASPath, rec.TruePath, rec.Unreachable)

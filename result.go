@@ -13,11 +13,14 @@ import (
 	"churntomo/internal/analysis"
 	"churntomo/internal/anomaly"
 	"churntomo/internal/churn"
+	"churntomo/internal/iclab"
 	"churntomo/internal/leakage"
 	"churntomo/internal/sat"
 	"churntomo/internal/stream"
+	"churntomo/internal/timeslice"
 	"churntomo/internal/tomo"
 	"churntomo/internal/topology"
+	"churntomo/internal/webcat"
 )
 
 // ASN is an autonomous system number; its String form is "AS<n>".
@@ -67,16 +70,38 @@ type Summary struct {
 	// Scenario names the world-construction preset the run built under
 	// ("paper-baseline" unless WithScenario/WithScenarioSpec changed it).
 	Scenario string
-	// Period is the measurement period, e.g. "2016-05-01..2017-05-02".
+	// Period is the measurement period by month, e.g. "2016-05 ~ 2016-06".
 	Period string
 	// Measurements counts all platform measurements.
 	Measurements int
 	// VantageASes/DestinationASes/UniqueURLs/Countries are the paper's
 	// Table 1 dataset characteristics.
 	VantageASes, DestinationASes, UniqueURLs, Countries int
+	// Anomalies counts the measurements flagged with each anomaly kind,
+	// indexed by AnomalyKind (Table 1's per-kind rows). A measurement
+	// flagged with several kinds counts once per kind.
+	Anomalies [5]int
 	// CNFs counts constructed CNFs; the next three split them by the §3.2
 	// solution trichotomy (unsatisfiable / unique / 2+ models).
 	CNFs, UnsatCNFs, UniqueCNFs, MultipleCNFs int
+	// ByGranularity and ByKind split the same CNFs by time granularity
+	// (day, week, month, year) and by anomaly kind in Figure 1b's order
+	// (block, dns, rst, seq, ttl) — Figures 1a and 1b. Groups with no
+	// CNFs are left out.
+	ByGranularity, ByKind []ClassCounts
+}
+
+// ClassCounts splits one group's CNFs by the §3.2 solution trichotomy.
+type ClassCounts struct {
+	Group                         string
+	CNFs, Unsat, Unique, Multiple int
+}
+
+// CategoryCount is one URL category's share of the verdict: how many
+// (censor, URL) findings fall on URLs of that category.
+type CategoryCount struct {
+	Category Category
+	Findings int
 }
 
 // Leaker is one censoring AS that leaks its policy beyond itself
@@ -84,6 +109,9 @@ type Summary struct {
 type Leaker struct {
 	ASN           ASN
 	Name, Country string
+	// CountryName is the country's display name ("" when the code is
+	// not a known country).
+	CountryName string
 	// LeakedASes/LeakedCountries count distinct victim ASes and victim
 	// countries other than the censor's own.
 	LeakedASes, LeakedCountries int
@@ -228,6 +256,10 @@ type Result struct {
 	// Censors is Identified enriched with topology context and ground
 	// truth, sorted by ASN.
 	Censors []Censor
+	// Categories counts the identified (censor, URL) findings per URL
+	// category, most findings first, ties by category code. Categories
+	// with no findings are left out.
+	Categories []CategoryCount
 
 	// Summary condenses the dataset and solve outcome (single-cell modes).
 	Summary Summary
@@ -248,7 +280,7 @@ type Result struct {
 	// Evaluation grades the verdict against the scenario's ground truth
 	// (precision/recall/F1, leakage rate, candidate reduction,
 	// convergence days). Nil when no ground truth is available: matrix
-	// mode, or a replayed dataset without a censor registry. See
+	// mode, or a replayed dataset that lists no true censors. See
 	// Evaluate/Truth to score against external or modified truth.
 	Evaluation *Evaluation
 
@@ -257,16 +289,14 @@ type Result struct {
 	Matrix *MatrixSummary
 	Cells  []CellStatus
 
-	// Pipelines exposes the full internal artifacts, one per cell (nil
-	// entries for failed cells). It exists for in-repo tooling (churnlab's
-	// figure printers, in-package tests); external consumers should not
-	// need it — everything above is self-contained.
-	Pipelines []*Pipeline
+	// Reductions holds the candidate-elimination fraction of each
+	// multi-solution CNF, in CNF order (Figure 2's samples); a CNF that
+	// eliminated nothing has fraction 0. Evaluate averages it.
+	Reductions []float64
 
-	// reductionFracs caches the per-CNF candidate-elimination fractions
-	// of the run's Multiple outcomes for Evaluate — in streaming mode
-	// the final window's outcomes are not otherwise retained.
-	reductionFracs []float64
+	// cell keeps a single-cell run's internal artifacts for Export,
+	// Dataset, Truth and ChokePoints; nil in matrix mode.
+	cell *cell
 }
 
 // FinalWindow returns the last emitted streaming window, or nil outside
@@ -278,9 +308,9 @@ func (r *Result) FinalWindow() *WindowResult {
 	return &r.Windows[len(r.Windows)-1]
 }
 
-// censorsOf enriches an identification map against the pipeline's
-// topology and ground-truth registry, sorted by ASN.
-func censorsOf(identified map[topology.ASN]*tomo.IdentifiedCensor, p *Pipeline) []Censor {
+// censorsOf enriches an identification map against the world's topology
+// and ground-truth registry, sorted by ASN.
+func censorsOf(identified map[topology.ASN]*tomo.IdentifiedCensor, world *iclab.Scenario) []Censor {
 	out := make([]Censor, 0, len(identified))
 	for asn, c := range identified {
 		urls := make([]string, 0, len(c.URLs))
@@ -289,41 +319,102 @@ func censorsOf(identified map[topology.ASN]*tomo.IdentifiedCensor, p *Pipeline) 
 		}
 		sort.Strings(urls)
 		cc := Censor{ASN: asn, Kinds: c.Kinds, CNFs: c.CNFs, URLs: urls}
-		if as, ok := p.Graph.ByASN(asn); ok {
+		if as, ok := world.Graph.ByASN(asn); ok {
 			cc.Name, cc.Country = as.Name, as.Country
-			if country, ok := topology.CountryByCode(as.Country); ok {
-				cc.CountryName = country.Name
-			}
+			cc.CountryName = countryName(as.Country)
 		}
-		_, cc.TrueCensor = p.Censors.Policy(asn)
+		if world.Censors != nil {
+			_, cc.TrueCensor = world.Censors.Policy(asn)
+		}
 		out = append(out, cc)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ASN < out[j].ASN })
 	return out
 }
 
-// summaryOf condenses Table 1 and the outcome classes.
-func summaryOf(ds *Pipeline, outcomes []tomo.Outcome) Summary {
-	t := ds.Dataset.Stats
+// countryName is a country code's display name, "" when unknown.
+func countryName(code string) string {
+	c, _ := topology.CountryByCode(code)
+	return c.Name
+}
+
+// figure1bOrder is Figure 1b's legend order.
+var figure1bOrder = []AnomalyKind{AnomalyBlock, AnomalyDNS, AnomalyRST, AnomalySEQ, AnomalyTTL}
+
+// add counts one CNF of the given class.
+func (c *ClassCounts) add(class sat.Classification) {
+	c.CNFs++
+	switch class {
+	case sat.Unsat:
+		c.Unsat++
+	case sat.Unique:
+		c.Unique++
+	case sat.Multiple:
+		c.Multiple++
+	}
+}
+
+// summaryOf condenses Table 1 and the outcome classes, overall and by
+// granularity and anomaly kind.
+func summaryOf(c *cell, outcomes []tomo.Outcome) Summary {
+	t := c.dataset.Stats
 	s := Summary{
-		Scenario:     ds.Config.Scenario,
+		Scenario:     c.cfg.Scenario,
 		Period:       t.Period,
 		Measurements: t.Measurements,
 		VantageASes:  t.VantageASes, DestinationASes: t.DestinationASes,
 		UniqueURLs: t.UniqueURLs, Countries: t.Countries,
-		CNFs: len(outcomes),
+		Anomalies: t.Anomalies,
 	}
+	var all ClassCounts
+	byGran := make([]ClassCounts, len(timeslice.All))
+	byKind := make([]ClassCounts, anomaly.NumKinds)
 	for _, o := range outcomes {
-		switch o.Class {
-		case sat.Unsat:
-			s.UnsatCNFs++
-		case sat.Unique:
-			s.UniqueCNFs++
-		case sat.Multiple:
-			s.MultipleCNFs++
+		key := o.Inst.Key
+		all.add(o.Class)
+		byGran[key.Slice.Gran].add(o.Class)
+		byKind[key.Kind].add(o.Class)
+	}
+	s.CNFs, s.UnsatCNFs, s.UniqueCNFs, s.MultipleCNFs = all.CNFs, all.Unsat, all.Unique, all.Multiple
+	for _, g := range timeslice.All {
+		if cc := byGran[g]; cc.CNFs > 0 {
+			cc.Group = g.String()
+			s.ByGranularity = append(s.ByGranularity, cc)
+		}
+	}
+	for _, k := range figure1bOrder {
+		if cc := byKind[k]; cc.CNFs > 0 {
+			cc.Group = k.String()
+			s.ByKind = append(s.ByKind, cc)
 		}
 	}
 	return s
+}
+
+// categoriesOf counts the identified (censor, URL) findings per URL
+// category — the paper's McAfee-categorization analysis.
+func categoriesOf(identified map[topology.ASN]*tomo.IdentifiedCensor, targets []iclab.Target) []CategoryCount {
+	urlCat := map[string]Category{}
+	for _, t := range targets {
+		urlCat[t.URL.Host] = t.URL.Category
+	}
+	var counts [webcat.NumCategories]int
+	for _, c := range identified {
+		for url := range c.URLs {
+			if cat, ok := urlCat[url]; ok {
+				counts[cat]++
+			}
+		}
+	}
+	var out []CategoryCount
+	for cat, n := range counts {
+		if n > 0 {
+			out = append(out, CategoryCount{Category: Category(cat), Findings: n})
+		}
+	}
+	// Stable: ties keep ascending category order.
+	sort.SliceStable(out, func(i, j int) bool { return out[i].Findings > out[j].Findings })
+	return out
 }
 
 // leakageSummaryOf converts the internal analysis into the public form.
@@ -335,7 +426,7 @@ func leakageSummaryOf(a *leakage.Analysis, g *topology.Graph) *LeakageSummary {
 	}
 	for _, l := range a.TopLeakers(g, 0) {
 		leaker := Leaker{
-			ASN: l.ASN, Name: l.Name, Country: l.Country,
+			ASN: l.ASN, Name: l.Name, Country: l.Country, CountryName: countryName(l.Country),
 			LeakedASes: l.LeakedASes, LeakedCountries: l.LeakedCountries,
 		}
 		if detail := a.ByCensor[l.ASN]; detail != nil {
@@ -353,22 +444,18 @@ func leakageSummaryOf(a *leakage.Analysis, g *topology.Graph) *LeakageSummary {
 		ls.Leakers = append(ls.Leakers, leaker)
 	}
 	for _, e := range a.FlowEdges() {
-		cf := CountryFlow{From: e.Edge.From, To: e.Edge.To, Weight: e.Weight}
-		if c, ok := topology.CountryByCode(e.Edge.From); ok {
-			cf.FromName = c.Name
-		}
-		if c, ok := topology.CountryByCode(e.Edge.To); ok {
-			cf.ToName = c.Name
-		}
-		ls.Flow = append(ls.Flow, cf)
+		ls.Flow = append(ls.Flow, CountryFlow{
+			From: e.Edge.From, To: e.Edge.To, Weight: e.Weight,
+			FromName: countryName(e.Edge.From), ToName: countryName(e.Edge.To),
+		})
 	}
 	return ls
 }
 
 // churnOf measures the Figure 3 distributions and the monthly split by
 // destination class in one pass over the dataset.
-func churnOf(p *Pipeline) ([]ChurnPeriod, []ClassChurn) {
-	periods, byClass := churn.Measure(p.Dataset.Records, p.Graph)
+func churnOf(c *cell) ([]ChurnPeriod, []ClassChurn) {
+	periods, byClass := churn.Measure(c.dataset.Records, c.world.Graph)
 	var out []ChurnPeriod
 	for _, d := range periods {
 		cp := ChurnPeriod{
@@ -390,9 +477,9 @@ func churnOf(p *Pipeline) ([]ChurnPeriod, []ClassChurn) {
 }
 
 // ablationOf runs the Figure 4 no-churn rebuild.
-func ablationOf(p *Pipeline, workers int) []AblationPeriod {
+func ablationOf(c *cell) []AblationPeriod {
 	var out []AblationPeriod
-	for _, row := range analysis.Figure4(p.Dataset.Records, workers) {
+	for _, row := range analysis.Figure4(c.dataset.Records, c.cfg.Workers) {
 		ap := AblationPeriod{Period: row.Gran.String(), CNFs: row.CNFs}
 		copy(ap.Frac[:], row.Frac[:])
 		out = append(out, ap)
@@ -425,39 +512,39 @@ func convergencesOf(cs []stream.Convergence) []Convergence {
 	return out
 }
 
-// matrixSummaryOf folds a matrix's per-cell pipelines (nil for failed
-// cells) into one summary. Every fold is commutative (sums, unions), so
-// the summary is independent of worker count and scheduling. Names
-// resolve against the first cell, in input order, whose topology knows
-// the AS: cells share no graph, and ASN->name is seed-dependent.
-func matrixSummaryOf(pipes []*Pipeline) *MatrixSummary {
+// matrixSummaryOf folds a matrix's cells (nil for failed ones) into one
+// summary. Every fold is commutative (sums, unions), so the summary is
+// independent of worker count and scheduling. Names resolve against the
+// first cell, in input order, whose topology knows the AS: cells share no
+// graph, and ASN->name is seed-dependent.
+func matrixSummaryOf(cells []*cell) *MatrixSummary {
 	ms := &MatrixSummary{}
 	byASN := map[ASN]*MatrixCensor{}
-	for _, p := range pipes {
-		if p == nil {
+	for _, c := range cells {
+		if c == nil {
 			ms.Failed++
 			continue
 		}
 		ms.Runs++
-		ms.TotalCNFs += len(p.Outcomes)
-		for _, o := range p.Outcomes {
+		ms.TotalCNFs += len(c.outcomes)
+		for _, o := range c.outcomes {
 			if o.Class == sat.Unique {
 				ms.UniqueCNFs++
 			}
 		}
-		for asn, c := range p.Identified {
+		for asn, id := range c.identified {
 			mc := byASN[asn]
 			if mc == nil {
 				mc = &MatrixCensor{ASN: asn}
 				byASN[asn] = mc
 			}
 			mc.Runs++
-			mc.CNFs += c.CNFs
-			mc.Kinds |= c.Kinds
+			mc.CNFs += id.CNFs
+			mc.Kinds |= id.Kinds
 		}
-		if p.Leakage != nil {
-			ms.LeakASes += p.Leakage.LeakToOtherASes()
-			ms.LeakCountries += p.Leakage.LeakToOtherCountries()
+		if c.leakage != nil {
+			ms.LeakASes += c.leakage.LeakToOtherASes()
+			ms.LeakCountries += c.leakage.LeakToOtherCountries()
 		}
 	}
 	for _, mc := range byASN {
@@ -476,11 +563,11 @@ func matrixSummaryOf(pipes []*Pipeline) *MatrixSummary {
 	})
 	for i := range ms.Censors {
 		mc := &ms.Censors[i]
-		for _, p := range pipes {
-			if p == nil {
+		for _, c := range cells {
+			if c == nil {
 				continue
 			}
-			if as, ok := p.Graph.ByASN(mc.ASN); ok {
+			if as, ok := c.world.Graph.ByASN(mc.ASN); ok {
 				mc.Name, mc.Country = as.Name, as.Country
 				break
 			}

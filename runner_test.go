@@ -2,6 +2,7 @@ package churntomo
 
 import (
 	"bytes"
+	"context"
 	"reflect"
 	"sort"
 	"strings"
@@ -71,33 +72,37 @@ func TestRunMatrixAggregates(t *testing.T) {
 		t.Skip("matrix of pipelines in -short mode")
 	}
 	var progress bytes.Buffer
-	res := runDirect(t, WithConfig(matrixConfig()), WithSeedSweep(3),
+	exp, err := New(WithConfig(matrixConfig()), WithSeedSweep(3),
 		WithMatrixWorkers(3), WithObserver(TextObserver(&progress)))
-	if len(res.Cells) != 3 || len(res.Pipelines) != 3 {
-		t.Fatalf("got %d cells, %d pipelines", len(res.Cells), len(res.Pipelines))
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i, cell := range res.Cells {
-		if cell.Index != i {
-			t.Errorf("cell %d has index %d", i, cell.Index)
+	statuses, cells := exp.runMatrixCells(context.Background(), exp.matrixConfigs())
+	if len(statuses) != 3 || len(cells) != 3 {
+		t.Fatalf("got %d statuses, %d cells", len(statuses), len(cells))
+	}
+	for i, cs := range statuses {
+		if cs.Index != i {
+			t.Errorf("cell %d has index %d", i, cs.Index)
 		}
-		if cell.Err != nil {
-			t.Fatalf("cell %d failed: %v", i, cell.Err)
+		if cs.Err != nil {
+			t.Fatalf("cell %d failed: %v", i, cs.Err)
 		}
-		if p := res.Pipelines[i]; p == nil || len(p.Outcomes) == 0 {
-			t.Fatalf("cell %d produced no outcomes", i)
+		if c := cells[i]; c == nil || len(c.outcomes) == 0 || cs.CNFs != len(c.outcomes) {
+			t.Fatalf("cell %d produced no outcomes, or its status miscounts them", i)
 		}
 	}
 	if got := strings.Count(progress.String(), "matrix cell"); got != 3 {
 		t.Errorf("progress reported %d cells, want 3:\n%s", got, progress.String())
 	}
 
-	ms := res.Matrix
+	ms := matrixSummaryOf(cells)
 	if ms.Runs != 3 || ms.Failed != 0 {
 		t.Fatalf("aggregate runs=%d failed=%d", ms.Runs, ms.Failed)
 	}
 	wantCNFs := 0
-	for _, p := range res.Pipelines {
-		wantCNFs += len(p.Outcomes)
+	for _, cs := range statuses {
+		wantCNFs += cs.CNFs
 	}
 	if ms.TotalCNFs != wantCNFs {
 		t.Errorf("TotalCNFs %d, want %d", ms.TotalCNFs, wantCNFs)
@@ -106,8 +111,8 @@ func TestRunMatrixAggregates(t *testing.T) {
 		t.Errorf("UniqueCNFs %d implausible (total %d)", ms.UniqueCNFs, ms.TotalCNFs)
 	}
 	perRun := map[ASN]int{}
-	for _, p := range res.Pipelines {
-		for asn := range p.Identified {
+	for _, c := range cells {
+		for asn := range c.identified {
 			perRun[asn]++
 		}
 	}

@@ -106,7 +106,7 @@ func TestScenarioPresetsSmoke(t *testing.T) {
 			if res.Summary.CNFs == 0 {
 				t.Error("no CNFs built")
 			}
-			byClass := checkOutcomesAgainstSearch(t, res.Pipelines[0])
+			byClass := checkOutcomesAgainstSearch(t, res.cell.outcomes)
 			t.Logf("%d outcomes match SAT search; by 0/1/2+ models: %v", res.Summary.CNFs, byClass)
 		})
 	}
@@ -117,9 +117,10 @@ func TestScenarioPresetsSmoke(t *testing.T) {
 // inside clauses): sat.Classify gives the class and the unique model,
 // sat.PotentialTrue the potential censors. It returns the outcome count
 // by class.
-func checkOutcomesAgainstSearch(t *testing.T, p *Pipeline) (byClass [3]int) {
+func checkOutcomesAgainstSearch(t *testing.T, outcomes []tomo.Outcome) (byClass [3]int) {
 	t.Helper()
-	for i, in := range p.Instances {
+	for _, got := range outcomes {
+		in := got.Inst
 		cnf := &sat.CNF{NumVars: in.CNF.NumVars}
 		for _, cl := range in.CNF.Clauses {
 			cnf.AddClause(cl...)
@@ -141,8 +142,8 @@ func checkOutcomesAgainstSearch(t *testing.T, p *Pipeline) (byClass [3]int) {
 				want.Eliminated++
 			}
 		}
-		if !reflect.DeepEqual(p.Outcomes[i], want) {
-			t.Errorf("CNF %v: outcome %+v, SAT search %+v", in.Key, p.Outcomes[i], want)
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("CNF %v: outcome %+v, SAT search %+v", in.Key, got, want)
 		}
 		byClass[want.Class]++
 	}

@@ -149,11 +149,11 @@ type Source interface {
 }
 
 // cellSource is the internal fast path: built-in sources hand the cell
-// runner an internal Pipeline (keeping the full substrate for reports)
-// and raw day shards, skipping the exported-record conversion. External
-// Source implementations go through Open and adoptFile instead.
+// runner its world (keeping the full substrate for reports) and raw day
+// shards, skipping the exported-record conversion. External Source
+// implementations go through Open and adoptFile instead.
 type cellSource interface {
-	openCell(ctx context.Context, e *Experiment, cfg Config, emit func(Event)) (*Pipeline, [][]iclab.Record, error)
+	openCell(ctx context.Context, e *Experiment, cfg Config, emit func(Event)) (*cell, [][]iclab.Record, error)
 }
 
 // ScenarioSource synthesizes measurements from a scenario world — the
@@ -180,24 +180,24 @@ func (s *ScenarioSource) Label() string {
 
 // openCell implements the internal fast path: exactly the fused
 // build-then-measure pipeline, substrate events included.
-func (s *ScenarioSource) openCell(ctx context.Context, e *Experiment, cfg Config, emit func(Event)) (*Pipeline, [][]iclab.Record, error) {
+func (s *ScenarioSource) openCell(ctx context.Context, e *Experiment, cfg Config, emit func(Event)) (*cell, [][]iclab.Record, error) {
 	spec, err := s.spec(e, cfg)
 	if err != nil {
 		return nil, nil, err
 	}
 	cfg.Scenario = spec.Name // the world actually built is the one recorded
-	p, err := prepareSpecCtx(ctx, cfg, spec, emit)
+	c, err := prepareSpecCtx(ctx, cfg, spec, emit)
 	if err != nil {
 		return nil, nil, err
 	}
 	ev := newEvent(StageMeasure)
-	ev.Stats.Seed = p.Config.Seed
+	ev.Stats.Seed = c.cfg.Seed
 	emit(ev)
-	shards, err := iclab.RunByDayCtx(ctx, p.Scenario, p.Config.platformConfig())
+	shards, err := iclab.RunByDayCtx(ctx, c.world, c.cfg.platformConfig())
 	if err != nil {
 		return nil, nil, err
 	}
-	return p, shards, nil
+	return c, shards, nil
 }
 
 // spec resolves which world to build: the source's own override, the
@@ -230,16 +230,16 @@ func (s *ScenarioSource) Open(ctx context.Context, cfg Config) (*Dataset, error)
 		return nil, err
 	}
 	cfg.Scenario = spec.Name
-	p, err := prepareSpecCtx(ctx, cfg, spec, func(Event) {})
+	c, err := prepareSpecCtx(ctx, cfg, spec, func(Event) {})
 	if err != nil {
 		return nil, err
 	}
-	shards, err := iclab.RunByDayCtx(ctx, p.Scenario, p.Config.platformConfig())
+	shards, err := iclab.RunByDayCtx(ctx, c.world, c.cfg.platformConfig())
 	if err != nil {
 		return nil, err
 	}
-	d := fileToPublic(&dataset.File{Header: headerOf(p), Days: shards})
-	d.Info.Label = "scenario " + p.Config.Scenario
+	d := fileToPublic(&dataset.File{Header: headerOf(c), Days: shards})
+	d.Info.Label = "scenario " + c.cfg.Scenario
 	return d, nil
 }
 
@@ -290,7 +290,7 @@ func (s *FileSource) Open(ctx context.Context, cfg Config) (*Dataset, error) {
 // gets its own copy of the record batches — the streaming engine stamps
 // record IDs in place, so sharing the cached slices across concurrent
 // runs would race.
-func (s *FileSource) openCell(ctx context.Context, e *Experiment, cfg Config, emit func(Event)) (*Pipeline, [][]iclab.Record, error) {
+func (s *FileSource) openCell(ctx context.Context, e *Experiment, cfg Config, emit func(Event)) (*cell, [][]iclab.Record, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err
 	}
@@ -302,11 +302,11 @@ func (s *FileSource) openCell(ctx context.Context, e *Experiment, cfg Config, em
 	if err != nil {
 		return nil, nil, fmt.Errorf("churntomo: %w", err)
 	}
-	p, days, err := adoptFile(cfg, f)
+	c, days, err := adoptFile(cfg, f)
 	if err != nil {
 		return nil, nil, err
 	}
-	return p, copyDays(days), nil
+	return c, copyDays(days), nil
 }
 
 // copyDays clones the record batches (the records themselves; deep fields
@@ -381,55 +381,56 @@ func (r *Result) Dataset() (*Dataset, error) {
 	return d, nil
 }
 
-// exportFile snapshots the single-cell pipeline as a dataset file.
+// exportFile snapshots the single-cell run as a dataset file.
 func (r *Result) exportFile() (*dataset.File, error) {
 	if r.Mode == ModeMatrix {
 		return nil, fmt.Errorf("churntomo: Export: a matrix run has no single dataset; export per-cell runs instead")
 	}
-	if len(r.Pipelines) != 1 || r.Pipelines[0] == nil || r.Pipelines[0].Dataset == nil {
+	if r.cell == nil || r.cell.dataset == nil {
 		return nil, fmt.Errorf("churntomo: Export: result carries no measured dataset")
 	}
-	return pipelineToFile(r.Pipelines[0])
+	return fileOf(r.cell)
 }
 
-// headerOf derives the dataset header from a prepared pipeline's world.
-func headerOf(p *Pipeline) dataset.Header {
+// headerOf derives the dataset header from a cell's world.
+func headerOf(c *cell) dataset.Header {
+	w := c.world
 	h := dataset.Header{
-		Scenario: p.Config.Scenario,
-		Seed:     p.Config.Seed,
-		Start:    p.Scenario.Start.UTC(),
-		Days:     p.Scenario.Days(),
+		Scenario: c.cfg.Scenario,
+		Seed:     c.cfg.Seed,
+		Start:    w.Start.UTC(),
+		Days:     w.Days(),
 	}
-	for _, v := range p.Scenario.Vantages {
+	for _, v := range w.Vantages {
 		h.Vantages = append(h.Vantages, dataset.Vantage{ASN: uint32(v.ASN), Country: v.Country})
 	}
-	for _, t := range p.Scenario.Targets {
+	for _, t := range w.Targets {
 		h.Targets = append(h.Targets, dataset.Target{URL: t.URL.Host, Category: uint8(t.URL.Category), ASN: uint32(t.ASN)})
 	}
-	if p.Graph != nil {
-		for i := range p.Graph.ASes {
-			as := &p.Graph.ASes[i]
+	if w.Graph != nil {
+		for i := range w.Graph.ASes {
+			as := &w.Graph.ASes[i]
 			h.ASes = append(h.ASes, dataset.ASMeta{
 				ASN: uint32(as.ASN), Name: as.Name, Country: as.Country, Class: as.Class.String(),
 			})
 		}
 	}
-	if p.Censors != nil {
-		for _, asn := range p.Censors.ASNs() {
+	if w.Censors != nil {
+		for _, asn := range w.Censors.ASNs() {
 			h.TruthCensors = append(h.TruthCensors, uint32(asn))
 		}
 	}
 	return h
 }
 
-// pipelineToFile snapshots a measured pipeline, splitting the merged
-// record sequence back into the day batches a replay consumes.
-func pipelineToFile(p *Pipeline) (*dataset.File, error) {
-	h := headerOf(p)
+// fileOf snapshots a measured cell, splitting the merged record sequence
+// back into the day batches a replay consumes.
+func fileOf(c *cell) (*dataset.File, error) {
+	h := headerOf(c)
 	f := &dataset.File{Header: h, Days: make([][]iclab.Record, h.Days)}
-	start := p.Scenario.Start.UTC()
-	for i := range p.Dataset.Records {
-		rec := p.Dataset.Records[i]
+	start := c.world.Start.UTC()
+	for i := range c.dataset.Records {
+		rec := c.dataset.Records[i]
 		day := int(rec.At.UTC().Sub(start) / (24 * time.Hour))
 		if day < 0 || day >= h.Days {
 			return nil, fmt.Errorf("churntomo: Export: record %d at %v falls outside the %d-day period starting %v",
@@ -448,12 +449,13 @@ var classByName = map[string]topology.Class{
 	"enterprise": topology.ClassEnterprise,
 }
 
-// adoptFile reconstructs the skeleton pipeline a decoded dataset runs
-// under: a lookup-only metadata graph, a ground-truth registry, and a
-// scenario shell carrying the period and the vantage/target tables —
-// everything the solve, churn, leakage and report stages read, with no
-// routing substrate (none is needed after measurement).
-func adoptFile(cfg Config, f *dataset.File) (*Pipeline, [][]iclab.Record, error) {
+// adoptFile reconstructs the world a decoded dataset runs under: a
+// lookup-only metadata graph, a ground-truth registry (nil when the file
+// lists no true censors, so the run stays ungraded), and a scenario shell
+// carrying the period and the vantage/target tables — everything the
+// solve, churn, leakage and report stages read, with no routing substrate
+// (none is needed after measurement).
+func adoptFile(cfg Config, f *dataset.File) (*cell, [][]iclab.Record, error) {
 	h := &f.Header
 	if h.Scenario != "" {
 		cfg.Scenario = h.Scenario
@@ -496,9 +498,12 @@ func adoptFile(cfg Config, f *dataset.File) (*Pipeline, [][]iclab.Record, error)
 	cfg.fillDefaults()
 
 	g := topology.MetadataGraph(ases)
-	reg := censor.NewRegistry()
-	for _, asn := range h.TruthCensors {
-		reg.Add(censor.NewPolicy(ASN(asn), g.CountryOf(ASN(asn)), censor.Behavior{}, 0, 0))
+	var reg *censor.Registry
+	if len(h.TruthCensors) > 0 {
+		reg = censor.NewRegistry()
+		for _, asn := range h.TruthCensors {
+			reg.Add(censor.NewPolicy(ASN(asn), g.CountryOf(ASN(asn)), censor.Behavior{}, 0, 0))
+		}
 	}
 	s := &iclab.Scenario{
 		Graph:   g,
@@ -518,8 +523,7 @@ func adoptFile(cfg Config, f *dataset.File) (*Pipeline, [][]iclab.Record, error)
 			URL: webcat.URL{Host: t.URL, Category: Category(t.Category)}, ASN: ASN(t.ASN),
 		})
 	}
-	p := &Pipeline{Config: cfg, Graph: g, Censors: reg, Scenario: s}
-	return p, f.Days, nil
+	return &cell{cfg: cfg, world: s}, f.Days, nil
 }
 
 // fileToPublic converts a decoded file into the exported Dataset shape.

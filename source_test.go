@@ -6,8 +6,12 @@ import (
 	"math/rand/v2"
 	"path/filepath"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
+
+	"churntomo/internal/iclab"
+	"churntomo/internal/tomo"
 )
 
 // exportTestConfig is a fast configuration for export/import round trips.
@@ -231,6 +235,132 @@ func TestRaisingMinCNFsNeverAddsACensor(t *testing.T) {
 		if len(prev.Identified) >= len(first.Identified) {
 			t.Errorf("%s: %d censors at minCNFs 1, %d at 16; the thresholds filtered nothing, test vacuous",
 				mode.name, len(first.Identified), len(prev.Identified))
+		}
+	}
+}
+
+// TestCleanRecordsNeverGrowACandidateSet is a metamorphic check: clean
+// observations only add negative unit clauses, so they can only remove
+// models. Every third clean, conclusive record is copied onto a URL that
+// has anomalies; the CNF keys must not change, and no CNF's candidate set
+// (its censors plus potential censors) may gain an AS.
+func TestCleanRecordsNeverGrowACandidateSet(t *testing.T) {
+	if testing.Short() {
+		t.Skip("end-to-end pipeline in -short mode")
+	}
+	records := runDirect(t, WithConfig(testConfig())).cell.dataset.Records
+	var anomalous []string
+	seen := map[string]bool{}
+	nextID := int32(0)
+	for i := range records {
+		r := &records[i]
+		if r.Anomalies != 0 && !seen[r.URL] {
+			seen[r.URL] = true
+			anomalous = append(anomalous, r.URL)
+		}
+		nextID = max(nextID, r.ID+1)
+	}
+	sort.Strings(anomalous)
+	if len(anomalous) == 0 {
+		t.Fatal("no anomalous URL; test vacuous")
+	}
+	more := append([]iclab.Record(nil), records...)
+	clean := 0
+	for i := range records {
+		r := records[i]
+		if r.Anomalies != 0 || len(r.ASPath) == 0 {
+			continue
+		}
+		if clean++; clean%3 != 0 {
+			continue
+		}
+		r.URL = anomalous[clean/3%len(anomalous)]
+		r.ID = nextID
+		nextID++
+		more = append(more, r)
+	}
+
+	candidates := func(records []iclab.Record) map[tomo.Key]map[ASN]bool {
+		_, outcomes := tomo.BuildAndSolve(records, tomo.BuildConfig{})
+		out := map[tomo.Key]map[ASN]bool{}
+		for _, o := range outcomes {
+			set := map[ASN]bool{}
+			for _, as := range append(append([]ASN(nil), o.Censors...), o.Potential...) {
+				set[as] = true
+			}
+			out[o.Inst.Key] = set
+		}
+		return out
+	}
+	before, after := candidates(records), candidates(more)
+	if len(before) != len(after) {
+		t.Fatalf("%d CNFs before the clean copies, %d after", len(before), len(after))
+	}
+	shrank := 0
+	for key, was := range before {
+		now, ok := after[key]
+		if !ok {
+			t.Fatalf("CNF %v disappeared after the clean copies", key)
+		}
+		for as := range now {
+			if !was[as] {
+				t.Errorf("CNF %v: %v joined the candidate set after clean copies", key, as)
+			}
+		}
+		if len(now) < len(was) {
+			shrank++
+		}
+	}
+	if shrank == 0 {
+		t.Fatalf("%d clean copies shrank no candidate set; test vacuous", len(more)-len(records))
+	}
+	t.Logf("%d CNFs, %d clean copies, %d candidate sets shrank", len(before), len(more)-len(records), shrank)
+}
+
+// TestReplayWithoutGroundTruthIsUngraded replays a dataset whose file
+// lists no true censors and whose records carry no truth. The run must be
+// ungraded rather than graded against an empty registry; the same dataset
+// with its truth intact is still graded.
+func TestReplayWithoutGroundTruthIsUngraded(t *testing.T) {
+	if testing.Short() {
+		t.Skip("end-to-end replays")
+	}
+	ds, err := (&ScenarioSource{}).Open(context.Background(), exportTestConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	graded := runDirect(t, WithSource(ds))
+	if graded.Truth() == nil || graded.Evaluation == nil {
+		t.Fatal("a replay with ground truth went ungraded")
+	}
+	trueCensors := 0
+	for _, c := range graded.Censors {
+		if c.TrueCensor {
+			trueCensors++
+		}
+	}
+	if trueCensors == 0 {
+		t.Fatal("no identified censor is a true one; test vacuous")
+	}
+
+	stripped := &Dataset{Info: ds.Info, Days: make([][]Measurement, len(ds.Days))}
+	stripped.Info.TruthCensors = nil
+	for d, day := range ds.Days {
+		stripped.Days[d] = append([]Measurement(nil), day...)
+		for i := range stripped.Days[d] {
+			stripped.Days[d][i].TruePath, stripped.Days[d][i].TrueActs = nil, nil
+		}
+	}
+	res := runDirect(t, WithSource(stripped))
+	if res.Truth() != nil || res.Evaluation != nil {
+		t.Errorf("a replay without ground truth was graded: Truth %+v, Evaluation %+v", res.Truth(), res.Evaluation)
+	}
+	if len(res.Censors) != len(graded.Censors) {
+		t.Fatalf("stripping the truth changed the verdict: %d censors, %d with truth", len(res.Censors), len(graded.Censors))
+	}
+	for _, c := range res.Censors {
+		if c.TrueCensor {
+			t.Errorf("%v marked a true censor without ground truth", c.ASN)
 		}
 	}
 }

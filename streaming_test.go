@@ -9,17 +9,17 @@ import (
 // replayCell runs one streaming cell through the shared cell runner and
 // returns its raw artifacts: every window's outcomes, which Result does
 // not carry.
-func replayCell(t *testing.T, opts ...Option) *cellRun {
+func replayCell(t *testing.T, opts ...Option) *cell {
 	t.Helper()
 	exp, err := New(opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cr, err := exp.runCell(context.Background(), exp.base, -1)
+	c, err := exp.runCell(context.Background(), exp.base, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return cr
+	return c
 }
 
 // TestStreamReplayMatchesBatch is the streaming determinism regression: a
@@ -31,7 +31,7 @@ func TestStreamReplayMatchesBatch(t *testing.T) {
 		t.Skip("end-to-end pipeline in -short mode")
 	}
 	cfg := testConfig()
-	batch := runDirect(t, WithConfig(cfg)).Pipelines[0]
+	batch := runDirect(t, WithConfig(cfg)).cell
 
 	sr := replayCell(t, WithConfig(cfg), WithWindow(0), WithStride(1))
 	if len(sr.windows) != cfg.Days {
@@ -43,18 +43,18 @@ func TestStreamReplayMatchesBatch(t *testing.T) {
 	}
 
 	// The measured dataset is bit-identical to the batch engine's.
-	if !reflect.DeepEqual(sr.pipe.Dataset.Records, batch.Dataset.Records) {
+	if !reflect.DeepEqual(sr.dataset.Records, batch.dataset.Records) {
 		t.Fatal("streaming replay measured different records than the batch engine")
 	}
 
 	// The final window's tomography equals the batch Localize, field for
 	// field (instances compared through their keys and solved artifacts;
 	// clause literal order is a solver-internal artifact).
-	if len(final.Outcomes) != len(batch.Outcomes) {
-		t.Fatalf("final window has %d outcomes, batch has %d", len(final.Outcomes), len(batch.Outcomes))
+	if len(final.Outcomes) != len(batch.outcomes) {
+		t.Fatalf("final window has %d outcomes, batch has %d", len(final.Outcomes), len(batch.outcomes))
 	}
-	for i := range batch.Outcomes {
-		g, b := final.Outcomes[i], batch.Outcomes[i]
+	for i := range batch.outcomes {
+		g, b := final.Outcomes[i], batch.outcomes[i]
 		if g.Inst.Key != b.Inst.Key || g.Class != b.Class ||
 			!reflect.DeepEqual(g.Censors, b.Censors) ||
 			!reflect.DeepEqual(g.Potential, b.Potential) ||
@@ -65,8 +65,8 @@ func TestStreamReplayMatchesBatch(t *testing.T) {
 				i, b.Inst.Key, g, b)
 		}
 	}
-	if !reflect.DeepEqual(final.Identified, batch.Identified) {
-		t.Fatalf("identified censors differ:\nstreaming %v\nbatch %v", final.Identified, batch.Identified)
+	if !reflect.DeepEqual(final.Identified, batch.identified) {
+		t.Fatalf("identified censors differ:\nstreaming %v\nbatch %v", final.Identified, batch.identified)
 	}
 
 	// Incrementality did real work avoidance: across the whole replay most
@@ -88,7 +88,7 @@ func TestStreamSweepWorkersIrrelevant(t *testing.T) {
 	if testing.Short() {
 		t.Skip("end-to-end pipeline in -short mode")
 	}
-	replay := func(workers int) *cellRun {
+	replay := func(workers int) *cell {
 		cfg := testConfig()
 		cfg.Workers = workers
 		return replayCell(t, WithConfig(cfg), WithWindow(10), WithStride(5))
