@@ -111,12 +111,14 @@ profile:
 # codec round trip, the hand-written record reader against encoding/json,
 # Decode on arbitrary bytes, the one-pass churn summary against its
 # reference, the evaluation kernel, routing Views against ComputeTree, the
-# closed-form CNF classifier against SAT search, and the incremental
-# engine against batch rebuilds — each with the FUZZTIME budget.
+# closed-form CNF classifier against SAT search, the cell-based CNF build
+# against the string-keyed reference grouping, and the incremental engine
+# against batch rebuilds — each with the FUZZTIME budget.
 # `make fuzz FUZZTIME=5m` for a real hunt.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzParseDIMACS -fuzztime $(FUZZTIME) ./internal/sat
 	$(GO) test -run '^$$' -fuzz FuzzSolve -fuzztime $(FUZZTIME) ./internal/tomo
+	$(GO) test -run '^$$' -fuzz FuzzBuildMatchesReference -fuzztime $(FUZZTIME) ./internal/tomo
 	$(GO) test -run '^$$' -fuzz FuzzIncrementalVsBatch -fuzztime $(FUZZTIME) ./internal/tomo
 	$(GO) test -run '^$$' -fuzz FuzzDatasetRoundTrip -fuzztime $(FUZZTIME) ./internal/dataset
 	$(GO) test -run '^$$' -fuzz FuzzParseWire -fuzztime $(FUZZTIME) ./internal/dataset

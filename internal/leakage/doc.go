@@ -10,8 +10,9 @@
 // flow of censorship).
 //
 // Entry points: Analyze folds solved outcomes into an Analysis;
-// LeakToOtherASes/LeakToOtherCountries are the headline counts; TopLeakers,
-// FlowEdges and RegionalFrac feed the Table 3 / Figure 5 reports.
+// LeakToOtherASes/LeakToOtherCountries are the headline counts; TopLeakers
+// (the full ranking, uncut), FlowEdges and RegionalFrac feed the Table 3 /
+// Figure 5 reports.
 //
 // Invariants: leakage reads only solved tomography outcomes — never ground
 // truth — so its errors are exactly the identification errors upstream.

@@ -135,9 +135,10 @@ type TopLeaker struct {
 	LeakedCountries int
 }
 
-// TopLeakers returns the Table 3 ranking: censors ordered by victim-AS
-// count (ties by victim-country count, then ASN).
-func (a *Analysis) TopLeakers(g *topology.Graph, n int) []TopLeaker {
+// TopLeakers returns the full Table 3 ranking: every leaking censor,
+// ordered by victim-AS count (ties by victim-country count, then ASN).
+// A caller that wants the top n slices the result.
+func (a *Analysis) TopLeakers(g *topology.Graph) []TopLeaker {
 	rows := make([]TopLeaker, 0, len(a.ByCensor))
 	for asn, l := range a.ByCensor {
 		name := ""
@@ -158,9 +159,6 @@ func (a *Analysis) TopLeakers(g *topology.Graph, n int) []TopLeaker {
 		}
 		return rows[i].ASN < rows[j].ASN
 	})
-	if n > 0 && len(rows) > n {
-		rows = rows[:n]
-	}
 	return rows
 }
 

@@ -165,7 +165,7 @@ func TestTopLeakersOrderingAndFlow(t *testing.T) {
 	})
 	a := Analyze(tomo.SolveAll(insts), g)
 
-	top := a.TopLeakers(g, 10)
+	top := a.TopLeakers(g)
 	if len(top) != 2 {
 		t.Fatalf("top leakers: %+v", top)
 	}
@@ -178,9 +178,9 @@ func TestTopLeakersOrderingAndFlow(t *testing.T) {
 	if top[0].Name == "" {
 		t.Error("leaker name missing")
 	}
-	// Truncation.
-	if got := a.TopLeakers(g, 1); len(got) != 1 {
-		t.Errorf("TopLeakers(1) returned %d", len(got))
+	// A top-n cut is a slice of the ranking.
+	if got := top[:1]; got[0].ASN != censorCN {
+		t.Errorf("top-1 cut %+v, want the CN censor", got)
 	}
 
 	edges := a.FlowEdges()

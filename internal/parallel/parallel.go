@@ -23,6 +23,11 @@ func (e *PanicError) Error() string {
 	return fmt.Sprintf("parallel: worker panic: %v\n\nworker stack:\n%s", e.Value, e.Stack)
 }
 
+// panicRecorded, when non-nil, is called by a pool worker right after it
+// records a panic, so a test can hold the other items until dispatch is
+// bound to stop. Always nil outside tests.
+var panicRecorded func()
+
 // ForEach runs fn(0..n-1) on a pool of workers, blocking until every call
 // returns. workers == 0 means GOMAXPROCS — the one place that default
 // lives. With an effective pool of <= 1 (or n <= 1) it degrades to an
@@ -90,6 +95,9 @@ func ForEachCtx(ctx context.Context, workers, n int, fn func(int)) error {
 								pv = &PanicError{Value: r, Stack: debug.Stack()}
 							})
 							panicked.Store(true)
+							if panicRecorded != nil {
+								panicRecorded()
+							}
 						}
 					}()
 					fn(i)

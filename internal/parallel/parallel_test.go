@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -95,15 +96,26 @@ func TestForEachCtxDeadline(t *testing.T) {
 // original value and the worker's stack, the pool must fully drain (no
 // goroutine leak, no deadlock on the unbuffered dispatch channel), and
 // dispatch must stop early instead of running all remaining items.
+//
+// Items after 3 wait until the panic is recorded, so the bound holds on
+// any schedule: items 0-3, at most workers-1 items parked at the gate, and
+// the one send the dispatcher may have begun before the panic was recorded.
 func TestForEachCtxPanicPropagates(t *testing.T) {
+	const workers = 4
+	gate := make(chan struct{})
+	panicRecorded = sync.OnceFunc(func() { close(gate) })
+	defer func() { panicRecorded = nil }()
 	var hits atomic.Int32
 	var rec any
 	func() {
 		defer func() { rec = recover() }()
-		ForEach(4, 10000, func(i int) {
+		ForEach(workers, 10000, func(i int) {
 			hits.Add(1)
-			if i == 3 {
+			switch {
+			case i == 3:
 				panic("boom at 3")
+			case i > 3:
+				<-gate
 			}
 		})
 	}()
@@ -117,8 +129,8 @@ func TestForEachCtxPanicPropagates(t *testing.T) {
 	if len(pe.Stack) == 0 {
 		t.Error("PanicError.Stack is empty, want worker stack")
 	}
-	if got := hits.Load(); got >= 10000 {
-		t.Error("dispatch did not stop after the panic")
+	if got := hits.Load(); got > 4+workers {
+		t.Errorf("%d items ran, want at most %d: dispatch did not stop after the panic", got, 4+workers)
 	}
 }
 

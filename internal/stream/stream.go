@@ -64,10 +64,10 @@ type Window struct {
 // pushed day completes the next window, Push returns that window's result.
 //
 // The engine is the streaming face of tomo.Incremental: days entering the
-// window are folded into the live builder groups, days aging out drop their
-// groups, and only the CNFs a boundary touched are re-solved. Determinism
-// matches the batch engine: a replay at any Build.Workers setting produces
-// identical windows.
+// window are folded into the live (URL, slice) cells, days aging out drop
+// their parts of those cells, and only the CNFs a boundary touched are
+// re-solved. Determinism matches the batch engine: a replay at any
+// Build.Workers setting produces identical windows.
 type Engine struct {
 	cfg        Config
 	inc        *tomo.Incremental

@@ -1,0 +1,370 @@
+package tomo
+
+// This file is construction's shared core, used by Build, BuildAndSolve and
+// Incremental alike. Each conclusive record's AS path and URL are interned
+// once, and the record is folded into one cell per (URL, time slice). For
+// every distinct path it has seen, a cell keeps a mask saying, per anomaly
+// kind, whether the path was seen censored and whether it was seen clean,
+// so one cell serves all five kinds: materialize reads one kind's CNF off
+// the masks, with the paths in rank order.
+
+import (
+	"cmp"
+	"slices"
+	"sync"
+
+	"churntomo/internal/anomaly"
+	"churntomo/internal/iclab"
+	"churntomo/internal/sat"
+	"churntomo/internal/timeslice"
+	"churntomo/internal/topology"
+	"churntomo/internal/traceroute"
+)
+
+// A path mask has bit k set when the path was seen with kind k censored,
+// and bit cleanShift+k when it was seen with kind k clean.
+const (
+	cleanShift   = 8
+	censoredBits = 1<<cleanShift - 1
+)
+
+// maskOf returns the path mask of one record's anomaly set.
+func maskOf(s anomaly.Set) uint16 {
+	s &= anomaly.AllKinds
+	return uint16(s) | uint16(anomaly.AllKinds&^s)<<cleanShift
+}
+
+// kindMask returns the censored bits of the given kinds.
+func kindMask(kinds []anomaly.Kind) uint16 {
+	var m uint16
+	for _, k := range kinds {
+		m |= 1 << k
+	}
+	return m
+}
+
+// interner assigns dense IDs to distinct keys in first-seen order and
+// ranks them by key. IDs never change; ranks are refreshed by rerank and
+// only ever move to make room for new keys, so two keys' relative rank
+// order is fixed once both are ranked.
+type interner struct {
+	ids   map[string]int32
+	keys  []string // by ID
+	order []int32  // IDs in key order
+	rank  []int32  // by ID: position in order
+}
+
+func newInterner() interner { return interner{ids: map[string]int32{}} }
+
+func (t *interner) add(key string) int32 {
+	id := int32(len(t.keys))
+	t.ids[key] = id
+	t.keys = append(t.keys, key)
+	return id
+}
+
+func (t *interner) intern(key string) int32 {
+	if id, ok := t.ids[key]; ok {
+		return id
+	}
+	return t.add(key)
+}
+
+// rerank ranks the keys added since the last call: they are sorted among
+// themselves and merged into the existing order, so the cost is linear in
+// the table plus a sort of the new keys only.
+func (t *interner) rerank() {
+	old, n := len(t.order), len(t.keys)
+	if old == n {
+		return
+	}
+	fresh := make([]int32, 0, n-old)
+	for id := old; id < n; id++ {
+		fresh = append(fresh, int32(id))
+	}
+	byKey := func(a, b int32) int { return cmp.Compare(t.keys[a], t.keys[b]) }
+	slices.SortFunc(fresh, byKey)
+	merged := make([]int32, 0, n)
+	i, j := 0, 0
+	for i < old && j < len(fresh) {
+		if byKey(t.order[i], fresh[j]) < 0 {
+			merged, i = append(merged, t.order[i]), i+1
+		} else {
+			merged, j = append(merged, fresh[j]), j+1
+		}
+	}
+	merged = append(append(merged, t.order[i:]...), fresh[j:]...)
+	t.order = merged
+	t.rank = slices.Grow(t.rank, n-old)[:n]
+	for r, id := range merged {
+		t.rank[id] = int32(r)
+	}
+}
+
+// pathTable interns AS paths. A path's key is its ASNs as big-endian
+// bytes, so key order is slices.Compare order on the paths (ASN by ASN, a
+// prefix first): the clause order materialize emits. The table keeps its
+// own copy of each path, which the instances built from it share, and the
+// path's ASes as dense AS IDs, which index materialize's scratch.
+type pathTable struct {
+	interner
+	paths   [][]topology.ASN // by path ID
+	hops    [][]int32        // by path ID: the path's AS IDs
+	asID    map[topology.ASN]int32
+	scratch []byte
+}
+
+func newPathTable() pathTable {
+	return pathTable{interner: newInterner(), asID: map[topology.ASN]int32{}}
+}
+
+// internPath returns p's ID. A path seen before costs one allocation-free
+// map probe.
+func (t *pathTable) internPath(p []topology.ASN) int32 {
+	b := t.scratch[:0]
+	for _, a := range p {
+		b = append(b, byte(a>>24), byte(a>>16), byte(a>>8), byte(a))
+	}
+	t.scratch = b
+	if id, ok := t.ids[string(b)]; ok {
+		return id
+	}
+	hops := make([]int32, len(p))
+	for i, a := range p {
+		h, ok := t.asID[a]
+		if !ok {
+			h = int32(len(t.asID))
+			t.asID[a] = h
+		}
+		hops[i] = h
+	}
+	t.paths = append(t.paths, slices.Clone(p))
+	t.hops = append(t.hops, hops)
+	return t.add(string(b))
+}
+
+// pathMask is one distinct path of a cell and what was seen on it.
+type pathMask struct {
+	id   int32
+	mask uint16
+}
+
+// cellKey identifies a (URL, time slice) cell.
+type cellKey struct {
+	url   int32
+	slice timeslice.Key
+}
+
+// part is what one fold saw of one cell: the whole cell in a batch build,
+// one resident day of it in Incremental.
+type part struct {
+	key    cellKey
+	n      int        // records folded in
+	signal uint16     // censored bits of every mask: kinds that saw a censored path
+	paths  []pathMask // distinct paths, in first-seen order
+}
+
+// fold folds the conclusive records into one part per (URL, slice) they
+// reach at the given granularities, interning paths and URLs into the
+// tables. Inconclusive records are eliminated (§3.1). Parts are returned
+// in creation order.
+func fold(records []iclab.Record, grans []timeslice.Granularity, paths *pathTable, urls *interner) []*part {
+	var (
+		parts []*part
+		index = map[cellKey]int32{}
+		// slot locates a path in a part: part ordinal<<32 | path ID.
+		slot = map[uint64]int32{}
+		// cur holds the part of each granularity for the current URL and
+		// day. Records arrive grouped by day and URL, so the part index is
+		// probed about once per URL-day instead of once per record.
+		cur    = make([]int32, len(grans))
+		curURL = int32(-1)
+		curDay timeslice.Key
+	)
+	for i := range records {
+		r := &records[i]
+		if r.Fail != traceroute.OK {
+			continue
+		}
+		id, url := paths.internPath(r.ASPath), urls.intern(r.URL)
+		// Every granularity's slice is a union of whole UTC days, so the
+		// day fixes all of a record's parts.
+		if day := timeslice.KeyFor(timeslice.Day, r.At); url != curURL || day != curDay {
+			curURL, curDay = url, day
+			for g, gran := range grans {
+				key := cellKey{url: url, slice: timeslice.KeyFor(gran, r.At)}
+				p, ok := index[key]
+				if !ok {
+					p = int32(len(parts))
+					index[key] = p
+					parts = append(parts, &part{key: key})
+				}
+				cur[g] = p
+			}
+		}
+		m := maskOf(r.Anomalies)
+		for _, p := range cur {
+			pt := parts[p]
+			pt.n++
+			pt.signal |= m & censoredBits
+			at := uint64(p)<<32 | uint64(id)
+			if j, ok := slot[at]; ok {
+				pt.paths[j].mask |= m
+				continue
+			}
+			slot[at] = int32(len(pt.paths))
+			pt.paths = append(pt.paths, pathMask{id: id, mask: m})
+		}
+	}
+	return parts
+}
+
+// compareCells orders cells as their instances are ordered: by URL, then
+// granularity, then slice index; a cell's kinds follow in kind order.
+func compareCells(a, b cellKey, urlRank []int32) int {
+	if c := cmp.Compare(urlRank[a.url], urlRank[b.url]); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.slice.Gran, b.slice.Gran); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.slice.Index, b.slice.Index)
+}
+
+// cellScratch is the reusable working state of buildCell. acc (indexed by
+// path rank) and varOf (indexed by AS ID) are all zero between uses; the
+// slices keep their capacity. Everything that outlives the call (the
+// Instance, its Vars, the CNF) is freshly allocated.
+type cellScratch struct {
+	acc   []uint16
+	ranks []int32
+	cell  []pathMask
+	// varOf maps an AS ID to its variable in the instance being built;
+	// vars and varIDs list those ASes in variable order.
+	varOf  []int32
+	vars   []topology.ASN
+	varIDs []int32
+	lits   []sat.Lit
+}
+
+var cellScratchPool = sync.Pool{New: func() any { return new(cellScratch) }}
+
+// union ORs the parts' paths into one list in rank order. No mask is zero
+// (a record sets a censored or a clean bit for every kind), so a zero acc
+// entry marks a rank not yet seen.
+func (sc *cellScratch) union(parts []*part, t *pathTable) []pathMask {
+	if len(sc.acc) < len(t.paths) {
+		sc.acc = make([]uint16, len(t.paths))
+	}
+	ranks := sc.ranks[:0]
+	for _, p := range parts {
+		for _, e := range p.paths {
+			r := t.rank[e.id]
+			if sc.acc[r] == 0 {
+				ranks = append(ranks, r)
+			}
+			sc.acc[r] |= e.mask
+		}
+	}
+	slices.Sort(ranks)
+	cell := sc.cell[:0]
+	for _, r := range ranks {
+		cell = append(cell, pathMask{id: t.order[r], mask: sc.acc[r]})
+		sc.acc[r] = 0
+	}
+	sc.ranks, sc.cell = ranks, cell
+	return cell
+}
+
+// buildCell materializes the CNFs of the cell made of parts: one for each
+// kind in kinds that some part saw censored, in kind order, each handed to
+// emit. The tables must be ranked.
+func buildCell(parts []*part, kinds uint16, paths *pathTable, urls *interner, emit func(*Instance)) {
+	n, signal := 0, uint16(0)
+	for _, p := range parts {
+		n += p.n
+		signal |= p.signal
+	}
+	if signal&kinds == 0 {
+		return
+	}
+	sc := cellScratchPool.Get().(*cellScratch)
+	cell := sc.union(parts, paths)
+	key := parts[0].key
+	for k := anomaly.Kind(0); k < anomaly.NumKinds; k++ {
+		if signal&kinds&(1<<k) != 0 {
+			emit(sc.materialize(Key{URL: urls.keys[key.url], Slice: key.slice, Kind: k}, n, cell, paths))
+		}
+	}
+	cellScratchPool.Put(sc)
+}
+
+// materialize turns one kind of a cell into a CNF. Clean paths expand to
+// negative unit clauses (an AS negated by several clean paths still needs
+// only one), censored paths to one all-positive clause each, both in the
+// cell's rank order. A path seen both censored and clean yields both and
+// makes the CNF unsatisfiable, which is the intended §3.2 semantics.
+func (sc *cellScratch) materialize(key Key, n int, cell []pathMask, t *pathTable) *Instance {
+	censored := uint16(1) << key.Kind
+	clean := censored << cleanShift
+	npos, nneg := 0, 0
+	for _, e := range cell {
+		if e.mask&censored != 0 {
+			npos++
+		}
+		if e.mask&clean != 0 {
+			nneg++
+		}
+	}
+	if len(sc.varOf) < len(t.asID) {
+		sc.varOf = make([]int32, len(t.asID))
+	}
+	vars, varIDs := sc.vars[:0], sc.varIDs[:0]
+	intern := func(as topology.ASN, h int32) sat.Lit {
+		if sc.varOf[h] == 0 {
+			vars, varIDs = append(vars, as), append(varIDs, h)
+			sc.varOf[h] = int32(len(vars))
+		}
+		return sat.Lit(sc.varOf[h])
+	}
+
+	// Clean paths come first, so every AS they hold is interned there and
+	// variables 1..units are exactly the negated ASes, in clause order.
+	in := &Instance{Key: key, CNF: &sat.CNF{}, Measurements: n}
+	in.NegativePaths = make([][]topology.ASN, 0, nneg)
+	for _, e := range cell {
+		if e.mask&clean == 0 {
+			continue
+		}
+		path := t.paths[e.id]
+		in.NegativePaths = append(in.NegativePaths, path)
+		for i, h := range t.hops[e.id] {
+			intern(path[i], h)
+		}
+	}
+	units := len(vars)
+	in.CNF.Clauses = make([]sat.Clause, 0, units+npos)
+	for v := 1; v <= units; v++ {
+		in.CNF.AddClause(sat.Lit(v).Neg())
+	}
+	in.PositivePaths = make([][]topology.ASN, 0, npos)
+	for _, e := range cell {
+		if e.mask&censored == 0 {
+			continue
+		}
+		path := t.paths[e.id]
+		in.PositivePaths = append(in.PositivePaths, path)
+		lits := sc.lits[:0]
+		for i, h := range t.hops[e.id] {
+			lits = append(lits, intern(path[i], h))
+		}
+		sc.lits = lits
+		in.CNF.AddClause(lits...)
+	}
+	in.Vars = append([]topology.ASN(nil), vars...)
+	for _, h := range varIDs {
+		sc.varOf[h] = 0
+	}
+	sc.vars, sc.varIDs = vars, varIDs
+	return in
+}

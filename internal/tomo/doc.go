@@ -13,6 +13,14 @@
 // trichotomy off the CNF's fixed shape in closed form (its doc carries the
 // argument); internal/sat's search is the oracle the tests hold it to.
 //
+// Construction interns each record's AS path and URL once and folds the
+// record into one cell per (URL, time slice). For every path it has seen,
+// a cell keeps a mask saying, per kind, whether the path was seen censored
+// and whether it was seen clean, so one cell serves all five kinds: a
+// kind's CNF is read off the masks, with its paths sorted by a rank that
+// orders them ASN by ASN (a prefix first). cell.go holds this core, which
+// the batch and incremental builds share.
+//
 // Entry points: Build constructs CNF Instances from records, BuildAndSolve
 // streams solving into construction, Solve/SolveAll classify instances
 // into Outcomes, and IdentifyCensors folds unique-solution outcomes into
@@ -21,12 +29,14 @@
 // Incremental.BuildAndSolve re-solves only the CNFs a batch touched,
 // serving the rest from the previous call's outcomes.
 //
-// Invariants: construction is a commutative fold, so any record sharding
-// reconstructs the serial grouping exactly, and output order is fixed
-// (keyLess: URL, granularity, slice index, anomaly kind) at every worker
-// count. The incremental engine's results are field-for-field identical to
-// the batch engine's over the same resident records — the streaming
-// determinism guarantee, pinned by TestIncrementalMatchesBatch and
-// FuzzIncrementalVsBatch. The tomography never reads ground-truth record
-// fields.
+// Invariants: construction is a commutative fold (path masks OR, record
+// counts add), so record order never changes a CNF, and output order is
+// fixed (URL, granularity, slice index, anomaly kind) at every worker
+// count. A CNF exists only for a kind its cell saw censored. The cell
+// build is held to the string-keyed grouping it replaced, kept in the
+// tests as referenceBuild (FuzzBuildMatchesReference). The incremental
+// engine's results are field-for-field identical to the batch engine's
+// over the same resident records — the streaming determinism guarantee,
+// pinned by TestIncrementalMatchesBatch and FuzzIncrementalVsBatch. The
+// tomography never reads ground-truth record fields.
 package tomo

@@ -2,191 +2,205 @@ package tomo
 
 // This file is the incremental CNF engine behind the streaming localizer
 // (internal/stream). Where Build/BuildAndSolve fold the entire record set in
-// one shot, Incremental ingests records in day-labelled batches, keeps the
-// per-(URL, slice, kind) builder groups alive between solves, and re-solves
-// only the groups a batch actually touched. A day entering a sliding window
-// dirties just its own day slice plus the enclosing week/month/year slices;
-// everything else is served from the previous window's cached outcome. A
-// dirty key is re-materialized from its resident day groups and classified
-// by Solve, exactly as the batch engine would, so retracting a day needs no
-// state beyond the day groups themselves.
+// one shot, Incremental ingests records in day-labelled batches, keeps each
+// (URL, slice) cell's per-day parts alive between solves, and re-solves
+// only the cells a batch actually touched. A day entering a sliding window
+// dirties just its own day cells plus the enclosing week/month/year cells;
+// everything else is served from the previous window's cached instances
+// and outcomes. A dirty cell is rebuilt from one union of its resident day
+// parts, which all of its kinds share, and each kind is classified by
+// Solve exactly as the batch engine would, so retracting a day needs no
+// state beyond the day parts themselves.
 //
 // The contract mirrors the batch engine exactly: after any sequence of
 // AddDay/RemoveDay calls, BuildAndSolve returns the same instances and
-// outcomes (field for field, in the same keyLess order) that the batch
+// outcomes (field for field, in the same order) that the batch
 // BuildAndSolve would return over the currently-held records. The streaming
 // regression tests pin that equivalence.
 
 import (
 	"context"
-	"maps"
-	"sort"
+	"math/bits"
+	"slices"
 
+	"churntomo/internal/anomaly"
 	"churntomo/internal/iclab"
 	"churntomo/internal/parallel"
-	"churntomo/internal/topology"
 )
 
-// keyState is everything Incremental holds for one CNF key.
-type keyState struct {
-	// days maps each resident day batch to its grouped contribution.
-	days map[int]*builderGroup
-	// inst/out cache the last solve; valid until the key is dirtied.
-	inst   *Instance
-	out    Outcome
-	cached bool
+// incCell is everything Incremental holds for one (URL, slice) cell.
+type incCell struct {
+	key cellKey
+	// days and parts are the resident day labels and each day's part.
+	days  []int
+	parts []*part
+	// signal ORs the parts' signals: the kinds some resident day saw
+	// censored.
+	signal uint16
+	// dirty marks a cell whose parts changed since its last solve; inst
+	// and out cache that solve per kind.
+	dirty bool
+	inst  [anomaly.NumKinds]*Instance
+	out   [anomaly.NumKinds]Outcome
 }
 
 // Incremental is the windowed counterpart of Build/BuildAndSolve. Records
 // enter and leave in day-labelled batches; BuildAndSolve re-solves only the
-// keys touched since the previous call and serves the rest from cache.
+// cells touched since the previous call and serves the rest from cache.
 // Incremental is not safe for concurrent use, but BuildAndSolve itself
-// parallelizes across keys.
+// parallelizes across cells.
+//
+// Memory: the path and URL tables keep every distinct AS path and URL ever
+// added, including those whose days were all removed, so they grow with
+// the distinct paths of the whole stream, not of the window. The 120-day
+// replay world of the benchmark holds 6,781 paths (149,173 conclusive
+// records, 80 URLs, 4,094 cells).
 type Incremental struct {
 	cfg   BuildConfig
-	keys  map[Key]*keyState
-	dirty map[Key]bool
-	// byDay indexes which keys hold each day batch's contribution, so
-	// RemoveDay touches only the keys a day actually reached (its own day
-	// slices plus enclosing week/month/year slices) instead of scanning
-	// every resident key.
-	byDay map[int][]Key
+	kinds uint16
+	paths pathTable
+	urls  interner
+	cells map[cellKey]*incCell
+	// byDay indexes the cells each day batch reached (its own day cells
+	// plus the enclosing week/month/year cells), so RemoveDay touches only
+	// those instead of scanning every resident cell.
+	byDay map[int][]*incCell
 }
 
 // NewIncremental returns an empty incremental builder. The config's
 // granularities and kinds match Build's; Workers bounds BuildAndSolve's
-// per-key parallelism.
+// per-cell parallelism.
 func NewIncremental(cfg BuildConfig) *Incremental {
 	cfg.fillDefaults()
-	return &Incremental{cfg: cfg, keys: map[Key]*keyState{}, dirty: map[Key]bool{}, byDay: map[int][]Key{}}
+	return &Incremental{
+		cfg: cfg, kinds: kindMask(cfg.Kinds),
+		paths: newPathTable(), urls: newInterner(),
+		cells: map[cellKey]*incCell{}, byDay: map[int][]*incCell{},
+	}
 }
 
 // AddDay ingests one day-labelled record batch. The label is the removal
 // handle for RemoveDay; each label may be added once (re-adding after
-// removal is allowed). Records are grouped exactly as Build groups them;
-// every touched key is marked dirty.
+// removal is allowed). Records are folded exactly as Build folds them;
+// every touched cell is marked dirty.
 func (inc *Incremental) AddDay(day int, records []iclab.Record) {
-	for key, grp := range groupChunk(records, &inc.cfg) {
-		st := inc.keys[key]
-		if st == nil {
-			st = &keyState{days: map[int]*builderGroup{}}
-			inc.keys[key] = st
+	if _, dup := inc.byDay[day]; dup {
+		panic("tomo: AddDay called twice with the same day label")
+	}
+	for _, p := range fold(records, inc.cfg.Granularities, &inc.paths, &inc.urls) {
+		c := inc.cells[p.key]
+		if c == nil {
+			c = &incCell{key: p.key}
+			inc.cells[p.key] = c
 		}
-		if _, dup := st.days[day]; dup {
-			panic("tomo: AddDay called twice with the same day label")
-		}
-		st.days[day] = grp
-		inc.dirty[key] = true
-		// byDay is consumed strictly as a set: RemoveDay marks members
-		// dirty and deletes them, and rebuilds walk the sorted key index,
-		// so insertion order never reaches any output.
-		inc.byDay[day] = append(inc.byDay[day], key) //churnvet:ok maporder -- byDay is a retraction set; order never escapes (RemoveDay marks dirty/deletes only)
+		c.days = append(c.days, day)
+		c.parts = append(c.parts, p)
+		c.signal |= p.signal
+		c.dirty = true
+		inc.byDay[day] = append(inc.byDay[day], c)
 	}
 }
 
-// RemoveDay retracts a previously added day batch. Keys left with no
+// RemoveDay retracts a previously added day batch. Cells left with no
 // resident days are dropped entirely; the rest are marked dirty. Removing
 // an unknown label is a no-op.
 func (inc *Incremental) RemoveDay(day int) {
-	for _, key := range inc.byDay[day] {
-		st := inc.keys[key]
-		if st == nil {
+	for _, c := range inc.byDay[day] {
+		i := slices.Index(c.days, day)
+		c.days = slices.Delete(c.days, i, i+1)
+		c.parts = slices.Delete(c.parts, i, i+1)
+		if len(c.days) == 0 {
+			delete(inc.cells, c.key)
 			continue
 		}
-		if _, ok := st.days[day]; !ok {
-			continue
+		c.signal = 0
+		for _, p := range c.parts {
+			c.signal |= p.signal
 		}
-		delete(st.days, day)
-		if len(st.days) == 0 {
-			delete(inc.keys, key)
-			delete(inc.dirty, key)
-			continue
-		}
-		inc.dirty[key] = true
+		c.dirty = true
 	}
 	delete(inc.byDay, day)
 }
 
-// IncStats reports how much work one BuildAndSolve call actually did.
+// IncStats reports how much work one BuildAndSolve call actually did,
+// counted in CNFs: one per (cell, kind) that becomes an instance.
 type IncStats struct {
-	// Solved counts keys re-materialized and re-solved (dirty keys).
+	// Solved counts CNFs re-materialized and re-solved (those of dirty
+	// cells).
 	Solved int
-	// Reused counts keys served from the previous call's cache.
+	// Reused counts CNFs served from the previous call's cache.
 	Reused int
 }
 
-// solveKey re-materializes one dirty key from its resident day groups and
-// re-solves it, refreshing the cache.
-func (inc *Incremental) solveKey(key Key, st *keyState) {
-	union := &builderGroup{pos: map[string][]topology.ASN{}, neg: map[string][]topology.ASN{}}
-	for _, c := range st.days {
-		union.n += c.n
-		maps.Copy(union.pos, c.pos)
-		maps.Copy(union.neg, c.neg)
-	}
-	inst := materialize(key, union)
-	st.inst, st.out, st.cached = inst, Solve(inst), true
+// solveCell rebuilds one dirty cell from its resident day parts and
+// re-solves each of its kinds, refreshing the cache.
+func (inc *Incremental) solveCell(c *incCell) {
+	c.inst, c.out = [anomaly.NumKinds]*Instance{}, [anomaly.NumKinds]Outcome{}
+	buildCell(c.parts, inc.kinds, &inc.paths, &inc.urls, func(in *Instance) {
+		c.inst[in.Key.Kind], c.out[in.Key.Kind] = in, Solve(in)
+	})
 }
 
 // BuildAndSolve returns the instances and outcomes for the currently-held
 // records, identical (and identically ordered) to the batch BuildAndSolve
-// over the same records. Only keys dirtied since the previous call are
+// over the same records. Only cells dirtied since the previous call are
 // re-solved — across a sliding-window replay that is the small minority of
-// keys a day boundary touches — and the per-key work runs on cfg.Workers.
+// cells a day boundary touches — and the per-cell work runs on
+// cfg.Workers.
 func (inc *Incremental) BuildAndSolve() ([]*Instance, []Outcome, IncStats) {
 	insts, outs, stats, _ := inc.BuildAndSolveCtx(context.Background())
 	return insts, outs, stats
 }
 
 // BuildAndSolveCtx is BuildAndSolve with cooperative cancellation: once ctx
-// is done no further dirty key is re-solved and the call returns ctx.Err().
-// Keys solved before the cancellation keep their refreshed caches and the
-// remaining keys stay dirty, so a later call resumes exactly the leftover
+// is done no further dirty cell is re-solved and the call returns
+// ctx.Err(). Cells solved before the cancellation keep their refreshed
+// caches and every cell stays dirty, so a later call resumes the leftover
 // work — cancellation never corrupts the incremental state.
 func (inc *Incremental) BuildAndSolveCtx(ctx context.Context) ([]*Instance, []Outcome, IncStats, error) {
-	keys := make([]Key, 0, len(inc.keys))
-	for key, st := range inc.keys {
-		if !inc.hasSignal(st) {
-			continue
+	inc.paths.rerank()
+	inc.urls.rerank()
+	cells := make([]*incCell, 0, len(inc.cells))
+	for _, c := range inc.cells {
+		if c.signal&inc.kinds != 0 {
+			cells = append(cells, c)
 		}
-		keys = append(keys, key)
 	}
-	sort.Slice(keys, func(i, j int) bool { return keyLess(keys[i], keys[j]) })
+	slices.SortFunc(cells, func(x, y *incCell) int { return compareCells(x.key, y.key, inc.urls.rank) })
 
 	var stats IncStats
-	work := make([]Key, 0, len(inc.dirty))
-	for _, key := range keys {
-		if inc.dirty[key] || !inc.keys[key].cached {
-			work = append(work, key)
+	var work []*incCell
+	total := 0
+	for _, c := range cells {
+		kinds := bits.OnesCount16(c.signal & inc.kinds)
+		total += kinds
+		if c.dirty {
+			work = append(work, c)
+			stats.Solved += kinds
 		}
 	}
 	if err := parallel.ForEachCtx(ctx, inc.cfg.Workers, len(work), func(i int) {
-		inc.solveKey(work[i], inc.keys[work[i]])
+		inc.solveCell(work[i])
 	}); err != nil {
-		// Solved keys are cached but stay marked dirty; re-solving a clean
-		// key is idempotent, so the next call just redoes a little work.
-		return nil, nil, stats, err
+		// Solved cells are cached but stay marked dirty; re-solving a
+		// clean cell is idempotent, so the next call just redoes a little
+		// work.
+		return nil, nil, IncStats{}, err
 	}
-	stats.Solved = len(work)
-	stats.Reused = len(keys) - len(work)
-	inc.dirty = map[Key]bool{}
-
-	insts := make([]*Instance, len(keys))
-	outs := make([]Outcome, len(keys))
-	for i, key := range keys {
-		st := inc.keys[key]
-		insts[i], outs[i] = st.inst, st.out
+	stats.Reused = total - stats.Solved
+	for _, c := range inc.cells {
+		c.dirty = false
 	}
-	return insts, outs, stats, nil
-}
 
-// hasSignal applies the solvable-key filter: a key becomes a CNF only when
-// some resident day observed a censored path.
-func (inc *Incremental) hasSignal(st *keyState) bool {
-	for _, c := range st.days {
-		if len(c.pos) > 0 {
-			return true
+	insts := make([]*Instance, 0, total)
+	outs := make([]Outcome, 0, total)
+	for _, c := range cells {
+		for k := range c.inst {
+			if c.signal&inc.kinds&(1<<k) != 0 {
+				insts = append(insts, c.inst[k])
+				outs = append(outs, c.out[k])
+			}
 		}
 	}
-	return false
+	return insts, outs, stats, nil
 }

@@ -2,9 +2,8 @@ package tomo
 
 import (
 	"context"
-	"runtime"
-	"sort"
-	"sync"
+	"math/bits"
+	"slices"
 
 	"churntomo/internal/anomaly"
 	"churntomo/internal/iclab"
@@ -12,7 +11,6 @@ import (
 	"churntomo/internal/sat"
 	"churntomo/internal/timeslice"
 	"churntomo/internal/topology"
-	"churntomo/internal/traceroute"
 )
 
 // Key identifies one CNF instance.
@@ -54,12 +52,15 @@ type BuildConfig struct {
 	Granularities []timeslice.Granularity
 	// Kinds to build; nil = all five anomaly kinds.
 	Kinds []anomaly.Kind
-	// Workers bounds the parallelism of clause grouping, materialization
-	// and (in BuildAndSolve) solving. 0 uses GOMAXPROCS, 1 forces serial
+	// Workers bounds the parallelism of materialization and (in
+	// BuildAndSolve) solving. 0 uses GOMAXPROCS, 1 forces serial
 	// execution. The result is identical at any setting.
 	Workers int
 }
 
+// fillDefaults fills nil fields and drops repeated granularities and
+// kinds, keeping first occurrences, so a repeat never folds a record
+// twice.
 func (c *BuildConfig) fillDefaults() {
 	if c.Granularities == nil {
 		c.Granularities = timeslice.All
@@ -67,179 +68,75 @@ func (c *BuildConfig) fillDefaults() {
 	if c.Kinds == nil {
 		c.Kinds = anomaly.Kinds
 	}
+	c.Granularities = firstOccurrences(c.Granularities)
+	c.Kinds = firstOccurrences(c.Kinds)
 }
 
-// pathKeyer folds AS paths into comparable string keys, interning them for
-// the lifetime of one grouping chunk. The scratch buffer is reused across
-// calls and the map probe on a []byte-backed string is allocation-free, so
-// a path seen before costs zero allocations — and measurement records
-// repeat the same handful of paths thousands of times. Keys are the same
-// big-endian byte strings the grouping always used, so sort order (and
-// therefore clause order and every downstream result) is unchanged.
-type pathKeyer struct {
-	scratch []byte
-	seen    map[string]string
-}
-
-func (pk *pathKeyer) key(p []topology.ASN) string {
-	b := pk.scratch[:0]
-	for _, a := range p {
-		b = append(b, byte(a>>24), byte(a>>16), byte(a>>8), byte(a))
-	}
-	pk.scratch = b
-	if s, ok := pk.seen[string(b)]; ok {
-		return s
-	}
-	s := string(b)
-	pk.seen[s] = s
-	return s
-}
-
-// builderGroup accumulates one CNF's observations before materialization.
-type builderGroup struct {
-	pos map[string][]topology.ASN // distinct censored paths
-	neg map[string][]topology.ASN // distinct clean paths
-	n   int
-}
-
-// groupChunk folds one contiguous slice of records into per-key builder
-// groups, applying the paper's record-elimination rules (already reflected
-// in Record.Fail) and its time/URL/anomaly splitting. The path key is
-// computed once per record — not once per (granularity, kind) cell — and
-// interned across the chunk.
-func groupChunk(records []iclab.Record, cfg *BuildConfig) map[Key]*builderGroup {
-	groups := map[Key]*builderGroup{}
-	keyer := pathKeyer{seen: map[string]string{}}
-	for i := range records {
-		r := &records[i]
-		if r.Fail != traceroute.OK {
-			continue // inconclusive path: eliminated (§3.1)
-		}
-		pk := keyer.key(r.ASPath)
-		for _, g := range cfg.Granularities {
-			slice := timeslice.KeyFor(g, r.At)
-			for _, k := range cfg.Kinds {
-				key := Key{URL: r.URL, Slice: slice, Kind: k}
-				grp := groups[key]
-				if grp == nil {
-					grp = &builderGroup{pos: map[string][]topology.ASN{}, neg: map[string][]topology.ASN{}}
-					groups[key] = grp
-				}
-				grp.n++
-				if r.Anomalies.Has(k) {
-					grp.pos[pk] = r.ASPath
-				} else {
-					grp.neg[pk] = r.ASPath
-				}
-			}
+// firstOccurrences returns s without repeats, in first-occurrence order.
+// s itself is never modified.
+func firstOccurrences[T comparable](s []T) []T {
+	out := make([]T, 0, len(s))
+	for _, x := range s {
+		if !slices.Contains(out, x) {
+			out = append(out, x)
 		}
 	}
-	return groups
+	return out
 }
 
-// mergeGroups folds src into dst. Grouping is a commutative fold (distinct
-// path sets union, measurement counts add), so merging record chunks in any
-// order reconstructs exactly the serial grouping.
-func mergeGroups(dst, src map[Key]*builderGroup) {
-	for key, g := range src {
-		d := dst[key]
-		if d == nil {
-			dst[key] = g
-			continue
-		}
-		d.n += g.n
-		for pk, p := range g.pos {
-			d.pos[pk] = p
-		}
-		for pk, p := range g.neg {
-			d.neg[pk] = p
-		}
-	}
+// batch is one batch build's folded input: the tables, and the cells that
+// become CNFs in instance order, with first[i] the index of cell i's first
+// instance (first[len(cells)] is the instance count). A slice that saw no
+// anomaly at all would give a trivially unique CNF (the all-False model)
+// with no localization signal, so only the kinds a cell saw censored
+// become CNFs — matching the paper's Figure 4, where removing churn
+// collapses most CNFs to 5+ solutions (impossible if anomaly-free CNFs
+// dominated the population).
+type batch struct {
+	paths pathTable
+	urls  interner
+	kinds uint16
+	cells []*part
+	first []int
 }
 
-// buildGroups shards the records across cfg.Workers, groups each shard
-// independently, and merges the shard maps. Cancellation is honored at
-// chunk granularity; on a non-nil error the partial grouping is discarded.
-func buildGroups(ctx context.Context, records []iclab.Record, cfg *BuildConfig) (map[Key]*builderGroup, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	// Grouping a chunk is cheap; below this size the fan-out costs more
-	// than it saves.
-	const minChunk = 2048
-	workers := cfg.Workers
-	if workers == 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if max := (len(records) + minChunk - 1) / minChunk; workers > max {
-		workers = max
-	}
-	if workers <= 1 {
-		return groupChunk(records, cfg), nil
-	}
-	parts := make([]map[Key]*builderGroup, workers)
-	chunk := (len(records) + workers - 1) / workers
-	if err := parallel.ForEachCtx(ctx, workers, workers, func(w int) {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > len(records) {
-			hi = len(records)
+func newBatch(records []iclab.Record, cfg *BuildConfig) *batch {
+	b := &batch{paths: newPathTable(), urls: newInterner(), kinds: kindMask(cfg.Kinds)}
+	for _, p := range fold(records, cfg.Granularities, &b.paths, &b.urls) {
+		if p.signal&b.kinds != 0 {
+			b.cells = append(b.cells, p)
 		}
-		parts[w] = groupChunk(records[lo:hi], cfg)
-	}); err != nil {
-		return nil, err
 	}
-	groups := parts[0]
-	for _, part := range parts[1:] {
-		mergeGroups(groups, part)
+	b.paths.rerank()
+	b.urls.rerank()
+	slices.SortFunc(b.cells, func(x, y *part) int { return compareCells(x.key, y.key, b.urls.rank) })
+	b.first = make([]int, len(b.cells)+1)
+	for i, c := range b.cells {
+		b.first[i+1] = b.first[i] + bits.OnesCount16(c.signal&b.kinds)
 	}
-	return groups, nil
+	return b
 }
 
-// keyLess is the deterministic instance order: URL, granularity, slice
-// index, anomaly kind.
-func keyLess(a, b Key) bool {
-	if a.URL != b.URL {
-		return a.URL < b.URL
-	}
-	if a.Slice.Gran != b.Slice.Gran {
-		return a.Slice.Gran < b.Slice.Gran
-	}
-	if a.Slice.Index != b.Slice.Index {
-		return a.Slice.Index < b.Slice.Index
-	}
-	return a.Kind < b.Kind
+// build materializes cell i's CNFs, handing each to emit with its
+// instance index.
+func (b *batch) build(i int, emit func(j int, in *Instance)) {
+	j := b.first[i]
+	buildCell(b.cells[i:i+1], b.kinds, &b.paths, &b.urls, func(in *Instance) {
+		emit(j, in)
+		j++
+	})
 }
 
-// solvableKeys lists the groups that become CNFs, in keyLess order. A
-// slice that saw no anomaly at all would give a trivially unique CNF (the
-// all-False model) with no localization signal, so only groups with at
-// least one censored path qualify — matching the paper's Figure 4, where
-// removing churn collapses most CNFs to 5+ solutions (impossible if
-// anomaly-free CNFs dominated the population).
-func solvableKeys(groups map[Key]*builderGroup) []Key {
-	keys := make([]Key, 0, len(groups))
-	for key, grp := range groups {
-		if len(grp.pos) == 0 {
-			continue
-		}
-		keys = append(keys, key)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keyLess(keys[i], keys[j]) })
-	return keys
-}
-
-// Build constructs CNF instances from measurement records. Grouping and
-// materialization are sharded across cfg.Workers; the result is sorted
-// deterministically and identical at any worker count.
+// Build constructs CNF instances from measurement records. Records are
+// folded into (URL, slice) cells and the cells' CNFs materialized across
+// cfg.Workers; the result is sorted deterministically and identical at any
+// worker count.
 func Build(records []iclab.Record, cfg BuildConfig) []*Instance {
 	cfg.fillDefaults()
-	//churnvet:ok ctxflow -- Build is the ctx-free kernel entry (benchmarks and analysis.Figure4 call it synchronously); BuildAndSolveCtx is the cancellable path
-	groups, _ := buildGroups(context.Background(), records, &cfg) //churnvet:ok errflow -- buildGroups can only fail through ctx cancellation, and Background never cancels
-	keys := solvableKeys(groups)
-	out := make([]*Instance, len(keys))
-	parallel.ForEach(cfg.Workers, len(keys), func(i int) {
-		out[i] = materialize(keys[i], groups[keys[i]])
+	b := newBatch(records, &cfg)
+	out := make([]*Instance, b.first[len(b.cells)])
+	parallel.ForEach(cfg.Workers, len(b.cells), func(i int) {
+		b.build(i, func(j int, in *Instance) { out[j] = in })
 	})
 	return out
 }
@@ -256,115 +153,40 @@ func BuildAndSolve(records []iclab.Record, cfg BuildConfig) ([]*Instance, []Outc
 }
 
 // buildSolveObserver, when non-nil, is called by BuildAndSolveCtx after
-// each key's materialize and after its solve. It is a test seam pinning
-// that solving streams into construction (each worker solves the CNF it
-// just built before materializing the next) rather than waiting behind a
-// global build barrier. Always nil outside tests; callbacks may run
-// concurrently when Workers > 1.
+// each instance's materialize and after its solve. It is a test seam
+// pinning that solving streams into construction (each worker solves the
+// CNF it just built before materializing the next) rather than waiting
+// behind a global build barrier. Always nil outside tests; callbacks may
+// run concurrently when Workers > 1.
 var buildSolveObserver func(event string, key int)
 
 // BuildAndSolveCtx is BuildAndSolve with cooperative cancellation: once ctx
-// is done no further CNF is grouped, materialized or solved, and the call
-// returns (nil, nil, ctx.Err()). The in-flight CNFs finish first, so
-// cancellation latency is bounded by one solve.
+// is done no further cell is materialized or solved, and the call returns
+// (nil, nil, ctx.Err()). The in-flight cells finish first, so cancellation
+// latency is bounded by one cell's five solves.
 func BuildAndSolveCtx(ctx context.Context, records []iclab.Record, cfg BuildConfig) ([]*Instance, []Outcome, error) {
 	cfg.fillDefaults()
-	groups, err := buildGroups(ctx, records, &cfg)
-	if err != nil {
+	if err := ctx.Err(); err != nil {
 		return nil, nil, err
 	}
-	keys := solvableKeys(groups)
-	insts := make([]*Instance, len(keys))
-	outs := make([]Outcome, len(keys))
-	if err := parallel.ForEachCtx(ctx, cfg.Workers, len(keys), func(i int) {
-		in := materialize(keys[i], groups[keys[i]])
-		if buildSolveObserver != nil {
-			buildSolveObserver("materialize", i)
-		}
-		insts[i] = in
-		outs[i] = Solve(in)
-		if buildSolveObserver != nil {
-			buildSolveObserver("solve", i)
-		}
+	b := newBatch(records, &cfg)
+	insts := make([]*Instance, b.first[len(b.cells)])
+	outs := make([]Outcome, len(insts))
+	if err := parallel.ForEachCtx(ctx, cfg.Workers, len(b.cells), func(i int) {
+		b.build(i, func(j int, in *Instance) {
+			if buildSolveObserver != nil {
+				buildSolveObserver("materialize", j)
+			}
+			insts[j] = in
+			outs[j] = Solve(in)
+			if buildSolveObserver != nil {
+				buildSolveObserver("solve", j)
+			}
+		})
 	}); err != nil {
 		return nil, nil, err
 	}
 	return insts, outs, nil
-}
-
-// matScratch is the reusable working state of materialize: the interning
-// and negation maps are cleared (not reallocated) between instances, and
-// the literal and key slices keep their capacity. Everything that outlives
-// the call (the Instance, its Vars, the CNF) is still freshly allocated.
-type matScratch struct {
-	varOf   map[topology.ASN]int
-	negated map[topology.ASN]bool
-	lits    []sat.Lit
-	keys    []string
-}
-
-var matScratchPool = sync.Pool{New: func() any {
-	return &matScratch{varOf: map[topology.ASN]int{}, negated: map[topology.ASN]bool{}}
-}}
-
-// sortedKeys collects and sorts m's keys into the scratch key slice; the
-// returned slice is valid until the next call.
-func (sc *matScratch) sortedKeys(m map[string][]topology.ASN) []string {
-	keys := sc.keys[:0]
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	sc.keys = keys
-	return keys
-}
-
-// materialize turns accumulated paths into a CNF. Duplicate clauses are
-// already deduplicated by distinct-path bookkeeping; conflicting
-// observations of the same path (censored and clean) coexist and make the
-// CNF unsatisfiable, which is the intended §3.2 semantics.
-func materialize(key Key, grp *builderGroup) *Instance {
-	in := &Instance{Key: key, CNF: &sat.CNF{}, Measurements: grp.n}
-	sc := matScratchPool.Get().(*matScratch)
-	clear(sc.varOf)
-	clear(sc.negated)
-	intern := func(as topology.ASN) sat.Lit {
-		v, ok := sc.varOf[as]
-		if !ok {
-			v = len(in.Vars) + 1
-			in.Vars = append(in.Vars, as)
-			sc.varOf[as] = v
-		}
-		return sat.Lit(int32(v))
-	}
-
-	// Deterministic clause order: sort path keys. Negative paths expand to
-	// unit clauses; an AS negated by several clean paths still needs only
-	// one unit clause.
-	in.NegativePaths = make([][]topology.ASN, 0, len(grp.neg))
-	for _, k := range sc.sortedKeys(grp.neg) {
-		path := grp.neg[k]
-		in.NegativePaths = append(in.NegativePaths, path)
-		for _, as := range path {
-			if !sc.negated[as] {
-				sc.negated[as] = true
-				in.CNF.AddClause(intern(as).Neg())
-			}
-		}
-	}
-	in.PositivePaths = make([][]topology.ASN, 0, len(grp.pos))
-	for _, k := range sc.sortedKeys(grp.pos) {
-		path := grp.pos[k]
-		in.PositivePaths = append(in.PositivePaths, path)
-		lits := sc.lits[:0]
-		for _, as := range path {
-			lits = append(lits, intern(as))
-		}
-		sc.lits = lits
-		in.CNF.AddClause(lits...)
-	}
-	matScratchPool.Put(sc)
-	return in
 }
 
 // Outcome is the solved result for one instance (§3.2's trichotomy).

@@ -424,7 +424,7 @@ func leakageSummaryOf(a *leakage.Analysis, g *topology.Graph) *LeakageSummary {
 		LeakToOtherCountries: a.LeakToOtherCountries(),
 		RegionalFracNonCN:    a.RegionalFrac(g, "CN"),
 	}
-	for _, l := range a.TopLeakers(g, 0) {
+	for _, l := range a.TopLeakers(g) {
 		leaker := Leaker{
 			ASN: l.ASN, Name: l.Name, Country: l.Country, CountryName: countryName(l.Country),
 			LeakedASes: l.LeakedASes, LeakedCountries: l.LeakedCountries,
