@@ -89,11 +89,11 @@ cover:
 bench:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
-# Root benchmarks with -benchmem, rendered as JSON so the performance
-# trajectory has machine-readable datapoints (BENCH_PR9.json is the latest
-# min-of-N suite).
+# Root benchmarks with -benchmem, rendered as JSON (min of N runs) into
+# BENCH.json, which git ignores. The checked-in BENCH_*.json files are
+# earlier datapoints; diff the fresh file against them for the trajectory.
 bench-json:
-	sh scripts/bench-json.sh BENCH_PR9.json
+	sh scripts/bench-json.sh
 
 # CPU and allocation profiles for the three hot kernels the PR6 pass
 # optimized, written under profiles/ as pprof protos plus human-readable

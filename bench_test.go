@@ -148,7 +148,7 @@ func BenchmarkKernel_MeasurementDay(b *testing.B) {
 	short.End = short.Start.AddDate(0, 0, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		iclab.Run(&short, cfg)
+		benchMeasure(b, &short, cfg)
 	}
 }
 
@@ -187,6 +187,16 @@ func BenchmarkKernel_RoutingTree(b *testing.B) {
 
 // --- Engine: serial vs parallel ---
 
+// benchMeasure runs the measurement schedule as every Experiment does,
+// one shard per day.
+func benchMeasure(b *testing.B, s *iclab.Scenario, cfg iclab.PlatformConfig) [][]iclab.Record {
+	shards, err := iclab.RunByDayCtx(context.Background(), s, cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return shards
+}
+
 // benchMeasureScenario is a 30-day sub-window of the shared scenario, so
 // the serial/parallel comparison runs in benchmark-friendly time.
 func benchMeasureScenario(b *testing.B) *iclab.Scenario {
@@ -201,7 +211,7 @@ func BenchmarkEngine_MeasureSerial(b *testing.B) {
 	cfg := iclab.PlatformConfig{Seed: 5, URLsPerDay: 4, RepeatsPerDay: 2, Workers: 1}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		iclab.Run(s, cfg)
+		benchMeasure(b, s, cfg)
 	}
 }
 
@@ -214,7 +224,7 @@ func BenchmarkEngine_MeasureParallel(b *testing.B) {
 	cfg := iclab.PlatformConfig{Seed: 5, URLsPerDay: 4, RepeatsPerDay: 2, Workers: 8}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		iclab.Run(s, cfg)
+		benchMeasure(b, s, cfg)
 	}
 }
 
@@ -246,7 +256,7 @@ var (
 func benchDayShards(b *testing.B) [][]iclab.Record {
 	p := benchRun(b)
 	benchShardsOnce.Do(func() {
-		benchShards = iclab.RunByDay(p.world, p.cfg.platformConfig())
+		benchShards = benchMeasure(b, p.world, p.cfg.platformConfig())
 	})
 	return benchShards
 }

@@ -49,7 +49,7 @@ type exportRecord struct {
 }
 
 // exportRecordOf renders one measurement in the legacy stdout shape. id is
-// the record's position in day order, the ID the batch merge assigns.
+// the record's position in day order, which identifies it.
 func exportRecordOf(id int32, m *churntomo.Measurement, truth bool) exportRecord {
 	out := exportRecord{
 		ID:             id,

@@ -299,9 +299,9 @@ func (e *Experiment) runCell(ctx context.Context, cfg Config, index int) (*cell,
 		if err := e.replay(ctx, c, shards, emit); err != nil {
 			return nil, err
 		}
-		// The pushed shards carry the IDs the batch merge would assign, so
-		// the merged dataset is bit-identical to a batch run's. The batch
-		// localization stays nil — the window timeline replaces it.
+		// The engine only read the shards, so the merged dataset is
+		// bit-identical to a batch run's. The batch localization stays
+		// nil — the window timeline replaces it.
 		c.dataset = iclab.NewDataset(c.world, iclab.MergeShards(shards))
 		return c, nil
 	}

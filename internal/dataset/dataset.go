@@ -88,8 +88,9 @@ type Header struct {
 
 // File is one decoded dataset: the header plus the measurement records in
 // day-ordered batches (Days[d] holds day d's records, empty days kept).
-// Record IDs are left unassigned — iclab.MergeShards assigns the merged
-// sequence's IDs exactly as a live measurement run would.
+// A record's position in the day-ordered sequence (iclab.MergeShards)
+// identifies it, exactly as in a live measurement run. Decoded records
+// are read-only, so one File may feed concurrent runs.
 type File struct {
 	Header Header
 	Days   [][]iclab.Record

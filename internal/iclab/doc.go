@@ -4,18 +4,21 @@
 // against a censor-free baseline, and three traceroutes per test — over a
 // churning Internet with censoring ASes on some paths.
 //
-// Paper correspondence: §2.1/§3.1. The output Dataset is the
+// Paper correspondence: §2.1/§3.1. The output records are the
 // reproduction's stand-in for the ICLab data the paper consumes (its
-// Table 1), carrying exactly the fields the paper's records have: vantage
-// AS, URL, per-anomaly outcome, three traceroutes and a timestamp, plus
-// inferred AS paths. Ground truth (which censor actually acted) rides
-// along in clearly-marked fields used only for validation — the tomography
-// must never read them (TestGroundTruthIsolation enforces this).
+// Table 1). Each Record carries exactly the fields the paper's records
+// have: vantage AS, URL, per-anomaly outcome and a timestamp, plus the AS
+// path inferred from the test's three traceroutes, which are consumed
+// during measurement and not kept. Ground truth (which censor actually
+// acted) rides along in clearly-marked fields used only for validation —
+// the tomography must never read them (TestGroundTruthIsolation enforces
+// this). A record is written once, when measured, and only read after.
 //
 // Entry points: BuildScenario selects vantages and targets over a prepared
-// substrate; Run executes the schedule into a merged Dataset; RunByDay
-// keeps the output sharded by day for streaming consumers; MergeShards and
-// NewDataset reassemble shards; ComputeTable1 derives the dataset stats.
+// substrate; RunByDayCtx executes the schedule into one record shard per
+// day, the shape streaming consumers push day by day; MergeShards
+// concatenates the shards into the batch sequence and NewDataset wraps it
+// with the Table 1 stats ComputeTable1 derives.
 //
 // Invariants: measurement is deterministic at every worker count. Each day
 // owns an RNG stream derived from (seed, day) alone via DaySeed — a

@@ -48,8 +48,8 @@ func buildECMPStack(t testing.TB, seed uint64, days, planes int) *Scenario {
 // draw never happens, so the RNG stream is untouched).
 func TestECMPSinglePlaneByteIdentical(t *testing.T) {
 	cfg := PlatformConfig{Seed: 9, URLsPerDay: 4, RepeatsPerDay: 2}
-	zero := Run(buildECMPStack(t, 51, 6, 0), cfg)
-	one := Run(buildECMPStack(t, 51, 6, 1), cfg)
+	zero := run(t, buildECMPStack(t, 51, 6, 0), cfg)
+	one := run(t, buildECMPStack(t, 51, 6, 1), cfg)
 	if len(zero.Records) != len(one.Records) {
 		t.Fatalf("record counts differ: %d vs %d", len(zero.Records), len(one.Records))
 	}
@@ -72,7 +72,7 @@ func TestECMPSinglePlaneByteIdentical(t *testing.T) {
 // paths within one day — per-flow hashing, the Pathfinder phenomenon.
 func TestECMPMultiPlaneSpreadsPaths(t *testing.T) {
 	s := buildECMPStack(t, 52, 4, 3)
-	ds := Run(s, PlatformConfig{Seed: 9, URLsPerDay: 4, RepeatsPerDay: 4})
+	ds := run(t, s, PlatformConfig{Seed: 9, URLsPerDay: 4, RepeatsPerDay: 4})
 	type pairDay struct {
 		v   topology.ASN
 		url string
@@ -109,8 +109,8 @@ func TestECMPMultiPlaneSpreadsPaths(t *testing.T) {
 // multipath dataset is reproducible like everything else.
 func TestECMPDeterministic(t *testing.T) {
 	cfg := PlatformConfig{Seed: 9, URLsPerDay: 3, RepeatsPerDay: 2}
-	a := Run(buildECMPStack(t, 53, 4, 3), cfg)
-	b := Run(buildECMPStack(t, 53, 4, 3), cfg)
+	a := run(t, buildECMPStack(t, 53, 4, 3), cfg)
+	b := run(t, buildECMPStack(t, 53, 4, 3), cfg)
 	if len(a.Records) != len(b.Records) {
 		t.Fatalf("record counts differ: %d vs %d", len(a.Records), len(b.Records))
 	}

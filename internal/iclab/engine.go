@@ -8,10 +8,11 @@ import (
 
 // This file is the sharded measurement engine. The schedule is
 // embarrassingly parallel along days — the axis the paper itself slices on —
-// so Run splits the window into one shard per day, measures shards on a
-// worker pool, and concatenates the results in day order. Determinism is
-// preserved by construction rather than by locking: a day's randomness
-// depends only on (seed, day index), never on which worker ran it or when.
+// so RunByDayCtx splits the window into one shard per day and measures
+// shards on a worker pool; MergeShards concatenates them in day order.
+// Determinism is preserved by construction rather than by locking: a day's
+// randomness depends only on (seed, day index), never on which worker ran
+// it or when.
 
 // DaySeed derives the deterministic RNG seed for one day's measurement
 // shard from the platform seed and the day index. It is a splitmix64
@@ -36,54 +37,19 @@ func (s *Scenario) Days() int {
 	return n
 }
 
-// Run executes the measurement schedule over the scenario, sharding days
-// across cfg.Workers goroutines. Deterministic for identical scenario and
-// config at every worker count: parallel output is bit-identical to serial.
-func Run(s *Scenario, cfg PlatformConfig) *Dataset {
-	ds, _ := RunCtx(context.Background(), s, cfg)
-	return ds
-}
-
-// RunCtx is Run with cooperative cancellation: once ctx is done no further
-// day shard starts and the call returns (nil, ctx.Err()). Days already in
-// flight finish first, so cancellation latency is bounded by one day's
-// measurement, not the whole schedule.
+// RunByDayCtx executes the measurement schedule over the scenario, one
+// shard per day, sharding days across cfg.Workers goroutines; shards[d]
+// holds day d's records. This is the emission shape both consumers want:
+// a streaming localizer takes each shard as the day "arrives", and
+// MergeShards over all shards is the batch record sequence. Deterministic
+// for identical scenario and config at every worker count: parallel
+// output is bit-identical to serial.
 //
-// Every day shard is the same size (Scenario.ShardSize), so the merged
-// record sequence is laid out once up front and each worker measures its
-// day directly into its slot — no per-day slices, no concatenation copy.
-// The output is identical to MergeShards over RunByDayCtx's shards.
-func RunCtx(ctx context.Context, s *Scenario, cfg PlatformConfig) (*Dataset, error) {
-	cfg.fillDefaults()
-	days := s.Days()
-	per := s.ShardSize(cfg)
-	records := make([]Record, days*per)
-	if err := parallel.ForEachCtx(ctx, cfg.Workers, days, func(day int) {
-		s.runDayInto(cfg, day, records[day*per:(day+1)*per])
-	}); err != nil {
-		return nil, err
-	}
-	for i := range records {
-		records[i].ID = int32(i)
-	}
-	ds := &Dataset{Scenario: s, Records: records}
-	ds.Stats = ComputeTable1(ds)
-	return ds, nil
-}
-
-// RunByDay executes the same schedule as Run but keeps the output sharded
-// by day — shards[d] holds day d's records, IDs unassigned. This is the
-// emission shape streaming consumers want: each shard can be pushed into a
-// windowed localizer as the day "arrives", and MergeShards over all shards
-// reconstructs exactly Run's record sequence.
-func RunByDay(s *Scenario, cfg PlatformConfig) [][]Record {
-	shards, _ := RunByDayCtx(context.Background(), s, cfg)
-	return shards
-}
-
-// RunByDayCtx is RunByDay with cooperative cancellation; see RunCtx. The
-// partially measured shards are discarded on cancellation — day shards are
-// only meaningful as a complete schedule.
+// Once ctx is done no further day shard starts and the call returns
+// (nil, ctx.Err()). Days already in flight finish first, so cancellation
+// latency is bounded by one day's measurement, not the whole schedule.
+// The partially measured shards are discarded: day shards are only
+// meaningful as a complete schedule.
 func RunByDayCtx(ctx context.Context, s *Scenario, cfg PlatformConfig) ([][]Record, error) {
 	cfg.fillDefaults()
 	days := s.Days()
@@ -104,8 +70,8 @@ func NewDataset(s *Scenario, records []Record) *Dataset {
 	return ds
 }
 
-// MergeShards concatenates per-day record shards in shard order and assigns
-// the global record IDs the merged sequence implies.
+// MergeShards concatenates per-day record shards in shard order. The
+// records are copied shallowly: the merged sequence shares their slices.
 func MergeShards(shards [][]Record) []Record {
 	total := 0
 	for _, sh := range shards {
@@ -114,9 +80,6 @@ func MergeShards(shards [][]Record) []Record {
 	out := make([]Record, 0, total)
 	for _, sh := range shards {
 		out = append(out, sh...)
-	}
-	for i := range out {
-		out[i].ID = int32(i)
 	}
 	return out
 }

@@ -28,7 +28,7 @@ func TestDaySeedDistinctAndStable(t *testing.T) {
 	}
 }
 
-func TestMergeShardsOrderAndIDs(t *testing.T) {
+func TestMergeShardsOrder(t *testing.T) {
 	shards := [][]Record{
 		{{URL: "day0-a"}, {URL: "day0-b"}},
 		nil, // an empty day must not disturb the sequence
@@ -43,9 +43,6 @@ func TestMergeShardsOrderAndIDs(t *testing.T) {
 		if merged[i].URL != want {
 			t.Errorf("record %d is %q, want %q", i, merged[i].URL, want)
 		}
-		if merged[i].ID != int32(i) {
-			t.Errorf("record %d has ID %d", i, merged[i].ID)
-		}
 	}
 }
 
@@ -58,12 +55,12 @@ func TestParallelRunMatchesSerial(t *testing.T) {
 
 	serialCfg := base
 	serialCfg.Workers = 1
-	serial := Run(s, serialCfg)
+	serial := run(t, s, serialCfg)
 
 	for _, workers := range []int{2, 7, 8, 32} {
 		parCfg := base
 		parCfg.Workers = workers
-		par := Run(buildStack(t, 11, 8), parCfg)
+		par := run(t, buildStack(t, 11, 8), parCfg)
 		if len(par.Records) != len(serial.Records) {
 			t.Fatalf("workers=%d: %d records vs %d serial", workers, len(par.Records), len(serial.Records))
 		}
@@ -74,32 +71,6 @@ func TestParallelRunMatchesSerial(t *testing.T) {
 		}
 		if !reflect.DeepEqual(serial.Stats, par.Stats) {
 			t.Fatalf("workers=%d: Table1 stats differ from serial run", workers)
-		}
-	}
-}
-
-// TestRunMatchesMergedByDay pins the equivalence of the engine's two
-// emission shapes: Run's flat, preallocated record layout must be
-// bit-identical to MergeShards over RunByDay's per-day slices, at serial
-// and parallel worker counts. This is the invariant that lets Run skip the
-// concatenation copy entirely.
-func TestRunMatchesMergedByDay(t *testing.T) {
-	base := PlatformConfig{Seed: 21, URLsPerDay: 3, RepeatsPerDay: 2}
-	for _, workers := range []int{1, 2, 8} {
-		cfg := base
-		cfg.Workers = workers
-		flat := Run(buildStack(t, 13, 7), cfg)
-		merged := NewDataset(buildStack(t, 13, 7), MergeShards(RunByDay(buildStack(t, 13, 7), cfg)))
-		if len(flat.Records) != len(merged.Records) {
-			t.Fatalf("workers=%d: flat %d records, merged %d", workers, len(flat.Records), len(merged.Records))
-		}
-		for i := range flat.Records {
-			if !reflect.DeepEqual(flat.Records[i], merged.Records[i]) {
-				t.Fatalf("workers=%d: record %d differs between flat Run and merged RunByDay", workers, i)
-			}
-		}
-		if !reflect.DeepEqual(flat.Stats, merged.Stats) {
-			t.Fatalf("workers=%d: Table1 stats differ between emission shapes", workers)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package iclab
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -44,6 +45,16 @@ func buildStack(t testing.TB, seed uint64, days int) *Scenario {
 	return s
 }
 
+// run measures the whole schedule into a merged Dataset.
+func run(t testing.TB, s *Scenario, cfg PlatformConfig) *Dataset {
+	t.Helper()
+	shards, err := RunByDayCtx(context.Background(), s, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return NewDataset(s, MergeShards(shards))
+}
+
 func TestBuildScenarioShape(t *testing.T) {
 	s := buildStack(t, 1, 30)
 	if len(s.Vantages) != 12 || len(s.Targets) != 24 {
@@ -79,8 +90,8 @@ func TestBuildScenarioShape(t *testing.T) {
 func TestRunDeterministic(t *testing.T) {
 	s := buildStack(t, 2, 5)
 	cfg := PlatformConfig{Seed: 9, URLsPerDay: 3, RepeatsPerDay: 1}
-	a := Run(s, cfg)
-	b := Run(buildStack(t, 2, 5), cfg)
+	a := run(t, s, cfg)
+	b := run(t, buildStack(t, 2, 5), cfg)
 	if len(a.Records) != len(b.Records) {
 		t.Fatalf("record counts differ: %d vs %d", len(a.Records), len(b.Records))
 	}
@@ -94,7 +105,7 @@ func TestRunDeterministic(t *testing.T) {
 
 func TestRunScheduleCoverage(t *testing.T) {
 	s := buildStack(t, 3, 10)
-	ds := Run(s, PlatformConfig{Seed: 1, URLsPerDay: 4, RepeatsPerDay: 2})
+	ds := run(t, s, PlatformConfig{Seed: 1, URLsPerDay: 4, RepeatsPerDay: 2})
 	// 10 days x 4 URLs x 12 vantages x 2 repeats.
 	want := 10 * 4 * 12 * 2
 	if len(ds.Records) != want {
@@ -117,7 +128,7 @@ func TestRunScheduleCoverage(t *testing.T) {
 
 func TestRunRecordsInternallyConsistent(t *testing.T) {
 	s := buildStack(t, 4, 12)
-	ds := Run(s, PlatformConfig{Seed: 2, URLsPerDay: 3, RepeatsPerDay: 2})
+	ds := run(t, s, PlatformConfig{Seed: 2, URLsPerDay: 3, RepeatsPerDay: 2})
 	okPaths, fails := 0, 0
 	for i := range ds.Records {
 		r := &ds.Records[i]
@@ -153,7 +164,7 @@ func TestRunRecordsInternallyConsistent(t *testing.T) {
 
 func TestRunDetectsRealCensorship(t *testing.T) {
 	s := buildStack(t, 5, 20)
-	ds := Run(s, PlatformConfig{Seed: 3, URLsPerDay: 4, RepeatsPerDay: 2})
+	ds := run(t, s, PlatformConfig{Seed: 3, URLsPerDay: 4, RepeatsPerDay: 2})
 
 	truePos, trueNeg, detected, flagged := 0, 0, 0, 0
 	agreeOnActed := 0
@@ -204,7 +215,7 @@ func TestRunDetectsRealCensorship(t *testing.T) {
 
 func TestTable1Shape(t *testing.T) {
 	s := buildStack(t, 6, 15)
-	ds := Run(s, PlatformConfig{Seed: 4, URLsPerDay: 3, RepeatsPerDay: 2})
+	ds := run(t, s, PlatformConfig{Seed: 4, URLsPerDay: 3, RepeatsPerDay: 2})
 	tab := ds.Stats
 	if tab.Measurements != len(ds.Records) {
 		t.Errorf("measurements %d != records %d", tab.Measurements, len(ds.Records))

@@ -17,8 +17,8 @@ import (
 	"churntomo/internal/webcat"
 )
 
-// TracesPerTest is the number of traceroutes recorded per measurement
-// (paper §3.1: "three traceroutes between the vantage point and the URL").
+// TracesPerTest is the number of traceroutes taken per measurement (paper
+// §3.1: "three traceroutes between the vantage point and the URL").
 const TracesPerTest = 3
 
 // GroundTruthAct records, for validation only, one censor that acted on a
@@ -28,30 +28,39 @@ type GroundTruthAct struct {
 	Kinds anomaly.Set
 }
 
-// Record is one measurement: the tuple the paper's §3.1 lists — vantage AS,
-// URL, anomaly outcomes, three traceroutes, timestamp — plus the inferred
-// AS-level path (or the elimination reason).
+// Record is one measurement: the tuple the paper's §3.1 lists (vantage AS,
+// URL, anomaly outcomes, timestamp) plus the AS-level path inferred from
+// the test's three traceroutes, or the reason none could be. Path
+// inference consumes the traceroutes themselves; the record keeps only its
+// result, as the dataset format does.
+//
+// A record is written once, where it is measured (Scenario.measure),
+// decoded (package dataset) or copied from a caller's data, and is
+// read-only afterwards: the CNF builders, the streaming engine, the churn
+// summary and the exporters only read it, so its slices may be shared.
+// Its position in the day-ordered sequence is its identity.
 type Record struct {
-	ID             int32
 	Vantage        topology.ASN
 	VantageCountry string
 	TargetASN      topology.ASN
-	TargetIdx      int32 // index into Scenario.Targets
-	URL            string
-	Category       webcat.Category
-	At             time.Time
+	// TargetIdx indexes the scenario's Targets table (a decoded dataset's
+	// header Targets), or is -1 when unknown; URL, Category and TargetASN
+	// always name the target themselves.
+	TargetIdx int32
+	URL       string
+	Category  webcat.Category
+	At        time.Time
 
 	// Anomalies holds the detector outcomes (never ground truth).
 	Anomalies anomaly.Set
-
-	Traces [TracesPerTest]traceroute.Trace
-	// ASPath is the AS-level path inferred from the traces via the
-	// IP-to-AS database; nil when the record is inconclusive.
+	// ASPath is the AS-level path inferred from the traceroutes via the
+	// IP-to-AS database; nil when Fail != traceroute.OK.
 	ASPath []topology.ASN
 	Fail   traceroute.FailReason
 
 	// Ground truth, for validation only — the tomography must not read
-	// these fields.
+	// these fields. Empty for ingested real-world data, since the paper
+	// had no ground truth either.
 	TruePath    []topology.ASN
 	TrueActs    []GroundTruthAct
 	Unreachable bool // routing offered no path at measurement time
@@ -112,14 +121,6 @@ type Dataset struct {
 	Stats    Table1
 }
 
-// ShardSize returns the exact number of records one day shard produces.
-// The schedule has no conditional skips — unreachable destinations still
-// emit (eliminated) records — so every shard is the same size, which lets
-// the engine carve all shards out of one flat allocation.
-func (s *Scenario) ShardSize(cfg PlatformConfig) int {
-	return cfg.URLsPerDay * len(s.Vantages) * cfg.RepeatsPerDay
-}
-
 // pathRNG is a day shard's reusable path-keyed RNG. The schedule derives a
 // fresh deterministic stream per (seed, path) pair; re-seeding one PCG is
 // state-identical to rand.NewPCG with the same words, so reusing the pair
@@ -144,32 +145,24 @@ func (p *pathRNG) seeded(a, b uint64) *rand.Rand {
 	return p.rng
 }
 
-// runDay measures one day's shard of the schedule. Each day owns an RNG
-// stream derived from (seed, day) alone, so shards are independent of
-// execution order: the engine can run them serially or on a worker pool and
-// merge identical records either way.
-func (s *Scenario) runDay(cfg PlatformConfig, day int) []Record {
-	recs := make([]Record, s.ShardSize(cfg))
-	s.runDayInto(cfg, day, recs)
-	return recs
-}
-
 // pcgStreamPlatform is the per-day measurement-schedule RNG stream word
 // ("platform" in ASCII); stream words are module-unique, enforced by
 // churnvet.
 const pcgStreamPlatform = 0x706c6174666f726d // "platform"
 
-// runDayInto measures day's shard directly into out, which must have
-// length ShardSize(cfg). Writing in place lets the engine lay all shards
-// out in one flat record slice instead of merging per-day allocations.
-// The day routes through its own oracle View, which no other shard
-// touches.
-func (s *Scenario) runDayInto(cfg PlatformConfig, day int, out []Record) {
+// runDay measures one day's shard of the schedule. Each day owns an RNG
+// stream derived from (seed, day) alone, so shards are independent of
+// execution order: the engine can run them serially or on a worker pool and
+// merge identical records either way. The day routes through its own
+// oracle View, which no other shard touches.
+func (s *Scenario) runDay(cfg PlatformConfig, day int) []Record {
 	at := s.Start.AddDate(0, 0, day)
 	rng := rand.New(rand.NewPCG(DaySeed(cfg.Seed^s.Seed, day), pcgStreamPlatform))
 	pr := newPathRNG()
 	view := s.Oracle.View()
-	idx := 0
+	// The schedule has no conditional skips (an unreachable target still
+	// yields an eliminated record), so the shard's size is known up front.
+	out := make([]Record, 0, cfg.URLsPerDay*len(s.Vantages)*cfg.RepeatsPerDay)
 	// The fleet works through the URL list in lockstep, URLsPerDay at a
 	// time, wrapping around the list.
 	for k := 0; k < cfg.URLsPerDay; k++ {
@@ -191,11 +184,11 @@ func (s *Scenario) runDayInto(cfg PlatformConfig, day int, out []Record) {
 				if s.ECMPPaths > 1 {
 					plane = int32(rng.IntN(s.ECMPPaths))
 				}
-				out[idx] = s.measure(v, target, int32(ti), when, plane, cfg, rng, pr, view)
-				idx++
+				out = append(out, s.measure(v, target, int32(ti), when, plane, cfg, rng, pr, view))
 			}
 		}
 	}
+	return out
 }
 
 // measure runs one full test: DNS via two resolvers, HTTP with capture
@@ -219,9 +212,6 @@ func (s *Scenario) measure(v *Vantage, target *Target, targetIdx int32,
 		// rule 2 during clause construction.
 		rec.Fail = traceroute.ErrTraceFailed
 		rec.Unreachable = true
-		for i := range rec.Traces {
-			rec.Traces[i] = traceroute.Trace{Err: true}
-		}
 		return rec
 	}
 	asnPath := s.Oracle.ToASNs(idxPath)
@@ -295,20 +285,21 @@ func (s *Scenario) measure(v *Vantage, target *Target, targetIdx int32,
 
 	// --- Three traceroutes, spread across a small window so genuine
 	// routing changes occasionally split them (rule-4 eliminations).
-	for i := 0; i < TracesPerTest; i++ {
+	var traces [TracesPerTest]traceroute.Trace
+	for i := range traces {
 		traceAt := at.Add(time.Duration(i) * cfg.MidTestChurnWindow / TracesPerTest)
 		tIdxPath, tok := view.PathIdxAtPlane(v.Idx, target.Idx, traceAt, plane)
 		if !tok {
-			rec.Traces[i] = traceroute.Trace{Err: true}
+			traces[i] = traceroute.Trace{Err: true}
 			continue
 		}
 		tExp := exp
 		if !samePath(tIdxPath, idxPath) {
 			tExp = traceroute.Expand(s.Graph, tIdxPath, target.IP, pr.seeded(s.Seed^0x657870, pathHash(tIdxPath)))
 		}
-		rec.Traces[i] = traceroute.Probe(tExp, cfg.Traceroute, rng)
+		traces[i] = traceroute.Probe(tExp, cfg.Traceroute, rng)
 	}
-	rec.ASPath, rec.Fail = traceroute.InferConsensus(rec.Traces[:], s.DB, at, v.ASN)
+	rec.ASPath, rec.Fail = traceroute.InferConsensus(traces[:], s.DB, at, v.ASN)
 	return rec
 }
 

@@ -73,8 +73,7 @@ type Engine struct {
 	inc        *tomo.Incremental
 	nextDay    int
 	nextWindow int
-	residentLo int   // lowest day ordinal still held by the builder
-	nextID     int32 // record IDs, assigned exactly as iclab.MergeShards would
+	residentLo int // lowest day ordinal still held by the builder
 }
 
 // NewEngine returns an engine with no days ingested.
@@ -92,10 +91,11 @@ func (e *Engine) windowBounds(w int) (start, end int) {
 }
 
 // Push ingests the next day's records (day ordinals are implicit: the first
-// call is day 0). Records are stamped with the global IDs the batch engine's
-// merge would assign, in place. When the pushed day completes the next
-// window, Push ages out any days that fell behind the window start, solves,
-// and returns the window; otherwise it returns nil.
+// call is day 0). The engine only reads the records: the caller's batch is
+// left as it was, and may be shared with other readers. When the pushed
+// day completes the next window, Push ages out any days that fell behind
+// the window start, solves, and returns the window; otherwise it returns
+// nil.
 func (e *Engine) Push(records []iclab.Record) *Window {
 	w, _ := e.PushCtx(context.Background(), records)
 	return w
@@ -111,10 +111,6 @@ func (e *Engine) Push(records []iclab.Record) *Window {
 func (e *Engine) PushCtx(ctx context.Context, records []iclab.Record) (*Window, error) {
 	day := e.nextDay
 	e.nextDay++
-	for i := range records {
-		records[i].ID = e.nextID
-		e.nextID++
-	}
 	e.inc.AddDay(day, records)
 
 	start, end := e.windowBounds(e.nextWindow)

@@ -1,11 +1,14 @@
 package stream
 
 import (
+	"context"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
 	"churntomo/internal/anomaly"
+	"churntomo/internal/churn"
 	"churntomo/internal/iclab"
 	"churntomo/internal/tomo"
 	"churntomo/internal/topology"
@@ -90,8 +93,8 @@ func TestEngineSlidingMatchesRebuild(t *testing.T) {
 }
 
 // TestEngineCumulativeFinalMatchesBatch replays cumulatively and checks the
-// final window against the batch pipeline over all records, including the
-// identified-censor map and the record IDs the engine stamps.
+// final window's identified-censor map against the batch pipeline over all
+// records.
 func TestEngineCumulativeFinalMatchesBatch(t *testing.T) {
 	const days = 8
 	eng := NewEngine(Config{Window: 0, MinCNFs: 2, Build: tomo.BuildConfig{Workers: 1}})
@@ -114,16 +117,56 @@ func TestEngineCumulativeFinalMatchesBatch(t *testing.T) {
 	if !reflect.DeepEqual(last.Identified, wantID) {
 		t.Fatalf("final cumulative window identified %v, batch identified %v", last.Identified, wantID)
 	}
+}
 
-	// The engine stamped the same IDs MergeShards assigns.
-	i := 0
-	for _, sh := range shards {
-		for _, r := range sh {
-			if r.ID != merged[i].ID {
-				t.Fatalf("record %d stamped ID %d, merge assigns %d", i, r.ID, merged[i].ID)
-			}
-			i++
+// deepCopy clones day batches down to every slice a record points to.
+func deepCopy(days [][]iclab.Record) [][]iclab.Record {
+	out := make([][]iclab.Record, len(days))
+	for d, recs := range days {
+		out[d] = make([]iclab.Record, len(recs))
+		for i, r := range recs {
+			r.ASPath = slices.Clone(r.ASPath)
+			r.TruePath = slices.Clone(r.TruePath)
+			r.TrueActs = slices.Clone(r.TrueActs)
+			out[d][i] = r
 		}
+	}
+	return out
+}
+
+// TestConsumersNeverWriteRecords pins that records are read-only once
+// measured. A replay shares one decoded record table between concurrent
+// runs, and a merged sequence shares every slice with its day batches, so
+// a consumer that wrote to a record would leak the write into all of them.
+// The streaming engine (adding, retracting and flushing days), the batch
+// CNF build and solve, and the churn summary must each leave every record,
+// and every slice it points to, as they found it.
+func TestConsumersNeverWriteRecords(t *testing.T) {
+	const days = 6
+	var shards [][]iclab.Record
+	for day := 0; day < days; day++ {
+		shards = append(shards, synthDay(day))
+	}
+	want := deepCopy(shards)
+
+	// Window 3, stride 2 emits [0..2] and [2..4], retracting day 0 and
+	// 1 on the way, and leaves day 5 for the flush.
+	ctx := context.Background()
+	eng := NewEngine(Config{Window: 3, Stride: 2, Build: tomo.BuildConfig{Workers: 2}})
+	for _, recs := range shards {
+		if _, err := eng.PushCtx(ctx, recs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if w, err := eng.FlushCtx(ctx); err != nil || w == nil {
+		t.Fatalf("flush returned window %v, error %v; want the tail window", w, err)
+	}
+	merged := iclab.MergeShards(shards)
+	tomo.BuildAndSolve(merged, tomo.BuildConfig{Workers: 2})
+	churn.Measure(merged, nil)
+
+	if !reflect.DeepEqual(shards, want) {
+		t.Fatal("a consumer wrote to the records it was given")
 	}
 }
 

@@ -281,6 +281,32 @@ func syntheticRecords(n int) []iclab.Record {
 	return records
 }
 
+// TestBuildDependsOnlyOnOwnURL is a metamorphic check: every CNF is keyed
+// by URL, so building a dataset must give exactly its URL halves' builds
+// concatenated in instance order. The fold ranks paths across all URLs
+// at once; this pins that a CNF's clause order and variables still
+// depend only on its own URL's records.
+func TestBuildDependsOnlyOnOwnURL(t *testing.T) {
+	records := syntheticRecords(6000)
+	var ab, cd []iclab.Record
+	for _, r := range records {
+		switch r.URL {
+		case "a.com", "b.com":
+			ab = append(ab, r)
+		case "c.com", "d.com":
+			cd = append(cd, r)
+		default:
+			t.Fatalf("unexpected URL %q", r.URL)
+		}
+	}
+	whole := Build(records, BuildConfig{})
+	if len(whole) != 365 {
+		t.Fatalf("%d instances, want 365", len(whole))
+	}
+	halves := append(Build(ab, BuildConfig{}), Build(cd, BuildConfig{})...)
+	sameInstances(t, "URL halves", whole, halves)
+}
+
 func sameInstances(t *testing.T, label string, a, b []*Instance) {
 	t.Helper()
 	if len(a) != len(b) {

@@ -288,15 +288,6 @@ func Generate(cfg GenConfig) (*Graph, error) {
 	return gen.g, nil
 }
 
-// MustGenerate is Generate for known-good configs; it panics on error.
-func MustGenerate(cfg GenConfig) *Graph {
-	g, err := Generate(cfg)
-	if err != nil {
-		panic(err)
-	}
-	return g
-}
-
 func (gen *generator) build() {
 	countries := World[:gen.cfg.Countries]
 

@@ -4,10 +4,7 @@ package churntomo
 // returns a descriptive error from New instead of silently misbehaving at
 // run time.
 
-import (
-	"fmt"
-	"time"
-)
+import "fmt"
 
 // Option configures an Experiment under construction; see New.
 type Option func(*Experiment) error
@@ -211,15 +208,6 @@ func WithDays(n int) Option {
 			return fmt.Errorf("churntomo: WithDays(%d): day count must be >= 1", n)
 		}
 		e.base.Days = n
-		return nil
-	}
-}
-
-// WithStart anchors the measurement period (the zero value means
-// 2016-05-01, the paper's window).
-func WithStart(t time.Time) Option {
-	return func(e *Experiment) error {
-		e.base.Start = t
 		return nil
 	}
 }

@@ -25,7 +25,7 @@ func datasetFingerprint(r *Result) string {
 	for i := range r.cell.dataset.Records {
 		rec := &r.cell.dataset.Records[i]
 		fmt.Fprintf(&b, "%d %v %s %v %v path=%v true=%v unreach=%v\n",
-			rec.ID, rec.Vantage, rec.URL, rec.At.Unix(), rec.Anomalies,
+			i, rec.Vantage, rec.URL, rec.At.Unix(), rec.Anomalies,
 			rec.ASPath, rec.TruePath, rec.Unreachable)
 	}
 	return b.String()

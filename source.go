@@ -2,13 +2,21 @@ package churntomo
 
 // The measurement-source API: the public boundary between *where
 // measurements come from* and *how they are localized*. A Source supplies
-// day-ordered batches of exported Measurement records plus the world
-// metadata (vantages, targets, period, AS table) the solvers and reports
-// need. ScenarioSource — the default — synthesizes them from a scenario
-// world exactly as the fused pipeline always has; FileSource replays a
-// dataset exported by Result.Export (the versioned on-disk format of
+// day-ordered batches of Measurement records plus the world metadata
+// (vantages, targets, period, AS table) the solvers and reports need.
+// ScenarioSource — the default — synthesizes them from a scenario world
+// exactly as the fused pipeline always has; FileSource replays a dataset
+// exported by Result.Export (the versioned on-disk format of
 // internal/dataset); external ingesters implement Source to point the
 // tomography at real data without touching the synthesis stack.
+//
+// Measurement is the pipeline's one record type, and a record is never
+// written after it is measured, decoded or copied in. The built-in
+// sources hand their records to a run as they are, so one FileSource's
+// decoded records feed every run it serves, concurrent ones included. A
+// public Dataset crosses the boundary by deep copy in both directions
+// (cloneDays), so a caller editing a Dataset never reaches a run's
+// records, nor a run the caller's.
 
 import (
 	"context"
@@ -45,39 +53,14 @@ const (
 // TruthAct records, for validation only, one censor that acted on a
 // measurement and with which techniques. Ingested real-world data leaves
 // it empty — the paper had no ground truth either.
-type TruthAct struct {
-	ASN   ASN
-	Kinds AnomalySet
-}
+type TruthAct = iclab.GroundTruthAct
 
-// Measurement is one exported measurement record — the §3.1 tuple
-// (vantage AS, URL, anomaly outcomes, inferred AS path, timestamp) in
-// public form, mirroring the internal platform record minus the raw
-// packet captures and traceroutes, which are consumed during generation.
-// Record IDs are not part of the type: they are assigned by the merge
-// order when an Experiment ingests the batches.
-type Measurement struct {
-	Vantage        ASN
-	VantageCountry string
-	TargetASN      ASN
-	// TargetIdx indexes the source's Targets table, or -1 when unknown.
-	TargetIdx int32
-	URL       string
-	Category  Category
-	At        time.Time
-
-	// Anomalies holds the detector outcomes (never ground truth).
-	Anomalies AnomalySet
-	// ASPath is the inferred AS-level path; nil when Fail != PathOK.
-	ASPath []ASN
-	Fail   PathFail
-
-	// Ground truth, for validation only — the tomography must not read
-	// these fields. Empty for ingested real-world data.
-	TruePath    []ASN
-	TrueActs    []TruthAct
-	Unreachable bool
-}
+// Measurement is one measurement record — the §3.1 tuple (vantage AS,
+// URL, anomaly outcomes, inferred AS path, timestamp) plus validation-only
+// ground truth; see the field notes on the aliased type. Raw packet
+// captures and traceroutes are consumed during generation and not kept.
+// A record's position in the day-ordered batches identifies it.
+type Measurement = iclab.Record
 
 // VantageInfo is one vantage point's metadata.
 type VantageInfo struct {
@@ -149,8 +132,8 @@ type Source interface {
 }
 
 // cellSource is the internal fast path: built-in sources hand the cell
-// runner its world (keeping the full substrate for reports) and raw day
-// shards, skipping the exported-record conversion. External Source
+// runner its world (keeping the full substrate for reports) and their day
+// shards as they are, skipping the Dataset copy. External Source
 // implementations go through Open and adoptFile instead.
 type cellSource interface {
 	openCell(ctx context.Context, e *Experiment, cfg Config, emit func(Event)) (*cell, [][]iclab.Record, error)
@@ -249,7 +232,8 @@ func (s *ScenarioSource) Open(ctx context.Context, cfg Config) (*Dataset, error)
 // streaming replay through the incremental engine, matrix cells — without
 // regenerating the world. The file is decoded once per FileSource and
 // cached, so a matrix pays the gzip+JSON cost a single time; a FileSource
-// therefore snapshots the file as of its first use.
+// therefore snapshots the file as of its first use. Every run reads the
+// cached records in place; no run writes to them.
 type FileSource struct {
 	Path string
 
@@ -286,10 +270,8 @@ func (s *FileSource) Open(ctx context.Context, cfg Config) (*Dataset, error) {
 }
 
 // openCell implements the internal fast path: decode once and adopt the
-// shards directly, skipping the exported-record round trip. Each cell
-// gets its own copy of the record batches — the streaming engine stamps
-// record IDs in place, so sharing the cached slices across concurrent
-// runs would race.
+// cached shards directly, skipping the Dataset round trip. Concurrent
+// cells share the shards, which every stage only reads.
 func (s *FileSource) openCell(ctx context.Context, e *Experiment, cfg Config, emit func(Event)) (*cell, [][]iclab.Record, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err
@@ -302,23 +284,7 @@ func (s *FileSource) openCell(ctx context.Context, e *Experiment, cfg Config, em
 	if err != nil {
 		return nil, nil, fmt.Errorf("churntomo: %w", err)
 	}
-	c, days, err := adoptFile(cfg, f)
-	if err != nil {
-		return nil, nil, err
-	}
-	return c, copyDays(days), nil
-}
-
-// copyDays clones the record batches (the records themselves; deep fields
-// stay shared read-only).
-func copyDays(days [][]iclab.Record) [][]iclab.Record {
-	out := make([][]iclab.Record, len(days))
-	for d, recs := range days {
-		if recs != nil {
-			out[d] = append([]iclab.Record(nil), recs...)
-		}
-	}
-	return out
+	return adoptFile(cfg, f)
 }
 
 // Label implements Source for in-memory datasets.
@@ -434,7 +400,7 @@ func fileOf(c *cell) (*dataset.File, error) {
 		day := int(rec.At.UTC().Sub(start) / (24 * time.Hour))
 		if day < 0 || day >= h.Days {
 			return nil, fmt.Errorf("churntomo: Export: record %d at %v falls outside the %d-day period starting %v",
-				rec.ID, rec.At, h.Days, start)
+				i, rec.At, h.Days, start)
 		}
 		f.Days[day] = append(f.Days[day], rec)
 	}
@@ -547,40 +513,30 @@ func fileToPublic(f *dataset.File) *Dataset {
 	for _, asn := range h.TruthCensors {
 		d.Info.TruthCensors = append(d.Info.TruthCensors, ASN(asn))
 	}
-	d.Days = make([][]Measurement, len(f.Days))
-	for day, recs := range f.Days {
-		if len(recs) == 0 {
-			continue
-		}
-		batch := make([]Measurement, len(recs))
-		for i := range recs {
-			batch[i] = measurementOf(&recs[i])
-		}
-		d.Days[day] = batch
-	}
+	d.Days = cloneDays(f.Days, len(f.Days))
 	return d
 }
 
-// measurementOf converts one internal record to exported form.
-func measurementOf(r *iclab.Record) Measurement {
-	m := Measurement{
-		Vantage:        r.Vantage,
-		VantageCountry: r.VantageCountry,
-		TargetASN:      r.TargetASN,
-		TargetIdx:      r.TargetIdx,
-		URL:            r.URL,
-		Category:       r.Category,
-		At:             r.At,
-		Anomalies:      r.Anomalies,
-		ASPath:         append([]ASN(nil), r.ASPath...),
-		Fail:           r.Fail,
-		TruePath:       append([]ASN(nil), r.TruePath...),
-		Unreachable:    r.Unreachable,
+// cloneDays deep-copies day batches into n day slots (n >= len(days)):
+// the copies share no slice with the originals, and empty days stay nil.
+// It is the one place records are copied across the public boundary, in
+// both directions.
+func cloneDays(days [][]Measurement, n int) [][]Measurement {
+	out := make([][]Measurement, n)
+	for day, batch := range days {
+		if len(batch) == 0 {
+			continue
+		}
+		out[day] = make([]Measurement, len(batch))
+		for i := range batch {
+			r := &out[day][i]
+			*r = batch[i]
+			r.ASPath = append([]ASN(nil), r.ASPath...)
+			r.TruePath = append([]ASN(nil), r.TruePath...)
+			r.TrueActs = append([]TruthAct(nil), r.TrueActs...)
+		}
 	}
-	for _, act := range r.TrueActs {
-		m.TrueActs = append(m.TrueActs, TruthAct{ASN: act.ASN, Kinds: act.Kinds})
-	}
-	return m
+	return out
 }
 
 // publicToFile converts an exported Dataset back to the internal file
@@ -621,38 +577,5 @@ func publicToFile(d *Dataset) (*dataset.File, error) {
 	for _, asn := range info.TruthCensors {
 		h.TruthCensors = append(h.TruthCensors, uint32(asn))
 	}
-	f := &dataset.File{Header: h, Days: make([][]iclab.Record, days)}
-	for day, batch := range d.Days {
-		if len(batch) == 0 {
-			continue
-		}
-		recs := make([]iclab.Record, len(batch))
-		for i := range batch {
-			recs[i] = recordOf(&batch[i])
-		}
-		f.Days[day] = recs
-	}
-	return f, nil
-}
-
-// recordOf converts one exported measurement to the internal record.
-func recordOf(m *Measurement) iclab.Record {
-	r := iclab.Record{
-		Vantage:        m.Vantage,
-		VantageCountry: m.VantageCountry,
-		TargetASN:      m.TargetASN,
-		TargetIdx:      m.TargetIdx,
-		URL:            m.URL,
-		Category:       m.Category,
-		At:             m.At,
-		Anomalies:      m.Anomalies,
-		ASPath:         append([]ASN(nil), m.ASPath...),
-		Fail:           m.Fail,
-		TruePath:       append([]ASN(nil), m.TruePath...),
-		Unreachable:    m.Unreachable,
-	}
-	for _, act := range m.TrueActs {
-		r.TrueActs = append(r.TrueActs, iclab.GroundTruthAct{ASN: act.ASN, Kinds: act.Kinds})
-	}
-	return r
+	return &dataset.File{Header: h, Days: cloneDays(d.Days, days)}, nil
 }

@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	"churntomo/internal/iclab"
@@ -104,6 +105,51 @@ func TestDatasetRoundTripStreaming(t *testing.T) {
 	}
 	if !reflect.DeepEqual(direct.Identified, replayed.Identified) {
 		t.Error("final identifications diverge")
+	}
+}
+
+// TestFileSourceSharedByConcurrentStreams feeds one *FileSource to two
+// streaming experiments running at once. Both read the source's single
+// decoded record table in place, so a stage that wrote to a record would
+// race with the other run (`make race` runs this) or leak into its
+// result. Each Result must equal a serial replay's.
+func TestFileSourceSharedByConcurrentStreams(t *testing.T) {
+	if testing.Short() {
+		t.Skip("end-to-end replays")
+	}
+	direct := runDirect(t, WithConfig(exportTestConfig()))
+	path := filepath.Join(t.TempDir(), "ds.jsonl.gz")
+	if err := direct.Export(path); err != nil {
+		t.Fatal(err)
+	}
+	serial := runDirect(t, WithInput(path), WithWindow(8), WithStride(4))
+	if len(serial.Windows) == 0 {
+		t.Fatal("serial replay emitted no windows; test vacuous")
+	}
+
+	src := &FileSource{Path: path}
+	results := make([]*Result, 2)
+	errs := make([]error, len(results))
+	var wg sync.WaitGroup
+	for i := range results {
+		exp, err := New(WithSource(src), WithWindow(8), WithStride(4))
+		if err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			results[i], errs[i] = exp.Run(context.Background())
+		}()
+	}
+	wg.Wait()
+	for i, res := range results {
+		if errs[i] != nil {
+			t.Fatalf("run %d: %v", i, errs[i])
+		}
+		if !reflect.DeepEqual(res, serial) {
+			t.Errorf("run %d over the shared source differs from the serial replay", i)
+		}
 	}
 }
 
@@ -251,14 +297,12 @@ func TestCleanRecordsNeverGrowACandidateSet(t *testing.T) {
 	records := runDirect(t, WithConfig(testConfig())).cell.dataset.Records
 	var anomalous []string
 	seen := map[string]bool{}
-	nextID := int32(0)
 	for i := range records {
 		r := &records[i]
 		if r.Anomalies != 0 && !seen[r.URL] {
 			seen[r.URL] = true
 			anomalous = append(anomalous, r.URL)
 		}
-		nextID = max(nextID, r.ID+1)
 	}
 	sort.Strings(anomalous)
 	if len(anomalous) == 0 {
@@ -275,8 +319,6 @@ func TestCleanRecordsNeverGrowACandidateSet(t *testing.T) {
 			continue
 		}
 		r.URL = anomalous[clean/3%len(anomalous)]
-		r.ID = nextID
-		nextID++
 		more = append(more, r)
 	}
 
