@@ -60,9 +60,11 @@ race:
 
 # Scenario gate: the preset catalog is intact, every registered preset
 # runs the full pipeline end to end at smoke scale with deterministic
-# output, and the catalog tooling stays wired.
+# output, composed specs register and run by name, and the catalog tooling
+# stays wired. -count 2 runs every test twice in one process, so a fixture
+# that leaks into the process-wide registry fails the gate.
 scenario-check:
-	$(GO) test -count 1 -run 'TestScenarioCatalog|TestScenarioPresetsSmoke|TestScenarioDeterminism|TestScenarioBaselineMatchesDefault' .
+	$(GO) test -count 2 -run 'TestScenarioCatalog|TestScenarioPresetsSmoke|TestScenarioDeterminism|TestScenarioBaselineMatchesDefault|TestRegisterScenarioRoundTrip|TestScenarioSpecComposition' .
 	$(GO) run ./cmd/genlab -list >/dev/null
 
 # Dataset gate: the on-disk format keeps round-tripping — the codec's

@@ -273,7 +273,11 @@ func BenchmarkStream_WindowedIncremental(b *testing.B) {
 		eng := stream.NewEngine(stream.Config{Window: benchWindowDays, Build: tomo.BuildConfig{Workers: 1}})
 		windows, solved, reused := 0, 0, 0
 		for _, day := range shards {
-			if w := eng.Push(day); w != nil {
+			w, err := eng.PushCtx(context.Background(), day)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if w != nil {
 				windows++
 				solved += w.Solved
 				reused += w.Reused

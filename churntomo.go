@@ -19,9 +19,9 @@
 //
 // New constructs an Experiment from functional options; Experiment.Run
 // executes batch, streaming (WithWindow/WithStride) or matrix
-// (WithSeedSweep/WithScaleSweep/WithConfigs) runs through one cancelable
-// code path, reporting progress as typed Events to registered observers
-// and returning a Result expressed entirely in exported types.
+// (WithSeedSweep) runs through one cancelable code path, reporting
+// progress as typed Events to registered observers and returning a Result
+// expressed entirely in exported types.
 //
 // Where measurements come from is decoupled from how they are localized:
 // a Source (see WithSource/WithInput) supplies day-ordered Measurement
@@ -61,8 +61,8 @@ type Config struct {
 
 	// Scenario names the world-construction preset from the scenario
 	// registry (see Scenarios for the catalog); "" means ScenarioBaseline,
-	// the paper's original pipeline byte for byte. WithScenarioSpec
-	// overrides the name lookup with an explicit composed spec.
+	// the paper's original pipeline byte for byte. A composed spec is named
+	// here once RegisterScenario has added it.
 	Scenario string
 
 	// Workers bounds the per-stage parallelism: measurement days are

@@ -14,7 +14,6 @@ import (
 	"churntomo/internal/leakage"
 	"churntomo/internal/parallel"
 	"churntomo/internal/sat"
-	"churntomo/internal/scenario"
 	"churntomo/internal/stream"
 	"churntomo/internal/tomo"
 )
@@ -56,22 +55,13 @@ type Experiment struct {
 	window, stride int
 	minCNFs        int
 	seedSweep      int
-	scaleFactors   []float64
-	cells          []Config
-	matrixWorkers  int
 	ablation       bool
 
-	// source is the experiment-wide measurement source (nil = the default
-	// ScenarioSource); cellSources is the WithSources matrix — one cell
-	// per source, overriding source per cell.
-	source      Source
-	cellSources []Source
-
-	// specOverride is the explicit composed spec from WithScenarioSpec;
-	// nil means cells resolve their Config.Scenario name against the
-	// preset registry. scenarioName is the WithScenario selection; both
-	// survive a later WithConfig (New re-applies them to the base config).
-	specOverride *scenario.Spec
+	// source feeds every cell: the WithSource/WithInput selection, or a
+	// ScenarioSource when neither is given.
+	source Source
+	// scenarioName is the WithScenario selection; it survives a later
+	// WithConfig (New re-applies it to the base config).
 	scenarioName string
 
 	observers []Observer
@@ -79,10 +69,10 @@ type Experiment struct {
 }
 
 // New constructs an Experiment from functional options, validating every
-// option and the combination: streaming options (WithWindow, WithStride,
-// WithStreaming) and matrix options (WithSeedSweep, WithScaleSweep,
-// WithConfigs) are mutually exclusive, and at most one matrix shape may be
-// given. With no options the experiment is a batch DefaultConfig run.
+// option and the combination: streaming (WithWindow, WithStride) and a
+// seed sweep are mutually exclusive, and a source that replays recorded
+// data takes neither a sweep nor a scenario selection. With no options the
+// experiment is a batch DefaultConfig run.
 func New(opts ...Option) (*Experiment, error) {
 	e := &Experiment{}
 	for _, opt := range opts {
@@ -93,78 +83,34 @@ func New(opts ...Option) (*Experiment, error) {
 			return nil, err
 		}
 	}
-	shapes := 0
-	for _, set := range []bool{e.seedSweep > 1, len(e.scaleFactors) > 0, len(e.cells) > 0, len(e.cellSources) > 0} {
-		if set {
-			shapes++
-		}
-	}
-	if shapes > 1 {
-		return nil, fmt.Errorf("churntomo: New: choose at most one of WithSeedSweep, WithScaleSweep, WithConfigs and WithSources")
-	}
-	if shapes > 0 && e.streaming {
+	if e.seedSweep > 1 && e.streaming {
 		return nil, fmt.Errorf("churntomo: New: streaming and matrix modes are mutually exclusive")
 	}
-	if e.source != nil && len(e.cellSources) > 0 {
-		return nil, fmt.Errorf("churntomo: New: WithSource and WithSources are mutually exclusive")
+	if e.source == nil {
+		e.source = &ScenarioSource{}
 	}
-	// A sweep varies the world per cell; a replay source fixes the data,
-	// so every cell would be identical — the library-level twin of
-	// churnlab's -input/-matrix conflict.
-	if e.source != nil && shapes > 0 {
-		if _, ok := e.source.(*ScenarioSource); !ok {
-			return nil, fmt.Errorf("churntomo: New: a matrix sweep resamples the world per cell, but source %q replays the same recorded data into every cell; use WithSources for per-cell datasets", e.source.Label())
+	if _, ok := e.source.(*ScenarioSource); !ok {
+		// A sweep varies the world per cell; a replay source fixes the
+		// data, so every cell would be identical — the library-level twin
+		// of churnlab's -input/-matrix conflict.
+		if e.seedSweep > 1 {
+			return nil, fmt.Errorf("churntomo: New: a matrix sweep resamples the world per cell, but source %q replays the same recorded data into every cell", e.source.Label())
+		}
+		// A scenario selection steers world synthesis; combined with a
+		// source that replays recorded data it would be silently ignored.
+		if e.scenarioName != "" {
+			return nil, fmt.Errorf("churntomo: New: source %q replays recorded data, which a scenario selection cannot steer; drop one", e.source.Label())
 		}
 	}
-	// A scenario selection steers world synthesis; combined with a source
-	// that replays recorded data it would be silently ignored.
-	if e.scenarioName != "" || e.specOverride != nil {
-		for _, src := range append([]Source{e.source}, e.cellSources...) {
-			if src == nil {
-				continue
-			}
-			if _, ok := src.(*ScenarioSource); !ok {
-				return nil, fmt.Errorf("churntomo: New: source %q replays recorded data, which a scenario selection cannot steer; drop one", src.Label())
-			}
-		}
-	}
-	// Scenario selection is order-insensitive with respect to WithConfig:
-	// a WithScenario/WithScenarioSpec anywhere in the option list wins
-	// over whatever Config.Scenario a WithConfig carried, and the world
-	// actually built is always the one the result records. Scenario names
-	// fail here, at construction, not mid-run.
-	switch {
-	case e.specOverride != nil:
-		e.base.Scenario = e.specOverride.Name
-		// The override decides every cell's world; a cell config naming a
-		// different scenario would be silently ignored, so reject it.
-		for i := range e.cells {
-			if s := e.cells[i].Scenario; s != "" && s != e.specOverride.Name {
-				return nil, fmt.Errorf("churntomo: New: cell %d names scenario %q, which WithScenarioSpec(%q) would override; drop one",
-					i, s, e.specOverride.Name)
-			}
-			e.cells[i].Scenario = e.specOverride.Name
-		}
-	case e.scenarioName != "":
+	// A WithScenario anywhere in the option list wins over whatever
+	// Config.Scenario a WithConfig carried, and the world actually built is
+	// always the one the result records. Scenario names fail here, at
+	// construction, not mid-run.
+	if e.scenarioName != "" {
 		e.base.Scenario = e.scenarioName
-		// Cells that don't name their own scenario inherit the
-		// experiment-level selection; explicit cell names stay honored
-		// (a WithConfigs grid may mix scenarios per cell).
-		for i := range e.cells {
-			if e.cells[i].Scenario == "" {
-				e.cells[i].Scenario = e.scenarioName
-			}
-		}
-		fallthrough
-	default:
-		if _, err := resolveScenario(e.base.Scenario); err != nil {
-			return nil, err
-		}
-		for i := range e.cells {
-			if _, err := resolveScenario(e.cells[i].Scenario); err != nil {
-				return nil, fmt.Errorf("churntomo: New: cell %d: %w", i, err)
-			}
-		}
+	}
+	if _, err := resolveScenario(e.base.Scenario); err != nil {
+		return nil, err
 	}
 	return e, nil
 }
@@ -172,7 +118,7 @@ func New(opts ...Option) (*Experiment, error) {
 // Mode reports how the experiment will execute.
 func (e *Experiment) Mode() Mode {
 	switch {
-	case e.seedSweep > 1 || len(e.scaleFactors) > 0 || len(e.cells) > 0 || len(e.cellSources) > 0:
+	case e.seedSweep > 1:
 		return ModeMatrix
 	case e.streaming:
 		return ModeStreaming
@@ -221,16 +167,6 @@ func (e *Experiment) Run(ctx context.Context) (*Result, error) {
 	return e.singleResult(c), nil
 }
 
-// cellSpec resolves the scenario one cell builds under: the explicit
-// WithScenarioSpec composition when given, the cell config's named preset
-// otherwise (so a WithConfigs grid may mix scenarios per cell).
-func (e *Experiment) cellSpec(cfg Config) (scenario.Spec, error) {
-	if e.specOverride != nil {
-		return *e.specOverride, nil
-	}
-	return resolveScenario(cfg.Scenario)
-}
-
 // resolvedMinCNFs is the corroboration threshold after defaulting.
 func (e *Experiment) resolvedMinCNFs() int {
 	if e.minCNFs > 0 {
@@ -239,27 +175,15 @@ func (e *Experiment) resolvedMinCNFs() int {
 	return identifyMinCNFs
 }
 
-// sourceFor resolves which Source feeds a cell: the per-cell WithSources
-// entry, the experiment-wide WithSource/WithInput selection, or the
-// default ScenarioSource.
-func (e *Experiment) sourceFor(cell int) Source {
-	if cell >= 0 && cell < len(e.cellSources) {
-		return e.cellSources[cell]
-	}
-	if e.source != nil {
-		return e.source
-	}
-	return defaultSource
-}
-
-// openCell obtains a cell's world and day-ordered record shards from its
-// source. Built-in sources implement the internal cellSource fast path
-// (the ScenarioSource one is byte-identical to the pre-Source fused
-// pipeline); external Source implementations go through the public Open
-// contract and the dataset adapter.
-func (e *Experiment) openCell(ctx context.Context, src Source, cfg Config, emit func(Event)) (*cell, [][]iclab.Record, error) {
+// openCell obtains a cell's world and day-ordered record shards from the
+// experiment's source. Built-in sources implement the internal cellSource
+// fast path (the ScenarioSource one is byte-identical to the pre-Source
+// fused pipeline); external Source implementations go through the public
+// Open contract and the dataset adapter.
+func (e *Experiment) openCell(ctx context.Context, cfg Config, emit func(Event)) (*cell, [][]iclab.Record, error) {
+	src := e.source
 	if cs, ok := src.(cellSource); ok {
-		return cs.openCell(ctx, e, cfg, emit)
+		return cs.openCell(ctx, cfg, emit)
 	}
 	ev := newEvent(StageLoad)
 	ev.Stats.Seed = cfg.Seed
@@ -273,13 +197,16 @@ func (e *Experiment) openCell(ctx context.Context, src Source, cfg Config, emit 
 	if err != nil {
 		return nil, nil, fmt.Errorf("churntomo: source %q: %w", src.Label(), err)
 	}
+	// The caller keeps its Dataset and may edit it after the run, so the
+	// run analyzes a copy of the records.
+	f.Days = cloneDays(f.Days)
 	return adoptFile(cfg, f)
 }
 
 // runCell executes one pipeline — THE code path shared by every mode.
 // index is the matrix cell index, -1 outside matrix mode; it tags every
-// emitted event. The cell's Source supplies the world and the day shards
-// (synthesized or replayed); batch cells then localize with one
+// emitted event. The experiment's Source supplies the world and the day
+// shards (synthesized or replayed); batch cells then localize with one
 // BuildAndSolve while streaming cells replay the day shards through a
 // stream.Engine. Cancellation is checked at each stage boundary, between
 // streamed days, and inside the sharded loops via the ctx-aware engines.
@@ -289,13 +216,13 @@ func (e *Experiment) runCell(ctx context.Context, cfg Config, index int) (*cell,
 		e.emit(ev)
 	}
 
-	c, shards, err := e.openCell(ctx, e.sourceFor(index), cfg, emit)
+	c, shards, err := e.openCell(ctx, cfg, emit)
 	if err != nil {
 		return nil, err
 	}
 	cfg = c.cfg
 
-	if e.streaming && index < 0 {
+	if e.streaming {
 		if err := e.replay(ctx, c, shards, emit); err != nil {
 			return nil, err
 		}
@@ -412,40 +339,20 @@ func (e *Experiment) singleResult(c *cell) *Result {
 	return res
 }
 
-// matrixConfigs expands the configured sweep into per-cell configs.
+// matrixConfigs expands the seed sweep into per-cell configs: the base
+// config at consecutive seeds.
 func (e *Experiment) matrixConfigs() []Config {
 	base := e.base
 	base.fillDefaults()
-	var out []Config
-	switch {
-	case len(e.cells) > 0:
-		out = append([]Config(nil), e.cells...)
-	case len(e.cellSources) > 0:
-		// One cell per source, all under the base configuration — the
-		// source decides the data, the config the analysis knobs.
-		out = make([]Config, len(e.cellSources))
-		for i := range out {
-			out[i] = base
-		}
-	case len(e.scaleFactors) > 0:
-		out = make([]Config, len(e.scaleFactors))
-		for i, f := range e.scaleFactors {
-			out[i] = base
-			out[i].Vantages = max(int(float64(base.Vantages)*f), 2)
-			out[i].URLs = max(int(float64(base.URLs)*f), 2)
-			out[i].Days = max(int(float64(base.Days)*f), 1)
-		}
-	default:
-		out = make([]Config, e.seedSweep)
-		for i := range out {
-			out[i] = base
-			out[i].Seed = base.Seed + uint64(i)
-		}
+	out := make([]Config, e.seedSweep)
+	for i := range out {
+		out[i] = base
+		out[i].Seed = base.Seed + uint64(i)
 	}
 	return out
 }
 
-// runMatrixCells executes every cell on the matrix worker pool, returning
+// runMatrixCells executes every cell on a GOMAXPROCS pool, returning
 // per-cell statuses and artifacts in input order (a failed cell's
 // artifacts are nil). A failed cell carries its error instead of aborting
 // the sweep; a done ctx stops dispatching further cells.
@@ -453,7 +360,7 @@ func (e *Experiment) runMatrixCells(ctx context.Context, cfgs []Config) ([]CellS
 	statuses := make([]CellStatus, len(cfgs))
 	cells := make([]*cell, len(cfgs))
 	//churnvet:ok errflow -- a done ctx surfaces per cell: runCell returns ctx.Err into each CellStatus, so the sweep-level error would only duplicate what every cell already carries
-	_ = parallel.ForEachCtx(ctx, e.matrixWorkers, len(cfgs), func(i int) {
+	_ = parallel.ForEachCtx(ctx, 0, len(cfgs), func(i int) {
 		cfg := cfgs[i]
 		c, err := e.runCell(ctx, cfg, i)
 		cs := CellStatus{Index: i, Config: cfg, Err: err}

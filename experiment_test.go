@@ -33,14 +33,9 @@ func TestNewValidatesOptions(t *testing.T) {
 		{"zero days", []Option{WithDays(0)}, "WithDays"},
 		{"negative mincnfs", []Option{WithMinCNFs(-1)}, "WithMinCNFs"},
 		{"zero seed sweep", []Option{WithSeedSweep(0)}, "WithSeedSweep"},
-		{"empty scale sweep", []Option{WithScaleSweep()}, "WithScaleSweep"},
-		{"negative scale factor", []Option{WithScaleSweep(1, -0.5)}, "WithScaleSweep"},
-		{"empty configs", []Option{WithConfigs()}, "WithConfigs"},
-		{"negative matrix workers", []Option{WithMatrixWorkers(-3)}, "WithMatrixWorkers"},
 		{"nil observer", []Option{WithObserver(nil)}, "WithObserver"},
 		{"nil option", []Option{nil}, "nil Option"},
 		{"streaming plus matrix", []Option{WithWindow(7), WithSeedSweep(3)}, "mutually exclusive"},
-		{"two matrix shapes", []Option{WithSeedSweep(2), WithScaleSweep(0.5, 1)}, "at most one"},
 	}
 	for _, tc := range cases {
 		_, err := New(tc.opts...)
@@ -63,11 +58,9 @@ func TestNewModeResolution(t *testing.T) {
 		{"default", nil, ModeBatch},
 		{"window", []Option{WithWindow(7)}, ModeStreaming},
 		{"stride only", []Option{WithStride(3)}, ModeStreaming},
-		{"cumulative", []Option{WithStreaming()}, ModeStreaming},
+		{"cumulative", []Option{WithWindow(0)}, ModeStreaming},
 		{"seed sweep", []Option{WithSeedSweep(4)}, ModeMatrix},
 		{"seed sweep of one", []Option{WithSeedSweep(1)}, ModeBatch},
-		{"scale sweep", []Option{WithScaleSweep(0.5, 1, 2)}, ModeMatrix},
-		{"explicit cells", []Option{WithConfigs(SmallConfig())}, ModeMatrix},
 	}
 	for _, tc := range cases {
 		e, err := New(tc.opts...)
@@ -315,7 +308,7 @@ func TestExperimentStreamingMatchesBatch(t *testing.T) {
 	}
 	cfg := testConfig()
 	batch := runDirect(t, WithConfig(cfg))
-	exp, err := New(WithConfig(cfg), WithStreaming())
+	exp, err := New(WithConfig(cfg), WithWindow(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -350,7 +343,7 @@ func TestExperimentMatrixMatchesRunner(t *testing.T) {
 	if testing.Short() {
 		t.Skip("matrix of pipelines in -short mode")
 	}
-	res := runDirect(t, WithConfig(matrixConfig()), WithSeedSweep(2), WithMatrixWorkers(2))
+	res := runDirect(t, WithConfig(matrixConfig()), WithSeedSweep(2))
 	if res.Mode != ModeMatrix || res.Matrix == nil {
 		t.Fatalf("mode %v, matrix %v", res.Mode, res.Matrix)
 	}
@@ -375,27 +368,26 @@ func TestExperimentMatrixMatchesRunner(t *testing.T) {
 }
 
 // TestExperimentMatrixSurvivesFailedCell: a broken matrix cell is
-// reported in its CellStatus and MatrixSummary.Failed, not fatal.
+// reported in its CellStatus and MatrixSummary.Failed, not fatal. No seed
+// of a sound config fails, so the sweep's cell runner is handed one
+// impossible config beside a good one.
 func TestExperimentMatrixSurvivesFailedCell(t *testing.T) {
 	good := matrixConfig()
 	bad := matrixConfig()
 	bad.ASes = 20
 	bad.Vantages = 1000 // impossible: more vantages than stubs
-	exp, err := New(WithConfigs(bad, good), WithMatrixWorkers(2))
+	exp, err := New(WithSeedSweep(2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := exp.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
+	statuses, cells := exp.runMatrixCells(context.Background(), []Config{bad, good})
+	if ms := matrixSummaryOf(cells); ms.Runs != 1 || ms.Failed != 1 {
+		t.Fatalf("runs=%d failed=%d, want 1/1", ms.Runs, ms.Failed)
 	}
-	if res.Matrix.Runs != 1 || res.Matrix.Failed != 1 {
-		t.Fatalf("runs=%d failed=%d, want 1/1", res.Matrix.Runs, res.Matrix.Failed)
+	if statuses[0].Err == nil || statuses[1].Err != nil {
+		t.Fatalf("cell errors misplaced: %v / %v", statuses[0].Err, statuses[1].Err)
 	}
-	if res.Cells[0].Err == nil || res.Cells[1].Err != nil {
-		t.Fatalf("cell errors misplaced: %v / %v", res.Cells[0].Err, res.Cells[1].Err)
-	}
-	if res.Cells[0].CNFs != 0 || res.Cells[1].CNFs == 0 {
+	if statuses[0].CNFs != 0 || statuses[1].CNFs == 0 {
 		t.Fatal("CNF counts misplaced across failed/good cells")
 	}
 }
@@ -566,7 +558,7 @@ func TestRunCancellation(t *testing.T) {
 		runCanceled(t, StageWindow, WithConfig(cfg), WithWindow(10), WithStride(5))
 	})
 	t.Run("mid matrix", func(t *testing.T) {
-		runCanceled(t, StageCell, WithConfig(matrixConfig()), WithSeedSweep(4), WithMatrixWorkers(2))
+		runCanceled(t, StageCell, WithConfig(matrixConfig()), WithSeedSweep(4))
 	})
 }
 

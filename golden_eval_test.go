@@ -122,8 +122,8 @@ func checkGoldenOutcome(t *testing.T, mode string, got goldenOutcome, want golde
 }
 
 // TestGoldenEvaluation is the expected-outcome regression suite: every
-// registered preset, batch and streaming, against the checked-in golden
-// expectations.
+// preset registered at init, batch and streaming, against the checked-in
+// golden expectations.
 func TestGoldenEvaluation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("20 end-to-end runs in -short mode")
@@ -146,7 +146,7 @@ func TestGoldenEvaluation(t *testing.T) {
 	var mu sync.Mutex
 	observed := map[string]goldenEntry{}
 
-	infos := Scenarios()
+	infos := builtinScenarios
 	t.Run("presets", func(t *testing.T) {
 		for _, info := range infos {
 			preset := info.Name

@@ -14,6 +14,6 @@
 // runs and across serial/parallel/streaming execution.
 //
 // The public API mirror lives in the root package (WithScenario,
-// WithScenarioSpec, Scenarios); churnlab selects presets with -scenario
+// RegisterScenario, Scenarios); churnlab selects presets with -scenario
 // and genlab lists and describes them.
 package scenario

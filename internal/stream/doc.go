@@ -13,11 +13,12 @@
 // windows until each censor's identification stabilizes.
 //
 // Entry points: NewEngine configures the window shape (width, stride,
-// per-window identification threshold); Engine.Push ingests one day and
-// returns a Window whenever one completes; Converge folds a window
-// timeline into per-censor convergence stats. A streaming
-// churntomo.Experiment (WithWindow/WithStride) drives a whole scenario
-// replay through an Engine.
+// per-window identification threshold); Engine.PushCtx ingests one day and
+// returns a Window whenever one completes, and Engine.FlushCtx localizes
+// the tail days no window covered; Converge folds a window timeline into
+// per-censor convergence stats. A streaming churntomo.Experiment
+// (WithWindow/WithStride) drives a whole scenario replay through an
+// Engine.
 //
 // Invariants: every emitted Window is field-for-field identical to what
 // the batch pipeline would produce over exactly the window's records —

@@ -60,8 +60,9 @@ type Window struct {
 }
 
 // Engine ingests day batches of measurement records and emits sliding- or
-// growing-window localizations. Feed it days in order with Push; whenever a
-// pushed day completes the next window, Push returns that window's result.
+// growing-window localizations. Feed it days in order with PushCtx;
+// whenever a pushed day completes the next window, PushCtx returns that
+// window's result.
 //
 // The engine is the streaming face of tomo.Incremental: days entering the
 // window are folded into the live (URL, slice) cells, days aging out drop
@@ -90,24 +91,19 @@ func (e *Engine) windowBounds(w int) (start, end int) {
 	return w * e.cfg.Stride, w*e.cfg.Stride + e.cfg.Window - 1
 }
 
-// Push ingests the next day's records (day ordinals are implicit: the first
-// call is day 0). The engine only reads the records: the caller's batch is
-// left as it was, and may be shared with other readers. When the pushed
-// day completes the next window, Push ages out any days that fell behind
-// the window start, solves, and returns the window; otherwise it returns
-// nil.
-func (e *Engine) Push(records []iclab.Record) *Window {
-	w, _ := e.PushCtx(context.Background(), records)
-	return w
-}
-
-// PushCtx is Push with cooperative cancellation. The day's records are
-// always ingested; only the window solve a completing day triggers is
-// cancelable. On a non-nil error the day still counts as pushed but its
-// window was not emitted — the engine's incremental state stays coherent
-// (unsolved keys remain dirty), so a caller that keeps the engine can
-// Flush later to recover the localization; callers abandoning the run just
-// drop the engine.
+// PushCtx ingests the next day's records (day ordinals are implicit: the
+// first call is day 0). The engine only reads the records: the caller's
+// batch is left as it was, and may be shared with other readers. When the
+// pushed day completes the next window, PushCtx ages out any days that fell
+// behind the window start, solves, and returns the window; otherwise it
+// returns nil.
+//
+// The day's records are always ingested; only the window solve a
+// completing day triggers is cancelable. On a non-nil error the day still
+// counts as pushed but its window was not emitted — the engine's
+// incremental state stays coherent (unsolved keys remain dirty), so a
+// caller that keeps the engine can FlushCtx later to recover the
+// localization; callers abandoning the run just drop the engine.
 func (e *Engine) PushCtx(ctx context.Context, records []iclab.Record) (*Window, error) {
 	day := e.nextDay
 	e.nextDay++
@@ -122,7 +118,7 @@ func (e *Engine) PushCtx(ctx context.Context, records []iclab.Record) (*Window, 
 
 // emit ages out days behind start, solves, and packages the window
 // [start, end] under the next ordinal — the single emission path shared by
-// Push and Flush. On cancellation the window ordinal is not consumed.
+// PushCtx and FlushCtx. On cancellation the window ordinal is not consumed.
 func (e *Engine) emit(ctx context.Context, start, end int) (*Window, error) {
 	for ; e.residentLo < start; e.residentLo++ {
 		e.inc.RemoveDay(e.residentLo)
@@ -144,22 +140,17 @@ func (e *Engine) emit(ctx context.Context, start, end int) (*Window, error) {
 	return w, nil
 }
 
-// Flush localizes any pushed days that no emitted window has covered yet —
-// the tail left when the day count does not land on a window end. The
-// returned window ends at the last pushed day and spans at most the
+// FlushCtx localizes any pushed days that no emitted window has covered
+// yet — the tail left when the day count does not land on a window end.
+// The returned window ends at the last pushed day and spans at most the
 // configured width (cumulative flushes cover everything, so a cumulative
 // replay's flushed final window always equals the batch result). Returns
 // nil when the last emitted window already covers the last pushed day, or
-// when nothing was pushed. Flush is an end-of-stream operation: it consumes
-// the next window ordinal, so resuming Push afterwards continues emitting
-// but the flushed window's day range will not realign with the stride grid.
-func (e *Engine) Flush() *Window {
-	w, _ := e.FlushCtx(context.Background())
-	return w
-}
-
-// FlushCtx is Flush with cooperative cancellation; see PushCtx for the
-// engine-state guarantees on a non-nil error.
+// when nothing was pushed. FlushCtx is an end-of-stream operation: it
+// consumes the next window ordinal, so resuming PushCtx afterwards
+// continues emitting but the flushed window's day range will not realign
+// with the stride grid. See PushCtx for the engine-state guarantees on a
+// non-nil error.
 func (e *Engine) FlushCtx(ctx context.Context) (*Window, error) {
 	last := e.nextDay - 1
 	if last < 0 {

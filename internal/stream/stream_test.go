@@ -40,6 +40,26 @@ func synthDay(day int) []iclab.Record {
 	return recs
 }
 
+// push and flush drive the engine on a background context, where
+// PushCtx and FlushCtx never fail.
+func push(t *testing.T, eng *Engine, recs []iclab.Record) *Window {
+	t.Helper()
+	w, err := eng.PushCtx(context.Background(), recs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return w
+}
+
+func flush(t *testing.T, eng *Engine) *Window {
+	t.Helper()
+	w, err := eng.FlushCtx(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return w
+}
+
 // TestEngineSlidingMatchesRebuild pins the streaming contract: every emitted
 // window's outcomes equal a from-scratch batch solve over exactly the
 // window's records.
@@ -51,7 +71,7 @@ func TestEngineSlidingMatchesRebuild(t *testing.T) {
 	for day := 0; day < days; day++ {
 		recs := synthDay(day)
 		all = append(all, recs)
-		w := eng.Push(recs)
+		w := push(t, eng, recs)
 		if day < window-1 {
 			if w != nil {
 				t.Fatalf("day %d emitted window before the first filled", day)
@@ -103,7 +123,7 @@ func TestEngineCumulativeFinalMatchesBatch(t *testing.T) {
 	for day := 0; day < days; day++ {
 		recs := synthDay(day)
 		shards = append(shards, recs)
-		if w := eng.Push(recs); w != nil {
+		if w := push(t, eng, recs); w != nil {
 			last = w
 		}
 	}
@@ -175,7 +195,7 @@ func TestEngineStrideBounds(t *testing.T) {
 	eng := NewEngine(Config{Window: 4, Stride: 2, Build: tomo.BuildConfig{Workers: 1}})
 	var got [][2]int
 	for day := 0; day < 10; day++ {
-		if w := eng.Push(synthDay(day)); w != nil {
+		if w := push(t, eng, synthDay(day)); w != nil {
 			got = append(got, [2]int{w.StartDay, w.EndDay})
 		}
 	}
@@ -185,28 +205,28 @@ func TestEngineStrideBounds(t *testing.T) {
 	}
 }
 
-// TestEngineFlushCoversTail pins Flush: days the stride grid leaves
+// TestEngineFlushCoversTail pins FlushCtx: days the stride grid leaves
 // uncovered are localized in one final partial window, and a flushed
 // cumulative replay's last window equals the batch solve over all days.
 func TestEngineFlushCoversTail(t *testing.T) {
 	// Sliding: window 4, stride 3 over 9 days emits [0..3] and [3..6];
-	// days 7-8 are the tail. Flush must cover them with a window ending at
-	// day 8, at most 4 days wide.
+	// days 7-8 are the tail. FlushCtx must cover them with a window ending
+	// at day 8, at most 4 days wide.
 	eng := NewEngine(Config{Window: 4, Stride: 3, Build: tomo.BuildConfig{Workers: 1}})
 	var all [][]iclab.Record
 	var emitted [][2]int
 	for day := 0; day < 9; day++ {
 		recs := synthDay(day)
 		all = append(all, recs)
-		if w := eng.Push(recs); w != nil {
+		if w := push(t, eng, recs); w != nil {
 			emitted = append(emitted, [2]int{w.StartDay, w.EndDay})
 		}
 	}
-	fw := eng.Flush()
+	fw := flush(t, eng)
 	if fw == nil || fw.StartDay != 5 || fw.EndDay != 8 {
 		t.Fatalf("flush window %+v, want [5..8]", fw)
 	}
-	if eng.Flush() != nil {
+	if flush(t, eng) != nil {
 		t.Fatal("second flush emitted a window")
 	}
 	var flat []iclab.Record
@@ -226,9 +246,9 @@ func TestEngineFlushCoversTail(t *testing.T) {
 	for day := 0; day < 7; day++ {
 		recs := synthDay(day)
 		flat = append(flat, recs...)
-		cum.Push(recs)
+		push(t, cum, recs)
 	}
-	fw = cum.Flush()
+	fw = flush(t, cum)
 	if fw == nil || fw.StartDay != 0 || fw.EndDay != 6 {
 		t.Fatalf("cumulative flush window %+v, want [0..6]", fw)
 	}
@@ -241,12 +261,12 @@ func TestEngineFlushCoversTail(t *testing.T) {
 	// Aligned replays flush nothing.
 	aligned := NewEngine(Config{Window: 3, Build: tomo.BuildConfig{Workers: 1}})
 	for day := 0; day < 5; day++ {
-		aligned.Push(synthDay(day))
+		push(t, aligned, synthDay(day))
 	}
-	if w := aligned.Flush(); w != nil {
+	if w := flush(t, aligned); w != nil {
 		t.Fatalf("aligned replay flushed %+v", w)
 	}
-	if NewEngine(Config{Window: 3, Build: tomo.BuildConfig{Workers: 1}}).Flush() != nil {
+	if flush(t, NewEngine(Config{Window: 3, Build: tomo.BuildConfig{Workers: 1}})) != nil {
 		t.Fatal("empty engine flushed a window")
 	}
 }

@@ -26,7 +26,7 @@
 // into Outcomes, and IdentifyCensors folds unique-solution outcomes into
 // the named-censor map. NewIncremental is the streaming counterpart: day
 // batches enter via AddDay, retract via RemoveDay, and
-// Incremental.BuildAndSolve re-solves only the CNFs a batch touched,
+// Incremental.BuildAndSolveCtx re-solves only the CNFs a batch touched,
 // serving the rest from the previous call's outcomes.
 //
 // Invariants: construction is a commutative fold (path masks OR, record

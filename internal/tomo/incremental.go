@@ -13,7 +13,7 @@ package tomo
 // state beyond the day parts themselves.
 //
 // The contract mirrors the batch engine exactly: after any sequence of
-// AddDay/RemoveDay calls, BuildAndSolve returns the same instances and
+// AddDay/RemoveDay calls, BuildAndSolveCtx returns the same instances and
 // outcomes (field for field, in the same order) that the batch
 // BuildAndSolve would return over the currently-held records. The streaming
 // regression tests pin that equivalence.
@@ -45,9 +45,9 @@ type incCell struct {
 }
 
 // Incremental is the windowed counterpart of Build/BuildAndSolve. Records
-// enter and leave in day-labelled batches; BuildAndSolve re-solves only the
-// cells touched since the previous call and serves the rest from cache.
-// Incremental is not safe for concurrent use, but BuildAndSolve itself
+// enter and leave in day-labelled batches; BuildAndSolveCtx re-solves only
+// the cells touched since the previous call and serves the rest from cache.
+// Incremental is not safe for concurrent use, but BuildAndSolveCtx itself
 // parallelizes across cells.
 //
 // Memory: the path and URL tables keep every distinct AS path and URL ever
@@ -68,7 +68,7 @@ type Incremental struct {
 }
 
 // NewIncremental returns an empty incremental builder. The config's
-// granularities and kinds match Build's; Workers bounds BuildAndSolve's
+// granularities and kinds match Build's; Workers bounds BuildAndSolveCtx's
 // per-cell parallelism.
 func NewIncremental(cfg BuildConfig) *Incremental {
 	cfg.fillDefaults()
@@ -122,7 +122,7 @@ func (inc *Incremental) RemoveDay(day int) {
 	delete(inc.byDay, day)
 }
 
-// IncStats reports how much work one BuildAndSolve call actually did,
+// IncStats reports how much work one BuildAndSolveCtx call actually did,
 // counted in CNFs: one per (cell, kind) that becomes an instance.
 type IncStats struct {
 	// Solved counts CNFs re-materialized and re-solved (those of dirty
@@ -141,19 +141,14 @@ func (inc *Incremental) solveCell(c *incCell) {
 	})
 }
 
-// BuildAndSolve returns the instances and outcomes for the currently-held
-// records, identical (and identically ordered) to the batch BuildAndSolve
-// over the same records. Only cells dirtied since the previous call are
-// re-solved — across a sliding-window replay that is the small minority of
-// cells a day boundary touches — and the per-cell work runs on
-// cfg.Workers.
-func (inc *Incremental) BuildAndSolve() ([]*Instance, []Outcome, IncStats) {
-	insts, outs, stats, _ := inc.BuildAndSolveCtx(context.Background())
-	return insts, outs, stats
-}
-
-// BuildAndSolveCtx is BuildAndSolve with cooperative cancellation: once ctx
-// is done no further dirty cell is re-solved and the call returns
+// BuildAndSolveCtx returns the instances and outcomes for the
+// currently-held records, identical (and identically ordered) to the batch
+// BuildAndSolve over the same records. Only cells dirtied since the
+// previous call are re-solved — across a sliding-window replay that is the
+// small minority of cells a day boundary touches — and the per-cell work
+// runs on cfg.Workers.
+//
+// Once ctx is done no further dirty cell is re-solved and the call returns
 // ctx.Err(). Cells solved before the cancellation keep their refreshed
 // caches and every cell stays dirty, so a later call resumes the leftover
 // work — cancellation never corrupts the incremental state.

@@ -1,6 +1,7 @@
 package tomo
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"testing"
@@ -10,6 +11,17 @@ import (
 	"churntomo/internal/iclab"
 	"churntomo/internal/topology"
 )
+
+// solveInc runs inc.BuildAndSolveCtx on a background context, where it
+// never fails.
+func solveInc(t *testing.T, inc *Incremental) ([]*Instance, []Outcome, IncStats) {
+	t.Helper()
+	insts, outs, stats, err := inc.BuildAndSolveCtx(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return insts, outs, stats
+}
 
 // synthDay fabricates one day's records: a few vantages testing a few URLs
 // over paths that churn with the day index, with anomalies on some paths.
@@ -64,7 +76,7 @@ func TestIncrementalMatchesBatch(t *testing.T) {
 			inWindow = inWindow[1:]
 		}
 
-		gotInsts, gotOuts, stats := inc.BuildAndSolve()
+		gotInsts, gotOuts, stats := solveInc(t, inc)
 		var flat []iclab.Record
 		for _, d := range inWindow {
 			flat = append(flat, d...)
@@ -98,11 +110,11 @@ func TestIncrementalNoChangeReusesEverything(t *testing.T) {
 	inc := NewIncremental(BuildConfig{Workers: 1})
 	inc.AddDay(0, synthDay(0))
 	inc.AddDay(1, synthDay(1))
-	_, outs1, stats1 := inc.BuildAndSolve()
+	_, outs1, stats1 := solveInc(t, inc)
 	if stats1.Solved == 0 || stats1.Reused != 0 {
 		t.Fatalf("first solve: %+v", stats1)
 	}
-	_, outs2, stats2 := inc.BuildAndSolve()
+	_, outs2, stats2 := solveInc(t, inc)
 	if stats2.Solved != 0 || stats2.Reused != len(outs2) {
 		t.Fatalf("idle solve did work: %+v", stats2)
 	}
@@ -119,13 +131,13 @@ func TestIncrementalRemoveAllEmpties(t *testing.T) {
 	inc.AddDay(1, synthDay(1))
 	inc.RemoveDay(0)
 	inc.RemoveDay(1)
-	insts, outs, _ := inc.BuildAndSolve()
+	insts, outs, _ := solveInc(t, inc)
 	if len(insts) != 0 || len(outs) != 0 {
 		t.Fatalf("retracted engine still holds %d instances", len(insts))
 	}
 	// Re-adding after removal must work (fresh groups, fresh labels).
 	inc.AddDay(1, synthDay(1))
-	insts, _, _ = inc.BuildAndSolve()
+	insts, _, _ = solveInc(t, inc)
 	want, _ := BuildAndSolve(synthDay(1), BuildConfig{Workers: 1})
 	if len(insts) != len(want) {
 		t.Fatalf("re-added day: %d instances, want %d", len(insts), len(want))
@@ -153,7 +165,7 @@ func TestIncrementalLongReplayMatchesBatch(t *testing.T) {
 			flat = append(flat, d...)
 		}
 		_, wantOuts := BuildAndSolve(flat, cfg)
-		_, gotOuts, _ := inc.BuildAndSolve()
+		_, gotOuts, _ := solveInc(t, inc)
 		if !reflect.DeepEqual(gotOuts, wantOuts) {
 			t.Fatalf("day %d: outcomes differ from batch", day)
 		}
@@ -184,7 +196,7 @@ func TestIncrementalWorkersIrrelevant(t *testing.T) {
 			if day >= 3 {
 				inc.RemoveDay(day - 3)
 			}
-			_, outs, _ := inc.BuildAndSolve()
+			_, outs, _ := solveInc(t, inc)
 			for _, o := range outs {
 				out += fmt.Sprintf("%v/%v/%v/%d;", o.Inst.Key, o.Class, o.Censors, o.Eliminated)
 			}
@@ -240,7 +252,7 @@ func FuzzIncrementalVsBatch(f *testing.F) {
 				flat = append(flat, resident[d]...)
 			}
 			wantInsts, wantOuts := BuildAndSolve(flat, cfg)
-			gotInsts, gotOuts, stats := inc.BuildAndSolve()
+			gotInsts, gotOuts, stats := solveInc(t, inc)
 			if !reflect.DeepEqual(gotInsts, wantInsts) || !reflect.DeepEqual(gotOuts, wantOuts) {
 				t.Fatalf("step %d (op %#x): incremental differs from batch over %d resident days",
 					i/2, ops[i], len(resident))

@@ -184,7 +184,7 @@ func TestRepeatedGranularityOrKindIsIgnored(t *testing.T) {
 		sameInstances(t, tc.name+" BuildAndSolve", want, insts)
 		inc := NewIncremental(tc.repeat)
 		inc.AddDay(0, records)
-		insts, _, _ = inc.BuildAndSolve()
+		insts, _, _ = solveInc(t, inc)
 		sameInstances(t, tc.name+" Incremental", want, insts)
 	}
 	if got := Build(records, BuildConfig{Granularities: []timeslice.Granularity{timeslice.Day, timeslice.Day}, Kinds: dns}); got[0].Measurements != 6 {

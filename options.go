@@ -85,9 +85,10 @@ func WithScale(s Scale) Option {
 // the dimensions and randomness. Same preset + same seed is bit-identical
 // across runs and across serial/parallel/streaming execution.
 //
-// Scenario selection is position-independent: like WithScenarioSpec, it
-// survives a later WithConfig (the last scenario option wins over any
-// Config.Scenario a WithConfig carries).
+// Scenario selection is position-independent: it survives a later
+// WithConfig (the last WithScenario wins over any Config.Scenario a
+// WithConfig carries). To run a composed world, register its spec with
+// RegisterScenario and select it here by name.
 func WithScenario(name string) Option {
 	return func(e *Experiment) error {
 		if name == "" {
@@ -98,24 +99,6 @@ func WithScenario(name string) Option {
 		}
 		e.base.Scenario = name
 		e.scenarioName = name
-		e.specOverride = nil // a later name wins over an earlier spec
-		return nil
-	}
-}
-
-// WithScenarioSpec drives world construction through an explicitly
-// composed spec instead of a registered preset — mix and match the
-// provider axes (spec fields left nil use the paper-baseline provider for
-// that axis). The spec's name is recorded in results; it defaults to
-// "custom".
-func WithScenarioSpec(spec ScenarioSpec) Option {
-	return func(e *Experiment) error {
-		if spec.Name == "" {
-			spec.Name = "custom"
-		}
-		e.specOverride = &spec
-		e.scenarioName = ""
-		e.base.Scenario = spec.Name
 		return nil
 	}
 }
@@ -138,36 +121,16 @@ func WithSeed(seed uint64) Option {
 // WithSource sets where the experiment's measurements come from: a
 // ScenarioSource (the default — synthesize from the configured scenario),
 // a FileSource (replay an exported dataset), an in-memory *Dataset, or
-// any external Source implementation. Every execution mode consumes the
-// source's day batches: batch localizes them at once, streaming replays
-// them day by day through the incremental engine, and each matrix cell
-// opens the source under its own cell config.
+// any external Source implementation. Batch localizes the source's day
+// batches at once and streaming replays them day by day through the
+// incremental engine; a seed sweep takes only a ScenarioSource, which each
+// matrix cell opens under its own cell config.
 func WithSource(src Source) Option {
 	return func(e *Experiment) error {
 		if src == nil {
 			return fmt.Errorf("churntomo: WithSource(nil): source must be non-nil")
 		}
 		e.source = src
-		return nil
-	}
-}
-
-// WithSources switches the experiment to matrix mode with one cell per
-// source, all analyzed under the base configuration — comparing datasets
-// (several exported files, a synthesis next to a recording) under
-// identical analysis knobs. Mutually exclusive with the other matrix
-// shapes (WithSeedSweep, WithScaleSweep, WithConfigs) and with WithSource.
-func WithSources(srcs ...Source) Option {
-	return func(e *Experiment) error {
-		if len(srcs) == 0 {
-			return fmt.Errorf("churntomo: WithSources: at least one source required")
-		}
-		for i, src := range srcs {
-			if src == nil {
-				return fmt.Errorf("churntomo: WithSources: source %d is nil", i)
-			}
-		}
-		e.cellSources = append([]Source(nil), srcs...)
 		return nil
 	}
 }
@@ -241,15 +204,6 @@ func WithStride(days int) Option {
 	}
 }
 
-// WithStreaming switches the experiment to streaming mode with the default
-// cumulative window and per-day stride — shorthand for WithWindow(0).
-func WithStreaming() Option {
-	return func(e *Experiment) error {
-		e.streaming = true
-		return nil
-	}
-}
-
 // WithMinCNFs sets the corroboration threshold for naming a censor: an AS
 // must be the unique solution of at least n distinct CNFs. 0 means the
 // pipeline default (8). Applies to batch identification and to every
@@ -267,60 +221,16 @@ func WithMinCNFs(n int) Option {
 // WithSeedSweep switches the experiment to matrix mode: n whole pipelines
 // with consecutive seeds starting at the base seed, run concurrently and
 // aggregated — the standard way to measure identification stability under
-// substrate resampling. n == 1 is equivalent to a single batch run.
+// substrate resampling. n == 1 is equivalent to a single batch run. Up to
+// GOMAXPROCS cells run at once, each on its own goroutine; WithWorkers
+// still bounds every cell's stage pools, so a wide sweep usually pairs
+// with WithWorkers(1), as churnlab -matrix does.
 func WithSeedSweep(n int) Option {
 	return func(e *Experiment) error {
 		if n < 1 {
 			return fmt.Errorf("churntomo: WithSeedSweep(%d): sweep size must be >= 1", n)
 		}
 		e.seedSweep = n
-		return nil
-	}
-}
-
-// WithScaleSweep switches the experiment to matrix mode: one cell per
-// factor, scaling the base config's platform dimensions (vantages, URLs,
-// days) while keeping its seed and topology fixed — a fleet-growth
-// ablation. Factors below the minimum viable platform clamp to 2
-// vantages/URLs and 1 day.
-func WithScaleSweep(factors ...float64) Option {
-	return func(e *Experiment) error {
-		if len(factors) == 0 {
-			return fmt.Errorf("churntomo: WithScaleSweep: at least one factor required")
-		}
-		for _, f := range factors {
-			if f <= 0 {
-				return fmt.Errorf("churntomo: WithScaleSweep: factor %v must be > 0", f)
-			}
-		}
-		e.scaleFactors = append([]float64(nil), factors...)
-		return nil
-	}
-}
-
-// WithConfigs switches the experiment to matrix mode over an explicit,
-// hand-built grid of configurations (an ablation grid, a mixed sweep).
-func WithConfigs(cfgs ...Config) Option {
-	return func(e *Experiment) error {
-		if len(cfgs) == 0 {
-			return fmt.Errorf("churntomo: WithConfigs: at least one config required")
-		}
-		e.cells = append([]Config(nil), cfgs...)
-		return nil
-	}
-}
-
-// WithMatrixWorkers bounds how many matrix cells run concurrently — as
-// goroutines sharing this process; 0 uses GOMAXPROCS. For wide matrices it
-// usually pays to combine this with WithWorkers(1) and let the matrix
-// supply the concurrency. churnlab leaves it at GOMAXPROCS and sets
-// WithWorkers(1) for -matrix runs unless -parallel says otherwise.
-func WithMatrixWorkers(n int) Option {
-	return func(e *Experiment) error {
-		if n < 0 {
-			return fmt.Errorf("churntomo: WithMatrixWorkers(%d): worker count must be >= 0 (0 = GOMAXPROCS)", n)
-		}
-		e.matrixWorkers = n
 		return nil
 	}
 }

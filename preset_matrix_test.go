@@ -1,8 +1,8 @@
 package churntomo
 
-// The table-driven preset matrix: every registered preset, at two seeds,
-// through the full public pipeline. Three invariants per (preset, seed)
-// cell: the run succeeds, the same seed reproduces a byte-identical
+// The table-driven preset matrix: every preset registered at init, at two
+// seeds, through the full public pipeline. Three invariants per (preset,
+// seed) cell: the run succeeds, the same seed reproduces a byte-identical
 // dataset, and a cumulative streaming replay's final identifications
 // equal batch's. The golden suite (golden_eval_test.go) pins WHAT each
 // preset finds at one seed; this matrix pins that every preset behaves
@@ -35,7 +35,7 @@ func TestPresetMatrixTwoSeedsDeterministicStreamingEqualsBatch(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full preset x seed matrix in -short mode")
 	}
-	for _, info := range Scenarios() {
+	for _, info := range builtinScenarios {
 		preset := info.Name
 		for _, seed := range []uint64{1, 7} {
 			t.Run(fmt.Sprintf("%s/seed%d", preset, seed), func(t *testing.T) {

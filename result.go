@@ -68,7 +68,7 @@ type Censor struct {
 // Summary condenses the measured dataset and the solve outcome.
 type Summary struct {
 	// Scenario names the world-construction preset the run built under
-	// ("paper-baseline" unless WithScenario/WithScenarioSpec changed it).
+	// ("paper-baseline" unless WithScenario changed it).
 	Scenario string
 	// Period is the measurement period by month, e.g. "2016-05 ~ 2016-06".
 	Period string

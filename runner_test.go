@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"reflect"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
@@ -41,39 +42,13 @@ func TestSeedSweep(t *testing.T) {
 	}
 }
 
-func TestScaleSweep(t *testing.T) {
-	if testing.Short() {
-		t.Skip("matrix of pipelines in -short mode")
-	}
-	base := matrixConfig()
-	cells := runDirect(t, WithConfig(base), WithScaleSweep(0.5, 1, 2)).Cells
-	if len(cells) != 3 {
-		t.Fatalf("got %d cells", len(cells))
-	}
-	if cells[0].Config.Vantages != base.Vantages/2 || cells[2].Config.Vantages != base.Vantages*2 {
-		t.Errorf("vantage scaling wrong: %d, %d", cells[0].Config.Vantages, cells[2].Config.Vantages)
-	}
-	if cells[1].Config.URLs != base.URLs || cells[1].Config.Days != base.Days {
-		t.Errorf("unit factor changed dimensions")
-	}
-	tiny := runDirect(t, WithConfig(base), WithScaleSweep(0.0001)).Cells[0].Config
-	if tiny.Vantages < 2 || tiny.URLs < 2 || tiny.Days < 1 {
-		t.Errorf("scale floor not applied: %+v", tiny)
-	}
-	for _, cell := range cells {
-		if cell.Config.Seed != base.Seed {
-			t.Errorf("scale sweep changed the seed")
-		}
-	}
-}
-
 func TestRunMatrixAggregates(t *testing.T) {
 	if testing.Short() {
 		t.Skip("matrix of pipelines in -short mode")
 	}
 	var progress bytes.Buffer
 	exp, err := New(WithConfig(matrixConfig()), WithSeedSweep(3),
-		WithMatrixWorkers(3), WithObserver(TextObserver(&progress)))
+		WithObserver(TextObserver(&progress)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,11 +129,14 @@ func TestRunMatrixDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("matrix of pipelines in -short mode")
 	}
-	run := func(workers int) *MatrixSummary {
-		return runDirect(t, WithConfig(matrixConfig()), WithSeedSweep(2), WithMatrixWorkers(workers)).Matrix
+	// GOMAXPROCS sizes both the matrix pool and, at Workers 0, every
+	// cell's stage pools.
+	run := func(procs int) *MatrixSummary {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		return runDirect(t, WithConfig(matrixConfig()), WithSeedSweep(2)).Matrix
 	}
 	a, b := run(2), run(1)
 	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("matrix summary differs across worker counts:\n%+v\n%+v", a, b)
+		t.Fatalf("matrix summary differs across GOMAXPROCS settings:\n%+v\n%+v", a, b)
 	}
 }

@@ -3,10 +3,11 @@ package churntomo
 // The public face of the pluggable scenario framework. Worlds are built by
 // composing four provider axes — topology, churn process, censor regime,
 // platform profile — registered behind named presets; experiments select
-// one with WithScenario(name) or compose their own with WithScenarioSpec.
-// The internal/scenario package owns the interfaces and the registry; this
-// file re-exports what external consumers need so they never import
-// churntomo/internal (enforced by `make api-check`).
+// one with WithScenario(name), and a composition of their own runs the
+// same way once RegisterScenario has added it. The internal/scenario
+// package owns the interfaces and the registry; this file re-exports what
+// external consumers need so they never import churntomo/internal
+// (enforced by `make api-check`).
 
 import "churntomo/internal/scenario"
 
@@ -17,8 +18,8 @@ const ScenarioBaseline = scenario.DefaultName
 // ScenarioSpec composes one world generator from the four provider axes
 // (topology, churn, censors, platform). A nil axis means the
 // paper-baseline provider, so overriding a single axis is a one-liner.
-// Pass a spec to WithScenarioSpec, or fetch a registered preset's spec
-// with ScenarioByName and swap axes before running.
+// Fetch a registered preset's spec with ScenarioByName, swap axes, then
+// register the result under a new name and select it with WithScenario.
 type ScenarioSpec = scenario.Spec
 
 // ScenarioInfo describes one registered preset for catalogs: its identity,
@@ -54,8 +55,8 @@ func Scenarios() []ScenarioInfo {
 	return out
 }
 
-// ScenarioByName returns the named preset's spec, for running as-is via
-// WithScenarioSpec or as a base to swap axes on.
+// ScenarioByName returns the named preset's spec, as a base to swap axes
+// on before RegisterScenario.
 func ScenarioByName(name string) (ScenarioSpec, error) {
 	return resolveScenario(name)
 }

@@ -12,6 +12,7 @@ import (
 	"reflect"
 	"sort"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"churntomo/internal/sat"
@@ -23,6 +24,27 @@ var requiredPresets = []string{
 	"paper-baseline", "national-firewall", "transit-leakage",
 	"bgp-storm", "regional-outage", "policy-flap", "path-diverse",
 	"routing-shift", "ecmp-multipath", "chokepoint",
+}
+
+// builtinScenarios is the catalog as registered at init, before any test
+// adds a fixture. The catalog-wide tests range over it rather than the
+// live registry, which keeps every fixture a test registers for the rest
+// of the process — under go test -count 2, into the second run too.
+var builtinScenarios = Scenarios()
+
+// fixtureSeq numbers the scenario fixtures tests register.
+var fixtureSeq atomic.Int64
+
+// registerFixture registers spec under a fresh name built from base and
+// returns the name, so no registration collides with an earlier one, from
+// this run or a previous -count repetition.
+func registerFixture(t *testing.T, spec ScenarioSpec, base string) string {
+	t.Helper()
+	spec.Name = fmt.Sprintf("%s-%d", base, fixtureSeq.Add(1))
+	if err := RegisterScenario(spec); err != nil {
+		t.Fatal(err)
+	}
+	return spec.Name
 }
 
 // smokeConfig is the smallest configuration that still runs the whole
@@ -56,7 +78,7 @@ func censorFingerprint(m map[ASN]*IdentifiedCensor) string {
 }
 
 func TestScenarioCatalog(t *testing.T) {
-	infos := Scenarios()
+	infos := builtinScenarios
 	if len(infos) < 6 {
 		t.Fatalf("only %d presets registered, want >= 6", len(infos))
 	}
@@ -231,21 +253,22 @@ func TestScenarioBaselineMatchesDefault(t *testing.T) {
 }
 
 // TestScenarioSpecComposition runs an ad-hoc composed spec: a preset
-// fetched by name with one axis swapped, the framework's whole point.
+// fetched by name with two axes swapped in from another, registered and
+// selected by name — the framework's whole point.
 func TestScenarioSpecComposition(t *testing.T) {
 	spec, err := ScenarioByName("bgp-storm")
 	if err != nil {
 		t.Fatal(err)
 	}
-	storm, err := ScenarioByName("national-firewall")
+	firewall, err := ScenarioByName("national-firewall")
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec.Name = "firewall-under-storm"
-	spec.Censors = storm.Censors
-	spec.Platform = storm.Platform
+	spec.Censors = firewall.Censors
+	spec.Platform = firewall.Platform
+	name := registerFixture(t, spec, "firewall-under-storm")
 
-	exp, err := New(WithConfig(smokeConfig()), WithScenarioSpec(spec))
+	exp, err := New(WithConfig(smokeConfig()), WithScenario(name))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,8 +276,8 @@ func TestScenarioSpecComposition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Summary.Scenario != "firewall-under-storm" {
-		t.Errorf("Summary.Scenario = %q, want the composed spec's name", res.Summary.Scenario)
+	if res.Summary.Scenario != name {
+		t.Errorf("Summary.Scenario = %q, want the composed spec's name %q", res.Summary.Scenario, name)
 	}
 }
 
@@ -269,11 +292,6 @@ func TestWithScenarioValidation(t *testing.T) {
 	cfg.Scenario = "no-such-world"
 	if _, err := New(WithConfig(cfg)); err == nil {
 		t.Error("unknown Config.Scenario accepted by New")
-	}
-	bad := smokeConfig()
-	bad.Scenario = "no-such-world"
-	if _, err := New(WithConfigs(smokeConfig(), bad)); err == nil {
-		t.Error("unknown scenario in a matrix cell accepted by New")
 	}
 }
 
@@ -302,17 +320,14 @@ func TestScenarioMatrixCells(t *testing.T) {
 // name through the same option as the built-ins.
 func TestRegisterScenarioRoundTrip(t *testing.T) {
 	spec := ScenarioSpec{
-		Name:        "test-registered",
 		Description: "registry round-trip fixture",
 		Echoes:      "this test",
 	}
-	if err := RegisterScenario(spec); err != nil {
-		t.Fatal(err)
-	}
+	spec.Name = registerFixture(t, spec, "test-registered")
 	if err := RegisterScenario(spec); err == nil {
 		t.Error("duplicate registration accepted")
 	}
-	exp, err := New(WithConfig(smokeConfig()), WithScenario("test-registered"))
+	exp, err := New(WithConfig(smokeConfig()), WithScenario(spec.Name))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,8 +335,8 @@ func TestRegisterScenarioRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Summary.Scenario != "test-registered" {
-		t.Errorf("Summary.Scenario = %q", res.Summary.Scenario)
+	if res.Summary.Scenario != spec.Name {
+		t.Errorf("Summary.Scenario = %q, want %q", res.Summary.Scenario, spec.Name)
 	}
 	// The fixture leaves all axes nil, so its world must equal baseline's.
 	base, err := New(WithConfig(smokeConfig()))
@@ -337,30 +352,9 @@ func TestRegisterScenarioRoundTrip(t *testing.T) {
 	}
 }
 
-// TestScenarioSpecSurvivesWithConfig pins option-order robustness: a
-// WithConfig after WithScenarioSpec replaces the base config, but the
-// explicit spec still decides the world and stays recorded.
-func TestScenarioSpecSurvivesWithConfig(t *testing.T) {
-	spec, err := ScenarioByName("bgp-storm")
-	if err != nil {
-		t.Fatal(err)
-	}
-	exp, err := New(WithScenarioSpec(spec), WithConfig(smokeConfig()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := exp.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Summary.Scenario != "bgp-storm" {
-		t.Errorf("Summary.Scenario = %q, want the overriding spec's name", res.Summary.Scenario)
-	}
-}
-
-// TestScenarioOptionOrderIndependence pins that scenario selection, named
-// or composed, survives a later WithConfig: the last scenario option
-// decides the world regardless of where WithConfig sits.
+// TestScenarioOptionOrderIndependence pins that a WithScenario selection
+// survives a later WithConfig: it decides the world regardless of where
+// WithConfig sits.
 func TestScenarioOptionOrderIndependence(t *testing.T) {
 	before, err := New(WithScenario("bgp-storm"), WithConfig(smokeConfig()))
 	if err != nil {
@@ -383,57 +377,5 @@ func TestScenarioOptionOrderIndependence(t *testing.T) {
 	}
 	if got, want := censorFingerprint(bres.Identified), censorFingerprint(ares.Identified); got != want {
 		t.Fatalf("option order changed the world:\n--- scenario-first ---\n%s--- config-first ---\n%s", got, want)
-	}
-}
-
-// TestScenarioSpecConflictsWithCellNames pins that an explicit spec
-// override refuses to silently shadow a cell's own scenario request.
-func TestScenarioSpecConflictsWithCellNames(t *testing.T) {
-	spec, err := ScenarioByName("bgp-storm")
-	if err != nil {
-		t.Fatal(err)
-	}
-	named := smokeConfig()
-	named.Scenario = "transit-leakage"
-	if _, err := New(WithConfigs(smokeConfig(), named), WithScenarioSpec(spec)); err == nil {
-		t.Error("conflicting cell scenario accepted alongside WithScenarioSpec")
-	}
-	// Cells that name nothing (or the same scenario) are fine and get the
-	// override recorded.
-	same := smokeConfig()
-	same.Scenario = "bgp-storm"
-	exp, err := New(WithConfigs(smokeConfig(), same), WithScenarioSpec(spec))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := exp.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, cell := range res.Cells {
-		if cell.Config.Scenario != "bgp-storm" {
-			t.Errorf("cell %d records scenario %q, want the override's name", cell.Index, cell.Config.Scenario)
-		}
-	}
-}
-
-// TestScenarioCellInheritance pins that WithScenario flows into WithConfigs
-// cells that do not name their own scenario, while explicit cell names win.
-func TestScenarioCellInheritance(t *testing.T) {
-	named := smokeConfig()
-	named.Scenario = "transit-leakage"
-	exp, err := New(WithConfigs(smokeConfig(), named), WithScenario("path-diverse"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := exp.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := res.Cells[0].Config.Scenario; got != "path-diverse" {
-		t.Errorf("unnamed cell records %q, want the experiment-level preset", got)
-	}
-	if got := res.Cells[1].Config.Scenario; got != "transit-leakage" {
-		t.Errorf("explicitly named cell records %q, want its own preset", got)
 	}
 }

@@ -13,10 +13,15 @@ package churntomo
 // Measurement is the pipeline's one record type, and a record is never
 // written after it is measured, decoded or copied in. The built-in
 // sources hand their records to a run as they are, so one FileSource's
-// decoded records feed every run it serves, concurrent ones included. A
-// public Dataset crosses the boundary by deep copy in both directions
-// (cloneDays), so a caller editing a Dataset never reaches a run's
-// records, nor a run the caller's.
+// decoded records feed every run it serves, concurrent ones included.
+// Records are deep-copied (cloneDays) only where a public Dataset would
+// otherwise share them with someone else: FileSource.Open (the shared
+// decoded cache), Result.Dataset (the run's records) and a run over a
+// caller's Dataset. So a caller editing a Dataset never reaches a run's
+// records, nor a run the caller's. Freshly measured or decoded records
+// that nobody else holds (ScenarioSource.Open, LoadDataset) and a
+// Dataset only being encoded (Dataset.WriteFile) are handed over as they
+// are.
 
 import (
 	"context"
@@ -122,8 +127,9 @@ type Dataset struct {
 // Source supplies measurements to an Experiment. Open produces the
 // dataset one cell analyzes; cfg is the cell's configuration, which
 // synthesizing sources use to size and seed the world and replaying
-// sources may ignore. Open must be safe for concurrent calls (matrix
-// cells run in parallel) and should honor ctx cancellation.
+// sources may ignore. Open must be safe for concurrent calls (one
+// Experiment may Run concurrently, and experiments may share a source)
+// and should honor ctx cancellation.
 type Source interface {
 	// Label names the source in events and errors.
 	Label() string
@@ -136,39 +142,27 @@ type Source interface {
 // shards as they are, skipping the Dataset copy. External Source
 // implementations go through Open and adoptFile instead.
 type cellSource interface {
-	openCell(ctx context.Context, e *Experiment, cfg Config, emit func(Event)) (*cell, [][]iclab.Record, error)
+	openCell(ctx context.Context, cfg Config, emit func(Event)) (*cell, [][]iclab.Record, error)
 }
 
 // ScenarioSource synthesizes measurements from a scenario world — the
 // default source, byte-identical to the pre-Source fused pipeline. The
-// world is decided by cfg.Scenario (or the experiment's
-// WithScenario/WithScenarioSpec selection) and sized by the usual Config
+// world is the registered preset cfg.Scenario names (an experiment's
+// WithScenario selection lands there; register a composed spec with
+// RegisterScenario to run it) and is sized by the usual Config
 // dimensions.
-type ScenarioSource struct {
-	// Spec, when non-nil, overrides the preset-name resolution with an
-	// explicitly composed spec (see WithScenarioSpec).
-	Spec *ScenarioSpec
-}
-
-// defaultSource is the source used when no WithSource option is given.
-var defaultSource = &ScenarioSource{}
+type ScenarioSource struct{}
 
 // Label implements Source.
-func (s *ScenarioSource) Label() string {
-	if s.Spec != nil {
-		return "scenario " + s.Spec.Name
-	}
-	return "scenario"
-}
+func (s *ScenarioSource) Label() string { return "scenario" }
 
 // openCell implements the internal fast path: exactly the fused
 // build-then-measure pipeline, substrate events included.
-func (s *ScenarioSource) openCell(ctx context.Context, e *Experiment, cfg Config, emit func(Event)) (*cell, [][]iclab.Record, error) {
-	spec, err := s.spec(e, cfg)
+func (s *ScenarioSource) openCell(ctx context.Context, cfg Config, emit func(Event)) (*cell, [][]iclab.Record, error) {
+	spec, err := resolveScenario(cfg.Scenario)
 	if err != nil {
 		return nil, nil, err
 	}
-	cfg.Scenario = spec.Name // the world actually built is the one recorded
 	c, err := prepareSpecCtx(ctx, cfg, spec, emit)
 	if err != nil {
 		return nil, nil, err
@@ -183,24 +177,6 @@ func (s *ScenarioSource) openCell(ctx context.Context, e *Experiment, cfg Config
 	return c, shards, nil
 }
 
-// spec resolves which world to build: the source's own override, the
-// experiment's, or the cell config's named preset. The returned spec's
-// name is the one results must record — a Spec override would otherwise
-// leave cfg.Scenario naming a world that was never built.
-func (s *ScenarioSource) spec(e *Experiment, cfg Config) (ScenarioSpec, error) {
-	if s.Spec != nil {
-		spec := *s.Spec
-		if spec.Name == "" {
-			spec.Name = "custom" // matches WithScenarioSpec's default
-		}
-		return spec, nil
-	}
-	if e != nil {
-		return e.cellSpec(cfg)
-	}
-	return resolveScenario(cfg.Scenario)
-}
-
 // Open implements the public Source contract: build the world, run the
 // measurement schedule, and return the dataset in exported form. The
 // batches are the same records an Experiment using this source analyzes.
@@ -208,16 +184,7 @@ func (s *ScenarioSource) Open(ctx context.Context, cfg Config) (*Dataset, error)
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	spec, err := s.spec(nil, cfg)
-	if err != nil {
-		return nil, err
-	}
-	cfg.Scenario = spec.Name
-	c, err := prepareSpecCtx(ctx, cfg, spec, func(Event) {})
-	if err != nil {
-		return nil, err
-	}
-	shards, err := iclab.RunByDayCtx(ctx, c.world, c.cfg.platformConfig())
+	c, shards, err := s.openCell(ctx, cfg, func(Event) {})
 	if err != nil {
 		return nil, err
 	}
@@ -228,10 +195,10 @@ func (s *ScenarioSource) Open(ctx context.Context, cfg Config) (*Dataset, error)
 
 // FileSource replays a dataset file written by Result.Export (or genlab
 // -export): the versioned, gzipped JSONL format of internal/dataset. The
-// file's day batches feed every execution mode — batch localization,
-// streaming replay through the incremental engine, matrix cells — without
-// regenerating the world. The file is decoded once per FileSource and
-// cached, so a matrix pays the gzip+JSON cost a single time; a FileSource
+// file's day batches feed batch localization and streaming replay through
+// the incremental engine without regenerating the world. The file is
+// decoded once per FileSource and cached, so repeated and concurrent runs
+// over one FileSource pay the gzip+JSON cost a single time; a FileSource
 // therefore snapshots the file as of its first use. Every run reads the
 // cached records in place; no run writes to them.
 type FileSource struct {
@@ -253,7 +220,8 @@ func (s *FileSource) read() (*dataset.File, error) {
 	return s.cached, s.err
 }
 
-// Open implements Source by decoding the file into exported form.
+// Open implements Source by decoding the file into exported form. The
+// records are a copy of the cache, which later runs over this source read.
 func (s *FileSource) Open(ctx context.Context, cfg Config) (*Dataset, error) {
 	if ctx != nil {
 		if err := ctx.Err(); err != nil {
@@ -265,6 +233,7 @@ func (s *FileSource) Open(ctx context.Context, cfg Config) (*Dataset, error) {
 		return nil, err
 	}
 	d := fileToPublic(f)
+	d.Days = cloneDays(d.Days)
 	d.Info.Label = s.Path
 	return d, nil
 }
@@ -272,7 +241,7 @@ func (s *FileSource) Open(ctx context.Context, cfg Config) (*Dataset, error) {
 // openCell implements the internal fast path: decode once and adopt the
 // cached shards directly, skipping the Dataset round trip. Concurrent
 // cells share the shards, which every stage only reads.
-func (s *FileSource) openCell(ctx context.Context, e *Experiment, cfg Config, emit func(Event)) (*cell, [][]iclab.Record, error) {
+func (s *FileSource) openCell(ctx context.Context, cfg Config, emit func(Event)) (*cell, [][]iclab.Record, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err
 	}
@@ -336,13 +305,15 @@ func (r *Result) Export(path string) error {
 
 // Dataset returns the run's measured dataset in exported form — what
 // Export writes, without the file. The same single-cell restriction
-// applies.
+// applies. The records are a copy: editing them leaves the Result as it
+// was.
 func (r *Result) Dataset() (*Dataset, error) {
 	f, err := r.exportFile()
 	if err != nil {
 		return nil, err
 	}
 	d := fileToPublic(f)
+	d.Days = cloneDays(d.Days)
 	d.Info.Label = "result " + r.Config.Scenario
 	return d, nil
 }
@@ -493,6 +464,7 @@ func adoptFile(cfg Config, f *dataset.File) (*cell, [][]iclab.Record, error) {
 }
 
 // fileToPublic converts a decoded file into the exported Dataset shape.
+// The Dataset takes the file's day batches as they are.
 func fileToPublic(f *dataset.File) *Dataset {
 	h := &f.Header
 	d := &Dataset{Info: SourceInfo{
@@ -513,16 +485,15 @@ func fileToPublic(f *dataset.File) *Dataset {
 	for _, asn := range h.TruthCensors {
 		d.Info.TruthCensors = append(d.Info.TruthCensors, ASN(asn))
 	}
-	d.Days = cloneDays(f.Days, len(f.Days))
+	d.Days = f.Days
 	return d
 }
 
-// cloneDays deep-copies day batches into n day slots (n >= len(days)):
-// the copies share no slice with the originals, and empty days stay nil.
-// It is the one place records are copied across the public boundary, in
-// both directions.
-func cloneDays(days [][]Measurement, n int) [][]Measurement {
-	out := make([][]Measurement, n)
+// cloneDays deep-copies day batches: the copies share no slice with the
+// originals, and empty days stay nil. It is the one place records are
+// copied across the public boundary, in both directions.
+func cloneDays(days [][]Measurement) [][]Measurement {
+	out := make([][]Measurement, len(days))
 	for day, batch := range days {
 		if len(batch) == 0 {
 			continue
@@ -540,7 +511,9 @@ func cloneDays(days [][]Measurement, n int) [][]Measurement {
 }
 
 // publicToFile converts an exported Dataset back to the internal file
-// shape — the adapter every external Source implementation feeds.
+// shape — the adapter every external Source implementation feeds. The
+// file shares the Dataset's day batches, padded to the declared period in
+// a new outer slice; the Dataset itself is left as it was.
 func publicToFile(d *Dataset) (*dataset.File, error) {
 	if d == nil {
 		return nil, fmt.Errorf("churntomo: nil Dataset")
@@ -577,5 +550,7 @@ func publicToFile(d *Dataset) (*dataset.File, error) {
 	for _, asn := range info.TruthCensors {
 		h.TruthCensors = append(h.TruthCensors, uint32(asn))
 	}
-	return &dataset.File{Header: h, Days: cloneDays(d.Days, days)}, nil
+	f := &dataset.File{Header: h, Days: make([][]Measurement, days)}
+	copy(f.Days, d.Days)
+	return f, nil
 }

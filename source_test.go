@@ -179,6 +179,89 @@ func TestInMemoryDatasetSource(t *testing.T) {
 	}
 }
 
+// scribble overwrites, in place, every AS path hop and every truth act of
+// a dataset's records: an edit a caller holding the Dataset may make.
+func scribble(d *Dataset) {
+	for _, day := range d.Days {
+		for i := range day {
+			for j := range day[i].ASPath {
+				day[i].ASPath[j] = 1
+			}
+			for j := range day[i].TrueActs {
+				day[i].TrueActs[j] = TruthAct{ASN: 1}
+			}
+		}
+	}
+}
+
+// TestDatasetBoundariesCopyRecords pins the three places a public Dataset
+// would otherwise share records with someone else: FileSource.Open (the
+// decoded cache later runs read), Result.Dataset (the run's records) and a
+// run over a caller's Dataset. Editing a returned or supplied Dataset in
+// place must change no later run over the same FileSource, no Result's
+// Truth and no later Result.Dataset.
+func TestDatasetBoundariesCopyRecords(t *testing.T) {
+	if testing.Short() {
+		t.Skip("end-to-end replays")
+	}
+	direct := runDirect(t, WithConfig(exportTestConfig()))
+	path := filepath.Join(t.TempDir(), "ds.jsonl.gz")
+	if err := direct.Export(path); err != nil {
+		t.Fatal(err)
+	}
+
+	src := &FileSource{Path: path}
+	before := runDirect(t, WithSource(src))
+	opened, err := src.Open(context.Background(), Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	scribble(opened)
+	if after := runDirect(t, WithSource(src)); !reflect.DeepEqual(after, before) {
+		t.Error("editing FileSource.Open's dataset changed a later run over the same source")
+	}
+
+	supplied, err := direct.Dataset()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fromSupplied := runDirect(t, WithSource(supplied))
+	records := func(res *Result) string {
+		t.Helper()
+		d, err := res.Dataset()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fmt.Sprint(d.Days)
+	}
+	type snapshot struct {
+		truth   *GroundTruth
+		records string
+	}
+	results := map[string]*Result{"the run": direct, "a run over a supplied Dataset": fromSupplied}
+	was := map[string]snapshot{}
+	for name, res := range results {
+		if res.Truth() == nil || len(res.Truth().Exercised) == 0 {
+			t.Fatalf("%s exercised no censor; test vacuous", name)
+		}
+		was[name] = snapshot{res.Truth(), records(res)}
+	}
+	returned, err := direct.Dataset()
+	if err != nil {
+		t.Fatal(err)
+	}
+	scribble(returned)
+	scribble(supplied)
+	for name, res := range results {
+		if !reflect.DeepEqual(res.Truth(), was[name].truth) {
+			t.Errorf("editing a Dataset changed the Truth of %s", name)
+		}
+		if records(res) != was[name].records {
+			t.Errorf("editing a Dataset changed the records Result.Dataset returns for %s", name)
+		}
+	}
+}
+
 // TestRecordOrderDoesNotMatter is a metamorphic check: shuffling the
 // measurements within each day must leave every verdict and report field
 // unchanged, in batch and in a streaming replay (window by window).
@@ -359,6 +442,169 @@ func TestCleanRecordsNeverGrowACandidateSet(t *testing.T) {
 	t.Logf("%d CNFs, %d clean copies, %d candidate sets shrank", len(before), len(more)-len(records), shrank)
 }
 
+// relabel returns a deep copy of d with every ASN passed through f: the
+// vantage, target and AS tables, the true censors, and each record's
+// vantage, target, path, true path and truth acts.
+func relabel(d *Dataset, f func(ASN) ASN) *Dataset {
+	path := func(asns []ASN) []ASN {
+		if asns == nil {
+			return nil
+		}
+		out := make([]ASN, len(asns))
+		for i, a := range asns {
+			out[i] = f(a)
+		}
+		return out
+	}
+	out := &Dataset{Info: d.Info, Days: make([][]Measurement, len(d.Days))}
+	info := &out.Info
+	info.Vantages = append([]VantageInfo(nil), info.Vantages...)
+	for i := range info.Vantages {
+		info.Vantages[i].ASN = f(info.Vantages[i].ASN)
+	}
+	info.Targets = append([]TargetInfo(nil), info.Targets...)
+	for i := range info.Targets {
+		info.Targets[i].ASN = f(info.Targets[i].ASN)
+	}
+	info.ASes = append([]ASInfo(nil), info.ASes...)
+	for i := range info.ASes {
+		info.ASes[i].ASN = f(info.ASes[i].ASN)
+	}
+	info.TruthCensors = path(info.TruthCensors)
+	for day, batch := range d.Days {
+		for _, rec := range batch {
+			rec.Vantage, rec.TargetASN = f(rec.Vantage), f(rec.TargetASN)
+			rec.ASPath, rec.TruePath = path(rec.ASPath), path(rec.TruePath)
+			acts := rec.TrueActs
+			rec.TrueActs = nil
+			for _, act := range acts {
+				rec.TrueActs = append(rec.TrueActs, TruthAct{ASN: f(act.ASN), Kinds: act.Kinds})
+			}
+			out.Days[day] = append(out.Days[day], rec)
+		}
+	}
+	return out
+}
+
+// TestASNRelabelingPreservesVerdicts is a metamorphic check: renaming
+// every ASN of a dataset must leave the localization the same up to
+// names, in batch and in a streaming replay. An order-preserving map keeps
+// every CNF's path order (paths rank ASN by ASN), so each report field is
+// identical once names are mapped back. An order-reversing map inverts
+// that order; the identified set must still map, and every class count,
+// reduction fraction and graded count must stay.
+func TestASNRelabelingPreservesVerdicts(t *testing.T) {
+	if testing.Short() {
+		t.Skip("end-to-end replays")
+	}
+	type headline struct{ ases, countries int }
+	leakageOf := func(r *Result) headline {
+		if r.Leakage == nil {
+			return headline{}
+		}
+		return headline{r.Leakage.LeakToOtherASes, r.Leakage.LeakToOtherCountries}
+	}
+	sorted := func(fs []float64) []float64 {
+		out := append([]float64(nil), fs...)
+		sort.Float64s(out)
+		return out
+	}
+	leaked, leakageFPs := false, false
+	for _, world := range []struct {
+		scenario string
+		cfg      Config
+	}{
+		// Nine censors, four of them false positives on censored paths.
+		{"national-firewall", goldenConfig()},
+		// Censors whose leakage reaches other ASes and countries.
+		{"transit-leakage", testConfig()},
+	} {
+		ds, err := runDirect(t, WithConfig(world.cfg), WithScenario(world.scenario)).Dataset()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var top ASN
+		for _, as := range ds.Info.ASes {
+			top = max(top, as.ASN)
+		}
+		maps := []struct {
+			name          string
+			to, back      func(ASN) ASN
+			orderPreserve bool
+		}{
+			{"3a+11", func(a ASN) ASN { return 3*a + 11 }, func(a ASN) ASN { return (a - 11) / 3 }, true},
+			{"reversed", func(a ASN) ASN { return top + 1 - a }, func(a ASN) ASN { return top + 1 - a }, false},
+		}
+		for _, mode := range []struct {
+			name string
+			opts []Option
+		}{
+			{"batch", nil},
+			{"stream", []Option{WithWindow(14)}},
+		} {
+			want := runDirect(t, append([]Option{WithSource(ds)}, mode.opts...)...)
+			if len(want.Identified) < 3 {
+				t.Fatalf("%s %s: %d censors identified; want a world that names at least 3", world.scenario, mode.name, len(want.Identified))
+			}
+			leaked = leaked || leakageOf(want) != headline{}
+			leakageFPs = leakageFPs || want.Evaluation.LeakageFPs > 0
+			for _, m := range maps {
+				what := fmt.Sprintf("%s, %s, %s", world.scenario, mode.name, m.name)
+				got := runDirect(t, append([]Option{WithSource(relabel(ds, m.to))}, mode.opts...)...)
+				if m.orderPreserve {
+					back := map[ASN]*IdentifiedCensor{}
+					for asn, c := range got.Identified {
+						named := *c
+						named.ASN = m.back(c.ASN)
+						back[m.back(asn)] = &named
+					}
+					for _, field := range []struct {
+						name      string
+						want, got any
+					}{
+						{"Identified", want.Identified, back},
+						{"Summary", want.Summary, got.Summary},
+						{"Reductions", want.Reductions, got.Reductions},
+						{"Churn", want.Churn, got.Churn},
+						{"leakage headline", leakageOf(want), leakageOf(got)},
+					} {
+						if !reflect.DeepEqual(field.want, field.got) {
+							t.Errorf("%s: %s changes under the relabeling", what, field.name)
+						}
+					}
+					continue
+				}
+				mapped := map[ASN]bool{}
+				for asn := range want.Identified {
+					mapped[m.to(asn)] = true
+				}
+				named := map[ASN]bool{}
+				for asn := range got.Identified {
+					named[asn] = true
+				}
+				if !reflect.DeepEqual(named, mapped) {
+					t.Errorf("%s: identified %v, want the relabeled set %v", what, named, mapped)
+				}
+				ws, gs := want.Summary, got.Summary
+				if [4]int{ws.CNFs, ws.UnsatCNFs, ws.UniqueCNFs, ws.MultipleCNFs} != [4]int{gs.CNFs, gs.UnsatCNFs, gs.UniqueCNFs, gs.MultipleCNFs} ||
+					!reflect.DeepEqual(ws.ByGranularity, gs.ByGranularity) || !reflect.DeepEqual(ws.ByKind, gs.ByKind) {
+					t.Errorf("%s: class counts change under the relabeling", what)
+				}
+				if !reflect.DeepEqual(sorted(want.Reductions), sorted(got.Reductions)) {
+					t.Errorf("%s: reduction fractions change under the relabeling", what)
+				}
+				we, ge := want.Evaluation, got.Evaluation
+				if [3]int{we.TP, we.FP, we.LeakageFPs} != [3]int{ge.TP, ge.FP, ge.LeakageFPs} {
+					t.Errorf("%s: TP/FP/leakage FPs %d/%d/%d, want %d/%d/%d", what, ge.TP, ge.FP, ge.LeakageFPs, we.TP, we.FP, we.LeakageFPs)
+				}
+			}
+		}
+	}
+	if !leaked || !leakageFPs {
+		t.Errorf("no world leaked (%v) or graded a leakage false positive (%v); test vacuous", leaked, leakageFPs)
+	}
+}
+
 // TestReplayWithoutGroundTruthIsUngraded replays a dataset whose file
 // lists no true censors and whose records carry no truth. The run must be
 // ungraded rather than graded against an empty registry; the same dataset
@@ -449,41 +695,6 @@ func TestScenarioSourceOpenMatchesExport(t *testing.T) {
 	}
 }
 
-// TestWithSourcesMatrix runs a matrix with one cell per source — two
-// replays of the same exported file and the same data as an in-memory
-// *Dataset — and expects every identification to be stable across cells.
-func TestWithSourcesMatrix(t *testing.T) {
-	if testing.Short() {
-		t.Skip("end-to-end matrix")
-	}
-	direct := runDirect(t, WithConfig(exportTestConfig()))
-	path := filepath.Join(t.TempDir(), "ds.jsonl.gz")
-	if err := direct.Export(path); err != nil {
-		t.Fatal(err)
-	}
-	ds, err := direct.Dataset()
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := runDirect(t, WithConfig(exportTestConfig()),
-		WithSources(&FileSource{Path: path}, &FileSource{Path: path}, ds))
-	if res.Mode != ModeMatrix {
-		t.Fatalf("mode = %v, want matrix", res.Mode)
-	}
-	if res.Matrix.Runs != 3 || res.Matrix.Failed != 0 {
-		t.Fatalf("matrix runs %d failed %d", res.Matrix.Runs, res.Matrix.Failed)
-	}
-	if len(res.Matrix.Stable) != len(direct.Identified) {
-		t.Errorf("stable censors %d, want %d (every cell replays the same data)",
-			len(res.Matrix.Stable), len(direct.Identified))
-	}
-	for _, asn := range res.Matrix.Stable {
-		if _, ok := direct.Identified[asn]; !ok {
-			t.Errorf("stable censor %v not identified by the direct run", asn)
-		}
-	}
-}
-
 // TestSourceOptionValidation covers the construction-time contracts of
 // the source options and the WithSeed zero-value rule.
 func TestSourceOptionValidation(t *testing.T) {
@@ -494,14 +705,8 @@ func TestSourceOptionValidation(t *testing.T) {
 	}{
 		{"nil source", []Option{WithSource(nil)}, "WithSource"},
 		{"empty input", []Option{WithInput("")}, "WithInput"},
-		{"no sources", []Option{WithSources()}, "WithSources"},
-		{"nil cell source", []Option{WithSources(&FileSource{Path: "x"}, nil)}, "source 1 is nil"},
-		{"source plus sources", []Option{WithSource(&FileSource{Path: "x"}), WithSources(&FileSource{Path: "y"})}, "mutually exclusive"},
-		{"sources plus seed sweep", []Option{WithSources(&FileSource{Path: "x"}), WithSeedSweep(3)}, "at most one"},
-		{"sources plus streaming", []Option{WithSources(&FileSource{Path: "x"}), WithStreaming()}, "mutually exclusive"},
 		{"scenario plus file source", []Option{WithScenario(ScenarioBaseline), WithInput("x")}, "replays recorded data"},
 		{"seed sweep over a replay", []Option{WithInput("x"), WithSeedSweep(4)}, "same recorded data into every cell"},
-		{"config grid over a replay", []Option{WithInput("x"), WithConfigs(SmallConfig(), DefaultConfig())}, "same recorded data into every cell"},
 		{"seed zero", []Option{WithSeed(0)}, "WithSeed(0)"},
 	}
 	for _, tc := range cases {
@@ -523,9 +728,9 @@ func TestSourceOptionValidation(t *testing.T) {
 	}
 }
 
-// TestScenarioSourceSpecNamesResult pins that a ScenarioSource carrying
-// an explicit Spec records the spec's name — not the config's default —
-// in the result and in exports.
+// TestScenarioSourceSpecNamesResult pins that a ScenarioSource building a
+// registered composed spec records the spec's name — not the config's
+// default — in the result, in Result.Dataset and in its own Open.
 func TestScenarioSourceSpecNamesResult(t *testing.T) {
 	if testing.Short() {
 		t.Skip("end-to-end run")
@@ -534,25 +739,27 @@ func TestScenarioSourceSpecNamesResult(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	name := registerFixture(t, spec, "leaky-copy")
 	cfg := exportTestConfig()
 	cfg.Days = 6
-	res := runDirect(t, WithConfig(cfg), WithSource(&ScenarioSource{Spec: &spec}))
-	if res.Summary.Scenario != "transit-leakage" {
-		t.Errorf("Summary.Scenario = %q, want transit-leakage", res.Summary.Scenario)
+	res := runDirect(t, WithConfig(cfg), WithScenario(name), WithSource(&ScenarioSource{}))
+	if res.Summary.Scenario != name {
+		t.Errorf("Summary.Scenario = %q, want %q", res.Summary.Scenario, name)
 	}
 	ds, err := res.Dataset()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ds.Info.Scenario != "transit-leakage" {
-		t.Errorf("exported Info.Scenario = %q, want transit-leakage", ds.Info.Scenario)
+	if ds.Info.Scenario != name {
+		t.Errorf("exported Info.Scenario = %q, want %q", ds.Info.Scenario, name)
 	}
-	// An unnamed ad-hoc spec defaults to "custom", like WithScenarioSpec.
-	anon := spec
-	anon.Name = ""
-	res = runDirect(t, WithConfig(cfg), WithSource(&ScenarioSource{Spec: &anon}))
-	if res.Summary.Scenario != "custom" {
-		t.Errorf("unnamed spec Summary.Scenario = %q, want custom", res.Summary.Scenario)
+	cfg.Scenario = name
+	opened, err := (&ScenarioSource{}).Open(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if opened.Info.Scenario != name || opened.Info.Label != "scenario "+name {
+		t.Errorf("Open's dataset is labeled %q, scenario %q; want scenario %q", opened.Info.Label, opened.Info.Scenario, name)
 	}
 }
 
@@ -597,7 +804,7 @@ func TestExportRejectsMatrixAndEmptyResults(t *testing.T) {
 	}
 	cfg := exportTestConfig()
 	cfg.Days = 6
-	res := runDirect(t, WithConfig(cfg), WithSeedSweep(2), WithMatrixWorkers(2))
+	res := runDirect(t, WithConfig(cfg), WithSeedSweep(2))
 	if err := res.Export(filepath.Join(t.TempDir(), "m.jsonl.gz")); err == nil {
 		t.Error("Export accepted a matrix result")
 	} else if !strings.Contains(err.Error(), "matrix") {
