@@ -112,7 +112,9 @@ profile:
 # Short fuzz pass over every fuzz target — the DIMACS parser, the dataset
 # codec round trip, the hand-written record reader against encoding/json,
 # Decode on arbitrary bytes, the one-pass churn summary against its
-# reference, the evaluation kernel, routing Views against ComputeTree, the
+# reference, the evaluation kernel, routing Views (fresh and repaired
+# trees) against ComputeTree, blockpage matching against one regexp per
+# signature, TCP reassembly against the first-arrival []bool loop, the
 # closed-form CNF classifier against SAT search, the cell-based CNF build
 # against the string-keyed reference grouping, and the incremental engine
 # against batch rebuilds — each with the FUZZTIME budget.
@@ -128,12 +130,14 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzMeasure -fuzztime $(FUZZTIME) ./internal/churn
 	$(GO) test -run '^$$' -fuzz FuzzEvaluate -fuzztime $(FUZZTIME) .
 	$(GO) test -run '^$$' -fuzz FuzzViewTrees -fuzztime $(FUZZTIME) ./internal/routing
+	$(GO) test -run '^$$' -fuzz FuzzFingerprintMatch -fuzztime $(FUZZTIME) ./internal/blockpage
+	$(GO) test -run '^$$' -fuzz FuzzReassemble -fuzztime $(FUZZTIME) ./internal/httpsim
 
 # Seed-corpus-only fuzz smoke for CI: replays every fuzz target's seed
 # corpus as ordinary tests, so a target that rots fails fast without
 # paying for wall-clock fuzzing.
 fuzz-smoke:
-	$(GO) test -count 1 -run '^Fuzz' ./internal/sat ./internal/tomo ./internal/dataset ./internal/churn ./internal/routing .
+	$(GO) test -count 1 -run '^Fuzz' ./internal/sat ./internal/tomo ./internal/dataset ./internal/churn ./internal/routing ./internal/blockpage ./internal/httpsim .
 
 clean:
 	$(GO) clean ./...

@@ -1,6 +1,7 @@
 package blockpage
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand/v2"
 	"regexp"
@@ -28,15 +29,24 @@ func filler(n int) string {
 	return string(out[:n])
 }
 
-// markerPattern matches the authority marker of template id.
-func markerPattern(id int) string {
-	return fmt.Sprintf(`FILTER-%04d`, id)
-}
+// marker prefixes every template's authority marker: template id's is
+// marker followed by id in at least four decimal digits (%04d).
+var marker = []byte("FILTER-")
 
-// FingerprintDB is the corpus of known blockpage signatures.
+// genericPattern is a signature shared by many real-world products. Every
+// string it matches begins with "<title>acce" under ASCII case folding:
+// none of those letters folds to a rune outside ASCII (the first that
+// does is the s of "Access", which also folds to ſ).
+var genericPattern = regexp.MustCompile(`(?i)<title>Access Denied</title>.*not available in your region`)
+
+const genericPrefix = "<title>acce"
+
+// FingerprintDB is the corpus of known blockpage signatures: the markers
+// of the templates it knows, plus the generic pattern.
 type FingerprintDB struct {
-	patterns []*regexp.Regexp
-	known    map[int]bool
+	known   []bool // by template ID
+	n       int    // signatures
+	generic bool
 }
 
 // pcgStreamBlock is the fingerprint-corpus RNG stream word ("block" in
@@ -48,37 +58,84 @@ const pcgStreamBlock = 0x626c6f636b // "block"
 // public corpora have not catalogued. Deterministic per seed.
 func NewFingerprintDB(numTemplates int, coverage float64, seed uint64) *FingerprintDB {
 	rng := rand.New(rand.NewPCG(seed, pcgStreamBlock))
-	db := &FingerprintDB{known: make(map[int]bool)}
-	for id := 0; id < numTemplates; id++ {
+	db := &FingerprintDB{known: make([]bool, max(numTemplates, 0)), n: 1, generic: true}
+	for id := range db.known {
 		if rng.Float64() < coverage {
-			db.patterns = append(db.patterns, regexp.MustCompile(markerPattern(id)))
 			db.known[id] = true
+			db.n++
 		}
 	}
-	// A generic pattern shared by many real-world products.
-	db.patterns = append(db.patterns, regexp.MustCompile(`(?i)<title>Access Denied</title>.*not available in your region`))
 	return db
 }
 
 // Empty returns a DB with no signatures at all (length heuristic only).
 func Empty() *FingerprintDB {
-	return &FingerprintDB{known: map[int]bool{}}
+	return &FingerprintDB{}
 }
 
 // Knows reports whether template id is in the corpus.
-func (db *FingerprintDB) Knows(id int) bool { return db.known[id] }
+func (db *FingerprintDB) Knows(id int) bool { return id >= 0 && id < len(db.known) && db.known[id] }
 
 // Len returns the number of catalogued signatures.
-func (db *FingerprintDB) Len() int { return len(db.patterns) }
+func (db *FingerprintDB) Len() int { return db.n }
 
-// Match reports whether the body matches any known signature.
+// Match reports whether the body matches any known signature: a known
+// template's marker anywhere in it, or the generic pattern.
 func (db *FingerprintDB) Match(body []byte) bool {
-	for _, p := range db.patterns {
-		if p.Match(body) {
+	for rest := body; ; {
+		i := bytes.Index(rest, marker)
+		if i < 0 {
+			break
+		}
+		rest = rest[i+len(marker):]
+		if db.knowsMarkerID(rest) {
+			return true
+		}
+	}
+	return db.generic && hasGenericPrefix(body) && genericPattern.Match(body)
+}
+
+// knowsMarkerID reports whether digits, the bytes after a marker, begin
+// with the %04d form of a known template ID: its first four digits, or,
+// for an ID of 10000 or more, its first five or more without a leading
+// zero.
+func (db *FingerprintDB) knowsMarkerID(digits []byte) bool {
+	id := 0
+	for k, c := range digits {
+		if c < '0' || c > '9' || k >= 4 && (digits[0] == '0' || id >= len(db.known)) {
+			return false
+		}
+		id = id*10 + int(c-'0')
+		if k >= 3 && db.Knows(id) {
 			return true
 		}
 	}
 	return false
+}
+
+// hasGenericPrefix reports whether body contains genericPrefix once every
+// upper-case ASCII letter of body is folded to lower case.
+func hasGenericPrefix(body []byte) bool {
+	for s := body; ; s = s[1:] {
+		i := bytes.IndexByte(s, '<')
+		if i < 0 || len(s)-i < len(genericPrefix) {
+			return false
+		}
+		s = s[i:]
+		j := 1
+		for ; j < len(genericPrefix); j++ {
+			c := s[j]
+			if 'A' <= c && c <= 'Z' {
+				c += 'a' - 'A'
+			}
+			if c != genericPrefix[j] {
+				break
+			}
+		}
+		if j == len(genericPrefix) {
+			return true
+		}
+	}
 }
 
 // LengthDelta implements the Jones et al. heuristic: a response whose

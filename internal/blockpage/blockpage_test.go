@@ -2,6 +2,9 @@ package blockpage
 
 import (
 	"bytes"
+	"fmt"
+	"regexp"
+	"slices"
 	"testing"
 )
 
@@ -74,7 +77,7 @@ func TestLengthDelta(t *testing.T) {
 		want           bool
 	}{
 		{1000, 1000, false},
-		{1000, 1100, false}, // 9% — dynamic content territory
+		{1000, 1100, false}, // 9% - dynamic content territory
 		{1000, 1400, false}, // 28.6%
 		{500, 10000, true},  // classic tiny blockpage
 		{10000, 500, true},  // or a huge interstitial
@@ -97,4 +100,93 @@ func TestFingerprintDeterministic(t *testing.T) {
 			t.Fatalf("nondeterministic coverage at id %d", id)
 		}
 	}
+}
+
+// referenceDB is the matcher Match replaced: one regexp per known
+// template's marker, plus the generic pattern.
+type referenceDB []*regexp.Regexp
+
+func newReferenceDB(db *FingerprintDB) referenceDB {
+	var ref referenceDB
+	for id := range db.known {
+		if db.Knows(id) {
+			ref = append(ref, regexp.MustCompile(fmt.Sprintf(`FILTER-%04d`, id)))
+		}
+	}
+	if db.generic {
+		ref = append(ref, regexp.MustCompile(`(?i)<title>Access Denied</title>.*not available in your region`))
+	}
+	return ref
+}
+
+func (ref referenceDB) match(body []byte) bool {
+	for _, p := range ref {
+		if p.Match(body) {
+			return true
+		}
+	}
+	return false
+}
+
+// FuzzFingerprintMatch checks Match against the per-pattern regexps it
+// replaced, on four corpora: half of 120 templates, a sparse one that
+// knows IDs of five digits, all of 12, and the empty DB. The first byte
+// picks the corpus; the rest is the body. The seeds cover the generic
+// pattern's Unicode folds (\u017f matches s, the Kelvin sign matches nothing
+// in it), a newline that . must not cross, invalid UTF-8, overlapping and
+// repeated markers, five-digit runs and leading zeros.
+func FuzzFingerprintMatch(f *testing.F) {
+	dbs := []*FingerprintDB{
+		NewFingerprintDB(120, 0.5, 1),
+		NewFingerprintDB(10200, 0.02, 3),
+		NewFingerprintDB(12, 1, 4),
+		Empty(),
+	}
+	if !slices.Contains(dbs[1].known[10000:], true) {
+		f.Fatal("the sparse corpus knows no five-digit template ID")
+	}
+	refs := make([]referenceDB, len(dbs))
+	for i, db := range dbs {
+		refs[i] = newReferenceDB(db)
+		if len(refs[i]) != db.Len() {
+			f.Fatalf("corpus %d: Len %d, %d reference patterns", i, db.Len(), len(refs[i]))
+		}
+	}
+	fivedigit := 10000 + slices.Index(dbs[1].known[10000:], true)
+	seeds := []string{
+		string(Render(3, "CN")),
+		string(Render(77, "IR")),
+		string(Render(fivedigit, "RU")),
+		"<title>Acce\u017fs Denied</title> - not available in your region",
+		"<TITLE>ACCE\u017f\u017f DENIED</TITLE>NOT AVAILABLE IN YOUR REGION",
+		"<title>Access Denied</title>\u212a not available in your region",
+		"<title>\u212access Denied</title> not available in your region",
+		"<tItLe>aCcEsS dEnIeD</TiTlE> not available in your region",
+		"<title>Access Denied</title>\nnot available in your region",
+		"<title>Access Denied</title>\xff\xfe not available in your region",
+		"<title>Access Denied</title><title>Access Denied</title> not available in your regio",
+		"FILTER-FILTER-0012",
+		"FILTER-FILTER-FILTER-0003 FILTER-",
+		"FILTER-001",
+		"FILTER-0007",
+		"FILTER-00007",
+		"FILTER-0001234",
+		fmt.Sprintf("FILTER-%d", fivedigit),
+		fmt.Sprintf("FILTER-%d9", fivedigit),
+		fmt.Sprintf("FILTER-0%d", fivedigit),
+		"FILTER-99999999999999999999",
+		"filter-0003 Filter-0004 FILTER-0a03",
+		"",
+	}
+	for _, s := range seeds {
+		for i := range dbs {
+			f.Add(byte(i), []byte(s))
+		}
+	}
+	f.Fuzz(func(t *testing.T, which byte, body []byte) {
+		i := int(which) % len(dbs)
+		if got, want := dbs[i].Match(body), refs[i].match(body); got != want {
+			t.Fatalf("corpus %d: Match(%q) = %v, the per-pattern regexps say %v", i, body, got, want)
+		}
+	})
 }

@@ -14,5 +14,10 @@
 // are unknown to the fingerprint DB and are only caught by the length
 // heuristic, and a few slip through entirely, exactly the kind of detector
 // imperfection the tomography has to live with. Rendering is
-// deterministic per (template, country).
+// deterministic per (template, country). Match answers exactly what one
+// regexp per known template's `FILTER-%04d` marker plus the generic
+// pattern would, in one scan: it finds each `FILTER-` and looks up the ID
+// that follows, and runs the generic regexp only on a body that contains
+// `<title>acce` under ASCII case folding, which every generic match does
+// (FuzzFingerprintMatch keeps the per-pattern regexps as its reference).
 package blockpage

@@ -14,5 +14,8 @@
 // (initial TTL, sequence skew, TTL mimicry, connection-killing), so a
 // censor's detectability is a property of its configured behaviour, not a
 // coin flip; all randomness flows from the caller's RNG for per-day
-// determinism.
+// determinism. The delivered body is reassembled first-arrival-wins: the
+// stream is sized once and the payloads copied into it in reverse arrival
+// order, one allocation per connection (FuzzReassemble keeps the
+// byte-at-a-time reassembly as its reference).
 package httpsim

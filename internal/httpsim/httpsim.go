@@ -281,42 +281,41 @@ func Simulate(p Params, injectors []Injector, n Noise, rng *rand.Rand) Result {
 
 // reassemble reconstructs the byte stream the client delivers to its HTTP
 // layer: first-arrival wins each sequence range, mirroring how injected
-// segments poison real TCP stacks.
+// segments poison real TCP stacks. It sizes the stream, then copies
+// payloads into it in reverse arrival order, so each range ends up
+// holding the first arrival's bytes. Gaps are zero bytes; the stream
+// ends with the last byte any segment delivered.
 func reassemble(c *netsim.Capture, client, server netaddr.IP, isn uint32) []byte {
-	base := isn + 1
-	var buf []byte
-	var have []bool
-	for _, p := range c.Packets { // capture is time-ordered
-		if p.Src != server || p.Dst != client || p.Proto != netsim.ProtoTCP || len(p.Payload) == 0 {
-			continue
-		}
-		if p.Flags&netsim.FlagSYN != 0 {
-			continue
-		}
-		rel := p.Seq - base
-		if rel > 1<<20 {
-			continue // wild sequence number; stack discards
-		}
-		need := int(rel) + len(p.Payload)
-		if len(buf) < need {
-			// Grow once to the needed length; append's zero fill is the
-			// "not yet delivered" state for both slices.
-			buf = append(buf, make([]byte, need-len(buf))...)
-			have = append(have, make([]bool, need-len(have))...)
-		}
-		for i, b := range p.Payload {
-			if off := int(rel) + i; !have[off] {
-				buf[off] = b
-				have[off] = true
-			}
+	size := 0
+	for i := range c.Packets { // capture is time-ordered
+		if rel, ok := streamOffset(&c.Packets[i], client, server, isn); ok {
+			size = max(size, rel+len(c.Packets[i].Payload))
 		}
 	}
-	// Trim trailing unwritten space (gaps at the end never delivered).
-	end := len(buf)
-	for end > 0 && !have[end-1] {
-		end--
+	if size == 0 {
+		return nil
 	}
-	return buf[:end]
+	buf := make([]byte, size)
+	for i := len(c.Packets) - 1; i >= 0; i-- {
+		p := &c.Packets[i]
+		if rel, ok := streamOffset(p, client, server, isn); ok {
+			copy(buf[rel:], p.Payload)
+		}
+	}
+	return buf
+}
+
+// streamOffset returns where p's payload lies in the server's byte
+// stream, and whether the client's stack delivers it at all: a data
+// segment from server to client, not a SYN, whose sequence number lies
+// within 1 MiB past isn+1 (a wilder one is discarded).
+func streamOffset(p *netsim.Packet, client, server netaddr.IP, isn uint32) (int, bool) {
+	if p.Src != server || p.Dst != client || p.Proto != netsim.ProtoTCP || len(p.Payload) == 0 ||
+		p.Flags&netsim.FlagSYN != 0 {
+		return 0, false
+	}
+	rel := p.Seq - (isn + 1)
+	return int(rel), rel <= 1<<20
 }
 
 // resizeBody grows or shrinks a body to n bytes, repeating content as

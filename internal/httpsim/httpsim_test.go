@@ -176,3 +176,108 @@ func TestOrganicRSTHasValidSequence(t *testing.T) {
 		t.Error("organic RST marked injected")
 	}
 }
+
+// referenceReassemble is the reassembly reassemble replaced: grow the
+// stream as segments arrive, track delivered bytes in a []bool and keep
+// the first arrival's byte at each offset.
+func referenceReassemble(c *netsim.Capture, client, server netaddr.IP, isn uint32) []byte {
+	base := isn + 1
+	var buf []byte
+	var have []bool
+	for _, p := range c.Packets {
+		if p.Src != server || p.Dst != client || p.Proto != netsim.ProtoTCP || len(p.Payload) == 0 {
+			continue
+		}
+		if p.Flags&netsim.FlagSYN != 0 {
+			continue
+		}
+		rel := p.Seq - base
+		if rel > 1<<20 {
+			continue
+		}
+		need := int(rel) + len(p.Payload)
+		if len(buf) < need {
+			buf = append(buf, make([]byte, need-len(buf))...)
+			have = append(have, make([]bool, need-len(have))...)
+		}
+		for i, b := range p.Payload {
+			if off := int(rel) + i; !have[off] {
+				buf[off] = b
+				have[off] = true
+			}
+		}
+	}
+	end := len(buf)
+	for end > 0 && !have[end-1] {
+		end--
+	}
+	return buf[:end]
+}
+
+// FuzzReassemble checks reassemble against the []bool first-arrival loop
+// it replaced. The input is a sequence of segments, in arrival order,
+// each a header of four bytes then its payload:
+//
+//	flags  bit 0 SYN, bit 1 sent by the client, bit 2 UDP, bit 3 empty;
+//	       bits 4-5 place the offset: 0 as given, 1 near the 1 MiB
+//	       window's edge, 2 before the stream's start, 3 far past it
+//	offset two bytes, big-endian, from the first byte of the stream
+//	length payload bytes that follow (at most 63)
+//
+// The seeds overlap segments, leave gaps, flag a SYN and place sequence
+// numbers on, inside and past the window's edges.
+func FuzzReassemble(f *testing.F) {
+	const isn = 0xfffffff0 // the stream's sequence numbers wrap
+	seg := func(flags byte, off uint16, payload string) []byte {
+		return append([]byte{flags, byte(off >> 8), byte(off), byte(len(payload))}, payload...)
+	}
+	cat := func(segs ...[]byte) []byte { return bytes.Join(segs, nil) }
+	f.Add(cat(seg(0, 0, "hello world"), seg(0, 6, "WORLD!!"), seg(0, 3, "xx")))
+	f.Add(cat(seg(0, 20, "late"), seg(0, 0, "early"), seg(0, 40, "gap before me")))
+	f.Add(cat(seg(1, 0, "syn data"), seg(0, 4, "data")))
+	f.Add(cat(seg(2, 0, "from client"), seg(4, 0, "udp"), seg(8, 0, "empty"), seg(0, 2, "ok")))
+	f.Add(cat(seg(0x10, 0, "edge"), seg(0x10, 3, "past"), seg(0, 0, "head")))
+	f.Add(cat(seg(0x10, 4, "on the edge"), seg(0x10, 5, "past it")))
+	f.Add(cat(seg(0x20, 1, "before"), seg(0x30, 0, "far"), seg(0, 0, "in")))
+	f.Add(cat(seg(0, 0, "first"), seg(0, 0, "again"), seg(0, 2, "overlap three"), seg(0, 30, "")))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var c netsim.Capture
+		for len(data) >= 4 {
+			flags, off := data[0], uint32(data[1])<<8|uint32(data[2])
+			n := min(int(data[3]%64), len(data)-4)
+			payload := data[4 : 4+n]
+			data = data[4+n:]
+			rel := off
+			switch flags >> 4 & 3 {
+			case 1:
+				rel = 1<<20 - 4 + off%8
+			case 2:
+				rel = ^uint32(0) - off%8 // before the first byte
+			case 3:
+				rel = 1<<20 + 1 + off
+			}
+			p := netsim.Packet{
+				Src: server, Dst: client, Proto: netsim.ProtoTCP,
+				Seq: isn + 1 + rel, Flags: netsim.FlagACK, Payload: payload,
+			}
+			if flags&1 != 0 {
+				p.Flags |= netsim.FlagSYN
+			}
+			if flags&2 != 0 {
+				p.Src, p.Dst = client, server
+			}
+			if flags&4 != 0 {
+				p.Proto = netsim.ProtoUDP
+			}
+			if flags&8 != 0 {
+				p.Payload = nil
+			}
+			c.Add(p)
+		}
+		got, want := reassemble(&c, client, server, isn), referenceReassemble(&c, client, server, isn)
+		if !bytes.Equal(got, want) || (got == nil) != (want == nil) {
+			t.Fatalf("reassemble gave %d bytes, the reference %d: %q vs %q", len(got), len(want), got, want)
+		}
+	})
+}

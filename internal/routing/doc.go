@@ -20,8 +20,13 @@
 // epoch, plane), so a View may reuse one across epochs and what it has
 // seen never changes an answer. A View reuses a tree across an epoch
 // boundary only when the boundary's churn provably cannot change it (see
-// View.touches); every reused tree equals a fresh ComputeTree. A View
-// belongs to one goroutine; the Oracle holds no trees and no per-epoch
-// state, only the graph, the timeline and two atomic work counters, so
-// the measurement engine's day shards share it freely, one View each.
+// View.touches); otherwise it builds a new one, by repairing a copy of
+// the nearest tree it holds around the flipped links and salts (see
+// View.repair), or by ComputeTree when too many flips lie between. Every
+// reused or repaired tree equals a fresh ComputeTree in next hop, route
+// class and length. Oracle.Stats's treeComputes counts every tree a View
+// builds, fresh or repaired. A View belongs to one goroutine; the Oracle
+// holds no trees and no per-epoch state, only the graph, the timeline and
+// two atomic work counters, so the measurement engine's day shards share
+// it freely, one View each.
 package routing

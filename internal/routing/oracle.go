@@ -64,8 +64,9 @@ func (o *Oracle) ToASNs(idxPath []int32) []topology.ASN {
 	return out
 }
 
-// Stats reports the work done through every View so far: path queries
-// and trees computed.
+// Stats reports the work done through every View so far: path queries,
+// and routing trees built. treeComputes counts every tree a View builds,
+// fresh from ComputeTree or repaired from a tree it holds.
 func (o *Oracle) Stats() (queries, treeComputes int) {
 	return int(o.queries.Load()), int(o.computes.Load())
 }
@@ -74,22 +75,27 @@ func (o *Oracle) Stats() (queries, treeComputes int) {
 // gives each day shard its own. It keeps, per (destination, plane), runs
 // of consecutive epochs that share one computed tree, and grows a run
 // across an epoch boundary when that boundary's churn provably cannot
-// change the tree (see touches), computing a new tree only when it can.
-// Trees are pure functions of (destination, epoch, plane), so what a View
-// has seen never changes an answer, only how much it computes.
+// change the tree (see touches), building a new tree only when it can.
+// A new tree is repaired from the nearest run's tree when few flips lie
+// between (see repair), computed afresh otherwise. Trees are pure
+// functions of (destination, epoch, plane), so what a View has seen never
+// changes an answer, only how much it computes.
 //
 // A View is not safe for concurrent use.
 type View struct {
 	o        *Oracle
 	runs     map[runKey][]run // disjoint, sorted by first epoch
 	held     int              // runs over every key
-	computed int              // trees this View computed
+	computed int              // trees this View built, fresh or repaired
+	repaired int              // of those, trees repaired from a run's
 
 	// One routing state, valid for epoch ep (-1 before the first tree),
-	// moved to each epoch a tree is computed at by the timeline's deltas.
+	// moved to each epoch a tree is built at by the timeline's deltas.
 	ep   int32
 	down []bool   // by link ID
 	salt []uint64 // by AS index
+
+	rs repairScratch
 }
 
 type runKey struct{ dst, plane int32 }
@@ -123,32 +129,46 @@ func (o *Oracle) View() *View {
 //
 // A query inside a run is answered from it. Otherwise the neighbouring
 // runs try to grow toward ep, the earlier one first, and only if both
-// fail is a tree computed at ep, as a one-epoch run.
+// fail is a tree built at ep, as a one-epoch run: repaired from whichever
+// neighbouring run's edge has fewer flips between it and ep.
 func (v *View) TreeAtPlane(dst, ep, plane int32) Tree {
+	return v.routesAt(dst, ep, plane).Tree
+}
+
+// routesAt is TreeAtPlane with the class and length of every route.
+func (v *View) routesAt(dst, ep, plane int32) Routes {
 	key := runKey{dst, plane}
 	runs := v.runs[key]
 	i := sort.Search(len(runs), func(i int) bool { return runs[i].last >= ep })
 	if i < len(runs) && runs[i].first <= ep {
-		return runs[i].routes.Tree
+		return runs[i].routes
 	}
 	psalt := planeSalt(plane)
 	if i > 0 && v.grow(&runs[i-1], dst, ep, psalt) {
-		return runs[i-1].routes.Tree
+		return runs[i-1].routes
 	}
 	if i < len(runs) && v.grow(&runs[i], dst, ep, psalt) {
-		return runs[i].routes.Tree
+		return runs[i].routes
 	}
 	if v.held >= v.o.viewTrees {
 		clear(v.runs)
 		v.held, runs, i = 0, nil, 0
 	}
 	v.moveTo(ep)
-	r := ComputeTree(v.o.G, dst, v.down, v.salt, psalt)
+	var from *Routes
+	var e0 int32
+	if i > 0 {
+		from, e0 = &runs[i-1].routes, runs[i-1].last
+	}
+	if i < len(runs) && (from == nil || v.o.TL.flipsBetween(ep, runs[i].first) < v.o.TL.flipsBetween(e0, ep)) {
+		from, e0 = &runs[i].routes, runs[i].first
+	}
+	r := v.build(dst, psalt, from, e0)
 	v.computed++
 	v.o.computes.Add(1)
 	v.runs[key] = slices.Insert(runs, i, run{first: ep, last: ep, routes: r})
 	v.held++
-	return r.Tree
+	return r
 }
 
 // grow extends r one epoch boundary at a time toward ep, which lies

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
+	"slices"
 	"sort"
 	"time"
 
@@ -307,19 +308,26 @@ func GenTimeline(g *topology.Graph, cfg TimelineConfig) (*Timeline, error) {
 	return tl, nil
 }
 
-// buildEpochs sweeps the event list into constant-state intervals.
+// buildEpochs sweeps the event list into constant-state intervals. It
+// keeps each link's concurrent failure count and the sorted list of the
+// links that are down, and gives each epoch a copy of that list as it
+// stands after the epoch's last event.
 func (tl *Timeline) buildEpochs(g *topology.Graph) {
-	active := map[int32]int{} // link -> concurrent failure count
+	failures := make([]int32, len(g.Links)) // by link ID
+	var down []int32                        // sorted links with failures
 	tl.epochs = append(tl.epochs, epoch{at: tl.Start})
-	for _, ev := range tl.events {
+	for k, ev := range tl.events {
 		switch ev.Kind {
 		case LinkDown:
-			active[ev.Link]++
+			if failures[ev.Link]++; failures[ev.Link] == 1 {
+				i, _ := slices.BinarySearch(down, ev.Link)
+				down = slices.Insert(down, i, ev.Link)
+			}
 		case LinkUp:
-			if active[ev.Link] > 0 {
-				active[ev.Link]--
-				if active[ev.Link] == 0 {
-					delete(active, ev.Link)
+			if failures[ev.Link] > 0 {
+				if failures[ev.Link]--; failures[ev.Link] == 0 {
+					i, _ := slices.BinarySearch(down, ev.Link)
+					down = slices.Delete(down, i, i+1)
 				}
 			}
 		case PolicyShift:
@@ -334,16 +342,11 @@ func (tl *Timeline) buildEpochs(g *topology.Graph) {
 			tl.salts[ev.AS] = append(tl.salts[ev.AS], saltChange{epoch: epochID, salt: ev.Salt})
 			// Fall through to creating an epoch boundary below.
 		}
-		down := make([]int32, 0, len(active))
-		for l := range active {
-			down = append(down, l)
+		if !ev.At.Equal(tl.epochs[len(tl.epochs)-1].at) {
+			tl.epochs = append(tl.epochs, epoch{at: ev.At})
 		}
-		sort.Slice(down, func(i, j int) bool { return down[i] < down[j] })
-		last := &tl.epochs[len(tl.epochs)-1]
-		if ev.At.Equal(last.at) {
-			last.down = down
-		} else {
-			tl.epochs = append(tl.epochs, epoch{at: ev.At, down: down})
+		if k+1 == len(tl.events) || !tl.events[k+1].At.Equal(ev.At) {
+			tl.epochs[len(tl.epochs)-1].down = append(make([]int32, 0, len(down)), down...)
 		}
 	}
 }

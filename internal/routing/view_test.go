@@ -1,9 +1,10 @@
 package routing
 
 // Model-based tests for Views and the timeline deltas they walk: every
-// View answer must equal ComputeTree on that epoch's state, built from
-// the timeline's public accessors, and a boundary that changes a tree
-// must always count as touching it.
+// View answer, and every repaired tree, must equal ComputeTree on that
+// epoch's state, built from the timeline's public accessors, in next hop,
+// class and length; and a boundary that changes a tree must always count
+// as touching it.
 
 import (
 	"math/rand/v2"
@@ -38,20 +39,26 @@ func viewWorld(t testing.TB, seed uint64) (*topology.Graph, *Timeline) {
 }
 
 // checkView answers queries on a fresh View with the given tree bound and
-// fails on the first answer that differs from ComputeTree. It returns the
-// trees the View computed.
+// fails on the first answer that differs from ComputeTree in any route's
+// next hop, class or length: a View's trees seed its later repairs and
+// reuse decisions, so all three must be exact. It returns the trees the
+// View built.
 func checkView(t *testing.T, g *topology.Graph, tl *Timeline, bound int, queries []runKeyAt) int {
 	t.Helper()
 	v := NewOracle(g, tl, bound).View()
 	for i, q := range queries {
 		down, salt := epochState(g, tl, q.ep)
-		want := ComputeTree(g, q.dst, down, salt, planeSalt(q.plane)).Tree
-		if got := v.TreeAtPlane(q.dst, q.ep, q.plane); !slices.Equal(got, want) {
-			t.Fatalf("query %d (dst %d, epoch %d, plane %d): View tree differs from ComputeTree",
+		want := ComputeTree(g, q.dst, down, salt, planeSalt(q.plane))
+		if got := v.routesAt(q.dst, q.ep, q.plane); !sameRoutes(got, want) {
+			t.Fatalf("query %d (dst %d, epoch %d, plane %d): View routes differ from ComputeTree",
 				i, q.dst, q.ep, q.plane)
 		}
 	}
 	return v.computed
+}
+
+func sameRoutes(a, b Routes) bool {
+	return slices.Equal(a.Tree, b.Tree) && slices.Equal(a.class, b.class) && slices.Equal(a.dist, b.dist)
 }
 
 type runKeyAt struct{ dst, ep, plane int32 }
@@ -236,10 +243,79 @@ func saltTouches(tl *Timeline, rt *Routes, dst, e int32) bool {
 	return false
 }
 
+// TestRepairMatchesComputeTree repairs trees across random gaps of up to
+// ±30 epochs on the model worlds and checks every repair against
+// ComputeTree in next hop, class and length. Half the gaps end on the far
+// side of the instant where even worlds burst (a regional outage and two
+// policy waves), which seeds a repair with a third of the graph. repair
+// runs on every gap, past the flip bound too; build must repair exactly
+// the gaps within it and compute the rest, and a jump across the whole
+// timeline must force that fallback.
+func TestRepairMatchesComputeTree(t *testing.T) {
+	repaired, fellBack := 0, 0
+	for seed := uint64(1); seed <= 6; seed++ {
+		g, tl := viewWorld(t, seed)
+		v := NewOracle(g, tl, 0).View()
+		rng := rand.New(rand.NewPCG(seed, 0x726570616972)) // "repair"
+		n := int32(tl.NumEpochs())
+		burst := tl.EpochAt(viewStart.Add(4 * 24 * time.Hour)) // At 0.4 of ten days
+		check := func(dst, e0, e1, plane int32) {
+			t.Helper()
+			psalt := planeSalt(plane)
+			v.moveTo(e0)
+			from := ComputeTree(g, dst, v.down, v.salt, psalt)
+			v.moveTo(e1)
+			want := ComputeTree(g, dst, v.down, v.salt, psalt)
+			if got := v.repair(&from, dst, e0, psalt); !sameRoutes(got, want) {
+				t.Fatalf("world %d, dst %d, plane %d: repair from epoch %d to %d differs from ComputeTree",
+					seed, dst, plane, e0, e1)
+			}
+			before := v.repaired
+			if got := v.build(dst, psalt, &from, e0); !sameRoutes(got, want) {
+				t.Fatalf("world %d, dst %d, plane %d: build from epoch %d to %d differs from ComputeTree",
+					seed, dst, plane, e0, e1)
+			}
+			if within := tl.flipsBetween(e0, e1) <= repairBound(g); within != (v.repaired > before) {
+				t.Fatalf("world %d: %d flips from epoch %d to %d, bound %d, but build repaired %v",
+					seed, tl.flipsBetween(e0, e1), e0, e1, repairBound(g), !within)
+			}
+			if v.repaired > before {
+				repaired++
+			} else {
+				fellBack++
+			}
+		}
+		for i := range 600 {
+			e0 := rng.Int32N(n)
+			gap := rng.Int32N(61) - 30
+			if i%2 == 0 { // cross the burst instant, from either side
+				short := rng.Int32N(30) // epochs from e0 to the last before the burst
+				e0, gap = burst-1-short, short+1+rng.Int32N(30-short)
+				if rng.IntN(2) == 0 {
+					e0, gap = e0+gap, -gap
+				}
+			}
+			e0 = min(max(e0, 0), n-1)
+			e1 := min(max(e0+gap, 0), n-1)
+			check(rng.Int32N(int32(len(g.ASes))), e0, e1, rng.Int32N(3))
+		}
+		before := fellBack
+		check(rng.Int32N(int32(len(g.ASes))), 0, n-1, 0)
+		if fellBack == before {
+			t.Fatalf("world %d: a jump across all %d epochs did not fall back to ComputeTree", seed, n)
+		}
+	}
+	if repaired == 0 {
+		t.Fatal("no gap was within the flip bound; build never repaired")
+	}
+	t.Logf("build repaired %d trees and computed %d", repaired, fellBack)
+}
+
 // FuzzViewTrees decodes a query sequence over a small, heavily churning
-// world and checks every View answer against ComputeTree. The first byte
-// sets the View's tree bound (1–8), so drops happen too; then every four
-// bytes are one query: destination, epoch (two bytes) and plane (0–2).
+// world and checks every View answer against ComputeTree in next hop,
+// class and length. The first byte sets the View's tree bound (1–8), so
+// drops happen too; then every four bytes are one query: destination,
+// epoch (two bytes) and plane (0–2).
 // The checked-in corpus under testdata/fuzz/FuzzViewTrees walks runs
 // forward and backward across the world's outage and wave (epoch 341),
 // interleaves planes, drops at a one-tree bound and jumps far enough to
