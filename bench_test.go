@@ -178,10 +178,11 @@ func BenchmarkKernel_RoutingTree(b *testing.B) {
 	g := p.world.Graph
 	down := make([]bool, len(g.Links))
 	salt := make([]uint64, len(g.ASes))
+	var r routing.Routes
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		routing.ComputeTree(g, int32(i%len(g.ASes)), down, salt, 0)
+		r = routing.ComputeTree(g, int32(i%len(g.ASes)), down, salt, 0, r)
 	}
 }
 
@@ -220,7 +221,9 @@ func BenchmarkEngine_MeasureParallel(b *testing.B) {
 	// Workers is pinned (not GOMAXPROCS): on a single-core host the default
 	// degrades to the serial inline path and the benchmark silently measures
 	// the same thing as MeasureSerial. An explicit pool always exercises the
-	// worker dispatch, the sharded oracle cache and the merge.
+	// worker dispatch and the free list of day scratches (a routing View and
+	// the test buffers each), whose count depends on how many workers took
+	// a day at once, so this benchmark's bytes/op vary from run to run.
 	cfg := iclab.PlatformConfig{Seed: 5, URLsPerDay: 4, RepeatsPerDay: 2, Workers: 8}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

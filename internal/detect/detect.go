@@ -2,7 +2,8 @@ package detect
 
 import (
 	"bytes"
-	"sort"
+	"cmp"
+	"slices"
 	"time"
 
 	"churntomo/internal/blockpage"
@@ -80,19 +81,12 @@ func HTTP(c *netsim.Capture, client, server netaddr.IP) HTTPVerdict {
 		seq     uint32
 		payload []byte
 	}
-	var segs []seg
-	var rsts []netsim.Packet
+	segs := make([]seg, 0, len(c.Packets))
 	totalData := 0
-	for _, p := range c.Packets {
-		if p.Src != server || p.Dst != client || p.Proto != netsim.ProtoTCP {
-			continue
-		}
-		if p.Flags&netsim.FlagSYN != 0 {
-			continue // the SYNACK itself
-		}
-		if p.Flags&netsim.FlagRST != 0 {
-			rsts = append(rsts, p)
-			continue
+	for i := range c.Packets {
+		p := &c.Packets[i]
+		if !fromServer(p, client, server) || p.Flags&netsim.FlagRST != 0 {
+			continue // RSTs are judged below
 		}
 		if len(p.Payload) > 0 {
 			// TTL judgement is restricted to data-bearing packets: control
@@ -110,8 +104,10 @@ func HTTP(c *netsim.Capture, client, server netaddr.IP) HTTPVerdict {
 	// Gap: a hole in stream coverage. Overlap: two segments covering the
 	// same bytes with different content (a faithful retransmission is
 	// benign; an injection that guessed the sequence space rarely matches
-	// the real payload).
-	sort.Slice(segs, func(i, j int) bool { return segs[i].seq < segs[j].seq })
+	// the real payload). Neither check depends on the order of segments
+	// with equal sequence numbers: the gap check keeps a running maximum,
+	// and the conflict check compares every pair.
+	slices.SortFunc(segs, func(a, b seg) int { return cmp.Compare(a.seq, b.seq) })
 	base := isn + 1
 	var covered uint32 // next expected relative offset when contiguous
 	for _, s := range segs {
@@ -135,7 +131,11 @@ func HTTP(c *netsim.Capture, client, server netaddr.IP) HTTPVerdict {
 	// RST judgement: a legitimate teardown RST carries the next sequence
 	// number (ISN+1 before data, stream end after) and the server's TTL.
 	dataEnd := base + uint32(totalData)
-	for _, r := range rsts {
+	for i := range c.Packets {
+		r := &c.Packets[i]
+		if !fromServer(r, client, server) || r.Flags&netsim.FlagRST == 0 {
+			continue
+		}
 		seqOK := r.Seq == dataEnd || r.Seq == base
 		ttlOK := ttlDelta(r.TTL, baseTTL) <= TTLTolerance
 		if !seqOK || !ttlOK {
@@ -143,6 +143,12 @@ func HTTP(c *netsim.Capture, client, server netaddr.IP) HTTPVerdict {
 		}
 	}
 	return v
+}
+
+// fromServer reports whether p is a TCP packet from server to client
+// other than the SYNACK.
+func fromServer(p *netsim.Packet, client, server netaddr.IP) bool {
+	return p.Src == server && p.Dst == client && p.Proto == netsim.ProtoTCP && p.Flags&netsim.FlagSYN == 0
 }
 
 // segmentsConflict reports whether two segments cover shared sequence

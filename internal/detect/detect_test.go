@@ -30,7 +30,8 @@ func dnsParams(id uint16) dnssim.Params {
 
 func TestDNSDualCleanLookup(t *testing.T) {
 	rng := rand.New(rand.NewPCG(1, 1))
-	c := dnssim.Simulate(dnsParams(7), nil, dnssim.Noise{}, rng)
+	var c netsim.Capture
+	dnssim.Simulate(dnsParams(7), nil, dnssim.Noise{}, rng, &c)
 	if DNSDual(&c, client) {
 		t.Error("clean lookup flagged")
 	}
@@ -39,7 +40,8 @@ func TestDNSDualCleanLookup(t *testing.T) {
 func TestDNSDualInjection(t *testing.T) {
 	rng := rand.New(rand.NewPCG(2, 2))
 	inj := []dnssim.Injector{{ASN: 4134, Dist: 3, Answer: netaddr.MustParseIP("10.10.0.1"), InitTTL: 64}}
-	c := dnssim.Simulate(dnsParams(9), inj, dnssim.Noise{}, rng)
+	var c netsim.Capture
+	dnssim.Simulate(dnsParams(9), inj, dnssim.Noise{}, rng, &c)
 	if !DNSDual(&c, client) {
 		t.Error("injection not detected")
 	}
@@ -63,7 +65,8 @@ func TestDNSDualInjection(t *testing.T) {
 func TestDNSDualSlowInjectorMissed(t *testing.T) {
 	rng := rand.New(rand.NewPCG(3, 3))
 	inj := []dnssim.Injector{{ASN: 1, Dist: 3, Answer: 1, InitTTL: 64}}
-	c := dnssim.Simulate(dnsParams(11), inj, dnssim.Noise{SlowInjectorProb: 1}, rng)
+	var c netsim.Capture
+	dnssim.Simulate(dnsParams(11), inj, dnssim.Noise{SlowInjectorProb: 1}, rng, &c)
 	if DNSDual(&c, client) {
 		t.Error("an answer outside the 2s window should not trigger")
 	}
@@ -71,7 +74,8 @@ func TestDNSDualSlowInjectorMissed(t *testing.T) {
 
 func TestDNSDualOrganicDuplicateFalsePositive(t *testing.T) {
 	rng := rand.New(rand.NewPCG(4, 4))
-	c := dnssim.Simulate(dnsParams(13), nil, dnssim.Noise{DupResponseProb: 1}, rng)
+	var c netsim.Capture
+	dnssim.Simulate(dnsParams(13), nil, dnssim.Noise{DupResponseProb: 1}, rng, &c)
 	if !DNSDual(&c, client) {
 		t.Error("organic duplicate within the window should flag (known FP mode)")
 	}
@@ -95,7 +99,8 @@ func body(n int) []byte {
 func TestHTTPCleanConnection(t *testing.T) {
 	rng := rand.New(rand.NewPCG(5, 5))
 	for i := 0; i < 50; i++ {
-		res := httpsim.Simulate(httpParams(body(3000)), nil, httpsim.Noise{}, rng)
+		var res httpsim.Result
+		httpsim.Simulate(httpParams(body(3000)), nil, httpsim.Noise{}, rng, &res)
 		v := HTTP(&res.Capture, client, server)
 		if v.TTL || v.SEQ || v.RST {
 			t.Fatalf("clean connection flagged: %+v", v)
@@ -111,7 +116,8 @@ func TestHTTPRSTInjection(t *testing.T) {
 	detected := 0
 	for i := 0; i < 100; i++ {
 		inj := []httpsim.Injector{{ASN: 9, Dist: 4, Technique: anomaly.RST, InitTTL: 255, SeqSkew: true}}
-		res := httpsim.Simulate(httpParams(body(2000)), inj, httpsim.Noise{}, rng)
+		var res httpsim.Result
+		httpsim.Simulate(httpParams(body(2000)), inj, httpsim.Noise{}, rng, &res)
 		v := HTTP(&res.Capture, client, server)
 		if v.RST {
 			detected++
@@ -133,7 +139,8 @@ func TestHTTPRSTMimicMissed(t *testing.T) {
 	inj := []httpsim.Injector{{ASN: 9, Dist: p.ServerDist, Technique: anomaly.RST, InitTTL: netsim.InitTTLLinux, SeqSkew: false}}
 	missed := 0
 	for i := 0; i < 50; i++ {
-		res := httpsim.Simulate(p, inj, httpsim.Noise{}, rng)
+		var res httpsim.Result
+		httpsim.Simulate(p, inj, httpsim.Noise{}, rng, &res)
 		if !HTTP(&res.Capture, client, server).RST {
 			missed++
 		}
@@ -149,7 +156,8 @@ func TestHTTPSEQInjection(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		mimic := i%2 == 0
 		inj := []httpsim.Injector{{ASN: 9, Dist: 5, Technique: anomaly.SEQ, InitTTL: 64, MimicTTL: mimic}}
-		res := httpsim.Simulate(httpParams(body(2500)), inj, httpsim.Noise{}, rng)
+		var res httpsim.Result
+		httpsim.Simulate(httpParams(body(2500)), inj, httpsim.Noise{}, rng, &res)
 		v := HTTP(&res.Capture, client, server)
 		if mimic {
 			if v.SEQ {
@@ -183,7 +191,8 @@ func TestHTTPTTLDuplicate(t *testing.T) {
 	rng := rand.New(rand.NewPCG(9, 9))
 	for i := 0; i < 50; i++ {
 		inj := []httpsim.Injector{{ASN: 9, Dist: 4, Technique: anomaly.TTL, InitTTL: 255}}
-		res := httpsim.Simulate(httpParams(body(2000)), inj, httpsim.Noise{}, rng)
+		var res httpsim.Result
+		httpsim.Simulate(httpParams(body(2000)), inj, httpsim.Noise{}, rng, &res)
 		v := HTTP(&res.Capture, client, server)
 		if !v.TTL {
 			t.Fatal("TTL duplicate not detected")
@@ -202,7 +211,8 @@ func TestHTTPBlockpageInPath(t *testing.T) {
 	db := blockpage.NewFingerprintDB(10, 1.0, 1)
 	page := blockpage.Render(3, "GB")
 	inj := []httpsim.Injector{{ASN: 9, Dist: 4, Technique: anomaly.Block, InitTTL: 64, InPath: true, Blockpage: page}}
-	res := httpsim.Simulate(httpParams(body(4000)), inj, httpsim.Noise{}, rng)
+	var res httpsim.Result
+	httpsim.Simulate(httpParams(body(4000)), inj, httpsim.Noise{}, rng, &res)
 	if string(res.Body) != string(page) {
 		t.Error("client did not receive the blockpage")
 	}
@@ -222,7 +232,8 @@ func TestHTTPBlockpageOnPathOverlaps(t *testing.T) {
 	rng := rand.New(rand.NewPCG(11, 11))
 	page := blockpage.Render(4, "PL")
 	inj := []httpsim.Injector{{ASN: 9, Dist: 4, Technique: anomaly.Block, InitTTL: 255, InPath: false, Blockpage: page}}
-	res := httpsim.Simulate(httpParams(body(4000)), inj, httpsim.Noise{}, rng)
+	var res httpsim.Result
+	httpsim.Simulate(httpParams(body(4000)), inj, httpsim.Noise{}, rng, &res)
 	v := HTTP(&res.Capture, client, server)
 	if !v.SEQ {
 		t.Error("on-path blockpage racing the real body should produce overlapping SEQ")
@@ -252,7 +263,8 @@ func TestHTTPOrganicNoiseRates(t *testing.T) {
 	n := 30000
 	var ttl, seq, rst int
 	for i := 0; i < n; i++ {
-		res := httpsim.Simulate(httpParams(body(2000)), nil, noise, rng)
+		var res httpsim.Result
+		httpsim.Simulate(httpParams(body(2000)), nil, noise, rng, &res)
 		v := HTTP(&res.Capture, client, server)
 		if v.TTL {
 			ttl++
@@ -287,7 +299,8 @@ func TestHTTPSanitizedEquivalence(t *testing.T) {
 		if i%2 == 0 {
 			inj = []httpsim.Injector{{ASN: 9, Dist: 5, Technique: anomaly.Kind(i % 5), InitTTL: 255, SeqSkew: true, Blockpage: blockpage.Render(1, "CN")}}
 		}
-		res := httpsim.Simulate(httpParams(body(1500)), inj, httpsim.DefaultNoise(), rng)
+		var res httpsim.Result
+		httpsim.Simulate(httpParams(body(1500)), inj, httpsim.DefaultNoise(), rng, &res)
 		v1 := HTTP(&res.Capture, client, server)
 		sanitized := res.Capture.Sanitized()
 		v2 := HTTP(&sanitized, client, server)

@@ -43,9 +43,11 @@ type Noise struct {
 	SlowInjectorProb float64
 }
 
-// Simulate produces the client-side capture of one lookup.
-func Simulate(p Params, injectors []Injector, n Noise, rng *rand.Rand) netsim.Capture {
-	var c netsim.Capture
+// Simulate writes the client-side capture of one lookup into c, a
+// caller-owned capture whose packet storage it reuses: every packet c
+// held before is overwritten or dropped.
+func Simulate(p Params, injectors []Injector, n Noise, rng *rand.Rand, c *netsim.Capture) {
+	c.Packets = c.Packets[:0]
 	query := netsim.Packet{
 		At:      p.At,
 		Src:     p.ClientIP,
@@ -105,5 +107,4 @@ func Simulate(p Params, injectors []Injector, n Noise, rng *rand.Rand) netsim.Ca
 	}
 
 	c.Sort()
-	return c
 }

@@ -5,17 +5,19 @@
 // "Block pages").
 //
 // Entry points: Simulate runs one GET against a server with a set of
-// on-path Injectors and Noise; the Result carries the client-side capture
-// plus the HTTP body the client's stack would deliver, which feed
-// internal/detect. DefaultNoise supplies the baseline packet-level noise
-// profile.
+// on-path Injectors and Noise into a caller-owned Result, reusing its
+// storage; the Result carries the client-side capture plus the HTTP body
+// the client's stack would deliver, which feed internal/detect.
+// DefaultNoise supplies the baseline packet-level noise profile.
 //
 // Invariants: injected segments obey the injector's behavioural knobs
 // (initial TTL, sequence skew, TTL mimicry, connection-killing), so a
 // censor's detectability is a property of its configured behaviour, not a
 // coin flip; all randomness flows from the caller's RNG for per-day
 // determinism. The delivered body is reassembled first-arrival-wins: the
-// stream is sized once and the payloads copied into it in reverse arrival
-// order, one allocation per connection (FuzzReassemble keeps the
-// byte-at-a-time reassembly as its reference).
+// stream is sized once, that much of the Result's buffer is cleared, and
+// the payloads are copied into it in reverse arrival order, so a Result
+// that serves connection after connection allocates only when a stream
+// outgrows its buffer (FuzzReassemble keeps the byte-at-a-time
+// reassembly as its reference and reassembles into dirty buffers).
 package httpsim

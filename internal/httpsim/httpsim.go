@@ -3,6 +3,7 @@ package httpsim
 import (
 	"fmt"
 	"math/rand/v2"
+	"slices"
 	"time"
 
 	"churntomo/internal/anomaly"
@@ -74,7 +75,10 @@ func DefaultNoise() Noise {
 	}
 }
 
-// Result is one simulated connection.
+// Result is one simulated connection. Simulate fills a caller-owned
+// Result and reuses its storage, so one Result can serve connection after
+// connection; each Simulate overwrites every field, and the capture's
+// payloads and Body are valid only until the next.
 type Result struct {
 	Capture netsim.Capture
 	// Body is what the client's HTTP stack delivered: the first data to
@@ -83,11 +87,16 @@ type Result struct {
 	// BaselineLen is the body length a censor-free control fetch saw
 	// (subject to dynamic-content noise).
 	BaselineLen int
+
+	request  []byte // the GET's bytes
+	injected []byte // the payloads of sequence-space injections
 }
 
-// Simulate runs one HTTP GET through the injectors.
-func Simulate(p Params, injectors []Injector, n Noise, rng *rand.Rand) Result {
-	var c netsim.Capture
+// Simulate runs one HTTP GET through the injectors into res.
+func Simulate(p Params, injectors []Injector, n Noise, rng *rand.Rand, res *Result) {
+	c := &res.Capture
+	c.Packets = c.Packets[:0]
+	res.injected = res.injected[:0]
 	clientPort := uint16(20000 + rng.IntN(40000))
 	clientISN := rng.Uint32()
 	serverISN := rng.Uint32()
@@ -113,7 +122,8 @@ func Simulate(p Params, injectors []Injector, n Noise, rng *rand.Rand) Result {
 		Seq: serverISN, Ack: clientISN + 1, Flags: netsim.FlagSYN | netsim.FlagACK,
 	})
 	getAt := p.At.Add(rtt)
-	request := fmt.Appendf(nil, "GET / HTTP/1.1\r\nHost: %s\r\nConnection: close\r\n\r\n", p.Host)
+	res.request = fmt.Appendf(res.request[:0], "GET / HTTP/1.1\r\nHost: %s\r\nConnection: close\r\n\r\n", p.Host)
+	request := res.request
 	c.Add(netsim.Packet{
 		At: getAt, Src: p.ClientIP, Dst: p.ServerIP, TTL: netsim.InitTTLLinux,
 		Proto: netsim.ProtoTCP, SrcPort: clientPort, DstPort: netsim.HTTPPort,
@@ -199,10 +209,11 @@ func Simulate(p Params, injectors []Injector, n Noise, rng *rand.Rand) Result {
 				ttl = uint8(int(ttl) - (2 + rng.IntN(6)))
 			}
 			off := uint32(rng.IntN(len(body) + 400))
-			chunk := make([]byte, 200+rng.IntN(400))
-			for i := range chunk {
-				chunk[i] = byte('A' + rng.IntN(26))
+			from := len(res.injected)
+			for range 200 + rng.IntN(400) {
+				res.injected = append(res.injected, byte('A'+rng.IntN(26)))
 			}
+			chunk := res.injected[from:len(res.injected):len(res.injected)]
 			c.Add(netsim.Packet{
 				At:  serverRespAt.Add(-time.Millisecond), // races just ahead
 				Src: p.ServerIP, Dst: p.ClientIP, TTL: ttl,
@@ -223,7 +234,7 @@ func Simulate(p Params, injectors []Injector, n Noise, rng *rand.Rand) Result {
 				Src: p.ServerIP, Dst: p.ClientIP, TTL: injTTL,
 				Proto: netsim.ProtoTCP, SrcPort: netsim.HTTPPort, DstPort: clientPort,
 				Seq: serverISN + 1, Ack: clientISN + 1 + uint32(len(request)),
-				Flags: netsim.FlagACK, Payload: append([]byte(nil), seg...),
+				Flags: netsim.FlagACK, Payload: seg,
 				Injected: true, InjectedBy: inj.ASN,
 			})
 		}
@@ -272,30 +283,27 @@ func Simulate(p Params, injectors []Injector, n Noise, rng *rand.Rand) Result {
 	}
 
 	c.Sort()
-	return Result{
-		Capture:     c,
-		Body:        reassemble(&c, p.ClientIP, p.ServerIP, serverISN),
-		BaselineLen: baselineLen,
-	}
+	res.Body = reassemble(res.Body, c, p.ClientIP, p.ServerIP, serverISN)
+	res.BaselineLen = baselineLen
 }
 
 // reassemble reconstructs the byte stream the client delivers to its HTTP
-// layer: first-arrival wins each sequence range, mirroring how injected
-// segments poison real TCP stacks. It sizes the stream, then copies
-// payloads into it in reverse arrival order, so each range ends up
-// holding the first arrival's bytes. Gaps are zero bytes; the stream
-// ends with the last byte any segment delivered.
-func reassemble(c *netsim.Capture, client, server netaddr.IP, isn uint32) []byte {
+// layer into buf's storage, growing it when the stream is longer, and
+// returns it: first-arrival wins each sequence range, mirroring how
+// injected segments poison real TCP stacks. It sizes the stream, clears
+// that much of buf, then copies payloads into it in reverse arrival
+// order, so each range ends up holding the first arrival's bytes. Gaps
+// are zero bytes; the stream ends with the last byte any segment
+// delivered.
+func reassemble(buf []byte, c *netsim.Capture, client, server netaddr.IP, isn uint32) []byte {
 	size := 0
 	for i := range c.Packets { // capture is time-ordered
 		if rel, ok := streamOffset(&c.Packets[i], client, server, isn); ok {
 			size = max(size, rel+len(c.Packets[i].Payload))
 		}
 	}
-	if size == 0 {
-		return nil
-	}
-	buf := make([]byte, size)
+	buf = slices.Grow(buf[:0], size)[:size]
+	clear(buf)
 	for i := len(c.Packets) - 1; i >= 0; i-- {
 		p := &c.Packets[i]
 		if rel, ok := streamOffset(p, client, server, isn); ok {

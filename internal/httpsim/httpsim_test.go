@@ -38,7 +38,8 @@ func body(n int) []byte {
 
 func TestSimulateCleanConnection(t *testing.T) {
 	rng := rand.New(rand.NewPCG(1, 1))
-	res := Simulate(params(body(3000)), nil, Noise{}, rng)
+	var res Result
+	Simulate(params(body(3000)), nil, Noise{}, rng, &res)
 	if !bytes.Equal(res.Body, body(3000)) {
 		t.Fatal("clean body corrupted")
 	}
@@ -67,7 +68,8 @@ func TestSimulateCleanConnection(t *testing.T) {
 
 func TestSimulateSegmentSequenceNumbers(t *testing.T) {
 	rng := rand.New(rand.NewPCG(2, 2))
-	res := Simulate(params(body(2500)), nil, Noise{}, rng)
+	var res Result
+	Simulate(params(body(2500)), nil, Noise{}, rng, &res)
 	var isn uint32
 	var segs []netsim.Packet
 	for _, p := range res.Capture.Packets {
@@ -95,7 +97,8 @@ func TestSimulateBlockpageInPathSuppressesServer(t *testing.T) {
 	rng := rand.New(rand.NewPCG(3, 3))
 	page := []byte("<html>blocked</html>")
 	inj := []Injector{{ASN: 1, Dist: 4, Technique: anomaly.Block, InitTTL: 64, InPath: true, Blockpage: page}}
-	res := Simulate(params(body(4000)), inj, Noise{}, rng)
+	var res Result
+	Simulate(params(body(4000)), inj, Noise{}, rng, &res)
 	if !bytes.Equal(res.Body, page) {
 		t.Fatalf("body = %q, want blockpage", res.Body)
 	}
@@ -109,7 +112,8 @@ func TestSimulateBlockpageInPathSuppressesServer(t *testing.T) {
 func TestSimulateInjectionRacesAhead(t *testing.T) {
 	rng := rand.New(rand.NewPCG(4, 4))
 	inj := []Injector{{ASN: 1, Dist: 3, Technique: anomaly.Block, InitTTL: 255, Blockpage: []byte("X-BLOCKED-X")}}
-	res := Simulate(params(body(2000)), inj, Noise{}, rng)
+	var res Result
+	Simulate(params(body(2000)), inj, Noise{}, rng, &res)
 	// First data byte delivered must come from the injection.
 	if res.Body[0] != 'X' {
 		t.Errorf("injection lost the race: body starts %q", res.Body[:8])
@@ -119,7 +123,8 @@ func TestSimulateInjectionRacesAhead(t *testing.T) {
 func TestReassembleFirstArrivalWins(t *testing.T) {
 	rng := rand.New(rand.NewPCG(5, 5))
 	inj := []Injector{{ASN: 1, Dist: 3, Technique: anomaly.SEQ, InitTTL: 64, MimicTTL: true}}
-	res := Simulate(params(body(2000)), inj, Noise{}, rng)
+	var res Result
+	Simulate(params(body(2000)), inj, Noise{}, rng, &res)
 	// The injected chunk overwrote part of the stream (or extended it);
 	// the result must differ from the clean body somewhere if the offset
 	// landed inside, and the prefix before the offset must be intact.
@@ -148,7 +153,8 @@ func TestResizeBody(t *testing.T) {
 func TestOrganicRSTHasValidSequence(t *testing.T) {
 	rng := rand.New(rand.NewPCG(6, 6))
 	n := Noise{OrganicRSTProb: 1} // always RST teardown
-	res := Simulate(params(body(1000)), nil, n, rng)
+	var res Result
+	Simulate(params(body(1000)), nil, n, rng, &res)
 	var isn uint32
 	var rst *netsim.Packet
 	total := 0
@@ -215,8 +221,11 @@ func referenceReassemble(c *netsim.Capture, client, server netaddr.IP, isn uint3
 }
 
 // FuzzReassemble checks reassemble against the []bool first-arrival loop
-// it replaced. The input is a sequence of segments, in arrival order,
-// each a header of four bytes then its payload:
+// it replaced, into fresh storage and into recycled storage: the buffer
+// the previous input left, and buffers of nonzero bytes one longer and one
+// shorter than the stream, so a gap that kept a stale byte shows. The
+// input is a sequence of segments, in arrival order, each a header of
+// four bytes then its payload:
 //
 //	flags  bit 0 SYN, bit 1 sent by the client, bit 2 UDP, bit 3 empty;
 //	       bits 4-5 place the offset: 0 as given, 1 near the 1 MiB
@@ -241,6 +250,7 @@ func FuzzReassemble(f *testing.F) {
 	f.Add(cat(seg(0x20, 1, "before"), seg(0x30, 0, "far"), seg(0, 0, "in")))
 	f.Add(cat(seg(0, 0, "first"), seg(0, 0, "again"), seg(0, 2, "overlap three"), seg(0, 30, "")))
 	f.Add([]byte{})
+	var left []byte // the storage the previous input was reassembled into
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var c netsim.Capture
 		for len(data) >= 4 {
@@ -275,9 +285,19 @@ func FuzzReassemble(f *testing.F) {
 			}
 			c.Add(p)
 		}
-		got, want := reassemble(&c, client, server, isn), referenceReassemble(&c, client, server, isn)
-		if !bytes.Equal(got, want) || (got == nil) != (want == nil) {
+		want := referenceReassemble(&c, client, server, isn)
+		if got := reassemble(nil, &c, client, server, isn); !bytes.Equal(got, want) || (got == nil) != (want == nil) {
 			t.Fatalf("reassemble gave %d bytes, the reference %d: %q vs %q", len(got), len(want), got, want)
 		}
+		longer := bytes.Repeat([]byte{0xa5}, len(want)+1)
+		shorter := bytes.Repeat([]byte{0x5a}, max(len(want)-1, 0))
+		for _, buf := range [][]byte{left, longer, shorter} {
+			prev := len(buf)
+			if got := reassemble(buf, &c, client, server, isn); !bytes.Equal(got, want) {
+				t.Fatalf("into a dirty %d-byte buffer, reassemble gave %d bytes, the reference %d: %q vs %q",
+					prev, len(got), len(want), got, want)
+			}
+		}
+		left = reassemble(left, &c, client, server, isn)
 	})
 }

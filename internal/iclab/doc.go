@@ -24,10 +24,16 @@
 // owns an RNG stream derived from (seed, day) alone via DaySeed — a
 // splitmix64 finalizer over the day index — so a day's randomness never
 // depends on which worker ran it or when, and parallel output is
-// bit-identical to serial. Each day also measures through its own
-// routing.View, so day shards share no routing state, and a tree a day
+// bit-identical to serial. A day measures in a day scratch: a
+// routing.View and every buffer a test fills (packet captures, the
+// reassembled body, router-level expansions and traceroute hops). A
+// RunByDayCtx call keeps a free list of them, and a worker takes one when
+// a day starts and returns it when the day ends, so a worker's days reuse
+// one View and one set of buffers. The View is Reset between days, so a
+// day starts with no trees, exactly as on a fresh View; a tree a day
 // computes serves that day's later queries for as long as churn leaves it
-// unchanged. The fleet tests URLs in lockstep (every vantage measures the
-// same URLs on the same day), which is what gives the per-URL CNFs their
-// breadth.
+// unchanged. Every buffer is overwritten before it is read, so which
+// scratch a day gets never changes a record. The fleet tests URLs in
+// lockstep (every vantage measures the same URLs on the same day), which
+// is what gives the per-URL CNFs their breadth.
 package iclab

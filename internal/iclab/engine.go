@@ -2,6 +2,7 @@ package iclab
 
 import (
 	"context"
+	"sync"
 
 	"churntomo/internal/parallel"
 )
@@ -12,7 +13,8 @@ import (
 // shards on a worker pool; MergeShards concatenates them in day order.
 // Determinism is preserved by construction rather than by locking: a day's
 // randomness depends only on (seed, day index), never on which worker ran
-// it or when.
+// it or when. The one lock guards the free list of day scratches, which
+// decides only which memory a day measures in.
 
 // DaySeed derives the deterministic RNG seed for one day's measurement
 // shard from the platform seed and the day index. It is a splitmix64
@@ -50,16 +52,52 @@ func (s *Scenario) Days() int {
 // latency is bounded by one day's measurement, not the whole schedule.
 // The partially measured shards are discarded: day shards are only
 // meaningful as a complete schedule.
+//
+// A day measures in a day scratch (a routing View and the per-test
+// buffers) taken from the call's free list when it starts and put back,
+// its View Reset, when it ends, so the call holds no more scratches than
+// days ever measured at once: one per worker at most.
 func RunByDayCtx(ctx context.Context, s *Scenario, cfg PlatformConfig) ([][]Record, error) {
 	cfg.fillDefaults()
 	days := s.Days()
 	shards := make([][]Record, days)
+	var free scratchList
 	if err := parallel.ForEachCtx(ctx, cfg.Workers, days, func(day int) {
-		shards[day] = s.runDay(cfg, day)
+		sc := free.take(s)
+		shards[day] = s.runDay(cfg, day, sc)
+		free.put(sc)
 	}); err != nil {
 		return nil, err
 	}
 	return shards, nil
+}
+
+// scratchList is one RunByDayCtx call's free list of day scratches.
+type scratchList struct {
+	mu   sync.Mutex
+	free []*dayScratch
+}
+
+// take returns a free scratch, or a new one when every scratch is in use.
+func (l *scratchList) take(s *Scenario) *dayScratch {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	n := len(l.free)
+	if n == 0 {
+		return s.newDayScratch()
+	}
+	sc := l.free[n-1]
+	l.free = l.free[:n-1]
+	return sc
+}
+
+// put Resets sc's View, dropping the day's trees, and frees sc for the
+// next day.
+func (l *scratchList) put(sc *dayScratch) {
+	sc.view.Reset()
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.free = append(l.free, sc)
 }
 
 // NewDataset assembles a Dataset from already-measured records (typically a

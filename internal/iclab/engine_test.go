@@ -1,8 +1,12 @@
 package iclab
 
 import (
+	"context"
 	"reflect"
+	"runtime"
 	"testing"
+
+	"churntomo/internal/routing"
 )
 
 func TestDaySeedDistinctAndStable(t *testing.T) {
@@ -75,9 +79,74 @@ func TestParallelRunMatchesSerial(t *testing.T) {
 	}
 }
 
+// TestDaysStartOnEmptyViews: a day's routing work must not depend on the
+// days its worker measured before. Every View is bounded at the most trees
+// one day builds on a fresh View, so a View that kept one day's trees
+// into the next would reach the bound and drop them mid-day; at every
+// worker count the run must ask the path queries and build the trees
+// that measuring each day on a fresh View does, which is what makes the
+// tree count a pure function of the world.
+func TestDaysStartOnEmptyViews(t *testing.T) {
+	cfg := PlatformConfig{Seed: 7, URLsPerDay: 24, RepeatsPerDay: 2}
+	ref := buildStack(t, 11, 6)
+	fresh := cfg
+	fresh.fillDefaults()
+	most := 0
+	for day := range ref.Days() {
+		_, before := ref.Oracle.Stats()
+		ref.runDay(fresh, day, ref.newDayScratch())
+		_, after := ref.Oracle.Stats()
+		most = max(most, after-before)
+	}
+	wantQ, wantC := ref.Oracle.Stats()
+	for _, workers := range []int{1, 2, 6} {
+		s := buildStack(t, 11, 6)
+		s.Oracle = routing.NewOracle(s.Graph, s.Oracle.TL, most)
+		pc := cfg
+		pc.Workers = workers
+		if _, err := RunByDayCtx(context.Background(), s, pc); err != nil {
+			t.Fatal(err)
+		}
+		if q, c := s.Oracle.Stats(); q != wantQ || c != wantC {
+			t.Errorf("workers=%d: %d path queries and %d trees built; a fresh View per day: %d and %d",
+				workers, q, c, wantQ, wantC)
+		}
+	}
+}
+
 func TestScenarioDays(t *testing.T) {
 	s := buildStack(t, 12, 9)
 	if got := s.Days(); got != 9 {
 		t.Fatalf("Days() = %d, want 9", got)
+	}
+}
+
+// TestMeasureAllocationBudget bounds the heap one measurement allocates
+// per record, day scratches and records included. A worker measures
+// every day in one scratch (a routing View and the per-test buffers), so
+// the heap grows with the records, not with the tests and days that
+// discard buffers. Workers is 1 because with more workers the number of
+// scratches depends on scheduling. The test must not run in parallel
+// with others: TotalAlloc counts every goroutine's allocations.
+func TestMeasureAllocationBudget(t *testing.T) {
+	// About 1.5 times what this world measured when the budget was set,
+	// 1,544 bytes a record (1,690 under -race); measuring with a fresh
+	// View every day and fresh buffers every test took 10,562.
+	const budget = 2300
+	s := buildStack(t, 21, 10)
+	cfg := PlatformConfig{Seed: 4, URLsPerDay: 6, RepeatsPerDay: 2, Workers: 1}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	shards, err := RunByDayCtx(context.Background(), s, cfg)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	records := len(MergeShards(shards))
+	perRecord := float64(after.TotalAlloc-before.TotalAlloc) / float64(records)
+	t.Logf("%d records, %.0f heap bytes a record (budget %d)", records, perRecord, budget)
+	if perRecord > budget {
+		t.Errorf("measurement allocated %.0f heap bytes a record, over the budget of %d", perRecord, budget)
 	}
 }

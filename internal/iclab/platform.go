@@ -5,12 +5,12 @@ import (
 	"time"
 
 	"churntomo/internal/anomaly"
-	"churntomo/internal/blockpage"
 	"churntomo/internal/censor"
 	"churntomo/internal/detect"
 	"churntomo/internal/dnssim"
 	"churntomo/internal/httpsim"
 	"churntomo/internal/netaddr"
+	"churntomo/internal/netsim"
 	"churntomo/internal/routing"
 	"churntomo/internal/topology"
 	"churntomo/internal/traceroute"
@@ -121,11 +121,11 @@ type Dataset struct {
 	Stats    Table1
 }
 
-// pathRNG is a day shard's reusable path-keyed RNG. The schedule derives a
-// fresh deterministic stream per (seed, path) pair; re-seeding one PCG is
-// state-identical to rand.NewPCG with the same words, so reusing the pair
-// replaces two heap allocations per expansion with none while producing
-// bit-identical streams. One per shard, never shared across goroutines.
+// pathRNG is a day scratch's reusable path-keyed RNG. The schedule
+// derives a fresh deterministic stream per (seed, path) pair; re-seeding
+// one PCG is state-identical to rand.NewPCG with the same words, so
+// reusing the pair replaces two heap allocations per expansion with none
+// while producing bit-identical streams. Never shared across goroutines.
 type pathRNG struct {
 	pcg rand.PCG
 	rng *rand.Rand
@@ -145,21 +145,42 @@ func (p *pathRNG) seeded(a, b uint64) *rand.Rand {
 	return p.rng
 }
 
+// dayScratch is the memory one measurement day works in: a routing View
+// and every buffer a test fills and discards. RunByDayCtx hands each day
+// one from its free list and takes it back when the day ends, so a worker
+// reuses one scratch for all the days it measures. Every buffer is
+// overwritten before it is read, and the View is Reset between days, so
+// nothing a day measures depends on which days the scratch served before.
+type dayScratch struct {
+	view *routing.View
+	pr   *pathRNG
+
+	exp    traceroute.Expansion // the test's path
+	alt    traceroute.Expansion // the resolver's path, or a trace's that differs
+	traces [TracesPerTest]traceroute.Trace
+	http   httpsim.Result
+	dns    netsim.Capture
+	inj    []httpsim.Injector
+	dnsInj []dnssim.Injector
+}
+
+func (s *Scenario) newDayScratch() *dayScratch {
+	return &dayScratch{view: s.Oracle.View(), pr: newPathRNG()}
+}
+
 // pcgStreamPlatform is the per-day measurement-schedule RNG stream word
 // ("platform" in ASCII); stream words are module-unique, enforced by
 // churnvet.
 const pcgStreamPlatform = 0x706c6174666f726d // "platform"
 
-// runDay measures one day's shard of the schedule. Each day owns an RNG
-// stream derived from (seed, day) alone, so shards are independent of
+// runDay measures one day's shard of the schedule in sc. Each day owns an
+// RNG stream derived from (seed, day) alone, so shards are independent of
 // execution order: the engine can run them serially or on a worker pool and
-// merge identical records either way. The day routes through its own
-// oracle View, which no other shard touches.
-func (s *Scenario) runDay(cfg PlatformConfig, day int) []Record {
+// merge identical records either way. The day routes through sc's View,
+// which starts the day empty, and no other day touches it meanwhile.
+func (s *Scenario) runDay(cfg PlatformConfig, day int, sc *dayScratch) []Record {
 	at := s.Start.AddDate(0, 0, day)
 	rng := rand.New(rand.NewPCG(DaySeed(cfg.Seed^s.Seed, day), pcgStreamPlatform))
-	pr := newPathRNG()
-	view := s.Oracle.View()
 	// The schedule has no conditional skips (an unreachable target still
 	// yields an eliminated record), so the shard's size is known up front.
 	out := make([]Record, 0, cfg.URLsPerDay*len(s.Vantages)*cfg.RepeatsPerDay)
@@ -184,7 +205,7 @@ func (s *Scenario) runDay(cfg PlatformConfig, day int) []Record {
 				if s.ECMPPaths > 1 {
 					plane = int32(rng.IntN(s.ECMPPaths))
 				}
-				out = append(out, s.measure(v, target, int32(ti), when, plane, cfg, rng, pr, view))
+				out = append(out, s.measure(v, target, int32(ti), when, plane, cfg, rng, sc))
 			}
 		}
 	}
@@ -193,9 +214,9 @@ func (s *Scenario) runDay(cfg PlatformConfig, day int) []Record {
 
 // measure runs one full test: DNS via two resolvers, HTTP with capture
 // analysis, blockpage comparison, and three traceroutes, routing through
-// the day's View.
+// the day's View and filling the day's buffers.
 func (s *Scenario) measure(v *Vantage, target *Target, targetIdx int32,
-	at time.Time, plane int32, cfg PlatformConfig, rng *rand.Rand, pr *pathRNG, view *routing.View) Record {
+	at time.Time, plane int32, cfg PlatformConfig, rng *rand.Rand, sc *dayScratch) Record {
 	rec := Record{
 		Vantage:        v.ASN,
 		VantageCountry: v.Country,
@@ -206,7 +227,7 @@ func (s *Scenario) measure(v *Vantage, target *Target, targetIdx int32,
 		At:             at,
 	}
 
-	idxPath, ok := view.PathIdxAtPlane(v.Idx, target.Idx, at, plane)
+	idxPath, ok := sc.view.PathIdxAtPlane(v.Idx, target.Idx, at, plane)
 	if !ok {
 		// No route: every sub-test errors out; the record is eliminated by
 		// rule 2 during clause construction.
@@ -221,20 +242,19 @@ func (s *Scenario) measure(v *Vantage, target *Target, targetIdx int32,
 	// AS path always yields the same hop distances, so middlebox
 	// detectability is a stable property of a path rather than a
 	// per-measurement coin flip (see censor.Behavior's doc).
-	exp := traceroute.Expand(s.Graph, idxPath, target.IP, pr.seeded(s.Seed^0x657870, pathHash(idxPath)))
+	exp := &sc.exp
+	traceroute.Expand(s.Graph, idxPath, target.IP, sc.pr.seeded(s.Seed^0x657870, pathHash(idxPath)), exp)
 
 	active := s.Censors.ActiveOn(asnPath, target.URL.Category, at)
 
 	// --- DNS test: default resolver (inside the vantage AS) and the open
 	// anycast resolver, mirroring ICLab's dual-resolver methodology.
-	dnsAnom, dnsActs := s.dnsTest(v, target, at, plane, active, cfg, rng, pr, view)
-	if dnsAnom {
+	if s.dnsTest(&rec, v, target, at, plane, active, cfg, rng, sc) {
 		rec.Anomalies = rec.Anomalies.Add(anomaly.DNS)
 	}
-	rec.TrueActs = append(rec.TrueActs, dnsActs...)
 
 	// --- HTTP test with packet capture analysis.
-	var injectors []httpsim.Injector
+	injectors := sc.inj[:0]
 	for _, act := range active {
 		for _, k := range act.Techniques.Members() {
 			if k == anomaly.DNS {
@@ -252,7 +272,7 @@ func (s *Scenario) measure(v *Vantage, target *Target, targetIdx int32,
 				KillsConn: b.KillsConn,
 			}
 			if k == anomaly.Block {
-				inj.Blockpage = blockpage.Render(b.Blockpage, act.Policy.Country)
+				inj.Blockpage = s.blockpages[pageKey{b.Blockpage, act.Policy.Country}]
 			}
 			injectors = append(injectors, inj)
 		}
@@ -260,7 +280,9 @@ func (s *Scenario) measure(v *Vantage, target *Target, targetIdx int32,
 			rec.TrueActs = append(rec.TrueActs, GroundTruthAct{ASN: act.ASN, Kinds: act.Techniques})
 		}
 	}
-	res := httpsim.Simulate(httpsim.Params{
+	sc.inj = injectors
+	res := &sc.http
+	httpsim.Simulate(httpsim.Params{
 		At:         at.Add(2 * time.Second),
 		ClientIP:   v.IP,
 		ServerIP:   target.IP,
@@ -268,7 +290,7 @@ func (s *Scenario) measure(v *Vantage, target *Target, targetIdx int32,
 		ServerDist: exp.ServerDist(),
 		ServerTTL:  target.ServerTTL,
 		Body:       target.Body,
-	}, injectors, cfg.HTTPNoise, rng)
+	}, injectors, cfg.HTTPNoise, rng, res)
 	verdict := detect.HTTP(&res.Capture, v.IP, target.IP)
 	if verdict.TTL {
 		rec.Anomalies = rec.Anomalies.Add(anomaly.TTL)
@@ -285,36 +307,37 @@ func (s *Scenario) measure(v *Vantage, target *Target, targetIdx int32,
 
 	// --- Three traceroutes, spread across a small window so genuine
 	// routing changes occasionally split them (rule-4 eliminations).
-	var traces [TracesPerTest]traceroute.Trace
+	traces := sc.traces[:]
 	for i := range traces {
 		traceAt := at.Add(time.Duration(i) * cfg.MidTestChurnWindow / TracesPerTest)
-		tIdxPath, tok := view.PathIdxAtPlane(v.Idx, target.Idx, traceAt, plane)
+		tIdxPath, tok := sc.view.PathIdxAtPlane(v.Idx, target.Idx, traceAt, plane)
 		if !tok {
-			traces[i] = traceroute.Trace{Err: true}
+			traces[i] = traceroute.Trace{Err: true, Hops: traces[i].Hops[:0]}
 			continue
 		}
 		tExp := exp
 		if !samePath(tIdxPath, idxPath) {
-			tExp = traceroute.Expand(s.Graph, tIdxPath, target.IP, pr.seeded(s.Seed^0x657870, pathHash(tIdxPath)))
+			tExp = &sc.alt
+			traceroute.Expand(s.Graph, tIdxPath, target.IP, sc.pr.seeded(s.Seed^0x657870, pathHash(tIdxPath)), tExp)
 		}
-		traces[i] = traceroute.Probe(tExp, cfg.Traceroute, rng)
+		traceroute.Probe(tExp, cfg.Traceroute, rng, &traces[i])
 	}
-	rec.ASPath, rec.Fail = traceroute.InferConsensus(traces[:], s.DB, at, v.ASN)
+	rec.ASPath, rec.Fail = traceroute.InferConsensus(traces, s.DB, at, v.ASN)
 	return rec
 }
 
 // dnsTest runs the dual-resolver lookup, reporting a DNS anomaly from
-// either capture plus the ground-truth injecting censors. Note the
-// attribution mismatch this preserves from the paper: injection happens on
-// the resolver path, but the clause built from this record uses the URL
-// path — a censor on one and not the other is methodological noise.
-func (s *Scenario) dnsTest(v *Vantage, target *Target, at time.Time, plane int32,
-	activeOnDest []censor.Active, cfg PlatformConfig, rng *rand.Rand, pr *pathRNG, view *routing.View) (bool, []GroundTruthAct) {
-	var acts []GroundTruthAct
+// either capture, and appends the ground-truth injecting censors to
+// rec.TrueActs. Note the attribution mismatch this preserves from the
+// paper: injection happens on the resolver path, but the clause built
+// from this record uses the URL path — a censor on one and not the other
+// is methodological noise.
+func (s *Scenario) dnsTest(rec *Record, v *Vantage, target *Target, at time.Time, plane int32,
+	activeOnDest []censor.Active, cfg PlatformConfig, rng *rand.Rand, sc *dayScratch) bool {
 	// Default resolver: lives inside the vantage AS, so only vantage-AS
 	// censors see the query.
 	defResolver := s.Graph.HostIP(v.Idx, 9)
-	var defInjectors []dnssim.Injector
+	defInjectors := sc.dnsInj[:0]
 	for _, act := range activeOnDest {
 		if act.PathIndex == 0 && act.Techniques.Has(anomaly.DNS) {
 			defInjectors = append(defInjectors, dnssim.Injector{
@@ -325,26 +348,29 @@ func (s *Scenario) dnsTest(v *Vantage, target *Target, at time.Time, plane int32
 		}
 	}
 	for _, inj := range defInjectors {
-		acts = append(acts, GroundTruthAct{ASN: topology.ASN(inj.ASN), Kinds: anomaly.MakeSet(anomaly.DNS)})
+		rec.TrueActs = append(rec.TrueActs, GroundTruthAct{ASN: topology.ASN(inj.ASN), Kinds: anomaly.MakeSet(anomaly.DNS)})
 	}
-	defCap := dnssim.Simulate(dnssim.Params{
+	capture := &sc.dns
+	dnssim.Simulate(dnssim.Params{
 		At: at, ClientIP: v.IP, ResolverIP: defResolver, Host: target.URL.Host,
 		QueryID: uint16(rng.Uint32()), ResolverDist: 2, TrueAnswer: target.IP,
 		ResolverTTL: 64,
-	}, defInjectors, cfg.DNSNoise, rng)
-	if detect.DNSDual(&defCap, v.IP) {
-		return true, acts
+	}, defInjectors, cfg.DNSNoise, rng, capture)
+	sc.dnsInj = defInjectors
+	if detect.DNSDual(capture, v.IP) {
+		return true
 	}
 
 	// Open resolver: the query transits the path toward the anycast AS;
 	// DNS censors along it inject.
-	rIdxPath, ok := view.PathIdxAtPlane(v.Idx, s.ResolverIdx, at, plane)
+	rIdxPath, ok := sc.view.PathIdxAtPlane(v.Idx, s.ResolverIdx, at, plane)
 	if !ok {
-		return false, acts // resolver unreachable; no data
+		return false // resolver unreachable; no data
 	}
 	rASNs := s.Oracle.ToASNs(rIdxPath)
-	rExp := traceroute.Expand(s.Graph, rIdxPath, s.Graph.ResolverIP, pr.seeded(s.Seed^0x657870, pathHash(rIdxPath)))
-	var openInjectors []dnssim.Injector
+	rExp := &sc.alt
+	traceroute.Expand(s.Graph, rIdxPath, s.Graph.ResolverIP, sc.pr.seeded(s.Seed^0x657870, pathHash(rIdxPath)), rExp)
+	openInjectors := sc.dnsInj[:0]
 	for _, act := range s.Censors.ActiveOn(rASNs, target.URL.Category, at) {
 		if act.Techniques.Has(anomaly.DNS) {
 			openInjectors = append(openInjectors, dnssim.Injector{
@@ -355,14 +381,15 @@ func (s *Scenario) dnsTest(v *Vantage, target *Target, at time.Time, plane int32
 		}
 	}
 	for _, inj := range openInjectors {
-		acts = append(acts, GroundTruthAct{ASN: topology.ASN(inj.ASN), Kinds: anomaly.MakeSet(anomaly.DNS)})
+		rec.TrueActs = append(rec.TrueActs, GroundTruthAct{ASN: topology.ASN(inj.ASN), Kinds: anomaly.MakeSet(anomaly.DNS)})
 	}
-	openCap := dnssim.Simulate(dnssim.Params{
+	dnssim.Simulate(dnssim.Params{
 		At: at.Add(time.Second), ClientIP: v.IP, ResolverIP: s.Graph.ResolverIP,
 		Host: target.URL.Host, QueryID: uint16(rng.Uint32()),
 		ResolverDist: rExp.ServerDist(), TrueAnswer: target.IP, ResolverTTL: 64,
-	}, openInjectors, cfg.DNSNoise, rng)
-	return detect.DNSDual(&openCap, v.IP), acts
+	}, openInjectors, cfg.DNSNoise, rng, capture)
+	sc.dnsInj = openInjectors
+	return detect.DNSDual(capture, v.IP)
 }
 
 // sinkholeFor derives a censor's DNS sinkhole address.

@@ -33,7 +33,9 @@ type Target struct {
 	Body      []byte // the censor-free page
 }
 
-// Scenario bundles everything a platform run needs.
+// Scenario bundles everything a platform run needs. Its censor registry
+// must not change once BuildScenario returns, which renders every
+// censor's blockpage.
 type Scenario struct {
 	Graph        *topology.Graph
 	Oracle       *routing.Oracle
@@ -51,6 +53,17 @@ type Scenario struct {
 	// ECMPPaths is the number of coexisting forwarding planes measurements
 	// sample (see ScenarioConfig.ECMPPaths); <= 1 means single-plane.
 	ECMPPaths int
+
+	// blockpages holds the page every censor's Block injector serves,
+	// rendered once per (template, country) by BuildScenario and shared
+	// read-only by every test.
+	blockpages map[pageKey][]byte
+}
+
+// pageKey names one rendered blockpage: a template in one country.
+type pageKey struct {
+	template int
+	country  string
 }
 
 // ScenarioConfig parameterizes vantage/target selection.
@@ -108,9 +121,13 @@ func BuildScenario(g *topology.Graph, o *routing.Oracle, reg *censor.Registry,
 	rng := rand.New(rand.NewPCG(cfg.Seed, pcgStreamScenario))
 
 	censoringCountry := map[string]bool{}
+	blockpages := map[pageKey][]byte{}
 	for _, asn := range reg.ASNs() {
 		p, _ := reg.Policy(asn)
 		censoringCountry[p.Country] = true
+		if k := (pageKey{p.Behavior.Blockpage, p.Country}); blockpages[k] == nil {
+			blockpages[k] = blockpage.Render(k.template, k.country)
+		}
 	}
 
 	// Vantage candidates: stub ASes (VPN hosts live in content ASes, some
@@ -142,6 +159,7 @@ func BuildScenario(g *topology.Graph, o *routing.Oracle, reg *censor.Registry,
 		ResolverIdx:  g.MustIndex(topology.ResolverASN),
 		Seed:         cfg.Seed,
 		ECMPPaths:    cfg.ECMPPaths,
+		blockpages:   blockpages,
 	}
 
 	taken := map[int32]bool{}

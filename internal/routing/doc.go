@@ -11,10 +11,11 @@
 //
 // Entry points: GenTimeline builds the churn event Timeline; NewOracle
 // wraps a Graph and Timeline, and Oracle.View opens the query interface
-// the simulators use (View.PathIdxAt, PathIdxAtPlane, PathAt, TreeAtPlane;
-// Oracle.ToASNs converts paths). ComputeTree computes a single Gao–Rexford
-// routing tree when callers need one directly, and ValleyFree checks the
-// policy invariant on any path.
+// the simulators use (View.PathIdxAt, PathIdxAtPlane, PathAt, TreeAtPlane,
+// and View.Reset between days; Oracle.ToASNs converts paths).
+// ComputeTree computes a single Gao–Rexford routing tree when callers
+// need one directly, and ValleyFree checks the policy invariant on any
+// path.
 //
 // Invariants: a tree is a pure function of (graph, timeline, destination,
 // epoch, plane), so a View may reuse one across epochs and what it has
@@ -25,8 +26,13 @@
 // View.repair), or by ComputeTree when too many flips lie between. Every
 // reused or repaired tree equals a fresh ComputeTree in next hop, route
 // class and length. Oracle.Stats's treeComputes counts every tree a View
-// builds, fresh or repaired. A View belongs to one goroutine; the Oracle
-// holds no trees and no per-epoch state, only the graph, the timeline and
-// two atomic work counters, so the measurement engine's day shards share
-// it freely, one View each.
+// builds, fresh or repaired. A View belongs to one goroutine at a time;
+// the Oracle holds no trees and no per-epoch state, only the graph, the
+// timeline and two atomic work counters, so the measurement engine's
+// workers share it freely, one View each. A View serves one worker's days
+// in turn, with a View.Reset between them that drops its trees, so each
+// day starts as on a fresh View. A View's trees live in an arena that a
+// drop (on Reset, or on reaching the Oracle's bound) rewinds by an index,
+// so later trees overwrite earlier ones' storage in a fixed order: a
+// returned Tree is valid only until the View next drops its trees.
 package routing

@@ -22,6 +22,15 @@ type Routes struct {
 	dist  []int32 // AS hops to the destination; 0 when unrouted
 }
 
+// sized returns r when it holds n routes, and new storage for n routes
+// otherwise.
+func (r Routes) sized(n int) Routes {
+	if len(r.Tree) != n || len(r.class) != n || len(r.dist) != n {
+		return Routes{Tree: make(Tree, n), class: make([]uint8, n), dist: make([]int32, n)}
+	}
+	return r
+}
+
 // Route classes, in Gao–Rexford preference order: routes learned from
 // customers beat routes learned from peers beat routes learned from
 // providers, regardless of path length. ComputeTree settles them in this
@@ -49,9 +58,10 @@ func tiebreak(u, v int32, salt uint64) uint64 {
 	return x
 }
 
-// treeScratch holds the per-computation working state of ComputeTree that
-// does not outlive the call, recycled through treeScratchPool so repeated
-// computations allocate only their Routes.
+// treeScratch holds the per-computation working state of a tree
+// computation that does not outlive it: a View keeps one for the trees
+// it computes, and ComputeTree recycles them through treeScratchPool, so
+// repeated computations allocate nothing beyond their Routes.
 type treeScratch struct {
 	frontier, claimed []int32
 	buckets           [][]int32
@@ -73,27 +83,39 @@ func (s *treeScratch) grab(n int) {
 }
 
 // ComputeTree computes the Gao–Rexford routing tree toward dst (an AS
-// index). down marks failed links by link ID; an AS's tie-break salt is
-// salt[as] ^ psalt, where psalt re-rolls every tie-break for one
-// forwarding plane (0 on the canonical plane). The decision process per
-// AS: prefer customer-learned, then peer-learned, then provider-learned
-// routes; among those, shortest AS path; ties broken by the salted hash.
+// index) into r's storage and returns it. down marks failed links by link
+// ID; an AS's tie-break salt is salt[as] ^ psalt, where psalt re-rolls
+// every tie-break for one forwarding plane (0 on the canonical plane).
+// The decision process per AS: prefer customer-learned, then
+// peer-learned, then provider-learned routes; among those, shortest AS
+// path; ties broken by the salted hash. Like append, it reuses r's
+// storage when r holds one route per AS of g and allocates otherwise, so
+// Routes{} asks for fresh storage; every route of r is overwritten.
 //
-// The three-phase BFS below is the standard simulation algorithm for this
-// model: phase 1 floods the destination's announcement up provider chains
-// (producing customer routes), phase 2 crosses single peer edges, and phase
-// 3 floods everything down customer chains (producing provider routes).
-// The result is valley-free by construction.
-func ComputeTree(g *topology.Graph, dst int32, down []bool, salt []uint64, psalt uint64) Routes {
-	n := len(g.ASes)
-	next := make(Tree, n)
-	dist := make([]int32, n)
-	phase := make([]uint8, n)
+// The three-phase BFS of compute, which ComputeTree runs with scratch
+// from a pool, is the standard simulation algorithm for this model:
+// phase 1 floods the destination's announcement up provider chains
+// (producing customer routes), phase 2 crosses single peer edges, and
+// phase 3 floods everything down customer chains (producing provider
+// routes). The result is valley-free by construction.
+func ComputeTree(g *topology.Graph, dst int32, down []bool, salt []uint64, psalt uint64, r Routes) Routes {
 	sc := treeScratchPool.Get().(*treeScratch)
-	sc.grab(n)
+	r = sc.compute(g, dst, down, salt, psalt, r)
+	treeScratchPool.Put(sc)
+	return r
+}
+
+// compute is ComputeTree with sc as its scratch.
+func (sc *treeScratch) compute(g *topology.Graph, dst int32, down []bool, salt []uint64, psalt uint64, r Routes) Routes {
+	n := len(g.ASes)
+	r = r.sized(n)
+	next, dist, phase := r.Tree, r.dist, r.class
 	for i := range next {
 		next[i] = Unreachable
 	}
+	clear(dist)
+	clear(phase)
+	sc.grab(n)
 
 	// Phase 1: customer routes, level-synchronous BFS from dst along
 	// customer->provider edges.
@@ -197,8 +219,7 @@ func ComputeTree(g *topology.Graph, dst int32, down []bool, salt []uint64, psalt
 		}
 	}
 	sc.frontier, sc.claimed, sc.buckets = frontier[:0], claimed, buckets
-	treeScratchPool.Put(sc)
-	return Routes{Tree: next, class: phase, dist: dist}
+	return r
 }
 
 // Path extracts the AS-index path from src to dst out of a tree, returning

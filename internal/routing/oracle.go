@@ -12,8 +12,8 @@ import (
 // Oracle is the simulator's data plane: traceroutes, DNS queries and HTTP
 // connections all route through it. It holds the graph, the churn
 // timeline and two work counters; path queries go through Views, each
-// owned by one goroutine, so the Oracle itself keeps no trees and no
-// per-epoch state. It is safe for concurrent use.
+// owned by one goroutine at a time, so the Oracle itself keeps no trees
+// and no per-epoch state. It is safe for concurrent use.
 type Oracle struct {
 	G  *topology.Graph
 	TL *Timeline
@@ -24,7 +24,10 @@ type Oracle struct {
 }
 
 // NewOracle wraps g and tl. cacheTrees bounds the trees one View holds: a
-// View that reaches it drops every tree and starts over. Zero or negative
+// View that reaches it drops every tree and starts over, reusing their
+// storage, so the bound also caps a View's tree memory. A View serves one
+// measurement worker's days in turn and drops its trees between them
+// (see View.Reset), so the bound applies per day. Zero or negative
 // selects 4096, over twice what one default-scale measurement day holds
 // (a negative bound would drop on every computation, so it is clamped
 // rather than honored).
@@ -71,23 +74,32 @@ func (o *Oracle) Stats() (queries, treeComputes int) {
 	return int(o.queries.Load()), int(o.computes.Load())
 }
 
-// View answers path queries for one goroutine; the measurement engine
-// gives each day shard its own. It keeps, per (destination, plane), runs
-// of consecutive epochs that share one computed tree, and grows a run
-// across an epoch boundary when that boundary's churn provably cannot
-// change the tree (see touches), building a new tree only when it can.
-// A new tree is repaired from the nearest run's tree when few flips lie
-// between (see repair), computed afresh otherwise. Trees are pure
-// functions of (destination, epoch, plane), so what a View has seen never
-// changes an answer, only how much it computes.
+// View answers path queries for one goroutine at a time; the measurement
+// engine gives each worker one, which serves that worker's days in turn
+// and is Reset between them. It keeps, per (destination, plane), runs of
+// consecutive epochs that share one computed tree, and grows a run across
+// an epoch boundary when that boundary's churn provably cannot change the
+// tree (see touches), building a new tree only when it can. A new tree is
+// repaired from the nearest run's tree when few flips lie between (see
+// repair), computed afresh otherwise. Trees are pure functions of
+// (destination, epoch, plane), so what a View has seen never changes an
+// answer, only how much it computes.
+//
+// Every tree lives in the View's tree arena: trees[:held] back the runs,
+// one each, and dropping the trees (on Reset, or on reaching the Oracle's
+// bound) rewinds held and empties every key's run list in place, so the
+// next trees overwrite the same storage in the same order. A returned
+// Tree is therefore valid only until the View next drops its trees.
 //
 // A View is not safe for concurrent use.
 type View struct {
 	o        *Oracle
-	runs     map[runKey][]run // disjoint, sorted by first epoch
-	held     int              // runs over every key
-	computed int              // trees this View built, fresh or repaired
-	repaired int              // of those, trees repaired from a run's
+	keys     map[runKey]int // each key's index in runs, in first-query order
+	runs     [][]run        // by key: disjoint, sorted by first epoch
+	held     int            // runs over every key
+	trees    []Routes       // tree arena; trees[:held] back the runs
+	computed int            // trees this View built, fresh or repaired
+	repaired int            // of those, trees repaired from a run's
 
 	// One routing state, valid for epoch ep (-1 before the first tree),
 	// moved to each epoch a tree is built at by the timeline's deltas.
@@ -95,6 +107,7 @@ type View struct {
 	down []bool   // by link ID
 	salt []uint64 // by AS index
 
+	ts treeScratch
 	rs repairScratch
 }
 
@@ -109,11 +122,12 @@ type run struct {
 	routes         Routes
 }
 
-// View returns a new, empty View over the oracle.
+// View returns a new, empty View over the oracle, for one goroutine at a
+// time. It may serve many days in turn, with a Reset between them.
 func (o *Oracle) View() *View {
 	return &View{
 		o:    o,
-		runs: map[runKey][]run{},
+		keys: map[runKey]int{},
 		ep:   -1,
 		down: make([]bool, len(o.G.Links)),
 		salt: make([]uint64, len(o.G.ASes)),
@@ -124,8 +138,9 @@ func (o *Oracle) View() *View {
 // forwarding plane. Plane 0 is canonical; higher planes perturb only the
 // route tie-breaks (preference and policy stay Gao–Rexford-valid), so a
 // multipath deployment is modeled as a small set of coexisting planes a
-// flow hashes onto. The returned tree is shared; callers must not modify
-// it.
+// flow hashes onto. The returned tree is the View's own storage: callers
+// must not modify it, and it is valid only until the View next drops its
+// trees, on Reset or on reaching the Oracle's bound.
 //
 // A query inside a run is answered from it. Otherwise the neighbouring
 // runs try to grow toward ep, the earlier one first, and only if both
@@ -137,8 +152,13 @@ func (v *View) TreeAtPlane(dst, ep, plane int32) Tree {
 
 // routesAt is TreeAtPlane with the class and length of every route.
 func (v *View) routesAt(dst, ep, plane int32) Routes {
-	key := runKey{dst, plane}
-	runs := v.runs[key]
+	k, ok := v.keys[runKey{dst, plane}]
+	if !ok {
+		k = len(v.runs)
+		v.keys[runKey{dst, plane}] = k
+		v.runs = append(v.runs, nil)
+	}
+	runs := v.runs[k]
 	i := sort.Search(len(runs), func(i int) bool { return runs[i].last >= ep })
 	if i < len(runs) && runs[i].first <= ep {
 		return runs[i].routes
@@ -151,8 +171,8 @@ func (v *View) routesAt(dst, ep, plane int32) Routes {
 		return runs[i].routes
 	}
 	if v.held >= v.o.viewTrees {
-		clear(v.runs)
-		v.held, runs, i = 0, nil, 0
+		v.Reset()
+		runs, i = v.runs[k], 0
 	}
 	v.moveTo(ep)
 	var from *Routes
@@ -163,12 +183,29 @@ func (v *View) routesAt(dst, ep, plane int32) Routes {
 	if i < len(runs) && (from == nil || v.o.TL.flipsBetween(ep, runs[i].first) < v.o.TL.flipsBetween(e0, ep)) {
 		from, e0 = &runs[i].routes, runs[i].first
 	}
-	r := v.build(dst, psalt, from, e0)
+	if v.held == len(v.trees) {
+		v.trees = append(v.trees, Routes{}.sized(len(v.o.G.ASes)))
+	}
+	r := v.build(dst, psalt, from, e0, v.trees[v.held])
 	v.computed++
 	v.o.computes.Add(1)
-	v.runs[key] = slices.Insert(runs, i, run{first: ep, last: ep, routes: r})
+	v.runs[k] = slices.Insert(runs, i, run{first: ep, last: ep, routes: r})
 	v.held++
 	return r
+}
+
+// Reset drops every tree the View holds, so that it can serve another
+// day without carrying trees over: the next query of each key builds
+// afresh, exactly as on a new View. The storage of the dropped trees and
+// run lists is kept and reused, in the order it was first taken, by the
+// trees built next; trees returned before Reset are no longer valid. The
+// View's routing state and scratch survive, since neither feeds an
+// answer.
+func (v *View) Reset() {
+	for k := range v.runs {
+		v.runs[k] = v.runs[k][:0]
+	}
+	v.held = 0
 }
 
 // grow extends r one epoch boundary at a time toward ep, which lies

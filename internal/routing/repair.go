@@ -2,7 +2,6 @@ package routing
 
 import (
 	"math"
-	"slices"
 
 	"churntomo/internal/topology"
 )
@@ -44,19 +43,21 @@ type repairScratch struct {
 // bound is a sixteenth of the graph's ASes.
 func repairBound(g *topology.Graph) int { return len(g.ASes) / 16 }
 
-// build returns the routes toward dst at the View's epoch: repaired from
-// the routes of a run whose edge lies at epoch e0 when from is non-nil and
-// few enough flips lie between, computed afresh otherwise.
-func (v *View) build(dst int32, psalt uint64, from *Routes, e0 int32) Routes {
+// build returns the routes toward dst at the View's epoch, written into
+// r's storage (see ComputeTree): repaired from the routes of a run whose
+// edge lies at epoch e0 when from is non-nil and few enough flips lie
+// between, computed afresh otherwise.
+func (v *View) build(dst int32, psalt uint64, from *Routes, e0 int32, r Routes) Routes {
 	if from == nil || v.o.TL.flipsBetween(e0, v.ep) > repairBound(v.o.G) {
-		return ComputeTree(v.o.G, dst, v.down, v.salt, psalt)
+		return v.ts.compute(v.o.G, dst, v.down, v.salt, psalt, r)
 	}
 	v.repaired++
-	return v.repair(from, dst, e0, psalt)
+	return v.repair(from, dst, e0, psalt, r)
 }
 
-// repair turns a copy of from, the routes toward dst at epoch e0, into
-// the routes at the View's epoch. It is Lifelong Planning A* without a
+// repair copies from, the routes toward dst at epoch e0, into r's storage
+// (see ComputeTree; r must not share from's) and turns the copy into the
+// routes at the View's epoch. It is Lifelong Planning A* without a
 // heuristic over route keys. An AS is consistent when its key equals the
 // best key its neighbours offer it; from is consistent everywhere in e0,
 // so only an AS with a flipped link or salt between e0 and the View's
@@ -77,8 +78,11 @@ func (v *View) build(dst int32, psalt uint64, from *Routes, e0 int32) Routes {
 // unique Gao–Rexford assignment. Next hops follow keys and do not feed
 // them, so each AS takes the neighbour that offers its key, the least
 // tie-break among equal offers.
-func (v *View) repair(from *Routes, dst, e0 int32, psalt uint64) Routes {
-	r := Routes{Tree: slices.Clone(from.Tree), class: slices.Clone(from.class), dist: slices.Clone(from.dist)}
+func (v *View) repair(from *Routes, dst, e0 int32, psalt uint64, r Routes) Routes {
+	r = r.sized(len(from.Tree))
+	copy(r.Tree, from.Tree)
+	copy(r.class, from.class)
+	copy(r.dist, from.dist)
 	sc := &v.rs
 	if n := len(r.Tree); len(sc.seen) != n {
 		sc.offer, sc.via, sc.viaTie, sc.seen = make([]uint32, n), make([]int32, n), make([]uint64, n), make([]uint32, n)

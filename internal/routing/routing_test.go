@@ -40,7 +40,7 @@ func TestComputeTreeAllReachable(t *testing.T) {
 	g := graph(t, 1, 200)
 	down, salt := cleanState(g)
 	for dst := int32(0); dst < 20; dst++ {
-		tree := ComputeTree(g, dst, down, salt, 0).Tree
+		tree := ComputeTree(g, dst, down, salt, 0, Routes{}).Tree
 		for src := range tree {
 			path, ok := tree.Path(int32(src), dst)
 			if !ok {
@@ -58,7 +58,7 @@ func TestComputeTreeValleyFree(t *testing.T) {
 	g := graph(t, 2, 250)
 	down, salt := cleanState(g)
 	for dst := int32(0); dst < int32(len(g.ASes)); dst += 17 {
-		tree := ComputeTree(g, dst, down, salt, 0).Tree
+		tree := ComputeTree(g, dst, down, salt, 0, Routes{}).Tree
 		for src := int32(0); src < int32(len(g.ASes)); src += 7 {
 			path, ok := tree.Path(src, dst)
 			if !ok {
@@ -91,7 +91,7 @@ func TestComputeTreeCustomerPreference(t *testing.T) {
 	g := graph(t, 3, 120)
 	dst := int32(5)
 	down, salt := cleanState(g)
-	rt := ComputeTree(g, dst, down, salt, 0)
+	rt := ComputeTree(g, dst, down, salt, 0, Routes{})
 	tree := rt.Tree
 
 	// Recompute phases for verification.
@@ -159,7 +159,7 @@ func TestComputeTreeLinkFailureReroutes(t *testing.T) {
 	g := graph(t, 4, 200)
 	dst := int32(10)
 	down, salt := cleanState(g)
-	base := ComputeTree(g, dst, down, salt, 0).Tree
+	base := ComputeTree(g, dst, down, salt, 0, Routes{}).Tree
 
 	// Fail the link used by some src's first hop; the route must change or
 	// become unreachable, and no path may cross the failed link.
@@ -175,7 +175,7 @@ func TestComputeTreeLinkFailureReroutes(t *testing.T) {
 		t.Fatal("could not locate first-hop link")
 	}
 	down[failed] = true
-	rerouted := ComputeTree(g, dst, down, salt, 0).Tree
+	rerouted := ComputeTree(g, dst, down, salt, 0, Routes{}).Tree
 	if rerouted[src] == base[src] {
 		t.Fatal("route unchanged after first-hop link failure")
 	}
@@ -199,8 +199,8 @@ func TestSaltChangesTiebreakOnly(t *testing.T) {
 	for i := range salted {
 		salted[i] = 0xdeadbeef
 	}
-	a := ComputeTree(g, dst, down, zero, 0).Tree
-	b := ComputeTree(g, dst, down, salted, 0).Tree
+	a := ComputeTree(g, dst, down, zero, 0, Routes{}).Tree
+	b := ComputeTree(g, dst, down, salted, 0, Routes{}).Tree
 	// Both must be valid and fully reachable; some next hops should differ
 	// (multi-homed ASes with ties), but path lengths per class must match.
 	diff := 0
@@ -418,7 +418,7 @@ func TestOracleEviction(t *testing.T) {
 	}
 	// Destination 5 was dropped long ago: it must recompute identically.
 	down, salt := epochState(g, tl, ep)
-	want := ComputeTree(g, 5, down, salt, 0).Tree
+	want := ComputeTree(g, 5, down, salt, 0, Routes{}).Tree
 	if got := v.TreeAtPlane(5, ep, 0); !slices.Equal(got, want) {
 		t.Fatal("tree re-fetched after a drop differs from ComputeTree")
 	}
@@ -501,13 +501,16 @@ func BenchmarkOracleTreeAtHit(b *testing.B) {
 	}
 }
 
+// BenchmarkComputeTree computes into one reused storage, as a View's
+// tree arena does.
 func BenchmarkComputeTree(b *testing.B) {
 	g := graph(b, 20, 1000)
 	down, salt := cleanState(g)
+	var r Routes
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ComputeTree(g, int32(i%len(g.ASes)), down, salt, 0)
+		r = ComputeTree(g, int32(i%len(g.ASes)), down, salt, 0, r)
 	}
 }
 
@@ -604,7 +607,7 @@ func TestOracleNegativeCacheClamped(t *testing.T) {
 		}
 		v := o.View()
 		for dst := int32(0); dst < int32(len(g.ASes)); dst++ {
-			want, _ := ComputeTree(g, dst, down, salt, 0).Tree.Path(1, dst)
+			want, _ := ComputeTree(g, dst, down, salt, 0, Routes{}).Tree.Path(1, dst)
 			if got, _ := v.PathIdxAt(1, dst, at); !slices.Equal(got, want) {
 				t.Fatalf("NewOracle(%d): path 1->%d differs from ComputeTree", trees, dst)
 			}

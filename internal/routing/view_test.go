@@ -38,23 +38,23 @@ func viewWorld(t testing.TB, seed uint64) (*topology.Graph, *Timeline) {
 	return g, tl
 }
 
-// checkView answers queries on a fresh View with the given tree bound and
-// fails on the first answer that differs from ComputeTree in any route's
-// next hop, class or length: a View's trees seed its later repairs and
-// reuse decisions, so all three must be exact. It returns the trees the
-// View built.
-func checkView(t *testing.T, g *topology.Graph, tl *Timeline, bound int, queries []runKeyAt) int {
+// checkView answers queries on v and fails on the first answer that
+// differs from ComputeTree in any route's next hop, class or length: a
+// View's trees seed its later repairs and reuse decisions, so all three
+// must be exact. It returns the trees v built for the queries.
+func checkView(t *testing.T, v *View, queries []runKeyAt) int {
 	t.Helper()
-	v := NewOracle(g, tl, bound).View()
+	g, tl := v.o.G, v.o.TL
+	before := v.computed
 	for i, q := range queries {
 		down, salt := epochState(g, tl, q.ep)
-		want := ComputeTree(g, q.dst, down, salt, planeSalt(q.plane))
+		want := ComputeTree(g, q.dst, down, salt, planeSalt(q.plane), Routes{})
 		if got := v.routesAt(q.dst, q.ep, q.plane); !sameRoutes(got, want) {
 			t.Fatalf("query %d (dst %d, epoch %d, plane %d): View routes differ from ComputeTree",
 				i, q.dst, q.ep, q.plane)
 		}
 	}
-	return v.computed
+	return v.computed - before
 }
 
 func sameRoutes(a, b Routes) bool {
@@ -82,7 +82,7 @@ func TestViewMatchesComputeTree(t *testing.T) {
 			queries[i] = runKeyAt{dsts[rng.IntN(len(dsts))], ep, rng.Int32N(3)}
 		}
 		rng.Shuffle(len(queries), func(i, j int) { queries[i], queries[j] = queries[j], queries[i] })
-		c := checkView(t, g, tl, 0, queries)
+		c := checkView(t, NewOracle(g, tl, 0).View(), queries)
 		if c >= len(queries) {
 			t.Errorf("world %d: the View computed %d trees for %d queries; no run ever grew", seed, c, len(queries))
 		}
@@ -90,6 +90,54 @@ func TestViewMatchesComputeTree(t *testing.T) {
 		computed += c
 	}
 	t.Logf("%d queries answered with %d tree computes", answered, computed)
+}
+
+// TestViewResetMatchesFresh serves day-long windows of queries from one
+// View with a Reset between them, as a measurement worker serves its
+// days, and checks every answer against a fresh View's and ComputeTree
+// in next hop, class and length. Every other window straddles the
+// instant where even worlds burst, so trees built across a regional
+// outage and two policy waves land in storage an earlier window's trees
+// left. The recycled View must build exactly the trees the fresh Views
+// build, by Oracle.Stats.
+func TestViewResetMatchesFresh(t *testing.T) {
+	for seed := uint64(1); seed <= 6; seed++ {
+		g, tl := viewWorld(t, seed)
+		shared, fresh := NewOracle(g, tl, 0), NewOracle(g, tl, 0)
+		v := shared.View()
+		rng := rand.New(rand.NewPCG(seed, 0x7265736574)) // "reset"
+		dsts := make([]int32, 6)
+		for i := range dsts {
+			dsts[i] = rng.Int32N(int32(len(g.ASes)))
+		}
+		burst := viewStart.Add(4 * 24 * time.Hour) // At 0.4 of ten days
+		for w := range 8 {
+			from := viewStart.Add(time.Duration(rng.Int64N(int64(9 * 24 * time.Hour))))
+			if w%2 == 0 {
+				from = burst.Add(-time.Duration(1 + rng.Int64N(int64(23*time.Hour))))
+			}
+			lo, hi := tl.EpochAt(from), tl.EpochAt(from.Add(24*time.Hour))
+			fv := fresh.View()
+			for i := range 300 {
+				q := runKeyAt{dsts[rng.IntN(len(dsts))], lo + rng.Int32N(hi-lo+1), rng.Int32N(3)}
+				down, salt := epochState(g, tl, q.ep)
+				ref := ComputeTree(g, q.dst, down, salt, planeSalt(q.plane), Routes{})
+				if want := fv.routesAt(q.dst, q.ep, q.plane); !sameRoutes(want, ref) {
+					t.Fatalf("world %d, window %d, query %d: a fresh View differs from ComputeTree", seed, w, i)
+				}
+				if got := v.routesAt(q.dst, q.ep, q.plane); !sameRoutes(got, ref) {
+					t.Fatalf("world %d, window %d, query %d (dst %d, epoch %d, plane %d): the recycled View differs from ComputeTree",
+						seed, w, i, q.dst, q.ep, q.plane)
+				}
+			}
+			v.Reset()
+		}
+		_, got := shared.Stats()
+		_, want := fresh.Stats()
+		if got != want {
+			t.Errorf("world %d: the recycled View built %d trees, the fresh Views %d", seed, got, want)
+		}
+	}
 }
 
 // TestTimelineDeltas walks one routing state across every epoch, forward
@@ -203,13 +251,13 @@ func TestTouchRules(t *testing.T) {
 		prev := make([]Routes, len(keys))
 		v.moveTo(0)
 		for k, key := range keys {
-			prev[k] = ComputeTree(g, key.dst, v.down, v.salt, planeSalt(key.plane))
+			prev[k] = ComputeTree(g, key.dst, v.down, v.salt, planeSalt(key.plane), Routes{})
 		}
 		for e := int32(1); e < n; e++ {
 			v.moveTo(e)
 			for k, key := range keys {
 				psalt := planeSalt(key.plane)
-				cur := ComputeTree(g, key.dst, v.down, v.salt, psalt)
+				cur := ComputeTree(g, key.dst, v.down, v.salt, psalt, Routes{})
 				fwd := v.touches(&prev[k], key.dst, e, true, psalt)
 				bwd := v.touches(&cur, key.dst, e, false, psalt)
 				changed := !slices.Equal(prev[k].Tree, cur.Tree)
@@ -263,15 +311,15 @@ func TestRepairMatchesComputeTree(t *testing.T) {
 			t.Helper()
 			psalt := planeSalt(plane)
 			v.moveTo(e0)
-			from := ComputeTree(g, dst, v.down, v.salt, psalt)
+			from := ComputeTree(g, dst, v.down, v.salt, psalt, Routes{})
 			v.moveTo(e1)
-			want := ComputeTree(g, dst, v.down, v.salt, psalt)
-			if got := v.repair(&from, dst, e0, psalt); !sameRoutes(got, want) {
+			want := ComputeTree(g, dst, v.down, v.salt, psalt, Routes{})
+			if got := v.repair(&from, dst, e0, psalt, Routes{}); !sameRoutes(got, want) {
 				t.Fatalf("world %d, dst %d, plane %d: repair from epoch %d to %d differs from ComputeTree",
 					seed, dst, plane, e0, e1)
 			}
 			before := v.repaired
-			if got := v.build(dst, psalt, &from, e0); !sameRoutes(got, want) {
+			if got := v.build(dst, psalt, &from, e0, Routes{}); !sameRoutes(got, want) {
 				t.Fatalf("world %d, dst %d, plane %d: build from epoch %d to %d differs from ComputeTree",
 					seed, dst, plane, e0, e1)
 			}
@@ -313,9 +361,11 @@ func TestRepairMatchesComputeTree(t *testing.T) {
 
 // FuzzViewTrees decodes a query sequence over a small, heavily churning
 // world and checks every View answer against ComputeTree in next hop,
-// class and length. The first byte sets the View's tree bound (1–8), so
-// drops happen too; then every four bytes are one query: destination,
-// epoch (two bytes) and plane (0–2).
+// class and length: on a fresh View, and then with the sequence's two
+// halves on one View with a Reset between them, where the second half
+// must build exactly the trees a fresh View builds for it. The first byte
+// sets the View's tree bound (1–8), so drops happen too; then every four
+// bytes are one query: destination, epoch (two bytes) and plane (0–2).
 // The checked-in corpus under testdata/fuzz/FuzzViewTrees walks runs
 // forward and backward across the world's outage and wave (epoch 341),
 // interleaves planes, drops at a one-tree bound and jumps far enough to
@@ -343,6 +393,13 @@ func FuzzViewTrees(f *testing.F) {
 				plane: int32(q[3] % 3),
 			})
 		}
-		checkView(t, g, tl, bound, queries)
+		checkView(t, NewOracle(g, tl, bound).View(), queries)
+		v, half := NewOracle(g, tl, bound).View(), len(queries)/2
+		checkView(t, v, queries[:half])
+		v.Reset()
+		got := checkView(t, v, queries[half:])
+		if want := checkView(t, NewOracle(g, tl, bound).View(), queries[half:]); got != want {
+			t.Fatalf("after a Reset the View built %d trees for the second half, a fresh View %d", got, want)
+		}
 	})
 }

@@ -14,7 +14,8 @@
 //  4. the three traceroutes disagree at the AS level.
 //
 // Entry points: Expand derives the router-level Expansion of an AS path;
-// Probe simulates one traceroute over it; InferConsensus folds a test's
+// Probe simulates one traceroute over it; both fill caller-owned storage
+// and reuse it, overwriting every hop. InferConsensus folds a test's
 // three traces into the inferred AS path or a FailReason naming the
 // elimination rule that fired.
 //

@@ -3,6 +3,7 @@ package traceroute
 import (
 	"fmt"
 	"math/rand/v2"
+	"slices"
 	"time"
 
 	"churntomo/internal/ipasmap"
@@ -38,10 +39,12 @@ type ExpHop struct {
 	ASIdx int32
 }
 
-// Expand lays out router hops for an AS-index path ending at serverIP.
-// Router counts scale with the AS's role (backbones traverse more hops).
-func Expand(g *topology.Graph, idxPath []int32, serverIP netaddr.IP, rng *rand.Rand) Expansion {
-	var e Expansion
+// Expand lays out router hops for an AS-index path ending at serverIP
+// into e, a caller-owned expansion whose storage it reuses; every hop e
+// held before is overwritten or dropped. Router counts scale with the
+// AS's role (backbones traverse more hops).
+func Expand(g *topology.Graph, idxPath []int32, serverIP netaddr.IP, rng *rand.Rand, e *Expansion) {
+	e.Hops, e.ASStart = e.Hops[:0], e.ASStart[:0]
 	for i, asIdx := range idxPath {
 		e.ASStart = append(e.ASStart, len(e.Hops))
 		n := 1
@@ -61,7 +64,6 @@ func Expand(g *topology.Graph, idxPath []int32, serverIP netaddr.IP, rng *rand.R
 	// Final hop: the server host itself.
 	last := idxPath[len(idxPath)-1]
 	e.Hops = append(e.Hops, ExpHop{IP: serverIP, ASIdx: last})
-	return e
 }
 
 // ServerDist returns the hop distance from the client to the server (the
@@ -92,13 +94,16 @@ func (c *Config) fillDefaults() {
 	}
 }
 
-// Probe simulates one traceroute over the expansion.
-func Probe(e Expansion, cfg Config, rng *rand.Rand) Trace {
+// Probe simulates one traceroute over the expansion into tr, a
+// caller-owned trace whose hop storage it reuses: a failed trace keeps no
+// hops, and every hop of one that ran is overwritten.
+func Probe(e *Expansion, cfg Config, rng *rand.Rand, tr *Trace) {
 	cfg.fillDefaults()
-	if rng.Float64() < cfg.FailProb {
-		return Trace{Err: true}
+	tr.Hops, tr.Err = tr.Hops[:0], rng.Float64() < cfg.FailProb
+	if tr.Err {
+		return
 	}
-	tr := Trace{Hops: make([]Hop, len(e.Hops))}
+	tr.Hops = slices.Grow(tr.Hops, len(e.Hops))[:len(e.Hops)]
 	for i, h := range e.Hops {
 		p := cfg.NonResponseProb
 		if i == len(e.Hops)-1 {
@@ -110,7 +115,6 @@ func Probe(e Expansion, cfg Config, rng *rand.Rand) Trace {
 		}
 		tr.Hops[i] = Hop{IP: h.IP, Responded: true}
 	}
-	return tr
 }
 
 // FailReason classifies why a trace (or trace set) yielded no usable AS

@@ -2,6 +2,7 @@ package traceroute
 
 import (
 	"math/rand/v2"
+	"slices"
 	"testing"
 	"time"
 
@@ -76,7 +77,8 @@ func TestExpandStructure(t *testing.T) {
 	g, _, path := fixture(t)
 	rng := rand.New(rand.NewPCG(1, 1))
 	server := serverIPOf(g, path[len(path)-1])
-	e := Expand(g, path, server, rng)
+	var e Expansion
+	Expand(g, path, server, rng, &e)
 
 	if len(e.ASStart) != len(path) {
 		t.Fatalf("ASStart has %d entries for %d ASes", len(e.ASStart), len(path))
@@ -120,8 +122,10 @@ func TestExpandStructure(t *testing.T) {
 func TestProbeCleanInfer(t *testing.T) {
 	g, db, path := fixture(t)
 	rng := rand.New(rand.NewPCG(2, 2))
-	e := Expand(g, path, serverIPOf(g, path[len(path)-1]), rng)
-	tr := Probe(e, Config{NonResponseProb: 1e-9, FailProb: 1e-9}, rng)
+	var e Expansion
+	Expand(g, path, serverIPOf(g, path[len(path)-1]), rng, &e)
+	var tr Trace
+	Probe(&e, Config{NonResponseProb: 1e-9, FailProb: 1e-9}, rng, &tr)
 	got, why := Infer(tr, db, at, g.ASes[path[0]].ASN)
 	if why != OK {
 		t.Fatalf("Infer failed: %v", why)
@@ -145,8 +149,10 @@ func TestInferRule2TraceError(t *testing.T) {
 func TestInferRule1NoMapping(t *testing.T) {
 	g, db, path := fixture(t)
 	rng := rand.New(rand.NewPCG(3, 3))
-	e := Expand(g, path, serverIPOf(g, path[len(path)-1]), rng)
-	tr := Probe(e, Config{NonResponseProb: 1e-9, FailProb: 1e-9}, rng)
+	var e Expansion
+	Expand(g, path, serverIPOf(g, path[len(path)-1]), rng, &e)
+	var tr Trace
+	Probe(&e, Config{NonResponseProb: 1e-9, FailProb: 1e-9}, rng, &tr)
 	// Rewrite all hops to unallocated space.
 	for i := range tr.Hops {
 		tr.Hops[i].IP = netaddr.MustParseIP("5.5.5.5")
@@ -159,8 +165,10 @@ func TestInferRule1NoMapping(t *testing.T) {
 func TestInferRule3SilentBoundary(t *testing.T) {
 	g, db, path := fixture(t)
 	rng := rand.New(rand.NewPCG(4, 4))
-	e := Expand(g, path, serverIPOf(g, path[len(path)-1]), rng)
-	tr := Probe(e, Config{NonResponseProb: 1e-9, FailProb: 1e-9}, rng)
+	var e Expansion
+	Expand(g, path, serverIPOf(g, path[len(path)-1]), rng, &e)
+	var tr Trace
+	Probe(&e, Config{NonResponseProb: 1e-9, FailProb: 1e-9}, rng, &tr)
 	// Silence every hop of the second AS: the run between AS1 and AS3
 	// becomes ambiguous.
 	startHop, endHop := e.ASStart[1], e.ASStart[2]
@@ -175,7 +183,8 @@ func TestInferRule3SilentBoundary(t *testing.T) {
 func TestInferSilentWithinASAbsorbed(t *testing.T) {
 	g, db, path := fixture(t)
 	rng := rand.New(rand.NewPCG(5, 5))
-	e := Expand(g, path, serverIPOf(g, path[len(path)-1]), rng)
+	var e Expansion
+	Expand(g, path, serverIPOf(g, path[len(path)-1]), rng, &e)
 	// Find an AS with >= 3 hops and silence a middle one: the silent hop is
 	// flanked by mapped hops of the same AS, so inference can absorb it.
 	// (Silencing an AS's edge hop is a genuine rule-3 ambiguity and must
@@ -194,7 +203,8 @@ func TestInferSilentWithinASAbsorbed(t *testing.T) {
 	if target < 0 {
 		t.Skip("no 3-hop AS on this path")
 	}
-	tr := Probe(e, Config{NonResponseProb: 1e-9, FailProb: 1e-9}, rng)
+	var tr Trace
+	Probe(&e, Config{NonResponseProb: 1e-9, FailProb: 1e-9}, rng, &tr)
 	tr.Hops[e.ASStart[target]+1] = Hop{} // silence an interior router
 	got, why := Infer(tr, db, at, g.ASes[path[0]].ASN)
 	if why != OK {
@@ -208,8 +218,10 @@ func TestInferSilentWithinASAbsorbed(t *testing.T) {
 func TestInferTrailingSilentFails(t *testing.T) {
 	g, db, path := fixture(t)
 	rng := rand.New(rand.NewPCG(6, 6))
-	e := Expand(g, path, serverIPOf(g, path[len(path)-1]), rng)
-	tr := Probe(e, Config{NonResponseProb: 1e-9, FailProb: 1e-9}, rng)
+	var e Expansion
+	Expand(g, path, serverIPOf(g, path[len(path)-1]), rng, &e)
+	var tr Trace
+	Probe(&e, Config{NonResponseProb: 1e-9, FailProb: 1e-9}, rng, &tr)
 	// Silence the final hops spanning the last AS boundary.
 	for i := e.ASStart[len(path)-1]; i < len(tr.Hops); i++ {
 		tr.Hops[i] = Hop{}
@@ -223,11 +235,13 @@ func TestInferConsensusRule4(t *testing.T) {
 	g, db, path := fixture(t)
 	rng := rand.New(rand.NewPCG(7, 7))
 	server := serverIPOf(g, path[len(path)-1])
-	e := Expand(g, path, server, rng)
+	var e Expansion
+	Expand(g, path, server, rng, &e)
 	clean := Config{NonResponseProb: 1e-9, FailProb: 1e-9}
-	t1 := Probe(e, clean, rng)
-	t2 := Probe(e, clean, rng)
-	t3 := Probe(e, clean, rng)
+	var t1, t2, t3 Trace
+	Probe(&e, clean, rng, &t1)
+	Probe(&e, clean, rng, &t2)
+	Probe(&e, clean, rng, &t3)
 
 	if _, why := InferConsensus([]Trace{t1, t2, t3}, db, at, g.ASes[path[0]].ASN); why != OK {
 		t.Fatalf("clean consensus failed: %v", why)
@@ -259,15 +273,62 @@ func TestInferConsensusRule4(t *testing.T) {
 func TestProbeFailure(t *testing.T) {
 	g, _, path := fixture(t)
 	rng := rand.New(rand.NewPCG(8, 8))
-	e := Expand(g, path, serverIPOf(g, path[len(path)-1]), rng)
+	var e Expansion
+	Expand(g, path, serverIPOf(g, path[len(path)-1]), rng, &e)
 	fails := 0
+	var tr Trace
 	for i := 0; i < 1000; i++ {
-		if Probe(e, Config{FailProb: 0.25, NonResponseProb: 1e-9}, rng).Err {
+		if Probe(&e, Config{FailProb: 0.25, NonResponseProb: 1e-9}, rng, &tr); tr.Err {
 			fails++
 		}
 	}
 	if fails < 150 || fails > 400 {
 		t.Errorf("fail rate %d/1000 far from configured 25%%", fails)
+	}
+}
+
+// TestRecycledStorageMatchesFresh expands and probes a short path into
+// the storage a longer path's expansion and trace left, and checks the
+// result against a fresh run from the same RNG streams: no hop, AS start
+// or response of the longer run may show through, and a failed probe
+// keeps no hops.
+func TestRecycledStorageMatchesFresh(t *testing.T) {
+	g, _, path := fixture(t)
+	server := serverIPOf(g, path[len(path)-1])
+	short := path[len(path)-2:]
+	cfg := Config{NonResponseProb: 0.4, FailProb: 1e-9}
+	var e Expansion
+	var tr Trace
+	Expand(g, path, server, rand.New(rand.NewPCG(9, 9)), &e)
+	Probe(&e, Config{NonResponseProb: 1e-9, FailProb: 1e-9}, rand.New(rand.NewPCG(9, 9)), &tr)
+	long := len(e.Hops)
+
+	var fe Expansion
+	var ftr Trace
+	Expand(g, short, server, rand.New(rand.NewPCG(10, 10)), &fe)
+	Probe(&fe, cfg, rand.New(rand.NewPCG(14, 14)), &ftr)
+	Expand(g, short, server, rand.New(rand.NewPCG(10, 10)), &e)
+	Probe(&e, cfg, rand.New(rand.NewPCG(14, 14)), &tr)
+	if len(fe.Hops) >= long || ftr.Err {
+		t.Fatalf("the short path expands to %d hops (the long one %d), failed %v", len(fe.Hops), long, ftr.Err)
+	}
+	silent := false
+	for _, h := range ftr.Hops {
+		silent = silent || !h.Responded
+	}
+	if !silent {
+		t.Fatal("no hop of the short trace is silent, so a stale response could not show")
+	}
+	if !slices.Equal(e.Hops, fe.Hops) || !slices.Equal(e.ASStart, fe.ASStart) {
+		t.Fatalf("recycled expansion %+v differs from a fresh one %+v", e, fe)
+	}
+	if tr.Err != ftr.Err || !slices.Equal(tr.Hops, ftr.Hops) {
+		t.Fatalf("recycled trace %+v differs from a fresh one %+v", tr, ftr)
+	}
+
+	Probe(&e, Config{FailProb: 1}, rand.New(rand.NewPCG(12, 12)), &tr)
+	if !tr.Err || len(tr.Hops) != 0 {
+		t.Fatalf("a failed probe into recycled storage kept %d hops, Err %v", len(tr.Hops), tr.Err)
 	}
 }
 

@@ -9,7 +9,13 @@
 # recorded ns/op is the minimum across runs — single-run numbers at
 # "iterations: 1" are dominated by scheduler and allocator noise, while
 # min-of-N converges on the repeatable cost. bytes/op and allocs/op are
-# deterministic per iteration count, so the minimum is exact for them.
+# recorded from the run with that minimum. They are deterministic per
+# iteration count for benchmarks that measure on one worker, such as
+# Engine_MeasureSerial and Kernel_MeasurementDay (one day, so one
+# worker), but not for those that measure on several: each measurement
+# worker that takes a day while every day scratch (a routing View and the
+# test buffers) is in use allocates a new one, so Engine_MeasureParallel's
+# bytes/op and allocs/op vary with scheduling.
 #
 # Output shape:
 #   [{"name": "BenchmarkKernel_CNFBuild-8", "iterations": 3, "runs": 3,
