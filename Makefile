@@ -68,13 +68,14 @@ scenario-check:
 	$(GO) run ./cmd/genlab -list >/dev/null
 
 # Dataset gate: the on-disk format keeps round-tripping — the codec's
-# golden v1 file still decodes and re-encodes byte-identically, an
-# export→import→localize round trip produces identifications
-# byte-identical to the direct run in batch and streaming modes, and the
-# genlab -export → churnlab -input CLI workflow stays wired end to end
-# (smoke scale, full evaluation diffed against the direct run).
+# golden v1 file still decodes and re-encodes byte-identically, decode
+# stays within its per-record heap budget and never allocates by a
+# header's claims alone, an export→import→localize round trip produces
+# identifications byte-identical to the direct run in batch and streaming
+# modes, and the genlab -export → churnlab -input CLI workflow stays wired
+# end to end (smoke scale, full evaluation diffed against the direct run).
 dataset-check:
-	$(GO) test -count 1 -run 'TestGoldenV1|TestEncodeDecodeRoundTrip' ./internal/dataset
+	$(GO) test -count 1 -run 'TestGoldenV1|TestEncodeDecodeRoundTrip|TestDecodeAllocationBudget' ./internal/dataset
 	$(GO) test -count 1 -run 'TestDatasetRoundTripIdentifications|TestDatasetRoundTripStreaming|TestInMemoryDatasetSource' .
 	sh scripts/check-dataset-cli.sh
 

@@ -67,9 +67,13 @@ type Config struct {
 
 	// Workers bounds the per-stage parallelism: measurement days are
 	// sharded across this many goroutines, and CNF grouping,
-	// materialization and solving use the same pool size. 0 uses
-	// GOMAXPROCS, 1 forces fully serial execution. Results are identical
-	// at every setting — parallelism never changes the output.
+	// materialization and solving use the same pool size. At 2 or more, a
+	// single-cell run also computes the churn summary on one goroutine of
+	// its own beside the localization (the batch build and solve or the
+	// streaming replay), so up to Workers+1 goroutines run during the
+	// solve. 0 uses GOMAXPROCS, 1 forces fully serial execution. Results
+	// are identical at every setting — parallelism never changes the
+	// output.
 	Workers int
 
 	// Topology scale.
@@ -172,10 +176,18 @@ type cell struct {
 	identified map[ASN]*IdentifiedCensor
 	leakage    *leakage.Analysis
 
+	// The churn summary, computed beside the localization; nil in matrix
+	// cells, which never report it.
+	churn        []ChurnPeriod
+	churnByClass []ClassChurn
+
 	// The streaming timeline; nil in batch mode, and released once
-	// singleResult has converted it.
-	windows []*stream.Window
-	conv    []stream.Convergence
+	// singleResult has converted it. Every emitted window is kept for its
+	// Identified set, but only the final one keeps its instances and
+	// outcomes; windowResults is the timeline's public form.
+	windows       []*stream.Window
+	windowResults []WindowResult
+	conv          []stream.Convergence
 }
 
 // final returns the last emitted window, or nil.

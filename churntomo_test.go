@@ -245,9 +245,10 @@ func leakageSummary(p *cell) string {
 }
 
 // TestSerialParallelIdentical is the engine's end-to-end determinism
-// regression: the same seed must produce identical censor identifications
-// and leakage summaries whether the pipeline runs serially, runs with a
-// full worker pool, or runs twice.
+// regression: the same seed must produce identical censor identifications,
+// leakage and churn summaries whether the pipeline runs serially (the
+// churn summary after the localization), runs with two workers or a full
+// pool (the churn summary beside the localization), or runs twice.
 func TestSerialParallelIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("end-to-end pipeline in -short mode")
@@ -256,7 +257,7 @@ func TestSerialParallelIdentical(t *testing.T) {
 	serialCfg.Workers = 1
 	serial := runDirect(t, WithConfig(serialCfg)).cell
 
-	variants := map[string]int{"parallel": 8, "parallel-again": 8, "default-workers": 0}
+	variants := map[string]int{"two-workers": 2, "parallel": 8, "parallel-again": 8, "default-workers": 0}
 	for name, workers := range variants {
 		cfg := testConfig()
 		cfg.Workers = workers
@@ -286,6 +287,9 @@ func TestSerialParallelIdentical(t *testing.T) {
 		if leakageSummary(serial) != leakageSummary(got) {
 			t.Fatalf("%s: leakage differs from serial:\n%s\n%s",
 				name, leakageSummary(serial), leakageSummary(got))
+		}
+		if !reflect.DeepEqual(got.churn, serial.churn) || !reflect.DeepEqual(got.churnByClass, serial.churnByClass) {
+			t.Fatalf("%s: churn summary differs from serial", name)
 		}
 	}
 }

@@ -210,6 +210,12 @@ func (e *Experiment) openCell(ctx context.Context, cfg Config, emit func(Event))
 // BuildAndSolve while streaming cells replay the day shards through a
 // stream.Engine. Cancellation is checked at each stage boundary, between
 // streamed days, and inside the sharded loops via the ctx-aware engines.
+//
+// The churn summary and the localization only read the record table, so
+// a single-cell run computes the summary on one goroutine of its own
+// beside the localization's Workers-sized pool, mostly on the core CNF
+// construction's serial fold leaves idle (serially at Workers: 1).
+// Matrix cells never report churn and skip it.
 func (e *Experiment) runCell(ctx context.Context, cfg Config, index int) (*cell, error) {
 	emit := func(ev Event) {
 		ev.Cell = index
@@ -220,34 +226,55 @@ func (e *Experiment) runCell(ctx context.Context, cfg Config, index int) (*cell,
 	if err != nil {
 		return nil, err
 	}
-	cfg = c.cfg
-
-	if e.streaming {
-		if err := e.replay(ctx, c, shards, emit); err != nil {
-			return nil, err
-		}
-		// The engine only read the shards, so the merged dataset is
-		// bit-identical to a batch run's. The batch localization stays
-		// nil — the window timeline replaces it.
-		c.dataset = iclab.NewDataset(c.world, iclab.MergeShards(shards))
-		return c, nil
-	}
-
 	c.dataset = iclab.NewDataset(c.world, iclab.MergeShards(shards))
-	ev := newEvent(StageSolve)
-	ev.Stats.Seed = cfg.Seed
-	emit(ev)
-	_, c.outcomes, err = tomo.BuildAndSolveCtx(ctx, c.dataset.Records, tomo.BuildConfig{Workers: cfg.Workers})
-	if err != nil {
+	tasks := 1
+	if index < 0 {
+		tasks = 2
+	}
+	var localizeErr error
+	if err := parallel.ForEachCtx(ctx, c.cfg.Workers, tasks, func(task int) {
+		if task == 1 {
+			c.churn, c.churnByClass = churnOf(c)
+			return
+		}
+		localizeErr = e.localize(ctx, c, shards, emit)
+	}); err != nil {
 		return nil, err
 	}
-	c.identified = tomo.IdentifyCensors(c.outcomes, e.resolvedMinCNFs())
-	c.leakage = leakage.Analyze(c.outcomes, c.world.Graph)
+	if localizeErr != nil {
+		return nil, localizeErr
+	}
 	return c, nil
 }
 
+// localize runs the cell's localization: a streaming replay of the day
+// shards, or one batch build and solve over the merged table. The
+// streaming engine only reads the shards, so the merged dataset is
+// bit-identical to a batch run's; a streaming cell's batch localization
+// stays nil, as the window timeline replaces it.
+func (e *Experiment) localize(ctx context.Context, c *cell, shards [][]iclab.Record, emit func(Event)) error {
+	if e.streaming {
+		return e.replay(ctx, c, shards, emit)
+	}
+	ev := newEvent(StageSolve)
+	ev.Stats.Seed = c.cfg.Seed
+	emit(ev)
+	var err error
+	_, c.outcomes, err = tomo.BuildAndSolveCtx(ctx, c.dataset.Records, tomo.BuildConfig{Workers: c.cfg.Workers})
+	if err != nil {
+		return err
+	}
+	c.identified = tomo.IdentifyCensors(c.outcomes, e.resolvedMinCNFs())
+	c.leakage = leakage.Analyze(c.outcomes, c.world.Graph)
+	return nil
+}
+
 // replay pushes the measured day shards through the streaming localizer,
-// emitting StageDay and StageWindow events as the timeline unfolds.
+// emitting StageDay and StageWindow events as the timeline unfolds. Each
+// window is converted to its WindowResult as it arrives. After the replay
+// only the final window's outcomes are read (by the summary and the
+// leakage analysis), so a window that is superseded keeps its Identified
+// set, which stream.Converge reads, and drops its instances and outcomes.
 func (e *Experiment) replay(ctx context.Context, c *cell, shards [][]iclab.Record, emit func(Event)) error {
 	eng := stream.NewEngine(stream.Config{
 		Window:  e.window,
@@ -259,7 +286,11 @@ func (e *Experiment) replay(ctx context.Context, c *cell, shards [][]iclab.Recor
 		if w == nil {
 			return
 		}
+		if prev := c.final(); prev != nil {
+			prev.Instances, prev.Outcomes = nil, nil
+		}
 		c.windows = append(c.windows, w)
+		c.windowResults = append(c.windowResults, windowResultOf(w))
 		ev := newEvent(StageWindow)
 		ev.Window = w.Index
 		ev.Stats = EventStats{
@@ -301,7 +332,7 @@ func (e *Experiment) singleResult(c *cell) *Result {
 	res := &Result{Config: c.cfg, Mode: e.Mode(), cell: c}
 	var outcomes []tomo.Outcome
 	if e.streaming {
-		res.Windows = windowResultsOf(c.windows)
+		res.Windows = c.windowResults
 		res.Convergence = convergencesOf(c.conv)
 		if final := c.final(); final != nil {
 			outcomes = final.Outcomes
@@ -320,7 +351,7 @@ func (e *Experiment) singleResult(c *cell) *Result {
 	res.Censors = censorsOf(res.Identified, c.world)
 	res.Categories = categoriesOf(res.Identified, c.world.Targets)
 	res.Summary = summaryOf(c, outcomes)
-	res.Churn, res.ChurnByClass = churnOf(c)
+	res.Churn, res.ChurnByClass = c.churn, c.churnByClass
 	if e.ablation {
 		res.NoChurn = ablationOf(c)
 	}
@@ -333,9 +364,9 @@ func (e *Experiment) singleResult(c *cell) *Result {
 	// dataset knows who really censors, so score the verdict against it.
 	// Metadata-only replays have no registry and stay ungraded.
 	res.Evaluation = Evaluate(res, res.Truth())
-	// Result keeps the cell for its world and dataset; every window's
+	// Result keeps the cell for its world and dataset; the final window's
 	// outcomes would only pin memory for as long as the caller holds it.
-	c.windows, c.conv = nil, nil
+	c.windows, c.windowResults, c.conv = nil, nil, nil
 	return res
 }
 

@@ -68,71 +68,14 @@ func (d Distribution) ChangedFrac() float64 {
 // URL) pair and each distinct AS path is interned once, and each cell — a
 // pair's period at one granularity, or its month within one class — keeps
 // a measurement count and at most MaxBucket distinct path IDs, which is
-// all its bucket needs.
+// all its bucket needs. The result does not depend on record order, but
+// day-ordered records are the fast case: see measurer.cell.
 func Measure(records []iclab.Record, g *topology.Graph) (periods []Distribution, byClass map[topology.Class]Distribution) {
-	m := measurer{pairs: map[pairKey]int32{}, paths: map[string]int32{}, cellOf: map[cellKey]int32{}}
-	splits := make([]Distribution, len(timeslice.All))
-	for i, gran := range timeslice.All {
-		splits[i].Gran = gran
-	}
-	var classSplit map[topology.Class]int32
-	if g != nil {
-		classSplit = map[topology.Class]int32{}
-	}
+	m := newMeasurer(g)
 	for i := range records {
-		r := &records[i]
-		class := int32(-1) // the split of r's destination class, if any
-		if g != nil {
-			if as, ok := g.ByASN(r.TargetASN); ok {
-				s, seen := classSplit[as.Class]
-				if !seen {
-					s = int32(len(splits))
-					classSplit[as.Class] = s
-					splits = append(splits, Distribution{Gran: timeslice.Month})
-				}
-				class = s
-			}
-		}
-		if r.Fail != traceroute.OK {
-			continue
-		}
-		pair, path := m.pair(r), m.path(r.ASPath)
-		var month int32
-		for s, gran := range timeslice.All {
-			slice := timeslice.KeyFor(gran, r.At).Index
-			if gran == timeslice.Month {
-				month = slice
-			}
-			m.add(cellKey{pair: pair, split: int32(s), slice: slice}, path)
-		}
-		if class >= 0 {
-			m.add(cellKey{pair: pair, split: class, slice: month}, path)
-		}
+		m.add(&records[i])
 	}
-	for _, c := range m.cells {
-		if c.n < 2 {
-			continue
-		}
-		d := &splits[c.split]
-		d.Buckets[c.distinct]++
-		d.Samples++
-	}
-	for s := range splits {
-		d := &splits[s]
-		if d.Samples > 0 {
-			for b := 1; b <= MaxBucket; b++ {
-				d.Buckets[b] /= float64(d.Samples)
-			}
-		}
-	}
-	if g != nil {
-		byClass = make(map[topology.Class]Distribution, len(classSplit))
-		for class, s := range classSplit {
-			byClass[class] = splits[s]
-		}
-	}
-	n := len(timeslice.All)
-	return splits[:n:n], byClass
+	return m.result()
 }
 
 // cellKey names one cell: a pair's period in one split, where splits
@@ -145,19 +88,87 @@ type cellKey struct {
 // cell is one pair-period's tally. Its bucket is min(distinct, MaxBucket),
 // so once MaxBucket paths are seen no further ones need remembering.
 type cell struct {
-	split    int32
+	cellKey
 	n        int32
 	distinct int32
 	paths    [MaxBucket]int32
 }
 
-// measurer holds Measure's interned pairs and paths and its cells.
+// measurer is Measure's state: the interned pairs and paths, the cells,
+// the distributions they fold into, and the lookups that find a cell.
 type measurer struct {
+	g      *topology.Graph
 	pairs  map[pairKey]int32
 	paths  map[string]int32
 	buf    []byte
-	cellOf map[cellKey]int32
 	cells  []cell
+	splits []Distribution
+	// classSplit maps a destination class to its split.
+	classSplit map[topology.Class]int32
+
+	// cur[split][pair] is 1 + the ID of the pair's latest cell in the
+	// split, 0 before its first. It finds every cell while each (pair,
+	// split) meets its slices in increasing order; cellOf, built from the
+	// cells so far by the first record that revisits an earlier slice,
+	// finds them after that, and cur is dropped.
+	cur    [][]int32
+	cellOf map[cellKey]int32
+}
+
+func newMeasurer(g *topology.Graph) *measurer {
+	m := &measurer{
+		g:      g,
+		pairs:  map[pairKey]int32{},
+		paths:  map[string]int32{},
+		splits: make([]Distribution, len(timeslice.All)),
+	}
+	for i, gran := range timeslice.All {
+		m.splits[i].Gran = gran
+	}
+	if g != nil {
+		m.classSplit = map[topology.Class]int32{}
+	}
+	return m
+}
+
+// add folds one record into the cells.
+func (m *measurer) add(r *iclab.Record) {
+	class := m.class(r.TargetASN) // the split of r's destination class, if any
+	if r.Fail != traceroute.OK {
+		return
+	}
+	pair, path := m.pair(r), m.path(r.ASPath)
+	var month int32
+	for s, gran := range timeslice.All {
+		slice := timeslice.KeyFor(gran, r.At).Index
+		if gran == timeslice.Month {
+			month = slice
+		}
+		m.cell(pair, int32(s), slice).see(path)
+	}
+	if class >= 0 {
+		m.cell(pair, class, month).see(path)
+	}
+}
+
+// class returns the split of the destination AS's class, or -1 without a
+// graph or when the graph does not know the AS. A class gets its split
+// the first time a record targets it.
+func (m *measurer) class(target topology.ASN) int32 {
+	if m.g == nil {
+		return -1
+	}
+	as, ok := m.g.ByASN(target)
+	if !ok {
+		return -1
+	}
+	s, seen := m.classSplit[as.Class]
+	if !seen {
+		s = int32(len(m.splits))
+		m.classSplit[as.Class] = s
+		m.splits = append(m.splits, Distribution{Gran: timeslice.Month})
+	}
+	return s
 }
 
 // pair returns the ID of r's (vantage, URL) pair.
@@ -182,15 +193,54 @@ func (m *measurer) path(p []topology.ASN) int32 {
 	return id
 }
 
-// add records one measurement over path in cell k.
-func (m *measurer) add(k cellKey, path int32) {
+// cell returns the cell of (pair, split, slice), creating it if new.
+// While each (pair, split) meets its slices in increasing order, as
+// day-ordered records always do, the cell is the pair's latest one in the
+// split or a new one, since no earlier cell can hold a later slice. The
+// first record that revisits an earlier slice builds cellOf from the
+// cells so far, and every later lookup probes it.
+func (m *measurer) cell(pair, split, slice int32) *cell {
+	if m.cellOf == nil {
+		for int(split) >= len(m.cur) {
+			m.cur = append(m.cur, nil)
+		}
+		cur := m.cur[split]
+		if n := int(pair) + 1; n > len(cur) {
+			cur = append(cur, make([]int32, n-len(cur))...)
+			m.cur[split] = cur
+		}
+		id := cur[pair] - 1
+		if id < 0 || m.cells[id].slice < slice {
+			id = m.newCell(cellKey{pair: pair, split: split, slice: slice})
+			cur[pair] = id + 1
+			return &m.cells[id]
+		}
+		if m.cells[id].slice == slice {
+			return &m.cells[id]
+		}
+		m.cellOf = make(map[cellKey]int32, len(m.cells))
+		for id := range m.cells {
+			m.cellOf[m.cells[id].cellKey] = int32(id)
+		}
+		m.cur = nil
+	}
+	k := cellKey{pair: pair, split: split, slice: slice}
 	id, ok := m.cellOf[k]
 	if !ok {
-		id = int32(len(m.cells))
+		id = m.newCell(k)
 		m.cellOf[k] = id
-		m.cells = append(m.cells, cell{split: k.split})
 	}
-	c := &m.cells[id]
+	return &m.cells[id]
+}
+
+// newCell appends an empty cell and returns its ID.
+func (m *measurer) newCell(k cellKey) int32 {
+	m.cells = append(m.cells, cell{cellKey: k})
+	return int32(len(m.cells) - 1)
+}
+
+// see records one measurement over path.
+func (c *cell) see(path int32) {
 	c.n++
 	if c.distinct == MaxBucket {
 		return
@@ -202,6 +252,36 @@ func (m *measurer) add(k cellKey, path int32) {
 	}
 	c.paths[c.distinct] = path
 	c.distinct++
+}
+
+// result folds the cells into the distributions.
+func (m *measurer) result() (periods []Distribution, byClass map[topology.Class]Distribution) {
+	splits := m.splits
+	for i := range m.cells {
+		c := &m.cells[i]
+		if c.n < 2 {
+			continue
+		}
+		d := &splits[c.split]
+		d.Buckets[c.distinct]++
+		d.Samples++
+	}
+	for s := range splits {
+		d := &splits[s]
+		if d.Samples > 0 {
+			for b := 1; b <= MaxBucket; b++ {
+				d.Buckets[b] /= float64(d.Samples)
+			}
+		}
+	}
+	if m.g != nil {
+		byClass = make(map[topology.Class]Distribution, len(m.classSplit))
+		for class, s := range m.classSplit {
+			byClass[class] = splits[s]
+		}
+	}
+	n := len(timeslice.All)
+	return splits[:n:n], byClass
 }
 
 // FirstPathOnly returns the subset of records that used the first AS path

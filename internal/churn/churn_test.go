@@ -3,6 +3,7 @@ package churn
 import (
 	"math/rand/v2"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -349,34 +350,71 @@ func overfullCells(records []iclab.Record) int {
 }
 
 // checkMeasure compares Measure on one random record set with the
-// reference, with and without a graph, and returns the reference result.
-func checkMeasure(t *testing.T, seed uint64, n int) ([]Distribution, map[topology.Class]Distribution) {
+// reference, with and without a graph, and returns the reference result
+// and whether the moved order below switched to the cell index. Each set
+// is measured in three orders, since the result must not depend on it:
+// as drawn, which jumps between slices and mostly takes the index; sorted
+// by time, which stays on the map-free path throughout (no index is
+// built); and sorted with the earliest conclusive record moved to the
+// end, which may switch to the index mid-run.
+func checkMeasure(t *testing.T, seed uint64, n int) ([]Distribution, map[topology.Class]Distribution, bool) {
 	t.Helper()
 	records := seededRecords(seed, n)
 	wantPeriods := referenceMeasure(records, nil)
 	wantByClass := referenceByDestinationClass(records, classGraph, timeslice.Month)
+
+	sorted := slices.Clone(records)
+	slices.SortStableFunc(sorted, func(a, b iclab.Record) int { return a.At.Compare(b.At) })
+	moved := slices.Clone(sorted)
+	if i := slices.IndexFunc(moved, func(r iclab.Record) bool { return r.Fail == traceroute.OK }); i >= 0 {
+		r := moved[i]
+		moved = append(slices.Delete(moved, i, i+1), r)
+	}
+
+	switched := false
+	for _, order := range []struct {
+		name string
+		recs []iclab.Record
+	}{{"as drawn", records}, {"sorted", sorted}, {"moved", moved}} {
+		for _, g := range []*topology.Graph{classGraph, nil} {
+			m := newMeasurer(g)
+			for i := range order.recs {
+				m.add(&order.recs[i])
+			}
+			indexed := m.cellOf != nil
+			periods, byClass := m.result()
+			if !reflect.DeepEqual(periods, wantPeriods) {
+				t.Errorf("seed %d, %d records %s, graph %v: periods\n got %+v\nwant %+v", seed, n, order.name, g != nil, periods, wantPeriods)
+			}
+			if g == nil && byClass != nil {
+				t.Errorf("seed %d, %d records %s: without a graph got by class %v", seed, n, order.name, byClass)
+			}
+			if g != nil && !reflect.DeepEqual(byClass, wantByClass) {
+				t.Errorf("seed %d, %d records %s: by class\n got %+v\nwant %+v", seed, n, order.name, byClass, wantByClass)
+			}
+			if order.name == "sorted" && indexed {
+				t.Errorf("seed %d, %d records sorted by time, graph %v: built the cell index", seed, n, g != nil)
+			}
+			if order.name == "moved" && indexed {
+				switched = true
+			}
+		}
+	}
 	periods, byClass := Measure(records, classGraph)
-	if !reflect.DeepEqual(periods, wantPeriods) {
-		t.Errorf("seed %d, %d records: periods\n got %+v\nwant %+v", seed, n, periods, wantPeriods)
+	if !reflect.DeepEqual(periods, wantPeriods) || !reflect.DeepEqual(byClass, wantByClass) {
+		t.Errorf("seed %d, %d records: Measure differs from the reference", seed, n)
 	}
-	if !reflect.DeepEqual(byClass, wantByClass) {
-		t.Errorf("seed %d, %d records: by class\n got %+v\nwant %+v", seed, n, byClass, wantByClass)
-	}
-	bare, none := Measure(records, nil)
-	if !reflect.DeepEqual(bare, wantPeriods) || none != nil {
-		t.Errorf("seed %d, %d records: without a graph got %+v, %v", seed, n, bare, none)
-	}
-	return wantPeriods, wantByClass
+	return wantPeriods, wantByClass, switched
 }
 
 // TestMeasureMatchesReference holds the one-pass Measure bit-identical to
 // the per-granularity reference over random record sets, and checks that
 // the sets reached every case the comparison is meant to cover.
 func TestMeasureMatchesReference(t *testing.T) {
-	var overfull, zeroSampleClass, classes int
+	var overfull, zeroSampleClass, classes, switched int
 	for seed := uint64(1); seed <= 300; seed++ {
 		n := int(seed % 97)
-		_, byClass := checkMeasure(t, seed, n)
+		_, byClass, sw := checkMeasure(t, seed, n)
 		overfull += overfullCells(seededRecords(seed, n))
 		for _, d := range byClass {
 			if d.Samples == 0 {
@@ -386,11 +424,15 @@ func TestMeasureMatchesReference(t *testing.T) {
 		if len(byClass) == 3 {
 			classes++
 		}
+		if sw {
+			switched++
+		}
 	}
-	if overfull == 0 || zeroSampleClass == 0 || classes == 0 {
-		t.Errorf("random sets missed a case: %d cells with more than %d paths, %d classes without samples, %d sets with all classes",
-			overfull, MaxBucket, zeroSampleClass, classes)
+	if overfull == 0 || zeroSampleClass == 0 || classes == 0 || switched == 0 {
+		t.Errorf("random sets missed a case: %d cells with more than %d paths, %d classes without samples, %d sets with all classes, %d moved orders that switched to the index",
+			overfull, MaxBucket, zeroSampleClass, classes, switched)
 	}
+	t.Logf("%d of 300 moved orders switched to the cell index mid-run", switched)
 }
 
 // FuzzMeasure extends TestMeasureMatchesReference to fuzz-chosen record

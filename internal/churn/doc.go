@@ -15,9 +15,13 @@
 // Measure is one pass over the records, read in place. It interns each
 // (vantage, URL) pair and each distinct AS path once, and each
 // pair-period cell keeps a count and at most MaxBucket distinct path IDs.
-// Its integer counts and divisions are the ones a per-granularity
-// recount would make, so every bucket is bit-identical to it
-// (TestMeasureMatchesReference, FuzzMeasure).
+// While every (pair, split) meets its slices in increasing order, as
+// day-ordered records always do, a record's cell is the pair's latest one
+// in the split, kept in a dense array, or a new one; the first record
+// that revisits an earlier slice builds a cell index and the pass probes
+// it from then on. Its integer counts and divisions are the ones a
+// per-granularity recount would make, so every bucket is bit-identical to
+// it in any record order (TestMeasureMatchesReference, FuzzMeasure).
 //
 // Invariants: only conclusive records (Fail == OK) participate, matching
 // what the tomography sees; Distribution buckets are fractions of

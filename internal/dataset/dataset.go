@@ -2,6 +2,7 @@ package dataset
 
 import (
 	"bufio"
+	"cmp"
 	"compress/gzip"
 	"encoding/json"
 	"errors"
@@ -9,6 +10,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"slices"
 	"strconv"
 	"time"
 
@@ -90,7 +92,9 @@ type Header struct {
 // day-ordered batches (Days[d] holds day d's records, empty days kept).
 // A record's position in the day-ordered sequence (iclab.MergeShards)
 // identifies it, exactly as in a live measurement run. Decoded records
-// are read-only, so one File may feed concurrent runs.
+// are read-only, so one File may feed concurrent runs. Decode lays the
+// records out in one day-ordered table and makes each day a view of it,
+// so MergeShards over a decoded File returns the table itself.
 type File struct {
 	Header Header
 	Days   [][]iclab.Record
@@ -520,8 +524,9 @@ func tablesOf(h *Header) (*codeTables, error) {
 	return t, nil
 }
 
-// fromWire converts one record line back, resolving table references.
-func fromWire(wr *wireRecord, h *Header, t *codeTables) (iclab.Record, error) {
+// fromWire converts one record line back, resolving table references;
+// the record's slices come from a.
+func fromWire(wr *wireRecord, h *Header, t *codeTables, a *recordArena) (iclab.Record, error) {
 	var r iclab.Record
 	if wr.Day < 0 || wr.Day >= h.Days {
 		return r, fmt.Errorf("dataset: record day %d outside the period of %d days", wr.Day, h.Days)
@@ -537,7 +542,7 @@ func fromWire(wr *wireRecord, h *Header, t *codeTables) (iclab.Record, error) {
 		return r, fmt.Errorf("dataset: fail code %d outside the header's %d reasons", wr.Fail, len(t.fails))
 	}
 	r.Fail = t.fails[wr.Fail]
-	r.ASPath = asns(wr.Path)
+	r.ASPath = a.path(wr.Path)
 	switch {
 	// The category pointer marks the explicit-override form — the URL
 	// alone cannot, since omitempty drops an empty override URL.
@@ -559,9 +564,9 @@ func fromWire(wr *wireRecord, h *Header, t *codeTables) (iclab.Record, error) {
 	if r.VantageCountry == "" {
 		r.VantageCountry = t.countryOf[wr.Vantage]
 	}
-	r.TruePath = asns(wr.TruePath)
+	r.TruePath = a.path(wr.TruePath)
 	if len(wr.TrueActs) > 0 {
-		r.TrueActs = make([]iclab.GroundTruthAct, len(wr.TrueActs))
+		r.TrueActs = a.acts.take(len(wr.TrueActs))
 		for i, act := range wr.TrueActs {
 			r.TrueActs[i].ASN = topology.ASN(act.ASN)
 			if r.TrueActs[i].Kinds, err = t.anomalies(act.Kinds); err != nil {
@@ -589,16 +594,46 @@ func (t *codeTables) anomalies(bits uint8) (anomaly.Set, error) {
 	return s, nil
 }
 
-// asns converts a wire AS path, keeping an empty path nil.
-func asns(wire []uint32) []topology.ASN {
-	if len(wire) == 0 {
-		return nil
-	}
-	out := make([]topology.ASN, len(wire))
-	for i, a := range wire {
-		out[i] = topology.ASN(a)
+// recordArena hands decoded records their slices. Paths and acts are
+// carved from shared chunks, so a table's slices cost one allocation per
+// chunk instead of one or two per record.
+type recordArena struct {
+	asns arena[topology.ASN]
+	acts arena[iclab.GroundTruthAct]
+}
+
+// path converts a wire AS path, keeping an empty path nil.
+func (a *recordArena) path(wire []uint32) []topology.ASN {
+	out := a.asns.take(len(wire))
+	for i, x := range wire {
+		out[i] = topology.ASN(x)
 	}
 	return out
+}
+
+// arenaChunk caps the elements one arena chunk holds. Chunks start small
+// and double up to it, so a short stream allocates little.
+const arenaChunk = 16384
+
+// arena carves capped sub-slices of n elements from a chunk; a chunk that
+// cannot fit the next slice is left to the slices already carved from it.
+// Each slice's capacity ends where it does, so an append to one can never
+// write into the next.
+type arena[T any] struct {
+	chunk []T
+}
+
+// take returns a zeroed slice of n elements, nil when n is 0.
+func (a *arena[T]) take(n int) []T {
+	if n == 0 {
+		return nil
+	}
+	if cap(a.chunk)-len(a.chunk) < n {
+		a.chunk = make([]T, 0, max(n, min(2*cap(a.chunk), arenaChunk), 64))
+	}
+	lo, hi := len(a.chunk), len(a.chunk)+n
+	a.chunk = a.chunk[:hi]
+	return a.chunk[lo:hi:hi]
 }
 
 // Decode reads a gzipped dataset stream, validating the magic, version and
@@ -612,7 +647,11 @@ func Decode(r io.Reader) (*File, error) {
 	return decodePlain(zr)
 }
 
-// decodePlain decodes the uncompressed JSONL layer.
+// decodePlain decodes the uncompressed JSONL layer. Records append into
+// one table whose capacity doubles, so decode never holds more than about
+// twice the records it has read, whatever the header's Records or Days
+// claim; the day batches are views of that table, allocated only after
+// the record count checks out.
 func decodePlain(r io.Reader) (*File, error) {
 	br := bufio.NewReader(r)
 	line, err := readLine(br)
@@ -632,9 +671,10 @@ func decodePlain(r io.Reader) (*File, error) {
 	if h.Days < 0 || h.Records < 0 {
 		return nil, fmt.Errorf("dataset: header declares %d days, %d records", h.Days, h.Records)
 	}
-	// The day-batch slice is allocated from the header, so an absurd count
-	// must be rejected here — "never panics on corrupt input" includes not
-	// dying in makeslice. maxDays is ~2870 years of measurements.
+	// The day-batch slice is allocated from the header once the records
+	// check out, so an absurd count must be rejected here — "never panics
+	// on corrupt input" includes not dying in makeslice. maxDays is ~2870
+	// years of measurements.
 	const maxDays = 1 << 20
 	if h.Days > maxDays {
 		return nil, fmt.Errorf("dataset: header declares %d days (limit %d); corrupt header?", h.Days, maxDays)
@@ -644,9 +684,12 @@ func decodePlain(r io.Reader) (*File, error) {
 		return nil, err
 	}
 
-	f := &File{Header: h, Days: make([][]iclab.Record, h.Days)}
-	n := 0
-	var wr wireRecord
+	var (
+		table []iclab.Record // every record, in stream order
+		runs  []dayRun       // the table's stretches of one day, in order
+		arena recordArena
+		wr    wireRecord
+	)
 	var lineBuf []byte
 	for {
 		line, err := readLineInto(br, lineBuf)
@@ -655,7 +698,7 @@ func decodePlain(r io.Reader) (*File, error) {
 			break
 		}
 		if err != nil {
-			return nil, fmt.Errorf("dataset: read record %d: %w", n, err)
+			return nil, fmt.Errorf("dataset: read record %d: %w", len(table), err)
 		}
 		if len(line) == 0 {
 			continue
@@ -670,20 +713,94 @@ func decodePlain(r io.Reader) (*File, error) {
 			// whatever an earlier line left there.
 			wr = wireRecord{}
 			if err := json.Unmarshal(line, &wr); err != nil {
-				return nil, fmt.Errorf("dataset: decode record %d: %w", n, err)
+				return nil, fmt.Errorf("dataset: decode record %d: %w", len(table), err)
 			}
 		}
-		rec, err := fromWire(&wr, &h, tables)
+		rec, err := fromWire(&wr, &h, tables, &arena)
 		if err != nil {
 			return nil, err
 		}
-		f.Days[wr.Day] = append(f.Days[wr.Day], rec)
-		n++
+		if len(table) == cap(table) {
+			table = grow(table, h.Records)
+		}
+		if k := len(runs); k == 0 || runs[k-1].day != wr.Day {
+			runs = append(runs, dayRun{day: wr.Day, start: len(table)})
+		}
+		table = append(table, rec)
 	}
-	if n != h.Records {
-		return nil, fmt.Errorf("dataset: header declares %d records, stream holds %d (truncated?)", h.Records, n)
+	if len(table) != h.Records {
+		return nil, fmt.Errorf("dataset: header declares %d records, stream holds %d (truncated?)", h.Records, len(table))
 	}
-	return f, nil
+	return &File{Header: h, Days: dayViews(table, runs, h.Days)}, nil
+}
+
+// firstTable caps the records decode's first table holds, whatever the
+// header claims.
+const firstTable = 1024
+
+// grow returns table with room for more records. Capacity doubles, so the
+// table never holds more than twice the records read, and the header's
+// record count only caps it: the first table is the claim halved until it
+// is at most firstTable, so a truthful header's table ends at exactly the
+// claim after allocating about twice it in all. The halving rounds up
+// without computing c+1, which overflows on a claim of MaxInt.
+func grow(table []iclab.Record, claimed int) []iclab.Record {
+	n := len(table)
+	c := 2 * n
+	if n == 0 {
+		c = max(claimed, 1)
+		for c > firstTable {
+			c -= c / 2
+		}
+	}
+	if claimed > n {
+		c = min(c, claimed)
+	}
+	grown := make([]iclab.Record, n, c)
+	copy(grown, table)
+	return grown
+}
+
+// dayRun is a stretch of the decoded table, [start, end), whose records
+// all belong to one day. Decode records where each run starts; dayViews
+// sets its end.
+type dayRun struct {
+	day, start, end int
+}
+
+// dayViews cuts the table into the file's day batches, each a view of one
+// day-ordered table. A stream written in day order (every stream Encode
+// writes) is cut where it stands. Otherwise its runs are laid out again in
+// day order, keeping each day's records in stream order, which allocates
+// one more table. Empty days stay nil.
+func dayViews(table []iclab.Record, runs []dayRun, days int) [][]iclab.Record {
+	for i := range runs {
+		if i+1 < len(runs) {
+			runs[i].end = runs[i+1].start
+		} else {
+			runs[i].end = len(table)
+		}
+	}
+	byDay := func(a, b dayRun) int { return cmp.Compare(a.day, b.day) }
+	if !slices.IsSortedFunc(runs, byDay) {
+		slices.SortStableFunc(runs, byDay)
+		laid := make([]iclab.Record, 0, len(table))
+		for i, r := range runs {
+			start := len(laid)
+			laid = append(laid, table[r.start:r.end]...)
+			runs[i].start, runs[i].end = start, len(laid)
+		}
+		table = laid
+	}
+	out := make([][]iclab.Record, days)
+	for _, r := range runs {
+		if out[r.day] == nil {
+			out[r.day] = table[r.start:r.end]
+		} else {
+			out[r.day] = out[r.day][:r.end-r.start+len(out[r.day])]
+		}
+	}
+	return out
 }
 
 // readLine reads one \n-terminated line of any length (the header line of

@@ -12,6 +12,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -641,4 +642,119 @@ func FuzzDatasetDecode(f *testing.F) {
 			}
 		}
 	})
+}
+
+// decodeAlloc decodes in and returns the heap bytes the decode allocated
+// and its record count.
+func decodeAlloc(t *testing.T, in []byte) (uint64, int, error) {
+	t.Helper()
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	f, err := Decode(bytes.NewReader(in))
+	runtime.ReadMemStats(&after)
+	n := 0
+	if f != nil {
+		for _, day := range f.Days {
+			n += len(day)
+		}
+	}
+	return after.TotalAlloc - before.TotalAlloc, n, err
+}
+
+// TestDecodeAllocationBudget bounds the heap decode allocates. Records
+// append into one table whose capacity doubles up to the header's count,
+// and their paths and acts are carved from shared chunks, so a multi-day
+// file costs about twice its table plus the paths, per record. A short
+// stream whose header claims 2^20 days and an absurd record count, up to
+// MaxInt, must fail as truncated and not allocate by those claims: no
+// more than the 24 MiB of day slots the claim alone once cost. The test
+// must not run in parallel with others: TotalAlloc counts every
+// goroutine's allocations.
+func TestDecodeAllocationBudget(t *testing.T) {
+	// About 1.25 times what this fixture measured when the budget was
+	// set, 409 bytes a record; growing one slice per day by append took
+	// 676.
+	const budget = 510
+	var buf bytes.Buffer
+	if err := Encode(&buf, randomFile(5, 120, 160)); err != nil {
+		t.Fatal(err)
+	}
+	bytesAlloc, records, err := decodeAlloc(t, buf.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	perRecord := float64(bytesAlloc) / float64(records)
+	t.Logf("%d records, %.0f heap bytes a record (budget %d)", records, perRecord, budget)
+	if perRecord > budget {
+		t.Errorf("decode allocated %.0f heap bytes a record, over the budget of %d", perRecord, budget)
+	}
+
+	const daySlots = 24 << 20
+	for _, claim := range []int{1 << 40, math.MaxInt} {
+		h := oneTarget
+		h.fillTables()
+		h.Days, h.Records = 1<<20, claim
+		head, err := json.Marshal(&h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		buf.Reset()
+		zw := gzip.NewWriter(&buf)
+		zw.Write(append(head, '\n'))
+		for i := 0; i < 100; i++ {
+			fmt.Fprintf(zw, `{"d":%d,"v":1,"t":0,"at":%d}`+"\n", i*1000, i)
+		}
+		zw.Close()
+		bytesAlloc, _, err = decodeAlloc(t, buf.Bytes())
+		if err == nil || !strings.Contains(err.Error(), "truncated") {
+			t.Fatalf("a 100-record stream claiming %d records decoded with err = %v", h.Records, err)
+		}
+		t.Logf("a 100-record stream claiming %d days and %d records: %d heap bytes", h.Days, h.Records, bytesAlloc)
+		if bytesAlloc > daySlots {
+			t.Errorf("a 100-record stream claiming %d days and %d records allocated %d bytes, over %d",
+				h.Days, h.Records, bytesAlloc, daySlots)
+		}
+	}
+}
+
+// TestDecodeLaysDaysOutInOrder checks the decoded table's layout: every
+// day is a view of one day-ordered table, so MergeShards returns it
+// without a copy, whether the stream was written in day order or not; a
+// day's records keep their stream order.
+func TestDecodeLaysDaysOutInOrder(t *testing.T) {
+	h := oneTarget
+	h.Days, h.Records = 4, 6
+	for _, tc := range []struct {
+		name   string
+		days   []int
+		wantAt [][]int64
+	}{
+		{"in day order", []int{0, 0, 1, 3, 3, 3}, [][]int64{{0, 1}, {2}, nil, {3, 4, 5}}},
+		{"out of day order", []int{3, 0, 3, 1, 0, 3}, [][]int64{{1, 4}, {3}, nil, {0, 2, 5}}},
+	} {
+		var lines []string
+		for i, d := range tc.days {
+			lines = append(lines, fmt.Sprintf(`{"d":%d,"v":1,"t":0,"at":%d}`, d, i))
+		}
+		f, err := decodeLines(t, h, nil, lines...)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		for d, want := range tc.wantAt {
+			var got []int64
+			for _, r := range f.Days[d] {
+				got = append(got, r.At.UnixNano())
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s: day %d holds records at %v, want %v", tc.name, d, got, want)
+			}
+		}
+		if f.Days[2] != nil {
+			t.Errorf("%s: the empty day is %v, want nil", tc.name, f.Days[2])
+		}
+		if merged := iclab.MergeShards(f.Days); &merged[0] != &f.Days[0][0] {
+			t.Errorf("%s: the decoded days are not views of one table", tc.name)
+		}
+	}
 }

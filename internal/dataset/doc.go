@@ -23,12 +23,24 @@
 // TestAppendWireMatchesJSON and FuzzParseWire pin both fast paths against
 // encoding/json.
 //
+// Decode lays the records out in one day-ordered table and cuts each day
+// as a view of it, so iclab.MergeShards over a decoded File returns the
+// table without a copy. Records append into the table as they are read:
+// its capacity doubles and the header's record count only caps it, so
+// decode never holds more than about twice the records it has read, and
+// a truthful header's table ends exactly full. Records' paths and acts
+// are carved from shared chunks rather than allocated one by one. A
+// stream whose records are not in day order is laid out again by day,
+// keeping each day's records in stream order.
+//
 // Format stability is pinned by a checked-in golden file
 // (testdata/golden_v1.jsonl.gz): any encoder change that breaks v1
 // compatibility fails TestGoldenV1 loudly. Decode validates the magic and
 // version up front and never panics on corrupt input: a header may claim
 // at most 2^20 days, a record line may be at most 1 MiB (maxRecordLine),
-// and the header's record count is checked, never trusted to size a
-// buffer. FuzzDatasetRoundTrip exercises the codec both ways and
-// FuzzDatasetDecode feeds Decode arbitrary bytes, raw and gzip-wrapped.
+// and the header's record count is checked and never sizes more than the
+// records read; the day batches are allocated only once the count checks
+// out (TestDecodeAllocationBudget). FuzzDatasetRoundTrip exercises the
+// codec both ways and FuzzDatasetDecode feeds Decode arbitrary bytes, raw
+// and gzip-wrapped.
 package dataset

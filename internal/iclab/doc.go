@@ -16,9 +16,18 @@
 //
 // Entry points: BuildScenario selects vantages and targets over a prepared
 // substrate; RunByDayCtx executes the schedule into one record shard per
-// day, the shape streaming consumers push day by day; MergeShards
-// concatenates the shards into the batch sequence and NewDataset wraps it
-// with the Table 1 stats ComputeTable1 derives.
+// day, the shape streaming consumers push day by day; MergeShards turns
+// the shards into the batch sequence and NewDataset wraps it with the
+// Table 1 stats ComputeTable1 derives.
+//
+// Layout: a run's records lie in one day-ordered table. RunByDayCtx
+// allocates days × per-day records up front, since the schedule has no
+// conditional skips, and each day fills its own span, so the shards are
+// adjacent views of the table. MergeShards returns the table's own span
+// when the shards are such views, checked by element address, and copies
+// any other layout into a new sequence, so correctness never depends on
+// the layout. A shard's capacity runs on into the next day: shards are
+// read-only, like their records.
 //
 // Invariants: measurement is deterministic at every worker count. Each day
 // owns an RNG stream derived from (seed, day) alone via DaySeed — a

@@ -47,6 +47,14 @@ func (s *Scenario) Days() int {
 // for identical scenario and config at every worker count: parallel
 // output is bit-identical to serial.
 //
+// The schedule has no conditional skips (an unreachable target still
+// yields an eliminated record), so every day measures the same number of
+// records. The call allocates one day-ordered table of days × per-day
+// records up front and each day fills its own span: the shards are
+// adjacent views of that table, and MergeShards returns it without a
+// copy. A shard's capacity runs on into the following days, so the
+// shards are read-only like the records they hold.
+//
 // Once ctx is done no further day shard starts and the call returns
 // (nil, ctx.Err()). Days already in flight finish first, so cancellation
 // latency is bounded by one day's measurement, not the whole schedule.
@@ -59,17 +67,24 @@ func (s *Scenario) Days() int {
 // days ever measured at once: one per worker at most.
 func RunByDayCtx(ctx context.Context, s *Scenario, cfg PlatformConfig) ([][]Record, error) {
 	cfg.fillDefaults()
-	days := s.Days()
+	days, perDay := s.Days(), s.recordsPerDay(cfg)
+	table := make([]Record, days*perDay)
 	shards := make([][]Record, days)
 	var free scratchList
 	if err := parallel.ForEachCtx(ctx, cfg.Workers, days, func(day int) {
 		sc := free.take(s)
-		shards[day] = s.runDay(cfg, day, sc)
+		shards[day] = table[day*perDay : (day+1)*perDay]
+		s.runDay(cfg, day, sc, shards[day])
 		free.put(sc)
 	}); err != nil {
 		return nil, err
 	}
 	return shards, nil
+}
+
+// recordsPerDay is how many records one day of the schedule measures.
+func (s *Scenario) recordsPerDay(cfg PlatformConfig) int {
+	return cfg.URLsPerDay * len(s.Vantages) * cfg.RepeatsPerDay
 }
 
 // scratchList is one RunByDayCtx call's free list of day scratches.
@@ -108,16 +123,49 @@ func NewDataset(s *Scenario, records []Record) *Dataset {
 	return ds
 }
 
-// MergeShards concatenates per-day record shards in shard order. The
-// records are copied shallowly: the merged sequence shares their slices.
+// MergeShards returns per-day record shards as one sequence in shard
+// order. When the shards are adjacent views of one array, as
+// RunByDayCtx's and a decoded dataset's are, it returns that array's span
+// without copying, capped at its end; otherwise it concatenates them into
+// a new slice, sharing the records' own slices. Either way the result
+// holds the same records in the same order, so correctness never depends
+// on the layout.
 func MergeShards(shards [][]Record) []Record {
 	total := 0
 	for _, sh := range shards {
 		total += len(sh)
+	}
+	if span, ok := adjacentSpan(shards, total); ok {
+		return span
 	}
 	out := make([]Record, 0, total)
 	for _, sh := range shards {
 		out = append(out, sh...)
 	}
 	return out
+}
+
+// adjacentSpan reports whether the non-empty shards lie back to back in
+// one array and, if so, returns the span of total records they cover. The
+// first shard's capacity must reach the span's end, and every later
+// shard must start at the element the span has at its offset: element
+// addresses, compared as pointers.
+func adjacentSpan(shards [][]Record, total int) ([]Record, bool) {
+	var span []Record
+	off := 0
+	for _, sh := range shards {
+		if len(sh) == 0 {
+			continue
+		}
+		if span == nil {
+			if cap(sh) < total {
+				return nil, false
+			}
+			span = sh[:total:total]
+		} else if &span[off] != &sh[0] {
+			return nil, false
+		}
+		off += len(sh)
+	}
+	return span, span != nil
 }

@@ -32,21 +32,66 @@ func TestDaySeedDistinctAndStable(t *testing.T) {
 	}
 }
 
+// TestMergeShardsOrder pins MergeShards' sequence on both of its paths:
+// adjacent views of one table come back as that table's own storage, with
+// no allocation, and any other layout is copied into the same sequence.
 func TestMergeShardsOrder(t *testing.T) {
-	shards := [][]Record{
+	urls := func(recs []Record) []string {
+		var out []string
+		for _, r := range recs {
+			out = append(out, r.URL)
+		}
+		return out
+	}
+	table := []Record{{URL: "day0-a"}, {URL: "day0-b"}, {URL: "day2-a"}, {URL: "day3-a"}, {URL: "day3-b"}}
+	check := func(name string, shards [][]Record, want []string, shared bool) {
+		t.Helper()
+		merged := MergeShards(shards)
+		if got := urls(merged); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: merged %q, want %q", name, got, want)
+		}
+		if len(merged) == 0 {
+			return
+		}
+		inPlace := &merged[0] == &table[0]
+		if inPlace != shared {
+			t.Errorf("%s: merged sequence in the table's storage = %v, want %v", name, inPlace, shared)
+		}
+		if shared {
+			if cap(merged) != len(merged) {
+				t.Errorf("%s: the shared span has capacity %d beyond its %d records", name, cap(merged), len(merged))
+			}
+			if n := testing.AllocsPerRun(10, func() { MergeShards(shards) }); n != 0 {
+				t.Errorf("%s: merging views of one table allocated %v times", name, n)
+			}
+		}
+	}
+
+	// Adjacent views, with an empty day between and after them.
+	views := [][]Record{table[0:2], nil, table[2:3], table[3:5], table[5:5]}
+	check("adjacent views", views, urls(table), true)
+	check("a view of the table's head", [][]Record{table[0:2], table[2:3]}, []string{"day0-a", "day0-b", "day2-a"}, true)
+
+	// Views out of order, with a gap, or with capped capacity are copied.
+	check("reordered views", [][]Record{table[2:3], table[0:2]}, []string{"day2-a", "day0-a", "day0-b"}, false)
+	check("views with a gap", [][]Record{table[0:2], nil, table[3:5]}, []string{"day0-a", "day0-b", "day3-a", "day3-b"}, false)
+	check("capped views", [][]Record{table[0:2:2], table[2:3:3]}, []string{"day0-a", "day0-b", "day2-a"}, false)
+
+	// Separately allocated days are copied in shard order.
+	separate := [][]Record{
 		{{URL: "day0-a"}, {URL: "day0-b"}},
 		nil, // an empty day must not disturb the sequence
 		{{URL: "day2-a"}},
 	}
-	merged := MergeShards(shards)
-	wantURLs := []string{"day0-a", "day0-b", "day2-a"}
-	if len(merged) != len(wantURLs) {
-		t.Fatalf("merged %d records, want %d", len(merged), len(wantURLs))
+	merged := MergeShards(separate)
+	if got, want := urls(merged), []string{"day0-a", "day0-b", "day2-a"}; !reflect.DeepEqual(got, want) {
+		t.Errorf("separate days: merged %q, want %q", got, want)
 	}
-	for i, want := range wantURLs {
-		if merged[i].URL != want {
-			t.Errorf("record %d is %q, want %q", i, merged[i].URL, want)
-		}
+	if &merged[0] == &separate[0][0] {
+		t.Error("separate days: the merged sequence shares the first day's storage")
+	}
+	if got := MergeShards([][]Record{nil, {}}); len(got) != 0 {
+		t.Errorf("empty days merged into %d records", len(got))
 	}
 }
 
@@ -94,7 +139,7 @@ func TestDaysStartOnEmptyViews(t *testing.T) {
 	most := 0
 	for day := range ref.Days() {
 		_, before := ref.Oracle.Stats()
-		ref.runDay(fresh, day, ref.newDayScratch())
+		ref.runDay(fresh, day, ref.newDayScratch(), make([]Record, ref.recordsPerDay(fresh)))
 		_, after := ref.Oracle.Stats()
 		most = max(most, after-before)
 	}

@@ -173,17 +173,16 @@ func (s *Scenario) newDayScratch() *dayScratch {
 // churnvet.
 const pcgStreamPlatform = 0x706c6174666f726d // "platform"
 
-// runDay measures one day's shard of the schedule in sc. Each day owns an
-// RNG stream derived from (seed, day) alone, so shards are independent of
-// execution order: the engine can run them serially or on a worker pool and
-// merge identical records either way. The day routes through sc's View,
-// which starts the day empty, and no other day touches it meanwhile.
-func (s *Scenario) runDay(cfg PlatformConfig, day int, sc *dayScratch) []Record {
+// runDay measures one day's shard of the schedule in sc, writing its
+// records into out, which holds exactly one day's records. Each day owns
+// an RNG stream derived from (seed, day) alone, so shards are independent
+// of execution order: the engine can run them serially or on a worker pool
+// and merge identical records either way. The day routes through sc's
+// View, which starts the day empty, and no other day touches it meanwhile.
+func (s *Scenario) runDay(cfg PlatformConfig, day int, sc *dayScratch, out []Record) {
 	at := s.Start.AddDate(0, 0, day)
 	rng := rand.New(rand.NewPCG(DaySeed(cfg.Seed^s.Seed, day), pcgStreamPlatform))
-	// The schedule has no conditional skips (an unreachable target still
-	// yields an eliminated record), so the shard's size is known up front.
-	out := make([]Record, 0, cfg.URLsPerDay*len(s.Vantages)*cfg.RepeatsPerDay)
+	i := 0
 	// The fleet works through the URL list in lockstep, URLsPerDay at a
 	// time, wrapping around the list.
 	for k := 0; k < cfg.URLsPerDay; k++ {
@@ -205,11 +204,11 @@ func (s *Scenario) runDay(cfg PlatformConfig, day int, sc *dayScratch) []Record 
 				if s.ECMPPaths > 1 {
 					plane = int32(rng.IntN(s.ECMPPaths))
 				}
-				out = append(out, s.measure(v, target, int32(ti), when, plane, cfg, rng, sc))
+				out[i] = s.measure(v, target, int32(ti), when, plane, cfg, rng, sc)
+				i++
 			}
 		}
 	}
-	return out
 }
 
 // measure runs one full test: DNS via two resolvers, HTTP with capture

@@ -487,17 +487,13 @@ func ablationOf(c *cell) []AblationPeriod {
 	return out
 }
 
-// windowResultsOf converts the internal window timeline.
-func windowResultsOf(windows []*stream.Window) []WindowResult {
-	out := make([]WindowResult, 0, len(windows))
-	for _, w := range windows {
-		out = append(out, WindowResult{
-			Index: w.Index, StartDay: w.StartDay, EndDay: w.EndDay,
-			CNFs: len(w.Outcomes), Solved: w.Solved, Reused: w.Reused,
-			Identified: w.Identified,
-		})
+// windowResultOf converts one window of the internal timeline.
+func windowResultOf(w *stream.Window) WindowResult {
+	return WindowResult{
+		Index: w.Index, StartDay: w.StartDay, EndDay: w.EndDay,
+		CNFs: len(w.Outcomes), Solved: w.Solved, Reused: w.Reused,
+		Identified: w.Identified,
 	}
-	return out
 }
 
 // convergencesOf converts the internal convergence stats.

@@ -22,6 +22,14 @@ package churntomo
 // that nobody else holds (ScenarioSource.Open, LoadDataset) and a
 // Dataset only being encoded (Dataset.WriteFile) are handed over as they
 // are.
+//
+// A run's records lie in one day-ordered table whose day batches are
+// views of it: RunByDayCtx measures into one, dataset decode appends into
+// one and cloneDays copies into one, so iclab.MergeShards hands a run the
+// table itself. Inside the package a view's capacity runs on into the
+// next day. Every Dataset the package hands out has its days capped at
+// their length (fileToPublic), so a caller appending to one day
+// reallocates that day instead of writing over the next.
 
 import (
 	"context"
@@ -232,8 +240,7 @@ func (s *FileSource) Open(ctx context.Context, cfg Config) (*Dataset, error) {
 	if err != nil {
 		return nil, err
 	}
-	d := fileToPublic(f)
-	d.Days = cloneDays(d.Days)
+	d := fileToPublic(&dataset.File{Header: f.Header, Days: cloneDays(f.Days)})
 	d.Info.Label = s.Path
 	return d, nil
 }
@@ -312,8 +319,8 @@ func (r *Result) Dataset() (*Dataset, error) {
 	if err != nil {
 		return nil, err
 	}
+	f.Days = cloneDays(f.Days)
 	d := fileToPublic(f)
-	d.Days = cloneDays(d.Days)
 	d.Info.Label = "result " + r.Config.Scenario
 	return d, nil
 }
@@ -464,7 +471,9 @@ func adoptFile(cfg Config, f *dataset.File) (*cell, [][]iclab.Record, error) {
 }
 
 // fileToPublic converts a decoded file into the exported Dataset shape.
-// The Dataset takes the file's day batches as they are.
+// The Dataset takes the file's day batches as they are, each capped at its
+// length: the batches may be adjacent views of one table, and a capped
+// view reallocates on append instead of writing into the next day.
 func fileToPublic(f *dataset.File) *Dataset {
 	h := &f.Header
 	d := &Dataset{Info: SourceInfo{
@@ -485,27 +494,38 @@ func fileToPublic(f *dataset.File) *Dataset {
 	for _, asn := range h.TruthCensors {
 		d.Info.TruthCensors = append(d.Info.TruthCensors, ASN(asn))
 	}
-	d.Days = f.Days
+	d.Days = make([][]Measurement, len(f.Days))
+	for day, batch := range f.Days {
+		d.Days[day] = batch[:len(batch):len(batch)]
+	}
 	return d
 }
 
-// cloneDays deep-copies day batches: the copies share no slice with the
-// originals, and empty days stay nil. It is the one place records are
-// copied across the public boundary, in both directions.
+// cloneDays deep-copies day batches into one day-ordered table: the
+// copies share no slice with the originals, each day is a view of the
+// table (so MergeShards over them copies nothing), and empty days stay
+// nil. It is the one place records are copied across the public
+// boundary, in both directions.
 func cloneDays(days [][]Measurement) [][]Measurement {
+	records := 0
+	for _, batch := range days {
+		records += len(batch)
+	}
+	table := make([]Measurement, 0, records)
 	out := make([][]Measurement, len(days))
 	for day, batch := range days {
 		if len(batch) == 0 {
 			continue
 		}
-		out[day] = make([]Measurement, len(batch))
-		for i := range batch {
-			r := &out[day][i]
-			*r = batch[i]
+		lo := len(table)
+		table = append(table, batch...)
+		for i := lo; i < len(table); i++ {
+			r := &table[i]
 			r.ASPath = append([]ASN(nil), r.ASPath...)
 			r.TruePath = append([]ASN(nil), r.TruePath...)
 			r.TrueActs = append([]TruthAct(nil), r.TrueActs...)
 		}
+		out[day] = table[lo:]
 	}
 	return out
 }

@@ -6,6 +6,7 @@ import (
 	"math/rand/v2"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -259,6 +260,67 @@ func TestDatasetBoundariesCopyRecords(t *testing.T) {
 		if records(res) != was[name].records {
 			t.Errorf("editing a Dataset changed the records Result.Dataset returns for %s", name)
 		}
+	}
+}
+
+// TestHandedOutDaysAreCapped appends a record to one day of every Dataset
+// the package hands out. A run's days may be views of one table, so each
+// handed-out day must be capped at its length: the append must leave the
+// next day as it was, and later runs over the same source, and the
+// Result's own Dataset, must be unchanged.
+func TestHandedOutDaysAreCapped(t *testing.T) {
+	if testing.Short() {
+		t.Skip("end-to-end replays")
+	}
+	ctx := context.Background()
+	cfg := exportTestConfig()
+	direct := runDirect(t, WithConfig(cfg))
+	path := filepath.Join(t.TempDir(), "ds.jsonl.gz")
+	if err := direct.Export(path); err != nil {
+		t.Fatal(err)
+	}
+	src := &FileSource{Path: path}
+	before := runDirect(t, WithSource(src))
+	exported, err := direct.Dataset()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	appendTo := func(name string, d *Dataset, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		day := 0
+		for day+1 < len(d.Days) && (len(d.Days[day]) == 0 || len(d.Days[day+1]) == 0) {
+			day++
+		}
+		if day+1 == len(d.Days) {
+			t.Fatalf("%s: no two consecutive days hold records; test vacuous", name)
+		}
+		next := slices.Clone(d.Days[day+1])
+		d.Days[day] = append(d.Days[day], Measurement{URL: "appended.example", TargetIdx: -1})
+		if !reflect.DeepEqual(d.Days[day+1], next) {
+			t.Errorf("%s: appending to day %d changed day %d", name, day, day+1)
+		}
+	}
+	scenario, err := (&ScenarioSource{}).Open(ctx, cfg)
+	appendTo("ScenarioSource.Open", scenario, err)
+	loaded, err := LoadDataset(path)
+	appendTo("LoadDataset", loaded, err)
+	opened, err := src.Open(ctx, Config{})
+	appendTo("FileSource.Open", opened, err)
+	returned, err := direct.Dataset()
+	appendTo("Result.Dataset", returned, err)
+
+	if after := runDirect(t, WithSource(src)); !reflect.DeepEqual(after, before) {
+		t.Error("appending to handed-out days changed a later run over the same FileSource")
+	}
+	if after := runDirect(t, WithConfig(cfg)); !reflect.DeepEqual(after.Censors, direct.Censors) || !reflect.DeepEqual(after.Churn, direct.Churn) {
+		t.Error("appending to handed-out days changed a later run over the ScenarioSource")
+	}
+	if again, err := direct.Dataset(); err != nil || !reflect.DeepEqual(again, exported) {
+		t.Errorf("appending to handed-out days changed the Result's Dataset (err %v)", err)
 	}
 }
 

@@ -4,11 +4,14 @@ import (
 	"context"
 	"reflect"
 	"testing"
+
+	"churntomo/internal/stream"
+	"churntomo/internal/tomo"
 )
 
 // replayCell runs one streaming cell through the shared cell runner and
-// returns its raw artifacts: every window's outcomes, which Result does
-// not carry.
+// returns its raw artifacts: every window, of which the final one keeps
+// its outcomes, which Result does not carry.
 func replayCell(t *testing.T, opts ...Option) *cell {
 	t.Helper()
 	exp, err := New(opts...)
@@ -20,6 +23,83 @@ func replayCell(t *testing.T, opts ...Option) *cell {
 		t.Fatal(err)
 	}
 	return c
+}
+
+// engineWindows measures cfg's world and replays its day shards through a
+// stream engine configured as a streaming Experiment configures it,
+// keeping every window whole.
+func engineWindows(t *testing.T, cfg Config, window, stride int) []*stream.Window {
+	t.Helper()
+	ctx := context.Background()
+	c, shards, err := (&ScenarioSource{}).openCell(ctx, cfg, func(Event) {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := stream.NewEngine(stream.Config{
+		Window: window, Stride: stride, MinCNFs: identifyMinCNFs,
+		Build: tomo.BuildConfig{Workers: c.cfg.Workers},
+	})
+	var windows []*stream.Window
+	for _, day := range shards {
+		w, err := eng.PushCtx(ctx, day)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if w != nil {
+			windows = append(windows, w)
+		}
+	}
+	w, err := eng.FlushCtx(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w != nil {
+		windows = append(windows, w)
+	}
+	return windows
+}
+
+// TestStreamReplayKeepsOnlyTheLastWindow: a streaming cell converts each
+// window to its WindowResult as it arrives and keeps the instances and
+// outcomes of the last window only, since nothing reads an earlier one's.
+// Result.Windows and Convergence must be what a replay keeping every
+// window whole derives.
+func TestStreamReplayKeepsOnlyTheLastWindow(t *testing.T) {
+	if testing.Short() {
+		t.Skip("end-to-end pipeline in -short mode")
+	}
+	cfg := testConfig()
+	exp, err := New(WithConfig(cfg), WithWindow(10), WithStride(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := exp.runCell(context.Background(), exp.base, -1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(c.windows) < 2 {
+		t.Fatalf("replay emitted %d windows; test vacuous", len(c.windows))
+	}
+	for i, w := range c.windows {
+		if last := i == len(c.windows)-1; !last && (w.Instances != nil || w.Outcomes != nil) {
+			t.Errorf("window %d of %d still holds %d instances and %d outcomes", i, len(c.windows), len(w.Instances), len(w.Outcomes))
+		} else if last && len(w.Outcomes) == 0 {
+			t.Error("the final window lost its outcomes")
+		}
+	}
+
+	all := engineWindows(t, exp.base, 10, 3)
+	var want []WindowResult
+	for _, w := range all {
+		want = append(want, windowResultOf(w))
+	}
+	res := exp.singleResult(c)
+	if !reflect.DeepEqual(res.Windows, want) {
+		t.Errorf("Result.Windows differs from a replay keeping every window:\n got %+v\nwant %+v", res.Windows, want)
+	}
+	if wantConv := convergencesOf(stream.Converge(all)); !reflect.DeepEqual(res.Convergence, wantConv) {
+		t.Errorf("Convergence differs from a replay keeping every window:\n got %+v\nwant %+v", res.Convergence, wantConv)
+	}
 }
 
 // TestStreamReplayMatchesBatch is the streaming determinism regression: a
@@ -83,39 +163,45 @@ func TestStreamReplayMatchesBatch(t *testing.T) {
 
 // TestStreamSweepWorkersIrrelevant extends the serial==parallel guarantee to
 // the streaming mode: the full window timeline is identical at any worker
-// count.
+// count. A streaming cell keeps only its final window's outcomes, so every
+// window's outcomes are compared on engine replays of the same shards.
 func TestStreamSweepWorkersIrrelevant(t *testing.T) {
 	if testing.Short() {
 		t.Skip("end-to-end pipeline in -short mode")
 	}
-	replay := func(workers int) *cell {
+	configured := func(workers int) Config {
 		cfg := testConfig()
 		cfg.Workers = workers
-		return replayCell(t, WithConfig(cfg), WithWindow(10), WithStride(5))
+		return cfg
 	}
-	serial := replay(1)
-	par := replay(8)
-	if len(serial.windows) != len(par.windows) {
-		t.Fatalf("window counts differ: %d vs %d", len(serial.windows), len(par.windows))
+	serial := replayCell(t, WithConfig(configured(1)), WithWindow(10), WithStride(5))
+	for _, workers := range []int{2, 8} {
+		par := replayCell(t, WithConfig(configured(workers)), WithWindow(10), WithStride(5))
+		if !reflect.DeepEqual(serial.windowResults, par.windowResults) {
+			t.Fatalf("workers=%d: window timeline differs from serial:\n%+v\n%+v", workers, serial.windowResults, par.windowResults)
+		}
+		if !reflect.DeepEqual(serial.churn, par.churn) || !reflect.DeepEqual(serial.churnByClass, par.churnByClass) {
+			t.Fatalf("workers=%d: churn summary differs from serial", workers)
+		}
+		if !reflect.DeepEqual(serial.conv, par.conv) {
+			t.Fatalf("workers=%d: convergence stats differ from serial", workers)
+		}
 	}
-	for i := range serial.windows {
-		s, p := serial.windows[i], par.windows[i]
-		if s.StartDay != p.StartDay || s.EndDay != p.EndDay || s.Solved != p.Solved || s.Reused != p.Reused {
-			t.Fatalf("window %d shape differs: %+v vs %+v", i, s, p)
+
+	s, p := engineWindows(t, configured(1), 10, 5), engineWindows(t, configured(8), 10, 5)
+	if len(s) != len(p) {
+		t.Fatalf("window counts differ: %d vs %d", len(s), len(p))
+	}
+	for i := range s {
+		if len(s[i].Outcomes) != len(p[i].Outcomes) {
+			t.Fatalf("window %d: %d outcomes serially, %d in parallel", i, len(s[i].Outcomes), len(p[i].Outcomes))
 		}
-		if !reflect.DeepEqual(s.Identified, p.Identified) {
-			t.Fatalf("window %d identifications differ between serial and parallel", i)
-		}
-		for j := range s.Outcomes {
-			if s.Outcomes[j].Class != p.Outcomes[j].Class ||
-				s.Outcomes[j].Inst.Key != p.Outcomes[j].Inst.Key ||
-				!reflect.DeepEqual(s.Outcomes[j].Censors, p.Outcomes[j].Censors) {
+		for j := range s[i].Outcomes {
+			so, po := &s[i].Outcomes[j], &p[i].Outcomes[j]
+			if so.Class != po.Class || so.Inst.Key != po.Inst.Key || !reflect.DeepEqual(so.Censors, po.Censors) {
 				t.Fatalf("window %d outcome %d differs between serial and parallel", i, j)
 			}
 		}
-	}
-	if !reflect.DeepEqual(serial.conv, par.conv) {
-		t.Fatal("convergence stats differ between serial and parallel")
 	}
 }
 
