@@ -110,18 +110,17 @@ profile:
 	rm -f churntomo.test
 	@echo "profile: wrote profiles/after.{cpu,mem}.pb.gz and -top digests" >&2
 
-# Short fuzz pass over every fuzz target — the DIMACS parser, the dataset
-# codec round trip, the hand-written record reader against encoding/json,
-# Decode on arbitrary bytes, the one-pass churn summary against its
-# reference, the evaluation kernel, routing Views (fresh and repaired
-# trees) against ComputeTree, blockpage matching against one regexp per
-# signature, TCP reassembly against the first-arrival []bool loop, the
-# closed-form CNF classifier against SAT search, the cell-based CNF build
+# Short fuzz pass over every fuzz target — the dataset codec round trip,
+# the hand-written record reader against encoding/json, Decode on
+# arbitrary bytes, the one-pass churn summary against its reference, the
+# evaluation kernel, routing Views (fresh and repaired trees) against
+# ComputeTree, blockpage matching against one regexp per signature, TCP
+# reassembly against the first-arrival []bool loop, the closed-form CNF
+# classifier and model count against SAT search, the cell-based CNF build
 # against the string-keyed reference grouping, and the incremental engine
 # against batch rebuilds — each with the FUZZTIME budget.
 # `make fuzz FUZZTIME=5m` for a real hunt.
 fuzz:
-	$(GO) test -run '^$$' -fuzz FuzzParseDIMACS -fuzztime $(FUZZTIME) ./internal/sat
 	$(GO) test -run '^$$' -fuzz FuzzSolve -fuzztime $(FUZZTIME) ./internal/tomo
 	$(GO) test -run '^$$' -fuzz FuzzBuildMatchesReference -fuzztime $(FUZZTIME) ./internal/tomo
 	$(GO) test -run '^$$' -fuzz FuzzIncrementalVsBatch -fuzztime $(FUZZTIME) ./internal/tomo
@@ -138,7 +137,7 @@ fuzz:
 # corpus as ordinary tests, so a target that rots fails fast without
 # paying for wall-clock fuzzing.
 fuzz-smoke:
-	$(GO) test -count 1 -run '^Fuzz' ./internal/sat ./internal/tomo ./internal/dataset ./internal/churn ./internal/routing ./internal/blockpage ./internal/httpsim .
+	$(GO) test -count 1 -run '^Fuzz' ./internal/tomo ./internal/dataset ./internal/churn ./internal/routing ./internal/blockpage ./internal/httpsim .
 
 clean:
 	$(GO) clean ./...

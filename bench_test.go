@@ -18,7 +18,6 @@ import (
 	"sync"
 	"testing"
 
-	"churntomo/internal/analysis"
 	"churntomo/internal/churn"
 	"churntomo/internal/dataset"
 	"churntomo/internal/iclab"
@@ -79,7 +78,7 @@ func BenchmarkDatasetEncodeDecode(b *testing.B) {
 		b.Fatal(err)
 	}
 	b.SetBytes(int64(buf.Len()))
-	b.ReportMetric(float64(len(p.dataset.Records)), "records")
+	b.ReportMetric(float64(len(p.records)), "records")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		buf.Reset()
@@ -96,7 +95,7 @@ func BenchmarkTable1_DatasetCharacteristics(b *testing.B) {
 	p := benchRun(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		iclab.ComputeTable1(p.dataset)
+		iclab.ComputeTable1(p.world, p.records)
 	}
 }
 
@@ -104,23 +103,22 @@ func BenchmarkFigure3_PathChurn(b *testing.B) {
 	p := benchRun(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		churn.Measure(p.dataset.Records, nil)
+		churn.Measure(p.records, nil)
 	}
 }
 
 func BenchmarkFigure4_NoChurnAblation(b *testing.B) {
 	p := benchRun(b)
-	rows := analysis.Figure4(p.dataset.Records, 0)
 	var art string
-	for _, r := range rows {
+	for _, r := range ablationOf(p) {
 		art += fmt.Sprintf("%-6s: 0=%.1f%% 1=%.1f%% 2=%.1f%% 3=%.1f%% 4=%.1f%% 5+=%.1f%% (n=%d)\n",
-			r.Gran, 100*r.Frac[0], 100*r.Frac[1], 100*r.Frac[2],
+			r.Period, 100*r.Frac[0], 100*r.Frac[1], 100*r.Frac[2],
 			100*r.Frac[3], 100*r.Frac[4], 100*r.Frac[5], r.CNFs)
 	}
 	printOnce("Figure 4: solutions without churn", art)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		analysis.Figure4(p.dataset.Records, 0)
+		ablationOf(p)
 	}
 }
 
@@ -157,7 +155,7 @@ func BenchmarkKernel_CNFBuild(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tomo.Build(p.dataset.Records, tomo.BuildConfig{})
+		tomo.Build(p.records, tomo.BuildConfig{})
 	}
 }
 
@@ -235,7 +233,7 @@ func BenchmarkEngine_BuildSolveSerial(b *testing.B) {
 	p := benchRun(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tomo.BuildAndSolve(p.dataset.Records, tomo.BuildConfig{Workers: 1})
+		tomo.BuildAndSolve(p.records, tomo.BuildConfig{Workers: 1})
 	}
 }
 
@@ -243,7 +241,7 @@ func BenchmarkEngine_BuildSolveStreaming(b *testing.B) {
 	p := benchRun(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tomo.BuildAndSolve(p.dataset.Records, tomo.BuildConfig{})
+		tomo.BuildAndSolve(p.records, tomo.BuildConfig{})
 	}
 }
 
@@ -345,7 +343,7 @@ func benchEvalResult(b *testing.B) *Result {
 // run by self-grading.
 func BenchmarkKernel_Evaluate(b *testing.B) {
 	res := benchEvalResult(b)
-	b.ReportMetric(float64(len(res.cell.dataset.Records)), "records")
+	b.ReportMetric(float64(len(res.cell.records)), "records")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		truth := res.Truth()

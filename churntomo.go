@@ -68,10 +68,10 @@ type Config struct {
 	// Workers bounds the per-stage parallelism: measurement days are
 	// sharded across this many goroutines, and CNF grouping,
 	// materialization and solving use the same pool size. At 2 or more, a
-	// single-cell run also computes the churn summary on one goroutine of
-	// its own beside the localization (the batch build and solve or the
-	// streaming replay), so up to Workers+1 goroutines run during the
-	// solve. 0 uses GOMAXPROCS, 1 forces fully serial execution. Results
+	// single-cell run also computes Table 1 and the churn summary on one
+	// goroutine of its own beside the localization (the batch build and
+	// solve or the streaming replay), so up to Workers+1 goroutines run
+	// during the solve. 0 uses GOMAXPROCS, 1 forces fully serial execution. Results
 	// are identical at every setting — parallelism never changes the
 	// output.
 	Workers int
@@ -157,7 +157,7 @@ func (c *Config) fillDefaults() {
 const identifyMinCNFs = 8
 
 // cell holds one run's internal artifacts: the world it ran in, the merged
-// dataset, and the localization — batch outcomes or the streaming
+// records, and the localization — batch outcomes or the streaming
 // timeline. A single-cell Result keeps it (unexported) for Export,
 // Dataset, Truth and ChokePoints; a matrix folds its cells into
 // MatrixSummary and keeps none.
@@ -168,16 +168,19 @@ type cell struct {
 	// IP-to-AS history the measurements ran over, plus the vantage and
 	// target tables and the period. A replayed world has only a metadata
 	// graph, and no registry unless the file carries ground truth.
-	world   *iclab.Scenario
-	dataset *iclab.Dataset
+	world *iclab.Scenario
+	// records is the run's record table in day order: the day shards
+	// merged by iclab.MergeShards.
+	records []iclab.Record
 
 	// The batch localization; nil in streaming mode.
 	outcomes   []tomo.Outcome
 	identified map[ASN]*IdentifiedCensor
 	leakage    *leakage.Analysis
 
-	// The churn summary, computed beside the localization; nil in matrix
-	// cells, which never report it.
+	// Table 1 and the churn summary, computed beside the localization;
+	// zero in matrix cells, which never report a Summary or churn.
+	table1       iclab.Table1
 	churn        []ChurnPeriod
 	churnByClass []ClassChurn
 

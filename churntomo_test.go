@@ -37,10 +37,10 @@ func TestRunEndToEnd(t *testing.T) {
 	// Every stage populated.
 	w := p.world
 	if w == nil || w.Graph == nil || w.Oracle == nil || w.Censors == nil ||
-		w.DB == nil || p.dataset == nil || p.leakage == nil {
+		w.DB == nil || p.records == nil || p.leakage == nil {
 		t.Fatal("pipeline stage missing")
 	}
-	if len(p.dataset.Records) == 0 {
+	if len(p.records) == 0 {
 		t.Fatal("no measurements")
 	}
 	if len(p.outcomes) == 0 {
@@ -78,8 +78,8 @@ func TestRunDeterministic(t *testing.T) {
 	cfg := testConfig()
 	a := runDirect(t, WithConfig(cfg)).cell
 	b := runDirect(t, WithConfig(cfg)).cell
-	if len(a.dataset.Records) != len(b.dataset.Records) {
-		t.Fatalf("record counts differ: %d vs %d", len(a.dataset.Records), len(b.dataset.Records))
+	if len(a.records) != len(b.records) {
+		t.Fatalf("record counts differ: %d vs %d", len(a.records), len(b.records))
 	}
 	if len(a.outcomes) != len(b.outcomes) {
 		t.Fatalf("outcome counts differ: %d vs %d", len(a.outcomes), len(b.outcomes))
@@ -131,7 +131,7 @@ func TestGroundTruthIsolation(t *testing.T) {
 	}
 	p := runDirect(t, WithConfig(testConfig())).cell
 	scrubbed := make([]int, 0)
-	records := append([]iclab.Record(nil), p.dataset.Records...)
+	records := append([]iclab.Record(nil), p.records...)
 	for i := range records {
 		if records[i].TruePath != nil || records[i].TrueActs != nil {
 			scrubbed = append(scrubbed, i)
@@ -159,7 +159,7 @@ func TestChurnMonotoneAcrossGranularities(t *testing.T) {
 		t.Skip("end-to-end pipeline in -short mode")
 	}
 	p := runDirect(t, WithConfig(testConfig())).cell
-	ds, _ := churn.Measure(p.dataset.Records, nil)
+	ds, _ := churn.Measure(p.records, nil)
 	if len(ds) != len(timeslice.All) {
 		t.Fatalf("got %d distributions", len(ds))
 	}
@@ -182,8 +182,8 @@ func TestInconclusiveRulesAllFire(t *testing.T) {
 	cfg.Days = 45
 	p := runDirect(t, WithConfig(cfg)).cell
 	seen := map[traceroute.FailReason]int{}
-	for i := range p.dataset.Records {
-		seen[p.dataset.Records[i].Fail]++
+	for i := range p.records {
+		seen[p.records[i].Fail]++
 	}
 	for _, why := range []traceroute.FailReason{
 		traceroute.ErrTraceFailed, traceroute.ErrSilentBoundary,
@@ -208,8 +208,8 @@ func TestIdentifiedCensorsAreOnCensoredPaths(t *testing.T) {
 		t.Skip("no censors identified at this scale/seed")
 	}
 	onPath := map[topology.ASN]bool{}
-	for i := range p.dataset.Records {
-		r := &p.dataset.Records[i]
+	for i := range p.records {
+		r := &p.records[i]
 		if r.Anomalies == 0 {
 			continue
 		}
@@ -246,9 +246,9 @@ func leakageSummary(p *cell) string {
 
 // TestSerialParallelIdentical is the engine's end-to-end determinism
 // regression: the same seed must produce identical censor identifications,
-// leakage and churn summaries whether the pipeline runs serially (the
-// churn summary after the localization), runs with two workers or a full
-// pool (the churn summary beside the localization), or runs twice.
+// leakage, Table 1 and churn summaries whether the pipeline runs serially
+// (Table 1 and the churn summary after the localization), runs with two
+// workers or a full pool (both beside the localization), or runs twice.
 func TestSerialParallelIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("end-to-end pipeline in -short mode")
@@ -262,11 +262,11 @@ func TestSerialParallelIdentical(t *testing.T) {
 		cfg := testConfig()
 		cfg.Workers = workers
 		got := runDirect(t, WithConfig(cfg)).cell
-		if len(got.dataset.Records) != len(serial.dataset.Records) {
-			t.Fatalf("%s: %d records vs %d serial", name, len(got.dataset.Records), len(serial.dataset.Records))
+		if len(got.records) != len(serial.records) {
+			t.Fatalf("%s: %d records vs %d serial", name, len(got.records), len(serial.records))
 		}
-		for i := range serial.dataset.Records {
-			if !reflect.DeepEqual(serial.dataset.Records[i], got.dataset.Records[i]) {
+		for i := range serial.records {
+			if !reflect.DeepEqual(serial.records[i], got.records[i]) {
 				t.Fatalf("%s: record %d differs from serial", name, i)
 			}
 		}
@@ -287,6 +287,9 @@ func TestSerialParallelIdentical(t *testing.T) {
 		if leakageSummary(serial) != leakageSummary(got) {
 			t.Fatalf("%s: leakage differs from serial:\n%s\n%s",
 				name, leakageSummary(serial), leakageSummary(got))
+		}
+		if got.table1 != serial.table1 {
+			t.Fatalf("%s: Table 1 differs from serial:\n%+v\n%+v", name, got.table1, serial.table1)
 		}
 		if !reflect.DeepEqual(got.churn, serial.churn) || !reflect.DeepEqual(got.churnByClass, serial.churnByClass) {
 			t.Fatalf("%s: churn summary differs from serial", name)

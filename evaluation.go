@@ -102,18 +102,16 @@ func (r *Result) Truth() *GroundTruth {
 	gt := &GroundTruth{Censors: c.world.Censors.ASNs()}
 	exercised := map[topology.ASN]bool{}
 	onPath := map[topology.ASN]bool{}
-	if c.dataset != nil {
-		for i := range c.dataset.Records {
-			rec := &c.dataset.Records[i]
-			if len(rec.TrueActs) == 0 {
-				continue
-			}
-			for _, act := range rec.TrueActs {
-				exercised[act.ASN] = true
-			}
-			for _, as := range rec.TruePath {
-				onPath[as] = true
-			}
+	for i := range c.records {
+		rec := &c.records[i]
+		if len(rec.TrueActs) == 0 {
+			continue
+		}
+		for _, act := range rec.TrueActs {
+			exercised[act.ASN] = true
+		}
+		for _, as := range rec.TruePath {
+			onPath[as] = true
 		}
 	}
 	for as := range exercised {

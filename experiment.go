@@ -211,11 +211,12 @@ func (e *Experiment) openCell(ctx context.Context, cfg Config, emit func(Event))
 // stream.Engine. Cancellation is checked at each stage boundary, between
 // streamed days, and inside the sharded loops via the ctx-aware engines.
 //
-// The churn summary and the localization only read the record table, so
-// a single-cell run computes the summary on one goroutine of its own
-// beside the localization's Workers-sized pool, mostly on the core CNF
-// construction's serial fold leaves idle (serially at Workers: 1).
-// Matrix cells never report churn and skip it.
+// Table 1, the churn summary and the localization only read the record
+// table, so a single-cell run computes Table 1 and the churn summary on
+// one goroutine of its own beside the localization's Workers-sized pool,
+// mostly on the core CNF construction's serial fold leaves idle (serially
+// at Workers: 1). Matrix cells never report a Summary or churn and skip
+// both.
 func (e *Experiment) runCell(ctx context.Context, cfg Config, index int) (*cell, error) {
 	emit := func(ev Event) {
 		ev.Cell = index
@@ -226,7 +227,7 @@ func (e *Experiment) runCell(ctx context.Context, cfg Config, index int) (*cell,
 	if err != nil {
 		return nil, err
 	}
-	c.dataset = iclab.NewDataset(c.world, iclab.MergeShards(shards))
+	c.records = iclab.MergeShards(shards)
 	tasks := 1
 	if index < 0 {
 		tasks = 2
@@ -234,6 +235,7 @@ func (e *Experiment) runCell(ctx context.Context, cfg Config, index int) (*cell,
 	var localizeErr error
 	if err := parallel.ForEachCtx(ctx, c.cfg.Workers, tasks, func(task int) {
 		if task == 1 {
+			c.table1 = iclab.ComputeTable1(c.world, c.records)
 			c.churn, c.churnByClass = churnOf(c)
 			return
 		}
@@ -260,7 +262,7 @@ func (e *Experiment) localize(ctx context.Context, c *cell, shards [][]iclab.Rec
 	ev.Stats.Seed = c.cfg.Seed
 	emit(ev)
 	var err error
-	_, c.outcomes, err = tomo.BuildAndSolveCtx(ctx, c.dataset.Records, tomo.BuildConfig{Workers: c.cfg.Workers})
+	_, c.outcomes, err = tomo.BuildAndSolveCtx(ctx, c.records, tomo.BuildConfig{Workers: c.cfg.Workers})
 	if err != nil {
 		return err
 	}

@@ -127,8 +127,8 @@ func TestExperimentMatchesLegacyRun(t *testing.T) {
 	}
 
 	// Summary agrees with the pipeline artifacts.
-	if res.Summary.Measurements != p.dataset.Stats.Measurements {
-		t.Errorf("Summary.Measurements %d, want %d", res.Summary.Measurements, p.dataset.Stats.Measurements)
+	if res.Summary.Measurements != p.table1.Measurements {
+		t.Errorf("Summary.Measurements %d, want %d", res.Summary.Measurements, p.table1.Measurements)
 	}
 	if res.Summary.CNFs != len(p.outcomes) {
 		t.Errorf("Summary.CNFs %d, want %d", res.Summary.CNFs, len(p.outcomes))
@@ -157,8 +157,8 @@ func TestExperimentMatchesLegacyRun(t *testing.T) {
 // outcomes: the groups in figure order, empty ones left out.
 func checkSummaryGroups(t *testing.T, s Summary, c *cell) {
 	t.Helper()
-	if s.Anomalies != c.dataset.Stats.Anomalies {
-		t.Errorf("Summary.Anomalies %v, want the dataset's %v", s.Anomalies, c.dataset.Stats.Anomalies)
+	if s.Anomalies != c.table1.Anomalies {
+		t.Errorf("Summary.Anomalies %v, want the dataset's %v", s.Anomalies, c.table1.Anomalies)
 	}
 	byGran, byKind := map[string]*ClassCounts{}, map[string]*ClassCounts{}
 	count := func(m map[string]*ClassCounts, group string, o tomo.Outcome) {
@@ -262,7 +262,7 @@ func TestSummaryOfSplitsCNFs(t *testing.T) {
 		rec(4, "c.com", t0.Add(time.Hour), []ASN{13, 23}),
 	}
 	_, outcomes := tomo.BuildAndSolve(records, tomo.BuildConfig{Granularities: []timeslice.Granularity{timeslice.Day}})
-	s := summaryOf(&cell{dataset: &iclab.Dataset{}}, outcomes)
+	s := summaryOf(&cell{}, outcomes)
 	if s.CNFs != 3 || s.UnsatCNFs != 1 || s.UniqueCNFs != 1 || s.MultipleCNFs != 1 {
 		t.Fatalf("summary %d CNFs (%d/%d/%d), want one per class", s.CNFs, s.UnsatCNFs, s.UniqueCNFs, s.MultipleCNFs)
 	}

@@ -81,40 +81,11 @@ func (p *Policy) EpochAt(t time.Time) Epoch {
 // Epochs returns the policy's epochs (shared; do not modify).
 func (p *Policy) Epochs() []Epoch { return p.epochs }
 
-// Changed reports whether the policy changes inside [from, to).
-func (p *Policy) Changed(from, to time.Time) bool {
-	for _, e := range p.epochs[1:] {
-		if !e.Start.Before(from) && e.Start.Before(to) {
-			return true
-		}
-	}
-	return false
-}
-
 // Applies reports whether this censor fires technique k against category c
 // at time t.
 func (p *Policy) Applies(k anomaly.Kind, c webcat.Category, t time.Time) bool {
 	e := p.EpochAt(t)
 	return e.Techniques.Has(k) && e.Categories.Has(c)
-}
-
-// TechniquesEver unions the techniques across all epochs (what Table 2's
-// "Anomalies" column reports).
-func (p *Policy) TechniquesEver() anomaly.Set {
-	var s anomaly.Set
-	for _, e := range p.epochs {
-		s |= e.Techniques
-	}
-	return s
-}
-
-// CategoriesEver unions the targeted categories across all epochs.
-func (p *Policy) CategoriesEver() webcat.Set {
-	var s webcat.Set
-	for _, e := range p.epochs {
-		s |= e.Categories
-	}
-	return s
 }
 
 // Registry holds every censor in a scenario. It doubles as the experiment's

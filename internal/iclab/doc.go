@@ -17,8 +17,8 @@
 // Entry points: BuildScenario selects vantages and targets over a prepared
 // substrate; RunByDayCtx executes the schedule into one record shard per
 // day, the shape streaming consumers push day by day; MergeShards turns
-// the shards into the batch sequence and NewDataset wraps it with the
-// Table 1 stats ComputeTable1 derives.
+// the shards into the batch sequence, and ComputeTable1 derives its
+// Table 1 stats.
 //
 // Layout: a run's records lie in one day-ordered table. RunByDayCtx
 // allocates days × per-day records up front, since the schedule has no

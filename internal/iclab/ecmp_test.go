@@ -50,11 +50,11 @@ func TestECMPSinglePlaneByteIdentical(t *testing.T) {
 	cfg := PlatformConfig{Seed: 9, URLsPerDay: 4, RepeatsPerDay: 2}
 	zero := run(t, buildECMPStack(t, 51, 6, 0), cfg)
 	one := run(t, buildECMPStack(t, 51, 6, 1), cfg)
-	if len(zero.Records) != len(one.Records) {
-		t.Fatalf("record counts differ: %d vs %d", len(zero.Records), len(one.Records))
+	if len(zero) != len(one) {
+		t.Fatalf("record counts differ: %d vs %d", len(zero), len(one))
 	}
-	for i := range zero.Records {
-		a, b := &zero.Records[i], &one.Records[i]
+	for i := range zero {
+		a, b := &zero[i], &one[i]
 		if a.Vantage != b.Vantage || a.URL != b.URL || a.Anomalies != b.Anomalies ||
 			!a.At.Equal(b.At) || len(a.TruePath) != len(b.TruePath) {
 			t.Fatalf("record %d differs between ECMPPaths 0 and 1", i)
@@ -79,8 +79,8 @@ func TestECMPMultiPlaneSpreadsPaths(t *testing.T) {
 		day int
 	}
 	paths := map[pairDay]map[string]bool{}
-	for i := range ds.Records {
-		r := &ds.Records[i]
+	for i := range ds {
+		r := &ds[i]
 		if len(r.TruePath) == 0 {
 			continue
 		}
@@ -111,11 +111,11 @@ func TestECMPDeterministic(t *testing.T) {
 	cfg := PlatformConfig{Seed: 9, URLsPerDay: 3, RepeatsPerDay: 2}
 	a := run(t, buildECMPStack(t, 53, 4, 3), cfg)
 	b := run(t, buildECMPStack(t, 53, 4, 3), cfg)
-	if len(a.Records) != len(b.Records) {
-		t.Fatalf("record counts differ: %d vs %d", len(a.Records), len(b.Records))
+	if len(a) != len(b) {
+		t.Fatalf("record counts differ: %d vs %d", len(a), len(b))
 	}
-	for i := range a.Records {
-		ra, rb := &a.Records[i], &b.Records[i]
+	for i := range a {
+		ra, rb := &a[i], &b[i]
 		if ra.Vantage != rb.Vantage || ra.URL != rb.URL || ra.Anomalies != rb.Anomalies {
 			t.Fatalf("record %d differs across identical multipath runs", i)
 		}

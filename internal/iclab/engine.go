@@ -115,14 +115,6 @@ func (l *scratchList) put(sc *dayScratch) {
 	l.free = append(l.free, sc)
 }
 
-// NewDataset assembles a Dataset from already-measured records (typically a
-// MergeShards result) and computes its Table 1 statistics.
-func NewDataset(s *Scenario, records []Record) *Dataset {
-	ds := &Dataset{Scenario: s, Records: records}
-	ds.Stats = ComputeTable1(ds)
-	return ds
-}
-
 // MergeShards returns per-day record shards as one sequence in shard
 // order. When the shards are adjacent views of one array, as
 // RunByDayCtx's and a decoded dataset's are, it returns that array's span

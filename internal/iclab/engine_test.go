@@ -110,15 +110,15 @@ func TestParallelRunMatchesSerial(t *testing.T) {
 		parCfg := base
 		parCfg.Workers = workers
 		par := run(t, buildStack(t, 11, 8), parCfg)
-		if len(par.Records) != len(serial.Records) {
-			t.Fatalf("workers=%d: %d records vs %d serial", workers, len(par.Records), len(serial.Records))
+		if len(par) != len(serial) {
+			t.Fatalf("workers=%d: %d records vs %d serial", workers, len(par), len(serial))
 		}
-		for i := range serial.Records {
-			if !reflect.DeepEqual(serial.Records[i], par.Records[i]) {
+		for i := range serial {
+			if !reflect.DeepEqual(serial[i], par[i]) {
 				t.Fatalf("workers=%d: record %d differs from serial run", workers, i)
 			}
 		}
-		if !reflect.DeepEqual(serial.Stats, par.Stats) {
+		if !reflect.DeepEqual(ComputeTable1(s, serial), ComputeTable1(s, par)) {
 			t.Fatalf("workers=%d: Table1 stats differ from serial run", workers)
 		}
 	}

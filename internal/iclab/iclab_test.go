@@ -45,14 +45,14 @@ func buildStack(t testing.TB, seed uint64, days int) *Scenario {
 	return s
 }
 
-// run measures the whole schedule into a merged Dataset.
-func run(t testing.TB, s *Scenario, cfg PlatformConfig) *Dataset {
+// run measures the whole schedule into one merged record sequence.
+func run(t testing.TB, s *Scenario, cfg PlatformConfig) []Record {
 	t.Helper()
 	shards, err := RunByDayCtx(context.Background(), s, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return NewDataset(s, MergeShards(shards))
+	return MergeShards(shards)
 }
 
 func TestBuildScenarioShape(t *testing.T) {
@@ -92,11 +92,11 @@ func TestRunDeterministic(t *testing.T) {
 	cfg := PlatformConfig{Seed: 9, URLsPerDay: 3, RepeatsPerDay: 1}
 	a := run(t, s, cfg)
 	b := run(t, buildStack(t, 2, 5), cfg)
-	if len(a.Records) != len(b.Records) {
-		t.Fatalf("record counts differ: %d vs %d", len(a.Records), len(b.Records))
+	if len(a) != len(b) {
+		t.Fatalf("record counts differ: %d vs %d", len(a), len(b))
 	}
-	for i := range a.Records {
-		ra, rb := &a.Records[i], &b.Records[i]
+	for i := range a {
+		ra, rb := &a[i], &b[i]
 		if ra.Vantage != rb.Vantage || ra.URL != rb.URL || ra.Anomalies != rb.Anomalies || !ra.At.Equal(rb.At) {
 			t.Fatalf("record %d differs across identical runs", i)
 		}
@@ -108,15 +108,15 @@ func TestRunScheduleCoverage(t *testing.T) {
 	ds := run(t, s, PlatformConfig{Seed: 1, URLsPerDay: 4, RepeatsPerDay: 2})
 	// 10 days x 4 URLs x 12 vantages x 2 repeats.
 	want := 10 * 4 * 12 * 2
-	if len(ds.Records) != want {
-		t.Fatalf("got %d records, want %d", len(ds.Records), want)
+	if len(ds) != want {
+		t.Fatalf("got %d records, want %d", len(ds), want)
 	}
 	// Every vantage appears; URLs rotate through the list.
 	urls := map[string]bool{}
 	vantages := map[topology.ASN]bool{}
-	for i := range ds.Records {
-		urls[ds.Records[i].URL] = true
-		vantages[ds.Records[i].Vantage] = true
+	for i := range ds {
+		urls[ds[i].URL] = true
+		vantages[ds[i].Vantage] = true
 	}
 	if len(vantages) != 12 {
 		t.Errorf("only %d vantages measured", len(vantages))
@@ -130,8 +130,8 @@ func TestRunRecordsInternallyConsistent(t *testing.T) {
 	s := buildStack(t, 4, 12)
 	ds := run(t, s, PlatformConfig{Seed: 2, URLsPerDay: 3, RepeatsPerDay: 2})
 	okPaths, fails := 0, 0
-	for i := range ds.Records {
-		r := &ds.Records[i]
+	for i := range ds {
+		r := &ds[i]
 		if r.Fail == traceroute.OK {
 			okPaths++
 			if len(r.ASPath) < 2 {
@@ -153,7 +153,7 @@ func TestRunRecordsInternallyConsistent(t *testing.T) {
 	if okPaths == 0 {
 		t.Fatal("no record yielded a usable AS path")
 	}
-	frac := float64(fails) / float64(len(ds.Records))
+	frac := float64(fails) / float64(len(ds))
 	if frac > 0.35 {
 		t.Errorf("inconclusive-path rate %.1f%% implausibly high", 100*frac)
 	}
@@ -168,8 +168,8 @@ func TestRunDetectsRealCensorship(t *testing.T) {
 
 	truePos, trueNeg, detected, flagged := 0, 0, 0, 0
 	agreeOnActed := 0
-	for i := range ds.Records {
-		r := &ds.Records[i]
+	for i := range ds {
+		r := &ds[i]
 		acted := len(r.TrueActs) > 0
 		hasAnom := r.Anomalies != 0
 		if acted {
@@ -216,9 +216,9 @@ func TestRunDetectsRealCensorship(t *testing.T) {
 func TestTable1Shape(t *testing.T) {
 	s := buildStack(t, 6, 15)
 	ds := run(t, s, PlatformConfig{Seed: 4, URLsPerDay: 3, RepeatsPerDay: 2})
-	tab := ds.Stats
-	if tab.Measurements != len(ds.Records) {
-		t.Errorf("measurements %d != records %d", tab.Measurements, len(ds.Records))
+	tab := ComputeTable1(s, ds)
+	if tab.Measurements != len(ds) {
+		t.Errorf("measurements %d != records %d", tab.Measurements, len(ds))
 	}
 	if tab.VantageASes != 12 {
 		t.Errorf("vantage ASes = %d", tab.VantageASes)
@@ -236,8 +236,8 @@ func TestTable1Shape(t *testing.T) {
 	// Anomalous measurements must be the minority, echoing Table 1's rates
 	// (a censored measurement can light up several kinds, so count records).
 	anomalous := 0
-	for i := range ds.Records {
-		if ds.Records[i].Anomalies != 0 {
+	for i := range ds {
+		if ds[i].Anomalies != 0 {
 			anomalous++
 		}
 	}

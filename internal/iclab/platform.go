@@ -114,13 +114,6 @@ func (c *PlatformConfig) fillDefaults() {
 	}
 }
 
-// Dataset is a platform run's output.
-type Dataset struct {
-	Scenario *Scenario
-	Records  []Record
-	Stats    Table1
-}
-
 // pathRNG is a day scratch's reusable path-keyed RNG. The schedule
 // derives a fresh deterministic stream per (seed, path) pair; re-seeding
 // one PCG is state-identical to rand.NewPCG with the same words, so

@@ -7,7 +7,7 @@ import (
 	"churntomo/internal/topology"
 )
 
-// Table1 summarizes a dataset the way the paper's Table 1 does.
+// Table1 summarizes a run's records the way the paper's Table 1 does.
 type Table1 struct {
 	Period          string
 	UniqueURLs      int
@@ -21,17 +21,17 @@ type Table1 struct {
 	Anomalies [anomaly.NumKinds]int
 }
 
-// ComputeTable1 derives the summary from a dataset.
-func ComputeTable1(ds *Dataset) Table1 {
+// ComputeTable1 derives the summary of records measured over s's period.
+func ComputeTable1(s *Scenario, records []Record) Table1 {
 	t := Table1{
-		Period: fmt.Sprintf("%s ~ %s", ds.Scenario.Start.Format("2006-01"), ds.Scenario.End.Format("2006-01")),
+		Period: fmt.Sprintf("%s ~ %s", s.Start.Format("2006-01"), s.End.Format("2006-01")),
 	}
 	urls := map[string]bool{}
 	vantages := map[topology.ASN]bool{}
 	dests := map[topology.ASN]bool{}
 	countries := map[string]bool{}
-	for i := range ds.Records {
-		r := &ds.Records[i]
+	for i := range records {
+		r := &records[i]
 		t.Measurements++
 		urls[r.URL] = true
 		vantages[r.Vantage] = true

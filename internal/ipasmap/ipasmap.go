@@ -105,12 +105,6 @@ func (db *DB) Lookup(ip netaddr.IP, at time.Time) (topology.ASN, bool) {
 	return db.snapshots[i-1].trie.Lookup(ip)
 }
 
-// NumSnapshots returns the number of monthly snapshots.
-func (db *DB) NumSnapshots() int { return len(db.snapshots) }
-
-// SnapshotStart returns the start time of snapshot i.
-func (db *DB) SnapshotStart(i int) time.Time { return db.snapshots[i].start }
-
 // Perfect builds a single-snapshot database with no holes or drift —
 // useful for tests that want mapping noise out of the picture.
 func Perfect(g *topology.Graph, at time.Time) *DB {

@@ -27,11 +27,11 @@ func TestBuildMonthlySnapshots(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if db.NumSnapshots() != 12 {
-		t.Errorf("got %d snapshots over a year, want 12", db.NumSnapshots())
+	if len(db.snapshots) != 12 {
+		t.Errorf("got %d snapshots over a year, want 12", len(db.snapshots))
 	}
-	for i := 1; i < db.NumSnapshots(); i++ {
-		if !db.SnapshotStart(i).After(db.SnapshotStart(i - 1)) {
+	for i := 1; i < len(db.snapshots); i++ {
+		if !db.snapshots[i].start.After(db.snapshots[i-1].start) {
 			t.Errorf("snapshots out of order at %d", i)
 		}
 	}
@@ -109,8 +109,8 @@ func TestBuildErrors(t *testing.T) {
 func TestPerfect(t *testing.T) {
 	g := genGraph(t)
 	db := Perfect(g, start)
-	if db.NumSnapshots() != 1 {
-		t.Fatalf("Perfect has %d snapshots", db.NumSnapshots())
+	if len(db.snapshots) != 1 {
+		t.Fatalf("Perfect has %d snapshots", len(db.snapshots))
 	}
 	for i := range g.ASes {
 		ip := g.HostIP(int32(i), 7)

@@ -2,7 +2,6 @@ package netaddr
 
 import (
 	"fmt"
-	"math/bits"
 	"strconv"
 	"strings"
 )
@@ -248,31 +247,3 @@ func (t *Trie[V]) Get(p Prefix) (V, bool) {
 
 // Len returns the number of stored prefixes.
 func (t *Trie[V]) Len() int { return t.size }
-
-// Walk visits every stored (prefix, value) pair in address order, stopping
-// early if fn returns false.
-func (t *Trie[V]) Walk(fn func(Prefix, V) bool) {
-	var walk func(n *trieNode[V], addr IP, depth uint8) bool
-	walk = func(n *trieNode[V], addr IP, depth uint8) bool {
-		if n == nil {
-			return true
-		}
-		if n.set && !fn(Prefix{addr, depth}, n.val) {
-			return false
-		}
-		if depth == 32 {
-			return true
-		}
-		if !walk(n.child[0], addr, depth+1) {
-			return false
-		}
-		return walk(n.child[1], addr+1<<(31-depth), depth+1)
-	}
-	walk(t.root, 0, 0)
-}
-
-// CommonBits returns the length of the longest common prefix of a and b,
-// useful when carving address space hierarchically.
-func CommonBits(a, b IP) uint8 {
-	return uint8(bits.LeadingZeros32(uint32(a ^ b)))
-}

@@ -184,35 +184,6 @@ func TestTrieReplace(t *testing.T) {
 	}
 }
 
-func TestTrieWalkOrder(t *testing.T) {
-	var tr Trie[int]
-	ps := []string{"10.0.0.0/8", "9.0.0.0/8", "10.1.0.0/16", "0.0.0.0/0"}
-	for i, s := range ps {
-		tr.Insert(MustParsePrefix(s), i)
-	}
-	var seen []string
-	tr.Walk(func(p Prefix, _ int) bool {
-		seen = append(seen, p.String())
-		return true
-	})
-	want := []string{"0.0.0.0/0", "9.0.0.0/8", "10.0.0.0/8", "10.1.0.0/16"}
-	if len(seen) != len(want) {
-		t.Fatalf("Walk visited %d, want %d", len(seen), len(want))
-	}
-	for i := range want {
-		if seen[i] != want[i] {
-			t.Errorf("Walk[%d] = %s, want %s", i, seen[i], want[i])
-		}
-	}
-	// Early stop.
-	count := 0
-	tr.Walk(func(Prefix, int) bool { count++; return count < 2 })
-	if count != 2 {
-		t.Errorf("early-stopped Walk visited %d, want 2", count)
-	}
-}
-
-// Property: Lookup agrees with a linear scan over inserted prefixes.
 func TestTrieMatchesLinearScan(t *testing.T) {
 	rng := rand.New(rand.NewPCG(1, 2))
 	type entry struct {
@@ -260,23 +231,6 @@ func TestPrefixProperties(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestCommonBits(t *testing.T) {
-	cases := []struct {
-		a, b string
-		want uint8
-	}{
-		{"10.0.0.0", "10.0.0.0", 32},
-		{"10.0.0.0", "10.0.0.1", 31},
-		{"10.0.0.0", "11.0.0.0", 7},
-		{"0.0.0.0", "128.0.0.0", 0},
-	}
-	for _, c := range cases {
-		if got := CommonBits(MustParseIP(c.a), MustParseIP(c.b)); got != c.want {
-			t.Errorf("CommonBits(%s,%s) = %d, want %d", c.a, c.b, got, c.want)
-		}
 	}
 }
 

@@ -98,29 +98,6 @@ func (c *Capture) Sort() {
 // Len returns the number of packets.
 func (c *Capture) Len() int { return len(c.Packets) }
 
-// Inbound filters packets destined to the given client address.
-func (c *Capture) Inbound(client netaddr.IP) []Packet {
-	var out []Packet
-	for _, p := range c.Packets {
-		if p.Dst == client {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
-// FromHost filters packets claiming the given source address (spoofed
-// injections included, by design — that is all a capture can know).
-func (c *Capture) FromHost(src netaddr.IP) []Packet {
-	var out []Packet
-	for _, p := range c.Packets {
-		if p.Src == src {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
 // Sanitized returns a deep copy with all ground-truth annotations erased.
 // Tests run detectors on both versions to prove no ground-truth leakage.
 func (c *Capture) Sanitized() Capture {

@@ -434,9 +434,6 @@ func (tl *Timeline) EpochAt(t time.Time) int32 {
 	return int32(i - 1)
 }
 
-// EpochStart returns the start time of epoch ep.
-func (tl *Timeline) EpochStart(ep int32) time.Time { return tl.epochs[ep].at }
-
 // DownLinks returns the sorted link IDs out of service during epoch ep. The
 // returned slice must not be modified.
 func (tl *Timeline) DownLinks(ep int32) []int32 { return tl.epochs[ep].down }

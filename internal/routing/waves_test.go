@@ -99,9 +99,9 @@ func TestPolicyWaveSaltsChangeAtWaveEpoch(t *testing.T) {
 	}
 	waveAt := start.Add(time.Duration(0.5 * float64(end.Sub(start))))
 	ep := tl.EpochAt(waveAt)
-	if !tl.EpochStart(ep).Equal(waveAt) {
-		t.Fatalf("no epoch starts at the wave instant; EpochStart(%d) = %v, wave at %v",
-			ep, tl.EpochStart(ep), waveAt)
+	if !tl.epochs[ep].at.Equal(waveAt) {
+		t.Fatalf("no epoch starts at the wave instant; epoch %d starts %v, wave at %v",
+			ep, tl.epochs[ep].at, waveAt)
 	}
 	before := make([]uint64, len(g.ASes))
 	at := make([]uint64, len(g.ASes))

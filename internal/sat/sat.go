@@ -1,9 +1,6 @@
 package sat
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Lit is a literal: +v is variable v, -v its negation. Variables are
 // numbered from 1.
@@ -67,17 +64,6 @@ func (c *CNF) AddClause(lits ...Lit) {
 // value. Index 0 is unused.
 type Model []bool
 
-// TrueVars lists variables assigned true, ascending.
-func (m Model) TrueVars() []int {
-	var out []int
-	for v := 1; v < len(m); v++ {
-		if m[v] {
-			out = append(out, v)
-		}
-	}
-	return out
-}
-
 // value constants for the assignment vector.
 const (
 	unassigned int8 = 0
@@ -86,10 +72,10 @@ const (
 )
 
 // Solver is the reference DPLL solver over one CNF: the engine behind
-// Classify, CountModels, EnumerateModels and PotentialTrue, and so behind
-// Figure 4's model counts, cmd/satsolve and the oracle tomo.Solve's closed
-// form is tested against. A Solver may be reused for multiple queries;
-// blocking clauses added by enumeration are kept internal to those calls.
+// Classify, CountModels and PotentialTrue, the oracle that tomo.Solve's and
+// tomo.CountModels' closed forms are tested against. A Solver may be
+// reused for multiple queries; blocking clauses added by enumeration are
+// kept internal to those calls.
 type Solver struct {
 	nv      int
 	clauses []Clause
@@ -408,21 +394,6 @@ func CountModels(c *CNF, cap int) int {
 	return n
 }
 
-// EnumerateModels returns up to cap models.
-func EnumerateModels(c *CNF, cap int) []Model {
-	s := NewSolver(c)
-	var out []Model
-	for len(out) < cap {
-		m, ok := s.Solve()
-		if !ok {
-			break
-		}
-		out = append(out, m)
-		s.blockModel(m)
-	}
-	return out
-}
-
 // PotentialTrue reports, per variable, whether some model assigns it true —
 // the paper's "potential censor" test for multi-solution CNFs ("every AS is
 // a potential censor unless its literal is False in all returned
@@ -436,22 +407,5 @@ func PotentialTrue(c *CNF) []bool {
 			out[v] = true
 		}
 	}
-	return out
-}
-
-// Vars lists the distinct variables that occur in the CNF's clauses,
-// ascending. (NumVars may exceed this when variables are interned sparsely.)
-func (c *CNF) Vars() []int {
-	seen := map[int]bool{}
-	for _, cl := range c.Clauses {
-		for _, l := range cl {
-			seen[l.Var()] = true
-		}
-	}
-	out := make([]int, 0, len(seen))
-	for v := range seen {
-		out = append(out, v)
-	}
-	sort.Ints(out)
 	return out
 }

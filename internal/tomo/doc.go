@@ -10,8 +10,11 @@
 // ASes; multiple models still eliminate most ASes as definite non-censors;
 // no model indicates measurement noise or a policy change inside the slice
 // (§3.2's trichotomy). Where the paper runs a SAT solver, Solve reads the
-// trichotomy off the CNF's fixed shape in closed form (its doc carries the
-// argument); internal/sat's search is the oracle the tests hold it to.
+// trichotomy off the CNF's fixed shape in closed form, and CountModels
+// counts models up to a cap the same way for Figure 4's no-churn ablation
+// (their docs carry the arguments; one helper computes the variable split
+// both rest on). internal/sat's search is the oracle the tests hold them
+// to.
 //
 // Construction interns each record's AS path and URL once and folds the
 // record into one cell per (URL, time slice). For every path it has seen,
@@ -23,8 +26,9 @@
 //
 // Entry points: Build constructs CNF Instances from records, BuildAndSolve
 // streams solving into construction, Solve/SolveAll classify instances
-// into Outcomes, and IdentifyCensors folds unique-solution outcomes into
-// the named-censor map. NewIncremental is the streaming counterpart: day
+// into Outcomes, CountModels counts an instance's models up to a cap, and
+// IdentifyCensors folds unique-solution outcomes into the named-censor
+// map. NewIncremental is the streaming counterpart: day
 // batches enter via AddDay, retract via RemoveDay, and
 // Incremental.BuildAndSolveCtx re-solves only the CNFs a batch touched,
 // serving the rest from the previous call's outcomes.

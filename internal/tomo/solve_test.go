@@ -46,7 +46,8 @@ func copyCNF(c *sat.CNF) *sat.CNF {
 
 // FuzzSolve decodes a random CNF of the paper's shape and checks Solve's
 // closed form against SAT search: sat.Classify, sat.PotentialTrue and
-// sat.CountModels(c, 2). The first byte sets the variable count (0–7);
+// sat.CountModels(c, 2), and CountModels against sat.CountModels at caps
+// 1 to 6. The first byte sets the variable count (0–7);
 // then each clause is one header byte, either a negative unit clause (high
 // bit set) or a censored path of 0–4 ASes, one byte each. So paths may
 // repeat an AS or be empty, and a variable may appear in no clause at all.
@@ -87,5 +88,24 @@ func FuzzSolve(f *testing.F) {
 			t.Fatalf("Solve class %v, but CountModels finds %d model(s)\nclauses %v",
 				got.Class, n, in.CNF.Clauses)
 		}
+		for c := 1; c <= 6; c++ {
+			if n, want := CountModels(in, c), sat.CountModels(copyCNF(in.CNF), c); n != want {
+				t.Fatalf("CountModels(cap %d) = %d, search counts %d\nclauses %v", c, n, want, in.CNF.Clauses)
+			}
+		}
 	})
+}
+
+func TestCountModelsCapPanics(t *testing.T) {
+	in := &Instance{CNF: &sat.CNF{}}
+	for _, c := range []int{0, -1, 65} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("CountModels(cap %d) did not panic", c)
+				}
+			}()
+			CountModels(in, c)
+		}()
+	}
 }

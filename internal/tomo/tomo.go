@@ -36,16 +36,6 @@ type Instance struct {
 	Measurements int
 }
 
-// VarOf returns the CNF variable for an AS, or 0 if absent.
-func (in *Instance) VarOf(as topology.ASN) int {
-	for i, a := range in.Vars {
-		if a == as {
-			return i + 1
-		}
-	}
-	return 0
-}
-
 // BuildConfig controls CNF construction.
 type BuildConfig struct {
 	// Granularities to build; nil = all four (day, week, month, year).
@@ -253,16 +243,43 @@ func (o Outcome) ReductionFrac() float64 {
 // produces.
 func Solve(in *Instance) Outcome {
 	out := Outcome{Inst: in, TotalVars: len(in.Vars)}
+	negated, sole, ok := split(in.CNF)
+	if !ok {
+		out.Class = sat.Unsat
+		return out
+	}
 	nv := in.CNF.NumVars
-	negated := make([]bool, nv+1)
-	for _, cl := range in.CNF.Clauses {
+	var free []topology.ASN
+	unique := true
+	for v := 1; v <= nv; v++ {
+		if !negated[v] {
+			free = append(free, in.Vars[v-1])
+			unique = unique && sole[v]
+		}
+	}
+	if unique {
+		out.Class, out.Censors = sat.Unique, free
+	} else {
+		out.Class, out.Potential, out.Eliminated = sat.Multiple, free, nv-len(free)
+	}
+	return out
+}
+
+// split reads the N/R split of Solve's doc off a CNF of materialize's
+// shape, indexed by variable (index 0 unused): negated[v] marks N, and
+// sole[v] an R variable that is the only R member (counting distinct
+// ASes) of some censored path. ok is false when some censored path has
+// no R member at all, so the CNF has no model; sole is then incomplete.
+// It panics on a negative literal outside a unit clause.
+func split(c *sat.CNF) (negated, sole []bool, ok bool) {
+	negated = make([]bool, c.NumVars+1)
+	for _, cl := range c.Clauses {
 		if len(cl) == 1 && cl[0] < 0 {
 			negated[cl[0].Var()] = true
 		}
 	}
-	// sole[v]: v is the only variable outside N on some censored path.
-	sole := make([]bool, nv+1)
-	for _, cl := range in.CNF.Clauses {
+	sole = make([]bool, c.NumVars+1)
+	for _, cl := range c.Clauses {
 		if len(cl) == 1 && cl[0] < 0 {
 			continue
 		}
@@ -281,26 +298,81 @@ func Solve(in *Instance) Outcome {
 		}
 		switch {
 		case only == 0:
-			out.Class = sat.Unsat
-			return out
+			return negated, sole, false
 		case only > 0:
 			sole[only] = true
 		}
 	}
-	var free []topology.ASN
-	unique := true
-	for v := 1; v <= nv; v++ {
-		if !negated[v] {
-			free = append(free, in.Vars[v-1])
-			unique = unique && sole[v]
+	return negated, sole, true
+}
+
+// CountModels counts the instance's models up to cap: the return is the
+// model count, or cap when there are at least cap. Figure 4 buckets the
+// no-churn ablation's CNFs by CountModels(in, 5). Like Solve it needs no
+// search, for the same CNF shape. With N and R as in Solve's doc:
+//
+//   - Every model sets N false.
+//   - Every R variable that is the only R member of some censored path is
+//     forced true. Call the other d R variables free.
+//   - If some censored path has no R member, there are 0 models.
+//   - Otherwise all of R true is a model, and so is each assignment that
+//     sets one free variable false and the rest of R true: every censored
+//     path holding that variable has a second R member, still true. So
+//     there are at least 1+d models, and the count is cap when 1+d ≥ cap.
+//   - Otherwise d ≤ cap−2, and CountModels checks each of the 2^d
+//     assignments of the free variables against the censored paths that
+//     hold no forced variable.
+//
+// Every count equals sat.CountModels(in.CNF, cap), which the tests check.
+// CountModels panics unless 1 ≤ cap ≤ 64 (2^(cap−2) bounds its work, so a
+// cap much above Figure 4's 5 is costly anyway), and on the shapes Solve
+// panics on.
+func CountModels(in *Instance, cap int) int {
+	if cap <= 0 || cap > 64 {
+		panic("tomo: CountModels cap must be in 1..64")
+	}
+	negated, sole, ok := split(in.CNF)
+	if !ok {
+		return 0
+	}
+	// bit[v] is free variable v's bit in an assignment mask; forced and
+	// negated variables keep 0. Counting stops once 1+d reaches cap.
+	bit := make([]uint64, len(negated))
+	d := 0
+	for v := 1; v < len(negated) && 1+d < cap; v++ {
+		if !negated[v] && !sole[v] {
+			bit[v] = 1 << d
+			d++
 		}
 	}
-	if unique {
-		out.Class, out.Censors = sat.Unique, free
-	} else {
-		out.Class, out.Potential, out.Eliminated = sat.Multiple, free, nv-len(free)
+	if 1+d >= cap {
+		return cap
 	}
-	return out
+	// need holds, per censored path with no forced variable, the mask of
+	// its free variables; an assignment (the mask of free variables set
+	// true) is a model's iff it meets every one.
+	var need []uint64
+	for _, cl := range in.CNF.Clauses {
+		if len(cl) == 1 && cl[0] < 0 {
+			continue
+		}
+		var m uint64
+		forced := false
+		for _, l := range cl {
+			m |= bit[l.Var()]
+			forced = forced || sole[l.Var()]
+		}
+		if !forced {
+			need = append(need, m)
+		}
+	}
+	n := 0
+	for a := uint64(0); a < 1<<d; a++ {
+		if !slices.ContainsFunc(need, func(m uint64) bool { return m&a == 0 }) {
+			n++
+		}
+	}
+	return min(n, cap)
 }
 
 // SolveAll solves every instance concurrently, preserving input order.

@@ -224,13 +224,6 @@ func TestIdentifyCensors(t *testing.T) {
 	}
 }
 
-func TestVarOf(t *testing.T) {
-	in := &Instance{Vars: []topology.ASN{7, 8}}
-	if in.VarOf(8) != 2 || in.VarOf(7) != 1 || in.VarOf(99) != 0 {
-		t.Error("VarOf mapping wrong")
-	}
-}
-
 func TestBuildDeterministicOrder(t *testing.T) {
 	records := []iclab.Record{
 		rec(1, "b.com", t0, []topology.ASN{1, 2}, anomaly.MakeSet(anomaly.DNS)),

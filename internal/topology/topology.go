@@ -3,7 +3,6 @@ package topology
 import (
 	"fmt"
 	"math/rand/v2"
-	"sort"
 
 	"churntomo/internal/netaddr"
 )
@@ -176,17 +175,6 @@ func MetadataGraph(ases []AS) *Graph {
 		g.byASN[g.ASes[i].ASN] = int32(i)
 	}
 	return g
-}
-
-// ASNsOfRole lists all ASNs with the given role, in index order.
-func (g *Graph) ASNsOfRole(r Role) []ASN {
-	var out []ASN
-	for i := range g.ASes {
-		if g.ASes[i].Role == r {
-			out = append(out, g.ASes[i].ASN)
-		}
-	}
-	return out
 }
 
 // GenConfig parameterizes topology generation.
@@ -622,18 +610,4 @@ func (g *Graph) HostIP(idx int32, i int) netaddr.IP {
 	as := &g.ASes[idx]
 	p := as.Prefixes[0]
 	return p.Nth(1 + uint64(i)%(p.NumAddrs()/2))
-}
-
-// CountriesInUse lists the distinct country codes present, sorted.
-func (g *Graph) CountriesInUse() []string {
-	set := map[string]bool{}
-	for i := range g.ASes {
-		set[g.ASes[i].Country] = true
-	}
-	out := make([]string, 0, len(set))
-	for c := range set {
-		out = append(out, c)
-	}
-	sort.Strings(out)
-	return out
 }

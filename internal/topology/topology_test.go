@@ -51,16 +51,26 @@ func TestGenerateCounts(t *testing.T) {
 	if got := len(g.ASes); got != 200 {
 		t.Errorf("generated %d ASes, want 200", got)
 	}
-	tier1 := g.ASNsOfRole(RoleTier1)
-	if len(tier1) != 6 {
-		t.Errorf("generated %d tier-1s, want 6", len(tier1))
+	if n := countRole(g, RoleTier1); n != 6 {
+		t.Errorf("generated %d tier-1s, want 6", n)
 	}
-	if n := len(g.ASNsOfRole(RoleTransit)); n == 0 {
+	if n := countRole(g, RoleTransit); n == 0 {
 		t.Error("no transit ASes generated")
 	}
-	if n := len(g.ASNsOfRole(RoleStub)); n < 100 {
+	if n := countRole(g, RoleStub); n < 100 {
 		t.Errorf("only %d stubs generated", n)
 	}
+}
+
+// countRole counts g's ASes with role r.
+func countRole(g *Graph, r Role) int {
+	n := 0
+	for i := range g.ASes {
+		if g.ASes[i].Role == r {
+			n++
+		}
+	}
+	return n
 }
 
 func TestTier1Clique(t *testing.T) {
@@ -193,7 +203,10 @@ func TestUniqueASNs(t *testing.T) {
 
 func TestCountrySpread(t *testing.T) {
 	g := testGraph(t, GenConfig{Seed: 17, ASes: 400, Countries: 25})
-	used := g.CountriesInUse()
+	used := map[string]bool{}
+	for i := range g.ASes {
+		used[g.ASes[i].Country] = true
+	}
 	if len(used) < 20 {
 		t.Errorf("only %d countries in use, want >= 20", len(used))
 	}

@@ -18,12 +18,12 @@ import (
 // datasetFingerprint serializes the measured records into a canonical
 // byte string — "byte-identical dataset" is compared literally.
 func datasetFingerprint(r *Result) string {
-	if r.cell == nil || r.cell.dataset == nil {
+	if r.cell == nil || r.cell.records == nil {
 		return "<no dataset>"
 	}
 	var b strings.Builder
-	for i := range r.cell.dataset.Records {
-		rec := &r.cell.dataset.Records[i]
+	for i := range r.cell.records {
+		rec := &r.cell.records[i]
 		fmt.Fprintf(&b, "%d %v %s %v %v path=%v true=%v unreach=%v\n",
 			i, rec.Vantage, rec.URL, rec.At.Unix(), rec.Anomalies,
 			rec.ASPath, rec.TruePath, rec.Unreachable)

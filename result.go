@@ -10,7 +10,6 @@ package churntomo
 import (
 	"sort"
 
-	"churntomo/internal/analysis"
 	"churntomo/internal/anomaly"
 	"churntomo/internal/churn"
 	"churntomo/internal/iclab"
@@ -357,7 +356,7 @@ func (c *ClassCounts) add(class sat.Classification) {
 // summaryOf condenses Table 1 and the outcome classes, overall and by
 // granularity and anomaly kind.
 func summaryOf(c *cell, outcomes []tomo.Outcome) Summary {
-	t := c.dataset.Stats
+	t := c.table1
 	s := Summary{
 		Scenario:     c.cfg.Scenario,
 		Period:       t.Period,
@@ -453,9 +452,9 @@ func leakageSummaryOf(a *leakage.Analysis, g *topology.Graph) *LeakageSummary {
 }
 
 // churnOf measures the Figure 3 distributions and the monthly split by
-// destination class in one pass over the dataset.
+// destination class in one pass over the records.
 func churnOf(c *cell) ([]ChurnPeriod, []ClassChurn) {
-	periods, byClass := churn.Measure(c.dataset.Records, c.world.Graph)
+	periods, byClass := churn.Measure(c.records, c.world.Graph)
 	var out []ChurnPeriod
 	for _, d := range periods {
 		cp := ChurnPeriod{
@@ -476,13 +475,30 @@ func churnOf(c *cell) ([]ChurnPeriod, []ClassChurn) {
 	return out, classes
 }
 
-// ablationOf runs the Figure 4 no-churn rebuild.
+// ablationOf runs the Figure 4 no-churn rebuild: the day, week and month
+// CNFs of each (vantage, URL) pair's first observed path only, bucketed by
+// model count up to 5+. It shows that path churn is what makes the
+// tomography solvable. Granularities with no CNF are left out.
 func ablationOf(c *cell) []AblationPeriod {
+	grans := []timeslice.Granularity{timeslice.Day, timeslice.Week, timeslice.Month}
+	insts := tomo.Build(churn.FirstPathOnly(c.records), tomo.BuildConfig{Granularities: grans, Workers: c.cfg.Workers})
+	rows := make([]AblationPeriod, len(timeslice.All))
+	for _, in := range insts {
+		row := &rows[in.Key.Slice.Gran]
+		row.Frac[tomo.CountModels(in, 5)]++
+		row.CNFs++
+	}
 	var out []AblationPeriod
-	for _, row := range analysis.Figure4(c.dataset.Records, c.cfg.Workers) {
-		ap := AblationPeriod{Period: row.Gran.String(), CNFs: row.CNFs}
-		copy(ap.Frac[:], row.Frac[:])
-		out = append(out, ap)
+	for _, g := range grans {
+		row := rows[g]
+		if row.CNFs == 0 {
+			continue
+		}
+		row.Period = g.String()
+		for i := range row.Frac {
+			row.Frac[i] /= float64(row.CNFs)
+		}
+		out = append(out, row)
 	}
 	return out
 }

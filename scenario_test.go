@@ -137,8 +137,9 @@ func TestScenarioPresetsSmoke(t *testing.T) {
 // checkOutcomesAgainstSearch checks every outcome of a run, field for
 // field, against SAT search on a copy of its CNF (search permutes literals
 // inside clauses): sat.Classify gives the class and the unique model,
-// sat.PotentialTrue the potential censors. It returns the outcome count
-// by class.
+// sat.PotentialTrue the potential censors. It also checks Figure 4's
+// tomo.CountModels(in, 5) against sat.CountModels. It returns the outcome
+// count by class.
 func checkOutcomesAgainstSearch(t *testing.T, outcomes []tomo.Outcome) (byClass [3]int) {
 	t.Helper()
 	for _, got := range outcomes {
@@ -166,6 +167,9 @@ func checkOutcomesAgainstSearch(t *testing.T, outcomes []tomo.Outcome) (byClass 
 		}
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("CNF %v: outcome %+v, SAT search %+v", in.Key, got, want)
+		}
+		if n, searched := tomo.CountModels(in, 5), sat.CountModels(cnf, 5); n != searched {
+			t.Errorf("CNF %v: CountModels(in, 5) = %d, SAT search counts %d", in.Key, n, searched)
 		}
 		byClass[want.Class]++
 	}

@@ -330,7 +330,7 @@ func (r *Result) exportFile() (*dataset.File, error) {
 	if r.Mode == ModeMatrix {
 		return nil, fmt.Errorf("churntomo: Export: a matrix run has no single dataset; export per-cell runs instead")
 	}
-	if r.cell == nil || r.cell.dataset == nil {
+	if r.cell == nil {
 		return nil, fmt.Errorf("churntomo: Export: result carries no measured dataset")
 	}
 	return fileOf(r.cell)
@@ -373,8 +373,8 @@ func fileOf(c *cell) (*dataset.File, error) {
 	h := headerOf(c)
 	f := &dataset.File{Header: h, Days: make([][]iclab.Record, h.Days)}
 	start := c.world.Start.UTC()
-	for i := range c.dataset.Records {
-		rec := c.dataset.Records[i]
+	for i := range c.records {
+		rec := c.records[i]
 		day := int(rec.At.UTC().Sub(start) / (24 * time.Hour))
 		if day < 0 || day >= h.Days {
 			return nil, fmt.Errorf("churntomo: Export: record %d at %v falls outside the %d-day period starting %v",

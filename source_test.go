@@ -439,7 +439,7 @@ func TestCleanRecordsNeverGrowACandidateSet(t *testing.T) {
 	if testing.Short() {
 		t.Skip("end-to-end pipeline in -short mode")
 	}
-	records := runDirect(t, WithConfig(testConfig())).cell.dataset.Records
+	records := runDirect(t, WithConfig(testConfig())).cell.records
 	var anomalous []string
 	seen := map[string]bool{}
 	for i := range records {

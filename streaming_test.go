@@ -123,7 +123,7 @@ func TestStreamReplayMatchesBatch(t *testing.T) {
 	}
 
 	// The measured dataset is bit-identical to the batch engine's.
-	if !reflect.DeepEqual(sr.dataset.Records, batch.dataset.Records) {
+	if !reflect.DeepEqual(sr.records, batch.records) {
 		t.Fatal("streaming replay measured different records than the batch engine")
 	}
 
