@@ -70,12 +70,14 @@ scenario-check:
 # Dataset gate: the on-disk format keeps round-tripping — the codec's
 # golden v1 file still decodes and re-encodes byte-identically, decode
 # stays within its per-record heap budget and never allocates by a
-# header's claims alone, an export→import→localize round trip produces
-# identifications byte-identical to the direct run in batch and streaming
-# modes, and the genlab -export → churnlab -input CLI workflow stays wired
-# end to end (smoke scale, full evaluation diffed against the direct run).
+# header's claims alone, the decode pipeline decodes what the serial
+# line loop alone does and still caps record lines, an
+# export→import→localize round trip produces identifications
+# byte-identical to the direct run in batch and streaming modes, and the
+# genlab -export → churnlab -input CLI workflow stays wired end to end
+# (smoke scale, full evaluation diffed against the direct run).
 dataset-check:
-	$(GO) test -count 1 -run 'TestGoldenV1|TestEncodeDecodeRoundTrip|TestDecodeAllocationBudget' ./internal/dataset
+	$(GO) test -count 1 -run 'TestGoldenV1|TestEncodeDecodeRoundTrip|TestDecodeAllocationBudget|TestDecodePipelineMatchesSerial|TestRecordLineCap' ./internal/dataset
 	$(GO) test -count 1 -run 'TestDatasetRoundTripIdentifications|TestDatasetRoundTripStreaming|TestInMemoryDatasetSource' .
 	sh scripts/check-dataset-cli.sh
 
@@ -112,7 +114,8 @@ profile:
 
 # Short fuzz pass over every fuzz target — the dataset codec round trip,
 # the hand-written record reader against encoding/json, Decode on
-# arbitrary bytes, the one-pass churn summary against its reference, the
+# arbitrary bytes and its pipeline against the serial line loop, the
+# one-pass churn summary against its reference, the
 # evaluation kernel, routing Views (fresh and repaired trees) against
 # ComputeTree, blockpage matching against one regexp per signature, TCP
 # reassembly against the first-arrival []bool loop, the closed-form CNF

@@ -71,9 +71,10 @@ type Config struct {
 	// single-cell run also computes Table 1 and the churn summary on one
 	// goroutine of its own beside the localization (the batch build and
 	// solve or the streaming replay), so up to Workers+1 goroutines run
-	// during the solve. 0 uses GOMAXPROCS, 1 forces fully serial execution. Results
-	// are identical at every setting — parallelism never changes the
-	// output.
+	// during the solve. 0 uses GOMAXPROCS, 1 runs every stage serially
+	// but one: decoding an input file (FileSource) always inflates on one
+	// goroutine while it parses on another. Results are identical at
+	// every setting — parallelism never changes the output.
 	Workers int
 
 	// Topology scale.

@@ -41,7 +41,8 @@
 // no ground-truth censors; such a replay also prints no ground-truth
 // validation block.
 //
-// -parallel bounds the per-stage worker pools (0 = all cores, 1 = serial);
+// -parallel bounds the per-stage worker pools (0 = all cores, 1 = serial,
+// except that decoding an -input file always takes two goroutines);
 // results are identical at any setting. -matrix N runs a seed sweep of N
 // whole pipelines concurrently and prints the aggregated identifications
 // instead of the single-run evaluation.

@@ -81,13 +81,6 @@ func (p *Policy) EpochAt(t time.Time) Epoch {
 // Epochs returns the policy's epochs (shared; do not modify).
 func (p *Policy) Epochs() []Epoch { return p.epochs }
 
-// Applies reports whether this censor fires technique k against category c
-// at time t.
-func (p *Policy) Applies(k anomaly.Kind, c webcat.Category, t time.Time) bool {
-	e := p.EpochAt(t)
-	return e.Techniques.Has(k) && e.Categories.Has(c)
-}
-
 // Registry holds every censor in a scenario. It doubles as the experiment's
 // ground truth: the tomography never sees it, but validation compares
 // identified censors against it.

@@ -14,21 +14,27 @@ var (
 	end   = start.AddDate(1, 0, 0)
 )
 
+// applies reports whether p fires technique k against category c at t.
+func applies(p *Policy, k anomaly.Kind, c webcat.Category, t time.Time) bool {
+	e := p.EpochAt(t)
+	return e.Techniques.Has(k) && e.Categories.Has(c)
+}
+
 func TestPolicyEpochs(t *testing.T) {
 	p := NewPolicy(100, "CN", Behavior{}, anomaly.MakeSet(anomaly.DNS), webcat.MakeSet(webcat.News))
 	mid := start.AddDate(0, 6, 0)
 	p.AddChange(mid, anomaly.MakeSet(anomaly.DNS, anomaly.RST), webcat.MakeSet(webcat.News, webcat.Politics))
 
-	if !p.Applies(anomaly.DNS, webcat.News, start) {
+	if !applies(p, anomaly.DNS, webcat.News, start) {
 		t.Error("initial epoch should fire DNS on News")
 	}
-	if p.Applies(anomaly.RST, webcat.News, start) {
+	if applies(p, anomaly.RST, webcat.News, start) {
 		t.Error("RST should not fire before the change")
 	}
-	if !p.Applies(anomaly.RST, webcat.Politics, mid.Add(time.Hour)) {
+	if !applies(p, anomaly.RST, webcat.Politics, mid.Add(time.Hour)) {
 		t.Error("RST on Politics should fire after the change")
 	}
-	if p.Applies(anomaly.DNS, webcat.Adult, end) {
+	if applies(p, anomaly.DNS, webcat.Adult, end) {
 		t.Error("untargeted category fired")
 	}
 }

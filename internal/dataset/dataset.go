@@ -16,6 +16,7 @@ import (
 
 	"churntomo/internal/anomaly"
 	"churntomo/internal/iclab"
+	"churntomo/internal/parallel"
 	"churntomo/internal/topology"
 	"churntomo/internal/traceroute"
 	"churntomo/internal/webcat"
@@ -381,20 +382,20 @@ func parseWire(line []byte, wr *wireRecord) bool {
 				return false
 			}
 			kinds, ok := p.unsigned(`,"k":`, math.MaxUint8)
-			if !ok || !p.lit("}") {
+			if !ok || !p.char('}') {
 				return false
 			}
 			wr.TrueActs = append(wr.TrueActs, wireAct{ASN: uint32(asn), Kinds: uint8(kinds)})
-			if p.lit("]") {
+			if p.char(']') {
 				break
 			}
-			if !p.lit(",") {
+			if !p.char(',') {
 				return false
 			}
 		}
 	}
 	wr.Unreachable = p.lit(`,"u":true`)
-	if !p.lit("}") {
+	if !p.char('}') {
 		return false
 	}
 	rest := line[p.i:]
@@ -407,27 +408,50 @@ type wireParser struct {
 	i int
 }
 
-// lit consumes s if the line continues with it.
+// lit consumes s if the line continues with it. The literals are a few
+// bytes long, so comparing byte by byte costs less than a call to
+// memequal, and a missing key fails at its first letter.
 func (p *wireParser) lit(s string) bool {
-	if len(p.b)-p.i < len(s) || string(p.b[p.i:p.i+len(s)]) != s {
+	b := p.b[p.i:]
+	if len(b) < len(s) {
 		return false
+	}
+	for j := 0; j < len(s); j++ {
+		if b[j] != s[j] {
+			return false
+		}
 	}
 	p.i += len(s)
 	return true
 }
 
+// char consumes c if the line continues with it.
+func (p *wireParser) char(c byte) bool {
+	if p.i < len(p.b) && p.b[p.i] == c {
+		p.i++
+		return true
+	}
+	return false
+}
+
 // digits consumes a JSON integer's digits, whose value must not exceed
 // max (at most 2^63, which has 19 digits, so 19 digits never overflow n).
+// It walks a local copy of the cursor, which the loop keeps in registers.
 func (p *wireParser) digits(max uint64) (uint64, bool) {
-	start := p.i
+	b, i := p.b, p.i
+	start := i
 	var n uint64
-	for p.i < len(p.b) && '0' <= p.b[p.i] && p.b[p.i] <= '9' {
-		n = n*10 + uint64(p.b[p.i]-'0')
-		p.i++
+	for ; i < len(b); i++ {
+		c := b[i] - '0'
+		if c > 9 {
+			break
+		}
+		n = n*10 + uint64(c)
 	}
+	p.i = i
 	// JSON has no empty numbers and no leading zeros.
-	nd := p.i - start
-	if nd == 0 || nd > 19 || p.b[start] == '0' && nd > 1 || n > max {
+	nd := i - start
+	if nd == 0 || nd > 19 || b[start] == '0' && nd > 1 || n > max {
 		return 0, false
 	}
 	return n, true
@@ -447,7 +471,7 @@ func (p *wireParser) signed(key string, min, max int64) (int64, bool) {
 	if !p.lit(key) {
 		return 0, false
 	}
-	if !p.lit("-") {
+	if !p.char('-') {
 		n, ok := p.digits(uint64(max))
 		return int64(n), ok
 	}
@@ -464,10 +488,10 @@ func (p *wireParser) uints(dst []uint32) ([]uint32, bool) {
 			return dst, false
 		}
 		dst = append(dst, uint32(n))
-		if p.lit("]") {
+		if p.char(']') {
 			return dst, true
 		}
-		if !p.lit(",") {
+		if !p.char(',') {
 			return dst, false
 		}
 	}
@@ -524,22 +548,22 @@ func tablesOf(h *Header) (*codeTables, error) {
 	return t, nil
 }
 
-// fromWire converts one record line back, resolving table references;
-// the record's slices come from a.
-func fromWire(wr *wireRecord, h *Header, t *codeTables, a *recordArena) (iclab.Record, error) {
-	var r iclab.Record
+// fromWire converts one record line back into r, a zeroed slot of the
+// decoded table, resolving table references; the record's slices come
+// from a. Filling the slot in place spares copying the record into it.
+func fromWire(wr *wireRecord, h *Header, t *codeTables, a *recordArena, r *iclab.Record) error {
 	if wr.Day < 0 || wr.Day >= h.Days {
-		return r, fmt.Errorf("dataset: record day %d outside the period of %d days", wr.Day, h.Days)
+		return fmt.Errorf("dataset: record day %d outside the period of %d days", wr.Day, h.Days)
 	}
 	r.Vantage = topology.ASN(wr.Vantage)
 	r.TargetIdx = wr.Target
 	r.At = time.Unix(0, wr.At).UTC()
 	var err error
 	if r.Anomalies, err = t.anomalies(wr.Anomalies); err != nil {
-		return r, err
+		return err
 	}
 	if int(wr.Fail) >= len(t.fails) {
-		return r, fmt.Errorf("dataset: fail code %d outside the header's %d reasons", wr.Fail, len(t.fails))
+		return fmt.Errorf("dataset: fail code %d outside the header's %d reasons", wr.Fail, len(t.fails))
 	}
 	r.Fail = t.fails[wr.Fail]
 	r.ASPath = a.path(wr.Path)
@@ -548,17 +572,17 @@ func fromWire(wr *wireRecord, h *Header, t *codeTables, a *recordArena) (iclab.R
 	// alone cannot, since omitempty drops an empty override URL.
 	case wr.Category != nil || wr.URL != "":
 		if wr.Category == nil || int(*wr.Category) >= len(t.categories) {
-			return r, fmt.Errorf("dataset: record for %q carries no decodable category", wr.URL)
+			return fmt.Errorf("dataset: record for %q carries no decodable category", wr.URL)
 		}
 		r.URL, r.Category, r.TargetASN = wr.URL, t.categories[*wr.Category], topology.ASN(wr.TargetASN)
 	case wr.Target >= 0 && int(wr.Target) < len(h.Targets):
-		tgt := h.Targets[wr.Target]
+		tgt := &h.Targets[wr.Target]
 		if int(tgt.Category) >= len(t.categories) {
-			return r, fmt.Errorf("dataset: target %d category code %d outside the header's table", wr.Target, tgt.Category)
+			return fmt.Errorf("dataset: target %d category code %d outside the header's table", wr.Target, tgt.Category)
 		}
 		r.URL, r.Category, r.TargetASN = tgt.URL, t.categories[tgt.Category], topology.ASN(tgt.ASN)
 	default:
-		return r, fmt.Errorf("dataset: record references target %d of %d and carries no explicit URL", wr.Target, len(h.Targets))
+		return fmt.Errorf("dataset: record references target %d of %d and carries no explicit URL", wr.Target, len(h.Targets))
 	}
 	r.VantageCountry = wr.VantageCountry
 	if r.VantageCountry == "" {
@@ -570,12 +594,12 @@ func fromWire(wr *wireRecord, h *Header, t *codeTables, a *recordArena) (iclab.R
 		for i, act := range wr.TrueActs {
 			r.TrueActs[i].ASN = topology.ASN(act.ASN)
 			if r.TrueActs[i].Kinds, err = t.anomalies(act.Kinds); err != nil {
-				return r, err
+				return err
 			}
 		}
 	}
 	r.Unreachable = wr.Unreachable
-	return r, nil
+	return nil
 }
 
 // anomalies maps wire anomaly bits through the header's kind table; a set
@@ -643,15 +667,124 @@ func Decode(r io.Reader) (*File, error) {
 	if err != nil {
 		return nil, fmt.Errorf("dataset: not a gzipped dataset: %w", err)
 	}
-	defer zr.Close() //churnvet:ok errflow -- read path: gzip reader close frees state only; a decode error from decodePlain already dominates
-	return decodePlain(zr)
+	defer zr.Close() //churnvet:ok errflow -- read path: gzip reader close frees state only; a decode error from decodeAhead already dominates
+	return decodeAhead(zr, blockSize)
 }
 
-// decodePlain decodes the uncompressed JSONL layer. Records append into
-// one table whose capacity doubles, so decode never holds more than about
-// twice the records it has read, whatever the header's Records or Days
-// claim; the day batches are views of that table, allocated only after
-// the record count checks out.
+// blockSize is the length of the blocks decode reads its stream ahead in,
+// and inFlight the most blocks it holds at once, so reading ahead buffers
+// at most inFlight blocks whatever the stream inflates to.
+const (
+	blockSize = 64 << 10
+	inFlight  = 4
+)
+
+// decodeAhead is decodePlain in two stages joined by a bounded queue: one
+// task reads r ahead into blocks while the other runs decodePlain over
+// them, so inflating the next block overlaps parsing this one. decodePlain
+// reads the queue as it would read r itself, the same bytes and then the
+// same error, so the pipeline decodes exactly what the line loop alone
+// does, error text and order included. Tests vary blockSize; Decode passes
+// the package's.
+func decodeAhead(r io.Reader, blockSize int) (*File, error) {
+	q := newReadAhead()
+	var (
+		f   *File
+		err error
+	)
+	// Two workers for two tasks, at any GOMAXPROCS: the reader waits once
+	// inFlight blocks are queued, so it must never wait for the line loop
+	// to start on the same worker. However the line loop returns, it
+	// closes free, which stops the reader once it has used the blocks
+	// left to it.
+	parallel.ForEach(2, 2, func(task int) {
+		if task == 0 {
+			q.fill(r, blockSize)
+			return
+		}
+		defer close(q.free)
+		f, err = decodePlain(q)
+	})
+	return f, err
+}
+
+// readAhead is the queue between decode's two stages. fill reads the
+// stream into recycled blocks and queues each with the error its read
+// returned; Read hands the line loop their bytes, then that error. There
+// are inFlight blocks, each in free, being read, queued in full or being
+// served, so neither queue's send ever blocks.
+type readAhead struct {
+	full chan block  // read blocks, in stream order
+	free chan []byte // blocks to read into, nil until first used
+	cur  block       // the block Read is serving
+	off  int         // the bytes of cur Read has served
+}
+
+// block is one read of the stream: the bytes it returned and its error.
+type block struct {
+	data []byte
+	err  error
+}
+
+func newReadAhead() *readAhead {
+	q := &readAhead{
+		full: make(chan block, inFlight),
+		free: make(chan []byte, inFlight),
+	}
+	for range inFlight {
+		q.free <- nil // allocated on first use, so a short stream allocates few
+	}
+	return q
+}
+
+// fill is the reader stage: one read of r per free block, until a read
+// returns an error, io.EOF included, or the line loop has closed free and
+// fill has used the blocks left in it. It closes full when it returns, so
+// a Read after it panics reads nothing instead of waiting, and
+// bufio.Reader gives up on the empty reads. Neither stage waits on a
+// select: how many blocks fill reads depends only on the stream and on
+// how far the line loop read it, not on timing.
+func (q *readAhead) fill(r io.Reader, size int) {
+	defer close(q.full)
+	for buf := range q.free {
+		if buf == nil {
+			buf = make([]byte, size)
+		}
+		n, err := r.Read(buf[:cap(buf)])
+		q.full <- block{buf[:n], err}
+		if err != nil {
+			return
+		}
+	}
+}
+
+// Read serves the queued blocks in order, a block's error with its last
+// byte and at every call after it. A block that read nothing and no error
+// serves just that, so bufio.Reader still gives up on a stream that makes
+// no progress.
+func (q *readAhead) Read(p []byte) (int, error) {
+	if q.off == len(q.cur.data) {
+		if q.cur.err != nil {
+			return 0, q.cur.err
+		}
+		if q.cur.data != nil {
+			q.free <- q.cur.data
+		}
+		q.cur, q.off = <-q.full, 0
+	}
+	n := copy(p, q.cur.data[q.off:])
+	q.off += n
+	if q.off == len(q.cur.data) {
+		return n, q.cur.err
+	}
+	return n, nil
+}
+
+// decodePlain decodes the uncompressed JSONL layer line by line, the
+// header first. Records are decoded in place into one table, grown by
+// grow, so decode never holds more than eight times the records it has
+// read, whatever the header's Records or Days claim; the day batches are
+// views of that table, allocated only after the record count checks out.
 func decodePlain(r io.Reader) (*File, error) {
 	br := bufio.NewReader(r)
 	line, err := readLine(br)
@@ -700,12 +833,12 @@ func decodePlain(r io.Reader) (*File, error) {
 		if err != nil {
 			return nil, fmt.Errorf("dataset: read record %d: %w", len(table), err)
 		}
-		if len(line) == 0 {
-			continue
-		}
-		// Reset the reused record by value but keep the slices' capacity;
-		// absent fields must not inherit the previous record's values.
-		wr = wireRecord{Path: wr.Path[:0], TruePath: wr.TruePath[:0], TrueActs: wr.TrueActs[:0]}
+		// Reset the reused record but keep the slices' capacity; absent
+		// fields must not inherit the previous record's values. Zeroing
+		// it in place costs less than assigning a composite literal.
+		path, truePath, acts := wr.Path[:0], wr.TruePath[:0], wr.TrueActs[:0]
+		wr = wireRecord{}
+		wr.Path, wr.TruePath, wr.TrueActs = path, truePath, acts
 		if !parseWire(line, &wr) {
 			// json.Unmarshal decodes array elements into existing backing
 			// storage without zeroing them, so the fallback starts from an
@@ -716,17 +849,17 @@ func decodePlain(r io.Reader) (*File, error) {
 				return nil, fmt.Errorf("dataset: decode record %d: %w", len(table), err)
 			}
 		}
-		rec, err := fromWire(&wr, &h, tables, &arena)
-		if err != nil {
-			return nil, err
-		}
-		if len(table) == cap(table) {
+		n := len(table)
+		if n == cap(table) {
 			table = grow(table, h.Records)
 		}
-		if k := len(runs); k == 0 || runs[k-1].day != wr.Day {
-			runs = append(runs, dayRun{day: wr.Day, start: len(table)})
+		table = table[:n+1]
+		if err := fromWire(&wr, &h, tables, &arena, &table[n]); err != nil {
+			return nil, err
 		}
-		table = append(table, rec)
+		if k := len(runs); k == 0 || runs[k-1].day != wr.Day {
+			runs = append(runs, dayRun{day: wr.Day, start: n})
+		}
 	}
 	if len(table) != h.Records {
 		return nil, fmt.Errorf("dataset: header declares %d records, stream holds %d (truncated?)", h.Records, len(table))
@@ -738,12 +871,14 @@ func decodePlain(r io.Reader) (*File, error) {
 // header claims.
 const firstTable = 1024
 
-// grow returns table with room for more records. Capacity doubles, so the
-// table never holds more than twice the records read, and the header's
-// record count only caps it: the first table is the claim halved until it
-// is at most firstTable, so a truthful header's table ends at exactly the
-// claim after allocating about twice it in all. The halving rounds up
-// without computing c+1, which overflows on a claim of MaxInt.
+// grow returns table with room for more records. The header's record
+// count caps the capacity and, once the records read reach an eighth of
+// it, sets it: until then capacity doubles, so a lying header costs at
+// most eight times the records read, and a truthful header's table ends
+// at exactly the claim after allocating about 1.25 times it in all. The
+// first table is the claim halved until it is at most firstTable; the
+// halving rounds up without computing c+1, which overflows on a claim of
+// MaxInt.
 func grow(table []iclab.Record, claimed int) []iclab.Record {
 	n := len(table)
 	c := 2 * n
@@ -754,6 +889,9 @@ func grow(table []iclab.Record, claimed int) []iclab.Record {
 		}
 	}
 	if claimed > n {
+		if n >= claimed/8 {
+			c = claimed
+		}
 		c = min(c, claimed)
 	}
 	grown := make([]iclab.Record, n, c)

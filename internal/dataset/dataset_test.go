@@ -16,6 +16,7 @@ import (
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 
 	"churntomo/internal/anomaly"
 	"churntomo/internal/iclab"
@@ -243,6 +244,15 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 		if !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: error %q does not mention %q", tc.name, err, tc.want)
 		}
+	}
+
+	// A blank line is a record line that does not decode, not one to skip:
+	// it fails in json.Unmarshal like any other bad line.
+	h := oneTarget
+	h.Records = 2
+	_, err := decodeLines(t, h, nil, `{"d":0,"v":1,"t":0,"at":0}`, "", `{"d":0,"v":1,"t":0,"at":1}`)
+	if err == nil || !strings.Contains(err.Error(), "decode record 1: unexpected end of JSON input") {
+		t.Errorf("blank record line: err = %v", err)
 	}
 
 	// A truncated record stream must be caught by the count check.
@@ -622,7 +632,9 @@ func TestRecordLineCap(t *testing.T) {
 
 // FuzzDatasetDecode feeds arbitrary bytes to Decode, both as they are and
 // gzip-wrapped: it must return a file or an error, never both or neither,
-// and never panic.
+// and never panic. Each input also goes through matchSerial, which holds
+// the decode pipeline to the line loop alone at a block size that cuts its
+// lines.
 func FuzzDatasetDecode(f *testing.F) {
 	// One stored-block writer serves every execution: a fresh writer, or
 	// real compression, would cost more than the decode under test.
@@ -640,8 +652,173 @@ func FuzzDatasetDecode(f *testing.F) {
 			if (file == nil) == (err == nil) {
 				t.Fatalf("Decode returned file %v and error %v", file != nil, err)
 			}
+			// 64-byte blocks cut most record lines, and give an input of a
+			// few hundred bytes more blocks than inFlight, so the reader
+			// waits for blocks the line loop hands back.
+			matchSerial(t, in, 64)
 		}
 	})
+}
+
+// matchSerial decodes in through decodeAhead at each of sizes and through
+// decodePlain alone, once as the plain layer and, if it is one, once as a
+// gzip stream: the files must be deeply equal and the errors read the
+// same.
+func matchSerial(t *testing.T, in []byte, sizes ...int) {
+	t.Helper()
+	for _, layer := range []string{"plain", "gzip"} {
+		open := func() io.Reader {
+			if layer == "plain" {
+				return bytes.NewReader(in)
+			}
+			zr, err := gzip.NewReader(bytes.NewReader(in))
+			if err != nil {
+				return nil
+			}
+			return zr
+		}
+		if open() == nil {
+			continue
+		}
+		want, wantErr := decodePlain(open())
+		for _, size := range sizes {
+			got, err := decodeAhead(open(), size)
+			if errText(err) != errText(wantErr) {
+				t.Fatalf("%s layer, %d-byte blocks: error %q, the serial loop's %q", layer, size, errText(err), errText(wantErr))
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s layer, %d-byte blocks: the decoded file differs from the serial loop's", layer, size)
+			}
+		}
+	}
+}
+
+func errText(err error) string {
+	if err == nil {
+		return "<nil>"
+	}
+	return err.Error()
+}
+
+// TestDecodePipelineMatchesSerial pins the pipeline to the serial loop
+// where the queue between its stages could change the outcome: a final
+// line without a newline, streams cut short mid-line, a gzip checksum that
+// fails after the last line, and a bad record at the end of a long stream.
+// Each case also checks the outcome itself. Lines at the length limit,
+// which Decode's blocks cut, are TestRecordLineCap's.
+func TestDecodePipelineMatchesSerial(t *testing.T) {
+	h := oneTarget
+	h.fillTables()
+	rec := func(i int) string { return fmt.Sprintf(`{"d":0,"v":1,"t":0,"at":%d,"p":[1,2,3]}`, i) }
+	plain := func(records int, lines ...string) []byte {
+		h := h
+		h.Records = records
+		head, err := json.Marshal(&h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return append(head, "\n"+strings.Join(lines, "\n")...)
+	}
+	gz := func(b []byte) []byte {
+		var buf bytes.Buffer
+		zw := gzip.NewWriter(&buf)
+		zw.Write(b)
+		zw.Close()
+		return buf.Bytes()
+	}
+	// Enough records to fill several of Decode's blocks.
+	var many []string
+	for i := 0; len(many)*len(rec(i)) < 3*blockSize; i++ {
+		many = append(many, rec(i))
+	}
+	terminated := func(lines ...string) []string { return append(lines, "") }
+
+	unterminated := plain(2, rec(0), rec(1))
+	cutLine := plain(2, rec(0), rec(1))
+	cutLine = cutLine[:len(cutLine)-5]
+	manyGz := gz(plain(len(many), terminated(many...)...))
+	badSum := bytes.Clone(manyGz)
+	badSum[len(badSum)-5] ^= 0xff // the CRC-32 in the gzip trailer
+	badLast := plain(len(many)+1, terminated(append(many, `{"d":0,"v":1,"t":0,"at":1,"p":[1,]}`)...)...)
+
+	for _, tc := range []struct {
+		name string
+		in   []byte
+		want string // a substring of the error, "" for a clean decode
+	}{
+		{"unterminated final line", gz(unterminated), ""},
+		{"plain stream cut mid-line", gz(cutLine), "decode record 1: unexpected end of JSON input"},
+		{"gzip stream cut mid-line", manyGz[:len(manyGz)/2], "unexpected EOF"},
+		{"flipped gzip checksum", badSum, fmt.Sprintf("read record %d: gzip: invalid checksum", len(many))},
+		{"bad record in the last block", gz(badLast), fmt.Sprintf("decode record %d:", len(many))},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			matchSerial(t, tc.in, 1, 7, 64, blockSize)
+			f, err := Decode(bytes.NewReader(tc.in))
+			switch {
+			case tc.want == "" && err != nil:
+				t.Fatalf("err = %v", err)
+			case tc.want == "" && f.Header.Records == 0:
+				t.Fatal("decoded no records")
+			case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+				t.Fatalf("err = %v, want it to mention %q", err, tc.want)
+			}
+		})
+	}
+}
+
+// TestDecodeReleasesReader decodes a stream of many blocks whose second
+// record is bad. The line loop stops there while the reader still has
+// blocks to read, and must stop it: Decode returns the serial loop's
+// error, and the goroutine count falls back to where it was.
+func TestDecodeReleasesReader(t *testing.T) {
+	h := oneTarget
+	h.fillTables()
+	h.Records = 1 << 16
+	head, err := json.Marshal(&h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	zw := gzip.NewWriter(&buf)
+	zw.Write(append(head, '\n'))
+	fmt.Fprintf(zw, `{"d":0,"v":1,"t":0,"at":0}`+"\n"+`{"d":0,"v":1,"t":0,"at":"1"}`+"\n")
+	for i := 2; i < h.Records; i++ {
+		fmt.Fprintf(zw, `{"d":0,"v":1,"t":0,"at":%d,"p":[1,2,3,4,5,6,7,8]}`+"\n", i)
+	}
+	zw.Close()
+	in := buf.Bytes()
+	_, want := decodePlain(gzipReader(t, in))
+
+	base := runtime.NumGoroutine()
+	done := make(chan error, 1)
+	go func() {
+		_, err := Decode(bytes.NewReader(in))
+		done <- err
+	}()
+	select {
+	case err = <-done:
+	case <-time.After(30 * time.Second):
+		t.Fatal("Decode did not return after a bad record: the reader was left blocked")
+	}
+	if err == nil || err.Error() != want.Error() {
+		t.Fatalf("err = %v, want the serial loop's %v", err, want)
+	}
+	for i := 0; i < 100 && runtime.NumGoroutine() > base; i++ {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > base {
+		t.Errorf("%d goroutines after Decode returned, %d before", n, base)
+	}
+}
+
+func gzipReader(t *testing.T, in []byte) io.Reader {
+	t.Helper()
+	zr, err := gzip.NewReader(bytes.NewReader(in))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return zr
 }
 
 // decodeAlloc decodes in and returns the heap bytes the decode allocated
@@ -663,19 +840,25 @@ func decodeAlloc(t *testing.T, in []byte) (uint64, int, error) {
 }
 
 // TestDecodeAllocationBudget bounds the heap decode allocates. Records
-// append into one table whose capacity doubles up to the header's count,
-// and their paths and acts are carved from shared chunks, so a multi-day
-// file costs about twice its table plus the paths, per record. A short
+// go into one table that doubles until the records read reach an eighth of
+// the header's count and is then sized to it, and their paths and acts
+// are carved from shared chunks, so a multi-day file costs about 1.25
+// times its table plus the paths, per record. A header that claims more
+// records than the stream holds must fail as truncated, and the table can
+// grow to at most eight times the records read: a stream of a few
+// thousand records allocates at most ten tables (the last at most eight,
+// the doublings before it about two) more than under a truthful header,
+// claiming either just under eight times its records or 2^40. A short
 // stream whose header claims 2^20 days and an absurd record count, up to
-// MaxInt, must fail as truncated and not allocate by those claims: no
-// more than the 24 MiB of day slots the claim alone once cost. The test
-// must not run in parallel with others: TotalAlloc counts every
-// goroutine's allocations.
+// MaxInt, must not allocate by those claims: no more than the 24 MiB of
+// day slots the claim alone once cost. The test must not run in parallel
+// with others: TotalAlloc counts every goroutine's allocations.
 func TestDecodeAllocationBudget(t *testing.T) {
 	// About 1.25 times what this fixture measured when the budget was
-	// set, 409 bytes a record; growing one slice per day by append took
-	// 676.
-	const budget = 510
+	// set, 300 bytes a record (294 without the race detector). Doubling
+	// the table up to the header's count took 409; growing one slice per
+	// day by append took 676.
+	const budget = 375
 	var buf bytes.Buffer
 	if err := Encode(&buf, randomFile(5, 120, 160)); err != nil {
 		t.Fatal(err)
@@ -688,6 +871,43 @@ func TestDecodeAllocationBudget(t *testing.T) {
 	t.Logf("%d records, %.0f heap bytes a record (budget %d)", records, perRecord, budget)
 	if perRecord > budget {
 		t.Errorf("decode allocated %.0f heap bytes a record, over the budget of %d", perRecord, budget)
+	}
+
+	var plain bytes.Buffer
+	if err := encodePlain(&plain, randomFile(9, 20, 160)); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		keep  int // the record lines kept, all when negative
+		claim int // the header's record count, or
+		times int // this many times the lines kept
+	}{
+		// The table doubles from 1,024 records to the claim of 8,192 once
+		// it is full, so it ends at eight times the 1,025 records read.
+		{keep: 1025, claim: 8 << 10},
+		// A claim past eight times the records is never reached.
+		{keep: -1, times: 16},
+		{keep: -1, claim: 1 << 40},
+	} {
+		truthful, n, err := decodeAlloc(t, gzipClaim(t, plain.Bytes(), tc.keep, -1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		claim := tc.claim
+		if tc.times > 0 {
+			claim = tc.times * n
+		}
+		bytesAlloc, _, err := decodeAlloc(t, gzipClaim(t, plain.Bytes(), tc.keep, claim))
+		if err == nil || !strings.Contains(err.Error(), "truncated") {
+			t.Fatalf("a %d-record stream claiming %d records decoded with err = %v", n, claim, err)
+		}
+		table := uint64(n) * uint64(unsafe.Sizeof(iclab.Record{}))
+		t.Logf("a %d-record stream claiming %d records: %d heap bytes, %d under a truthful header, %d a table",
+			n, claim, bytesAlloc, truthful, table)
+		if bytesAlloc > truthful+10*table {
+			t.Errorf("a %d-record stream claiming %d records allocated %d bytes, over %d under a truthful header plus ten %d-byte tables",
+				n, claim, bytesAlloc, truthful, table)
+		}
 	}
 
 	const daySlots = 24 << 20
@@ -716,6 +936,39 @@ func TestDecodeAllocationBudget(t *testing.T) {
 				h.Days, h.Records, bytesAlloc, daySlots)
 		}
 	}
+}
+
+// gzipClaim gzips the header and the first keep record lines of a plain
+// stream, all of them when keep is negative, with the header's record
+// count set to claim, or to the lines kept when claim is negative.
+func gzipClaim(t *testing.T, plain []byte, keep, claim int) []byte {
+	t.Helper()
+	head, records, _ := bytes.Cut(plain, []byte("\n"))
+	lines := bytes.SplitAfter(records, []byte("\n"))
+	if len(lines[len(lines)-1]) == 0 {
+		lines = lines[:len(lines)-1]
+	}
+	if keep >= 0 {
+		lines = lines[:keep]
+	}
+	if claim < 0 {
+		claim = len(lines)
+	}
+	var h Header
+	if err := json.Unmarshal(head, &h); err != nil {
+		t.Fatal(err)
+	}
+	h.Records = claim
+	head, err := json.Marshal(&h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	zw := gzip.NewWriter(&buf)
+	zw.Write(append(head, '\n'))
+	zw.Write(bytes.Join(lines, nil))
+	zw.Close()
+	return buf.Bytes()
 }
 
 // TestDecodeLaysDaysOutInOrder checks the decoded table's layout: every

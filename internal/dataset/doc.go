@@ -23,24 +23,43 @@
 // TestAppendWireMatchesJSON and FuzzParseWire pin both fast paths against
 // encoding/json.
 //
+// Decode runs in two stages joined by a bounded queue, the two tasks of
+// one parallel.ForEach, so inflating the stream overlaps parsing it. The
+// reader stage reads the inflated stream ahead, one read per recycled
+// 64 KiB block, and queues each block with the error its read returned.
+// The other stage is the serial line loop, decodePlain, reading the queue
+// through an io.Reader that serves the blocks' bytes and then that error.
+// The loop thus reads what it would read from the stream itself, so the
+// records, the errors, their order and the line cap (maxRecordLine) are
+// the serial loop's by construction. At most four blocks are in flight,
+// so a gzip bomb costs at most four blocks of read-ahead. However the loop
+// returns, it closes the queue of free blocks, which stops the reader once
+// it has used the blocks left in it. A final line without a newline is a
+// record line, and so is a blank line, which fails to decode.
+// FuzzDatasetDecode and TestDecodePipelineMatchesSerial hold the pipeline
+// to the loop alone at block sizes that cut lines, records and error text
+// alike.
+//
 // Decode lays the records out in one day-ordered table and cuts each day
 // as a view of it, so iclab.MergeShards over a decoded File returns the
-// table without a copy. Records append into the table as they are read:
-// its capacity doubles and the header's record count only caps it, so
-// decode never holds more than about twice the records it has read, and
-// a truthful header's table ends exactly full. Records' paths and acts
-// are carved from shared chunks rather than allocated one by one. A
-// stream whose records are not in day order is laid out again by day,
-// keeping each day's records in stream order.
+// table without a copy. Each record is decoded in its slot of the table.
+// The table doubles until the records read reach an eighth of the
+// header's record count and is then sized to the count, so a truthful
+// header's table ends exactly full after allocating about 1.25 times it
+// in all, and a lying header costs at most eight times the records read
+// (two while the table only doubled). Records' paths and acts are carved
+// from shared chunks rather than allocated one by one. A stream whose
+// records are not in day order is laid out again by day, keeping each
+// day's records in stream order.
 //
 // Format stability is pinned by a checked-in golden file
 // (testdata/golden_v1.jsonl.gz): any encoder change that breaks v1
 // compatibility fails TestGoldenV1 loudly. Decode validates the magic and
 // version up front and never panics on corrupt input: a header may claim
 // at most 2^20 days, a record line may be at most 1 MiB (maxRecordLine),
-// and the header's record count is checked and never sizes more than the
-// records read; the day batches are allocated only once the count checks
-// out (TestDecodeAllocationBudget). FuzzDatasetRoundTrip exercises the
-// codec both ways and FuzzDatasetDecode feeds Decode arbitrary bytes, raw
-// and gzip-wrapped.
+// and the header's record count is checked and sizes at most eight times
+// the records read; the day batches are allocated only once the count
+// checks out (TestDecodeAllocationBudget). FuzzDatasetRoundTrip exercises
+// the codec both ways and FuzzDatasetDecode feeds Decode arbitrary bytes,
+// raw and gzip-wrapped.
 package dataset

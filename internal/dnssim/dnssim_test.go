@@ -27,8 +27,8 @@ func TestSimulateCleanShape(t *testing.T) {
 	rng := rand.New(rand.NewPCG(1, 1))
 	var c netsim.Capture
 	Simulate(params(), nil, Noise{}, rng, &c)
-	if c.Len() != 2 {
-		t.Fatalf("clean lookup has %d packets, want query+answer", c.Len())
+	if len(c.Packets) != 2 {
+		t.Fatalf("clean lookup has %d packets, want query+answer", len(c.Packets))
 	}
 	q, err := netsim.UnmarshalDNS(c.Packets[0].Payload)
 	if err != nil || q.Response {
@@ -52,8 +52,8 @@ func TestSimulateInjectionWinsRace(t *testing.T) {
 	inj := []Injector{{ASN: 4134, Dist: 3, Answer: netaddr.MustParseIP("10.0.0.1"), InitTTL: 255}}
 	var c netsim.Capture
 	Simulate(params(), inj, Noise{}, rng, &c)
-	if c.Len() != 3 {
-		t.Fatalf("packets %d, want 3", c.Len())
+	if len(c.Packets) != 3 {
+		t.Fatalf("packets %d, want 3", len(c.Packets))
 	}
 	first := c.Packets[1] // after the query
 	if !first.Injected || first.InjectedBy != 4134 {
@@ -74,8 +74,8 @@ func TestSimulateInjectorBeyondTTLReach(t *testing.T) {
 	inj := []Injector{{ASN: 1, Dist: 70, Answer: 1, InitTTL: 64}}
 	var c netsim.Capture
 	Simulate(params(), inj, Noise{}, rng, &c)
-	if c.Len() != 2 {
-		t.Fatalf("unreachable injector still injected: %d packets", c.Len())
+	if len(c.Packets) != 2 {
+		t.Fatalf("unreachable injector still injected: %d packets", len(c.Packets))
 	}
 }
 
@@ -86,8 +86,8 @@ func TestSimulateDeterministic(t *testing.T) {
 	Simulate(params(), nil, Noise{}, rand.New(rand.NewPCG(9, 9)), &a)
 	inj := []Injector{{ASN: 1, Dist: 3, Answer: 1, InitTTL: 64}, {ASN: 2, Dist: 5, Answer: 2, InitTTL: 255}}
 	Simulate(params(), inj, Noise{DupResponseProb: 1}, rand.New(rand.NewPCG(8, 8)), &b)
-	if b.Len() <= a.Len() {
-		t.Fatalf("the lookup to recycle holds %d packets, the clean one %d", b.Len(), a.Len())
+	if len(b.Packets) <= len(a.Packets) {
+		t.Fatalf("the lookup to recycle holds %d packets, the clean one %d", len(b.Packets), len(a.Packets))
 	}
 	Simulate(params(), nil, Noise{}, rand.New(rand.NewPCG(9, 9)), &b)
 	if !reflect.DeepEqual(a, b) {

@@ -13,9 +13,11 @@ package lint
 //     (`if ctx == nil { ctx = context.Background() }`) and direct
 //     delegation to the function's own *Ctx variant.
 //
-// Blocking operations are not checked: the module's only channel
-// operations and join sit in parallel.ForEachCtx, whose pre-cancel,
-// cancel-midway, deadline and drain tests cover them.
+// Blocking operations are not checked: the module's join and its pool
+// channel sit in parallel.ForEachCtx, whose pre-cancel, cancel-midway,
+// deadline and drain tests cover them, and the one other user of
+// channels, dataset decode's two-stage pipeline, has a test that a
+// stopped line loop releases its reader.
 
 import (
 	"go/ast"

@@ -3,8 +3,8 @@
 // IP-to-AS mapping database and router address allocation.
 //
 // Entry points: MakeIP/ParseIP and MakePrefix/ParsePrefix construct the
-// value types; Trie[V] offers Insert/Delete/Lookup/LookupPrefix for
-// longest-prefix matching.
+// value types; Trie[V] offers Insert/Delete/Lookup for longest-prefix
+// matching.
 //
 // Invariants: IP is a uint32 value type — the standard library's net.IP is
 // a heap-allocated byte slice, and the simulator handles millions of

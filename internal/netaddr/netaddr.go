@@ -209,29 +209,6 @@ func (t *Trie[V]) Lookup(ip IP) (V, bool) {
 	return best, found
 }
 
-// LookupPrefix is Lookup but also reports the matching prefix.
-func (t *Trie[V]) LookupPrefix(ip IP) (Prefix, V, bool) {
-	var (
-		best      V
-		bestDepth = -1
-	)
-	n := t.root
-	for depth := 0; n != nil; depth++ {
-		if n.set {
-			best, bestDepth = n.val, depth
-		}
-		if depth == 32 {
-			break
-		}
-		n = n.child[(ip>>(31-depth))&1]
-	}
-	if bestDepth < 0 {
-		var zero V
-		return Prefix{}, zero, false
-	}
-	return MakePrefix(ip, uint8(bestDepth)), best, true
-}
-
 // Get returns the value stored at exactly p.
 func (t *Trie[V]) Get(p Prefix) (V, bool) {
 	n := t.root

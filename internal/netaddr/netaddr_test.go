@@ -138,18 +138,6 @@ func TestTrieLongestMatch(t *testing.T) {
 	}
 }
 
-func TestTrieLookupPrefix(t *testing.T) {
-	var tr Trie[string]
-	tr.Insert(MustParsePrefix("172.16.0.0/12"), "a")
-	pfx, v, ok := tr.LookupPrefix(MustParseIP("172.20.1.1"))
-	if !ok || v != "a" || pfx.String() != "172.16.0.0/12" {
-		t.Errorf("LookupPrefix = %v,%q,%v", pfx, v, ok)
-	}
-	if _, _, ok := tr.LookupPrefix(MustParseIP("8.8.8.8")); ok {
-		t.Error("miss should report !ok")
-	}
-}
-
 func TestTrieEmptyAndDelete(t *testing.T) {
 	var tr Trie[int]
 	if _, ok := tr.Lookup(MustParseIP("1.2.3.4")); ok {

@@ -95,9 +95,6 @@ func (c *Capture) Sort() {
 	})
 }
 
-// Len returns the number of packets.
-func (c *Capture) Len() int { return len(c.Packets) }
-
 // Sanitized returns a deep copy with all ground-truth annotations erased.
 // Tests run detectors on both versions to prove no ground-truth leakage.
 func (c *Capture) Sanitized() Capture {

@@ -39,8 +39,8 @@ func TestCaptureSortStable(t *testing.T) {
 	if c.Packets[0].Seq != 1 || c.Packets[1].Seq != 2 || c.Packets[2].Seq != 3 {
 		t.Errorf("sort order wrong: %+v", c.Packets)
 	}
-	if c.Len() != 3 {
-		t.Errorf("Len = %d", c.Len())
+	if len(c.Packets) != 3 {
+		t.Errorf("%d packets, want 3", len(c.Packets))
 	}
 }
 

@@ -11,11 +11,10 @@
 //
 // Entry points: GenTimeline builds the churn event Timeline; NewOracle
 // wraps a Graph and Timeline, and Oracle.View opens the query interface
-// the simulators use (View.PathIdxAt, PathIdxAtPlane, PathAt, TreeAtPlane,
-// and View.Reset between days; Oracle.ToASNs converts paths).
-// ComputeTree computes a single Gao–Rexford routing tree when callers
-// need one directly, and ValleyFree checks the policy invariant on any
-// path.
+// the simulators use (View.PathIdxAt, PathIdxAtPlane, TreeAtPlane, and
+// View.Reset between days; Oracle.ToASNs converts paths). ComputeTree
+// computes a single Gao–Rexford routing tree when callers need one
+// directly.
 //
 // Invariants: a tree is a pure function of (graph, timeline, destination,
 // epoch, plane), so a View may reuse one across epochs and what it has

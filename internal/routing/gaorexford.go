@@ -244,40 +244,3 @@ func (t Tree) Path(src, dst int32) ([]int32, bool) {
 	}
 	return nil, false
 }
-
-// ValleyFree verifies the Gao–Rexford export condition along an AS-index
-// path: once the path traverses a peer or provider->customer edge, every
-// later edge must be provider->customer. Used by tests and as a debugging
-// assertion.
-func ValleyFree(g *topology.Graph, path []int32) bool {
-	descending := false
-	for i := 0; i+1 < len(path); i++ {
-		rel, ok := relBetween(g, path[i], path[i+1])
-		if !ok {
-			return false
-		}
-		switch rel {
-		case topology.RelProvider: // going up
-			if descending {
-				return false
-			}
-		case topology.RelPeer:
-			if descending {
-				return false
-			}
-			descending = true
-		case topology.RelCustomer: // going down
-			descending = true
-		}
-	}
-	return true
-}
-
-func relBetween(g *topology.Graph, a, b int32) (topology.Rel, bool) {
-	for _, nb := range g.Neighbors[a] {
-		if nb.Idx == b {
-			return nb.Rel, true
-		}
-	}
-	return 0, false
-}

@@ -348,20 +348,3 @@ func (v *View) PathIdxAtPlane(src, dst int32, t time.Time, plane int32) ([]int32
 	v.o.queries.Add(1)
 	return v.TreeAtPlane(dst, v.o.TL.EpochAt(t), plane).Path(src, dst)
 }
-
-// PathAt returns the ASN path from src to dst at time t.
-func (v *View) PathAt(src, dst topology.ASN, t time.Time) ([]topology.ASN, bool) {
-	si, ok := v.o.G.Index(src)
-	if !ok {
-		return nil, false
-	}
-	di, ok := v.o.G.Index(dst)
-	if !ok {
-		return nil, false
-	}
-	idxPath, ok := v.PathIdxAt(si, di, t)
-	if !ok {
-		return nil, false
-	}
-	return v.o.ToASNs(idxPath), true
-}

@@ -189,7 +189,7 @@ func TestOraclePlanesDivergeAndStayValid(t *testing.T) {
 				if !ok {
 					continue
 				}
-				if !ValleyFree(g, p) {
+				if !valleyFree(g, p) {
 					t.Fatalf("plane %d path %v violates valley-freeness", plane, p)
 				}
 				if !pathEq(base, p) {

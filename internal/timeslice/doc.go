@@ -4,9 +4,8 @@
 // exactly one slice key per granularity, and a slice key identifies the
 // half-open interval [Start, End) it covers.
 //
-// Entry points: KeyFor maps a timestamp to its Key at a granularity; Range
-// enumerates the keys intersecting an interval; Key.Start/End/Contains
-// recover the interval.
+// Entry points: KeyFor maps a timestamp to its Key at a granularity;
+// Key.Start/End/Contains recover the interval.
 //
 // Invariants: all computations are in UTC, mirroring how measurement
 // platforms normalize probe timestamps before aggregation. Keys are

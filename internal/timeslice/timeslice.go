@@ -157,24 +157,3 @@ func (k Key) Contains(t time.Time) bool {
 	t = t.UTC()
 	return !t.Before(k.Start()) && t.Before(k.End())
 }
-
-// Next returns the key of the immediately following slice.
-func (k Key) Next() Key { return Key{k.Gran, k.Index + 1} }
-
-// Range returns every slice key at granularity g that intersects the
-// half-open interval [from, to). An empty interval yields no keys.
-func Range(g Granularity, from, to time.Time) []Key {
-	if !from.Before(to) {
-		return nil
-	}
-	var keys []Key
-	k := KeyFor(g, from)
-	last := KeyFor(g, to.Add(-time.Nanosecond))
-	for {
-		keys = append(keys, k)
-		if k == last {
-			return keys
-		}
-		k = k.Next()
-	}
-}

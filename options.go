@@ -152,8 +152,9 @@ func WithInput(path string) Option {
 
 // WithWorkers bounds the per-stage parallelism of each pipeline:
 // measurement-day sharding, CNF grouping, materialization and solving.
-// 0 uses GOMAXPROCS, 1 forces fully serial execution; results are
-// identical at every setting.
+// 0 uses GOMAXPROCS, 1 runs every stage serially but one: decoding a
+// WithInput file always inflates on one goroutine while it parses on
+// another. Results are identical at every setting.
 func WithWorkers(n int) Option {
 	return func(e *Experiment) error {
 		if n < 0 {
