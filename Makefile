@@ -100,12 +100,17 @@ bench:
 bench-json:
 	sh scripts/bench-json.sh
 
-# CPU and allocation profiles for the three hot kernels the PR6 pass
-# optimized, written under profiles/ as pprof protos plus human-readable
-# -top digests. Compare against profiles/before.* to see the shift.
+# CPU and allocation profiles of what a run executes, written under
+# profiles/ as pprof protos plus human-readable -top digests: measurement,
+# batch localization as Run does it (BenchmarkEngine_BuildSolveSerial,
+# which classifies without writing clauses out, unlike tomo.Build's
+# BenchmarkKernel_CNFBuild), the sliding-window replay through the
+# incremental engine (BenchmarkStream_WindowedIncremental) and the dataset
+# codec. profiles/before.* are an older starting point, taken over
+# BenchmarkKernel_CNFBuild in place of the two localization benchmarks.
 profile:
 	mkdir -p profiles
-	$(GO) test -run '^$$' -bench 'BenchmarkEngine_MeasureSerial|BenchmarkKernel_CNFBuild|BenchmarkDatasetEncodeDecode' \
+	$(GO) test -run '^$$' -bench 'BenchmarkEngine_MeasureSerial|BenchmarkEngine_BuildSolveSerial|BenchmarkStream_WindowedIncremental|BenchmarkDatasetEncodeDecode' \
 		-benchtime 3x -cpuprofile profiles/after.cpu.pb.gz -memprofile profiles/after.mem.pb.gz .
 	$(GO) tool pprof -top -nodecount 25 churntomo.test profiles/after.cpu.pb.gz >profiles/after.cpu.top.txt
 	$(GO) tool pprof -top -nodecount 25 -sample_index=alloc_objects churntomo.test profiles/after.mem.pb.gz >profiles/after.mem.top.txt
@@ -118,10 +123,11 @@ profile:
 # one-pass churn summary against its reference, the
 # evaluation kernel, routing Views (fresh and repaired trees) against
 # ComputeTree, blockpage matching against one regexp per signature, TCP
-# reassembly against the first-arrival []bool loop, the closed-form CNF
-# classifier and model count against SAT search, the cell-based CNF build
-# against the string-keyed reference grouping, and the incremental engine
-# against batch rebuilds — each with the FUZZTIME budget.
+# reassembly against the first-arrival []bool loop, the closed-form
+# classifier and model count against SAT search on the CNF that
+# tomo.CNFOf writes out, the cell-based build (and Build's clauses) against
+# the string-keyed reference grouping, and the incremental engine against
+# batch rebuilds — each with the FUZZTIME budget.
 # `make fuzz FUZZTIME=5m` for a real hunt.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzSolve -fuzztime $(FUZZTIME) ./internal/tomo

@@ -78,9 +78,6 @@ func (p *Policy) EpochAt(t time.Time) Epoch {
 	return p.epochs[i-1]
 }
 
-// Epochs returns the policy's epochs (shared; do not modify).
-func (p *Policy) Epochs() []Epoch { return p.epochs }
-
 // Registry holds every censor in a scenario. It doubles as the experiment's
 // ground truth: the tomography never sees it, but validation compares
 // identified censors against it.

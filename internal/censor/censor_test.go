@@ -14,6 +14,9 @@ var (
 	end   = start.AddDate(1, 0, 0)
 )
 
+// epochs returns p's epochs (shared; do not modify).
+func epochs(p *Policy) []Epoch { return p.epochs }
+
 // applies reports whether p fires technique k against category c at t.
 func applies(p *Policy, k anomaly.Kind, c webcat.Category, t time.Time) bool {
 	e := p.EpochAt(t)
@@ -156,17 +159,17 @@ func TestGeneratePolicyChanges(t *testing.T) {
 	changed := 0
 	for _, asn := range reg.ASNs() {
 		p, _ := reg.Policy(asn)
-		if len(p.Epochs()) > 1 {
+		if len(epochs(p)) > 1 {
 			changed++
 			// The change must land strictly inside the window.
-			for _, e := range p.Epochs()[1:] {
+			for _, e := range epochs(p)[1:] {
 				if e.Start.Before(start) || !e.Start.Before(end) {
 					t.Errorf("change for %v at %v outside window", asn, e.Start)
 				}
 			}
 		}
 		// Every epoch must keep at least one technique and one category.
-		for _, e := range p.Epochs() {
+		for _, e := range epochs(p) {
 			if e.Techniques == 0 {
 				t.Errorf("censor %v epoch with no techniques", asn)
 			}
@@ -192,7 +195,7 @@ func TestGenerateCNImplementsAll(t *testing.T) {
 		if p.Country != "CN" {
 			continue
 		}
-		for _, e := range p.Epochs() {
+		for _, e := range epochs(p) {
 			cnUnion |= e.Techniques
 		}
 	}
@@ -217,7 +220,7 @@ func TestGenerateAdsOnlyProfiles(t *testing.T) {
 	adsOnly := 0
 	for _, asn := range reg.ASNs() {
 		p, _ := reg.Policy(asn)
-		if (p.Country == "IE" || p.Country == "ES") && p.Epochs()[0].Categories == webcat.MakeSet(webcat.Ads) {
+		if (p.Country == "IE" || p.Country == "ES") && epochs(p)[0].Categories == webcat.MakeSet(webcat.Ads) {
 			adsOnly++
 		}
 	}
@@ -249,7 +252,7 @@ func TestGeneratePolicyChangesDefaultUnchanged(t *testing.T) {
 		}
 		pa, _ := implicit.Policy(a[i])
 		pb, _ := explicit.Policy(b[i])
-		ea, eb := pa.Epochs(), pb.Epochs()
+		ea, eb := epochs(pa), epochs(pb)
 		if len(ea) != len(eb) {
 			t.Fatalf("%v: epoch counts differ: %d vs %d", a[i], len(ea), len(eb))
 		}
@@ -276,7 +279,7 @@ func TestGeneratePolicyChangesMulti(t *testing.T) {
 	most := 0
 	for _, asn := range reg.ASNs() {
 		p, _ := reg.Policy(asn)
-		eps := p.Epochs()
+		eps := epochs(p)
 		if n := len(eps) - 1; n > most {
 			most = n
 		}
@@ -304,9 +307,9 @@ func TestGeneratePolicyChangesDisabled(t *testing.T) {
 	}
 	for _, asn := range reg.ASNs() {
 		p, _ := reg.Policy(asn)
-		if len(p.Epochs()) != 1 {
+		if len(epochs(p)) != 1 {
 			t.Errorf("censor %v changed policy %d times with PolicyChangeProb -1",
-				asn, len(p.Epochs())-1)
+				asn, len(epochs(p))-1)
 		}
 	}
 	// The negative PolicyChanges sentinel disables changes too.
@@ -316,9 +319,9 @@ func TestGeneratePolicyChangesDisabled(t *testing.T) {
 	}
 	for _, asn := range reg2.ASNs() {
 		p, _ := reg2.Policy(asn)
-		if len(p.Epochs()) != 1 {
+		if len(epochs(p)) != 1 {
 			t.Errorf("censor %v changed policy %d times with PolicyChanges -1",
-				asn, len(p.Epochs())-1)
+				asn, len(epochs(p))-1)
 		}
 	}
 }

@@ -56,10 +56,10 @@ func TestGeneratePinnedExactSet(t *testing.T) {
 		if !ok {
 			t.Fatalf("pinned AS %v not in registry", asn)
 		}
-		if len(pol.Epochs()) == 0 {
+		if len(epochs(pol)) == 0 {
 			t.Errorf("pinned AS %v has no policy epochs", asn)
 		}
-		for _, ep := range pol.Epochs() {
+		for _, ep := range epochs(pol) {
 			if ep.Techniques == 0 {
 				t.Errorf("pinned AS %v epoch has no techniques", asn)
 			}

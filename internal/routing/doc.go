@@ -11,7 +11,7 @@
 //
 // Entry points: GenTimeline builds the churn event Timeline; NewOracle
 // wraps a Graph and Timeline, and Oracle.View opens the query interface
-// the simulators use (View.PathIdxAt, PathIdxAtPlane, TreeAtPlane, and
+// the simulators use (View.PathIdxAtPlane, TreeAtPlane, and
 // View.Reset between days; Oracle.ToASNs converts paths). ComputeTree
 // computes a single Gao–Rexford routing tree when callers need one
 // directly.

@@ -336,12 +336,6 @@ func (v *View) apply(e int32, fwd bool) {
 	}
 }
 
-// PathIdxAt returns the AS-index path from src to dst at time t on the
-// canonical forwarding plane.
-func (v *View) PathIdxAt(src, dst int32, t time.Time) ([]int32, bool) {
-	return v.PathIdxAtPlane(src, dst, t, 0)
-}
-
 // PathIdxAtPlane returns the AS-index path from src to dst at time t on
 // one forwarding plane (see TreeAtPlane). Plane 0 is the canonical path.
 func (v *View) PathIdxAtPlane(src, dst int32, t time.Time, plane int32) ([]int32, bool) {

@@ -73,6 +73,12 @@ func relBetween(g *topology.Graph, a, b int32) (topology.Rel, bool) {
 	return 0, false
 }
 
+// pathIdxAt returns the AS-index path from src to dst at time t on v's
+// canonical forwarding plane.
+func pathIdxAt(v *View, src, dst int32, t time.Time) ([]int32, bool) {
+	return v.PathIdxAtPlane(src, dst, t, 0)
+}
+
 // pathAt returns the ASN path from src to dst at time t on v, false when
 // either AS is unknown or dst is unreachable.
 func pathAt(v *View, src, dst topology.ASN, t time.Time) ([]topology.ASN, bool) {
@@ -84,7 +90,7 @@ func pathAt(v *View, src, dst topology.ASN, t time.Time) ([]topology.ASN, bool) 
 	if !ok {
 		return nil, false
 	}
-	idxPath, ok := v.PathIdxAt(si, di, t)
+	idxPath, ok := pathIdxAt(v, si, di, t)
 	if !ok {
 		return nil, false
 	}
@@ -426,7 +432,7 @@ func TestOracleCacheReuse(t *testing.T) {
 	v := o.View()
 	at := start.Add(time.Hour)
 	for i := 0; i < 50; i++ {
-		if _, ok := v.PathIdxAt(int32(i), 99, at); !ok {
+		if _, ok := pathIdxAt(v, int32(i), 99, at); !ok {
 			t.Fatalf("unreachable %d->99", i)
 		}
 	}
@@ -450,7 +456,7 @@ func TestOracleEviction(t *testing.T) {
 	at := start.Add(time.Hour)
 	ep := tl.EpochAt(at)
 	for dst := int32(0); dst < int32(len(g.ASes)); dst++ {
-		v.PathIdxAt(0, dst, at)
+		pathIdxAt(v, 0, dst, at)
 		if v.held > 1 {
 			t.Fatalf("View holds %d trees, bound 1", v.held)
 		}
@@ -566,7 +572,7 @@ func BenchmarkOraclePathIdxAt(b *testing.B) {
 	v := NewOracle(g, tl, 4096).View()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		v.PathIdxAt(50, 400, start.Add(time.Duration(i%8760)*time.Hour))
+		pathIdxAt(v, 50, 400, start.Add(time.Duration(i%8760)*time.Hour))
 	}
 }
 
@@ -598,7 +604,7 @@ func TestOracleConcurrentQueries(t *testing.T) {
 	}
 	want := make([][]int32, len(queries))
 	for i, q := range queries {
-		want[i], _ = serial.PathIdxAt(q.src, q.dst, q.at)
+		want[i], _ = pathIdxAt(serial, q.src, q.dst, q.at)
 	}
 
 	const workers = 8
@@ -610,7 +616,7 @@ func TestOracleConcurrentQueries(t *testing.T) {
 		go func(v *View) {
 			defer wg.Done()
 			for i, q := range queries {
-				if got, _ := v.PathIdxAt(q.src, q.dst, q.at); !slices.Equal(got, want[i]) {
+				if got, _ := pathIdxAt(v, q.src, q.dst, q.at); !slices.Equal(got, want[i]) {
 					t.Errorf("query %d: concurrent path differs from serial", i)
 					return
 				}
@@ -648,7 +654,7 @@ func TestOracleNegativeCacheClamped(t *testing.T) {
 		v := o.View()
 		for dst := int32(0); dst < int32(len(g.ASes)); dst++ {
 			want, _ := ComputeTree(g, dst, down, salt, 0, Routes{}).Tree.Path(1, dst)
-			if got, _ := v.PathIdxAt(1, dst, at); !slices.Equal(got, want) {
+			if got, _ := pathIdxAt(v, 1, dst, at); !slices.Equal(got, want) {
 				t.Fatalf("NewOracle(%d): path 1->%d differs from ComputeTree", trees, dst)
 			}
 		}

@@ -62,8 +62,8 @@ func TestPolicyWaveBackgroundUnchanged(t *testing.T) {
 	probe := func(at time.Time) (same, diff int) {
 		for src := int32(0); src < 60; src += 3 {
 			for dst := int32(60); dst < 90; dst += 5 {
-				a, oka := op.PathIdxAt(src, dst, at)
-				b, okb := ow.PathIdxAt(src, dst, at)
+				a, oka := pathIdxAt(op, src, dst, at)
+				b, okb := pathIdxAt(ow, src, dst, at)
 				if oka != okb {
 					t.Fatalf("reachability differs at %v for %d->%d", at, src, dst)
 				}
@@ -135,7 +135,8 @@ func pathEq(a, b []int32) bool {
 
 // TestOraclePlaneZeroCanonical pins that the plane-aware API is a
 // byte-identical no-op on plane 0: PathIdxAtPlane(…, 0) agrees with the
-// plane-unaware PathIdxAt, and TreeAtPlane(…, 0) with Oracle.TreeAt.
+// path on Oracle.TreeAt's plane-unaware tree, and TreeAtPlane(…, 0) with
+// the tree itself.
 func TestOraclePlaneZeroCanonical(t *testing.T) {
 	g := graph(t, 24, 150)
 	start := time.Date(2016, 5, 1, 0, 0, 0, 0, time.UTC)
@@ -148,7 +149,7 @@ func TestOraclePlaneZeroCanonical(t *testing.T) {
 	at := start.Add(72 * time.Hour)
 	for src := int32(0); src < 40; src += 3 {
 		for dst := int32(40); dst < 70; dst += 7 {
-			a, oka := v.PathIdxAt(src, dst, at)
+			a, oka := o.TreeAt(dst, tl.EpochAt(at)).Path(src, dst)
 			b, okb := v.PathIdxAtPlane(src, dst, at, 0)
 			if oka != okb || !pathEq(a, b) {
 				t.Fatalf("plane 0 differs from canonical for %d->%d", src, dst)

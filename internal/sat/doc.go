@@ -1,5 +1,6 @@
-// Package sat defines the CNF, Lit and Classification types the
-// tomography builds its instances from, and keeps a from-scratch DPLL
+// Package sat defines the CNF and Lit types, into which tomo.CNFOf writes
+// a tomography instance out for tomo.Build and the tests, and the
+// Classification a tomo.Outcome carries. It keeps a from-scratch DPLL
 // solver (two-literal watching, unit propagation, assumptions, model
 // enumeration via blocking clauses) as the test oracle for the closed
 // forms that replaced search in the pipeline.
@@ -8,15 +9,16 @@
 // anomaly) CNF to "an off-the-shelf SAT solver" and classifies the
 // outcome: no solution (noise or a policy change), exactly one solution
 // (censors exactly identified) or multiple solutions (only elimination
-// possible). The pipeline no longer searches for that answer: tomo.Solve
-// reads it off the CNF's fixed shape in closed form, and tomo.CountModels
-// counts Figure 4's models the same way. No production path calls the
-// solver. The tests hold both closed forms to it, on every preset's
-// instances and on fuzzed CNFs: Classify (0/1/2+ via a blocking clause),
+// possible). The pipeline no longer searches for that answer, nor writes
+// the CNF out: tomo.Solve reads it in closed form off the instance's
+// clean-path variables and censored paths, and tomo.CountModels counts
+// Figure 4's models the same way. No production path calls the solver.
+// The tests hold both closed forms to it, on every preset's instances and
+// on fuzzed CNFs: Classify (0/1/2+ via a blocking clause),
 // PotentialTrue (one SolveAssume "could AS x be a censor?" query per
 // variable) and CountModels (models up to a cap).
 //
-// Entry points: CNF.AddClause builds an instance; NewSolver builds a
+// Entry points: CNF.AddClause builds a CNF; NewSolver builds a
 // solver over a CNF; Classify, CountModels and PotentialTrue answer the
 // whole-CNF queries.
 //

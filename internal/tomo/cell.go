@@ -5,8 +5,8 @@ package tomo
 // once, and the record is folded into one cell per (URL, time slice). For
 // every distinct path it has seen, a cell keeps a mask saying, per anomaly
 // kind, whether the path was seen censored and whether it was seen clean,
-// so one cell serves all five kinds: materialize reads one kind's CNF off
-// the masks, with the paths in rank order.
+// so one cell serves all five kinds: materialize reads one kind's Instance
+// off the masks, with the paths in rank order.
 
 import (
 	"cmp"
@@ -15,7 +15,6 @@ import (
 
 	"churntomo/internal/anomaly"
 	"churntomo/internal/iclab"
-	"churntomo/internal/sat"
 	"churntomo/internal/timeslice"
 	"churntomo/internal/topology"
 	"churntomo/internal/traceroute"
@@ -103,14 +102,16 @@ func (t *interner) rerank() {
 
 // pathTable interns AS paths. A path's key is its ASNs as big-endian
 // bytes, so key order is slices.Compare order on the paths (ASN by ASN, a
-// prefix first): the clause order materialize emits. The table keeps its
-// own copy of each path, which the instances built from it share, and the
-// path's ASes as dense AS IDs, which index materialize's scratch.
+// prefix first), the order materialize lists a cell's paths in. The table
+// keeps its own copy of each path, which the instances built from it
+// share, and the path's ASes as dense AS IDs, which index materialize's
+// scratch.
 type pathTable struct {
 	interner
 	paths   [][]topology.ASN // by path ID
 	hops    [][]int32        // by path ID: the path's AS IDs
 	asID    map[topology.ASN]int32
+	asns    []topology.ASN // by AS ID
 	scratch []byte
 }
 
@@ -133,8 +134,9 @@ func (t *pathTable) internPath(p []topology.ASN) int32 {
 	for i, a := range p {
 		h, ok := t.asID[a]
 		if !ok {
-			h = int32(len(t.asID))
+			h = int32(len(t.asns))
 			t.asID[a] = h
+			t.asns = append(t.asns, a)
 		}
 		hops[i] = h
 	}
@@ -234,17 +236,15 @@ func compareCells(a, b cellKey, urlRank []int32) int {
 // cellScratch is the reusable working state of buildCell. acc (indexed by
 // path rank) and varOf (indexed by AS ID) are all zero between uses; the
 // slices keep their capacity. Everything that outlives the call (the
-// Instance, its Vars, the CNF) is freshly allocated.
+// Instance and its lists) is freshly allocated.
 type cellScratch struct {
 	acc   []uint16
 	ranks []int32
 	cell  []pathMask
 	// varOf maps an AS ID to its variable in the instance being built;
-	// vars and varIDs list those ASes in variable order.
+	// varIDs lists those AS IDs in variable order.
 	varOf  []int32
-	vars   []topology.ASN
 	varIDs []int32
-	lits   []sat.Lit
 }
 
 var cellScratchPool = sync.Pool{New: func() any { return new(cellScratch) }}
@@ -299,72 +299,62 @@ func buildCell(parts []*part, kinds uint16, paths *pathTable, urls *interner, em
 	cellScratchPool.Put(sc)
 }
 
-// materialize turns one kind of a cell into a CNF. Clean paths expand to
-// negative unit clauses (an AS negated by several clean paths still needs
-// only one), censored paths to one all-positive clause each, both in the
-// cell's rank order. A path seen both censored and clean yields both and
-// makes the CNF unsatisfiable, which is the intended §3.2 semantics.
+// materialize turns one kind of a cell into an Instance. The ASes on the
+// kind's clean paths become variables 1..negated, numbered as the paths
+// name them in the cell's rank order (an AS on several clean paths is
+// numbered once); then each censored path, in rank order, numbers its
+// ASes not yet numbered and lists its variables in censored. A path seen
+// both censored and clean has all its ASes negated and makes the CNF
+// unsatisfiable, which is the intended §3.2 semantics.
 func (sc *cellScratch) materialize(key Key, n int, cell []pathMask, t *pathTable) *Instance {
 	censored := uint16(1) << key.Kind
 	clean := censored << cleanShift
-	npos, nneg := 0, 0
+	npos, nlits := 0, 0
 	for _, e := range cell {
 		if e.mask&censored != 0 {
 			npos++
-		}
-		if e.mask&clean != 0 {
-			nneg++
+			nlits += len(t.hops[e.id])
 		}
 	}
-	if len(sc.varOf) < len(t.asID) {
-		sc.varOf = make([]int32, len(t.asID))
+	if len(sc.varOf) < len(t.asns) {
+		sc.varOf = make([]int32, len(t.asns))
 	}
-	vars, varIDs := sc.vars[:0], sc.varIDs[:0]
-	intern := func(as topology.ASN, h int32) sat.Lit {
+	ids := sc.varIDs[:0]
+	intern := func(h int32) int32 {
 		if sc.varOf[h] == 0 {
-			vars, varIDs = append(vars, as), append(varIDs, h)
-			sc.varOf[h] = int32(len(vars))
+			ids = append(ids, h)
+			sc.varOf[h] = int32(len(ids))
 		}
-		return sat.Lit(sc.varOf[h])
+		return sc.varOf[h]
 	}
 
-	// Clean paths come first, so every AS they hold is interned there and
-	// variables 1..units are exactly the negated ASes, in clause order.
-	in := &Instance{Key: key, CNF: &sat.CNF{}, Measurements: n}
-	in.NegativePaths = make([][]topology.ASN, 0, nneg)
 	for _, e := range cell {
 		if e.mask&clean == 0 {
 			continue
 		}
-		path := t.paths[e.id]
-		in.NegativePaths = append(in.NegativePaths, path)
-		for i, h := range t.hops[e.id] {
-			intern(path[i], h)
+		for _, h := range t.hops[e.id] {
+			intern(h)
 		}
 	}
-	units := len(vars)
-	in.CNF.Clauses = make([]sat.Clause, 0, units+npos)
-	for v := 1; v <= units; v++ {
-		in.CNF.AddClause(sat.Lit(v).Neg())
-	}
+	in := &Instance{Key: key, Measurements: n, negated: len(ids)}
 	in.PositivePaths = make([][]topology.ASN, 0, npos)
+	in.censored = make([]int32, 0, nlits)
 	for _, e := range cell {
 		if e.mask&censored == 0 {
 			continue
 		}
-		path := t.paths[e.id]
-		in.PositivePaths = append(in.PositivePaths, path)
-		lits := sc.lits[:0]
-		for i, h := range t.hops[e.id] {
-			lits = append(lits, intern(path[i], h))
+		in.PositivePaths = append(in.PositivePaths, t.paths[e.id])
+		for _, h := range t.hops[e.id] {
+			in.censored = append(in.censored, intern(h))
 		}
-		sc.lits = lits
-		in.CNF.AddClause(lits...)
 	}
-	in.Vars = append([]topology.ASN(nil), vars...)
-	for _, h := range varIDs {
-		sc.varOf[h] = 0
+	if len(ids) > 0 {
+		in.Vars = make([]topology.ASN, len(ids))
+		for v, h := range ids {
+			in.Vars[v] = t.asns[h]
+			sc.varOf[h] = 0
+		}
 	}
-	sc.vars, sc.varIDs = vars, varIDs
+	sc.varIDs = ids
 	return in
 }

@@ -13,8 +13,11 @@
 // trichotomy off the CNF's fixed shape in closed form, and CountModels
 // counts models up to a cap the same way for Figure 4's no-churn ablation
 // (their docs carry the arguments; one helper computes the variable split
-// both rest on). internal/sat's search is the oracle the tests hold them
-// to.
+// both rest on). Both read an Instance's two lists, not clauses: the ASes
+// on the kind's clean paths, numbered first as variables 1..n, and each
+// censored path's variables. CNFOf writes an instance's clauses out, and
+// internal/sat's search on them is the oracle the tests hold the closed
+// forms to.
 //
 // Construction interns each record's AS path and URL once and folds the
 // record into one cell per (URL, time slice). For every path it has seen,
@@ -24,14 +27,17 @@
 // orders them ASN by ASN (a prefix first). cell.go holds this core, which
 // the batch and incremental builds share.
 //
-// Entry points: Build constructs CNF Instances from records, BuildAndSolve
+// Entry points: BuildAndSolve constructs Instances from records and
 // streams solving into construction, Solve/SolveAll classify instances
 // into Outcomes, CountModels counts an instance's models up to a cap, and
 // IdentifyCensors folds unique-solution outcomes into the named-censor
 // map. NewIncremental is the streaming counterpart: day
 // batches enter via AddDay, retract via RemoveDay, and
 // Incremental.BuildAndSolveCtx re-solves only the CNFs a batch touched,
-// serving the rest from the previous call's outcomes.
+// serving the rest from the previous call's outcomes. Build constructs
+// the same Instances without solving them and is the only entry point
+// that sets Instance.CNF, to CNFOf's clauses, for callers that count or
+// search them; the instances of BuildAndSolve and Incremental carry none.
 //
 // Invariants: construction is a commutative fold (path masks OR, record
 // counts add), so record order never changes a CNF, and output order is

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"churntomo/internal/sat"
-	"churntomo/internal/topology"
 )
 
 // TestReductionFracEdgeCases pins ReductionFrac's definition —
@@ -45,16 +44,13 @@ func TestReductionFracEdgeCases(t *testing.T) {
 // ReductionFrac's doc relies on: Unsat and Unique outcomes carry
 // Eliminated == 0.
 func TestSolveNeverSetsEliminatedOutsideMultiple(t *testing.T) {
-	// Unique: single positive unit clause.
-	uniq := &Instance{Key: Key{URL: "u"}, CNF: &sat.CNF{}, Vars: []topology.ASN{42}}
-	uniq.CNF.AddClause(sat.Lit(1))
+	// Unique: one censored path of one AS.
+	uniq := instanceOf(1, []bool{false, false}, [][]int{{1}})
 	if o := Solve(uniq); o.Class != sat.Unique || o.Eliminated != 0 {
 		t.Fatalf("unique outcome: %+v", o)
 	}
-	// Unsat: x and not-x.
-	uns := &Instance{Key: Key{URL: "u"}, CNF: &sat.CNF{}, Vars: []topology.ASN{42}}
-	uns.CNF.AddClause(sat.Lit(1))
-	uns.CNF.AddClause(sat.Lit(-1))
+	// Unsat: the same AS censored and on a clean path.
+	uns := instanceOf(1, []bool{false, true}, [][]int{{1}})
 	if o := Solve(uns); o.Class != sat.Unsat || o.Eliminated != 0 {
 		t.Fatalf("unsat outcome: %+v", o)
 	}

@@ -2,6 +2,7 @@ package tomo
 
 import (
 	"fmt"
+	"reflect"
 	"sort"
 	"testing"
 	"time"
@@ -19,6 +20,8 @@ import (
 // is filed under each of its (URL, slice, kind) keys, with its path keyed
 // by big-endian bytes; a key with a censored path becomes a CNF, its
 // clause order is the sorted path keys, and the CNFs are sorted by keyLess.
+// It writes each CNF's clauses as it goes, and sets the fields Solve reads
+// beside them.
 func referenceBuild(records []iclab.Record, cfg BuildConfig) []*Instance {
 	cfg.fillDefaults()
 	type group struct {
@@ -84,24 +87,24 @@ func referenceBuild(records []iclab.Record, cfg BuildConfig) []*Instance {
 			}
 			return sat.Lit(int32(v))
 		}
-		in.NegativePaths = make([][]topology.ASN, 0, len(grp.neg))
 		for _, k := range sorted(grp.neg) {
-			path := grp.neg[k]
-			in.NegativePaths = append(in.NegativePaths, path)
-			for _, as := range path {
+			for _, as := range grp.neg[k] {
 				if !negated[as] {
 					negated[as] = true
 					in.CNF.AddClause(intern(as).Neg())
 				}
 			}
 		}
+		in.negated = len(in.Vars)
 		in.PositivePaths = make([][]topology.ASN, 0, len(grp.pos))
 		for _, k := range sorted(grp.pos) {
 			path := grp.pos[k]
 			in.PositivePaths = append(in.PositivePaths, path)
 			var lits []sat.Lit
 			for _, as := range path {
-				lits = append(lits, intern(as))
+				l := intern(as)
+				lits = append(lits, l)
+				in.censored = append(in.censored, int32(l))
 			}
 			in.CNF.AddClause(lits...)
 		}
@@ -145,10 +148,29 @@ func TestBuildMatchesReferenceOnSyntheticRecords(t *testing.T) {
 		for _, workers := range []int{1, 3} {
 			cfg.Workers = workers
 			label := fmt.Sprintf("config %d workers %d", c, workers)
-			sameInstances(t, label+" Build", want, Build(records, cfg))
+			built := Build(records, cfg)
+			sameInstances(t, label+" Build", want, built)
+			sameClauses(t, label+" Build", want, built)
 			insts, outs := BuildAndSolve(records, cfg)
 			sameInstances(t, label+" BuildAndSolve", want, insts)
 			sameOutcomes(t, label+" BuildAndSolve", SolveAll(want), outs)
+			for i, in := range insts {
+				if in.CNF != nil {
+					t.Fatalf("%s: BuildAndSolve instance %d (%+v) carries a CNF", label, i, in.Key)
+				}
+			}
+		}
+	}
+}
+
+// sameClauses holds each of got's CNFs to want's, clause for clause. The
+// lists must already agree in length (sameInstances).
+func sameClauses(t *testing.T, label string, want, got []*Instance) {
+	t.Helper()
+	for i := range want {
+		x, y := want[i].CNF, got[i].CNF
+		if y == nil || x.NumVars != y.NumVars || !reflect.DeepEqual(x.Clauses, y.Clauses) {
+			t.Fatalf("%s: CNF %d (%+v) differs:\n got %+v\nwant %+v", label, i, want[i].Key, y, x)
 		}
 	}
 }
@@ -241,8 +263,8 @@ func fuzzRecords(data []byte) []iclab.Record {
 
 // FuzzBuildMatchesReference holds Build and BuildAndSolve, at one and three
 // workers, to referenceBuild on fuzzed records: the same instances, field
-// for field and in order, and BuildAndSolve's outcomes equal to solving
-// the reference instances. The first byte picks the config (fuzzConfig),
+// for field and in order, Build's CNFs clause for clause, and
+// BuildAndSolve's outcomes equal to solving the reference instances. The first byte picks the config (fuzzConfig),
 // the rest are records (fuzzRecords). The checked-in corpus under
 // testdata/fuzz/FuzzBuildMatchesReference covers prefix paths ([1 2] and
 // [1 2 3]), ASes that differ only in a high byte, an empty conclusive path
@@ -258,7 +280,9 @@ func FuzzBuildMatchesReference(f *testing.F) {
 		for _, workers := range []int{1, 3} {
 			cfg.Workers = workers
 			label := fmt.Sprintf("workers %d", workers)
-			sameInstances(t, label+" Build", want, Build(records, cfg))
+			built := Build(records, cfg)
+			sameInstances(t, label+" Build", want, built)
+			sameClauses(t, label+" Build", want, built)
 			insts, outs := BuildAndSolve(records, cfg)
 			sameInstances(t, label+" BuildAndSolve", want, insts)
 			sameOutcomes(t, label+" BuildAndSolve", SolveAll(want), outs)

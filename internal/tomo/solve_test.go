@@ -9,11 +9,11 @@ import (
 )
 
 // searchOutcome is Solve's oracle: the Outcome that SAT search reaches on
-// a copy of in's CNF (search permutes literals inside clauses), via
-// sat.Classify and, for 2+ models, one sat.PotentialTrue query per variable.
+// CNFOf(in), via sat.Classify and, for 2+ models, one sat.PotentialTrue
+// query per variable.
 func searchOutcome(in *Instance) Outcome {
 	out := Outcome{Inst: in, TotalVars: len(in.Vars)}
-	cnf := copyCNF(in.CNF)
+	cnf := CNFOf(in)
 	cls, model := sat.Classify(cnf)
 	out.Class = cls
 	switch cls {
@@ -36,68 +36,90 @@ func searchOutcome(in *Instance) Outcome {
 	return out
 }
 
-func copyCNF(c *sat.CNF) *sat.CNF {
-	cp := &sat.CNF{NumVars: c.NumVars}
-	for _, cl := range c.Clauses {
-		cp.AddClause(cl...)
+// instanceOf builds an instance over variables 1..nv, variable v standing
+// for AS 64500+v, with the variables negated[v] marks on clean paths and
+// the censored paths given as variable lists. The negated variables are
+// renumbered first, in order, as materialize numbers them; the rest
+// follow in order.
+func instanceOf(nv int, negated []bool, paths [][]int) *Instance {
+	in := &Instance{}
+	renumbered := make([]int32, nv+1)
+	for _, neg := range []bool{true, false} {
+		for v := 1; v <= nv; v++ {
+			if negated[v] == neg {
+				in.Vars = append(in.Vars, topology.ASN(64500+v))
+				renumbered[v] = int32(len(in.Vars))
+			}
+		}
+		if neg {
+			in.negated = len(in.Vars)
+		}
 	}
-	return cp
+	for _, p := range paths {
+		path := []topology.ASN{}
+		for _, v := range p {
+			path = append(path, topology.ASN(64500+v))
+			in.censored = append(in.censored, renumbered[v])
+		}
+		in.PositivePaths = append(in.PositivePaths, path)
+	}
+	return in
 }
 
-// FuzzSolve decodes a random CNF of the paper's shape and checks Solve's
-// closed form against SAT search: sat.Classify, sat.PotentialTrue and
-// sat.CountModels(c, 2), and CountModels against sat.CountModels at caps
-// 1 to 6. The first byte sets the variable count (0–7);
-// then each clause is one header byte, either a negative unit clause (high
-// bit set) or a censored path of 0–4 ASes, one byte each. So paths may
-// repeat an AS or be empty, and a variable may appear in no clause at all.
-// The checked-in corpus under testdata/fuzz/FuzzSolve seeds each class and
-// each of those shapes.
+// FuzzSolve decodes a random instance of the paper's shape and checks
+// Solve's closed form against SAT search on its CNF (CNFOf): sat.Classify,
+// sat.PotentialTrue and sat.CountModels(c, 2), and CountModels against
+// sat.CountModels at caps 1 to 6. The first byte sets the variable count
+// (0–7); then each of up to 12 header bytes either negates a variable
+// (high bit set), as a clean path would, or starts a censored path of 0–4
+// ASes, one byte each. So paths may repeat an AS or be empty, and a
+// variable may be on no path at all. instanceOf numbers the negated
+// variables first. The checked-in corpus under testdata/fuzz/FuzzSolve
+// seeds each class and each of those shapes.
 func FuzzSolve(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
 			return
 		}
 		nv := int(data[0] % 8)
-		in := &Instance{CNF: &sat.CNF{NumVars: nv}}
-		for v := 1; v <= nv; v++ {
-			in.Vars = append(in.Vars, topology.ASN(64500+v))
-		}
-		lit := func(b byte) sat.Lit { return sat.Lit(int32(1 + int(b)%nv)) }
-		for i := 1; i < len(data) && len(in.CNF.Clauses) < 12; {
+		negated := make([]bool, nv+1)
+		var paths [][]int
+		for i, headers := 1, 0; i < len(data) && headers < 12; headers++ {
 			h := data[i]
 			i++
 			if h&0x80 != 0 && nv > 0 {
-				in.CNF.AddClause(lit(h).Neg())
+				negated[1+int(h)%nv] = true
 				continue
 			}
-			var path []sat.Lit
+			path := []int{}
 			for n := int(h % 5); n > 0 && nv > 0 && i < len(data); n-- {
-				path = append(path, lit(data[i]))
+				path = append(path, 1+int(data[i])%nv)
 				i++
 			}
-			in.CNF.AddClause(path...)
+			paths = append(paths, path)
 		}
+		in := instanceOf(nv, negated, paths)
+		clauses := CNFOf(in).Clauses
 
 		got := Solve(in)
 		if want := searchOutcome(in); !reflect.DeepEqual(got, want) {
-			t.Fatalf("Solve = %+v, search = %+v\nclauses %v", got, want, in.CNF.Clauses)
+			t.Fatalf("Solve = %+v, search = %+v\nclauses %v", got, want, clauses)
 		}
 		byCount := []sat.Classification{sat.Unsat, sat.Unique, sat.Multiple}
-		if n := sat.CountModels(copyCNF(in.CNF), 2); byCount[n] != got.Class {
+		if n := sat.CountModels(CNFOf(in), 2); byCount[n] != got.Class {
 			t.Fatalf("Solve class %v, but CountModels finds %d model(s)\nclauses %v",
-				got.Class, n, in.CNF.Clauses)
+				got.Class, n, clauses)
 		}
 		for c := 1; c <= 6; c++ {
-			if n, want := CountModels(in, c), sat.CountModels(copyCNF(in.CNF), c); n != want {
-				t.Fatalf("CountModels(cap %d) = %d, search counts %d\nclauses %v", c, n, want, in.CNF.Clauses)
+			if n, want := CountModels(in, c), sat.CountModels(CNFOf(in), c); n != want {
+				t.Fatalf("CountModels(cap %d) = %d, search counts %d\nclauses %v", c, n, want, clauses)
 			}
 		}
 	})
 }
 
 func TestCountModelsCapPanics(t *testing.T) {
-	in := &Instance{CNF: &sat.CNF{}}
+	in := &Instance{}
 	for _, c := range []int{0, -1, 65} {
 		func() {
 			defer func() {

@@ -20,20 +20,55 @@ type Key struct {
 	Kind  anomaly.Kind
 }
 
-// Instance is one constructed CNF with its AS-to-variable interning and the
-// provenance the leakage analysis needs.
+// Instance is one CNF with its AS-to-variable interning and the provenance
+// the leakage analysis needs. It holds the CNF as two facts, all that
+// Solve and CountModels read: which variables lie on the kind's clean
+// paths (1..negated), and each censored path's variables. CNFOf writes
+// the clauses out.
 type Instance struct {
 	Key Key
+	// CNF is CNFOf(in). Only Build sets it, for the callers that count or
+	// search the clauses; BuildAndSolve and Incremental leave it nil.
 	CNF *sat.CNF
-	// Vars maps variable v (1-based) to Vars[v-1].
+	// Vars maps variable v (1-based) to Vars[v-1]. Vars[:negated] are the
+	// ASes on the kind's clean paths, in the order those paths first name
+	// them; the censored paths' other ASes follow.
 	Vars []topology.ASN
 
 	// PositivePaths are the distinct AS paths of censored observations.
 	PositivePaths [][]topology.ASN
-	// NegativePaths are the distinct AS paths of clean observations.
-	NegativePaths [][]topology.ASN
 	// Measurements counts records folded into this CNF.
 	Measurements int
+
+	// negated counts the variables on clean paths.
+	negated int
+	// censored lists the variables of every PositivePaths entry back to
+	// back, one per hop: path i's are the len(PositivePaths[i]) entries
+	// after those of the paths before it.
+	censored []int32
+}
+
+// CNFOf writes an instance out as the CNF the paper hands to a SAT solver
+// (§3.2): a negative unit clause for each variable on a clean path, in
+// variable order, then one all-positive clause per censored path, in
+// PositivePaths order and with the path's repeated ASes kept. Build sets
+// every instance's CNF from it.
+func CNFOf(in *Instance) *sat.CNF {
+	c := &sat.CNF{NumVars: len(in.Vars), Clauses: make([]sat.Clause, 0, in.negated+len(in.PositivePaths))}
+	for v := 1; v <= in.negated; v++ {
+		c.AddClause(sat.Lit(v).Neg())
+	}
+	var lits []sat.Lit
+	off := 0
+	for _, p := range in.PositivePaths {
+		lits = lits[:0]
+		for _, v := range in.censored[off : off+len(p)] {
+			lits = append(lits, sat.Lit(v))
+		}
+		off += len(p)
+		c.AddClause(lits...)
+	}
+	return c
 }
 
 // BuildConfig controls CNF construction.
@@ -120,13 +155,17 @@ func (b *batch) build(i int, emit func(j int, in *Instance)) {
 // Build constructs CNF instances from measurement records. Records are
 // folded into (URL, slice) cells and the cells' CNFs materialized across
 // cfg.Workers; the result is sorted deterministically and identical at any
-// worker count.
+// worker count. Build alone writes each instance's clauses out (CNFOf):
+// callers that only classify should use BuildAndSolve, which does not.
 func Build(records []iclab.Record, cfg BuildConfig) []*Instance {
 	cfg.fillDefaults()
 	b := newBatch(records, &cfg)
 	out := make([]*Instance, b.first[len(b.cells)])
 	parallel.ForEach(cfg.Workers, len(b.cells), func(i int) {
-		b.build(i, func(j int, in *Instance) { out[j] = in })
+		b.build(i, func(j int, in *Instance) {
+			in.CNF = CNFOf(in)
+			out[j] = in
+		})
 	})
 	return out
 }
@@ -221,10 +260,10 @@ func (o Outcome) ReductionFrac() float64 {
 
 // Solve classifies one instance (§3.2's 0/1/2+ trichotomy) and extracts
 // its censors or potential censors. It decides in linear time what the
-// paper hands to a SAT solver, because materialize emits only two kinds of
-// clause: a negative unit clause for each AS on a clean path, and an
-// all-positive clause for each censored path. Let N be the variables with
-// a negative unit clause and R the rest.
+// paper hands to a SAT solver, because the CNF holds only two kinds of
+// clause (CNFOf): a negative unit clause for each AS on a clean path, and
+// an all-positive clause for each censored path. Let N be the negated
+// variables, 1..negated, and R the rest.
 //
 //   - Every model sets N false. So the CNF has 0 models iff some censored
 //     path has all of its distinct ASes in N (an empty path included).
@@ -236,74 +275,58 @@ func (o Outcome) ReductionFrac() float64 {
 //   - Otherwise there are 2+ models and every r in R is true in the
 //     all-of-R one, so Potential = R and Eliminated = |N|.
 //
-// R is listed in variable order, and Censors and Potential stay nil when
-// empty: every Outcome is field for field the one that sat.Classify and
-// sat.PotentialTrue yield on the same CNF, which the tests check. Solve
-// panics on a negative literal outside a unit clause, a shape no path
-// produces.
+// R is listed in variable order and shares Vars' backing array, and
+// Censors and Potential stay nil when empty: every Outcome is field for
+// field the one that sat.Classify and sat.PotentialTrue yield on
+// CNFOf(in), which the tests check.
 func Solve(in *Instance) Outcome {
 	out := Outcome{Inst: in, TotalVars: len(in.Vars)}
-	negated, sole, ok := split(in.CNF)
+	sole, ok := split(in)
 	if !ok {
 		out.Class = sat.Unsat
 		return out
 	}
-	nv := in.CNF.NumVars
 	var free []topology.ASN
-	unique := true
-	for v := 1; v <= nv; v++ {
-		if !negated[v] {
-			free = append(free, in.Vars[v-1])
-			unique = unique && sole[v]
-		}
+	if r := in.Vars[in.negated:]; len(r) > 0 {
+		free = r[:len(r):len(r)]
 	}
-	if unique {
+	if !slices.Contains(sole[in.negated+1:], false) {
 		out.Class, out.Censors = sat.Unique, free
 	} else {
-		out.Class, out.Potential, out.Eliminated = sat.Multiple, free, nv-len(free)
+		out.Class, out.Potential, out.Eliminated = sat.Multiple, free, in.negated
 	}
 	return out
 }
 
-// split reads the N/R split of Solve's doc off a CNF of materialize's
-// shape, indexed by variable (index 0 unused): negated[v] marks N, and
-// sole[v] an R variable that is the only R member (counting distinct
-// ASes) of some censored path. ok is false when some censored path has
-// no R member at all, so the CNF has no model; sole is then incomplete.
-// It panics on a negative literal outside a unit clause.
-func split(c *sat.CNF) (negated, sole []bool, ok bool) {
-	negated = make([]bool, c.NumVars+1)
-	for _, cl := range c.Clauses {
-		if len(cl) == 1 && cl[0] < 0 {
-			negated[cl[0].Var()] = true
-		}
-	}
-	sole = make([]bool, c.NumVars+1)
-	for _, cl := range c.Clauses {
-		if len(cl) == 1 && cl[0] < 0 {
-			continue
-		}
-		only := 0 // the path's one variable outside N; -1 once it has two
-		for _, l := range cl {
-			v := l.Var()
+// split reads the N/R split of Solve's doc off an instance in one pass
+// over its censored paths: sole[v] (indexed by variable, index 0 unused)
+// marks an R variable that is the only R member, counting distinct ASes,
+// of some censored path. ok is false when some censored path has no R
+// member at all, so the CNF has no model; sole is then incomplete.
+func split(in *Instance) (sole []bool, ok bool) {
+	n := int32(in.negated)
+	sole = make([]bool, len(in.Vars)+1)
+	off := 0
+	for _, p := range in.PositivePaths {
+		only := int32(0) // the path's one variable outside N; -1 once it has two
+		for _, v := range in.censored[off : off+len(p)] {
 			switch {
-			case l < 0:
-				panic("tomo: negative literal in a censored-path clause")
-			case negated[v] || v == only || only < 0:
+			case v <= n || v == only || only < 0:
 			case only == 0:
 				only = v
 			default:
 				only = -1
 			}
 		}
+		off += len(p)
 		switch {
 		case only == 0:
-			return negated, sole, false
+			return sole, false
 		case only > 0:
 			sole[only] = true
 		}
 	}
-	return negated, sole, true
+	return sole, true
 }
 
 // CountModels counts the instance's models up to cap: the return is the
@@ -323,24 +346,23 @@ func split(c *sat.CNF) (negated, sole []bool, ok bool) {
 //     assignments of the free variables against the censored paths that
 //     hold no forced variable.
 //
-// Every count equals sat.CountModels(in.CNF, cap), which the tests check.
-// CountModels panics unless 1 ≤ cap ≤ 64 (2^(cap−2) bounds its work, so a
-// cap much above Figure 4's 5 is costly anyway), and on the shapes Solve
-// panics on.
+// Every count equals sat.CountModels(CNFOf(in), cap), which the tests
+// check. CountModels panics unless 1 ≤ cap ≤ 64 (2^(cap−2) bounds its
+// work, so a cap much above Figure 4's 5 is costly anyway).
 func CountModels(in *Instance, cap int) int {
 	if cap <= 0 || cap > 64 {
 		panic("tomo: CountModels cap must be in 1..64")
 	}
-	negated, sole, ok := split(in.CNF)
+	sole, ok := split(in)
 	if !ok {
 		return 0
 	}
 	// bit[v] is free variable v's bit in an assignment mask; forced and
 	// negated variables keep 0. Counting stops once 1+d reaches cap.
-	bit := make([]uint64, len(negated))
+	bit := make([]uint64, len(sole))
 	d := 0
-	for v := 1; v < len(negated) && 1+d < cap; v++ {
-		if !negated[v] && !sole[v] {
+	for v := in.negated + 1; v < len(sole) && 1+d < cap; v++ {
+		if !sole[v] {
 			bit[v] = 1 << d
 			d++
 		}
@@ -352,16 +374,15 @@ func CountModels(in *Instance, cap int) int {
 	// its free variables; an assignment (the mask of free variables set
 	// true) is a model's iff it meets every one.
 	var need []uint64
-	for _, cl := range in.CNF.Clauses {
-		if len(cl) == 1 && cl[0] < 0 {
-			continue
-		}
+	off := 0
+	for _, p := range in.PositivePaths {
 		var m uint64
 		forced := false
-		for _, l := range cl {
-			m |= bit[l.Var()]
-			forced = forced || sole[l.Var()]
+		for _, v := range in.censored[off : off+len(p)] {
+			m |= bit[v]
+			forced = forced || sole[v]
 		}
+		off += len(p)
 		if !forced {
 			need = append(need, m)
 		}

@@ -3,6 +3,7 @@ package tomo
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -78,8 +79,12 @@ func TestBuildClauseSemantics(t *testing.T) {
 		t.Fatalf("got %d instances", len(insts))
 	}
 	in := insts[0]
-	if len(in.PositivePaths) != 1 || len(in.NegativePaths) != 1 {
-		t.Fatalf("paths: %d pos, %d neg", len(in.PositivePaths), len(in.NegativePaths))
+	// The clean path {10,25,30} negates variables 1..3; the censored one
+	// adds 20 as variable 4.
+	if !reflect.DeepEqual(in.Vars, []topology.ASN{10, 25, 30, 20}) || in.negated != 3 ||
+		len(in.PositivePaths) != 1 || !slices.Equal(in.censored, []int32{1, 4, 3}) {
+		t.Fatalf("vars %v, %d negated, %d censored paths with variables %v",
+			in.Vars, in.negated, len(in.PositivePaths), in.censored)
 	}
 	// Negative path {10,25,30} => 3 unit clauses; positive => 1 clause.
 	if got := len(in.CNF.Clauses); got != 4 {
@@ -300,6 +305,8 @@ func TestBuildDependsOnlyOnOwnURL(t *testing.T) {
 	sameInstances(t, "URL halves", whole, halves)
 }
 
+// sameInstances checks that two instance lists agree, in order, on every
+// field but CNF, which only Build sets (sameClauses compares it).
 func sameInstances(t *testing.T, label string, a, b []*Instance) {
 	t.Helper()
 	if len(a) != len(b) {
@@ -307,11 +314,10 @@ func sameInstances(t *testing.T, label string, a, b []*Instance) {
 	}
 	for i := range a {
 		x, y := a[i], b[i]
-		if x.Key != y.Key || x.Measurements != y.Measurements ||
+		if x.Key != y.Key || x.Measurements != y.Measurements || x.negated != y.negated ||
 			!reflect.DeepEqual(x.Vars, y.Vars) ||
-			!reflect.DeepEqual(x.CNF.Clauses, y.CNF.Clauses) ||
 			!reflect.DeepEqual(x.PositivePaths, y.PositivePaths) ||
-			!reflect.DeepEqual(x.NegativePaths, y.NegativePaths) {
+			!slices.Equal(x.censored, y.censored) {
 			t.Fatalf("%s: instance %d (%+v) differs", label, i, x.Key)
 		}
 	}

@@ -135,19 +135,16 @@ func TestScenarioPresetsSmoke(t *testing.T) {
 }
 
 // checkOutcomesAgainstSearch checks every outcome of a run, field for
-// field, against SAT search on a copy of its CNF (search permutes literals
-// inside clauses): sat.Classify gives the class and the unique model,
-// sat.PotentialTrue the potential censors. It also checks Figure 4's
+// field, against SAT search on its instance's CNF, which the run does not
+// write out, as tomo.CNFOf derives it: sat.Classify gives the class and
+// the unique model, sat.PotentialTrue the potential censors. It also checks Figure 4's
 // tomo.CountModels(in, 5) against sat.CountModels. It returns the outcome
 // count by class.
 func checkOutcomesAgainstSearch(t *testing.T, outcomes []tomo.Outcome) (byClass [3]int) {
 	t.Helper()
 	for _, got := range outcomes {
 		in := got.Inst
-		cnf := &sat.CNF{NumVars: in.CNF.NumVars}
-		for _, cl := range in.CNF.Clauses {
-			cnf.AddClause(cl...)
-		}
+		cnf := tomo.CNFOf(in)
 		want := tomo.Outcome{Inst: in, TotalVars: len(in.Vars)}
 		var model sat.Model
 		want.Class, model = sat.Classify(cnf)
