@@ -105,12 +105,15 @@ bench-json:
 # batch localization as Run does it (BenchmarkEngine_BuildSolveSerial,
 # which classifies without writing clauses out, unlike tomo.Build's
 # BenchmarkKernel_CNFBuild), the sliding-window replay through the
-# incremental engine (BenchmarkStream_WindowedIncremental) and the dataset
-# codec. profiles/before.* are an older starting point, taken over
-# BenchmarkKernel_CNFBuild in place of the two localization benchmarks.
+# incremental engine (BenchmarkStream_WindowedIncremental), the dataset
+# codec, and a whole batch replay of an exported file the way a replay
+# runs it, decode, fold, churn summary and Table 1 included
+# (BenchmarkReplay_Batch). profiles/before.* are an older starting point,
+# taken over BenchmarkKernel_CNFBuild in place of the two localization
+# benchmarks and with no replay.
 profile:
 	mkdir -p profiles
-	$(GO) test -run '^$$' -bench 'BenchmarkEngine_MeasureSerial|BenchmarkEngine_BuildSolveSerial|BenchmarkStream_WindowedIncremental|BenchmarkDatasetEncodeDecode' \
+	$(GO) test -run '^$$' -bench 'BenchmarkEngine_MeasureSerial|BenchmarkEngine_BuildSolveSerial|BenchmarkStream_WindowedIncremental|BenchmarkDatasetEncodeDecode|BenchmarkReplay_Batch' \
 		-benchtime 3x -cpuprofile profiles/after.cpu.pb.gz -memprofile profiles/after.mem.pb.gz .
 	$(GO) tool pprof -top -nodecount 25 churntomo.test profiles/after.cpu.pb.gz >profiles/after.cpu.top.txt
 	$(GO) tool pprof -top -nodecount 25 -sample_index=alloc_objects churntomo.test profiles/after.mem.pb.gz >profiles/after.mem.top.txt

@@ -15,6 +15,7 @@ import (
 	"context"
 	"fmt"
 	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 
@@ -86,6 +87,35 @@ func BenchmarkDatasetEncodeDecode(b *testing.B) {
 			b.Fatal(err)
 		}
 		if _, err := dataset.Decode(bytes.NewReader(buf.Bytes())); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkReplay_Batch replays the shared run's world from a dataset
+// file the way a batch replay runs it, New(WithInput(file),
+// WithWorkers(2)).Run per iteration: decode, the fold, the CNF build and
+// solve, and the churn summary and Table 1 beside them. The file is
+// exported once, outside the timer.
+func BenchmarkReplay_Batch(b *testing.B) {
+	p := benchRun(b)
+	f, err := fileOf(p)
+	if err != nil {
+		b.Fatal(err)
+	}
+	path := filepath.Join(b.TempDir(), "replay.jsonl.gz")
+	if err := dataset.WriteFile(path, f); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportMetric(float64(len(p.records)), "records")
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		exp, err := New(WithInput(path), WithWorkers(2))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := exp.Run(context.Background()); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -261,6 +261,7 @@ func TestSummaryOfSplitsCNFs(t *testing.T) {
 		rec(4, "c.com", t0, []ASN{13, 23}, AnomalySEQ),
 		rec(4, "c.com", t0.Add(time.Hour), []ASN{13, 23}),
 	}
+	iclab.NumberPaths(records)
 	_, outcomes := tomo.BuildAndSolve(records, tomo.BuildConfig{Granularities: []timeslice.Granularity{timeslice.Day}})
 	s := summaryOf(&cell{}, outcomes)
 	if s.CNFs != 3 || s.UnsatCNFs != 1 || s.UniqueCNFs != 1 || s.MultipleCNFs != 1 {

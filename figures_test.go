@@ -24,6 +24,7 @@ func TestFigure4Collapses(t *testing.T) {
 		rec(1, figureT0.Add(time.Hour), []ASN{10, 25, 30}, 0),
 		rec(2, figureT0.Add(time.Hour), []ASN{11, 30}, 0),
 	}
+	iclab.NumberPaths(records)
 	rows := ablationOf(&cell{cfg: Config{Workers: 1}, records: records})
 	if len(rows) == 0 {
 		t.Fatal("no Figure 4 rows")

@@ -9,23 +9,62 @@ import (
 	"churntomo/internal/traceroute"
 )
 
-// pairKey identifies a (vantage, URL) pair.
-type pairKey struct {
+// pairTable numbers (vantage, URL) pairs in first-seen order. Records
+// come grouped by URL, so a URL is interned only where it differs from
+// the record before. Each URL lists its vantages with their pair IDs, and
+// the fleet measures a URL's vantages in the same order every day, so a
+// lookup scans that list from the last one found.
+type pairTable struct {
+	urls  map[string]int32
+	byURL [][]vantagePair // by URL ID: its vantages, in first-seen order
+	url   string          // the URL of the last lookup
+	cur   int32           // its ID, -1 before the first lookup
+	hint  int             // where in its list the last lookup's vantage sits
+	n     int32           // pairs numbered
+}
+
+// vantagePair is one vantage of a URL and the ID of their pair.
+type vantagePair struct {
 	vantage topology.ASN
-	url     string
+	pair    int32
 }
 
-// pathID folds an AS path to a comparable key.
-func pathID(p []topology.ASN) string {
-	return string(appendPath(make([]byte, 0, len(p)*4), p))
-}
+func newPairTable() pairTable { return pairTable{urls: map[string]int32{}, cur: -1} }
 
-// appendPath appends pathID's bytes for p to b.
-func appendPath(b []byte, p []topology.ASN) []byte {
-	for _, a := range p {
-		b = append(b, byte(a>>24), byte(a>>16), byte(a>>8), byte(a))
+// id returns the ID of r's (vantage, URL) pair.
+func (t *pairTable) id(r *iclab.Record) int32 {
+	if t.cur < 0 || r.URL != t.url {
+		u, ok := t.urls[r.URL]
+		if !ok {
+			u = int32(len(t.byURL))
+			t.urls[r.URL] = u
+			t.byURL = append(t.byURL, nil)
+		}
+		t.url, t.cur, t.hint = r.URL, u, 0
 	}
-	return b
+	vs := t.byURL[t.cur]
+	for k := range vs {
+		j := t.hint + k
+		if j >= len(vs) {
+			j -= len(vs)
+		}
+		if vs[j].vantage == r.Vantage {
+			t.hint = j
+			return vs[j].pair
+		}
+	}
+	t.hint = len(vs)
+	t.byURL[t.cur] = append(vs, vantagePair{vantage: r.Vantage, pair: t.n})
+	t.n++
+	return t.n - 1
+}
+
+// pathOf returns a conclusive record's path ID; one without panics.
+func pathOf(r *iclab.Record) int32 {
+	if r.PathID <= 0 {
+		panic("churn: conclusive record without a path ID: number the record table with iclab.NumberPaths")
+	}
+	return r.PathID
 }
 
 // MaxBucket is the top histogram bucket ("5+" in Figure 3).
@@ -64,12 +103,14 @@ func (d Distribution) ChangedFrac() float64 {
 // graph does not know stay out of the split. Without a graph, byClass is
 // nil.
 //
-// Both come from one pass over the records, read in place: each (vantage,
-// URL) pair and each distinct AS path is interned once, and each cell — a
-// pair's period at one granularity, or its month within one class — keeps
-// a measurement count and at most MaxBucket distinct path IDs, which is
-// all its bucket needs. The result does not depend on record order, but
-// day-ordered records are the fast case: see measurer.cell.
+// Both come from one pass over the records, read in place: each record
+// names its (vantage, URL) pair through a pair table and its path by its
+// path ID (iclab.NumberPaths; the records must come from one numbered
+// table, and a conclusive record without an ID panics), and each cell — a
+// pair's period at one granularity, or its month within one class —
+// keeps a measurement count and at most MaxBucket distinct path IDs,
+// which is all its bucket needs. The result does not depend on record
+// order, but day-ordered records are the fast case: see measurer.cell.
 func Measure(records []iclab.Record, g *topology.Graph) (periods []Distribution, byClass map[topology.Class]Distribution) {
 	m := newMeasurer(g)
 	for i := range records {
@@ -94,17 +135,22 @@ type cell struct {
 	paths    [MaxBucket]int32
 }
 
-// measurer is Measure's state: the interned pairs and paths, the cells,
-// the distributions they fold into, and the lookups that find a cell.
+// measurer is Measure's state: the pair table, the cells, the
+// distributions they fold into, and the lookups that find a cell.
 type measurer struct {
-	g      *topology.Graph
-	pairs  map[pairKey]int32
-	paths  map[string]int32
-	buf    []byte
-	cells  []cell
+	g     *topology.Graph
+	pairs pairTable
+	// cells holds the cells by ID in blocks of cellBlock, so they grow
+	// without being copied; n counts them.
+	cells  [][]cell
+	n      int32
 	splits []Distribution
-	// classSplit maps a destination class to its split.
+	// classSplit maps a destination class to its split; once cached,
+	// target and split are the last destination looked up and its split.
 	classSplit map[topology.Class]int32
+	cached     bool
+	target     topology.ASN
+	split      int32
 
 	// cur[split][pair] is 1 + the ID of the pair's latest cell in the
 	// split, 0 before its first. It finds every cell while each (pair,
@@ -113,13 +159,21 @@ type measurer struct {
 	// finds them after that, and cur is dropped.
 	cur    [][]int32
 	cellOf map[cellKey]int32
+
+	// slices holds, by granularity, the slice of day, the day of the last
+	// record added once dayKnown.
+	slices   [timeslice.Year + 1]int32
+	day      int32
+	dayKnown bool
 }
+
+// cellBlock is the number of cells one block of measurer.cells holds.
+const cellBlock = 1024
 
 func newMeasurer(g *topology.Graph) *measurer {
 	m := &measurer{
 		g:      g,
-		pairs:  map[pairKey]int32{},
-		paths:  map[string]int32{},
+		pairs:  newPairTable(),
 		splits: make([]Distribution, len(timeslice.All)),
 	}
 	for i, gran := range timeslice.All {
@@ -137,60 +191,50 @@ func (m *measurer) add(r *iclab.Record) {
 	if r.Fail != traceroute.OK {
 		return
 	}
-	pair, path := m.pair(r), m.path(r.ASPath)
-	var month int32
-	for s, gran := range timeslice.All {
-		slice := timeslice.KeyFor(gran, r.At).Index
-		if gran == timeslice.Month {
-			month = slice
+	pair, path := m.pairs.id(r), pathOf(r)
+	// Every granularity's slice is a union of whole UTC days, so the day
+	// fixes all of a record's slices; day-ordered records reuse them.
+	if day := timeslice.KeyFor(timeslice.Day, r.At).Index; !m.dayKnown || day != m.day {
+		for s, gran := range timeslice.All {
+			m.slices[s] = timeslice.KeyFor(gran, r.At).Index
 		}
+		m.day, m.dayKnown = day, true
+	}
+	for s, slice := range m.slices {
 		m.cell(pair, int32(s), slice).see(path)
 	}
 	if class >= 0 {
-		m.cell(pair, class, month).see(path)
+		m.cell(pair, class, m.slices[timeslice.Month]).see(path)
 	}
 }
 
 // class returns the split of the destination AS's class, or -1 without a
 // graph or when the graph does not know the AS. A class gets its split
-// the first time a record targets it.
+// the first time a record targets it. Records come grouped by URL, so the
+// graph is probed only where the destination differs from the last one.
 func (m *measurer) class(target topology.ASN) int32 {
 	if m.g == nil {
 		return -1
 	}
-	as, ok := m.g.ByASN(target)
-	if !ok {
-		return -1
+	if m.cached && target == m.target {
+		return m.split
 	}
-	s, seen := m.classSplit[as.Class]
-	if !seen {
-		s = int32(len(m.splits))
-		m.classSplit[as.Class] = s
-		m.splits = append(m.splits, Distribution{Gran: timeslice.Month})
+	s := int32(-1)
+	if as, ok := m.g.ByASN(target); ok {
+		var seen bool
+		if s, seen = m.classSplit[as.Class]; !seen {
+			s = int32(len(m.splits))
+			m.classSplit[as.Class] = s
+			m.splits = append(m.splits, Distribution{Gran: timeslice.Month})
+		}
 	}
+	m.target, m.split, m.cached = target, s, true
 	return s
 }
 
-// pair returns the ID of r's (vantage, URL) pair.
-func (m *measurer) pair(r *iclab.Record) int32 {
-	k := pairKey{r.Vantage, r.URL}
-	id, ok := m.pairs[k]
-	if !ok {
-		id = int32(len(m.pairs))
-		m.pairs[k] = id
-	}
-	return id
-}
-
-// path returns the ID of an AS path; equal paths share one.
-func (m *measurer) path(p []topology.ASN) int32 {
-	m.buf = appendPath(m.buf[:0], p)
-	id, ok := m.paths[string(m.buf)]
-	if !ok {
-		id = int32(len(m.paths))
-		m.paths[string(m.buf)] = id
-	}
-	return id
+// at returns the cell of ID id.
+func (m *measurer) at(id int32) *cell {
+	return &m.cells[id/cellBlock][id%cellBlock]
 }
 
 // cell returns the cell of (pair, split, slice), creating it if new.
@@ -210,17 +254,17 @@ func (m *measurer) cell(pair, split, slice int32) *cell {
 			m.cur[split] = cur
 		}
 		id := cur[pair] - 1
-		if id < 0 || m.cells[id].slice < slice {
+		if id < 0 || m.at(id).slice < slice {
 			id = m.newCell(cellKey{pair: pair, split: split, slice: slice})
 			cur[pair] = id + 1
-			return &m.cells[id]
+			return m.at(id)
 		}
-		if m.cells[id].slice == slice {
-			return &m.cells[id]
+		if c := m.at(id); c.slice == slice {
+			return c
 		}
-		m.cellOf = make(map[cellKey]int32, len(m.cells))
-		for id := range m.cells {
-			m.cellOf[m.cells[id].cellKey] = int32(id)
+		m.cellOf = make(map[cellKey]int32, m.n)
+		for id := range m.n {
+			m.cellOf[m.at(id).cellKey] = id
 		}
 		m.cur = nil
 	}
@@ -230,13 +274,18 @@ func (m *measurer) cell(pair, split, slice int32) *cell {
 		id = m.newCell(k)
 		m.cellOf[k] = id
 	}
-	return &m.cells[id]
+	return m.at(id)
 }
 
-// newCell appends an empty cell and returns its ID.
+// newCell adds an empty cell and returns its ID.
 func (m *measurer) newCell(k cellKey) int32 {
-	m.cells = append(m.cells, cell{cellKey: k})
-	return int32(len(m.cells) - 1)
+	if m.n%cellBlock == 0 {
+		m.cells = append(m.cells, make([]cell, 0, cellBlock))
+	}
+	last := len(m.cells) - 1
+	m.cells[last] = append(m.cells[last], cell{cellKey: k})
+	m.n++
+	return m.n - 1
 }
 
 // see records one measurement over path.
@@ -257,14 +306,16 @@ func (c *cell) see(path int32) {
 // result folds the cells into the distributions.
 func (m *measurer) result() (periods []Distribution, byClass map[topology.Class]Distribution) {
 	splits := m.splits
-	for i := range m.cells {
-		c := &m.cells[i]
-		if c.n < 2 {
-			continue
+	for _, block := range m.cells {
+		for i := range block {
+			c := &block[i]
+			if c.n < 2 {
+				continue
+			}
+			d := &splits[c.split]
+			d.Buckets[c.distinct]++
+			d.Samples++
 		}
-		d := &splits[c.split]
-		d.Buckets[c.distinct]++
-		d.Samples++
 	}
 	for s := range splits {
 		d := &splits[s]
@@ -289,25 +340,34 @@ func (m *measurer) result() (periods []Distribution, byClass map[topology.Class]
 // ablation, which freezes out churn's contribution and shows the CNFs
 // collapse to many solutions. Records must be passed in measurement order
 // (Dataset.Records already is); inconclusive records pass through
-// unchanged so elimination statistics stay comparable.
+// unchanged so elimination statistics stay comparable. Paths compare by
+// path ID, so the records must come from one numbered table, and a
+// conclusive record without an ID panics. A first pass finds each pair's
+// first path and counts the records kept, and the second copies them into
+// a slice of that length.
 func FirstPathOnly(records []iclab.Record) []iclab.Record {
-	first := map[pairKey]string{}
-	var out []iclab.Record
+	pairs := newPairTable()
+	var first []int32 // by pair: the path ID of its first conclusive record
+	kept := 0
 	for i := range records {
-		r := records[i]
+		r := &records[i]
 		if r.Fail != traceroute.OK {
-			out = append(out, r)
+			kept++
 			continue
 		}
-		pk := pairKey{r.Vantage, r.URL}
-		id := pathID(r.ASPath)
-		want, seen := first[pk]
-		if !seen {
-			first[pk] = id
-			want = id
+		pair, path := pairs.id(r), pathOf(r)
+		if int(pair) == len(first) {
+			first = append(first, path)
 		}
-		if id == want {
-			out = append(out, r)
+		if first[pair] == path {
+			kept++
+		}
+	}
+	out := make([]iclab.Record, 0, kept)
+	for i := range records {
+		r := &records[i]
+		if r.Fail != traceroute.OK || first[pairs.id(r)] == r.PathID {
+			out = append(out, *r)
 		}
 	}
 	return out

@@ -1,8 +1,10 @@
 package churn
 
 import (
+	"fmt"
 	"math/rand/v2"
 	"reflect"
+	"runtime"
 	"slices"
 	"testing"
 	"time"
@@ -18,6 +20,17 @@ var t0 = time.Date(2016, 5, 10, 6, 0, 0, 0, time.UTC)
 func rec(v topology.ASN, url string, at time.Time, path []topology.ASN) iclab.Record {
 	return iclab.Record{Vantage: v, URL: url, At: at, ASPath: path, Fail: traceroute.OK}
 }
+
+// pairKey identifies a (vantage, URL) pair in the references.
+type pairKey struct {
+	vantage topology.ASN
+	url     string
+}
+
+// pathKey folds an AS path to a comparable value: the references key
+// paths by value, not by path ID, so a numbering fault shows as a
+// mismatch.
+func pathKey(p []topology.ASN) string { return fmt.Sprint(p) }
 
 // referenceMeasure recounts each granularity separately, with a set of
 // path strings per cell; it is the differential tests' reference for
@@ -50,7 +63,7 @@ func referenceMeasure(records []iclab.Record, grans []timeslice.Granularity) []D
 				c = &cell{paths: map[string]bool{}}
 				bySlice[slice] = c
 			}
-			c.paths[pathID(r.ASPath)] = true
+			c.paths[pathKey(r.ASPath)] = true
 			c.n++
 		}
 		d := Distribution{Gran: g}
@@ -113,6 +126,7 @@ func TestMeasureCountsDistinctPaths(t *testing.T) {
 		// Pair (3, a.com): single measurement — excluded.
 		rec(3, "a.com", t0, p1),
 	}
+	iclab.NumberPaths(records)
 	ds, _ := Measure(records, nil)
 	d := ds[timeslice.Day]
 	if d.Gran != timeslice.Day {
@@ -136,6 +150,7 @@ func TestMeasureCountsDistinctPaths(t *testing.T) {
 		many = append(many, rec(4, "b.com", t0.Add(time.Duration(i)*time.Hour), []topology.ASN{1, topology.ASN(10 + i), 3}))
 	}
 	many = append(many, rec(4, "b.com", t0.Add(7*time.Hour), p1))
+	iclab.NumberPaths(many)
 	ds, _ = Measure(many, nil)
 	d = ds[timeslice.Day]
 	if d.Samples != 2 || d.Buckets[1] != 0.5 || d.Buckets[MaxBucket] != 0.5 {
@@ -159,6 +174,7 @@ func TestMeasureGranularityAccumulates(t *testing.T) {
 		records = append(records, rec(1, "a.com", t0.AddDate(0, 0, day), p))
 		records = append(records, rec(1, "a.com", t0.AddDate(0, 0, day).Add(6*time.Hour), p))
 	}
+	iclab.NumberPaths(records)
 	ds, _ := Measure(records, nil)
 	day, month := ds[timeslice.Day], ds[timeslice.Month]
 	if day.ChangedFrac() != 0 {
@@ -194,6 +210,7 @@ func TestFirstPathOnly(t *testing.T) {
 	bad.Fail = traceroute.ErrNoMapping
 	records = append(records, bad) // inconclusive: passes through
 
+	iclab.NumberPaths(records)
 	out := FirstPathOnly(records)
 	if len(out) != 4 {
 		t.Fatalf("kept %d records, want 4", len(out))
@@ -203,12 +220,120 @@ func TestFirstPathOnly(t *testing.T) {
 		if r.Fail != traceroute.OK {
 			continue
 		}
-		if r.Vantage == 1 && pathID(r.ASPath) != pathID(p1) {
+		if r.Vantage == 1 && pathKey(r.ASPath) != pathKey(p1) {
 			t.Errorf("pair 1 kept a non-first path")
 		}
-		if r.Vantage == 2 && pathID(r.ASPath) != pathID(p2) {
+		if r.Vantage == 2 && pathKey(r.ASPath) != pathKey(p2) {
 			t.Errorf("pair 2 kept a non-first path")
 		}
+	}
+}
+
+// TestUnnumberedRecordPanics pins that Measure and FirstPathOnly keep no
+// second path for records whose table was never numbered: a conclusive
+// record without a path ID panics.
+func TestUnnumberedRecordPanics(t *testing.T) {
+	bare := []iclab.Record{rec(1, "a.com", t0, []topology.ASN{1, 2})}
+	for _, tc := range []struct {
+		name string
+		run  func()
+	}{
+		{"Measure", func() { Measure(bare, nil) }},
+		{"FirstPathOnly", func() { FirstPathOnly(bare) }},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: no panic", tc.name)
+				}
+			}()
+			tc.run()
+		}()
+	}
+}
+
+// referenceFirstPathOnly is FirstPathOnly keyed by value: each pair's
+// first path by its printed form.
+func referenceFirstPathOnly(records []iclab.Record) []iclab.Record {
+	first := map[pairKey]string{}
+	var out []iclab.Record
+	for _, r := range records {
+		if r.Fail != traceroute.OK {
+			out = append(out, r)
+			continue
+		}
+		pk, k := pairKey{r.Vantage, r.URL}, pathKey(r.ASPath)
+		want, seen := first[pk]
+		if !seen {
+			first[pk], want = k, k
+		}
+		if k == want {
+			out = append(out, r)
+		}
+	}
+	return out
+}
+
+// TestFirstPathOnlyMatchesReference holds FirstPathOnly, which compares
+// path IDs, to the value-keyed reference on random record sets.
+func TestFirstPathOnlyMatchesReference(t *testing.T) {
+	for seed := uint64(1); seed <= 200; seed++ {
+		records := seededRecords(seed, int(seed%97))
+		got, want := FirstPathOnly(records), referenceFirstPathOnly(records)
+		if len(got) != len(want) || len(got) > 0 && !reflect.DeepEqual(got, want) {
+			t.Fatalf("seed %d: kept %d records, the reference %d", seed, len(got), len(want))
+		}
+	}
+}
+
+// fleetRecords lays out a measured table the way the platform does: day
+// by day, URLsPerDay URLs in lockstep, every vantage twice a URL, over
+// paths that churn every few days, one record in seven inconclusive.
+func fleetRecords(days, urls, urlsPerDay, vantages int) []iclab.Record {
+	dsts := []topology.ASN{transitAS, contentAS, enterpriseAS}
+	var records []iclab.Record
+	for d := 0; d < days; d++ {
+		for k := 0; k < urlsPerDay; k++ {
+			u := (d*urlsPerDay + k) % urls
+			for v := 0; v < vantages; v++ {
+				for rep := 0; rep < 2; rep++ {
+					path := []topology.ASN{topology.ASN(v + 1), topology.ASN(1000 + (v+u+d/3+rep)%4), dsts[u%3]}
+					r := rec(topology.ASN(v+1), fmt.Sprintf("u%d.example", u), t0.AddDate(0, 0, d).Add(time.Duration(4+rep*15)*time.Hour), path)
+					r.TargetASN = dsts[u%3]
+					if len(records)%7 == 0 {
+						r.Fail, r.ASPath = traceroute.ErrDisagree, nil
+					}
+					records = append(records, r)
+				}
+			}
+		}
+	}
+	iclab.NumberPaths(records)
+	return records
+}
+
+// TestChurnAllocationBudget bounds the heap Measure allocates per record
+// of a measured table's layout, with the class split on. The test must
+// not run in parallel with others: TotalAlloc counts every goroutine's
+// allocations.
+func TestChurnAllocationBudget(t *testing.T) {
+	// About 1.25 times what this fixture measured when the budget was
+	// set: Measure reads path IDs, finds pairs through a per-URL table and
+	// grows its cells in fixed blocks, 68 heap bytes a record under the
+	// race detector (65 without it). Interning each path as a string,
+	// pairs in a map and cells in one slice grown by append took 291
+	// (288).
+	const budget = 85
+	records := fleetRecords(60, 40, 10, 20)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	Measure(records, classGraph)
+	runtime.ReadMemStats(&after)
+	perRecord := float64(after.TotalAlloc-before.TotalAlloc) / float64(len(records))
+	t.Logf("%d records, %.0f heap bytes a record (budget %d)", len(records), perRecord, budget)
+	if perRecord > budget {
+		t.Errorf("Measure allocated %.0f heap bytes a record, over the budget of %d", perRecord, budget)
 	}
 }
 
@@ -242,6 +367,7 @@ func TestByDestinationClass(t *testing.T) {
 	records := append(
 		mk(content, []topology.ASN{1, 2}, []topology.ASN{1, 3}),    // churns
 		mk(transit, []topology.ASN{1, 2}, []topology.ASN{1, 2})...) // stable
+	iclab.NumberPaths(records)
 	_, byClass := Measure(records, g)
 	if byClass[topology.ClassContent].ChangedFrac() != 1 {
 		t.Errorf("content class ChangedFrac %.2f", byClass[topology.ClassContent].ChangedFrac())
@@ -310,6 +436,7 @@ func randomRecords(rng *rand.Rand, n int) []iclab.Record {
 		}
 		records[i] = r
 	}
+	iclab.NumberPaths(records)
 	return records
 }
 
@@ -338,7 +465,7 @@ func overfullCells(records []iclab.Record) int {
 			if paths[k] == nil {
 				paths[k] = map[string]bool{}
 			}
-			paths[k][pathID(r.ASPath)] = true
+			paths[k][pathKey(r.ASPath)] = true
 		}
 		for _, ps := range paths {
 			if len(ps) > MaxBucket {

@@ -2,6 +2,7 @@ package dataset
 
 import (
 	"bufio"
+	"bytes"
 	"cmp"
 	"compress/gzip"
 	"encoding/json"
@@ -333,7 +334,12 @@ func appendWire(b []byte, wr *wireRecord) []byte {
 // an empty record and decodes the line with json.Unmarshal, which stays
 // the reference (FuzzParseWire pins that both agree on every line
 // parseWire accepts).
-func parseWire(line []byte, wr *wireRecord) bool {
+//
+// With a path numbering lp, parseWire also keys the line's path by its
+// digits and leaves unparsed a path lp has numbered before, and a "tp"
+// whose digits repeat "p"'s; lp records what it found (linePaths). A nil
+// lp parses every array.
+func parseWire(line []byte, wr *wireRecord, lp *linePaths) bool {
 	p := wireParser{b: line}
 	day, ok := p.signed(`{"d":`, math.MinInt, math.MaxInt)
 	if !ok {
@@ -359,7 +365,13 @@ func parseWire(line []byte, wr *wireRecord) bool {
 		wr.Anomalies = uint8(an)
 	}
 	if p.lit(`,"p":[`) {
-		if wr.Path, ok = p.uints(wr.Path); !ok {
+		if key := p.span(); lp != nil && len(key) > 0 {
+			lp.key = key
+			lp.id = lp.Lookup(key)
+		}
+		if lp != nil && lp.id != 0 {
+			p.i += len(lp.key) + 1
+		} else if wr.Path, ok = p.uints(wr.Path); !ok {
 			return false
 		}
 	}
@@ -371,7 +383,10 @@ func parseWire(line []byte, wr *wireRecord) bool {
 		wr.Fail = uint8(fail)
 	}
 	if p.lit(`,"tp":[`) {
-		if wr.TruePath, ok = p.uints(wr.TruePath); !ok {
+		if key := p.span(); lp != nil && len(key) > 0 && bytes.Equal(key, lp.key) {
+			lp.trueSame = true
+			p.i += len(key) + 1
+		} else if wr.TruePath, ok = p.uints(wr.TruePath); !ok {
 			return false
 		}
 	}
@@ -423,6 +438,15 @@ func (p *wireParser) lit(s string) bool {
 	}
 	p.i += len(s)
 	return true
+}
+
+// span returns the line's bytes from the cursor up to its next ']', or
+// nil when none follows.
+func (p *wireParser) span() []byte {
+	if j := bytes.IndexByte(p.b[p.i:], ']'); j >= 0 {
+		return p.b[p.i : p.i+j]
+	}
+	return nil
 }
 
 // char consumes c if the line continues with it.
@@ -549,8 +573,9 @@ func tablesOf(h *Header) (*codeTables, error) {
 }
 
 // fromWire converts one record line back into r, a zeroed slot of the
-// decoded table, resolving table references; the record's slices come
-// from a. Filling the slot in place spares copying the record into it.
+// decoded table, resolving table references; its acts come from a, and
+// linePaths.number sets its paths. Filling the slot in place spares
+// copying the record into it.
 func fromWire(wr *wireRecord, h *Header, t *codeTables, a *recordArena, r *iclab.Record) error {
 	if wr.Day < 0 || wr.Day >= h.Days {
 		return fmt.Errorf("dataset: record day %d outside the period of %d days", wr.Day, h.Days)
@@ -566,7 +591,6 @@ func fromWire(wr *wireRecord, h *Header, t *codeTables, a *recordArena, r *iclab
 		return fmt.Errorf("dataset: fail code %d outside the header's %d reasons", wr.Fail, len(t.fails))
 	}
 	r.Fail = t.fails[wr.Fail]
-	r.ASPath = a.path(wr.Path)
 	switch {
 	// The category pointer marks the explicit-override form — the URL
 	// alone cannot, since omitempty drops an empty override URL.
@@ -588,7 +612,6 @@ func fromWire(wr *wireRecord, h *Header, t *codeTables, a *recordArena, r *iclab
 	if r.VantageCountry == "" {
 		r.VantageCountry = t.countryOf[wr.Vantage]
 	}
-	r.TruePath = a.path(wr.TruePath)
 	if len(wr.TrueActs) > 0 {
 		r.TrueActs = a.acts.take(len(wr.TrueActs))
 		for i, act := range wr.TrueActs {
@@ -633,6 +656,86 @@ func (a *recordArena) path(wire []uint32) []topology.ASN {
 		out[i] = topology.ASN(x)
 	}
 	return out
+}
+
+// linePaths numbers a decoded table's AS paths as decode parses them,
+// keyed by a path's digits in its record line, the bytes between its
+// brackets: parseWire accepts only canonical digits, so equal bytes mean
+// an equal, already validated path, and a path numbered before is neither
+// parsed nor copied. A line that falls back to json.Unmarshal is keyed by
+// its path's canonical digits (keyed), so the numbering stays one-to-one.
+// Records are numbered in stream order, the table's order unless
+// dayViews lays the days out again, which numbers its new table afresh.
+type linePaths struct {
+	iclab.PathNumbering
+	// first holds, by ID-1, the table index of the path's first record,
+	// whose array the path's later records share.
+	first []int32
+	// empty is the empty path's ID, 0 until a record without a path.
+	empty int32
+	// What the current line's parse found: its path's key (nil without a
+	// "p"), the path's ID when it was numbered before (0 otherwise), and
+	// whether "tp" repeats "p".
+	key      []byte
+	id       int32
+	trueSame bool
+	scratch  []byte
+}
+
+// reset forgets the previous line's parse.
+func (lp *linePaths) reset() {
+	lp.key, lp.id, lp.trueSame = nil, 0, false
+}
+
+// keyed keys a line json.Unmarshal decoded into wr by the digits
+// appendWire would write for its path.
+func (lp *linePaths) keyed(wr *wireRecord) {
+	lp.reset()
+	key := lp.scratch[:0]
+	for i, a := range wr.Path {
+		if i > 0 {
+			key = append(key, ',')
+		}
+		key = strconv.AppendUint(key, uint64(a), 10)
+	}
+	lp.scratch = key
+	if len(key) > 0 {
+		lp.key = key
+		lp.id = lp.Lookup(key)
+	}
+	lp.trueSame = len(wr.TruePath) > 0 && slices.Equal(wr.TruePath, wr.Path)
+}
+
+// number sets the paths and path ID of table[i], the record decoded from
+// wr: a path numbered before takes its first record's array, a new one is
+// copied from a and numbered, and a "tp" that repeats "p" shares its
+// array.
+func (lp *linePaths) number(wr *wireRecord, a *recordArena, table []iclab.Record, i int) {
+	r := &table[i]
+	if lp.key == nil {
+		lp.id = lp.empty
+	}
+	if lp.id == 0 {
+		r.ASPath = a.path(wr.Path)
+		lp.id = lp.Add(lp.key)
+		if len(lp.first) == cap(lp.first) {
+			// Doubling exactly: append would grow a large slice by a
+			// quarter at a time, allocating about five times its length.
+			lp.first = append(make([]int32, 0, max(2*cap(lp.first), 64)), lp.first...)
+		}
+		lp.first = append(lp.first, int32(i))
+		if lp.key == nil {
+			lp.empty = lp.id
+		}
+	} else {
+		r.ASPath = table[lp.first[lp.id-1]].ASPath
+	}
+	r.PathID = lp.id
+	if lp.trueSame {
+		r.TruePath = r.ASPath
+	} else {
+		r.TruePath = a.path(wr.TruePath)
+	}
 }
 
 // arenaChunk caps the elements one arena chunk holds. Chunks start small
@@ -821,6 +924,7 @@ func decodePlain(r io.Reader) (*File, error) {
 		table []iclab.Record // every record, in stream order
 		runs  []dayRun       // the table's stretches of one day, in order
 		arena recordArena
+		paths linePaths
 		wr    wireRecord
 	)
 	var lineBuf []byte
@@ -839,7 +943,8 @@ func decodePlain(r io.Reader) (*File, error) {
 		path, truePath, acts := wr.Path[:0], wr.TruePath[:0], wr.TrueActs[:0]
 		wr = wireRecord{}
 		wr.Path, wr.TruePath, wr.TrueActs = path, truePath, acts
-		if !parseWire(line, &wr) {
+		paths.reset()
+		if !parseWire(line, &wr, &paths) {
 			// json.Unmarshal decodes array elements into existing backing
 			// storage without zeroing them, so the fallback starts from an
 			// empty record: an element missing a key reads as zero, not as
@@ -848,6 +953,7 @@ func decodePlain(r io.Reader) (*File, error) {
 			if err := json.Unmarshal(line, &wr); err != nil {
 				return nil, fmt.Errorf("dataset: decode record %d: %w", len(table), err)
 			}
+			paths.keyed(&wr)
 		}
 		n := len(table)
 		if n == cap(table) {
@@ -857,6 +963,7 @@ func decodePlain(r io.Reader) (*File, error) {
 		if err := fromWire(&wr, &h, tables, &arena, &table[n]); err != nil {
 			return nil, err
 		}
+		paths.number(&wr, &arena, table, n)
 		if k := len(runs); k == 0 || runs[k-1].day != wr.Day {
 			runs = append(runs, dayRun{day: wr.Day, start: n})
 		}
@@ -910,7 +1017,8 @@ type dayRun struct {
 // day-ordered table. A stream written in day order (every stream Encode
 // writes) is cut where it stands. Otherwise its runs are laid out again in
 // day order, keeping each day's records in stream order, which allocates
-// one more table. Empty days stay nil.
+// one more table, and the new table's paths are numbered in its own order.
+// Empty days stay nil.
 func dayViews(table []iclab.Record, runs []dayRun, days int) [][]iclab.Record {
 	for i := range runs {
 		if i+1 < len(runs) {
@@ -929,6 +1037,7 @@ func dayViews(table []iclab.Record, runs []dayRun, days int) [][]iclab.Record {
 			runs[i].start, runs[i].end = start, len(laid)
 		}
 		table = laid
+		iclab.NumberPaths(table)
 	}
 	out := make([][]iclab.Record, days)
 	for _, r := range runs {

@@ -52,6 +52,19 @@
 // records are not in day order is laid out again by day, keeping each
 // day's records in stream order.
 //
+// Decode numbers the table's AS paths as it parses them: every record
+// carries the PathID iclab.NumberPaths would give it over the table, and
+// records of one path share one array. The numbering (linePaths over an
+// iclab.PathNumbering) keys a path by its digits in the record line:
+// parseWire accepts only canonical digits, so equal bytes mean an equal,
+// already validated path, and a path seen before is neither parsed nor
+// copied. A "tp" array with the same digits as "p" shares the path's
+// array. A line that falls back to json.Unmarshal is keyed by its path's
+// canonical digits, so both kinds of line number alike, and a stream laid
+// out again by day is numbered afresh in table order. The file format is
+// unchanged: PathID is never written. FuzzDatasetDecode and FuzzParseWire
+// hold every stream that decodes to NumberPaths' numbering.
+//
 // Format stability is pinned by a checked-in golden file
 // (testdata/golden_v1.jsonl.gz): any encoder change that breaks v1
 // compatibility fails TestGoldenV1 loudly. Decode validates the magic and

@@ -18,7 +18,22 @@
 // substrate; RunByDayCtx executes the schedule into one record shard per
 // day, the shape streaming consumers push day by day; MergeShards turns
 // the shards into the batch sequence, and ComputeTable1 derives its
-// Table 1 stats.
+// Table 1 stats. NumberPaths numbers a record table's AS paths.
+//
+// Path numbering: a Record's PathID numbers its ASPath within its table.
+// Records of one table with equal paths share one ID and one backing
+// array, IDs run 1.. in first-seen table order (the empty path is a value
+// like any other), and 0 means not numbered. Every producer numbers its
+// table: RunByDayCtx once measurement ends, dataset decode as it parses,
+// and a copy of a caller's records (cloneDays in the root package)
+// afresh. NumberPaths and decode share PathNumbering, an index of IDs by
+// a byte key one-to-one with the path, which allocates no string per
+// path. The CNF fold, the churn summary and the no-churn ablation read
+// the ID instead of hashing the path, and panic on a conclusive record
+// without one. The field sits in Vantage's padding, so a record stays
+// 176 bytes (TestRecordSize). ComputeTable1 probes its sets only where a
+// value changes from the record before or misses a small cache of the
+// vantages counted, not once per record.
 //
 // Layout: a run's records lie in one day-ordered table. RunByDayCtx
 // allocates days × per-day records up front, since the schedule has no

@@ -55,6 +55,9 @@ func (s *Scenario) Days() int {
 // copy. A shard's capacity runs on into the following days, so the
 // shards are read-only like the records they hold.
 //
+// Once every day is measured, the call numbers the table's paths
+// (NumberPaths), so the records it returns carry their PathIDs.
+//
 // Once ctx is done no further day shard starts and the call returns
 // (nil, ctx.Err()). Days already in flight finish first, so cancellation
 // latency is bounded by one day's measurement, not the whole schedule.
@@ -79,6 +82,7 @@ func RunByDayCtx(ctx context.Context, s *Scenario, cfg PlatformConfig) ([][]Reco
 	}); err != nil {
 		return nil, err
 	}
+	NumberPaths(table)
 	return shards, nil
 }
 

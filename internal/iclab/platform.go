@@ -40,7 +40,15 @@ type GroundTruthAct struct {
 // summary and the exporters only read it, so its slices may be shared.
 // Its position in the day-ordered sequence is its identity.
 type Record struct {
-	Vantage        topology.ASN
+	Vantage topology.ASN
+	// PathID numbers ASPath within the record's table: records of one
+	// table with equal paths share one ID and one backing array, IDs run
+	// 1.. in first-seen table order (the empty path included), and 0 means
+	// not numbered. Measurement, decode and a copy of a caller's data
+	// number their table (NumberPaths); the CNF builders and the churn
+	// summary read the ID instead of the path and panic on a conclusive
+	// record without one. The field sits in Vantage's padding.
+	PathID         int32
 	VantageCountry string
 	TargetASN      topology.ASN
 	// TargetIdx indexes the scenario's Targets table (a decoded dataset's

@@ -62,6 +62,7 @@ func TestAnalyzeBasicLeak(t *testing.T) {
 		rec(vantageDE, "u.com", t0, []topology.ASN{vantageDE, midDE, transitCN, destUS}, anomaly.MakeSet(anomaly.RST)),
 		rec(vantageDE, "u.com", t0.Add(time.Hour), []topology.ASN{vantageDE, midDE, destUS}, 0),
 	}
+	iclab.NumberPaths(records)
 	insts := tomo.Build(records, tomo.BuildConfig{
 		Granularities: []timeslice.Granularity{timeslice.Day},
 		Kinds:         []anomaly.Kind{anomaly.RST},
@@ -102,6 +103,7 @@ func TestAnalyzeDomesticCensorNoCountryLeak(t *testing.T) {
 		rec(vantagePL, "u.com", t0, []topology.ASN{vantagePL, censorPL, destUS}, anomaly.MakeSet(anomaly.DNS)),
 		rec(vantagePL, "u.com", t0.Add(time.Hour), []topology.ASN{vantagePL, destUS}, 0),
 	}
+	iclab.NumberPaths(records)
 	insts := tomo.Build(records, tomo.BuildConfig{
 		Granularities: []timeslice.Granularity{timeslice.Day},
 		Kinds:         []anomaly.Kind{anomaly.DNS},
@@ -128,6 +130,7 @@ func TestAnalyzeIgnoresNonUnique(t *testing.T) {
 	records := []iclab.Record{
 		rec(v, "u.com", t0, []topology.ASN{v, c1, dest}, anomaly.MakeSet(anomaly.TTL)),
 	}
+	iclab.NumberPaths(records)
 	insts := tomo.Build(records, tomo.BuildConfig{
 		Granularities: []timeslice.Granularity{timeslice.Day},
 		Kinds:         []anomaly.Kind{anomaly.TTL},
@@ -159,6 +162,7 @@ func TestTopLeakersOrderingAndFlow(t *testing.T) {
 		rec(vPL, "v.com", t0, []topology.ASN{vPL, censorRU, destUS}, anomaly.MakeSet(anomaly.SEQ)),
 		rec(vPL, "v.com", t0.Add(time.Minute), []topology.ASN{vPL, destUS}, 0))
 
+	iclab.NumberPaths(records)
 	insts := tomo.Build(records, tomo.BuildConfig{
 		Granularities: []timeslice.Granularity{timeslice.Day},
 		Kinds:         []anomaly.Kind{anomaly.SEQ},

@@ -50,15 +50,6 @@ func Preset(name string) (Spec, bool) {
 	return s, ok
 }
 
-// Default returns the paper-baseline preset.
-func Default() Spec {
-	s, ok := Preset(DefaultName)
-	if !ok {
-		panic("scenario: default preset not registered")
-	}
-	return s
-}
-
 // Names lists the registered presets in registration order (built-ins
 // first, in catalog order).
 func Names() []string {

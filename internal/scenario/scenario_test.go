@@ -9,6 +9,15 @@ import (
 	"churntomo/internal/topology"
 )
 
+// defaultSpec returns the paper-baseline preset.
+func defaultSpec() Spec {
+	s, ok := Preset(DefaultName)
+	if !ok {
+		panic("scenario: default preset not registered")
+	}
+	return s
+}
+
 func smokeParams(seed uint64) Params {
 	start := time.Date(2016, 5, 1, 0, 0, 0, 0, time.UTC)
 	return Params{
@@ -36,8 +45,8 @@ func TestRegistryBuiltins(t *testing.T) {
 	if names[0] != DefaultName {
 		t.Errorf("catalog order starts with %q, want %q", names[0], DefaultName)
 	}
-	if Default().Name != DefaultName {
-		t.Errorf("Default() is %q", Default().Name)
+	if defaultSpec().Name != DefaultName {
+		t.Errorf("defaultSpec() is %q", defaultSpec().Name)
 	}
 }
 
@@ -90,7 +99,7 @@ func TestBuildEveryPresetSmoke(t *testing.T) {
 
 func TestBuildStageHookOrderAndAbort(t *testing.T) {
 	var seen []Stage
-	_, err := Build(Default(), smokeParams(2), func(s Stage) error {
+	_, err := Build(defaultSpec(), smokeParams(2), func(s Stage) error {
 		seen = append(seen, s)
 		return nil
 	})
@@ -109,7 +118,7 @@ func TestBuildStageHookOrderAndAbort(t *testing.T) {
 
 	boom := errors.New("abort")
 	n := 0
-	_, err = Build(Default(), smokeParams(2), func(Stage) error {
+	_, err = Build(defaultSpec(), smokeParams(2), func(Stage) error {
 		n++
 		if n == 3 {
 			return boom
@@ -129,7 +138,7 @@ func TestBuildStageHookOrderAndAbort(t *testing.T) {
 // invoked directly with the same offsets.
 func TestBuildMatchesMonolith(t *testing.T) {
 	p := smokeParams(3)
-	w, err := Build(Default(), p, nil)
+	w, err := Build(defaultSpec(), p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,12 +197,12 @@ func TestBuildDeterministic(t *testing.T) {
 func TestBuildRejectsBadParams(t *testing.T) {
 	p := smokeParams(5)
 	p.End = p.Start
-	if _, err := Build(Default(), p, nil); err == nil {
+	if _, err := Build(defaultSpec(), p, nil); err == nil {
 		t.Error("degenerate period accepted")
 	}
 	p = smokeParams(5)
 	p.ASes = 4 // below the topology generator's minimum
-	if _, err := Build(Default(), p, nil); err == nil {
+	if _, err := Build(defaultSpec(), p, nil); err == nil {
 		t.Error("tiny topology accepted")
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"reflect"
 	"slices"
+	"sync"
 	"testing"
 	"time"
 
@@ -15,9 +16,26 @@ import (
 	"churntomo/internal/traceroute"
 )
 
-// synthDay fabricates one day of records with day-dependent path churn and
-// a persistent censor at AS 50.
+// synthDays is the table synthDay serves its days from, numbered as one
+// (iclab.NumberPaths), so any days may be localized together.
+var synthDays = sync.OnceValue(func() [][]iclab.Record {
+	days := make([][]iclab.Record, 16)
+	for d := range days {
+		days[d] = fabricateDay(d)
+	}
+	iclab.NumberPaths(days...)
+	return days
+})
+
+// synthDay returns day's records, 0 <= day < 16, of one numbered table;
+// they must not be written.
 func synthDay(day int) []iclab.Record {
+	return slices.Clip(synthDays()[day])
+}
+
+// fabricateDay fabricates one day of records with day-dependent path churn
+// and a persistent censor at AS 50.
+func fabricateDay(day int) []iclab.Record {
 	at := time.Date(2016, 5, 25, 9, 0, 0, 0, time.UTC).AddDate(0, 0, day)
 	var recs []iclab.Record
 	for u, url := range []string{"a.com", "b.com"} {

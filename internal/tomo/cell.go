@@ -1,15 +1,16 @@
 package tomo
 
 // This file is construction's shared core, used by Build, BuildAndSolve and
-// Incremental alike. Each conclusive record's AS path and URL are interned
-// once, and the record is folded into one cell per (URL, time slice). For
-// every distinct path it has seen, a cell keeps a mask saying, per anomaly
-// kind, whether the path was seen censored and whether it was seen clean,
-// so one cell serves all five kinds: materialize reads one kind's Instance
-// off the masks, with the paths in rank order.
+// Incremental alike. Each conclusive record is folded, by its path ID and
+// URL, into one cell per (URL, time slice). For every distinct path it has
+// seen, a cell keeps a mask saying, per anomaly kind, whether the path was
+// seen censored and whether it was seen clean, so one cell serves all five
+// kinds: materialize reads one kind's Instance off the masks, with the
+// paths in rank order.
 
 import (
 	"cmp"
+	"math"
 	"slices"
 	"sync"
 
@@ -42,10 +43,10 @@ func kindMask(kinds []anomaly.Kind) uint16 {
 	return m
 }
 
-// interner assigns dense IDs to distinct keys in first-seen order and
-// ranks them by key. IDs never change; ranks are refreshed by rerank and
-// only ever move to make room for new keys, so two keys' relative rank
-// order is fixed once both are ranked.
+// interner assigns dense IDs to distinct keys (the URLs) in first-seen
+// order and ranks them by key. IDs never change; ranks are refreshed by
+// rerank and only ever move to make room for new keys, so two keys'
+// relative rank order is fixed once both are ranked.
 type interner struct {
 	ids   map[string]int32
 	keys  []string // by ID
@@ -55,18 +56,14 @@ type interner struct {
 
 func newInterner() interner { return interner{ids: map[string]int32{}} }
 
-func (t *interner) add(key string) int32 {
-	id := int32(len(t.keys))
-	t.ids[key] = id
-	t.keys = append(t.keys, key)
-	return id
-}
-
 func (t *interner) intern(key string) int32 {
-	if id, ok := t.ids[key]; ok {
-		return id
+	id, ok := t.ids[key]
+	if !ok {
+		id = int32(len(t.keys))
+		t.ids[key] = id
+		t.keys = append(t.keys, key)
 	}
-	return t.add(key)
+	return id
 }
 
 // rerank ranks the keys added since the last call: they are sorted among
@@ -100,38 +97,68 @@ func (t *interner) rerank() {
 	}
 }
 
-// pathTable interns AS paths. A path's key is its ASNs as big-endian
-// bytes, so key order is slices.Compare order on the paths (ASN by ASN, a
-// prefix first), the order materialize lists a cell's paths in. The table
-// keeps its own copy of each path, which the instances built from it
-// share, and the path's ASes as dense AS IDs, which index materialize's
-// scratch.
+// pathTable holds the AS paths the records fold in, by the path ID their
+// table numbered them with (iclab.NumberPaths): the record's own array,
+// which the instances built from it share, the path's ASes as dense AS
+// IDs, which index materialize's scratch, and a rank that orders the
+// paths ASN by ASN (a prefix first), the order materialize lists a cell's
+// paths in. Ranks are refreshed by rerank and only ever move to make room
+// for new paths, so two paths' relative rank order is fixed once both are
+// ranked. The table also keeps fold's slots, which locate a path within
+// the current part of each granularity.
 type pathTable struct {
-	interner
-	paths   [][]topology.ASN // by path ID
-	hops    [][]int32        // by path ID: the path's AS IDs
-	asID    map[topology.ASN]int32
-	asns    []topology.ASN // by AS ID
-	scratch []byte
+	paths [][]topology.ASN // by path ID
+	hops  [][]int32        // by path ID: the path's AS IDs, nil until seen
+	fresh []int32          // the IDs seen since the last rerank
+	order []int32          // the seen IDs in path order
+	rank  []int32          // by path ID: position in order
+	asID  map[topology.ASN]int32
+	asns  []topology.ASN // by AS ID
+
+	// slots[g] locates, by path ID, a path in the current part of fold's
+	// granularity g, valid when its stamp is stamps[g]. A part's paths are
+	// stamped afresh whenever it becomes current, and stamp counts every
+	// such change, so no slot of an earlier part or an earlier fold reads
+	// as valid.
+	slots  [][]slot
+	stamps []uint32
+	stamp  uint32
 }
 
-func newPathTable() pathTable {
-	return pathTable{interner: newInterner(), asID: map[topology.ASN]int32{}}
+// slot is where a path sits in a part's paths, as of a stamp.
+type slot struct {
+	stamp uint32
+	at    int32
 }
 
-// internPath returns p's ID. A path seen before costs one allocation-free
-// map probe.
-func (t *pathTable) internPath(p []topology.ASN) int32 {
-	b := t.scratch[:0]
-	for _, a := range p {
-		b = append(b, byte(a>>24), byte(a>>16), byte(a>>8), byte(a))
+func newPathTable() pathTable { return pathTable{asID: map[topology.ASN]int32{}} }
+
+// see returns the ID of r's path, adding the path to the table the first
+// time it is seen. The records the table sees must come from one
+// numbered table: a conclusive record without a path ID panics, and so
+// does one whose ID names a path array other than the one the table
+// holds for it.
+func (t *pathTable) see(r *iclab.Record) int32 {
+	id := r.PathID
+	if id <= 0 {
+		panic("tomo: conclusive record without a path ID: number the record table with iclab.NumberPaths")
 	}
-	t.scratch = b
-	if id, ok := t.ids[string(b)]; ok {
+	if int(id) < len(t.hops) && t.hops[id] != nil {
+		if p := t.paths[id]; len(p) != len(r.ASPath) || len(p) > 0 && &p[0] != &r.ASPath[0] {
+			panic("tomo: one path ID names two paths: the records come from more than one numbered table")
+		}
 		return id
 	}
-	hops := make([]int32, len(p))
-	for i, a := range p {
+	if n := int(id) + 1; n > len(t.hops) {
+		n = max(n, 2*len(t.hops))
+		t.paths = slices.Grow(t.paths, n-len(t.paths))[:n]
+		t.hops = slices.Grow(t.hops, n-len(t.hops))[:n]
+		for g := range t.slots {
+			t.slots[g] = slices.Grow(t.slots[g], n-len(t.slots[g]))[:n]
+		}
+	}
+	hops := make([]int32, len(r.ASPath))
+	for i, a := range r.ASPath {
 		h, ok := t.asID[a]
 		if !ok {
 			h = int32(len(t.asns))
@@ -140,9 +167,54 @@ func (t *pathTable) internPath(p []topology.ASN) int32 {
 		}
 		hops[i] = h
 	}
-	t.paths = append(t.paths, slices.Clone(p))
-	t.hops = append(t.hops, hops)
-	return t.add(string(b))
+	t.paths[id], t.hops[id] = r.ASPath, hops
+	t.fresh = append(t.fresh, id)
+	return id
+}
+
+// rerank ranks the paths seen since the last call: they are sorted among
+// themselves and merged into the existing order, so the cost is linear in
+// the table plus a sort of the new paths only.
+func (t *pathTable) rerank() {
+	if len(t.fresh) == 0 {
+		return
+	}
+	byPath := func(a, b int32) int { return slices.Compare(t.paths[a], t.paths[b]) }
+	slices.SortFunc(t.fresh, byPath)
+	merged := make([]int32, 0, len(t.order)+len(t.fresh))
+	i, j := 0, 0
+	for i < len(t.order) && j < len(t.fresh) {
+		if byPath(t.order[i], t.fresh[j]) < 0 {
+			merged, i = append(merged, t.order[i]), i+1
+		} else {
+			merged, j = append(merged, t.fresh[j]), j+1
+		}
+	}
+	merged = append(append(merged, t.order[i:]...), t.fresh[j:]...)
+	t.order, t.fresh = merged, t.fresh[:0]
+	if len(t.rank) < len(t.hops) {
+		t.rank = slices.Grow(t.rank, len(t.hops)-len(t.rank))[:len(t.hops)]
+	}
+	for r, id := range merged {
+		t.rank[id] = int32(r)
+	}
+}
+
+// current makes p the current part of granularity g: it stamps p's paths
+// into the granularity's slots under a new stamp.
+func (t *pathTable) current(g int, p *part) {
+	if t.stamp == math.MaxUint32 {
+		// The stamps wrap: clear every slot so none reads as valid.
+		for _, s := range t.slots {
+			clear(s)
+		}
+		t.stamp = 0
+	}
+	t.stamp++
+	t.stamps[g] = t.stamp
+	for j, e := range p.paths {
+		t.slots[g][e.id] = slot{stamp: t.stamp, at: int32(j)}
+	}
 }
 
 // pathMask is one distinct path of a cell and what was seen on it.
@@ -167,32 +239,39 @@ type part struct {
 }
 
 // fold folds the conclusive records into one part per (URL, slice) they
-// reach at the given granularities, interning paths and URLs into the
-// tables. Inconclusive records are eliminated (§3.1). Parts are returned
-// in creation order.
+// reach at the given granularities, adding their paths to the path table
+// and interning URLs. Inconclusive records are eliminated (§3.1). Parts
+// are returned in creation order.
 func fold(records []iclab.Record, grans []timeslice.Granularity, paths *pathTable, urls *interner) []*part {
 	var (
 		parts []*part
 		index = map[cellKey]int32{}
-		// slot locates a path in a part: part ordinal<<32 | path ID.
-		slot = map[uint64]int32{}
 		// cur holds the part of each granularity for the current URL and
-		// day. Records arrive grouped by day and URL, so the part index is
-		// probed about once per URL-day instead of once per record.
-		cur    = make([]int32, len(grans))
-		curURL = int32(-1)
-		curDay timeslice.Key
+		// day. Records arrive grouped by day and URL, so the URL and the
+		// part index are probed about once per URL-day instead of once per
+		// record.
+		cur     = make([]int32, len(grans))
+		curURL  = int32(-1)
+		curName string
+		curDay  timeslice.Key
 	)
+	if paths.slots == nil {
+		paths.slots = make([][]slot, len(grans))
+		paths.stamps = make([]uint32, len(grans))
+		for g := range grans {
+			paths.slots[g] = make([]slot, len(paths.hops))
+		}
+	}
 	for i := range records {
 		r := &records[i]
 		if r.Fail != traceroute.OK {
 			continue
 		}
-		id, url := paths.internPath(r.ASPath), urls.intern(r.URL)
+		id := paths.see(r)
 		// Every granularity's slice is a union of whole UTC days, so the
 		// day fixes all of a record's parts.
-		if day := timeslice.KeyFor(timeslice.Day, r.At); url != curURL || day != curDay {
-			curURL, curDay = url, day
+		if day := timeslice.KeyFor(timeslice.Day, r.At); curURL < 0 || r.URL != curName || day != curDay {
+			url := urls.intern(r.URL)
 			for g, gran := range grans {
 				key := cellKey{url: url, slice: timeslice.KeyFor(gran, r.At)}
 				p, ok := index[key]
@@ -201,21 +280,24 @@ func fold(records []iclab.Record, grans []timeslice.Granularity, paths *pathTabl
 					index[key] = p
 					parts = append(parts, &part{key: key})
 				}
-				cur[g] = p
+				if curURL < 0 || p != cur[g] {
+					cur[g] = p
+					paths.current(g, parts[p])
+				}
 			}
+			curURL, curName, curDay = url, r.URL, day
 		}
 		m := maskOf(r.Anomalies)
-		for _, p := range cur {
+		for g, p := range cur {
 			pt := parts[p]
 			pt.n++
 			pt.signal |= m & censoredBits
-			at := uint64(p)<<32 | uint64(id)
-			if j, ok := slot[at]; ok {
-				pt.paths[j].mask |= m
-				continue
+			if s := &paths.slots[g][id]; s.stamp == paths.stamps[g] {
+				pt.paths[s.at].mask |= m
+			} else {
+				*s = slot{stamp: paths.stamps[g], at: int32(len(pt.paths))}
+				pt.paths = append(pt.paths, pathMask{id: id, mask: m})
 			}
-			slot[at] = int32(len(pt.paths))
-			pt.paths = append(pt.paths, pathMask{id: id, mask: m})
 		}
 	}
 	return parts
@@ -253,8 +335,8 @@ var cellScratchPool = sync.Pool{New: func() any { return new(cellScratch) }}
 // (a record sets a censored or a clean bit for every kind), so a zero acc
 // entry marks a rank not yet seen.
 func (sc *cellScratch) union(parts []*part, t *pathTable) []pathMask {
-	if len(sc.acc) < len(t.paths) {
-		sc.acc = make([]uint16, len(t.paths))
+	if len(sc.acc) < len(t.order) {
+		sc.acc = make([]uint16, len(t.order))
 	}
 	ranks := sc.ranks[:0]
 	for _, p := range parts {

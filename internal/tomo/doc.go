@@ -19,13 +19,25 @@
 // internal/sat's search on them is the oracle the tests hold the closed
 // forms to.
 //
-// Construction interns each record's AS path and URL once and folds the
-// record into one cell per (URL, time slice). For every path it has seen,
-// a cell keeps a mask saying, per kind, whether the path was seen censored
-// and whether it was seen clean, so one cell serves all five kinds: a
-// kind's CNF is read off the masks, with its paths sorted by a rank that
-// orders them ASN by ASN (a prefix first). cell.go holds this core, which
-// the batch and incremental builds share.
+// Construction folds each conclusive record into one cell per (URL, time
+// slice), by the path ID its table numbered it with (iclab.NumberPaths):
+// the fold hashes no path. For every path it has seen, a cell keeps a
+// mask saying, per kind, whether the path was seen censored and whether
+// it was seen clean, so one cell serves all five kinds: a kind's CNF is
+// read off the masks, with its paths sorted by a rank that orders them
+// ASN by ASN (a prefix first). Records arrive grouped by day and URL, so
+// the fold interns a URL and looks its parts up once per URL-day, and it
+// finds a path within the current part of each granularity through a
+// dense array by path ID whose entries carry a stamp; a part is stamped
+// afresh whenever it becomes current, so any record order still folds
+// correctly. cell.go holds this core, which the batch and incremental
+// builds share.
+//
+// The records one build or one Incremental folds must come from one
+// numbered table: a conclusive record without a path ID panics, and so
+// does a path ID that names a different path array than the one the
+// build holds for it, which is how records of two tables show. There is
+// no second, hashing path for unnumbered records.
 //
 // Entry points: BuildAndSolve constructs Instances from records and
 // streams solving into construction, Solve/SolveAll classify instances
@@ -44,7 +56,8 @@
 // fixed (URL, granularity, slice index, anomaly kind) at every worker
 // count. A CNF exists only for a kind its cell saw censored. The cell
 // build is held to the string-keyed grouping it replaced, kept in the
-// tests as referenceBuild (FuzzBuildMatchesReference). The incremental
+// tests as referenceBuild, which keys paths by value, so a numbering fault
+// shows as a mismatch (FuzzBuildMatchesReference). The incremental
 // engine's results are field-for-field identical to the batch engine's
 // over the same resident records — the streaming determinism guarantee,
 // pinned by TestIncrementalMatchesBatch and FuzzIncrementalVsBatch. The

@@ -50,11 +50,14 @@ type incCell struct {
 // Incremental is not safe for concurrent use, but BuildAndSolveCtx itself
 // parallelizes across cells.
 //
-// Memory: the path and URL tables keep every distinct AS path and URL ever
-// added, including those whose days were all removed, so they grow with
-// the distinct paths of the whole stream, not of the window. The 120-day
+// Memory: the path table keeps every path ever added, including those
+// whose days were all removed: its arrays are indexed by the stream
+// table's path IDs and hold each path's AS IDs beside the record's own
+// path array, which they share, so they grow with the distinct paths of
+// the whole stream, not of the window. So does the URL table. The 120-day
 // replay world of the benchmark holds 6,781 paths (149,173 conclusive
-// records, 80 URLs, 4,094 cells).
+// records, 80 URLs, 4,094 cells). The day batches must come from one
+// numbered table (iclab.NumberPaths), as a replay's day shards do.
 type Incremental struct {
 	cfg   BuildConfig
 	kinds uint16

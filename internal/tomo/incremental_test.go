@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"slices"
+	"sync"
 	"testing"
 	"time"
 
@@ -23,9 +25,27 @@ func solveInc(t *testing.T, inc *Incremental) ([]*Instance, []Outcome, IncStats)
 	return insts, outs, stats
 }
 
-// synthDay fabricates one day's records: a few vantages testing a few URLs
-// over paths that churn with the day index, with anomalies on some paths.
+// synthDays is the table synthDay serves its days from, numbered as one
+// (iclab.NumberPaths), so days may be folded together in any mix.
+var synthDays = sync.OnceValue(func() [][]iclab.Record {
+	days := make([][]iclab.Record, 40)
+	for d := range days {
+		days[d] = fabricateDay(d)
+	}
+	iclab.NumberPaths(days...)
+	return days
+})
+
+// synthDay returns day's records, 0 <= day < 40, of one numbered table;
+// they must not be written.
 func synthDay(day int) []iclab.Record {
+	return slices.Clip(synthDays()[day])
+}
+
+// fabricateDay fabricates one day's records: a few vantages testing a few
+// URLs over paths that churn with the day index, with anomalies on some
+// paths.
+func fabricateDay(day int) []iclab.Record {
 	at := time.Date(2016, 5, 25, 9, 0, 0, 0, time.UTC).AddDate(0, 0, day)
 	var recs []iclab.Record
 	urls := []string{"a.com", "b.com", "c.com"}

@@ -258,6 +258,7 @@ func fuzzRecords(data []byte) []iclab.Record {
 		}
 		records = append(records, r)
 	}
+	iclab.NumberPaths(records)
 	return records
 }
 

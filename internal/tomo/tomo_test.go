@@ -37,6 +37,7 @@ func TestBuildSplitsByURLSliceKind(t *testing.T) {
 		rec(1, "b.com", t0, []topology.ASN{1, 2, 4}, anomaly.MakeSet(anomaly.DNS)),
 		rec(1, "a.com", t0.AddDate(0, 0, 1), []topology.ASN{1, 2, 3}, anomaly.MakeSet(anomaly.DNS)), // next day
 	}
+	iclab.NumberPaths(records)
 	insts := Build(records, BuildConfig{
 		Granularities: []timeslice.Granularity{timeslice.Day},
 		Kinds:         []anomaly.Kind{anomaly.DNS},
@@ -66,11 +67,47 @@ func TestBuildSkipsInconclusive(t *testing.T) {
 	}
 }
 
+// TestUnnumberedRecordPanics pins that construction keeps no second path
+// for records whose table was never numbered: a conclusive record
+// without a path ID panics in every builder, and so does a path ID that
+// names two paths, which records of two numbered tables show.
+func TestUnnumberedRecordPanics(t *testing.T) {
+	bare := []iclab.Record{rec(1, "a.com", t0, []topology.ASN{1, 2}, 0)}
+	a := []iclab.Record{rec(1, "a.com", t0, []topology.ASN{1, 2}, 0)}
+	b := []iclab.Record{rec(1, "a.com", t0.Add(time.Hour), []topology.ASN{1, 2}, 0)}
+	iclab.NumberPaths(a)
+	iclab.NumberPaths(b) // b's path is ID 1 too, in an array of its own
+	for _, tc := range []struct {
+		name string
+		run  func()
+	}{
+		{"Build", func() { Build(bare, dayOnly()) }},
+		{"BuildAndSolve", func() { BuildAndSolve(bare, dayOnly()) }},
+		{"Incremental", func() { NewIncremental(dayOnly()).AddDay(0, bare) }},
+		{"two tables", func() { Build(append(slices.Clip(a), b...), dayOnly()) }},
+		{"two tables, Incremental", func() {
+			inc := NewIncremental(dayOnly())
+			inc.AddDay(0, a)
+			inc.AddDay(1, b)
+		}},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: no panic", tc.name)
+				}
+			}()
+			tc.run()
+		}()
+	}
+}
+
 func TestBuildClauseSemantics(t *testing.T) {
 	records := []iclab.Record{
 		rec(1, "a.com", t0, []topology.ASN{10, 20, 30}, anomaly.MakeSet(anomaly.TTL)),
 		rec(1, "a.com", t0.Add(time.Hour), []topology.ASN{10, 25, 30}, 0),
 	}
+	iclab.NumberPaths(records)
 	insts := Build(records, BuildConfig{
 		Granularities: []timeslice.Granularity{timeslice.Day},
 		Kinds:         []anomaly.Kind{anomaly.TTL},
@@ -114,6 +151,7 @@ func TestBuildDedupesRepeatedPaths(t *testing.T) {
 		records = append(records, rec(2, "a.com", t0.Add(time.Duration(i)*time.Hour),
 			[]topology.ASN{30, 40}, anomaly.MakeSet(anomaly.RST)))
 	}
+	iclab.NumberPaths(records)
 	insts := Build(records, BuildConfig{
 		Granularities: []timeslice.Granularity{timeslice.Day},
 		Kinds:         []anomaly.Kind{anomaly.RST},
@@ -134,6 +172,7 @@ func TestSolveUnsatOnConflict(t *testing.T) {
 		rec(1, "a.com", t0, []topology.ASN{10, 20, 30}, anomaly.MakeSet(anomaly.SEQ)),
 		rec(1, "a.com", t0.Add(2*time.Hour), []topology.ASN{10, 20, 30}, 0),
 	}
+	iclab.NumberPaths(records)
 	insts := Build(records, BuildConfig{
 		Granularities: []timeslice.Granularity{timeslice.Day},
 		Kinds:         []anomaly.Kind{anomaly.SEQ},
@@ -150,6 +189,7 @@ func TestSolveMultipleAndPotential(t *testing.T) {
 		rec(1, "a.com", t0, []topology.ASN{10, 20, 30}, anomaly.MakeSet(anomaly.Block)),
 		rec(2, "a.com", t0.Add(time.Hour), []topology.ASN{10, 40}, 0),
 	}
+	iclab.NumberPaths(records)
 	insts := Build(records, BuildConfig{
 		Granularities: []timeslice.Granularity{timeslice.Day},
 		Kinds:         []anomaly.Kind{anomaly.Block},
@@ -184,6 +224,7 @@ func TestSolveAllMatchesSolve(t *testing.T) {
 		records = append(records, rec(topology.ASN(i%3+1), "u.com",
 			t0.AddDate(0, 0, i%5), paths[i%len(paths)], k))
 	}
+	iclab.NumberPaths(records)
 	insts := Build(records, BuildConfig{Kinds: []anomaly.Kind{anomaly.DNS}})
 	got := SolveAll(insts)
 	if len(got) != len(insts) {
@@ -209,6 +250,7 @@ func TestIdentifyCensors(t *testing.T) {
 		rec(1, "b.com", t0.Add(time.Hour), []topology.ASN{10, 26, 31}, 0),
 		rec(3, "b.com", t0.Add(time.Hour), []topology.ASN{12, 26, 31}, 0),
 	}
+	iclab.NumberPaths(records)
 	insts := Build(records, dayOnly())
 	outcomes := SolveAll(insts)
 	censors := IdentifyCensors(outcomes, 1)
@@ -235,6 +277,7 @@ func TestBuildDeterministicOrder(t *testing.T) {
 		rec(1, "a.com", t0, []topology.ASN{1, 2}, anomaly.MakeSet(anomaly.DNS)),
 		rec(1, "a.com", t0.AddDate(0, 0, 1), []topology.ASN{1, 2}, anomaly.MakeSet(anomaly.DNS)),
 	}
+	iclab.NumberPaths(records)
 	a := Build(records, dayOnly())
 	b := Build(records, dayOnly())
 	if len(a) != len(b) {
@@ -276,6 +319,7 @@ func syntheticRecords(n int) []iclab.Record {
 		}
 		records = append(records, r)
 	}
+	iclab.NumberPaths(records)
 	return records
 }
 

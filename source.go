@@ -26,7 +26,9 @@ package churntomo
 // A run's records lie in one day-ordered table whose day batches are
 // views of it: RunByDayCtx measures into one, dataset decode appends into
 // one and cloneDays copies into one, so iclab.MergeShards hands a run the
-// table itself. Inside the package a view's capacity runs on into the
+// table itself. Each of the three numbers its table's AS paths
+// (Measurement.PathID), which the localization and the churn summary
+// read instead of the paths. Inside the package a view's capacity runs on into the
 // next day. Every Dataset the package hands out has its days capped at
 // their length (fileToPublic), so a caller appending to one day
 // reallocates that day instead of writing over the next.
@@ -34,6 +36,7 @@ package churntomo
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -73,6 +76,11 @@ type TruthAct = iclab.GroundTruthAct
 // ground truth; see the field notes on the aliased type. Raw packet
 // captures and traceroutes are consumed during generation and not kept.
 // A record's position in the day-ordered batches identifies it.
+//
+// PathID is the run's number for the record's AS path. A run sets it on
+// its own copy of a caller's records and ignores whatever the caller's
+// records carry, so an ingester leaves it zero. The datasets the package
+// hands out carry it, and Dataset.WriteFile does not write it.
 type Measurement = iclab.Record
 
 // VantageInfo is one vantage point's metadata.
@@ -287,7 +295,9 @@ func (d *Dataset) WriteFile(path string) error {
 
 // LoadDataset decodes a dataset file into memory — the inspection
 // counterpart of FileSource, for tooling that wants the records
-// themselves rather than an analysis.
+// themselves rather than an analysis. Records with equal AS paths share
+// one path array (and a ground-truth path equal to a record's path shares
+// it too), so copy a path before editing it in place.
 func LoadDataset(path string) (*Dataset, error) {
 	f, err := dataset.ReadFile(path)
 	if err != nil {
@@ -504,8 +514,10 @@ func fileToPublic(f *dataset.File) *Dataset {
 // cloneDays deep-copies day batches into one day-ordered table: the
 // copies share no slice with the originals, each day is a view of the
 // table (so MergeShards over them copies nothing), and empty days stay
-// nil. It is the one place records are copied across the public
-// boundary, in both directions.
+// nil. It numbers the copies' paths afresh (iclab.NumberPaths), whatever
+// PathIDs the originals carried, and copies each distinct path once for
+// all its records to share. It is the one place records are copied
+// across the public boundary, in both directions.
 func cloneDays(days [][]Measurement) [][]Measurement {
 	records := 0
 	for _, batch := range days {
@@ -521,11 +533,22 @@ func cloneDays(days [][]Measurement) [][]Measurement {
 		table = append(table, batch...)
 		for i := lo; i < len(table); i++ {
 			r := &table[i]
-			r.ASPath = append([]ASN(nil), r.ASPath...)
 			r.TruePath = append([]ASN(nil), r.TruePath...)
 			r.TrueActs = append([]TruthAct(nil), r.TrueActs...)
 		}
 		out[day] = table[lo:]
+	}
+	paths := make([][]ASN, iclab.NumberPaths(table)+1) // by path ID: the copy
+	for i := range table {
+		r := &table[i]
+		if len(r.ASPath) == 0 {
+			r.ASPath = nil
+			continue
+		}
+		if paths[r.PathID] == nil {
+			paths[r.PathID] = slices.Clone(r.ASPath)
+		}
+		r.ASPath = paths[r.PathID]
 	}
 	return out
 }
