@@ -106,14 +106,16 @@ bench-json:
 # which classifies without writing clauses out, unlike tomo.Build's
 # BenchmarkKernel_CNFBuild), the sliding-window replay through the
 # incremental engine (BenchmarkStream_WindowedIncremental), the dataset
-# codec, and a whole batch replay of an exported file the way a replay
-# runs it, decode, fold, churn summary and Table 1 included
-# (BenchmarkReplay_Batch). profiles/before.* are an older starting point,
+# codec, a whole batch replay of an exported file the way a replay runs
+# it, decode, fold, churn summary and Table 1 included
+# (BenchmarkReplay_Batch), and a whole batch-synth run the way one runs,
+# world synthesis and the churn timeline, measurement and localization
+# (BenchmarkSynth_Batch). profiles/before.* are an older starting point,
 # taken over BenchmarkKernel_CNFBuild in place of the two localization
-# benchmarks and with no replay.
+# benchmarks and with no whole runs.
 profile:
 	mkdir -p profiles
-	$(GO) test -run '^$$' -bench 'BenchmarkEngine_MeasureSerial|BenchmarkEngine_BuildSolveSerial|BenchmarkStream_WindowedIncremental|BenchmarkDatasetEncodeDecode|BenchmarkReplay_Batch' \
+	$(GO) test -run '^$$' -bench 'BenchmarkEngine_MeasureSerial|BenchmarkEngine_BuildSolveSerial|BenchmarkStream_WindowedIncremental|BenchmarkDatasetEncodeDecode|BenchmarkReplay_Batch|BenchmarkSynth_Batch' \
 		-benchtime 3x -cpuprofile profiles/after.cpu.pb.gz -memprofile profiles/after.mem.pb.gz .
 	$(GO) tool pprof -top -nodecount 25 churntomo.test profiles/after.cpu.pb.gz >profiles/after.cpu.top.txt
 	$(GO) tool pprof -top -nodecount 25 -sample_index=alloc_objects churntomo.test profiles/after.mem.pb.gz >profiles/after.mem.top.txt

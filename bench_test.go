@@ -121,6 +121,27 @@ func BenchmarkReplay_Batch(b *testing.B) {
 	}
 }
 
+// BenchmarkSynth_Batch runs the shared run's world from scratch the way
+// a batch-synth run runs it, New(WithConfig(cfg)).Run on two workers per
+// iteration: substrate synthesis and the churn timeline, measurement
+// (routing trees, the DNS and HTTP tests, blockpage matching, traceroute
+// inference) and batch localization.
+func BenchmarkSynth_Batch(b *testing.B) {
+	cfg := SmallConfig()
+	cfg.Days = 90
+	cfg.Workers = 2
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		exp, err := New(WithConfig(cfg))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := exp.Run(context.Background()); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkTable1_DatasetCharacteristics(b *testing.B) {
 	p := benchRun(b)
 	b.ResetTimer()

@@ -579,6 +579,10 @@ func TestRunPreCanceled(t *testing.T) {
 	}
 }
 
+// TestRunDeadline: a Run whose deadline passes while it is in flight
+// returns context.DeadlineExceeded. The observer holds the run at its
+// measurement stage until the deadline has passed, so the deadline lands
+// mid-run however fast the host measures the world.
 func TestRunDeadline(t *testing.T) {
 	if testing.Short() {
 		t.Skip("end-to-end pipeline in -short mode")
@@ -586,7 +590,11 @@ func TestRunDeadline(t *testing.T) {
 	before := runtime.NumGoroutine()
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
-	exp, err := New(WithConfig(testConfig()))
+	exp, err := New(WithConfig(testConfig()), WithObserver(func(ev Event) {
+		if ev.Stage == StageMeasure {
+			<-ctx.Done()
+		}
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -134,7 +134,13 @@ func (ref referenceDB) match(body []byte) bool {
 // picks the corpus; the rest is the body. The seeds cover the generic
 // pattern's Unicode folds (\u017f matches s, the Kelvin sign matches nothing
 // in it), a newline that . must not cross, invalid UTF-8, overlapping and
-// repeated markers, five-digit runs and leading zeros.
+// repeated markers, five-digit runs and leading zeros, and pages with
+// suffixes that extend a marker's digits or complete a marker.
+//
+// It also checks the property measurement's fixed-page verdicts rely on:
+// Match(page+suffix) is true whenever Match(page) is. So when the body
+// does not match, no prefix of it may: every prefix of a body up to
+// 2,048 bytes is tried, and 256 evenly spaced ones of a longer body.
 func FuzzFingerprintMatch(f *testing.F) {
 	dbs := []*FingerprintDB{
 		NewFingerprintDB(120, 0.5, 1),
@@ -177,6 +183,12 @@ func FuzzFingerprintMatch(f *testing.F) {
 		"FILTER-99999999999999999999",
 		"filter-0003 Filter-0004 FILTER-0a03",
 		"",
+		string(Render(3, "CN")) + "FILTER-12 <title>",
+		string(Render(77, "IR")) + "7",
+		"FILTER-0003" + "1",
+		fmt.Sprintf("FILTER-%d", fivedigit) + "42",
+		"FILT" + "ER-0003",
+		"<title>Access Denied</title> not available in your regi" + "on",
 	}
 	for _, s := range seeds {
 		for i := range dbs {
@@ -187,6 +199,18 @@ func FuzzFingerprintMatch(f *testing.F) {
 		i := int(which) % len(dbs)
 		if got, want := dbs[i].Match(body), refs[i].match(body); got != want {
 			t.Fatalf("corpus %d: Match(%q) = %v, the per-pattern regexps say %v", i, body, got, want)
+		}
+		if dbs[i].Match(body) {
+			return
+		}
+		step := max(1, len(body)/256)
+		if len(body) <= 2048 {
+			step = 1
+		}
+		for k := 0; k < len(body); k += step {
+			if dbs[i].Match(body[:k]) {
+				t.Fatalf("corpus %d: Match(%q) is true, but adding %q makes it false", i, body[:k], body[k:])
+			}
 		}
 	})
 }

@@ -20,4 +20,7 @@
 // that follows, and runs the generic regexp only on a body that contains
 // `<title>acce` under ASCII case folding, which every generic match does
 // (FuzzFingerprintMatch keeps the per-pattern regexps as its reference).
+// A suffix never undoes a match: Match(page+suffix) is true whenever
+// Match(page) is, which lets measurement read a body's verdict off a
+// matched page it begins with (FuzzFingerprintMatch checks that too).
 package blockpage

@@ -613,7 +613,7 @@ func fromWire(wr *wireRecord, h *Header, t *codeTables, a *recordArena, r *iclab
 		r.VantageCountry = t.countryOf[wr.Vantage]
 	}
 	if len(wr.TrueActs) > 0 {
-		r.TrueActs = a.acts.take(len(wr.TrueActs))
+		r.TrueActs = a.acts.Take(len(wr.TrueActs))
 		for i, act := range wr.TrueActs {
 			r.TrueActs[i].ASN = topology.ASN(act.ASN)
 			if r.TrueActs[i].Kinds, err = t.anomalies(act.Kinds); err != nil {
@@ -645,13 +645,13 @@ func (t *codeTables) anomalies(bits uint8) (anomaly.Set, error) {
 // carved from shared chunks, so a table's slices cost one allocation per
 // chunk instead of one or two per record.
 type recordArena struct {
-	asns arena[topology.ASN]
-	acts arena[iclab.GroundTruthAct]
+	asns iclab.Arena[topology.ASN]
+	acts iclab.Arena[iclab.GroundTruthAct]
 }
 
 // path converts a wire AS path, keeping an empty path nil.
 func (a *recordArena) path(wire []uint32) []topology.ASN {
-	out := a.asns.take(len(wire))
+	out := a.asns.Take(len(wire))
 	for i, x := range wire {
 		out[i] = topology.ASN(x)
 	}
@@ -736,31 +736,6 @@ func (lp *linePaths) number(wr *wireRecord, a *recordArena, table []iclab.Record
 	} else {
 		r.TruePath = a.path(wr.TruePath)
 	}
-}
-
-// arenaChunk caps the elements one arena chunk holds. Chunks start small
-// and double up to it, so a short stream allocates little.
-const arenaChunk = 16384
-
-// arena carves capped sub-slices of n elements from a chunk; a chunk that
-// cannot fit the next slice is left to the slices already carved from it.
-// Each slice's capacity ends where it does, so an append to one can never
-// write into the next.
-type arena[T any] struct {
-	chunk []T
-}
-
-// take returns a zeroed slice of n elements, nil when n is 0.
-func (a *arena[T]) take(n int) []T {
-	if n == 0 {
-		return nil
-	}
-	if cap(a.chunk)-len(a.chunk) < n {
-		a.chunk = make([]T, 0, max(n, min(2*cap(a.chunk), arenaChunk), 64))
-	}
-	lo, hi := len(a.chunk), len(a.chunk)+n
-	a.chunk = a.chunk[:hi]
-	return a.chunk[lo:hi:hi]
 }
 
 // Decode reads a gzipped dataset stream, validating the magic, version and

@@ -48,7 +48,8 @@
 // header's table ends exactly full after allocating about 1.25 times it
 // in all, and a lying header costs at most eight times the records read
 // (two while the table only doubled). Records' paths and acts are carved
-// from shared chunks rather than allocated one by one. A stream whose
+// from shared chunks (iclab.Arena, which measurement carves its records'
+// paths from too) rather than allocated one by one. A stream whose
 // records are not in day order is laid out again by day, keeping each
 // day's records in stream order.
 //

@@ -34,17 +34,17 @@ func DNSDual(c *netsim.Capture, client netaddr.IP) bool {
 		if p.Dst != client || p.Proto != netsim.ProtoUDP || p.SrcPort != netsim.DNSPort {
 			continue
 		}
-		m, err := netsim.UnmarshalDNS(p.Payload)
-		if err != nil || !m.Response {
+		id, ok := netsim.DNSResponseID(p.Payload)
+		if !ok {
 			continue
 		}
-		if f, ok := seen[m.ID]; ok {
+		if f, ok := seen[id]; ok {
 			if p.At.Sub(f.at) <= DNSWindow {
 				return true
 			}
 			continue
 		}
-		seen[m.ID] = firstSeen{p.At}
+		seen[id] = firstSeen{p.At}
 	}
 	return false
 }
@@ -56,10 +56,24 @@ type HTTPVerdict struct {
 	RST bool // reset with sequence/TTL attributes a real server wouldn't have
 }
 
-// HTTP analyzes one connection's capture. The baseline TTL is the SYNACK's:
-// the paper's assumption is that no censor beats the server's SYNACK, so it
-// anchors what "packets from the real server" look like.
-func HTTP(c *netsim.Capture, client, server netaddr.IP) HTTPVerdict {
+// Scratch is the HTTP detector's reusable working memory: the list of a
+// capture's data segments, which it sorts. The zero value is ready to
+// use; a Scratch belongs to one goroutine at a time.
+type Scratch struct {
+	segs []segment
+}
+
+// segment is one data-bearing packet's place in the server's stream.
+type segment struct {
+	seq     uint32
+	payload []byte
+}
+
+// HTTP analyzes one connection's capture, listing its segments in sc's
+// storage. The baseline TTL is the SYNACK's: the paper's assumption is
+// that no censor beats the server's SYNACK, so it anchors what "packets
+// from the real server" look like.
+func HTTP(c *netsim.Capture, client, server netaddr.IP, sc *Scratch) HTTPVerdict {
 	var v HTTPVerdict
 
 	// Locate the SYNACK.
@@ -77,11 +91,7 @@ func HTTP(c *netsim.Capture, client, server netaddr.IP) HTTPVerdict {
 		return v // no connection establishment; nothing to judge
 	}
 
-	type seg struct {
-		seq     uint32
-		payload []byte
-	}
-	segs := make([]seg, 0, len(c.Packets))
+	segs := sc.segs[:0]
 	totalData := 0
 	for i := range c.Packets {
 		p := &c.Packets[i]
@@ -95,7 +105,7 @@ func HTTP(c *netsim.Capture, client, server netaddr.IP) HTTPVerdict {
 			if ttlDelta(p.TTL, baseTTL) > TTLTolerance {
 				v.TTL = true
 			}
-			segs = append(segs, seg{p.Seq, p.Payload})
+			segs = append(segs, segment{p.Seq, p.Payload})
 			totalData += len(p.Payload)
 		}
 	}
@@ -107,7 +117,8 @@ func HTTP(c *netsim.Capture, client, server netaddr.IP) HTTPVerdict {
 	// the real payload). Neither check depends on the order of segments
 	// with equal sequence numbers: the gap check keeps a running maximum,
 	// and the conflict check compares every pair.
-	slices.SortFunc(segs, func(a, b seg) int { return cmp.Compare(a.seq, b.seq) })
+	sc.segs = segs
+	slices.SortFunc(segs, func(a, b segment) int { return cmp.Compare(a.seq, b.seq) })
 	base := isn + 1
 	var covered uint32 // next expected relative offset when contiguous
 	for _, s := range segs {

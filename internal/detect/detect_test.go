@@ -18,6 +18,10 @@ var (
 	client = netaddr.MustParseIP("20.0.0.10")
 	server = netaddr.MustParseIP("21.5.0.20")
 	resolv = netaddr.MustParseIP("8.8.8.8")
+
+	// scratch serves every HTTP analysis of the tests in turn, so each
+	// runs in storage an earlier capture left.
+	scratch Scratch
 )
 
 func dnsParams(id uint16) dnssim.Params {
@@ -30,8 +34,9 @@ func dnsParams(id uint16) dnssim.Params {
 
 func TestDNSDualCleanLookup(t *testing.T) {
 	rng := rand.New(rand.NewPCG(1, 1))
-	var c netsim.Capture
-	dnssim.Simulate(dnsParams(7), nil, dnssim.Noise{}, rng, &c)
+	var res dnssim.Result
+	dnssim.Simulate(dnsParams(7), nil, dnssim.Noise{}, rng, &res)
+	c := res.Capture
 	if DNSDual(&c, client) {
 		t.Error("clean lookup flagged")
 	}
@@ -40,8 +45,9 @@ func TestDNSDualCleanLookup(t *testing.T) {
 func TestDNSDualInjection(t *testing.T) {
 	rng := rand.New(rand.NewPCG(2, 2))
 	inj := []dnssim.Injector{{ASN: 4134, Dist: 3, Answer: netaddr.MustParseIP("10.10.0.1"), InitTTL: 64}}
-	var c netsim.Capture
-	dnssim.Simulate(dnsParams(9), inj, dnssim.Noise{}, rng, &c)
+	var res dnssim.Result
+	dnssim.Simulate(dnsParams(9), inj, dnssim.Noise{}, rng, &res)
+	c := res.Capture
 	if !DNSDual(&c, client) {
 		t.Error("injection not detected")
 	}
@@ -65,8 +71,9 @@ func TestDNSDualInjection(t *testing.T) {
 func TestDNSDualSlowInjectorMissed(t *testing.T) {
 	rng := rand.New(rand.NewPCG(3, 3))
 	inj := []dnssim.Injector{{ASN: 1, Dist: 3, Answer: 1, InitTTL: 64}}
-	var c netsim.Capture
-	dnssim.Simulate(dnsParams(11), inj, dnssim.Noise{SlowInjectorProb: 1}, rng, &c)
+	var res dnssim.Result
+	dnssim.Simulate(dnsParams(11), inj, dnssim.Noise{SlowInjectorProb: 1}, rng, &res)
+	c := res.Capture
 	if DNSDual(&c, client) {
 		t.Error("an answer outside the 2s window should not trigger")
 	}
@@ -74,8 +81,9 @@ func TestDNSDualSlowInjectorMissed(t *testing.T) {
 
 func TestDNSDualOrganicDuplicateFalsePositive(t *testing.T) {
 	rng := rand.New(rand.NewPCG(4, 4))
-	var c netsim.Capture
-	dnssim.Simulate(dnsParams(13), nil, dnssim.Noise{DupResponseProb: 1}, rng, &c)
+	var res dnssim.Result
+	dnssim.Simulate(dnsParams(13), nil, dnssim.Noise{DupResponseProb: 1}, rng, &res)
+	c := res.Capture
 	if !DNSDual(&c, client) {
 		t.Error("organic duplicate within the window should flag (known FP mode)")
 	}
@@ -101,7 +109,7 @@ func TestHTTPCleanConnection(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		var res httpsim.Result
 		httpsim.Simulate(httpParams(body(3000)), nil, httpsim.Noise{}, rng, &res)
-		v := HTTP(&res.Capture, client, server)
+		v := HTTP(&res.Capture, client, server, &scratch)
 		if v.TTL || v.SEQ || v.RST {
 			t.Fatalf("clean connection flagged: %+v", v)
 		}
@@ -118,7 +126,7 @@ func TestHTTPRSTInjection(t *testing.T) {
 		inj := []httpsim.Injector{{ASN: 9, Dist: 4, Technique: anomaly.RST, InitTTL: 255, SeqSkew: true}}
 		var res httpsim.Result
 		httpsim.Simulate(httpParams(body(2000)), inj, httpsim.Noise{}, rng, &res)
-		v := HTTP(&res.Capture, client, server)
+		v := HTTP(&res.Capture, client, server, &scratch)
 		if v.RST {
 			detected++
 		}
@@ -141,7 +149,7 @@ func TestHTTPRSTMimicMissed(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		var res httpsim.Result
 		httpsim.Simulate(p, inj, httpsim.Noise{}, rng, &res)
-		if !HTTP(&res.Capture, client, server).RST {
+		if !HTTP(&res.Capture, client, server, &scratch).RST {
 			missed++
 		}
 	}
@@ -158,7 +166,7 @@ func TestHTTPSEQInjection(t *testing.T) {
 		inj := []httpsim.Injector{{ASN: 9, Dist: 5, Technique: anomaly.SEQ, InitTTL: 64, MimicTTL: mimic}}
 		var res httpsim.Result
 		httpsim.Simulate(httpParams(body(2500)), inj, httpsim.Noise{}, rng, &res)
-		v := HTTP(&res.Capture, client, server)
+		v := HTTP(&res.Capture, client, server, &scratch)
 		if mimic {
 			if v.SEQ {
 				seqMimic++
@@ -193,7 +201,7 @@ func TestHTTPTTLDuplicate(t *testing.T) {
 		inj := []httpsim.Injector{{ASN: 9, Dist: 4, Technique: anomaly.TTL, InitTTL: 255}}
 		var res httpsim.Result
 		httpsim.Simulate(httpParams(body(2000)), inj, httpsim.Noise{}, rng, &res)
-		v := HTTP(&res.Capture, client, server)
+		v := HTTP(&res.Capture, client, server, &scratch)
 		if !v.TTL {
 			t.Fatal("TTL duplicate not detected")
 		}
@@ -219,7 +227,7 @@ func TestHTTPBlockpageInPath(t *testing.T) {
 	if !Blockpage(res.Body, res.BaselineLen, db) {
 		t.Error("blockpage not detected")
 	}
-	v := HTTP(&res.Capture, client, server)
+	v := HTTP(&res.Capture, client, server, &scratch)
 	if !v.TTL {
 		t.Error("in-path blockpage at different distance should trip TTL")
 	}
@@ -234,7 +242,7 @@ func TestHTTPBlockpageOnPathOverlaps(t *testing.T) {
 	inj := []httpsim.Injector{{ASN: 9, Dist: 4, Technique: anomaly.Block, InitTTL: 255, InPath: false, Blockpage: page}}
 	var res httpsim.Result
 	httpsim.Simulate(httpParams(body(4000)), inj, httpsim.Noise{}, rng, &res)
-	v := HTTP(&res.Capture, client, server)
+	v := HTTP(&res.Capture, client, server, &scratch)
 	if !v.SEQ {
 		t.Error("on-path blockpage racing the real body should produce overlapping SEQ")
 	}
@@ -265,7 +273,7 @@ func TestHTTPOrganicNoiseRates(t *testing.T) {
 	for i := 0; i < n; i++ {
 		var res httpsim.Result
 		httpsim.Simulate(httpParams(body(2000)), nil, noise, rng, &res)
-		v := HTTP(&res.Capture, client, server)
+		v := HTTP(&res.Capture, client, server, &scratch)
 		if v.TTL {
 			ttl++
 		}
@@ -301,9 +309,9 @@ func TestHTTPSanitizedEquivalence(t *testing.T) {
 		}
 		var res httpsim.Result
 		httpsim.Simulate(httpParams(body(1500)), inj, httpsim.DefaultNoise(), rng, &res)
-		v1 := HTTP(&res.Capture, client, server)
+		v1 := HTTP(&res.Capture, client, server, &scratch)
 		sanitized := res.Capture.Sanitized()
-		v2 := HTTP(&sanitized, client, server)
+		v2 := HTTP(&sanitized, client, server, &scratch)
 		if v1 != v2 {
 			t.Fatalf("verdict changed after sanitization: %+v vs %+v", v1, v2)
 		}
@@ -313,7 +321,7 @@ func TestHTTPSanitizedEquivalence(t *testing.T) {
 func TestHTTPNoSynack(t *testing.T) {
 	var c netsim.Capture
 	c.Add(netsim.Packet{Src: server, Dst: client, Proto: netsim.ProtoTCP, Flags: netsim.FlagRST, Seq: 1, TTL: 40})
-	if v := HTTP(&c, client, server); v.RST || v.TTL || v.SEQ {
+	if v := HTTP(&c, client, server, &scratch); v.RST || v.TTL || v.SEQ {
 		t.Errorf("connection without SYNACK judged: %+v", v)
 	}
 }

@@ -5,8 +5,9 @@
 //
 // Entry points: DNSDual flags dual DNS responses within the injection
 // window; HTTP scans a capture for RST, sequence-overlap and TTL
-// anomalies (HTTPVerdict carries all three); Blockpage combines
-// fingerprint and page-length detection.
+// anomalies (HTTPVerdict carries all three), listing its segments in a
+// caller's reusable Scratch; Blockpage combines fingerprint and
+// page-length detection.
 //
 // Invariants: detectors never consult ground truth — tests verify this by
 // running them on sanitized captures — so false positives and misses

@@ -43,11 +43,27 @@ type Noise struct {
 	SlowInjectorProb float64
 }
 
-// Simulate writes the client-side capture of one lookup into c, a
-// caller-owned capture whose packet storage it reuses: every packet c
-// held before is overwritten or dropped.
-func Simulate(p Params, injectors []Injector, n Noise, rng *rand.Rand, c *netsim.Capture) {
-	c.Packets = c.Packets[:0]
+// Result is one simulated lookup. Simulate fills a caller-owned Result
+// and reuses its storage, so one Result can serve lookup after lookup;
+// each Simulate overwrites the capture, whose packets and payloads are
+// valid only until the next.
+type Result struct {
+	Capture  netsim.Capture
+	payloads []byte // the capture's DNS payloads, back to back
+}
+
+// payload appends m's wire form to the Result's payload storage and
+// returns it, capped so that no later payload can write into it.
+func (res *Result) payload(m netsim.DNSMessage) []byte {
+	lo := len(res.payloads)
+	res.payloads = netsim.AppendDNS(res.payloads, m)
+	return res.payloads[lo:len(res.payloads):len(res.payloads)]
+}
+
+// Simulate writes the client-side capture of one lookup into res.
+func Simulate(p Params, injectors []Injector, n Noise, rng *rand.Rand, res *Result) {
+	c := &res.Capture
+	c.Packets, res.payloads = c.Packets[:0], res.payloads[:0]
 	query := netsim.Packet{
 		At:      p.At,
 		Src:     p.ClientIP,
@@ -56,7 +72,7 @@ func Simulate(p Params, injectors []Injector, n Noise, rng *rand.Rand, c *netsim
 		Proto:   netsim.ProtoUDP,
 		SrcPort: uint16(20000 + rng.IntN(40000)),
 		DstPort: netsim.DNSPort,
-		Payload: netsim.MarshalDNS(netsim.DNSMessage{ID: p.QueryID, Host: p.Host}),
+		Payload: res.payload(netsim.DNSMessage{ID: p.QueryID, Host: p.Host}),
 	}
 	c.Add(query)
 
@@ -79,7 +95,7 @@ func Simulate(p Params, injectors []Injector, n Noise, rng *rand.Rand, c *netsim
 			Proto:      netsim.ProtoUDP,
 			SrcPort:    netsim.DNSPort,
 			DstPort:    query.SrcPort,
-			Payload:    netsim.MarshalDNS(netsim.DNSMessage{ID: p.QueryID, Response: true, Host: p.Host, Answer: inj.Answer}),
+			Payload:    res.payload(netsim.DNSMessage{ID: p.QueryID, Response: true, Host: p.Host, Answer: inj.Answer}),
 			Injected:   true,
 			InjectedBy: inj.ASN,
 		})
@@ -95,7 +111,7 @@ func Simulate(p Params, injectors []Injector, n Noise, rng *rand.Rand, c *netsim
 		Proto:   netsim.ProtoUDP,
 		SrcPort: netsim.DNSPort,
 		DstPort: query.SrcPort,
-		Payload: netsim.MarshalDNS(netsim.DNSMessage{ID: p.QueryID, Response: true, Host: p.Host, Answer: p.TrueAnswer}),
+		Payload: res.payload(netsim.DNSMessage{ID: p.QueryID, Response: true, Host: p.Host, Answer: p.TrueAnswer}),
 	}
 	c.Add(real)
 

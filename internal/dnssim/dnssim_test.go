@@ -25,8 +25,9 @@ func params() Params {
 
 func TestSimulateCleanShape(t *testing.T) {
 	rng := rand.New(rand.NewPCG(1, 1))
-	var c netsim.Capture
-	Simulate(params(), nil, Noise{}, rng, &c)
+	var res Result
+	Simulate(params(), nil, Noise{}, rng, &res)
+	c := res.Capture
 	if len(c.Packets) != 2 {
 		t.Fatalf("clean lookup has %d packets, want query+answer", len(c.Packets))
 	}
@@ -50,8 +51,9 @@ func TestSimulateCleanShape(t *testing.T) {
 func TestSimulateInjectionWinsRace(t *testing.T) {
 	rng := rand.New(rand.NewPCG(2, 2))
 	inj := []Injector{{ASN: 4134, Dist: 3, Answer: netaddr.MustParseIP("10.0.0.1"), InitTTL: 255}}
-	var c netsim.Capture
-	Simulate(params(), inj, Noise{}, rng, &c)
+	var res Result
+	Simulate(params(), inj, Noise{}, rng, &res)
+	c := res.Capture
 	if len(c.Packets) != 3 {
 		t.Fatalf("packets %d, want 3", len(c.Packets))
 	}
@@ -72,25 +74,26 @@ func TestSimulateInjectorBeyondTTLReach(t *testing.T) {
 	rng := rand.New(rand.NewPCG(3, 3))
 	// An injector whose TTL cannot reach the client emits nothing.
 	inj := []Injector{{ASN: 1, Dist: 70, Answer: 1, InitTTL: 64}}
-	var c netsim.Capture
-	Simulate(params(), inj, Noise{}, rng, &c)
+	var res Result
+	Simulate(params(), inj, Noise{}, rng, &res)
+	c := res.Capture
 	if len(c.Packets) != 2 {
 		t.Fatalf("unreachable injector still injected: %d packets", len(c.Packets))
 	}
 }
 
 // TestSimulateDeterministic: one seed yields one capture, also in a
-// capture recycled from a lookup that held more packets.
+// Result recycled from a lookup that held more packets and payloads.
 func TestSimulateDeterministic(t *testing.T) {
-	var a, b netsim.Capture
+	var a, b Result
 	Simulate(params(), nil, Noise{}, rand.New(rand.NewPCG(9, 9)), &a)
 	inj := []Injector{{ASN: 1, Dist: 3, Answer: 1, InitTTL: 64}, {ASN: 2, Dist: 5, Answer: 2, InitTTL: 255}}
 	Simulate(params(), inj, Noise{DupResponseProb: 1}, rand.New(rand.NewPCG(8, 8)), &b)
-	if len(b.Packets) <= len(a.Packets) {
-		t.Fatalf("the lookup to recycle holds %d packets, the clean one %d", len(b.Packets), len(a.Packets))
+	if len(b.Capture.Packets) <= len(a.Capture.Packets) {
+		t.Fatalf("the lookup to recycle holds %d packets, the clean one %d", len(b.Capture.Packets), len(a.Capture.Packets))
 	}
 	Simulate(params(), nil, Noise{}, rand.New(rand.NewPCG(9, 9)), &b)
-	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("a recycled capture differs from a fresh one:\n%v\n%v", b.Packets, a.Packets)
+	if !reflect.DeepEqual(a.Capture, b.Capture) {
+		t.Fatalf("a recycled capture differs from a fresh one:\n%v\n%v", b.Capture.Packets, a.Capture.Packets)
 	}
 }

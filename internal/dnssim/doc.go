@@ -6,7 +6,7 @@
 // Entry points: Simulate runs one lookup against a resolver with a set of
 // on-path Injectors and Noise, writing the client-side capture that
 // internal/detect's dual-response detector consumes into a caller-owned
-// netsim.Capture whose packet storage it reuses.
+// Result whose packet and payload storage it reuses.
 //
 // Invariants: injector timing is distance-faithful — a middlebox closer to
 // the client races its answer in earlier — and all randomness comes from

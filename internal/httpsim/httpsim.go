@@ -1,7 +1,6 @@
 package httpsim
 
 import (
-	"fmt"
 	"math/rand/v2"
 	"slices"
 	"time"
@@ -122,7 +121,7 @@ func Simulate(p Params, injectors []Injector, n Noise, rng *rand.Rand, res *Resu
 		Seq: serverISN, Ack: clientISN + 1, Flags: netsim.FlagSYN | netsim.FlagACK,
 	})
 	getAt := p.At.Add(rtt)
-	res.request = fmt.Appendf(res.request[:0], "GET / HTTP/1.1\r\nHost: %s\r\nConnection: close\r\n\r\n", p.Host)
+	res.request = append(append(append(res.request[:0], "GET / HTTP/1.1\r\nHost: "...), p.Host...), "\r\nConnection: close\r\n\r\n"...)
 	request := res.request
 	c.Add(netsim.Packet{
 		At: getAt, Src: p.ClientIP, Dst: p.ServerIP, TTL: netsim.InitTTLLinux,

@@ -18,7 +18,8 @@
 // substrate; RunByDayCtx executes the schedule into one record shard per
 // day, the shape streaming consumers push day by day; MergeShards turns
 // the shards into the batch sequence, and ComputeTable1 derives its
-// Table 1 stats. NumberPaths numbers a record table's AS paths.
+// Table 1 stats. NumberPaths numbers a record table's AS paths, and an
+// Arena carves a table's record slices from shared chunks.
 //
 // Path numbering: a Record's PathID numbers its ASPath within its table.
 // Records of one table with equal paths share one ID and one backing
@@ -44,13 +45,30 @@
 // the layout. A shard's capacity runs on into the next day: shards are
 // read-only, like their records.
 //
+// Blockpage verdicts: a test's delivered body is nearly always one of a
+// few fixed pages, the target's censor-free page or a rendered
+// blockpage, or one of those with the rest of the target's page after
+// it. RunByDayCtx runs the fingerprint DB's Match once on every target
+// page and every rendered blockpage before the first day, and a test
+// checks its body against its candidates, the target's page and the
+// pages its Block injectors serve, by one rule: a body equal to a
+// non-empty candidate byte for byte takes that page's verdict; one that
+// begins with a candidate the DB matches is matched, since a marker or
+// generic match inside the page is still inside the body; any other body
+// is matched as before. The length heuristic is always computed live,
+// so the answer is detect.Blockpage's (TestFixedPageVerdicts).
+//
 // Invariants: measurement is deterministic at every worker count. Each day
 // owns an RNG stream derived from (seed, day) alone via DaySeed — a
 // splitmix64 finalizer over the day index — so a day's randomness never
 // depends on which worker ran it or when, and parallel output is
 // bit-identical to serial. A day measures in a day scratch: a
-// routing.View and every buffer a test fills (packet captures, the
-// reassembled body, router-level expansions and traceroute hops). A
+// routing.View and every buffer a test fills (path-query results,
+// packet captures and DNS payloads, the reassembled body, router-level
+// expansions, traceroute hops, path inference and the HTTP detector's
+// segment list), plus an arena the records' true and inferred paths are
+// carved from; an inferred path equal to the true one shares its
+// array. A
 // RunByDayCtx call keeps a free list of them, and a worker takes one when
 // a day starts and returns it when the day ends, so a worker's days reuse
 // one View and one set of buffers. The View is Reset between days, so a

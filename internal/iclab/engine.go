@@ -73,7 +73,7 @@ func RunByDayCtx(ctx context.Context, s *Scenario, cfg PlatformConfig) ([][]Reco
 	days, perDay := s.Days(), s.recordsPerDay(cfg)
 	table := make([]Record, days*perDay)
 	shards := make([][]Record, days)
-	var free scratchList
+	free := scratchList{pages: s.verdicts()}
 	if err := parallel.ForEachCtx(ctx, cfg.Workers, days, func(day int) {
 		sc := free.take(s)
 		shards[day] = table[day*perDay : (day+1)*perDay]
@@ -91,10 +91,12 @@ func (s *Scenario) recordsPerDay(cfg PlatformConfig) int {
 	return cfg.URLsPerDay * len(s.Vantages) * cfg.RepeatsPerDay
 }
 
-// scratchList is one RunByDayCtx call's free list of day scratches.
+// scratchList is one RunByDayCtx call's free list of day scratches, and
+// the fixed page verdicts every scratch it makes reads.
 type scratchList struct {
-	mu   sync.Mutex
-	free []*dayScratch
+	pages *pageVerdicts
+	mu    sync.Mutex
+	free  []*dayScratch
 }
 
 // take returns a free scratch, or a new one when every scratch is in use.
@@ -103,7 +105,7 @@ func (l *scratchList) take(s *Scenario) *dayScratch {
 	defer l.mu.Unlock()
 	n := len(l.free)
 	if n == 0 {
-		return s.newDayScratch()
+		return s.newDayScratch(l.pages)
 	}
 	sc := l.free[n-1]
 	l.free = l.free[:n-1]

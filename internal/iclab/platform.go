@@ -2,6 +2,7 @@ package iclab
 
 import (
 	"math/rand/v2"
+	"slices"
 	"time"
 
 	"churntomo/internal/anomaly"
@@ -10,7 +11,6 @@ import (
 	"churntomo/internal/dnssim"
 	"churntomo/internal/httpsim"
 	"churntomo/internal/netaddr"
-	"churntomo/internal/netsim"
 	"churntomo/internal/routing"
 	"churntomo/internal/topology"
 	"churntomo/internal/traceroute"
@@ -147,26 +147,35 @@ func (p *pathRNG) seeded(a, b uint64) *rand.Rand {
 }
 
 // dayScratch is the memory one measurement day works in: a routing View
-// and every buffer a test fills and discards. RunByDayCtx hands each day
-// one from its free list and takes it back when the day ends, so a worker
-// reuses one scratch for all the days it measures. Every buffer is
-// overwritten before it is read, and the View is Reset between days, so
-// nothing a day measures depends on which days the scratch served before.
+// and every buffer a test fills and discards, plus the arena the day's
+// records take their paths from. RunByDayCtx hands each day one from its
+// free list and takes it back when the day ends, so a worker reuses one
+// scratch for all the days it measures. Every buffer is overwritten
+// before it is read, and the View is Reset between days, so nothing a day
+// measures depends on which days the scratch served before.
 type dayScratch struct {
-	view *routing.View
-	pr   *pathRNG
+	view  *routing.View
+	pr    *pathRNG
+	pages *pageVerdicts // the run's, shared read-only
 
+	path   []int32              // the test's AS-index path
+	alt    []int32              // the resolver's path, or a trace's
+	asns   []topology.ASN       // the resolver path's ASNs
 	exp    traceroute.Expansion // the test's path
-	alt    traceroute.Expansion // the resolver's path, or a trace's that differs
+	altExp traceroute.Expansion // the resolver's path, or a trace's that differs
 	traces [TracesPerTest]traceroute.Trace
+	infer  traceroute.Inferrer
 	http   httpsim.Result
-	dns    netsim.Capture
+	segs   detect.Scratch // the HTTP detector's segment list
+	dns    dnssim.Result
 	inj    []httpsim.Injector
 	dnsInj []dnssim.Injector
+	cands  []fixedPage         // the test's candidate pages, target's first
+	paths  Arena[topology.ASN] // the records' paths
 }
 
-func (s *Scenario) newDayScratch() *dayScratch {
-	return &dayScratch{view: s.Oracle.View(), pr: newPathRNG()}
+func (s *Scenario) newDayScratch(pages *pageVerdicts) *dayScratch {
+	return &dayScratch{view: s.Oracle.View(), pr: newPathRNG(), pages: pages}
 }
 
 // pcgStreamPlatform is the per-day measurement-schedule RNG stream word
@@ -214,7 +223,9 @@ func (s *Scenario) runDay(cfg PlatformConfig, day int, sc *dayScratch, out []Rec
 
 // measure runs one full test: DNS via two resolvers, HTTP with capture
 // analysis, blockpage comparison, and three traceroutes, routing through
-// the day's View and filling the day's buffers.
+// the day's View and filling the day's buffers. The record's paths are
+// carved from the day's arena; an inferred path equal to the true one
+// shares its array.
 func (s *Scenario) measure(v *Vantage, target *Target, targetIdx int32,
 	at time.Time, plane int32, cfg PlatformConfig, rng *rand.Rand, sc *dayScratch) Record {
 	rec := Record{
@@ -227,7 +238,8 @@ func (s *Scenario) measure(v *Vantage, target *Target, targetIdx int32,
 		At:             at,
 	}
 
-	idxPath, ok := sc.view.PathIdxAtPlane(v.Idx, target.Idx, at, plane)
+	idxPath, ok := sc.view.AppendPath(sc.path[:0], v.Idx, target.Idx, at, plane)
+	sc.path = idxPath
 	if !ok {
 		// No route: every sub-test errors out; the record is eliminated by
 		// rule 2 during clause construction.
@@ -235,7 +247,7 @@ func (s *Scenario) measure(v *Vantage, target *Target, targetIdx int32,
 		rec.Unreachable = true
 		return rec
 	}
-	asnPath := s.Oracle.ToASNs(idxPath)
+	asnPath := s.Oracle.AppendASNs(sc.paths.Take(len(idxPath))[:0], idxPath)
 	rec.TruePath = asnPath
 
 	// The router-level expansion is derived from a path-keyed RNG: the same
@@ -253,8 +265,10 @@ func (s *Scenario) measure(v *Vantage, target *Target, targetIdx int32,
 		rec.Anomalies = rec.Anomalies.Add(anomaly.DNS)
 	}
 
-	// --- HTTP test with packet capture analysis.
+	// --- HTTP test with packet capture analysis. The body's candidate
+	// pages are the target's and those the Block injectors serve.
 	injectors := sc.inj[:0]
+	cands := append(sc.cands[:0], fixedPage{target.Body, sc.pages.targets[targetIdx]})
 	for _, act := range active {
 		for _, k := range act.Techniques.Members() {
 			if k == anomaly.DNS {
@@ -272,7 +286,9 @@ func (s *Scenario) measure(v *Vantage, target *Target, targetIdx int32,
 				KillsConn: b.KillsConn,
 			}
 			if k == anomaly.Block {
-				inj.Blockpage = s.blockpages[pageKey{b.Blockpage, act.Policy.Country}]
+				key := pageKey{b.Blockpage, act.Policy.Country}
+				inj.Blockpage = s.blockpages[key]
+				cands = append(cands, fixedPage{inj.Blockpage, sc.pages.blocks[key]})
 			}
 			injectors = append(injectors, inj)
 		}
@@ -280,7 +296,7 @@ func (s *Scenario) measure(v *Vantage, target *Target, targetIdx int32,
 			rec.TrueActs = append(rec.TrueActs, GroundTruthAct{ASN: act.ASN, Kinds: act.Techniques})
 		}
 	}
-	sc.inj = injectors
+	sc.inj, sc.cands = injectors, cands
 	res := &sc.http
 	httpsim.Simulate(httpsim.Params{
 		At:         at.Add(2 * time.Second),
@@ -291,7 +307,7 @@ func (s *Scenario) measure(v *Vantage, target *Target, targetIdx int32,
 		ServerTTL:  target.ServerTTL,
 		Body:       target.Body,
 	}, injectors, cfg.HTTPNoise, rng, res)
-	verdict := detect.HTTP(&res.Capture, v.IP, target.IP)
+	verdict := detect.HTTP(&res.Capture, v.IP, target.IP, &sc.segs)
 	if verdict.TTL {
 		rec.Anomalies = rec.Anomalies.Add(anomaly.TTL)
 	}
@@ -301,7 +317,7 @@ func (s *Scenario) measure(v *Vantage, target *Target, targetIdx int32,
 	if verdict.RST {
 		rec.Anomalies = rec.Anomalies.Add(anomaly.RST)
 	}
-	if detect.Blockpage(res.Body, res.BaselineLen, s.Fingerprints) {
+	if sc.pages.blockpage(res.Body, res.BaselineLen, cands) {
 		rec.Anomalies = rec.Anomalies.Add(anomaly.Block)
 	}
 
@@ -310,19 +326,26 @@ func (s *Scenario) measure(v *Vantage, target *Target, targetIdx int32,
 	traces := sc.traces[:]
 	for i := range traces {
 		traceAt := at.Add(time.Duration(i) * cfg.MidTestChurnWindow / TracesPerTest)
-		tIdxPath, tok := sc.view.PathIdxAtPlane(v.Idx, target.Idx, traceAt, plane)
+		tIdxPath, tok := sc.view.AppendPath(sc.alt[:0], v.Idx, target.Idx, traceAt, plane)
+		sc.alt = tIdxPath
 		if !tok {
 			traces[i] = traceroute.Trace{Err: true, Hops: traces[i].Hops[:0]}
 			continue
 		}
 		tExp := exp
-		if !samePath(tIdxPath, idxPath) {
-			tExp = &sc.alt
+		if !slices.Equal(tIdxPath, idxPath) {
+			tExp = &sc.altExp
 			traceroute.Expand(s.Graph, tIdxPath, target.IP, sc.pr.seeded(s.Seed^0x657870, pathHash(tIdxPath)), tExp)
 		}
 		traceroute.Probe(tExp, cfg.Traceroute, rng, &traces[i])
 	}
-	rec.ASPath, rec.Fail = traceroute.InferConsensus(traces, s.DB, at, v.ASN)
+	path, why := sc.infer.Consensus(traces, s.DB.At(at), v.ASN)
+	if rec.Fail = why; why == traceroute.OK {
+		rec.ASPath = asnPath
+		if !slices.Equal(path, asnPath) {
+			rec.ASPath = append(sc.paths.Take(len(path))[:0], path...)
+		}
+	}
 	return rec
 }
 
@@ -350,28 +373,29 @@ func (s *Scenario) dnsTest(rec *Record, v *Vantage, target *Target, at time.Time
 	for _, inj := range defInjectors {
 		rec.TrueActs = append(rec.TrueActs, GroundTruthAct{ASN: topology.ASN(inj.ASN), Kinds: anomaly.MakeSet(anomaly.DNS)})
 	}
-	capture := &sc.dns
+	dns := &sc.dns
 	dnssim.Simulate(dnssim.Params{
 		At: at, ClientIP: v.IP, ResolverIP: defResolver, Host: target.URL.Host,
 		QueryID: uint16(rng.Uint32()), ResolverDist: 2, TrueAnswer: target.IP,
 		ResolverTTL: 64,
-	}, defInjectors, cfg.DNSNoise, rng, capture)
+	}, defInjectors, cfg.DNSNoise, rng, dns)
 	sc.dnsInj = defInjectors
-	if detect.DNSDual(capture, v.IP) {
+	if detect.DNSDual(&dns.Capture, v.IP) {
 		return true
 	}
 
 	// Open resolver: the query transits the path toward the anycast AS;
 	// DNS censors along it inject.
-	rIdxPath, ok := sc.view.PathIdxAtPlane(v.Idx, s.ResolverIdx, at, plane)
+	rIdxPath, ok := sc.view.AppendPath(sc.alt[:0], v.Idx, s.ResolverIdx, at, plane)
+	sc.alt = rIdxPath
 	if !ok {
 		return false // resolver unreachable; no data
 	}
-	rASNs := s.Oracle.ToASNs(rIdxPath)
-	rExp := &sc.alt
+	sc.asns = s.Oracle.AppendASNs(sc.asns[:0], rIdxPath)
+	rExp := &sc.altExp
 	traceroute.Expand(s.Graph, rIdxPath, s.Graph.ResolverIP, sc.pr.seeded(s.Seed^0x657870, pathHash(rIdxPath)), rExp)
 	openInjectors := sc.dnsInj[:0]
-	for _, act := range s.Censors.ActiveOn(rASNs, target.URL.Category, at) {
+	for _, act := range s.Censors.ActiveOn(sc.asns, target.URL.Category, at) {
 		if act.Techniques.Has(anomaly.DNS) {
 			openInjectors = append(openInjectors, dnssim.Injector{
 				ASN: uint32(act.ASN), Dist: rExp.DistOfAS(act.PathIndex),
@@ -387,26 +411,14 @@ func (s *Scenario) dnsTest(rec *Record, v *Vantage, target *Target, at time.Time
 		At: at.Add(time.Second), ClientIP: v.IP, ResolverIP: s.Graph.ResolverIP,
 		Host: target.URL.Host, QueryID: uint16(rng.Uint32()),
 		ResolverDist: rExp.ServerDist(), TrueAnswer: target.IP, ResolverTTL: 64,
-	}, openInjectors, cfg.DNSNoise, rng, capture)
+	}, openInjectors, cfg.DNSNoise, rng, dns)
 	sc.dnsInj = openInjectors
-	return detect.DNSDual(capture, v.IP)
+	return detect.DNSDual(&dns.Capture, v.IP)
 }
 
 // sinkholeFor derives a censor's DNS sinkhole address.
 func sinkholeFor(asn topology.ASN) netaddr.IP {
 	return netaddr.MakeIP(10, byte(asn>>8), byte(asn), 1)
-}
-
-func samePath(a, b []int32) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // pathHash folds an AS-index path into a 64-bit seed.

@@ -10,7 +10,9 @@
 // exercised.
 //
 // Entry points: Build generates the DB over a topology; DB.Lookup maps an
-// address at a timestamp through the snapshot covering that month.
+// address at a timestamp through the snapshot covering that month, and
+// DB.At picks that Snapshot once for a caller mapping many addresses at
+// one time (a test's traceroutes).
 //
 // Invariants: Build is deterministic for a BuildConfig; the DB is
 // immutable afterward and shared read-only across measurement workers.

@@ -98,12 +98,28 @@ func monthStart(t time.Time) time.Time {
 
 // Lookup resolves ip using the snapshot in force at time at.
 func (db *DB) Lookup(ip netaddr.IP, at time.Time) (topology.ASN, bool) {
+	return db.At(at).Lookup(ip)
+}
+
+// Snapshot is the mapping one month's snapshot holds. A caller that maps
+// many addresses at one time picks the snapshot once with DB.At.
+type Snapshot struct {
+	trie *netaddr.Trie[topology.ASN]
+}
+
+// At returns the snapshot in force at time at, the one Lookup(ip, at)
+// reads: the latest that starts at or before at, or the first for a time
+// before every snapshot.
+func (db *DB) At(at time.Time) Snapshot {
 	i := sort.Search(len(db.snapshots), func(i int) bool { return db.snapshots[i].start.After(at) })
 	if i == 0 {
 		i = 1 // clamp queries before the first snapshot onto it
 	}
-	return db.snapshots[i-1].trie.Lookup(ip)
+	return Snapshot{&db.snapshots[i-1].trie}
 }
+
+// Lookup resolves ip in the snapshot.
+func (s Snapshot) Lookup(ip netaddr.IP) (topology.ASN, bool) { return s.trie.Lookup(ip) }
 
 // Perfect builds a single-snapshot database with no holes or drift —
 // useful for tests that want mapping noise out of the picture.

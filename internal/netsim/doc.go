@@ -5,7 +5,10 @@
 // Entry points: Packet and Capture are the shared currency — the DNS and
 // HTTP simulators build Captures out of them, and the detectors in
 // internal/detect consume Captures exactly the way ICLab's offline
-// analysis consumes raw pcaps.
+// analysis consumes raw pcaps. AppendDNS writes a DNS message's wire form
+// into the caller's buffer; UnmarshalDNS decodes one, and DNSResponseID
+// reads only a response's query ID, which is all the dual-response
+// detector needs.
 //
 // Invariants: nothing in a Capture says "this packet was injected" except
 // the ground-truth fields, which detectors are forbidden to read (enforced

@@ -137,9 +137,9 @@ type DNSMessage struct {
 	Answer   netaddr.IP // A record; 0 for queries
 }
 
-// MarshalDNS encodes m into a compact wire form.
-func MarshalDNS(m DNSMessage) []byte {
-	buf := make([]byte, 0, 8+len(m.Host))
+// AppendDNS appends m's compact wire form to buf and returns the
+// extended slice.
+func AppendDNS(buf []byte, m DNSMessage) []byte {
 	buf = append(buf, byte(m.ID>>8), byte(m.ID))
 	flag := byte(0)
 	if m.Response {
@@ -148,27 +148,44 @@ func MarshalDNS(m DNSMessage) []byte {
 	buf = append(buf, flag, byte(len(m.Host)))
 	buf = append(buf, m.Host...)
 	a := uint32(m.Answer)
-	buf = append(buf, byte(a>>24), byte(a>>16), byte(a>>8), byte(a))
-	return buf
+	return append(buf, byte(a>>24), byte(a>>16), byte(a>>8), byte(a))
 }
 
-// UnmarshalDNS decodes a payload produced by MarshalDNS.
+// UnmarshalDNS decodes a payload produced by AppendDNS.
 func UnmarshalDNS(b []byte) (DNSMessage, error) {
-	if len(b) < 8 {
-		return DNSMessage{}, fmt.Errorf("netsim: DNS payload too short (%d bytes)", len(b))
+	if err := checkDNS(b); err != nil {
+		return DNSMessage{}, err
 	}
 	hostLen := int(b[3])
-	if len(b) != 8+hostLen {
-		return DNSMessage{}, fmt.Errorf("netsim: DNS payload length mismatch")
-	}
-	host := string(b[4 : 4+hostLen])
 	a := b[4+hostLen:]
 	return DNSMessage{
 		ID:       uint16(b[0])<<8 | uint16(b[1]),
 		Response: b[2]&0x80 != 0,
-		Host:     host,
+		Host:     string(b[4 : 4+hostLen]),
 		Answer:   netaddr.IP(uint32(a[0])<<24 | uint32(a[1])<<16 | uint32(a[2])<<8 | uint32(a[3])),
 	}, nil
+}
+
+// DNSResponseID returns the query ID of a DNS response payload, without
+// decoding the rest: ok is false for a query or for a payload
+// UnmarshalDNS rejects.
+func DNSResponseID(b []byte) (id uint16, ok bool) {
+	if checkDNS(b) != nil || b[2]&0x80 == 0 {
+		return 0, false
+	}
+	return uint16(b[0])<<8 | uint16(b[1]), true
+}
+
+// checkDNS reports whether b is too short or disagrees with its own host
+// length.
+func checkDNS(b []byte) error {
+	if len(b) < 8 {
+		return fmt.Errorf("netsim: DNS payload too short (%d bytes)", len(b))
+	}
+	if len(b) != 8+int(b[3]) {
+		return fmt.Errorf("netsim: DNS payload length mismatch")
+	}
+	return nil
 }
 
 // DNSPort is the well-known DNS port.

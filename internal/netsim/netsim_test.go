@@ -63,7 +63,7 @@ func TestSanitizedStripsGroundTruth(t *testing.T) {
 
 func TestDNSRoundTrip(t *testing.T) {
 	m := DNSMessage{ID: 0xbeef, Response: true, Host: "deals-1.shop.com", Answer: netaddr.MustParseIP("20.3.0.7")}
-	got, err := UnmarshalDNS(MarshalDNS(m))
+	got, err := UnmarshalDNS(AppendDNS(nil, m))
 	if err != nil {
 		t.Fatalf("UnmarshalDNS: %v", err)
 	}
@@ -78,8 +78,11 @@ func TestDNSRoundTripProperty(t *testing.T) {
 			hostRaw = hostRaw[:255]
 		}
 		m := DNSMessage{ID: id, Response: resp, Host: string(hostRaw), Answer: netaddr.IP(answer)}
-		got, err := UnmarshalDNS(MarshalDNS(m))
-		return err == nil && got == m
+		// Appended after other bytes, the message is unchanged and they are kept.
+		buf := AppendDNS([]byte("pre"), m)
+		got, err := UnmarshalDNS(buf[3:])
+		gotID, isResp := DNSResponseID(buf[3:])
+		return err == nil && got == m && string(buf[:3]) == "pre" && isResp == resp && (!resp || gotID == id)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
@@ -94,6 +97,11 @@ func TestUnmarshalDNSErrors(t *testing.T) {
 	bad := []byte{0, 1, 0x80, 10, 'a', 'b', 0, 0, 0, 0}
 	if _, err := UnmarshalDNS(bad); err == nil {
 		t.Error("length mismatch accepted")
+	}
+	for _, b := range [][]byte{{1, 2, 3}, bad} {
+		if _, ok := DNSResponseID(b); ok {
+			t.Errorf("DNSResponseID accepted %v", b)
+		}
 	}
 }
 

@@ -11,10 +11,10 @@
 //
 // Entry points: GenTimeline builds the churn event Timeline; NewOracle
 // wraps a Graph and Timeline, and Oracle.View opens the query interface
-// the simulators use (View.PathIdxAtPlane, TreeAtPlane, and
-// View.Reset between days; Oracle.ToASNs converts paths). ComputeTree
-// computes a single Gao–Rexford routing tree when callers need one
-// directly.
+// the simulators use (View.AppendPath, TreeAtPlane, and View.Reset
+// between days; Oracle.AppendASNs converts paths). Path queries append
+// into the caller's storage. ComputeTree computes a single Gao–Rexford
+// routing tree when callers need one directly.
 //
 // Invariants: a tree is a pure function of (graph, timeline, destination,
 // epoch, plane), so a View may reuse one across epochs and what it has
@@ -34,4 +34,16 @@
 // drop (on Reset, or on reaching the Oracle's bound) rewinds by an index,
 // so later trees overwrite earlier ones' storage in a fixed order: a
 // returned Tree is valid only until the View next drops its trees.
+//
+// A View moves its one link-down and salt state between epochs in one
+// pass: the timeline stores every boundary's net flips back to back, so
+// the flips between two epochs are one contiguous range, applied forward
+// in timeline order or backward in reverse order with each link state
+// negated; salt flips are XORs, so their order is free. A repair seeds
+// its inconsistent ASes from the same ranges. Timeline.EpochAt
+// binary-searches the epochs' starts as integers, time's own seconds and
+// then nanoseconds, which order exactly as time.Time.After does on the
+// timeline's wall-clock instants (GenTimeline strips monotonic readings),
+// for any time however far outside the timeline; a View's path query
+// looks first at its last query's epoch.
 package routing

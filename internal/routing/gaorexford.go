@@ -222,15 +222,15 @@ func (sc *treeScratch) compute(g *topology.Graph, dst int32, down []bool, salt [
 	return r
 }
 
-// Path extracts the AS-index path from src to dst out of a tree, returning
-// ok=false if src has no route. The returned slice starts with src and ends
-// with dst.
-func (t Tree) Path(src, dst int32) ([]int32, bool) {
+// AppendPath appends the AS-index path from src to dst out of a tree to
+// buf and returns the extended slice, which then ends with the path from
+// src to dst. When src has no route it returns buf unchanged and false.
+func (t Tree) AppendPath(buf []int32, src, dst int32) ([]int32, bool) {
 	const maxLen = 64 // far above any valley-free path length; loop guard
 	if t[src] == Unreachable {
-		return nil, false
+		return buf, false
 	}
-	path := make([]int32, 0, 8)
+	path := buf
 	at := src
 	for range maxLen {
 		path = append(path, at)
@@ -239,8 +239,8 @@ func (t Tree) Path(src, dst int32) ([]int32, bool) {
 		}
 		at = t[at]
 		if at == Unreachable {
-			return nil, false
+			return buf, false
 		}
 	}
-	return nil, false
+	return buf, false
 }

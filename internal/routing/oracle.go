@@ -58,13 +58,13 @@ func (o *Oracle) TreeAt(dst, ep int32) Tree {
 	return o.View().TreeAtPlane(dst, ep, 0)
 }
 
-// ToASNs converts an AS-index path to ASNs.
-func (o *Oracle) ToASNs(idxPath []int32) []topology.ASN {
-	out := make([]topology.ASN, len(idxPath))
-	for i, idx := range idxPath {
-		out[i] = o.G.ASes[idx].ASN
+// AppendASNs appends the ASNs of an AS-index path to buf and returns the
+// extended slice.
+func (o *Oracle) AppendASNs(buf []topology.ASN, idxPath []int32) []topology.ASN {
+	for _, idx := range idxPath {
+		buf = append(buf, o.G.ASes[idx].ASN)
 	}
-	return out
+	return buf
 }
 
 // Stats reports the work done through every View so far: path queries,
@@ -106,6 +106,8 @@ type View struct {
 	ep   int32
 	down []bool   // by link ID
 	salt []uint64 // by AS index
+
+	lastAt int32 // the epoch of the last path query, where the next looks first
 
 	ts treeScratch
 	rs repairScratch
@@ -304,7 +306,11 @@ func (v *View) betters(rt *Routes, x, y int32, c uint8, ep int32, psalt uint64) 
 
 // moveTo brings the View's routing state to epoch ep: by the timeline's
 // deltas, or by a rebuild when the walk would apply more flips than a
-// rebuild writes.
+// rebuild writes. A walk applies the flips of every boundary it crosses
+// as one contiguous range: forward in timeline order, so the latest flip
+// of a link sets its state, and backward in reverse order with each
+// state negated, so the earliest flip's prior state wins. Salt flips are
+// XORs, which commute and undo themselves, so their order is free.
 func (v *View) moveTo(ep int32) {
 	tl := v.o.TL
 	if v.ep < 0 || tl.flipsBetween(v.ep, ep) > len(v.down)+len(v.salt) {
@@ -316,29 +322,28 @@ func (v *View) moveTo(ep int32) {
 		v.ep = ep
 		return
 	}
-	for v.ep < ep {
-		v.ep++
-		v.apply(v.ep, true)
+	flips, shifts := tl.flipsAcross(v.ep, ep)
+	if ep > v.ep {
+		for _, f := range flips {
+			v.down[f.link] = f.down
+		}
+	} else {
+		for i := len(flips) - 1; i >= 0; i-- {
+			v.down[flips[i].link] = !flips[i].down
+		}
 	}
-	for v.ep > ep {
-		v.apply(v.ep, false)
-		v.ep--
-	}
-}
-
-// apply crosses the boundary into epoch e forward, or back out of it.
-func (v *View) apply(e int32, fwd bool) {
-	for _, f := range v.o.TL.linkFlips(e) {
-		v.down[f.link] = f.down == fwd
-	}
-	for _, s := range v.o.TL.saltFlips(e) {
+	for _, s := range shifts {
 		v.salt[s.as] ^= s.xor
 	}
+	v.ep = ep
 }
 
-// PathIdxAtPlane returns the AS-index path from src to dst at time t on
-// one forwarding plane (see TreeAtPlane). Plane 0 is the canonical path.
-func (v *View) PathIdxAtPlane(src, dst int32, t time.Time, plane int32) ([]int32, bool) {
+// AppendPath appends the AS-index path from src to dst at time t on one
+// forwarding plane (see TreeAtPlane) to buf and returns the extended
+// slice; when src has no route it returns buf unchanged and false. Plane
+// 0 is the canonical path.
+func (v *View) AppendPath(buf []int32, src, dst int32, t time.Time, plane int32) ([]int32, bool) {
 	v.o.queries.Add(1)
-	return v.TreeAtPlane(dst, v.o.TL.EpochAt(t), plane).Path(src, dst)
+	v.lastAt = v.o.TL.epochNear(t, v.lastAt)
+	return v.TreeAtPlane(dst, v.lastAt, plane).AppendPath(buf, src, dst)
 }

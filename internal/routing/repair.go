@@ -93,17 +93,15 @@ func (v *View) repair(from *Routes, dst, e0 int32, psalt uint64, r Routes) Route
 	}
 	sc.touched = sc.touched[:0]
 
-	tl, g := v.o.TL, v.o.G
-	lo, hi := min(e0, v.ep), max(e0, v.ep)
-	for b := lo + 1; b <= hi; b++ {
-		for _, f := range tl.linkFlips(b) {
-			l := &g.Links[f.link]
-			v.reconsider(&r, l.A, dst, psalt)
-			v.reconsider(&r, l.B, dst, psalt)
-		}
-		for _, s := range tl.saltFlips(b) {
-			v.reconsider(&r, s.as, dst, psalt)
-		}
+	g := v.o.G
+	flips, shifts := v.o.TL.flipsAcross(e0, v.ep)
+	for _, f := range flips {
+		l := &g.Links[f.link]
+		v.reconsider(&r, l.A, dst, psalt)
+		v.reconsider(&r, l.B, dst, psalt)
+	}
+	for _, s := range shifts {
+		v.reconsider(&r, s.as, dst, psalt)
 	}
 	for len(sc.queue) > 0 {
 		e := sc.pop()

@@ -1,7 +1,10 @@
 package routing
 
 import (
+	"math"
+	"math/rand/v2"
 	"slices"
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -76,7 +79,7 @@ func relBetween(g *topology.Graph, a, b int32) (topology.Rel, bool) {
 // pathIdxAt returns the AS-index path from src to dst at time t on v's
 // canonical forwarding plane.
 func pathIdxAt(v *View, src, dst int32, t time.Time) ([]int32, bool) {
-	return v.PathIdxAtPlane(src, dst, t, 0)
+	return v.AppendPath(nil, src, dst, t, 0)
 }
 
 // pathAt returns the ASN path from src to dst at time t on v, false when
@@ -94,7 +97,7 @@ func pathAt(v *View, src, dst topology.ASN, t time.Time) ([]topology.ASN, bool) 
 	if !ok {
 		return nil, false
 	}
-	return v.o.ToASNs(idxPath), true
+	return v.o.AppendASNs(nil, idxPath), true
 }
 
 func TestComputeTreeAllReachable(t *testing.T) {
@@ -103,7 +106,7 @@ func TestComputeTreeAllReachable(t *testing.T) {
 	for dst := int32(0); dst < 20; dst++ {
 		tree := ComputeTree(g, dst, down, salt, 0, Routes{}).Tree
 		for src := range tree {
-			path, ok := tree.Path(int32(src), dst)
+			path, ok := tree.AppendPath(nil, int32(src), dst)
 			if !ok {
 				t.Fatalf("no route %v -> %v in failure-free topology",
 					g.ASes[src].ASN, g.ASes[dst].ASN)
@@ -121,7 +124,7 @@ func TestComputeTreeValleyFree(t *testing.T) {
 	for dst := int32(0); dst < int32(len(g.ASes)); dst += 17 {
 		tree := ComputeTree(g, dst, down, salt, 0, Routes{}).Tree
 		for src := int32(0); src < int32(len(g.ASes)); src += 7 {
-			path, ok := tree.Path(src, dst)
+			path, ok := tree.AppendPath(nil, src, dst)
 			if !ok {
 				t.Fatalf("unreachable %d->%d", src, dst)
 			}
@@ -159,7 +162,7 @@ func TestComputeTreeCustomerPreference(t *testing.T) {
 	phase := make([]uint8, len(g.ASes))
 	dist := make([]int32, len(g.ASes))
 	for u := range g.ASes {
-		path, ok := tree.Path(int32(u), dst)
+		path, ok := tree.AppendPath(nil, int32(u), dst)
 		if !ok {
 			t.Fatalf("unreachable %d", u)
 		}
@@ -266,8 +269,8 @@ func TestSaltChangesTiebreakOnly(t *testing.T) {
 	// (multi-homed ASes with ties), but path lengths per class must match.
 	diff := 0
 	for u := range a {
-		pa, oka := a.Path(int32(u), dst)
-		pb, okb := b.Path(int32(u), dst)
+		pa, oka := a.AppendPath(nil, int32(u), dst)
+		pb, okb := b.AppendPath(nil, int32(u), dst)
 		if !oka || !okb {
 			t.Fatalf("unreachable under some salt at %d", u)
 		}
@@ -309,6 +312,60 @@ func TestTimelineEpochs(t *testing.T) {
 	for ep := int32(0); ep < int32(tl.NumEpochs()); ep++ {
 		if got := tl.EpochAt(tl.epochs[ep].at); got != ep {
 			t.Fatalf("EpochAt(start of epoch %d) = %d", ep, got)
+		}
+	}
+}
+
+// TestEpochAtMatchesAfter: EpochAt's integer search must give the epoch
+// a search with time.Time.After over the epoch starts gives, clamps
+// included, for any time: epoch starts and their neighbours a nanosecond
+// either side, random instants inside the timeline, times in other
+// zones, and times far outside it, up to where Unix seconds and
+// time.Time's own second count wrap. epochNear must give the same
+// answer from any hint: the right epoch, its neighbours, a random one,
+// and hints outside the timeline.
+func TestEpochAtMatchesAfter(t *testing.T) {
+	g := graph(t, 8, 150)
+	start := time.Date(2016, 5, 1, 0, 0, 0, 0, time.UTC)
+	tl, err := GenTimeline(g, TimelineConfig{Seed: 3, Start: start, End: start.AddDate(0, 1, 0)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := func(t time.Time) int32 {
+		i := sort.Search(len(tl.epochs), func(i int) bool { return tl.epochs[i].at.After(t) })
+		return int32(max(i-1, 0))
+	}
+	var probes []time.Time
+	for _, e := range tl.epochs {
+		probes = append(probes, e.at, e.at.Add(-1), e.at.Add(1), e.at.In(time.FixedZone("x", -7*3600)))
+	}
+	rng := rand.New(rand.NewPCG(3, 0x65706f6368)) // "epoch"
+	span := int64(tl.End.Sub(tl.Start))
+	for range 2000 {
+		probes = append(probes, start.Add(time.Duration(rng.Int64N(3*span)-span)))
+	}
+	probes = append(probes,
+		time.Time{},
+		time.Unix(0, 0),
+		time.Unix(math.MaxInt64, 999999999),
+		time.Unix(math.MinInt64, 0),
+		time.Unix(math.MaxInt64-unixToInternal, 0),
+		time.Unix(math.MinInt64+unixToInternal, 0),
+		time.Date(-1e9, 1, 1, 0, 0, 0, 0, time.UTC),
+		time.Date(1e9, 1, 1, 0, 0, 0, 0, time.UTC),
+		time.Date(2300, 1, 1, 0, 0, 0, 0, time.UTC), // beyond UnixNano's range
+		time.Date(1600, 1, 1, 0, 0, 0, 0, time.UTC),
+	)
+	n := int32(tl.NumEpochs())
+	for _, p := range probes {
+		w := want(p)
+		if got := tl.EpochAt(p); got != w {
+			t.Fatalf("EpochAt(%v) = %d, After's search gives %d", p, got, w)
+		}
+		for _, hint := range []int32{w, w - 1, w + 1, rng.Int32N(n), -1, 0, n - 1, n} {
+			if got := tl.epochNear(p, hint); got != w {
+				t.Fatalf("epochNear(%v, %d) = %d, After's search gives %d", p, hint, got, w)
+			}
 		}
 	}
 }
@@ -562,7 +619,9 @@ func BenchmarkComputeTree(b *testing.B) {
 	}
 }
 
-func BenchmarkOraclePathIdxAt(b *testing.B) {
+// BenchmarkViewAppendPath times path queries hour by hour through a
+// year, appending each path into one reused buffer.
+func BenchmarkViewAppendPath(b *testing.B) {
 	g := graph(b, 21, 500)
 	start := time.Date(2016, 5, 1, 0, 0, 0, 0, time.UTC)
 	tl, err := GenTimeline(g, TimelineConfig{Seed: 7, Start: start, End: start.AddDate(1, 0, 0)})
@@ -570,9 +629,11 @@ func BenchmarkOraclePathIdxAt(b *testing.B) {
 		b.Fatal(err)
 	}
 	v := NewOracle(g, tl, 4096).View()
+	var buf []int32
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		pathIdxAt(v, 50, 400, start.Add(time.Duration(i%8760)*time.Hour))
+		buf, _ = v.AppendPath(buf[:0], 50, 400, start.Add(time.Duration(i%8760)*time.Hour), 0)
 	}
 }
 
@@ -653,7 +714,7 @@ func TestOracleNegativeCacheClamped(t *testing.T) {
 		}
 		v := o.View()
 		for dst := int32(0); dst < int32(len(g.ASes)); dst++ {
-			want, _ := ComputeTree(g, dst, down, salt, 0, Routes{}).Tree.Path(1, dst)
+			want, _ := ComputeTree(g, dst, down, salt, 0, Routes{}).Tree.AppendPath(nil, 1, dst)
 			if got, _ := pathIdxAt(v, 1, dst, at); !slices.Equal(got, want) {
 				t.Fatalf("NewOracle(%d): path 1->%d differs from ComputeTree", trees, dst)
 			}

@@ -68,6 +68,7 @@ type Timeline struct {
 
 	events  []Event
 	epochs  []epoch
+	starts  []instant              // each epoch's start, as EpochAt searches it
 	salts   map[int32][]saltChange // per-AS policy shifts, by epoch
 	base    uint64                 // base salt mixed into every AS
 	nevents int
@@ -205,6 +206,10 @@ func GenTimeline(g *topology.Graph, cfg TimelineConfig) (*Timeline, error) {
 			return nil, fmt.Errorf("routing: wave %d: Frac %v outside (0, 1]", i, w.Frac)
 		}
 	}
+	// Wall-clock instants only: with no monotonic reading on the
+	// timeline's times, time.Time.After orders any time against them by
+	// wall clock, the order EpochAt's integer search reproduces.
+	cfg.Start, cfg.End = cfg.Start.Round(0), cfg.End.Round(0)
 	rng := rand.New(rand.NewPCG(cfg.Seed, pcgStreamChurn))
 	span := cfg.End.Sub(cfg.Start)
 	years := span.Hours() / (365 * 24)
@@ -305,6 +310,10 @@ func GenTimeline(g *topology.Graph, cfg TimelineConfig) (*Timeline, error) {
 	}
 	tl.buildEpochs(g)
 	tl.buildDeltas()
+	tl.starts = make([]instant, len(tl.epochs))
+	for i := range tl.epochs {
+		tl.starts[i] = instantOf(tl.epochs[i].at)
+	}
 	return tl, nil
 }
 
@@ -411,12 +420,19 @@ func (tl *Timeline) linkFlips(e int32) []linkFlip { return tl.flips[tl.flipAt[e]
 // epoch e.
 func (tl *Timeline) saltFlips(e int32) []saltFlip { return tl.shifts[tl.shiftAt[e]:tl.shiftAt[e+1]] }
 
+// flipsAcross returns, as one contiguous range each, the link flips and
+// salt flips of every boundary between epochs a and b, in either order:
+// the boundaries into epochs min(a, b)+1 through max(a, b), in timeline
+// order. A link flips at most once per boundary but may flip at several.
+func (tl *Timeline) flipsAcross(a, b int32) ([]linkFlip, []saltFlip) {
+	lo, hi := min(a, b)+1, max(a, b)+1
+	return tl.flips[tl.flipAt[lo]:tl.flipAt[hi]], tl.shifts[tl.shiftAt[lo]:tl.shiftAt[hi]]
+}
+
 // flipsBetween counts the flips a walk from epoch a to epoch b applies.
 func (tl *Timeline) flipsBetween(a, b int32) int {
-	if a > b {
-		a, b = b, a
-	}
-	return int(tl.flipAt[b+1]-tl.flipAt[a+1]) + int(tl.shiftAt[b+1]-tl.shiftAt[a+1])
+	flips, shifts := tl.flipsAcross(a, b)
+	return len(flips) + len(shifts)
 }
 
 // NumEpochs returns the number of constant-routing-state intervals.
@@ -426,12 +442,63 @@ func (tl *Timeline) NumEpochs() int { return len(tl.epochs) }
 func (tl *Timeline) NumEvents() int { return tl.nevents }
 
 // EpochAt returns the epoch index covering t (clamped to the timeline).
+// It binary-searches the epochs' starts as integers, in the order
+// time.Time.After gives times without a monotonic reading, which the
+// timeline's own never carry (GenTimeline strips it): so the answer is
+// After's for every t, before, inside or after the timeline.
 func (tl *Timeline) EpochAt(t time.Time) int32 {
-	i := sort.Search(len(tl.epochs), func(i int) bool { return tl.epochs[i].at.After(t) })
-	if i == 0 {
-		return 0
+	return tl.epochOf(instantOf(t))
+}
+
+// epochNear is EpochAt(t) for a caller whose last answer was hint: it
+// checks hint's epoch before it searches, since a caller's queries
+// cluster in time (a test asks its own path, the resolver's and its
+// first trace's at one instant).
+func (tl *Timeline) epochNear(t time.Time, hint int32) int32 {
+	k := instantOf(t)
+	if h := int(hint); h >= 0 && h < len(tl.starts) && !tl.starts[h].after(k) &&
+		(h+1 == len(tl.starts) || tl.starts[h+1].after(k)) {
+		return hint
 	}
-	return int32(i - 1)
+	return tl.epochOf(k)
+}
+
+// epochOf returns the last epoch starting at or before k, or 0 when
+// every epoch starts after it.
+func (tl *Timeline) epochOf(k instant) int32 {
+	lo, hi := 0, len(tl.starts) // the first epoch starting after k lies in [lo, hi]
+	for lo < hi {
+		if m := int(uint(lo+hi) >> 1); tl.starts[m].after(k) {
+			hi = m
+		} else {
+			lo = m + 1
+		}
+	}
+	return int32(max(lo-1, 0))
+}
+
+// instant is a time as an integer pair that orders as time.Time.After
+// orders times without monotonic readings: seconds, then nanoseconds.
+type instant struct {
+	sec  int64
+	nsec int32
+}
+
+// after reports whether a is later than b.
+func (a instant) after(b instant) bool { return a.sec > b.sec || a.sec == b.sec && a.nsec > b.nsec }
+
+// unixToInternal is the number of seconds from January 1 of year 1 to
+// the Unix epoch, the offset between time.Time's own second count and
+// its Unix seconds.
+const unixToInternal = 62135596800
+
+// instantOf returns t's instant. The seconds are time.Time's own count,
+// from January 1 of year 1: Unix seconds shifted back by the offset,
+// wrapping where that count wraps, so instants order exactly as After
+// does, also where UnixNano would overflow (beyond about 292 years from
+// 1970).
+func instantOf(t time.Time) instant {
+	return instant{sec: t.Unix() + unixToInternal, nsec: int32(t.Nanosecond())}
 }
 
 // DownLinks returns the sorted link IDs out of service during epoch ep. The

@@ -222,6 +222,60 @@ func TestTimelineDeltas(t *testing.T) {
 	}
 }
 
+// TestMoveToWalksMatchReset: moveTo between random epoch pairs, forward
+// and backward, must leave the View's down links and salts equal to a
+// reset of the target epoch from DownLinks and EpochSalts. A walk applies
+// every boundary it crosses as one range, so the test counts walks in
+// each direction that cross a link flipping more than once, where the
+// range's order decides the state.
+func TestMoveToWalksMatchReset(t *testing.T) {
+	walks, reflips := [2]int{}, [2]int{}
+	for seed := uint64(1); seed <= 6; seed++ {
+		g, tl := viewWorld(t, seed)
+		n := int32(tl.NumEpochs())
+		v := NewOracle(g, tl, 0).View()
+		rng := rand.New(rand.NewPCG(seed, 0x7061697273)) // "pairs"
+		for range 300 {
+			a, b := rng.Int32N(n), rng.Int32N(n)
+			if rng.IntN(2) == 0 { // a short walk, within a few boundaries
+				b = min(max(a+rng.Int32N(41)-20, 0), n-1)
+			}
+			v.ep = -1
+			v.moveTo(a) // a reset, whatever the View held
+			walked := tl.flipsBetween(a, b) <= len(v.down)+len(v.salt)
+			v.moveTo(b)
+			wantDown, wantSalt := epochState(g, tl, b)
+			if !slices.Equal(v.down, wantDown) || !slices.Equal(v.salt, wantSalt) {
+				t.Fatalf("world %d: moveTo from epoch %d to %d (walk %v) differs from a reset at %d", seed, a, b, walked, b)
+			}
+			if !walked || a == b {
+				continue
+			}
+			dir := 0
+			if b < a {
+				dir = 1
+			}
+			walks[dir]++
+			flips, _ := tl.flipsAcross(a, b)
+			seen := map[int32]bool{}
+			for _, f := range flips {
+				if seen[f.link] {
+					reflips[dir]++
+					break
+				}
+				seen[f.link] = true
+			}
+		}
+	}
+	t.Logf("walks forward %d (%d reflipping a link), backward %d (%d)", walks[0], reflips[0], walks[1], reflips[1])
+	for dir, name := range []string{"forward", "backward"} {
+		if walks[dir] < 100 || reflips[dir] < 20 {
+			t.Errorf("%s: %d walks, %d crossing a link that flips twice; the pairs exercise too little",
+				name, walks[dir], reflips[dir])
+		}
+	}
+}
+
 // TestTouchRules checks the reuse rules on every consecutive epoch pair
 // of the model worlds: when the tree changes across a boundary, crossing
 // it from either side must count as a touch. When it does not, only rule

@@ -134,7 +134,7 @@ func pathEq(a, b []int32) bool {
 }
 
 // TestOraclePlaneZeroCanonical pins that the plane-aware API is a
-// byte-identical no-op on plane 0: PathIdxAtPlane(…, 0) agrees with the
+// byte-identical no-op on plane 0: AppendPath(…, 0) agrees with the
 // path on Oracle.TreeAt's plane-unaware tree, and TreeAtPlane(…, 0) with
 // the tree itself.
 func TestOraclePlaneZeroCanonical(t *testing.T) {
@@ -149,8 +149,8 @@ func TestOraclePlaneZeroCanonical(t *testing.T) {
 	at := start.Add(72 * time.Hour)
 	for src := int32(0); src < 40; src += 3 {
 		for dst := int32(40); dst < 70; dst += 7 {
-			a, oka := o.TreeAt(dst, tl.EpochAt(at)).Path(src, dst)
-			b, okb := v.PathIdxAtPlane(src, dst, at, 0)
+			a, oka := o.TreeAt(dst, tl.EpochAt(at)).AppendPath(nil, src, dst)
+			b, okb := v.AppendPath(nil, src, dst, at, 0)
 			if oka != okb || !pathEq(a, b) {
 				t.Fatalf("plane 0 differs from canonical for %d->%d", src, dst)
 			}
@@ -181,9 +181,9 @@ func TestOraclePlanesDivergeAndStayValid(t *testing.T) {
 	diff := 0
 	for src := int32(0); src < 60; src += 2 {
 		for dst := int32(60); dst < 100; dst += 4 {
-			base, ok0 := o.PathIdxAtPlane(src, dst, at, 0)
+			base, ok0 := o.AppendPath(nil, src, dst, at, 0)
 			for plane := int32(1); plane <= 2; plane++ {
-				p, ok := o.PathIdxAtPlane(src, dst, at, plane)
+				p, ok := o.AppendPath(nil, src, dst, at, plane)
 				if ok != ok0 {
 					t.Fatalf("plane %d changes reachability for %d->%d", plane, src, dst)
 				}
@@ -197,7 +197,7 @@ func TestOraclePlanesDivergeAndStayValid(t *testing.T) {
 					diff++
 				}
 				// Planes are deterministic: querying again is identical.
-				again, _ := o.PathIdxAtPlane(src, dst, at, plane)
+				again, _ := o.AppendPath(nil, src, dst, at, plane)
 				if !pathEq(p, again) {
 					t.Fatalf("plane %d path not deterministic for %d->%d", plane, src, dst)
 				}

@@ -276,9 +276,17 @@ func fold(records []iclab.Record, grans []timeslice.Granularity, paths *pathTabl
 				key := cellKey{url: url, slice: timeslice.KeyFor(gran, r.At)}
 				p, ok := index[key]
 				if !ok {
+					// The granularity's current part sizes the new one's
+					// path list: a URL-day sees about as many paths as
+					// the one before, so starting a quarter above that
+					// count, a day part seldom regrows its list.
+					var first []pathMask
+					if curURL >= 0 {
+						first = make([]pathMask, 0, len(parts[cur[g]].paths)*5/4)
+					}
 					p = int32(len(parts))
 					index[key] = p
-					parts = append(parts, &part{key: key})
+					parts = append(parts, &part{key: key, paths: first})
 				}
 				if curURL < 0 || p != cur[g] {
 					cur[g] = p

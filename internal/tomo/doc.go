@@ -30,8 +30,10 @@
 // finds a path within the current part of each granularity through a
 // dense array by path ID whose entries carry a stamp; a part is stamped
 // afresh whenever it becomes current, so any record order still folds
-// correctly. cell.go holds this core, which the batch and incremental
-// builds share.
+// correctly. A new part's path list starts a quarter above the length
+// of the granularity's current part, since a URL-day sees about as many
+// paths as the one before. cell.go holds this core, which the batch and
+// incremental builds share.
 //
 // The records one build or one Incremental folds must come from one
 // numbered table: a conclusive record without a path ID panics, and so
@@ -46,7 +48,10 @@
 // map. NewIncremental is the streaming counterpart: day
 // batches enter via AddDay, retract via RemoveDay, and
 // Incremental.BuildAndSolveCtx re-solves only the CNFs a batch touched,
-// serving the rest from the previous call's outcomes. Build constructs
+// serving the rest from the previous call's outcomes. It keeps its live
+// cells in output order between calls, sorting only the cells created
+// since the last call and merging them in (URL ranks never reorder URLs
+// already ranked), and drops the cells RemoveDay emptied. Build constructs
 // the same Instances without solving them and is the only entry point
 // that sets Instance.CNF, to CNFOf's clauses, for callers that count or
 // search them; the instances of BuildAndSolve and Incremental carry none.

@@ -68,6 +68,12 @@ type Incremental struct {
 	// plus the enclosing week/month/year cells), so RemoveDay touches only
 	// those instead of scanning every resident cell.
 	byDay map[int][]*incCell
+
+	// sorted lists the cells live at the last BuildAndSolveCtx in
+	// compareCells order, and added the cells AddDay created since; the
+	// next call merges them (see mergeCells) into spare's storage. work is
+	// the storage of a call's dirty cells.
+	sorted, added, spare, work []*incCell
 }
 
 // NewIncremental returns an empty incremental builder. The config's
@@ -95,6 +101,7 @@ func (inc *Incremental) AddDay(day int, records []iclab.Record) {
 		if c == nil {
 			c = &incCell{key: p.key}
 			inc.cells[p.key] = c
+			inc.added = append(inc.added, c)
 		}
 		c.days = append(c.days, day)
 		c.parts = append(c.parts, p)
@@ -105,8 +112,9 @@ func (inc *Incremental) AddDay(day int, records []iclab.Record) {
 }
 
 // RemoveDay retracts a previously added day batch. Cells left with no
-// resident days are dropped entirely; the rest are marked dirty. Removing
-// an unknown label is a no-op.
+// resident days are dropped entirely (the next BuildAndSolveCtx drops
+// them from its sorted list too); the rest are marked dirty. Removing an
+// unknown label is a no-op.
 func (inc *Incremental) RemoveDay(day int) {
 	for _, c := range inc.byDay[day] {
 		i := slices.Index(c.days, day)
@@ -158,25 +166,20 @@ func (inc *Incremental) solveCell(c *incCell) {
 func (inc *Incremental) BuildAndSolveCtx(ctx context.Context) ([]*Instance, []Outcome, IncStats, error) {
 	inc.paths.rerank()
 	inc.urls.rerank()
-	cells := make([]*incCell, 0, len(inc.cells))
-	for _, c := range inc.cells {
-		if c.signal&inc.kinds != 0 {
-			cells = append(cells, c)
-		}
-	}
-	slices.SortFunc(cells, func(x, y *incCell) int { return compareCells(x.key, y.key, inc.urls.rank) })
+	inc.mergeCells()
 
 	var stats IncStats
-	var work []*incCell
+	work := inc.work[:0]
 	total := 0
-	for _, c := range cells {
+	for _, c := range inc.sorted {
 		kinds := bits.OnesCount16(c.signal & inc.kinds)
 		total += kinds
-		if c.dirty {
+		if c.dirty && kinds > 0 {
 			work = append(work, c)
 			stats.Solved += kinds
 		}
 	}
+	inc.work = work
 	if err := parallel.ForEachCtx(ctx, inc.cfg.Workers, len(work), func(i int) {
 		inc.solveCell(work[i])
 	}); err != nil {
@@ -186,13 +189,13 @@ func (inc *Incremental) BuildAndSolveCtx(ctx context.Context) ([]*Instance, []Ou
 		return nil, nil, IncStats{}, err
 	}
 	stats.Reused = total - stats.Solved
-	for _, c := range inc.cells {
+	for _, c := range inc.sorted {
 		c.dirty = false
 	}
 
 	insts := make([]*Instance, 0, total)
 	outs := make([]Outcome, 0, total)
-	for _, c := range cells {
+	for _, c := range inc.sorted {
 		for k := range c.inst {
 			if c.signal&inc.kinds&(1<<k) != 0 {
 				insts = append(insts, c.inst[k])
@@ -201,4 +204,32 @@ func (inc *Incremental) BuildAndSolveCtx(ctx context.Context) ([]*Instance, []Ou
 		}
 	}
 	return insts, outs, stats, nil
+}
+
+// mergeCells brings sorted up to date with the cells AddDay and RemoveDay
+// changed since the last call: it drops the cells left with no resident
+// day, sorts the cells created since among themselves and merges them in,
+// so a window sorts only its new cells, not every live one. The merge is
+// sound because interner.rerank never reorders URLs it has already
+// ranked, so cells already sorted keep their relative order. A key
+// names one live cell, so no two live cells compare equal.
+func (inc *Incremental) mergeCells() {
+	byKey := func(x, y *incCell) int { return compareCells(x.key, y.key, inc.urls.rank) }
+	live := func(c *incCell) bool { return len(c.days) > 0 }
+	added := slices.DeleteFunc(inc.added, func(c *incCell) bool { return !live(c) })
+	slices.SortFunc(added, byKey)
+	merged := inc.spare[:0]
+	old := inc.sorted
+	for len(old) > 0 || len(added) > 0 {
+		switch {
+		case len(old) > 0 && !live(old[0]):
+			old = old[1:]
+		case len(added) == 0 || len(old) > 0 && byKey(old[0], added[0]) < 0:
+			merged, old = append(merged, old[0]), old[1:]
+		default:
+			merged, added = append(merged, added[0]), added[1:]
+		}
+	}
+	clear(inc.sorted) // drop the dead cells' last references
+	inc.sorted, inc.spare, inc.added = merged, inc.sorted[:0], inc.added[:0]
 }

@@ -15,9 +15,15 @@
 //
 // Entry points: Expand derives the router-level Expansion of an AS path;
 // Probe simulates one traceroute over it; both fill caller-owned storage
-// and reuse it, overwriting every hop. InferConsensus folds a test's
+// and reuse it, overwriting every hop. Inferrer.Consensus folds a test's
 // three traces into the inferred AS path or a FailReason naming the
-// elimination rule that fired.
+// elimination rule that fired, mapping hops through the IP-to-AS
+// snapshot the caller picked once for the test (ipasmap.DB.At). An
+// Inferrer is reused test after test: it infers each trace in one pass
+// over its hops, maps a hop an earlier trace of the test had at the same
+// address only once, and returns the path in its own storage, so a test
+// allocates nothing. The allocating Infer and InferConsensus it replaced
+// live on in the tests as the reference it is held to.
 //
 // Invariants: router-level expansion is derived from a path-keyed RNG, so
 // the same AS path always yields the same hop layout — middlebox

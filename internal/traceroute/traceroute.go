@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"slices"
-	"time"
 
 	"churntomo/internal/ipasmap"
 	"churntomo/internal/netaddr"
@@ -148,101 +147,108 @@ func (r FailReason) String() string {
 	}
 }
 
-// Infer converts one trace into an AS-level path. The vantage AS is known
-// platform metadata (each record carries it), so it anchors the path; every
-// other AS must be recovered from hop addresses via the mapping database.
-func Infer(tr Trace, db *ipasmap.DB, at time.Time, vantage topology.ASN) ([]topology.ASN, FailReason) {
-	if tr.Err {
+// Inferrer converts a test's traceroutes into its AS-level path, in
+// storage it reuses test after test: the paths of the test's traces and
+// the mapping of their hops. The zero value is ready to use; an Inferrer
+// belongs to one goroutine at a time.
+type Inferrer struct {
+	path, other []topology.ASN // the first trace's path, a later trace's
+	hops        []mappedHop    // the test's hop mappings, by position
+}
+
+// mappedHop is what the test's snapshot maps a responding hop's address
+// to; set is false at a position whose hop has not been mapped.
+type mappedHop struct {
+	ip         netaddr.IP
+	asn        topology.ASN
+	known, set bool
+}
+
+// Consensus applies the paper's elimination rules to a test's
+// traceroutes. Each trace maps its hops through snap, the IP-to-AS
+// snapshot in force at the test's time, into an AS path anchored at the
+// vantage AS, which is known platform metadata (each record carries it):
+// a failed trace is rule 2, a trace with no mappable hop rule 1, and a
+// silent or unmappable run of hops before a different AS, or at the
+// trace's end, rule 3. The first trace that fails gives the reason, so a
+// traceroute error eliminates the test even when the other traces agree.
+// If the traces that pass give more than one distinct path, the test is
+// inconclusive (rule 4).
+//
+// The returned path lies in the Inferrer's storage and is valid until
+// its next call. A test's traces mostly probe the same router-level
+// path, so a hop at the address an earlier trace of the test had at that
+// position reuses its mapping instead of looking it up again.
+func (in *Inferrer) Consensus(traces []Trace, snap ipasmap.Snapshot, vantage topology.ASN) ([]topology.ASN, FailReason) {
+	if len(traces) == 0 {
 		return nil, ErrTraceFailed
 	}
-	// Map hops; silent and unmappable hops both become unknowns.
-	type slot struct {
-		asn   topology.ASN
-		known bool
+	in.hops = in.hops[:0]
+	var why FailReason
+	if in.path, why = in.infer(&traces[0], snap, vantage, in.path[:0]); why != OK {
+		return nil, why
 	}
-	slots := make([]slot, len(tr.Hops))
-	anyMapped := false
-	for i, h := range tr.Hops {
-		if !h.Responded {
-			continue
+	for i := 1; i < len(traces); i++ {
+		if in.other, why = in.infer(&traces[i], snap, vantage, in.other[:0]); why != OK {
+			return nil, why
 		}
-		asn, ok := db.Lookup(h.IP, at)
-		if !ok {
-			continue
+		if !slices.Equal(in.path, in.other) {
+			return nil, ErrDisagree
 		}
-		slots[i] = slot{asn, true}
-		anyMapped = true
 	}
-	if !anyMapped {
-		return nil, ErrNoMapping
-	}
+	return in.path, OK
+}
 
-	path := []topology.ASN{vantage}
-	last := vantage
-	i := 0
-	for i < len(slots) {
-		if slots[i].known {
-			if slots[i].asn != last {
-				path = append(path, slots[i].asn)
-				last = slots[i].asn
-			}
-			i++
+// infer appends one trace's AS path to path in a single pass over its
+// hops. Silent and unmappable hops are both unknown: a run of them must
+// end at a hop of the AS before it, or it hides an AS boundary; a run at
+// the end hides the destination, so the path's end is unverifiable. Both
+// are rule 3, unless no hop maps at all (rule 1).
+func (in *Inferrer) infer(tr *Trace, snap ipasmap.Snapshot, vantage topology.ASN, path []topology.ASN) ([]topology.ASN, FailReason) {
+	if tr.Err {
+		return path, ErrTraceFailed
+	}
+	path = append(path, vantage)
+	last, unknown, mapped := vantage, false, false
+	for i, h := range tr.Hops {
+		asn, ok := in.lookup(i, h, snap)
+		if !ok {
+			unknown = true
 			continue
 		}
-		// Unknown run: find the next known slot.
-		j := i
-		for j < len(slots) && !slots[j].known {
-			j++
+		mapped = true
+		if asn != last {
+			if unknown {
+				return path, ErrSilentBoundary
+			}
+			path = append(path, asn)
+			last = asn
 		}
-		if j == len(slots) {
-			// Trailing unknowns include the destination hop: the path's
-			// end is unverifiable (paper folds this into rule 3).
-			return nil, ErrSilentBoundary
-		}
-		if slots[j].asn != last {
-			// The silent run hides an AS boundary: ambiguous.
-			return nil, ErrSilentBoundary
-		}
-		i = j
+		unknown = false
+	}
+	switch {
+	case !mapped:
+		return path, ErrNoMapping
+	case unknown:
+		return path, ErrSilentBoundary
 	}
 	return path, OK
 }
 
-// InferConsensus applies Infer to each of a measurement's traceroutes and
-// then the paper's rule 4: if more than one distinct AS-level path emerges,
-// the record is inconclusive. When individual traces fail for different
-// reasons, the first failure in rule order is reported, but a single clean
-// consensus among the successful traces is NOT enough — per the paper, a
-// traceroute error eliminates the record.
-func InferConsensus(traces []Trace, db *ipasmap.DB, at time.Time, vantage topology.ASN) ([]topology.ASN, FailReason) {
-	if len(traces) == 0 {
-		return nil, ErrTraceFailed
+// lookup maps the i-th hop of a trace through snap, reusing the mapping
+// of an earlier trace's i-th hop in this test when it had the same
+// address.
+func (in *Inferrer) lookup(i int, h Hop, snap ipasmap.Snapshot) (topology.ASN, bool) {
+	if !h.Responded {
+		return 0, false
 	}
-	var consensus []topology.ASN
-	for _, tr := range traces {
-		path, why := Infer(tr, db, at, vantage)
-		if why != OK {
-			return nil, why
-		}
-		if consensus == nil {
-			consensus = path
-			continue
-		}
-		if !equalPath(consensus, path) {
-			return nil, ErrDisagree
-		}
+	if i < len(in.hops) && in.hops[i].set && in.hops[i].ip == h.IP {
+		return in.hops[i].asn, in.hops[i].known
 	}
-	return consensus, OK
-}
-
-func equalPath(a, b []topology.ASN) bool {
-	if len(a) != len(b) {
-		return false
+	asn, ok := snap.Lookup(h.IP)
+	for len(in.hops) <= i {
+		in.hops = append(in.hops, mappedHop{})
 	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+	in.hops[i] = mappedHop{ip: h.IP, asn: asn, known: ok, set: true}
+	return asn, ok
 }

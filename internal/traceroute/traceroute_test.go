@@ -126,7 +126,7 @@ func TestProbeCleanInfer(t *testing.T) {
 	Expand(g, path, serverIPOf(g, path[len(path)-1]), rng, &e)
 	var tr Trace
 	Probe(&e, Config{NonResponseProb: 1e-9, FailProb: 1e-9}, rng, &tr)
-	got, why := Infer(tr, db, at, g.ASes[path[0]].ASN)
+	got, why := inferOne(t, tr, db, at, g.ASes[path[0]].ASN)
 	if why != OK {
 		t.Fatalf("Infer failed: %v", why)
 	}
@@ -134,14 +134,14 @@ func TestProbeCleanInfer(t *testing.T) {
 	for i, idx := range path {
 		want[i] = g.ASes[idx].ASN
 	}
-	if !equalPath(got, want) {
+	if !slices.Equal(got, want) {
 		t.Errorf("inferred %v, want %v", got, want)
 	}
 }
 
 func TestInferRule2TraceError(t *testing.T) {
 	_, db, _ := fixture(t)
-	if _, why := Infer(Trace{Err: true}, db, at, 1); why != ErrTraceFailed {
+	if _, why := inferOne(t, Trace{Err: true}, db, at, 1); why != ErrTraceFailed {
 		t.Errorf("got %v, want ErrTraceFailed", why)
 	}
 }
@@ -157,7 +157,7 @@ func TestInferRule1NoMapping(t *testing.T) {
 	for i := range tr.Hops {
 		tr.Hops[i].IP = netaddr.MustParseIP("5.5.5.5")
 	}
-	if _, why := Infer(tr, db, at, g.ASes[path[0]].ASN); why != ErrNoMapping {
+	if _, why := inferOne(t, tr, db, at, g.ASes[path[0]].ASN); why != ErrNoMapping {
 		t.Errorf("got %v, want ErrNoMapping", why)
 	}
 }
@@ -175,7 +175,7 @@ func TestInferRule3SilentBoundary(t *testing.T) {
 	for i := startHop; i < endHop; i++ {
 		tr.Hops[i] = Hop{}
 	}
-	if _, why := Infer(tr, db, at, g.ASes[path[0]].ASN); why != ErrSilentBoundary {
+	if _, why := inferOne(t, tr, db, at, g.ASes[path[0]].ASN); why != ErrSilentBoundary {
 		t.Errorf("got %v, want ErrSilentBoundary", why)
 	}
 }
@@ -206,7 +206,7 @@ func TestInferSilentWithinASAbsorbed(t *testing.T) {
 	var tr Trace
 	Probe(&e, Config{NonResponseProb: 1e-9, FailProb: 1e-9}, rng, &tr)
 	tr.Hops[e.ASStart[target]+1] = Hop{} // silence an interior router
-	got, why := Infer(tr, db, at, g.ASes[path[0]].ASN)
+	got, why := inferOne(t, tr, db, at, g.ASes[path[0]].ASN)
 	if why != OK {
 		t.Fatalf("interior silent hop not absorbed: %v", why)
 	}
@@ -226,7 +226,7 @@ func TestInferTrailingSilentFails(t *testing.T) {
 	for i := e.ASStart[len(path)-1]; i < len(tr.Hops); i++ {
 		tr.Hops[i] = Hop{}
 	}
-	if _, why := Infer(tr, db, at, g.ASes[path[0]].ASN); why != ErrSilentBoundary {
+	if _, why := inferOne(t, tr, db, at, g.ASes[path[0]].ASN); why != ErrSilentBoundary {
 		t.Errorf("got %v, want ErrSilentBoundary for unverifiable tail", why)
 	}
 }
@@ -243,7 +243,7 @@ func TestInferConsensusRule4(t *testing.T) {
 	Probe(&e, clean, rng, &t2)
 	Probe(&e, clean, rng, &t3)
 
-	if _, why := InferConsensus([]Trace{t1, t2, t3}, db, at, g.ASes[path[0]].ASN); why != OK {
+	if _, why := checkConsensus(t, new(Inferrer), []Trace{t1, t2, t3}, db, at, g.ASes[path[0]].ASN); why != OK {
 		t.Fatalf("clean consensus failed: %v", why)
 	}
 
@@ -257,15 +257,15 @@ func TestInferConsensusRule4(t *testing.T) {
 		}
 	}
 	t3.Hops[e.ASStart[1]] = Hop{IP: g.RouterIP(otherIdx, 0), Responded: true}
-	if _, why := InferConsensus([]Trace{t1, t2, t3}, db, at, g.ASes[path[0]].ASN); why != ErrDisagree {
+	if _, why := checkConsensus(t, new(Inferrer), []Trace{t1, t2, t3}, db, at, g.ASes[path[0]].ASN); why != ErrDisagree {
 		t.Errorf("got %v, want ErrDisagree", why)
 	}
 
 	// A failed member trace poisons the record (rule 2 at record level).
-	if _, why := InferConsensus([]Trace{t1, {Err: true}}, db, at, g.ASes[path[0]].ASN); why != ErrTraceFailed {
+	if _, why := checkConsensus(t, new(Inferrer), []Trace{t1, {Err: true}}, db, at, g.ASes[path[0]].ASN); why != ErrTraceFailed {
 		t.Errorf("got %v, want ErrTraceFailed", why)
 	}
-	if _, why := InferConsensus(nil, db, at, g.ASes[path[0]].ASN); why != ErrTraceFailed {
+	if _, why := checkConsensus(t, new(Inferrer), nil, db, at, g.ASes[path[0]].ASN); why != ErrTraceFailed {
 		t.Errorf("empty trace set: got %v", why)
 	}
 }
